@@ -31,7 +31,7 @@ def main() -> int:
         print(
             f"{name:24s} trials={rep.trials:6d} violations={rep.violations:3d} "
             f"worst={rep.worst_gap:+.6e} worst_seed={rep.worst_case_seed:10d} "
-            f"retries={rep.generation_retries} time={rep.wall_time:.2f}s"
+            f"time={rep.wall_time:.2f}s"
         )
     print(f"\ntotal violations: {total_violations}")
     return 1 if total_violations else 0

@@ -48,9 +48,6 @@ class FunctionSpec:
     family one of: identity, log, exp, power (param = exponent r != 0),
     q_log (param = order q), shifted_log (param = shift c > 0, f = log(c + x)),
     rational (x / (x**2 + 2)), tabulated (linear interpolation over grid).
-    declared_class is advisory metadata ("xfx_convex", "xf1overx_concave",
-    "operator_monotone", "operator_concave"); consumers re-verify it, either
-    on a numerical grid (scalar checks) or against the operator catalog.
     """
 
     family: str
@@ -58,7 +55,6 @@ class FunctionSpec:
     offset: float = 0.0
     grid: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     limit_window: float = 1e-9
-    declared_class: str | None = None
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -198,9 +194,9 @@ def rational_fn() -> FunctionSpec:
     return FunctionSpec("rational")
 
 
-def tabulated_fn(xs, ys, declared_class: str | None = None) -> FunctionSpec:
+def tabulated_fn(xs, ys) -> FunctionSpec:
     grid = (tuple(float(x) for x in xs), tuple(float(y) for y in ys))
-    return FunctionSpec("tabulated", grid=grid, declared_class=declared_class)
+    return FunctionSpec("tabulated", grid=grid)
 
 
 def parse_function(name: str, param: float | None = None, offset: float = 0.0) -> FunctionSpec:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generators as gen
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .functions import identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from .loewner import (
     mean_monotonicity_residual,
@@ -62,10 +62,8 @@ __all__ = [
 
 _SEED_MOD = 2**64
 FAMILY_KINDS = ("expansive", "contractive", "unconstrained")
-STRUCTURES = ("commuting", "general")
 LHS_FORMS = ("perspective_sum", "sum_fb")
 RECHECK_ABS_TOL = 1e-6
-_MAX_GENERATION_RETRIES = 100
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,6 @@ class TrialConfig:
     tolerance: float = 1e-9
     spectrum_range: tuple[float, float] = (0.5, 2.0)
     family_kind: str = "expansive"
-    structure: str = "general"
     lhs_form: str = "perspective_sum"
 
     def __post_init__(self) -> None:
@@ -101,8 +98,6 @@ class TrialConfig:
             raise DomainError("spectrum_range must satisfy 0 < lo < hi")
         if self.family_kind not in FAMILY_KINDS:
             raise DomainError(f"family_kind must be one of {FAMILY_KINDS}")
-        if self.structure not in STRUCTURES:
-            raise DomainError(f"structure must be one of {STRUCTURES}")
         if self.lhs_form not in LHS_FORMS:
             raise DomainError(f"lhs_form must be one of {LHS_FORMS}")
         object.__setattr__(self, "spectrum_range", (float(lo), float(hi)))
@@ -114,7 +109,6 @@ class SuiteReport:
     config: TrialConfig
     trials: int
     violations: int
-    generation_retries: int
     worst_gap: float
     worst_case_seed: int
     wall_time: float
@@ -125,8 +119,6 @@ class SuiteReport:
 class TrialOutcome:
     gap: float
     holds: bool
-    retries: int = 0
-    detail: dict | None = None
 
 
 def _trial_seed(config: TrialConfig, index: int) -> int:
@@ -135,18 +127,6 @@ def _trial_seed(config: TrialConfig, index: int) -> int:
 
 def _size(rng: np.random.Generator, cap: int) -> int:
     return int(rng.integers(1, cap + 1))
-
-
-def _retry(build, rng):
-    """Regenerate on precondition failures; the retries are counted, never hidden."""
-    retries = 0
-    while True:
-        try:
-            return build(rng), retries
-        except PreconditionError:
-            retries += 1
-            if retries >= _MAX_GENERATION_RETRIES:
-                raise
 
 
 # -- scalar suites ---------------------------------------------------------
@@ -316,7 +296,7 @@ def _perspective_families(rng, config):
 
 
 def _suite_perspective_sum(rng, config):
-    (As, Bs), retries = _retry(lambda r: _perspective_families(r, config), rng)
+    As, Bs = _perspective_families(rng, config)
     f = _concave_f(rng)
     v = perspective_sum_residual(
         f,
@@ -326,7 +306,7 @@ def _suite_perspective_sum(rng, config):
         require_expansive=config.family_kind == "expansive",
         tol=config.tolerance,
     )
-    return TrialOutcome(v.residual_min_eigenvalue, v.holds, retries)
+    return TrialOutcome(v.residual_min_eigenvalue, v.holds)
 
 
 def _suite_operator_shannon(rng, config):
@@ -414,13 +394,11 @@ def run_suite(config: TrialConfig) -> SuiteReport:
     suite_fn = SUITES[config.suite]
     start = time.perf_counter()
     violations = 0
-    retries = 0
     worst_gap = math.inf
     worst_seed = _trial_seed(config, 0)
     for index in range(config.trials):
         ts = _trial_seed(config, index)
         outcome = suite_fn(np.random.default_rng(ts), config)
-        retries += outcome.retries
         if not outcome.holds:
             violations += 1
         if outcome.gap < worst_gap:
@@ -431,7 +409,6 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         config=config,
         trials=config.trials,
         violations=violations,
-        generation_retries=retries,
         worst_gap=float(worst_gap),
         worst_case_seed=worst_seed,
         wall_time=time.perf_counter() - start,
@@ -497,7 +474,6 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
         config=config,
         trials=config.trials,
         violations=len(findings),
-        generation_retries=0,
         worst_gap=float(worst_gap),
         worst_case_seed=worst_seed,
         wall_time=time.perf_counter() - start,
@@ -518,12 +494,10 @@ def report_to_json(report: SuiteReport) -> str:
             "tolerance": cfg.tolerance,
             "spectrum_range": list(cfg.spectrum_range),
             "family_kind": cfg.family_kind,
-            "structure": cfg.structure,
             "lhs_form": cfg.lhs_form,
         },
         "trials": report.trials,
         "violations": report.violations,
-        "generation_retries": report.generation_retries,
         "worst_gap": report.worst_gap,
         "worst_case_seed": report.worst_case_seed,
         "findings": list(report.findings),

@@ -2,9 +2,11 @@
 
 Verdicts compare both sides of a claimed Loewner inequality by forming the
 residual RHS - LHS (or the claim-appropriate orientation) and checking its
-minimum eigenvalue.  Operator monotonicity/concavity/convexity of the scalar
-function is established by catalog, not numerically: only families whose
-operator class is classical textbook knowledge get the flags.
+minimum eigenvalue.  Public functions validate their inputs once; the
+private kernels take Hermitian arrays or SpectralDecompositions and
+decompose each matrix once.  Operator monotonicity/concavity/convexity of
+the scalar function is established by catalog, not numerically: only
+families whose operator class is classical textbook knowledge get the flags.
 """
 
 from __future__ import annotations
@@ -15,16 +17,21 @@ from .errors import DomainError, PreconditionError
 from .functions import FunctionSpec
 from .matfun import (
     LoewnerVerdict,
+    SpectralDecomposition,
     _as_square_complex,
+    _decompose,
+    _herm,
+    _residual_verdict,
+    _verdict,
     apply_function,
     hermitize,
     maxnorm,
     operator_norm,
     psd_inverse,
     psd_sqrt,
-    residual_verdict,
     spectral_decompose,
 )
+from .scalar import DEFAULT_TOLERANCE
 
 __all__ = [
     "operator_class_flags",
@@ -41,7 +48,6 @@ __all__ = [
     "mean_monotonicity_residual",
 ]
 
-DEFAULT_TOLERANCE = 1e-9
 SUM_MATCH_RTOL = 1e-9
 _F_AT_ANCHOR_TOL = 1e-12
 
@@ -88,12 +94,28 @@ def _validate_family(mats, what: str) -> list[np.ndarray]:
     return out
 
 
+def _sqrt(H: np.ndarray, solver: str) -> np.ndarray:
+    return _decompose(H, solver).sqrt().reconstruct()
+
+
+def _inverse(H: np.ndarray, solver: str) -> np.ndarray:
+    return _decompose(H, solver).inverse().reconstruct()
+
+
+def _perspective(
+    f: FunctionSpec, dec_a: SpectralDecomposition, B: np.ndarray, solver: str
+) -> np.ndarray:
+    """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} from A's decomposition and Hermitian B."""
+    root = dec_a.sqrt()
+    sA = root.reconstruct()
+    sA_inv = root.inverse().reconstruct()
+    arg = _herm(sA_inv @ B @ sA_inv)
+    return _herm(sA @ _decompose(arg, solver).map(f).reconstruct() @ sA)
+
+
 def operator_perspective(f: FunctionSpec, A, B, solver: str = "eigh") -> np.ndarray:
     """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} for positive definite A."""
-    sA = psd_sqrt(A, solver)
-    sA_inv = psd_inverse(sA, solver=solver)
-    arg = hermitize(sA_inv @ hermitize(B) @ sA_inv)
-    return hermitize(sA @ apply_function(f, arg, solver) @ sA)
+    return _perspective(f, spectral_decompose(A, solver), hermitize(B), solver)
 
 
 def perspective_identity_gap(f: FunctionSpec, A, B, solver: str = "eigh") -> float:
@@ -130,46 +152,41 @@ def operator_jensen_residual(
     Xh = hermitize(X)
     if C.shape != Xh.shape:
         raise DomainError(f"contraction shape {C.shape} does not match X shape {Xh.shape}")
-    Y = hermitize(C.conj().T @ Xh @ C)
+    Y = _herm(C.conj().T @ Xh @ C)
     unitary_like = maxnorm(C.conj().T @ C - np.eye(C.shape[0])) <= 1e-12
 
     flags = operator_class_flags(f)
-    lo, hi, lo_open = f.domain()
-    zero_in_domain = (lo < 0.0 or (lo == 0.0 and not lo_open)) and hi >= 0.0
-
-    if "operator_monotone" in flags:
-        if not unitary_like:
-            wx = spectral_decompose(Xh, solver).eigenvalues
-            if float(wx[0]) < -1e-12 * max(1.0, float(np.max(np.abs(wx)))):
-                raise PreconditionError("X must be PSD for the monotone direction")
-            if not zero_in_domain:
-                raise PreconditionError(
-                    f"{f.label()} is undefined at 0; a strict contraction pushes the "
-                    "spectrum there"
-                )
-            if float(f(0.0)) < -_F_AT_ANCHOR_TOL:
-                raise PreconditionError("monotone direction needs f(0) >= 0")
-        residual = apply_function(f, Y, solver) - C.conj().T @ apply_function(f, Xh, solver) @ C
-    elif "operator_convex" in flags:
-        if not unitary_like:
-            if not zero_in_domain:
-                raise PreconditionError(
-                    f"{f.label()} is undefined at 0; a strict contraction pushes the "
-                    "spectrum there"
-                )
-            if float(f(0.0)) > _F_AT_ANCHOR_TOL:
-                raise PreconditionError("convex direction needs f(0) <= 0")
-        residual = C.conj().T @ apply_function(f, Xh, solver) @ C - apply_function(f, Y, solver)
-    else:
+    monotone = "operator_monotone" in flags
+    if not monotone and "operator_convex" not in flags:
         raise PreconditionError(
             f"{f.label()} is neither operator monotone nor operator convex in the catalog"
         )
-    return residual_verdict(residual, tol, solver)
+    lo, hi, lo_open = f.domain()
+    zero_in_domain = (lo < 0.0 or (lo == 0.0 and not lo_open)) and hi >= 0.0
+
+    dec_x = _decompose(Xh, solver)
+    if not unitary_like:
+        if monotone:
+            wx = dec_x.eigenvalues
+            if float(wx[0]) < -1e-12 * max(1.0, float(np.max(np.abs(wx)))):
+                raise PreconditionError("X must be PSD for the monotone direction")
+        if not zero_in_domain:
+            raise PreconditionError(
+                f"{f.label()} is undefined at 0; a strict contraction pushes the "
+                "spectrum there"
+            )
+        if monotone and float(f(0.0)) < -_F_AT_ANCHOR_TOL:
+            raise PreconditionError("monotone direction needs f(0) >= 0")
+        if not monotone and float(f(0.0)) > _F_AT_ANCHOR_TOL:
+            raise PreconditionError("convex direction needs f(0) <= 0")
+    fY = _decompose(Y, solver).map(f).reconstruct()
+    CfXC = C.conj().T @ dec_x.map(f).reconstruct() @ C
+    residual = fY - CfXC if monotone else CfXC - fY
+    return _residual_verdict(residual, tol, solver)
 
 
-def _require_expansive(A_sum: np.ndarray, m: int, tol: float, solver: str) -> None:
-    n = A_sum.shape[0]
-    check = residual_verdict(A_sum - m * np.eye(n), tol, solver)
+def _require_expansive(dec_sum: SpectralDecomposition, m: int, tol: float) -> None:
+    check = _verdict(dec_sum.eigenvalues - m, tol)
     if not check.holds:
         raise PreconditionError(
             f"family is not expansive: sum(A_i) >= m*I fails "
@@ -206,19 +223,17 @@ def perspective_sum_residual(
     if As[0].shape != Bs[0].shape:
         raise DomainError("A_family and B_family must share dimension")
     require_operator_class(f, "operator_concave")
-    m = len(As)
-    A = sum(As)
-    B = sum(Bs)
+    dec_sum = _decompose(sum(As), solver)
     if require_expansive:
-        _require_expansive(A, m, tol, solver)
-    rhs = operator_perspective(f, A, B, solver)
+        _require_expansive(dec_sum, len(As), tol)
+    rhs = _perspective(f, dec_sum, sum(Bs), solver)
     if lhs_form == "perspective_sum":
-        lhs = sum(operator_perspective(f, Ai, Bi, solver) for Ai, Bi in zip(As, Bs))
+        lhs = sum(_perspective(f, _decompose(Ai, solver), Bi, solver) for Ai, Bi in zip(As, Bs))
     elif lhs_form == "sum_fb":
-        lhs = sum(apply_function(f, Bi, solver) for Bi in Bs)
+        lhs = sum(_decompose(Bi, solver).map(f).reconstruct() for Bi in Bs)
     else:
         raise DomainError(f"unknown lhs_form {lhs_form!r}")
-    return residual_verdict(rhs - lhs, tol, solver)
+    return _residual_verdict(rhs - lhs, tol, solver)
 
 
 def operator_shannon_residual(
@@ -247,9 +262,9 @@ def operator_shannon_residual(
     mismatch = maxnorm(A - B)
     if mismatch > SUM_MATCH_RTOL * max(1.0, maxnorm(A)):
         raise PreconditionError(f"sum(A_i) != sum(B_i) (maxnorm mismatch {mismatch:.3e})")
-    _require_expansive(A, len(As), tol, solver)
-    total = sum(operator_perspective(f, Ai, Bi, solver) for Ai, Bi in zip(As, Bs))
-    return residual_verdict(-total, tol, solver)
+    _require_expansive(_decompose(A, solver), len(As), tol)
+    total = sum(_perspective(f, _decompose(Ai, solver), Bi, solver) for Ai, Bi in zip(As, Bs))
+    return _residual_verdict(-total, tol, solver)
 
 
 def pooled_inverse_residual(
@@ -272,13 +287,16 @@ def pooled_inverse_residual(
         if Xk.shape[0] != n:
             raise DomainError(f"X_family[{k}] has dimension {Xk.shape[0]}, expected {n}")
         Xs.append(Xk)
-    lhs = sum(
-        hermitize(X.conj().T @ psd_inverse(A, solver=solver) @ X) for X, A in zip(Xs, As)
-    )
+    lhs = sum(_herm(X.conj().T @ _inverse(A, solver) @ X) for X, A in zip(Xs, As))
     SX = sum(Xs)
-    SA = sum(As)
-    rhs = hermitize(SX.conj().T @ psd_inverse(SA, solver=solver) @ SX)
-    return residual_verdict(lhs - rhs, tol, solver)
+    rhs = _herm(SX.conj().T @ _inverse(sum(As), solver) @ SX)
+    return _residual_verdict(lhs - rhs, tol, solver)
+
+
+def _mean(f: FunctionSpec, sB: np.ndarray, A_inv: np.ndarray, solver: str) -> np.ndarray:
+    """B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2} from B^{1/2} and A^{-1}."""
+    arg = _herm(sB @ A_inv @ sB)
+    return _herm(sB @ _decompose(arg, solver).map(f).inverse().reconstruct() @ sB)
 
 
 def matrix_mean(f: FunctionSpec, A, B, solver: str = "eigh") -> np.ndarray:
@@ -287,10 +305,7 @@ def matrix_mean(f: FunctionSpec, A, B, solver: str = "eigh") -> np.ndarray:
     f's matrix image must be PD so the middle inverse exists; for
     f = power(1/2) this is the geometric mean of A and B.
     """
-    sB = psd_sqrt(B, solver)
-    arg = hermitize(sB @ psd_inverse(A, solver=solver) @ sB)
-    f_img = apply_function(f, arg, solver)
-    return hermitize(sB @ psd_inverse(f_img, solver=solver) @ sB)
+    return _mean(f, psd_sqrt(B, solver), psd_inverse(A, solver=solver), solver)
 
 
 def pooled_mean_residual(
@@ -310,19 +325,15 @@ def pooled_mean_residual(
     if len(As) != len(Bs) or As[0].shape != Bs[0].shape:
         raise DomainError("families must match in length and dimension")
     require_operator_class(f, "operator_monotone")
-    m = len(As)
-    sB_sum = sum(psd_sqrt(Bi, solver) for Bi in Bs)
+    roots = [_sqrt(Bi, solver) for Bi in Bs]
     f_sum = sum(
-        apply_function(
-            f,
-            hermitize(psd_sqrt(Bi, solver) @ psd_inverse(Ai, solver=solver) @ psd_sqrt(Bi, solver)),
-            solver,
-        )
-        for Ai, Bi in zip(As, Bs)
+        _decompose(_herm(sB @ _inverse(Ai, solver) @ sB), solver).map(f).reconstruct()
+        for Ai, sB in zip(As, roots)
     )
-    lhs = hermitize(sB_sum @ psd_inverse(f_sum, solver=solver) @ sB_sum) / m
-    rhs = matrix_mean(f, sum(As), sum(Bs), solver)
-    return residual_verdict(rhs - lhs, tol, solver)
+    sB_sum = sum(roots)
+    lhs = _herm(sB_sum @ _inverse(f_sum, solver) @ sB_sum) / len(As)
+    rhs = _mean(f, _sqrt(sum(Bs), solver), _inverse(sum(As), solver), solver)
+    return _residual_verdict(rhs - lhs, tol, solver)
 
 
 def split_mean_residual(
@@ -347,14 +358,17 @@ def split_mean_residual(
     if len(As) != len(Bs) or As[0].shape != Bs[0].shape:
         raise DomainError("families must match in length and dimension")
     require_operator_class(f, "operator_monotone")
-    m = len(As)
     lhs = 0.0 * As[0]
+    sA_sum = 0.0 * As[0]
     for Ai, Bi in zip(As, Bs):
-        sA = psd_sqrt(Ai, solver)
-        lhs = lhs + hermitize(sA @ matrix_mean(f, Ai, Bi, solver) @ sA)
-    sA_sum = sum(psd_sqrt(Ai, solver) for Ai in As)
-    rhs = hermitize(sA_sum @ matrix_mean(f, sum(As), sum(Bs), solver) @ sA_sum) / m
-    return residual_verdict(rhs - lhs, tol, solver)
+        dec_a = _decompose(Ai, solver)
+        sA = dec_a.sqrt().reconstruct()
+        mean = _mean(f, _sqrt(Bi, solver), dec_a.inverse().reconstruct(), solver)
+        lhs = lhs + _herm(sA @ mean @ sA)
+        sA_sum = sA_sum + sA
+    mean = _mean(f, _sqrt(sum(Bs), solver), _inverse(sum(As), solver), solver)
+    rhs = _herm(sA_sum @ mean @ sA_sum) / len(As)
+    return _residual_verdict(rhs - lhs, tol, solver)
 
 
 def mean_monotonicity_residual(
@@ -378,15 +392,16 @@ def mean_monotonicity_residual(
     A = hermitize(A_whole)
     B = hermitize(B_whole)
     require_operator_class(f, "operator_monotone")
-    order_a = residual_verdict(A - Ai, tol, solver)
+    order_a = _residual_verdict(A - Ai, tol, solver)
     if not order_a.holds:
         raise PreconditionError(
             f"A_part <= A_whole fails (min eigenvalue {order_a.residual_min_eigenvalue:.3e})"
         )
-    order_b = residual_verdict(B - Bi, tol, solver)
+    order_b = _residual_verdict(B - Bi, tol, solver)
     if not order_b.holds:
         raise PreconditionError(
             f"B_part <= B_whole fails (min eigenvalue {order_b.residual_min_eigenvalue:.3e})"
         )
-    residual = matrix_mean(f, A, B, solver) - matrix_mean(f, Ai, Bi, solver)
-    return residual_verdict(residual, tol, solver)
+    whole = _mean(f, _sqrt(B, solver), _inverse(A, solver), solver)
+    part = _mean(f, _sqrt(Bi, solver), _inverse(Ai, solver), solver)
+    return _residual_verdict(whole - part, tol, solver)

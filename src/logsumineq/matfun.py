@@ -1,10 +1,17 @@
 """Hermitian matrix functional calculus and Loewner-order comparison.
 
 Everything here works through the spectral decomposition A = U diag(w) U†:
-f(A) = U diag(f(w)) U†.  Two eigensolvers are available: "eigh" (LAPACK via
-numpy) and "jacobi" (a self-contained cyclic Jacobi sweep).  The second
-exists so that candidate counterexamples can be re-verified through an
-independent numerical route; keep the two code paths distinct.
+f(A) = U diag(f(w)) U†.  Each matrix is decomposed once; A^{1/2}, A^{-1},
+A^{-1/2} and f(A) are all read off that one SpectralDecomposition (map,
+sqrt, inverse, then reconstruct), never by decomposing an intermediate
+result again.  Inputs are validated once, at the public functions; the
+private _decompose and _herm take arrays that are already square, finite
+and Hermitian, and are what internal kernels call.
+
+Two eigensolvers are available: "eigh" (LAPACK via numpy) and "jacobi" (a
+self-contained cyclic Jacobi sweep).  The second exists so that candidate
+counterexamples can be re-verified through an independent numerical route;
+keep the two code paths distinct.
 """
 
 from __future__ import annotations
@@ -61,10 +68,14 @@ def operator_norm(M) -> float:
     return float(np.linalg.norm(np.asarray(M, dtype=complex), 2))
 
 
+def _herm(A: np.ndarray) -> np.ndarray:
+    """(A + A†)/2 of a square complex array; exactly Hermitian, no input checks."""
+    return (A + A.conj().T) / 2.0
+
+
 def hermitize(M) -> np.ndarray:
     """(M + M†)/2.  Idempotent on Hermitian inputs."""
-    A = _as_square_complex(M)
-    return (A + A.conj().T) / 2.0
+    return _herm(_as_square_complex(M))
 
 
 def _require_hermitian(M, what: str = "matrix") -> np.ndarray:
@@ -72,7 +83,7 @@ def _require_hermitian(M, what: str = "matrix") -> np.ndarray:
     drift = maxnorm(A - A.conj().T)
     if drift > HERMITIAN_RTOL * max(1.0, maxnorm(A)):
         raise DomainError(f"{what} is not Hermitian (anti-Hermitian part {drift:.3e})")
-    return (A + A.conj().T) / 2.0
+    return _herm(A)
 
 
 def commutator_maxnorm(A, B) -> float:
@@ -87,14 +98,59 @@ def commutes(A, B, rtol: float = COMMUTE_RTOL) -> bool:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Unitary U and real eigenvalues w (ascending) with A = U diag(w) U†."""
+    """Unitary U and real eigenvalues w with A = U diag(w) U†.
+
+    A decomposition fresh from an eigensolver has w ascending.  map, sqrt and
+    inverse return new decompositions over the same U whose values follow
+    U's columns, so they need not be sorted.
+    """
 
     unitary: np.ndarray
     eigenvalues: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
+        """U diag(w) U†, the one place a decomposition becomes a matrix again."""
         U = self.unitary
-        return hermitize((U * self.eigenvalues) @ U.conj().T)
+        return _herm((U * self.eigenvalues) @ U.conj().T)
+
+    def _with(self, values) -> SpectralDecomposition:
+        w = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise DomainError("matrix has non-finite entries")
+        return SpectralDecomposition(self.unitary, w)
+
+    def map(self, f: FunctionSpec) -> SpectralDecomposition:
+        """f(A).  Raises DomainError if an eigenvalue exits f's domain."""
+        return self._with(f(self.eigenvalues))
+
+    def sqrt(self) -> SpectralDecomposition:
+        """Unique PSD square root; eigenvalues in [-1e-12*norm, 0) are clamped to 0."""
+        w = self.eigenvalues
+        lowest = float(np.min(w))
+        clamp = PSD_CLAMP_RTOL * max(1.0, float(np.max(np.abs(w))))
+        if lowest < -clamp:
+            raise DomainError(
+                f"matrix is not PSD (min eigenvalue {lowest:.3e} below clamp -{clamp:.3e})"
+            )
+        return self._with(np.sqrt(np.clip(w, 0.0, None)))
+
+    def inverse(self, floor: float | None = None) -> SpectralDecomposition:
+        """A^{-1} for positive definite A.
+
+        floor defaults to 1e-10 * max|eigenvalue|; any eigenvalue below the
+        floor (or a floor that is not strictly positive) is treated as
+        singular rather than inverted, so round-off null spaces cannot leak
+        huge weights.
+        """
+        w = self.eigenvalues
+        lowest = float(np.min(w))
+        if floor is None:
+            floor = 1e-10 * float(np.max(np.abs(w)))
+        if floor <= 0.0 or lowest < floor:
+            raise SingularityError(
+                f"matrix not invertible above floor {floor:.3e} (min eigenvalue {lowest:.3e})"
+            )
+        return self._with(1.0 / w)
 
 
 @dataclass(frozen=True)
@@ -174,11 +230,8 @@ def jacobi_eigh(A, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np
     return w[order], V[:, order]
 
 
-def spectral_decompose(A, solver: str = "eigh") -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    if solver not in SOLVERS:
-        raise DomainError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    H = _require_hermitian(A)
+def _decompose(H: np.ndarray, solver: str = "eigh") -> SpectralDecomposition:
+    """Eigendecomposition of an array that is already Hermitian; no input checks."""
     if solver == "eigh":
         try:
             w, U = np.linalg.eigh(H)
@@ -186,17 +239,34 @@ def spectral_decompose(A, solver: str = "eigh") -> SpectralDecomposition:
             raise NumericError(
                 f"eigh failed to converge (n={H.shape[0]}, maxnorm={maxnorm(H):.3e}): {exc}"
             ) from exc
-    else:
+    elif solver == "jacobi":
         w, U = jacobi_eigh(H)
+    else:
+        raise DomainError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
     return SpectralDecomposition(np.ascontiguousarray(U), np.asarray(w, dtype=float))
+
+
+def spectral_decompose(A, solver: str = "eigh") -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    return _decompose(_require_hermitian(A), solver)
 
 
 def apply_function(f: FunctionSpec, A, solver: str = "eigh") -> np.ndarray:
     """f(A) = U diag(f(w)) U†.  Raises DomainError if an eigenvalue exits f's domain."""
-    dec = spectral_decompose(A, solver)
-    fw = np.asarray(f(dec.eigenvalues), dtype=float)
-    U = dec.unitary
-    return hermitize((U * fw) @ U.conj().T)
+    return spectral_decompose(A, solver).map(f).reconstruct()
+
+
+def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
+    """PSD verdict on a residual with eigenvalues w."""
+    min_eig = float(np.min(w))
+    norm = float(np.max(np.abs(w)))
+    holds = min_eig >= -tol * max(1.0, norm)
+    return LoewnerVerdict(min_eig, norm, float(tol), bool(holds))
+
+
+def _residual_verdict(R: np.ndarray, tol: float, solver: str) -> LoewnerVerdict:
+    """PSD verdict on the Hermitian part of an already validated residual."""
+    return _verdict(_decompose(_herm(R), solver).eigenvalues, tol)
 
 
 def loewner_leq(A, B, tol: float = 1e-9, solver: str = "eigh") -> LoewnerVerdict:
@@ -205,16 +275,7 @@ def loewner_leq(A, B, tol: float = 1e-9, solver: str = "eigh") -> LoewnerVerdict
     B = _as_square_complex(B, "B")
     if A.shape != B.shape:
         raise DimensionError(f"dimension mismatch {A.shape} vs {B.shape}")
-    return residual_verdict(B - A, tol, solver)
-
-
-def residual_verdict(R, tol: float = 1e-9, solver: str = "eigh") -> LoewnerVerdict:
-    """PSD verdict on the Hermitian part of a residual matrix."""
-    w = spectral_decompose(hermitize(R), solver).eigenvalues
-    min_eig = float(w[0])
-    norm = float(np.max(np.abs(w)))
-    holds = min_eig >= -tol * max(1.0, norm)
-    return LoewnerVerdict(min_eig, norm, float(tol), bool(holds))
+    return _residual_verdict(B - A, tol, solver)
 
 
 def make_commuting_pair(U, lambda_a, lambda_b) -> tuple[np.ndarray, np.ndarray]:
@@ -236,32 +297,10 @@ def make_commuting_pair(U, lambda_a, lambda_b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_inverse(A, floor: float | None = None, solver: str = "eigh") -> np.ndarray:
-    """Inverse through the spectral decomposition.
-
-    floor defaults to 1e-10 * max|eigenvalue|; any eigenvalue below the floor
-    (or a floor that is not strictly positive) is treated as singular rather
-    than inverted, so round-off null spaces cannot leak huge weights.
-    """
-    dec = spectral_decompose(A, solver)
-    w = dec.eigenvalues
-    if floor is None:
-        floor = 1e-10 * float(np.max(np.abs(w)))
-    if floor <= 0.0 or float(w[0]) < floor:
-        raise SingularityError(
-            f"matrix not invertible above floor {floor:.3e} (min eigenvalue {float(w[0]):.3e})"
-        )
-    U = dec.unitary
-    return hermitize((U * (1.0 / w)) @ U.conj().T)
+    """Inverse through the spectral decomposition (see SpectralDecomposition.inverse)."""
+    return spectral_decompose(A, solver).inverse(floor).reconstruct()
 
 
 def psd_sqrt(A, solver: str = "eigh") -> np.ndarray:
     """Unique PSD square root; eigenvalues in [-1e-12*norm, 0) are clamped to 0."""
-    dec = spectral_decompose(A, solver)
-    w = dec.eigenvalues
-    clamp = PSD_CLAMP_RTOL * max(1.0, float(np.max(np.abs(w))))
-    if float(w[0]) < -clamp:
-        raise DomainError(
-            f"matrix is not PSD (min eigenvalue {float(w[0]):.3e} below clamp -{clamp:.3e})"
-        )
-    U = dec.unitary
-    return hermitize((U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T)
+    return spectral_decompose(A, solver).sqrt().reconstruct()

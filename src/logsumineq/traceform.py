@@ -22,6 +22,7 @@ from .functions import FunctionSpec, log_fn, power_fn, q_log_fn
 from .matfun import (
     apply_function,
     commutator_maxnorm,
+    commutes,
     hermitize,
     maxnorm,
     psd_inverse,
@@ -48,19 +49,11 @@ __all__ = [
     "reverse_trace_gap",
 ]
 
-COMMUTE_RTOL = 1e-9
 CROSS_CHECK_RTOL = 1e-9
 EXP_LOG_CROSS_RTOL = 1e-8
 SUPPORT_ATOL = 1e-14
 DENSITY_TRACE_TOL = 1e-10
 _CLUSTER_RTOL = 1e-8
-
-
-def _require_commuting(A: np.ndarray, B: np.ndarray) -> None:
-    bound = COMMUTE_RTOL * max(1.0, maxnorm(A) * maxnorm(B))
-    drift = commutator_maxnorm(A, B)
-    if drift > bound:
-        raise PreconditionError(f"matrices do not commute (commutator maxnorm {drift:.3e})")
 
 
 def joint_spectrum(A, B, solver: str = "eigh") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,7 +64,11 @@ def joint_spectrum(A, B, solver: str = "eigh") -> tuple[np.ndarray, np.ndarray, 
     """
     dec_a = spectral_decompose(A, solver)
     B = hermitize(B)
-    _require_commuting(dec_a.reconstruct(), B)
+    A = dec_a.reconstruct()
+    if not commutes(A, B):
+        raise PreconditionError(
+            f"matrices do not commute (commutator maxnorm {commutator_maxnorm(A, B):.3e})"
+        )
     wa = dec_a.eigenvalues.copy()
     U = dec_a.unitary.copy()
     Bt = U.conj().T @ B @ U

@@ -401,3 +401,34 @@ def test_mean_monotonicity_rejects_unordered_input():
     B1 = rand_pd(rng, 3, (0.5, 2.0))
     with pytest.raises(PreconditionError):
         mean_monotonicity_residual(SQRT, A1, B1, 0.5 * A1, B1 + 0.1 * np.eye(3))
+
+
+# -- one decomposition per matrix -------------------------------------------------
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(H):
+        calls.append(H.shape)
+        return real(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_operator_perspective_takes_two_eigensolves(monkeypatch):
+    rng = np.random.default_rng(8)
+    A, B = rand_pd(rng, 4, (0.5, 2.0)), rand_pd(rng, 4, (0.5, 2.0))
+    calls = _count_eigh(monkeypatch)
+    operator_perspective(log_fn(), A, B)
+    assert len(calls) == 2  # A, then the argument A^{-1/2} B A^{-1/2}
+
+
+def test_matrix_mean_takes_three_eigensolves(monkeypatch):
+    rng = np.random.default_rng(9)
+    A, B = rand_pd(rng, 4, (0.5, 2.0)), rand_pd(rng, 4, (0.5, 2.0))
+    calls = _count_eigh(monkeypatch)
+    matrix_mean(SQRT, A, B)
+    assert len(calls) == 3  # B, A, then the argument B^{1/2} A^{-1} B^{1/2}

@@ -267,3 +267,59 @@ def test_psd_sqrt_clamps_roundoff_but_rejects_negatives():
     assert np.allclose(psd_sqrt(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]))
     with pytest.raises(DomainError):
         psd_sqrt(np.diag([1.0, -0.1]))
+
+
+# -- decomposition methods -------------------------------------------------------
+
+
+def test_decomposition_methods_share_the_unitary():
+    dec = spectral_decompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    for derived in (dec.map(log_fn()), dec.sqrt(), dec.inverse()):
+        assert derived.unitary is dec.unitary
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, dims)
+def test_chained_methods_match_redecomposition(seed, n):
+    # A^{-1/2} read off one decomposition equals inverting a re-decomposed A^{1/2}
+    rng = np.random.default_rng(seed)
+    A = rand_pd(rng, n, (0.2, 5.0))
+    chained = spectral_decompose(A).sqrt().inverse().reconstruct()
+    reference = psd_inverse(psd_sqrt(A))
+    assert maxnorm(chained - reference) <= 1e-10 * max(1.0, maxnorm(reference))
+
+
+def test_decomposition_sqrt_rejects_negative_spectrum():
+    with pytest.raises(
+        DomainError,
+        match=r"^matrix is not PSD \(min eigenvalue -1\.000e-01 below clamp -1\.000e-12\)$",
+    ):
+        spectral_decompose(np.diag([1.0, -0.1])).sqrt()
+
+
+def test_decomposition_inverse_rejects_below_floor():
+    dec = spectral_decompose(np.diag([1.0, 1e-14]))
+    with pytest.raises(
+        SingularityError,
+        match=r"^matrix not invertible above floor 1\.000e-10 \(min eigenvalue 1\.000e-14\)$",
+    ):
+        dec.inverse()
+    with pytest.raises(SingularityError, match=r"above floor 0\.000e\+00"):
+        spectral_decompose(np.diag([1.0, 2.0])).inverse(floor=0.0)
+
+
+def test_decomposition_inverse_floor_reads_unsorted_values():
+    # 1/x reverses the order, so the smallest mapped value is the last one
+    mapped = spectral_decompose(np.diag([1.0, 2.0])).map(power_fn(-1.0))
+    with pytest.raises(SingularityError, match=r"min eigenvalue 5\.000e-01"):
+        mapped.inverse(floor=0.75)
+    assert np.allclose(mapped.inverse(floor=0.25).reconstruct(), np.diag([1.0, 2.0]))
+
+
+def test_decomposition_map_errors():
+    with pytest.raises(DomainError, match=r"^argument -1\.0 outside domain of log$"):
+        spectral_decompose(np.diag([1.0, -1.0])).map(log_fn())
+    with np.errstate(over="ignore"), pytest.raises(
+        DomainError, match=r"^matrix has non-finite entries$"
+    ):
+        apply_function(exp_fn(), np.diag([1.0, 1000.0]))
