@@ -6,13 +6,20 @@ receives.  Preconditions of the target checks hold by construction: positive
 sequences stay in (0, hi], expansive members are I + QQ†, contractive PD
 members have spectrum inside (floor, 1], density matrices are normalized
 spectra in a random basis.
+
+Random-basis matrices are drawn and built in two steps.  A draw (_draw_pd,
+_draw_contractive_pd) takes the spectrum and a complex Gaussian from the
+rng; the build (_unitaries, then _build) turns stacks of draws (..., n)
+and (..., n, n) into phase-fixed unitaries and U diag(w) U† in one qr and
+one matmul.  The one-matrix generators are the stack-free case of the same
+two steps, so a stacked build is bitwise equal to one call per matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matfun import hermitize, make_commuting_pair
+from .matfun import _adjoint, _herm, hermitize, make_commuting_pair
 from .scalar import SequencePair
 
 __all__ = [
@@ -37,19 +44,38 @@ def _complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def _unitaries(G: np.ndarray) -> np.ndarray:
+    """Q of the QR of (a stack of) complex Gaussians, R's diagonal phases moved into Q."""
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
+def _build(w: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """U diag(w) U† for (stacks of) spectra w (..., n) and unitaries U (..., n, n)."""
+    return _herm((U * w[..., None, :]) @ _adjoint(U))
+
+
+def _draw_pd(rng: np.random.Generator, n: int, spectrum_range: tuple[float, float]):
+    """The draws of rand_pd: spectrum uniform in [lo, hi], then the basis Gaussian."""
+    lo, hi = spectrum_range
+    return rng.uniform(lo, hi, n), _complex_gaussian(rng, n)
+
+
+def _draw_contractive_pd(rng: np.random.Generator, n: int, floor: float = 0.05):
+    """The draws of rand_contractive_pd: spectrum in (floor, 1], then the basis Gaussian."""
+    return 1.0 - (1.0 - floor) * rng.random(n), _complex_gaussian(rng, n)
+
+
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish unitary: QR of a complex Gaussian with phase-fixed R diagonal."""
-    Q, R = np.linalg.qr(_complex_gaussian(rng, n))
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
+    return _unitaries(_complex_gaussian(rng, n))
 
 
 def rand_pd(rng: np.random.Generator, n: int, spectrum_range: tuple[float, float]) -> np.ndarray:
     """PD matrix with spectrum uniform in [lo, hi], random basis."""
-    lo, hi = spectrum_range
-    w = rng.uniform(lo, hi, n)
-    U = rand_unitary(rng, n)
-    return hermitize((U * w) @ U.conj().T)
+    w, G = _draw_pd(rng, n, spectrum_range)
+    return _build(w, _unitaries(G))
 
 
 def rand_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -68,9 +94,8 @@ def rand_contractive_pd(
     rng: np.random.Generator, n: int, floor: float = 0.05
 ) -> np.ndarray:
     """PD matrix below I: spectrum uniform in (floor, 1]."""
-    w = 1.0 - (1.0 - floor) * rng.random(n)  # in (floor, 1]
-    U = rand_unitary(rng, n)
-    return hermitize((U * w) @ U.conj().T)
+    w, G = _draw_contractive_pd(rng, n, floor)
+    return _build(w, _unitaries(G))
 
 
 def rand_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -113,16 +138,14 @@ def _density_spectrum(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def rand_density(rng: np.random.Generator, n: int) -> np.ndarray:
     w = _density_spectrum(rng, n)
-    U = rand_unitary(rng, n)
-    return hermitize((U * w) @ U.conj().T)
+    return _build(w, rand_unitary(rng, n))
 
 
 def rand_density_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Commuting density pair with full support (shared eigenbasis)."""
     U = rand_unitary(rng, n)
-    rho = hermitize((U * _density_spectrum(rng, n)) @ U.conj().T)
-    sigma = hermitize((U * _density_spectrum(rng, n)) @ U.conj().T)
-    return rho, sigma
+    rho = _build(_density_spectrum(rng, n), U)
+    return rho, _build(_density_spectrum(rng, n), U)
 
 
 def rand_pd_family(

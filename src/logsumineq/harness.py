@@ -7,9 +7,14 @@ worst_case_seed replays its worst trial exactly:
 
     run_suite(replace(config, trials=1, seed=report.worst_case_seed))
 
-Search-mode candidates are rebuilt from their trial seed and re-verified
-through the independent Jacobi eigensolver at a tightened absolute
-tolerance before they are reported as findings.
+The contractive search draws every trial from its own seed, in trial
+order, and evaluates the trials in blocks of consecutive indices: within a
+block, the trials of each (n, m) group are built and evaluated as one stack
+(one qr, one eigensolver call per perspective step, one for the residuals).
+Stacked results are bitwise equal to one-trial runs, so grouping changes no
+number in the report.  Search-mode candidates are rebuilt from their trial
+seed and re-verified through the independent Jacobi eigensolver at a
+tightened absolute tolerance before they are reported as findings.
 """
 
 from __future__ import annotations
@@ -18,13 +23,15 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import generators as gen
 from .errors import DomainError
-from .functions import identity_fn, log_fn, power_fn, q_log_fn, rational_fn
+from .functions import FunctionSpec, identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from .loewner import (
+    _perspective_sums,
     mean_monotonicity_residual,
     operator_jensen_residual,
     operator_shannon_residual,
@@ -33,6 +40,7 @@ from .loewner import (
     pooled_mean_residual,
     split_mean_residual,
 )
+from .matfun import _verdict
 from .scalar import (
     SequencePair,
     convexity_check,
@@ -64,6 +72,10 @@ _SEED_MOD = 2**64
 FAMILY_KINDS = ("expansive", "contractive", "unconstrained")
 LHS_FORMS = ("perspective_sum", "sum_fb")
 RECHECK_ABS_TOL = 1e-6
+# Consecutive search trials drawn before they are evaluated.  It bounds the
+# search's memory whatever the trial count: a block's draws take about 100 MB
+# at the largest config (n=64, m=16) and well under 1 MB at n=3, m=2.
+_SEARCH_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -415,24 +427,70 @@ def run_suite(config: TrialConfig) -> SuiteReport:
     )
 
 
-def _search_trial(trial_seed: int, config: TrialConfig, solver: str):
-    """Rebuild and evaluate one contractive-search instance from its seed."""
+class _SearchDraw(NamedTuple):
+    """The rng draws of one contractive-search trial, in draw order."""
+
+    n: int
+    m: int
+    spectra: tuple[np.ndarray, ...]  # 2m spectra (n,): A_1..A_m, then B_1..B_m
+    gaussians: tuple[np.ndarray, ...]  # the basis Gaussian (n, n) of each
+    f: FunctionSpec
+
+
+def _search_draw(trial_seed: int, config: TrialConfig) -> _SearchDraw:
     rng = np.random.default_rng(trial_seed)
     m = _size(rng, config.m)
     n = _size(rng, config.n)
-    As = [gen.rand_contractive_pd(rng, n) for _ in range(m)]
-    Bs = gen.rand_pd_family(rng, m, n, config.spectrum_range, "unconstrained")
-    f = _concave_f(rng)
-    verdict = perspective_sum_residual(
-        f,
-        As,
-        Bs,
+    draws = [gen._draw_contractive_pd(rng, n) for _ in range(m)]
+    draws += [gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)]
+    spectra, gaussians = zip(*draws)
+    return _SearchDraw(n, m, spectra, gaussians, _concave_f(rng))
+
+
+def _search_families(draws: list[_SearchDraw]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks (T, m, n, n) of the A and B families of trials sharing (n, m)."""
+    mats = gen._build(
+        np.array([d.spectra for d in draws]), gen._unitaries(np.array([d.gaussians for d in draws]))
+    )
+    m = draws[0].m
+    return mats[:, :m], mats[:, m:]
+
+
+def _search_verdicts(draws: list[_SearchDraw], config: TrialConfig):
+    """Residual minimum eigenvalue and holds flag of every trial, as Python lists.
+
+    The trials of each (n, m) group are built and evaluated as one stack.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, d in enumerate(draws):
+        groups.setdefault((d.n, d.m), []).append(k)
+    min_eig = np.empty(len(draws))
+    holds = np.empty(len(draws), dtype=bool)
+    for ks in groups.values():
+        group = [draws[k] for k in ks]
+        As, Bs = _search_families(group)
+        w = _perspective_sums(
+            [d.f for d in group], As, Bs, config.lhs_form, False, config.tolerance, "eigh"
+        )
+        verdict = _verdict(w, config.tolerance)
+        min_eig[ks] = verdict.residual_min_eigenvalue
+        holds[ks] = verdict.holds
+    return min_eig.tolist(), holds.tolist()
+
+
+def _recheck(trial_seed: int, config: TrialConfig):
+    """Rebuild one search trial from its seed and evaluate it through the Jacobi solver."""
+    draw = _search_draw(trial_seed, config)
+    As, Bs = _search_families([draw])
+    return perspective_sum_residual(
+        draw.f,
+        As[0],
+        Bs[0],
         lhs_form=config.lhs_form,
         require_expansive=False,
         tol=config.tolerance,
-        solver=solver,
+        solver="jacobi",
     )
-    return verdict, {"n": n, "m": m, "f": f.label()}
 
 
 def counterexample_search(config: TrialConfig) -> SuiteReport:
@@ -448,27 +506,30 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
     findings: list[dict] = []
     worst_gap = math.inf
     worst_seed = _trial_seed(config, 0)
-    for index in range(config.trials):
-        ts = _trial_seed(config, index)
-        verdict, meta = _search_trial(ts, config, "eigh")
-        if verdict.residual_min_eigenvalue < worst_gap:
-            worst_gap = verdict.residual_min_eigenvalue
-            worst_seed = ts
-        if not verdict.holds:
-            recheck, _ = _search_trial(ts, config, "jacobi")
-            if recheck.residual_min_eigenvalue < -RECHECK_ABS_TOL:
-                findings.append(
-                    {
-                        "trial_index": index,
-                        "seed": ts,
-                        "n": meta["n"],
-                        "m": meta["m"],
-                        "f": meta["f"],
-                        "lhs_form": config.lhs_form,
-                        "first_min_eigenvalue": verdict.residual_min_eigenvalue,
-                        "recheck_min_eigenvalue": recheck.residual_min_eigenvalue,
-                    }
-                )
+    for first in range(0, config.trials, _SEARCH_BLOCK):
+        indices = range(first, min(first + _SEARCH_BLOCK, config.trials))
+        draws = [_search_draw(_trial_seed(config, index), config) for index in indices]
+        min_eigs, holds = _search_verdicts(draws, config)
+        for index, draw, min_eig, ok in zip(indices, draws, min_eigs, holds):
+            ts = _trial_seed(config, index)
+            if min_eig < worst_gap:
+                worst_gap = min_eig
+                worst_seed = ts
+            if not ok:
+                recheck = _recheck(ts, config)
+                if recheck.residual_min_eigenvalue < -RECHECK_ABS_TOL:
+                    findings.append(
+                        {
+                            "trial_index": index,
+                            "seed": ts,
+                            "n": draw.n,
+                            "m": draw.m,
+                            "f": draw.f.label(),
+                            "lhs_form": config.lhs_form,
+                            "first_min_eigenvalue": min_eig,
+                            "recheck_min_eigenvalue": recheck.residual_min_eigenvalue,
+                        }
+                    )
     return SuiteReport(
         suite="contractive_search",
         config=config,

@@ -4,7 +4,9 @@ Verdicts compare both sides of a claimed Loewner inequality by forming the
 residual RHS - LHS (or the claim-appropriate orientation) and checking its
 minimum eigenvalue.  Public functions validate their inputs once; the
 private kernels take Hermitian arrays or SpectralDecompositions and
-decompose each matrix once.  Operator monotonicity/concavity/convexity of
+decompose each matrix once.  The perspective-sum kernel works on stacks of
+trials (see matfun on leading axes); perspective_sum_residual is its
+one-trial case.  Operator monotonicity/concavity/convexity of
 the scalar function is established by catalog, not numerically: only
 families whose operator class is classical textbook knowledge get the flags.
 """
@@ -13,13 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DimensionError, DomainError, PreconditionError
 from .functions import FunctionSpec
 from .matfun import (
     LoewnerVerdict,
     SpectralDecomposition,
     _as_square_complex,
     _decompose,
+    _first,
     _herm,
     _residual_verdict,
     _verdict,
@@ -102,15 +105,23 @@ def _inverse(H: np.ndarray, solver: str) -> np.ndarray:
     return _decompose(H, solver).inverse().reconstruct()
 
 
-def _perspective(
-    f: FunctionSpec, dec_a: SpectralDecomposition, B: np.ndarray, solver: str
-) -> np.ndarray:
-    """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} from A's decomposition and Hermitian B."""
+def _map(f, dec: SpectralDecomposition) -> SpectralDecomposition:
+    """f(A) for one FunctionSpec f, or for a sequence of them, f[t] on entry t of a stack."""
+    if isinstance(f, FunctionSpec):
+        return dec.map(f)
+    return dec._with(np.stack([ft(wt) for ft, wt in zip(f, dec.eigenvalues, strict=True)]))
+
+
+def _perspective(f, dec_a: SpectralDecomposition, B: np.ndarray, solver: str) -> np.ndarray:
+    """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} from A's decomposition and Hermitian B.
+
+    Works on stacks; f is one FunctionSpec or one per entry of the first axis.
+    """
     root = dec_a.sqrt()
     sA = root.reconstruct()
     sA_inv = root.inverse().reconstruct()
     arg = _herm(sA_inv @ B @ sA_inv)
-    return _herm(sA @ _decompose(arg, solver).map(f).reconstruct() @ sA)
+    return _herm(sA @ _map(f, _decompose(arg, solver)).reconstruct() @ sA)
 
 
 def operator_perspective(f: FunctionSpec, A, B, solver: str = "eigh") -> np.ndarray:
@@ -185,13 +196,55 @@ def operator_jensen_residual(
     return _residual_verdict(residual, tol, solver)
 
 
-def _require_expansive(dec_sum: SpectralDecomposition, m: int, tol: float) -> None:
-    check = _verdict(dec_sum.eigenvalues - m, tol)
-    if not check.holds:
+def _require_expansive(w_sum: np.ndarray, m: int, tol: float) -> None:
+    """sum(A_i) >= m*I from the eigenvalues (..., n) of the sum(s)."""
+    check = _verdict(w_sum - m, tol)
+    if not np.all(check.holds):
+        (slack,) = _first(~np.asarray(check.holds), check.residual_min_eigenvalue)
         raise PreconditionError(
             f"family is not expansive: sum(A_i) >= m*I fails "
-            f"(min eigenvalue of the slack {check.residual_min_eigenvalue:.3e})"
+            f"(min eigenvalue of the slack {slack:.3e})"
         )
+
+
+def _total(X: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 in member order, adding exactly as sum() adds a family."""
+    total = 0
+    for k in range(X.shape[1]):
+        total = total + X[:, k]
+    return total
+
+
+def _perspective_sums(
+    fs,
+    As: np.ndarray,
+    Bs: np.ndarray,
+    lhs_form: str,
+    require_expansive: bool,
+    tol: float,
+    solver: str,
+) -> np.ndarray:
+    """Residual eigenvalues (T, n) of the perspective-sum inequality for T trials.
+
+    As and Bs are Hermitian stacks (T, m, n, n) and fs[t] is trial t's f.
+    The totals sit on the member axis beside the members, so each step (the
+    decomposition, then the perspective argument's) is one eigensolver call
+    for all trials; the residuals take one more.
+    """
+    if lhs_form not in ("perspective_sum", "sum_fb"):
+        raise DomainError(f"unknown lhs_form {lhs_form!r}")
+    A, B = _total(As)[:, None], _total(Bs)[:, None]
+    members = Bs if lhs_form == "sum_fb" else As
+    dec = _decompose(np.concatenate([A, members], axis=1), solver)
+    if require_expansive:
+        _require_expansive(dec.eigenvalues[:, 0], As.shape[1], tol)
+    if lhs_form == "sum_fb":
+        rhs = _perspective(fs, dec[:, 0], B[:, 0], solver)
+        lhs = _total(_map(fs, dec[:, 1:]).reconstruct())
+    else:
+        P = _perspective(fs, dec, np.concatenate([B, Bs], axis=1), solver)
+        rhs, lhs = P[:, 0], _total(P[:, 1:])
+    return _decompose(_herm(rhs - lhs), solver).eigenvalues
 
 
 def perspective_sum_residual(
@@ -223,17 +276,10 @@ def perspective_sum_residual(
     if As[0].shape != Bs[0].shape:
         raise DomainError("A_family and B_family must share dimension")
     require_operator_class(f, "operator_concave")
-    dec_sum = _decompose(sum(As), solver)
-    if require_expansive:
-        _require_expansive(dec_sum, len(As), tol)
-    rhs = _perspective(f, dec_sum, sum(Bs), solver)
-    if lhs_form == "perspective_sum":
-        lhs = sum(_perspective(f, _decompose(Ai, solver), Bi, solver) for Ai, Bi in zip(As, Bs))
-    elif lhs_form == "sum_fb":
-        lhs = sum(_decompose(Bi, solver).map(f).reconstruct() for Bi in Bs)
-    else:
-        raise DomainError(f"unknown lhs_form {lhs_form!r}")
-    return _residual_verdict(rhs - lhs, tol, solver)
+    w = _perspective_sums(
+        [f], np.stack(As)[None], np.stack(Bs)[None], lhs_form, require_expansive, tol, solver
+    )
+    return _verdict(w[0], tol)
 
 
 def operator_shannon_residual(
@@ -262,7 +308,7 @@ def operator_shannon_residual(
     mismatch = maxnorm(A - B)
     if mismatch > SUM_MATCH_RTOL * max(1.0, maxnorm(A)):
         raise PreconditionError(f"sum(A_i) != sum(B_i) (maxnorm mismatch {mismatch:.3e})")
-    _require_expansive(_decompose(A, solver), len(As), tol)
+    _require_expansive(_decompose(A, solver).eigenvalues, len(As), tol)
     total = sum(_perspective(f, _decompose(Ai, solver), Bi, solver) for Ai, Bi in zip(As, Bs))
     return _residual_verdict(-total, tol, solver)
 
@@ -391,6 +437,11 @@ def mean_monotonicity_residual(
     Bi = hermitize(B_part)
     A = hermitize(A_whole)
     B = hermitize(B_whole)
+    shapes = [M.shape for M in (Ai, Bi, A, B)]
+    if len(set(shapes)) != 1:
+        raise DimensionError(
+            f"A_part, B_part, A_whole and B_whole must share one shape, got {shapes}"
+        )
     require_operator_class(f, "operator_monotone")
     order_a = _residual_verdict(A - Ai, tol, solver)
     if not order_a.holds:

@@ -8,6 +8,16 @@ result again.  Inputs are validated once, at the public functions; the
 private _decompose and _herm take arrays that are already square, finite
 and Hermitian, and are what internal kernels call.
 
+Stacks: _herm, _decompose, _verdict and every SpectralDecomposition method
+accept leading batch axes, (..., n, n) for matrices and (..., n) for
+eigenvalues, and treat each trailing matrix on its own.  Checks reduce over
+the last axis and report the first failing matrix with the message of the
+one-matrix case.  A one-matrix call is the stack case with no leading axes,
+not a second implementation, and a stacked result must be bitwise equal to
+the results of one call per matrix: numpy's eigh, qr and matmul loop the
+same LAPACK/BLAS routine over the leading axes, and everything else here is
+elementwise.
+
 Two eigensolvers are available: "eigh" (LAPACK via numpy) and "jacobi" (a
 self-contained cyclic Jacobi sweep).  The second exists so that candidate
 counterexamples can be re-verified through an independent numerical route;
@@ -68,9 +78,19 @@ def operator_norm(M) -> float:
     return float(np.linalg.norm(np.asarray(M, dtype=complex), 2))
 
 
+def _adjoint(A: np.ndarray) -> np.ndarray:
+    return A.conj().swapaxes(-1, -2)
+
+
 def _herm(A: np.ndarray) -> np.ndarray:
-    """(A + A†)/2 of a square complex array; exactly Hermitian, no input checks."""
-    return (A + A.conj().T) / 2.0
+    """(A + A†)/2 of (a stack of) square complex arrays; exactly Hermitian, no checks."""
+    return (A + _adjoint(A)) / 2.0
+
+
+def _first(bad: np.ndarray, *values: np.ndarray) -> list[float]:
+    """values at the first True entry of bad (C order), for error messages."""
+    k = int(np.flatnonzero(bad)[0])
+    return [float(np.ravel(np.broadcast_to(v, np.shape(bad)))[k]) for v in values]
 
 
 def hermitize(M) -> np.ndarray:
@@ -102,16 +122,21 @@ class SpectralDecomposition:
 
     A decomposition fresh from an eigensolver has w ascending.  map, sqrt and
     inverse return new decompositions over the same U whose values follow
-    U's columns, so they need not be sorted.
+    U's columns, so they need not be sorted.  A stack of decompositions has
+    U of shape (..., n, n) and w of shape (..., n); indexing it indexes the
+    leading axes.
     """
 
     unitary: np.ndarray
     eigenvalues: np.ndarray
 
+    def __getitem__(self, index) -> SpectralDecomposition:
+        return SpectralDecomposition(self.unitary[index], self.eigenvalues[index])
+
     def reconstruct(self) -> np.ndarray:
         """U diag(w) U†, the one place a decomposition becomes a matrix again."""
         U = self.unitary
-        return _herm((U * self.eigenvalues) @ U.conj().T)
+        return _herm((U * self.eigenvalues[..., None, :]) @ _adjoint(U))
 
     def _with(self, values) -> SpectralDecomposition:
         w = np.asarray(values, dtype=float)
@@ -126,11 +151,13 @@ class SpectralDecomposition:
     def sqrt(self) -> SpectralDecomposition:
         """Unique PSD square root; eigenvalues in [-1e-12*norm, 0) are clamped to 0."""
         w = self.eigenvalues
-        lowest = float(np.min(w))
-        clamp = PSD_CLAMP_RTOL * max(1.0, float(np.max(np.abs(w))))
-        if lowest < -clamp:
+        lowest = w.min(axis=-1)
+        clamp = PSD_CLAMP_RTOL * np.maximum(1.0, abs(w).max(axis=-1))
+        bad = lowest < -clamp
+        if bad.any():
+            low, lim = _first(bad, lowest, clamp)
             raise DomainError(
-                f"matrix is not PSD (min eigenvalue {lowest:.3e} below clamp -{clamp:.3e})"
+                f"matrix is not PSD (min eigenvalue {low:.3e} below clamp -{lim:.3e})"
             )
         return self._with(np.sqrt(np.clip(w, 0.0, None)))
 
@@ -143,12 +170,14 @@ class SpectralDecomposition:
         huge weights.
         """
         w = self.eigenvalues
-        lowest = float(np.min(w))
+        lowest = w.min(axis=-1)
         if floor is None:
-            floor = 1e-10 * float(np.max(np.abs(w)))
-        if floor <= 0.0 or lowest < floor:
+            floor = 1e-10 * abs(w).max(axis=-1)
+        bad = (floor <= 0.0) | (lowest < floor)
+        if bad.any():
+            lim, low = _first(bad, floor, lowest)
             raise SingularityError(
-                f"matrix not invertible above floor {floor:.3e} (min eigenvalue {lowest:.3e})"
+                f"matrix not invertible above floor {lim:.3e} (min eigenvalue {low:.3e})"
             )
         return self._with(1.0 / w)
 
@@ -231,16 +260,23 @@ def jacobi_eigh(A, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np
 
 
 def _decompose(H: np.ndarray, solver: str = "eigh") -> SpectralDecomposition:
-    """Eigendecomposition of an array that is already Hermitian; no input checks."""
+    """Eigendecomposition of (a stack of) already Hermitian arrays; no input checks.
+
+    "eigh" takes a whole stack in one LAPACK call; "jacobi" runs jacobi_eigh
+    on each matrix in turn.
+    """
     if solver == "eigh":
         try:
             w, U = np.linalg.eigh(H)
         except np.linalg.LinAlgError as exc:
             raise NumericError(
-                f"eigh failed to converge (n={H.shape[0]}, maxnorm={maxnorm(H):.3e}): {exc}"
+                f"eigh failed to converge (n={H.shape[-1]}, maxnorm={maxnorm(H):.3e}): {exc}"
             ) from exc
     elif solver == "jacobi":
-        w, U = jacobi_eigh(H)
+        w = np.empty(H.shape[:-1])
+        U = np.empty(H.shape, dtype=complex)
+        for index in np.ndindex(H.shape[:-2]):
+            w[index], U[index] = jacobi_eigh(H[index])
     else:
         raise DomainError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
     return SpectralDecomposition(np.ascontiguousarray(U), np.asarray(w, dtype=float))
@@ -257,11 +293,17 @@ def apply_function(f: FunctionSpec, A, solver: str = "eigh") -> np.ndarray:
 
 
 def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
-    """PSD verdict on a residual with eigenvalues w."""
-    min_eig = float(np.min(w))
-    norm = float(np.max(np.abs(w)))
-    holds = min_eig >= -tol * max(1.0, norm)
-    return LoewnerVerdict(min_eig, norm, float(tol), bool(holds))
+    """PSD verdict on a residual with eigenvalues w.
+
+    For a stack w of shape (..., n) the verdict's fields are arrays over the
+    leading axes; for one residual they are plain floats and a bool.
+    """
+    min_eig = w.min(axis=-1)
+    norm = abs(w).max(axis=-1)
+    holds = min_eig >= -tol * np.maximum(1.0, norm)
+    if np.ndim(w) == 1:
+        return LoewnerVerdict(float(min_eig), float(norm), float(tol), bool(holds))
+    return LoewnerVerdict(min_eig, norm, float(tol), holds)
 
 
 def _residual_verdict(R: np.ndarray, tol: float, solver: str) -> LoewnerVerdict:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, NumericError, PreconditionError, SupportError
 from .functions import FunctionSpec, log_fn, power_fn, q_log_fn
 from .matfun import (
+    SpectralDecomposition,
     apply_function,
     commutator_maxnorm,
     commutes,
@@ -62,7 +63,13 @@ def joint_spectrum(A, B, solver: str = "eigh") -> tuple[np.ndarray, np.ndarray, 
     Diagonalizes A, then rediagonalizes B inside each (near-)degenerate
     eigenspace of A, where commutation alone does not pin the basis down.
     """
-    dec_a = spectral_decompose(A, solver)
+    return _joint_spectrum(spectral_decompose(A, solver), B, solver)
+
+
+def _joint_spectrum(
+    dec_a: SpectralDecomposition, B, solver: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """joint_spectrum from A's decomposition."""
     B = hermitize(B)
     A = dec_a.reconstruct()
     if not commutes(A, B):
@@ -173,8 +180,8 @@ def exp_log_trace_gap(
     return InequalityVerdict(lhs, rhs, gap, float(tol), bool(gap >= -tol * scale))
 
 
-def _require_density(M, what: str, solver: str = "eigh") -> np.ndarray:
-    """Eigenvalues of a density matrix (PSD, unit trace), clamped at 0."""
+def _density(M, what: str, solver: str = "eigh") -> SpectralDecomposition:
+    """Decomposition of a density matrix, checked PSD with unit trace."""
     dec = spectral_decompose(M, solver)
     w = dec.eigenvalues
     if float(w[0]) < -1e-12 * max(1.0, float(np.max(np.abs(w)))):
@@ -182,7 +189,7 @@ def _require_density(M, what: str, solver: str = "eigh") -> np.ndarray:
     tr = float(np.sum(w))
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise DomainError(f"{what} must have unit trace, got {tr!r}")
-    return np.clip(w, 0.0, None)
+    return dec
 
 
 def quantum_relative_entropy(rho, sigma, solver: str = "eigh") -> float:
@@ -192,9 +199,9 @@ def quantum_relative_entropy(rho, sigma, solver: str = "eigh") -> float:
     weight where sigma vanishes is a support violation (the divergence is
     +infinity) and raises SupportError.
     """
-    _require_density(rho, "rho", solver)
-    _require_density(sigma, "sigma", solver)
-    wr, ws, _ = joint_spectrum(rho, sigma, solver)
+    dec_rho = _density(rho, "rho", solver)
+    _density(sigma, "sigma", solver)
+    wr, ws, _ = _joint_spectrum(dec_rho, sigma, solver)
     wr = np.clip(wr, 0.0, None)
     ws = np.clip(ws, 0.0, None)
     active = wr > SUPPORT_ATOL
@@ -207,7 +214,7 @@ def quantum_relative_entropy(rho, sigma, solver: str = "eigh") -> float:
 
 def von_neumann_entropy(rho, solver: str = "eigh") -> float:
     """-trace(rho log rho) with the 0*log 0 = 0 convention; lies in [0, log n]."""
-    w = _require_density(rho, "rho", solver)
+    w = np.clip(_density(rho, "rho", solver).eigenvalues, 0.0, None)
     active = w > SUPPORT_ATOL
     if not np.any(active):
         return 0.0

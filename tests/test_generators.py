@@ -1,10 +1,16 @@
 """Random matrix generators: each must actually satisfy its advertised contract."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsumineq.generators import (
+    _build,
+    _complex_gaussian,
+    _draw_contractive_pd,
+    _draw_pd,
+    _unitaries,
     rand_commuting_pair,
     rand_contraction,
     rand_contractive_pd,
@@ -92,3 +98,23 @@ def test_split_matching_sums_exactly(seed, n, m):
     assert maxnorm(hermitize(sum(parts)) - total) <= 1e-10 * max(1.0, maxnorm(total))
     for P in parts:
         assert np.min(np.linalg.eigvalsh(P)) > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_stacked_builds_equal_one_matrix_at_a_time(n):
+    # one qr and one matmul over a stack of draws give the bits of rand_unitary
+    # and rand_pd called matrix by matrix from the same rng states
+    seeds = range(40, 70)
+    unitaries = [rand_unitary(np.random.default_rng(s), n) for s in seeds]
+    gaussians = [_complex_gaussian(np.random.default_rng(s), n) for s in seeds]
+    assert _unitaries(np.array(gaussians)).tobytes() == np.array(unitaries).tobytes()
+
+    pds = [rand_pd(np.random.default_rng(s), n, (0.3, 2.5)) for s in seeds]
+    spectra, gaussians = zip(*(_draw_pd(np.random.default_rng(s), n, (0.3, 2.5)) for s in seeds))
+    stacked = _build(np.array(spectra), _unitaries(np.array(gaussians)))
+    assert stacked.tobytes() == np.array(pds).tobytes()
+
+    contractive = [rand_contractive_pd(np.random.default_rng(s), n) for s in seeds]
+    spectra, gaussians = zip(*(_draw_contractive_pd(np.random.default_rng(s), n) for s in seeds))
+    stacked = _build(np.array(spectra), _unitaries(np.array(gaussians)))
+    assert stacked.tobytes() == np.array(contractive).tobytes()

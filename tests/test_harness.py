@@ -1,10 +1,13 @@
 """Randomized suite runner: determinism, replay, search report hygiene."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from logsumineq import harness
 from logsumineq.errors import DomainError, NumericError
 from logsumineq.harness import (
     SUITES,
@@ -174,3 +177,68 @@ def test_search_sum_fb_form_finds_log_failures():
     assert rep.violations > 0
     worst = min(f["recheck_min_eigenvalue"] for f in rep.findings)
     assert worst < -1e-6
+
+
+# -- stacked search evaluation -------------------------------------------------
+
+
+def _search_config(lhs_form, trials, seed=1111):
+    return TrialConfig(
+        suite="perspective_sum",
+        trials=trials,
+        seed=seed,
+        n=3,
+        m=2,
+        family_kind="contractive",
+        lhs_form=lhs_form,
+    )
+
+
+def _canonical(report):
+    doc = json.loads(report_to_json(report))
+    doc.pop("wall_time")
+    return doc
+
+
+@pytest.mark.parametrize("lhs_form", ["perspective_sum", "sum_fb"])
+def test_stacked_search_residuals_equal_one_trial_runs(monkeypatch, lhs_form):
+    recorded = []
+    real = harness._search_verdicts
+
+    def recording(draws, config):
+        min_eigs, holds = real(draws, config)
+        recorded.extend(min_eigs)
+        return min_eigs, holds
+
+    monkeypatch.setattr(harness, "_search_verdicts", recording)
+    cfg = _search_config(lhs_form, 2000)
+    rep = counterexample_search(cfg)
+    monkeypatch.undo()
+    assert len(recorded) == 2000
+    for index, residual in enumerate(recorded):
+        one = counterexample_search(replace(cfg, trials=1, seed=cfg.seed + index))
+        assert one.worst_gap == residual, index
+    replay = counterexample_search(replace(cfg, trials=1, seed=rep.worst_case_seed))
+    assert replay.worst_gap == rep.worst_gap == min(recorded)
+
+
+@pytest.mark.parametrize("lhs_form", ["perspective_sum", "sum_fb"])
+def test_search_report_does_not_depend_on_the_block_size(monkeypatch, lhs_form):
+    cfg = _search_config(lhs_form, 300, seed=77)
+    default = _canonical(counterexample_search(cfg))
+    monkeypatch.setattr(harness, "_SEARCH_BLOCK", 7)
+    assert _canonical(counterexample_search(cfg)) == default
+
+
+def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls):
+    cfg = _search_config("perspective_sum", 500)
+    groups = 0
+    for first in range(0, cfg.trials, harness._SEARCH_BLOCK):
+        block = range(first, min(first + harness._SEARCH_BLOCK, cfg.trials))
+        draws = [harness._search_draw(cfg.seed + index, cfg) for index in block]
+        groups += len({(d.n, d.m) for d in draws})
+    assert groups <= cfg.n * cfg.m * math.ceil(cfg.trials / harness._SEARCH_BLOCK)
+    eigh_calls.clear()
+    counterexample_search(cfg)
+    # rechecks go through the Jacobi solver, so every eigh call is a stacked one
+    assert 0 < len(eigh_calls) <= 3 * groups

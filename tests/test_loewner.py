@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsumineq.errors import PreconditionError
+from logsumineq.errors import DimensionError, PreconditionError
 from logsumineq.functions import (
     exp_fn,
     identity_fn,
@@ -32,6 +32,7 @@ from logsumineq.generators import (
     rand_unitary,
 )
 from logsumineq.loewner import (
+    _perspective_sums,
     matrix_mean,
     mean_monotonicity_residual,
     operator_class_flags,
@@ -395,6 +396,13 @@ def test_mean_monotone_in_both_arguments(seed, n):
     assert mean_monotonicity_residual(SQRT, A1, B1, A2, B2).holds
 
 
+def test_mean_monotonicity_rejects_mismatched_shapes():
+    # broadcasting once compared a 1x1 part against a 3x3 whole and returned a verdict
+    W = 2.0 * np.eye(3) + 0.1 * np.ones((3, 3))
+    with pytest.raises(DimensionError):
+        mean_monotonicity_residual(power_fn(0.5), [[0.1]], [[0.1]], W, W)
+
+
 def test_mean_monotonicity_rejects_unordered_input():
     rng = np.random.default_rng(13)
     A1 = rand_pd(rng, 3, (1.0, 2.0))
@@ -406,29 +414,56 @@ def test_mean_monotonicity_rejects_unordered_input():
 # -- one decomposition per matrix -------------------------------------------------
 
 
-def _count_eigh(monkeypatch):
-    calls = []
-    real = np.linalg.eigh
-
-    def counted(H):
-        calls.append(H.shape)
-        return real(H)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
-
-
-def test_operator_perspective_takes_two_eigensolves(monkeypatch):
+def test_operator_perspective_takes_two_eigensolves(eigh_calls):
     rng = np.random.default_rng(8)
     A, B = rand_pd(rng, 4, (0.5, 2.0)), rand_pd(rng, 4, (0.5, 2.0))
-    calls = _count_eigh(monkeypatch)
+    eigh_calls.clear()
     operator_perspective(log_fn(), A, B)
-    assert len(calls) == 2  # A, then the argument A^{-1/2} B A^{-1/2}
+    assert len(eigh_calls) == 2  # A, then the argument A^{-1/2} B A^{-1/2}
 
 
-def test_matrix_mean_takes_three_eigensolves(monkeypatch):
+def test_matrix_mean_takes_three_eigensolves(eigh_calls):
     rng = np.random.default_rng(9)
     A, B = rand_pd(rng, 4, (0.5, 2.0)), rand_pd(rng, 4, (0.5, 2.0))
-    calls = _count_eigh(monkeypatch)
+    eigh_calls.clear()
     matrix_mean(SQRT, A, B)
-    assert len(calls) == 3  # B, A, then the argument B^{1/2} A^{-1} B^{1/2}
+    assert len(eigh_calls) == 3  # B, A, then the argument B^{1/2} A^{-1} B^{1/2}
+
+
+@pytest.mark.parametrize("lhs_form", ["perspective_sum", "sum_fb"])
+def test_perspective_sum_takes_three_stacked_eigensolves(eigh_calls, lhs_form):
+    rng = np.random.default_rng(10)
+    As = [rand_pd(rng, 3, (0.5, 2.0)) for _ in range(3)]
+    Bs = [rand_pd(rng, 3, (0.5, 2.0)) for _ in range(3)]
+    eigh_calls.clear()
+    perspective_sum_residual(SQRT, As, Bs, lhs_form=lhs_form, require_expansive=False)
+    # the total beside the members, the perspective argument(s), the residual
+    arguments = (1, 4, 3, 3) if lhs_form == "perspective_sum" else (1, 3, 3)
+    assert eigh_calls == [(1, 4, 3, 3), arguments, (1, 3, 3)]
+
+
+def test_perspective_sum_stack_equals_one_trial_at_a_time():
+    rng = np.random.default_rng(11)
+    T, m, n = 9, 3, 3
+    As = np.array([[rand_pd(rng, n, (0.1, 1.0)) for _ in range(m)] for _ in range(T)])
+    Bs = np.array([[rand_pd(rng, n, (0.5, 2.0)) for _ in range(m)] for _ in range(T)])
+    fs = [(SQRT, log_fn(), q_log_fn(0.7))[t % 3] for t in range(T)]
+    for lhs_form in ("perspective_sum", "sum_fb"):
+        stacked = _perspective_sums(fs, As, Bs, lhs_form, False, 1e-9, "eigh")
+        for t in range(T):
+            one = slice(t, t + 1)
+            single = _perspective_sums(fs[one], As[one], Bs[one], lhs_form, False, 1e-9, "eigh")
+            assert stacked[t].tobytes() == single[0].tobytes()
+            public = perspective_sum_residual(fs[t], As[t], Bs[t], lhs_form, False)
+            assert public.residual_min_eigenvalue == float(np.min(stacked[t]))
+
+
+def test_perspective_sum_stack_reports_first_non_expansive_trial():
+    I3 = np.eye(3)
+    As = np.array([[2.0 * I3, 2.0 * I3], [0.5 * I3, 0.9 * I3], [0.1 * I3, 0.1 * I3]])
+    with pytest.raises(PreconditionError) as err:
+        _perspective_sums([SQRT] * 3, As, As, "perspective_sum", True, 1e-9, "eigh")
+    # trial 1 is the first to fail: sum(A_i) - 2I has eigenvalue -0.6 there
+    assert str(err.value) == (
+        "family is not expansive: sum(A_i) >= m*I fails (min eigenvalue of the slack -6.000e-01)"
+    )

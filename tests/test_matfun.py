@@ -9,6 +9,9 @@ from logsumineq.errors import DimensionError, DomainError, PreconditionError, Si
 from logsumineq.functions import exp_fn, identity_fn, log_fn, power_fn
 from logsumineq.generators import rand_pd, rand_unitary
 from logsumineq.matfun import (
+    _decompose,
+    _herm,
+    _verdict,
     apply_function,
     commutes,
     hermitize,
@@ -323,3 +326,64 @@ def test_decomposition_map_errors():
         DomainError, match=r"^matrix has non-finite entries$"
     ):
         apply_function(exp_fn(), np.diag([1.0, 1000.0]))
+
+
+# -- stacks (leading batch axes) ---------------------------------------------------
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes() and np.shape(a) == np.shape(b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_stacked_decomposition_is_bitwise_one_matrix_at_a_time(n):
+    rng = np.random.default_rng(100 + n)
+    H = np.array([[rand_pd(rng, n, (0.2, 5.0)) for _ in range(3)] for _ in range(4)])
+    stacked = _decompose(H)
+    sqrt, inverse = stacked.sqrt(), stacked.inverse()
+    for index in np.ndindex(H.shape[:2]):
+        one = _decompose(H[index])
+        assert _same_bits(stacked.eigenvalues[index], one.eigenvalues)
+        assert _same_bits(stacked.unitary[index], one.unitary)
+        assert _same_bits(stacked[index].reconstruct(), one.reconstruct())
+        assert _same_bits(sqrt.reconstruct()[index], one.sqrt().reconstruct())
+        assert _same_bits(inverse.reconstruct()[index], one.inverse().reconstruct())
+        assert _same_bits(stacked.map(log_fn()).eigenvalues[index], one.map(log_fn()).eigenvalues)
+        assert _same_bits(_herm(H)[index], _herm(H[index]))
+    verdicts = _verdict(stacked.eigenvalues - 1.0, 1e-9)
+    for index in np.ndindex(H.shape[:2]):
+        one = _verdict(stacked.eigenvalues[index] - 1.0, 1e-9)
+        assert verdicts.residual_min_eigenvalue[index] == one.residual_min_eigenvalue
+        assert verdicts.residual_norm[index] == one.residual_norm
+        assert verdicts.holds[index] == one.holds
+
+
+def test_stacked_checks_report_the_first_failing_matrix():
+    # the message is the one-matrix message of the first failing entry
+    stack = _decompose(np.array([np.diag([1.0, 2.0]), np.diag([1.0, -0.1]), np.diag([-3.0, 1.0])]))
+    with pytest.raises(
+        DomainError,
+        match=r"^matrix is not PSD \(min eigenvalue -1\.000e-01 below clamp -1\.000e-12\)$",
+    ):
+        stack.sqrt()
+    stack = _decompose(np.array([np.diag([1.0, 2.0]), np.diag([1.0, 1e-14]), np.diag([0.0, 1.0])]))
+    with pytest.raises(
+        SingularityError,
+        match=r"^matrix not invertible above floor 1\.000e-10 \(min eigenvalue 1\.000e-14\)$",
+    ):
+        stack.inverse()
+    with pytest.raises(SingularityError, match=r"^matrix not invertible above floor 5\.000e-01 "):
+        _decompose(np.array([np.diag([1.0, 2.0]), np.diag([0.25, 1.0])])).inverse(floor=0.5)
+    with pytest.raises(DomainError, match=r"^argument -3\.0 outside domain of log$"):
+        stack = _decompose(np.array([np.diag([1.0, 2.0]), np.diag([-3.0, 1.0])]))
+        stack.map(log_fn())
+
+
+def test_stacked_jacobi_loops_over_the_leading_axes():
+    rng = np.random.default_rng(7)
+    H = np.array([[rand_hermitian(rng, 3) for _ in range(2)] for _ in range(2)])
+    stacked = _decompose(H, "jacobi")
+    for index in np.ndindex(2, 2):
+        w, V = jacobi_eigh(H[index])
+        assert _same_bits(stacked.eigenvalues[index], w)
+        assert _same_bits(stacked.unitary[index], V)

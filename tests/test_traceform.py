@@ -189,6 +189,24 @@ def test_relative_entropy_rejects_nondensity():
         quantum_relative_entropy(np.diag([1.5, -0.5]), np.diag([0.5, 0.5]))
 
 
+def test_relative_entropy_checks_rho_before_commutation():
+    # a non-density rho is a DomainError even when sigma does not commute with it
+    sigma = np.array([[0.5, 0.3], [0.3, 0.5]])
+    with pytest.raises(DomainError, match=r"^rho must have unit trace"):
+        quantum_relative_entropy(np.diag([0.7, 0.7]), sigma)
+    with pytest.raises(DomainError, match=r"^rho is not PSD"):
+        quantum_relative_entropy(np.diag([1.5, -0.5]), sigma)
+    with pytest.raises(PreconditionError, match=r"^matrices do not commute"):
+        quantum_relative_entropy(np.diag([0.25, 0.75]), sigma)
+
+
+def test_relative_entropy_decomposes_each_state_once(eigh_calls):
+    rho, sigma = rand_density_pair(np.random.default_rng(3), 4)
+    eigh_calls.clear()
+    quantum_relative_entropy(rho, sigma)
+    assert eigh_calls == [(4, 4), (4, 4)]  # rho (reused by joint_spectrum), then sigma
+
+
 @settings(max_examples=150, deadline=None)
 @given(seeds, st.integers(min_value=1, max_value=8))
 def test_relative_entropy_nonnegative(seed, n):
