@@ -1,6 +1,7 @@
 """Command line front-end.
 
     logsumineq check  --suite scalar_log_sum --trials 10000 --seed 42
+    logsumineq check  --suite all --trials 2000 --seed 42
     logsumineq search --mode contractive --trials 100000 --seed 7 --dim 3 --m 2
     logsumineq eval   --op trace_log_sum_gap --input instance.json
 
@@ -18,13 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import loewner, matfun, scalar, traceform
 from .errors import DomainError, NumericError
 from .functions import FunctionSpec
-from .harness import SUITES, SuiteReport, TrialConfig, counterexample_search, report_to_json, run_suite
+from .harness import SUITES, TrialConfig, counterexample_search, report_to_json, run_suite
 from .matio import matrix_from_obj, matrix_to_obj
 from .qlog import QLogParams, q_log, q_log_product, q_log_quotient, q_log_reciprocal
 from .scalar import InequalityVerdict, RatioBounds, SequencePair
@@ -79,103 +81,90 @@ def _get_float(doc, key):
     return float(_need(doc, key))
 
 
-def _qparams(doc) -> QLogParams:
-    return QLogParams(_get_float(doc, "q"), float(doc.get("limit_window", 1e-9)))
+def _get_interval(doc, key) -> tuple[float, float]:
+    interval = _need(doc, key)
+    return (float(interval[0]), float(interval[1]))
 
 
-def _tol(doc) -> float:
-    return float(doc.get("tol", 1e-9))
+def _get_floats(doc, key) -> list[float]:
+    return [float(v) for v in _need(doc, key)]
 
 
+def _optional(cast, default):
+    return lambda doc, key: cast(doc.get(key, default))
+
+
+# Each eval argument is parsed by its field name, whatever the op.  "params"
+# is the QLogParams built from the fields q and limit_window.
+_FIELDS = {
+    **dict.fromkeys(("x", "y", "q", "r"), _get_float),
+    **dict.fromkeys(("f", "g"), _get_fn),
+    **dict.fromkeys(
+        ("M", "A", "B", "U", "X", "contraction", "rho", "sigma")
+        + ("A_part", "B_part", "A_whole", "B_whole"),
+        _get_matrix,
+    ),
+    **dict.fromkeys(("A_family", "B_family", "X_family"), _get_family),
+    **dict.fromkeys(("lambda_a", "lambda_b"), _get_floats),
+    "pair": _get_pair,
+    "h_kind": lambda doc, key: str(_need(doc, key)),
+    "interval": _get_interval,
+    "params": lambda doc, key: QLogParams(
+        _get_float(doc, "q"), float(doc.get("limit_window", 1e-9))
+    ),
+    "tol": _optional(float, 1e-9),
+    "grid_points": _optional(int, 101),
+    "solver": _optional(str, "eigh"),
+    "floor": lambda doc, key: None if doc.get(key) is None else float(doc[key]),
+    "lhs_form": _optional(str, "perspective_sum"),
+    "require_expansive": _optional(bool, True),
+}
+
+# op -> (function, the fields passed as its positional arguments, in order)
 EVAL_OPS = {
-    "q_log": lambda d: q_log(_get_float(d, "x"), _qparams(d)),
-    "q_log_product": lambda d: q_log_product(_get_float(d, "x"), _get_float(d, "y"), _qparams(d)),
-    "q_log_quotient": lambda d: q_log_quotient(_get_float(d, "x"), _get_float(d, "y"), _qparams(d)),
-    "q_log_reciprocal": lambda d: q_log_reciprocal(_get_float(d, "y"), _qparams(d)),
-    "ratio_bounds": lambda d: scalar.ratio_bounds(_get_fn(d, "g"), _get_pair(d, "pair")),
-    "convexity_check": lambda d: scalar.convexity_check(
-        str(_need(d, "h_kind")),
-        _get_fn(d, "f"),
-        (float(_need(d, "interval")[0]), float(_need(d, "interval")[1])),
-        int(d.get("grid_points", 101)),
+    "q_log": (q_log, ("x", "params")),
+    "q_log_product": (q_log_product, ("x", "y", "params")),
+    "q_log_quotient": (q_log_quotient, ("x", "y", "params")),
+    "q_log_reciprocal": (q_log_reciprocal, ("y", "params")),
+    "ratio_bounds": (scalar.ratio_bounds, ("g", "pair")),
+    "convexity_check": (scalar.convexity_check, ("h_kind", "f", "interval", "grid_points")),
+    "generalized_log_sum_gap": (scalar.generalized_log_sum_gap, ("f", "g", "pair", "tol")),
+    "reverse_log_sum_gap": (scalar.reverse_log_sum_gap, ("f", "g", "pair", "tol")),
+    "rational_example_gap": (scalar.rational_example_gap, ("pair", "tol")),
+    "q_log_sum_gap": (scalar.q_log_sum_gap, ("pair", "q", "r", "tol")),
+    "hermitize": (matfun.hermitize, ("M",)),
+    "spectral_decompose": (matfun.spectral_decompose, ("A", "solver")),
+    "apply_function": (matfun.apply_function, ("f", "A")),
+    "loewner_leq": (matfun.loewner_leq, ("A", "B", "tol")),
+    "make_commuting_pair": (matfun.make_commuting_pair, ("U", "lambda_a", "lambda_b")),
+    "psd_inverse": (matfun.psd_inverse, ("A", "floor")),
+    "psd_sqrt": (matfun.psd_sqrt, ("A",)),
+    "trace_log_sum_gap": (traceform.trace_log_sum_gap, ("f", "g", "A", "B", "tol")),
+    "exp_log_trace_gap": (traceform.exp_log_trace_gap, ("A", "B", "tol")),
+    "quantum_relative_entropy": (traceform.quantum_relative_entropy, ("rho", "sigma")),
+    "von_neumann_entropy": (traceform.von_neumann_entropy, ("rho",)),
+    "q_trace_gap": (traceform.q_trace_gap, ("A", "B", "q", "r", "tol")),
+    "reverse_trace_gap": (traceform.reverse_trace_gap, ("f", "g", "A", "B", "tol")),
+    "operator_jensen_residual": (
+        loewner.operator_jensen_residual,
+        ("f", "contraction", "X", "tol"),
     ),
-    "generalized_log_sum_gap": lambda d: scalar.generalized_log_sum_gap(
-        _get_fn(d, "f"), _get_fn(d, "g"), _get_pair(d, "pair"), _tol(d)
+    "perspective_sum_residual": (
+        loewner.perspective_sum_residual,
+        ("f", "A_family", "B_family", "lhs_form", "require_expansive", "tol"),
     ),
-    "reverse_log_sum_gap": lambda d: scalar.reverse_log_sum_gap(
-        _get_fn(d, "f"), _get_fn(d, "g"), _get_pair(d, "pair"), _tol(d)
+    "perspective_identity_gap": (loewner.perspective_identity_gap, ("f", "A", "B")),
+    "operator_shannon_residual": (
+        loewner.operator_shannon_residual,
+        ("A_family", "B_family", "f", "tol"),
     ),
-    "rational_example_gap": lambda d: scalar.rational_example_gap(_get_pair(d, "pair"), _tol(d)),
-    "q_log_sum_gap": lambda d: scalar.q_log_sum_gap(
-        _get_pair(d, "pair"), _get_float(d, "q"), _get_float(d, "r"), _tol(d)
-    ),
-    "hermitize": lambda d: matfun.hermitize(_get_matrix(d, "M")),
-    "spectral_decompose": lambda d: matfun.spectral_decompose(
-        _get_matrix(d, "A"), str(d.get("solver", "eigh"))
-    ),
-    "apply_function": lambda d: matfun.apply_function(_get_fn(d, "f"), _get_matrix(d, "A")),
-    "loewner_leq": lambda d: matfun.loewner_leq(_get_matrix(d, "A"), _get_matrix(d, "B"), _tol(d)),
-    "make_commuting_pair": lambda d: matfun.make_commuting_pair(
-        _get_matrix(d, "U"),
-        [float(v) for v in _need(d, "lambda_a")],
-        [float(v) for v in _need(d, "lambda_b")],
-    ),
-    "psd_inverse": lambda d: matfun.psd_inverse(
-        _get_matrix(d, "A"), None if d.get("floor") is None else float(d["floor"])
-    ),
-    "psd_sqrt": lambda d: matfun.psd_sqrt(_get_matrix(d, "A")),
-    "trace_log_sum_gap": lambda d: traceform.trace_log_sum_gap(
-        _get_fn(d, "f"), _get_fn(d, "g"), _get_matrix(d, "A"), _get_matrix(d, "B"), _tol(d)
-    ),
-    "exp_log_trace_gap": lambda d: traceform.exp_log_trace_gap(
-        _get_matrix(d, "A"), _get_matrix(d, "B"), _tol(d)
-    ),
-    "quantum_relative_entropy": lambda d: traceform.quantum_relative_entropy(
-        _get_matrix(d, "rho"), _get_matrix(d, "sigma")
-    ),
-    "von_neumann_entropy": lambda d: traceform.von_neumann_entropy(_get_matrix(d, "rho")),
-    "q_trace_gap": lambda d: traceform.q_trace_gap(
-        _get_matrix(d, "A"), _get_matrix(d, "B"), _get_float(d, "q"), _get_float(d, "r"), _tol(d)
-    ),
-    "reverse_trace_gap": lambda d: traceform.reverse_trace_gap(
-        _get_fn(d, "f"), _get_fn(d, "g"), _get_matrix(d, "A"), _get_matrix(d, "B"), _tol(d)
-    ),
-    "operator_jensen_residual": lambda d: loewner.operator_jensen_residual(
-        _get_fn(d, "f"), _get_matrix(d, "contraction"), _get_matrix(d, "X"), _tol(d)
-    ),
-    "perspective_sum_residual": lambda d: loewner.perspective_sum_residual(
-        _get_fn(d, "f"),
-        _get_family(d, "A_family"),
-        _get_family(d, "B_family"),
-        lhs_form=str(d.get("lhs_form", "perspective_sum")),
-        require_expansive=bool(d.get("require_expansive", True)),
-        tol=_tol(d),
-    ),
-    "perspective_identity_gap": lambda d: loewner.perspective_identity_gap(
-        _get_fn(d, "f"), _get_matrix(d, "A"), _get_matrix(d, "B")
-    ),
-    "operator_shannon_residual": lambda d: loewner.operator_shannon_residual(
-        _get_family(d, "A_family"), _get_family(d, "B_family"), _get_fn(d, "f"), _tol(d)
-    ),
-    "pooled_inverse_residual": lambda d: loewner.pooled_inverse_residual(
-        _get_family(d, "X_family"), _get_family(d, "A_family"), _tol(d)
-    ),
-    "matrix_mean": lambda d: loewner.matrix_mean(
-        _get_fn(d, "f"), _get_matrix(d, "A"), _get_matrix(d, "B")
-    ),
-    "pooled_mean_residual": lambda d: loewner.pooled_mean_residual(
-        _get_fn(d, "f"), _get_family(d, "A_family"), _get_family(d, "B_family"), _tol(d)
-    ),
-    "split_mean_residual": lambda d: loewner.split_mean_residual(
-        _get_fn(d, "f"), _get_family(d, "A_family"), _get_family(d, "B_family"), _tol(d)
-    ),
-    "mean_monotonicity_residual": lambda d: loewner.mean_monotonicity_residual(
-        _get_fn(d, "f"),
-        _get_matrix(d, "A_part"),
-        _get_matrix(d, "B_part"),
-        _get_matrix(d, "A_whole"),
-        _get_matrix(d, "B_whole"),
-        _tol(d),
+    "pooled_inverse_residual": (loewner.pooled_inverse_residual, ("X_family", "A_family", "tol")),
+    "matrix_mean": (loewner.matrix_mean, ("f", "A", "B")),
+    "pooled_mean_residual": (loewner.pooled_mean_residual, ("f", "A_family", "B_family", "tol")),
+    "split_mean_residual": (loewner.split_mean_residual, ("f", "A_family", "B_family", "tol")),
+    "mean_monotonicity_residual": (
+        loewner.mean_monotonicity_residual,
+        ("f", "A_part", "B_part", "A_whole", "B_whole", "tol"),
     ),
 }
 
@@ -217,8 +206,7 @@ def _render(result):
 # -- subcommands -------------------------------------------------------------
 
 
-def _emit_report(report: SuiteReport, path: str | None) -> None:
-    text = report_to_json(report)
+def _emit(text: str, path: str | None) -> None:
     sys.stdout.write(text)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -236,9 +224,14 @@ def _cmd_check(args) -> int:
         spectrum_range=(args.spectrum_lo, args.spectrum_hi),
         family_kind=args.generator,
     )
-    report = run_suite(config)
-    _emit_report(report, args.report)
-    return 1 if report.violations else 0
+    if args.suite == "all":
+        reports = [run_suite(replace(config, suite=name)) for name in sorted(SUITES)]
+        text = json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True) + "\n"
+    else:
+        reports = [run_suite(config)]
+        text = report_to_json(reports[0])
+    _emit(text, args.report)
+    return 1 if any(r.violations for r in reports) else 0
 
 
 def _cmd_search(args) -> int:
@@ -253,8 +246,7 @@ def _cmd_search(args) -> int:
         family_kind="contractive",
         lhs_form=args.lhs_form,
     )
-    report = counterexample_search(config)
-    _emit_report(report, args.report)
+    _emit(report_to_json(counterexample_search(config)), args.report)
     # Search explores an open question: findings are data, not failures.
     return 0
 
@@ -264,7 +256,8 @@ def _cmd_eval(args) -> int:
         raise DomainError(f"unknown op {args.op!r}; available: {', '.join(sorted(EVAL_OPS))}")
     with open(args.input, encoding="utf-8") as fh:
         doc = json.load(fh)
-    rendered = _render(EVAL_OPS[args.op](doc))
+    fn, fields = EVAL_OPS[args.op]
+    rendered = _render(fn(*(_FIELDS[name](doc, name) for name in fields)))
     sys.stdout.write(json.dumps(rendered, indent=2, sort_keys=True) + "\n")
     if "holds" in rendered and not rendered["holds"]:
         return 1
@@ -289,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", type=str, default=None, help="also write the JSON report here")
 
     p_check = sub.add_parser("check", help="run a registered verification suite")
-    p_check.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p_check.add_argument("--suite", required=True, choices=[*sorted(SUITES), "all"])
     common(p_check, 1000, 4, 2)
     p_check.add_argument(
         "--generator",

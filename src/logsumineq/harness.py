@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -299,16 +299,17 @@ def _concave_f(rng):
     return q_log_fn(float(rng.uniform(0.0, 2.0)))
 
 
-def _perspective_families(rng, config):
+def _families(rng, config, a_kind: str):
+    """An A family of kind a_kind and an unconstrained B family, drawn in that order."""
     m = _size(rng, config.m)
     n = _size(rng, config.n)
-    As = gen.rand_pd_family(rng, m, n, config.spectrum_range, config.family_kind)
+    As = gen.rand_pd_family(rng, m, n, config.spectrum_range, a_kind)
     Bs = gen.rand_pd_family(rng, m, n, config.spectrum_range, "unconstrained")
     return As, Bs
 
 
 def _suite_perspective_sum(rng, config):
-    As, Bs = _perspective_families(rng, config)
+    As, Bs = _families(rng, config, config.family_kind)
     f = _concave_f(rng)
     v = perspective_sum_residual(
         f,
@@ -342,22 +343,14 @@ def _suite_pooled_inverse(rng, config):
     return TrialOutcome(v.residual_min_eigenvalue, v.holds)
 
 
-def _mean_families(rng, config):
-    m = _size(rng, config.m)
-    n = _size(rng, config.n)
-    As = gen.rand_pd_family(rng, m, n, config.spectrum_range, "unconstrained")
-    Bs = gen.rand_pd_family(rng, m, n, config.spectrum_range, "unconstrained")
-    return As, Bs
-
-
 def _suite_pooled_mean(rng, config):
-    As, Bs = _mean_families(rng, config)
+    As, Bs = _families(rng, config, "unconstrained")
     v = pooled_mean_residual(power_fn(0.5), As, Bs, config.tolerance)
     return TrialOutcome(v.residual_min_eigenvalue, v.holds)
 
 
 def _suite_split_mean(rng, config):
-    As, Bs = _mean_families(rng, config)
+    As, Bs = _families(rng, config, "unconstrained")
     v = split_mean_residual(power_fn(0.5), As, Bs, config.tolerance)
     return TrialOutcome(v.residual_min_eigenvalue, v.holds)
 
@@ -543,25 +536,4 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
 
 
 def report_to_json(report: SuiteReport) -> str:
-    cfg = report.config
-    payload = {
-        "suite": report.suite,
-        "config": {
-            "suite": cfg.suite,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "n": cfg.n,
-            "m": cfg.m,
-            "tolerance": cfg.tolerance,
-            "spectrum_range": list(cfg.spectrum_range),
-            "family_kind": cfg.family_kind,
-            "lhs_form": cfg.lhs_form,
-        },
-        "trials": report.trials,
-        "violations": report.violations,
-        "worst_gap": report.worst_gap,
-        "worst_case_seed": report.worst_case_seed,
-        "findings": list(report.findings),
-        "wall_time": report.wall_time,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"

@@ -199,7 +199,7 @@ class LoewnerVerdict:
 _JACOBI_MAX_SWEEPS = 100
 
 
-def jacobi_eigh(A, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi diagonalization of a Hermitian matrix.
 
     Returns (eigenvalues ascending, unitary V with A = V diag(w) V†).
@@ -217,9 +217,9 @@ def jacobi_eigh(A, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np
 
     sweeps = 0
     while offnorm(H) > target:
-        if sweeps >= max_sweeps:
+        if sweeps >= _JACOBI_MAX_SWEEPS:
             raise NumericError(
-                f"jacobi did not converge in {max_sweeps} sweeps "
+                f"jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
                 f"(n={n}, offdiag={offnorm(H):.3e}, maxnorm={maxnorm(H):.3e})"
             )
         for p in range(n - 1):

@@ -146,7 +146,6 @@ def generalized_log_sum_gap(
     g: FunctionSpec,
     pair: SequencePair,
     tol: float = DEFAULT_TOLERANCE,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> InequalityVerdict:
     """Forward inequality; gap = lhs - rhs, expected >= 0.
 
@@ -181,7 +180,7 @@ def generalized_log_sum_gap(
     if points:
         lo, hi = min(points), max(points)
         if not _interval_degenerate(lo, hi):
-            if not convexity_check("xfx", f, (lo, hi), grid_points):
+            if not convexity_check("xfx", f, (lo, hi)):
                 raise PreconditionError(
                     f"x*f(x) is not convex on the ratio interval [{lo:g}, {hi:g}] for {f.label()}"
                 )
@@ -193,7 +192,6 @@ def reverse_log_sum_gap(
     g: FunctionSpec,
     pair: SequencePair,
     tol: float = DEFAULT_TOLERANCE,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> InequalityVerdict:
     """Reverse inequality; gap = rhs - lhs, expected >= 0.
 
@@ -206,7 +204,7 @@ def reverse_log_sum_gap(
     bounds = ratio_bounds(g, pair)
     gb = np.asarray(g(np.asarray(pair.b)), dtype=float)
     if not _interval_degenerate(bounds.m_g, bounds.M_g):
-        if not convexity_check("xf1overx", f, (bounds.m_g, bounds.M_g), grid_points):
+        if not convexity_check("xf1overx", f, (bounds.m_g, bounds.M_g)):
             raise PreconditionError(
                 f"x*f(1/x) is not concave on [{bounds.m_g:g}, {bounds.M_g:g}] for {f.label()}"
             )
@@ -256,7 +254,6 @@ def q_log_sum_gap(
     q: float,
     r: float,
     tol: float = DEFAULT_TOLERANCE,
-    limit_window: float = 1e-9,
 ) -> InequalityVerdict:
     """Deformed-log analogue of the log-sum inequality under g(x) = x**r.
 
@@ -280,7 +277,7 @@ def q_log_sum_gap(
     active = p > 0.0
     if np.any(~active) and float(q) >= 2.0:
         raise PreconditionError("zero entries are not extendable for q > 2")
-    params = QLogParams(float(q), limit_window)
+    params = QLogParams(float(q))
     sum_p = float(p.sum())
     sum_s = float(s.sum())
     if sum_p == 0.0:

@@ -31,7 +31,6 @@ from .matfun import (
 )
 from .qlog import QLogParams, q_log
 from .scalar import (
-    DEFAULT_GRID_POINTS,
     DEFAULT_TOLERANCE,
     InequalityVerdict,
     SequencePair,
@@ -114,13 +113,33 @@ def _cross_check(label: str, primary: float, product_path: float, rtol: float) -
         )
 
 
+def _in_domain(f: FunctionSpec, ratios: np.ndarray) -> bool:
+    """Whether every ratio lies in f's domain, so the product path can evaluate f."""
+    lo, hi, lo_open = f.domain()
+    return bool(np.all((ratios > lo) if lo_open else (ratios >= lo)) and np.all(ratios <= hi))
+
+
+def _product_path(
+    f: FunctionSpec, g: FunctionSpec, A, B, solver: str, reverse: bool = False
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """g(A), g(B) and trace[g(A) f(g(X) g(Y)^{-1})] by functional calculus and products.
+
+    (X, Y) is (A, B), or (B, A) when reverse.  The route never touches the
+    joint spectrum, so it stays an independent check of the scalar value.
+    """
+    gA = apply_function(g, hermitize(A), solver)
+    gB = apply_function(g, hermitize(B), solver)
+    num, den = (gB, gA) if reverse else (gA, gB)
+    P = hermitize(num @ psd_inverse(den, solver=solver))
+    return gA, gB, float(np.trace(gA @ apply_function(f, P, solver)).real)
+
+
 def trace_log_sum_gap(
     f: FunctionSpec,
     g: FunctionSpec,
     A,
     B,
     tol: float = DEFAULT_TOLERANCE,
-    grid_points: int = DEFAULT_GRID_POINTS,
     solver: str = "eigh",
 ) -> InequalityVerdict:
     """trace[g(A) f(g(A) g(B)^{-1})] >= trace[g(A)] f(trace g(A)/trace g(B)).
@@ -130,21 +149,12 @@ def trace_log_sum_gap(
     on the joint spectrum.
     """
     wa, wb, _ = joint_spectrum(A, B, solver)
-    verdict = generalized_log_sum_gap(f, g, SequencePair(tuple(wa), tuple(wb)), tol, grid_points)
-
-    ga = np.asarray(g(wa), dtype=float)
-    ratios = ga / np.asarray(g(wb), dtype=float)
-    lo, hi, lo_open = f.domain()
-    evaluable = np.all((ratios > lo) if lo_open else (ratios >= lo)) and np.all(ratios <= hi)
-    if evaluable:
-        gA = apply_function(g, hermitize(A), solver)
-        gB = apply_function(g, hermitize(B), solver)
-        P = hermitize(gA @ psd_inverse(gB, solver=solver))
-        lhs_prod = float(np.trace(gA @ apply_function(f, P, solver)).real)
+    verdict = generalized_log_sum_gap(f, g, SequencePair(tuple(wa), tuple(wb)), tol)
+    if _in_domain(f, np.asarray(g(wa), dtype=float) / np.asarray(g(wb), dtype=float)):
+        gA, gB, lhs_prod = _product_path(f, g, A, B, solver)
         _cross_check("trace_log_sum_gap", verdict.lhs, lhs_prod, CROSS_CHECK_RTOL)
-        rhs_prod = float(np.trace(gA).real) * float(
-            f(float(np.trace(gA).real) / float(np.trace(gB).real))
-        )
+        tr_ga = float(np.trace(gA).real)
+        rhs_prod = tr_ga * float(f(tr_ga / float(np.trace(gB).real)))
         _cross_check("trace_log_sum_gap rhs", verdict.rhs, rhs_prod, CROSS_CHECK_RTOL)
     return verdict
 
@@ -238,14 +248,11 @@ def q_trace_gap(
     verdict = q_log_sum_gap(SequencePair(tuple(wa), tuple(wb)), q, r, tol)
 
     power = power_fn(float(r))
-    p = np.asarray(power(wa), dtype=float)
-    if np.all(p > 0.0):
-        Ar = apply_function(power, hermitize(A), solver)
-        Br = apply_function(power, hermitize(B), solver)
-        P = hermitize(Ar @ psd_inverse(Br, solver=solver))
-        Lq = apply_function(q_log_fn(float(q)), P, solver)
+    lnq = q_log_fn(float(q))
+    if _in_domain(lnq, np.asarray(power(wa), dtype=float) / np.asarray(power(wb), dtype=float)):
+        Ar, Br, core = _product_path(lnq, power, A, B, solver)
         tr_br = float(np.trace(Br).real)
-        lhs_prod = tr_br ** (1.0 - float(q)) * float(np.trace(Ar @ Lq).real)
+        lhs_prod = tr_br ** (1.0 - float(q)) * core
         _cross_check("q_trace_gap", verdict.lhs, lhs_prod, CROSS_CHECK_RTOL)
         params = QLogParams(float(q))
         tr_ar = float(np.trace(Ar).real)
@@ -260,7 +267,6 @@ def reverse_trace_gap(
     A,
     B,
     tol: float = DEFAULT_TOLERANCE,
-    grid_points: int = DEFAULT_GRID_POINTS,
     solver: str = "eigh",
 ) -> InequalityVerdict:
     """trace[g(A) f(g(B) g(A)^{-1})] <= trace[g(A)] f(trace g(B)/trace g(A)).
@@ -270,18 +276,8 @@ def reverse_trace_gap(
     joint spectrum.
     """
     wa, wb, _ = joint_spectrum(A, B, solver)
-    verdict = reverse_log_sum_gap(f, g, SequencePair(tuple(wa), tuple(wb)), tol, grid_points)
-
-    ga = np.asarray(g(wa), dtype=float)
-    inv_ratios = np.asarray(g(wb), dtype=float) / ga
-    lo, hi, lo_open = f.domain()
-    evaluable = np.all((inv_ratios > lo) if lo_open else (inv_ratios >= lo)) and np.all(
-        inv_ratios <= hi
-    )
-    if evaluable:
-        gA = apply_function(g, hermitize(A), solver)
-        gB = apply_function(g, hermitize(B), solver)
-        P = hermitize(gB @ psd_inverse(gA, solver=solver))
-        lhs_prod = float(np.trace(gA @ apply_function(f, P, solver)).real)
-        _cross_check("reverse_trace_gap", verdict.lhs, lhs_prod, CROSS_CHECK_RTOL)
+    verdict = reverse_log_sum_gap(f, g, SequencePair(tuple(wa), tuple(wb)), tol)
+    # The scalar verdict evaluated f at every ratio g(b_i)/g(a_i), so all lie in f's domain.
+    _, _, lhs_prod = _product_path(f, g, A, B, solver, reverse=True)
+    _cross_check("reverse_trace_gap", verdict.lhs, lhs_prod, CROSS_CHECK_RTOL)
     return verdict

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from logsumineq import cli, loewner, matfun, qlog, scalar, traceform
+from logsumineq.functions import identity_fn, log_fn, power_fn
 from logsumineq.matio import matrix_to_obj
 
 
@@ -153,3 +155,255 @@ def test_eval_matrix_output_round_trips(tmp_path):
     out = json.loads(proc.stdout)
     S = np.asarray(out["re"]) + 1j * np.asarray(out["im"])
     assert np.allclose(S @ S, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
+
+
+# -- eval: every op, fixture document against a direct library call -------------
+
+
+def _mat(rows):
+    return np.array(rows, dtype=complex)
+
+
+# A and B commute (both are a*I + b*[[0,1],[1,0]]); every family sums to >= 2I.
+_A = _mat([[2.0, 1.0], [1.0, 2.0]])
+_B = _mat([[3.0, -1.0], [-1.0, 3.0]])
+_D = _mat([[1.0, 0.0], [0.0, 2.0]])
+_E = _mat([[2.0, 0.0], [0.0, 1.0]])
+_B1 = _mat([[2.0, 0.5], [0.5, 2.0]])
+_B2 = _A + _D - _B1  # so that B1 + B2 = A + D
+_RHO = _mat([[0.5, 0.25], [0.25, 0.5]])
+_SIGMA = _mat([[0.5, 0.0], [0.0, 0.5]])
+_C = _mat([[0.5, 0.1], [0.0, 0.3]])
+_M = _mat([[1.0, 2.0 + 1.0j], [0.0, 3.0]])
+_SWAP = _mat([[0.0, 1.0], [1.0, 0.0]])
+_X1 = _mat([[1.0, 2.0], [0.0, 1.0]])
+
+_LOG = {"family": "log"}
+_ID = {"family": "identity"}
+_SQRT = {"family": "power", "param": 0.5}
+_PAIR = {"a": [1.0, 2.0], "b": [2.0, 1.0]}
+_QP = qlog.QLogParams(0.5)
+
+
+_m = matrix_to_obj
+
+
+# op -> (input document, the same call made directly, first field an empty document lacks)
+EVAL_FIXTURES = {
+    "q_log": ({"x": 2.0, "q": 0.5}, lambda: qlog.q_log(2.0, _QP), "x"),
+    "q_log_product": (
+        {"x": 2.0, "y": 3.0, "q": 0.5},
+        lambda: qlog.q_log_product(2.0, 3.0, _QP),
+        "x",
+    ),
+    "q_log_quotient": (
+        {"x": 2.0, "y": 3.0, "q": 0.5},
+        lambda: qlog.q_log_quotient(2.0, 3.0, _QP),
+        "x",
+    ),
+    "q_log_reciprocal": ({"y": 3.0, "q": 0.5}, lambda: qlog.q_log_reciprocal(3.0, _QP), "y"),
+    "ratio_bounds": (
+        {"g": {"family": "power", "param": 2.0}, "pair": _PAIR},
+        lambda: scalar.ratio_bounds(power_fn(2.0), scalar.SequencePair((1.0, 2.0), (2.0, 1.0))),
+        "g",
+    ),
+    "convexity_check": (
+        {"h_kind": "xfx", "f": _LOG, "interval": [0.5, 4.0], "grid_points": 51},
+        lambda: scalar.convexity_check("xfx", log_fn(), (0.5, 4.0), 51),
+        "h_kind",
+    ),
+    "generalized_log_sum_gap": (
+        {"f": _LOG, "g": _ID, "pair": _PAIR},
+        lambda: scalar.generalized_log_sum_gap(
+            log_fn(), identity_fn(), scalar.SequencePair((1.0, 2.0), (2.0, 1.0))
+        ),
+        "f",
+    ),
+    "reverse_log_sum_gap": (
+        {"f": _LOG, "g": _ID, "pair": _PAIR, "tol": 1e-7},
+        lambda: scalar.reverse_log_sum_gap(
+            log_fn(), identity_fn(), scalar.SequencePair((1.0, 2.0), (2.0, 1.0)), 1e-7
+        ),
+        "f",
+    ),
+    "rational_example_gap": (
+        {"pair": {"a": [1.0, 2.0], "b": [1.5, 2.5]}},
+        lambda: scalar.rational_example_gap(scalar.SequencePair((1.0, 2.0), (1.5, 2.5))),
+        "pair",
+    ),
+    "q_log_sum_gap": (
+        {"pair": _PAIR, "q": 0.5, "r": 1.5},
+        lambda: scalar.q_log_sum_gap(scalar.SequencePair((1.0, 2.0), (2.0, 1.0)), 0.5, 1.5),
+        "pair",
+    ),
+    "hermitize": ({"M": _m(_M)}, lambda: matfun.hermitize(_M), "M"),
+    "spectral_decompose": (
+        {"A": _m(_A), "solver": "jacobi"},
+        lambda: matfun.spectral_decompose(_A, "jacobi"),
+        "A",
+    ),
+    "apply_function": (
+        {"f": _SQRT, "A": _m(_A)},
+        lambda: matfun.apply_function(power_fn(0.5), _A),
+        "f",
+    ),
+    "loewner_leq": ({"A": _m(_D), "B": _m(_B)}, lambda: matfun.loewner_leq(_D, _B), "A"),
+    "make_commuting_pair": (
+        {"U": _m(_SWAP), "lambda_a": [1.0, 2.0], "lambda_b": [3.0, 4.0]},
+        lambda: matfun.make_commuting_pair(_SWAP, [1.0, 2.0], [3.0, 4.0]),
+        "U",
+    ),
+    "psd_inverse": (
+        {"A": _m(_A), "floor": 1e-6},
+        lambda: matfun.psd_inverse(_A, 1e-6),
+        "A",
+    ),
+    "psd_sqrt": ({"A": _m(_A)}, lambda: matfun.psd_sqrt(_A), "A"),
+    "trace_log_sum_gap": (
+        {"f": _LOG, "g": _ID, "A": _m(_A), "B": _m(_B)},
+        lambda: traceform.trace_log_sum_gap(log_fn(), identity_fn(), _A, _B),
+        "f",
+    ),
+    "exp_log_trace_gap": (
+        {"A": _m(_A), "B": _m(_B)},
+        lambda: traceform.exp_log_trace_gap(_A, _B),
+        "A",
+    ),
+    "quantum_relative_entropy": (
+        {"rho": _m(_RHO), "sigma": _m(_SIGMA)},
+        lambda: traceform.quantum_relative_entropy(_RHO, _SIGMA),
+        "rho",
+    ),
+    "von_neumann_entropy": ({"rho": _m(_RHO)}, lambda: traceform.von_neumann_entropy(_RHO), "rho"),
+    "q_trace_gap": (
+        {"A": _m(_A), "B": _m(_B), "q": 0.5, "r": 1.5},
+        lambda: traceform.q_trace_gap(_A, _B, 0.5, 1.5),
+        "A",
+    ),
+    "reverse_trace_gap": (
+        {"f": _LOG, "g": _ID, "A": _m(_A), "B": _m(_B)},
+        lambda: traceform.reverse_trace_gap(log_fn(), identity_fn(), _A, _B),
+        "f",
+    ),
+    "operator_jensen_residual": (
+        {"f": _SQRT, "contraction": _m(_C), "X": _m(_A)},
+        lambda: loewner.operator_jensen_residual(power_fn(0.5), _C, _A),
+        "f",
+    ),
+    "perspective_sum_residual": (
+        {
+            "f": _LOG,
+            "A_family": [_m(_A), _m(_D)],
+            "B_family": [_m(_B), _m(_E)],
+            "lhs_form": "sum_fb",
+            "require_expansive": False,
+        },
+        lambda: loewner.perspective_sum_residual(
+            log_fn(), [_A, _D], [_B, _E], lhs_form="sum_fb", require_expansive=False
+        ),
+        "f",
+    ),
+    "perspective_identity_gap": (
+        {"f": _LOG, "A": _m(_D), "B": _m(_A)},
+        lambda: loewner.perspective_identity_gap(log_fn(), _D, _A),
+        "f",
+    ),
+    "operator_shannon_residual": (
+        {"A_family": [_m(_A), _m(_D)], "B_family": [_m(_B1), _m(_B2)], "f": _LOG},
+        lambda: loewner.operator_shannon_residual([_A, _D], [_B1, _B2], log_fn()),
+        "A_family",
+    ),
+    "pooled_inverse_residual": (
+        {"X_family": [_m(_X1), _m(_SWAP)], "A_family": [_m(_A), _m(_B)]},
+        lambda: loewner.pooled_inverse_residual([_X1, _SWAP], [_A, _B]),
+        "X_family",
+    ),
+    "matrix_mean": (
+        {"f": _SQRT, "A": _m(_D), "B": _m(_A)},
+        lambda: loewner.matrix_mean(power_fn(0.5), _D, _A),
+        "f",
+    ),
+    "pooled_mean_residual": (
+        {"f": _SQRT, "A_family": [_m(_A), _m(_D)], "B_family": [_m(_B), _m(_E)]},
+        lambda: loewner.pooled_mean_residual(power_fn(0.5), [_A, _D], [_B, _E]),
+        "f",
+    ),
+    "split_mean_residual": (
+        {"f": _SQRT, "A_family": [_m(_A), _m(_D)], "B_family": [_m(_B), _m(_E)]},
+        lambda: loewner.split_mean_residual(power_fn(0.5), [_A, _D], [_B, _E]),
+        "f",
+    ),
+    "mean_monotonicity_residual": (
+        {
+            "f": _SQRT,
+            "A_part": _m(_A),
+            "B_part": _m(_B),
+            "A_whole": _m(_A + np.eye(2)),
+            "B_whole": _m(_B + 0.5 * np.eye(2)),
+        },
+        lambda: loewner.mean_monotonicity_residual(
+            power_fn(0.5), _A, _B, _A + np.eye(2), _B + 0.5 * np.eye(2)
+        ),
+        "f",
+    ),
+}
+
+
+def _eval(tmp_path, capsys, op, doc):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    code = cli.main(["eval", "--op", op, "--input", str(p)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_every_eval_op_has_a_fixture():
+    assert sorted(EVAL_FIXTURES) == sorted(cli.EVAL_OPS)
+
+
+@pytest.mark.parametrize("op", sorted(cli.EVAL_OPS))
+def test_eval_op_matches_direct_call(tmp_path, capsys, op):
+    doc, direct, _ = EVAL_FIXTURES[op]
+    code, out, err = _eval(tmp_path, capsys, op, doc)
+    rendered = cli._render(direct())
+    assert (out, err) == (json.dumps(rendered, indent=2, sort_keys=True) + "\n", "")
+    assert code == (1 if rendered.get("holds") is False else 0)
+
+
+@pytest.mark.parametrize("op", sorted(cli.EVAL_OPS))
+def test_eval_empty_document_names_first_field(tmp_path, capsys, op):
+    first = EVAL_FIXTURES[op][2]
+    assert _eval(tmp_path, capsys, op, {}) == (
+        2,
+        "",
+        f"error: input document is missing field {first!r}\n",
+    )
+
+
+# -- check --suite all ------------------------------------------------------------
+
+
+def _check(capsys, *args):
+    code = cli.main(["check", *args])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, json.loads(out)
+
+
+def test_check_all_equals_single_suite_checks(tmp_path, capsys):
+    # a wide spectrum window at n = 1 gives split_mean violations
+    common = ("--trials", "30", "--seed", "5", "--dim", "1")
+    common += ("--spectrum-lo", "0.01", "--spectrum-hi", "4")
+    out = tmp_path / "all.json"
+    code, reports = _check(capsys, "--suite", "all", *common, "--report", str(out))
+    assert json.loads(out.read_text()) == reports
+    assert [r["suite"] for r in reports] == sorted(cli.SUITES)
+    codes = []
+    for report in reports:
+        single_code, single = _check(capsys, "--suite", report["suite"], *common)
+        codes.append(single_code)
+        report.pop("wall_time")
+        single.pop("wall_time")
+        assert report == single
+    assert 1 in codes
+    assert code == max(codes) == 1

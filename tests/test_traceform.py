@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logsumineq import traceform
 from logsumineq.errors import DomainError, PreconditionError, SupportError
 from logsumineq.functions import identity_fn, log_fn, power_fn
 from logsumineq.generators import rand_commuting_pair, rand_density, rand_density_pair, rand_unitary
@@ -260,3 +261,55 @@ def test_q_trace_direction(seed, n, q):
     rng = np.random.default_rng(seed)
     A, B = rand_commuting_pair(rng, n, (0.1, 5.0), (0.1, 5.0))
     assert q_trace_gap(A, B, q=q, r=1.0).holds
+
+
+# -- product-path cross-check -------------------------------------------------------
+
+_INTERIOR = rand_commuting_pair(np.random.default_rng(0), 3, (0.5, 2.0), (0.5, 2.0))
+_ZERO_A = (np.diag([0.0, 1.0, 2.0]), np.diag([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize(
+    "gap, labels",
+    [
+        (
+            lambda A, B: trace_log_sum_gap(log_fn(), identity_fn(), A, B),
+            ["trace_log_sum_gap", "trace_log_sum_gap rhs"],
+        ),
+        (
+            lambda A, B: reverse_trace_gap(log_fn(), identity_fn(), A, B),
+            ["reverse_trace_gap"],
+        ),
+        (lambda A, B: q_trace_gap(A, B, 0.5, 1.5), ["q_trace_gap", "q_trace_gap rhs"]),
+    ],
+    ids=["forward", "reverse", "q"],
+)
+def test_product_path_cross_checks_run_on_interior_inputs(monkeypatch, eigh_calls, gap, labels):
+    seen = []
+    real = traceform._cross_check
+    monkeypatch.setattr(
+        traceform, "_cross_check", lambda label, *args: (seen.append(label), real(label, *args))
+    )
+    eigh_calls.clear()
+    gap(*_INTERIOR)
+    assert seen == labels
+    # joint spectrum, then g(A), g(B), the inverse of the denominator and f of the product
+    assert len(eigh_calls) == 5
+
+
+@pytest.mark.parametrize(
+    "gap",
+    [
+        lambda A, B: trace_log_sum_gap(log_fn(), identity_fn(), A, B),
+        lambda A, B: q_trace_gap(A, B, 0.5, 1.0),
+    ],
+    ids=["forward", "q"],
+)
+def test_product_path_skipped_when_a_ratio_leaves_the_domain(monkeypatch, eigh_calls, gap):
+    # a zero eigenvalue of A puts the ratio 0 outside log's and lnq's domain
+    seen = []
+    monkeypatch.setattr(traceform, "_cross_check", lambda label, *args: seen.append(label))
+    eigh_calls.clear()
+    assert gap(*_ZERO_A).holds
+    assert seen == []
+    assert len(eigh_calls) == 1
