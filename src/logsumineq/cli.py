@@ -36,28 +36,12 @@ __all__ = ["main"]
 
 # -- eval input parsing ------------------------------------------------------
 
-
-def _need(doc: dict, key: str):
-    if key not in doc:
-        raise DomainError(f"input document is missing field {key!r}")
-    return doc[key]
+_REQUIRED = object()
 
 
-def _get_matrix(doc, key):
-    return matrix_from_obj(_need(doc, key))
-
-
-def _get_family(doc, key):
-    objs = _need(doc, key)
-    if not isinstance(objs, list) or not objs:
-        raise DomainError(f"field {key!r} must be a non-empty list of matrices")
-    return [matrix_from_obj(o) for o in objs]
-
-
-def _get_fn(doc, key) -> FunctionSpec:
-    obj = _need(doc, key)
+def _fn(obj) -> FunctionSpec:
     if not isinstance(obj, dict) or "family" not in obj:
-        raise DomainError(f"field {key!r} must be an object with a 'family' name")
+        raise DomainError("must be an object with a 'family' name")
     grid = obj.get("grid")
     if grid is not None:
         grid = (tuple(map(float, grid[0])), tuple(map(float, grid[1])))
@@ -70,62 +54,89 @@ def _get_fn(doc, key) -> FunctionSpec:
     )
 
 
-def _get_pair(doc, key) -> SequencePair:
-    obj = _need(doc, key)
+def _pair(obj) -> SequencePair:
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
-        raise DomainError(f"field {key!r} must be an object with lists 'a' and 'b'")
+        raise DomainError("must be an object with lists 'a' and 'b'")
     return SequencePair(tuple(map(float, obj["a"])), tuple(map(float, obj["b"])))
 
 
-def _get_float(doc, key):
-    return float(_need(doc, key))
+def _family(objs) -> list[np.ndarray]:
+    if not isinstance(objs, list) or not objs:
+        raise DomainError("must be a non-empty list of matrices")
+    return [matrix_from_obj(o) for o in objs]
 
 
-def _get_interval(doc, key) -> tuple[float, float]:
-    interval = _need(doc, key)
-    return (float(interval[0]), float(interval[1]))
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
 
 
-def _get_floats(doc, key) -> list[float]:
-    return [float(v) for v in _need(doc, key)]
+def _interval(obj) -> tuple[float, float]:
+    return (float(obj[0]), float(obj[1]))
 
 
-def _optional(cast, default):
-    return lambda doc, key: cast(doc.get(key, default))
+def _exactly(kind: type, what: str):
+    """Parser that accepts only values of JSON type kind; no coercion."""
+
+    def parse(value):
+        if not isinstance(value, kind):
+            raise DomainError(f"must be {what}, got {value!r}")
+        return value
+
+    return parse
 
 
-# Each eval argument is parsed by its field name, whatever the op.  "params"
-# is the QLogParams built from the fields q and limit_window.
+_string = _exactly(str, "a string")
+
+# Each eval argument is parsed by its field name, whatever the op: name ->
+# (parser of the JSON value, default when the field is absent or null).
 _FIELDS = {
-    **dict.fromkeys(("x", "y", "q", "r"), _get_float),
-    **dict.fromkeys(("f", "g"), _get_fn),
+    **dict.fromkeys(("x", "y", "q", "r"), (float, _REQUIRED)),
+    **dict.fromkeys(("f", "g"), (_fn, _REQUIRED)),
     **dict.fromkeys(
         ("M", "A", "B", "U", "X", "contraction", "rho", "sigma")
         + ("A_part", "B_part", "A_whole", "B_whole"),
-        _get_matrix,
+        (matrix_from_obj, _REQUIRED),
     ),
-    **dict.fromkeys(("A_family", "B_family", "X_family"), _get_family),
-    **dict.fromkeys(("lambda_a", "lambda_b"), _get_floats),
-    "pair": _get_pair,
-    "h_kind": lambda doc, key: str(_need(doc, key)),
-    "interval": _get_interval,
-    "params": lambda doc, key: QLogParams(
-        _get_float(doc, "q"), float(doc.get("limit_window", 1e-9))
-    ),
-    "tol": _optional(float, 1e-9),
-    "grid_points": _optional(int, 101),
-    "solver": _optional(str, "eigh"),
-    "floor": lambda doc, key: None if doc.get(key) is None else float(doc[key]),
-    "lhs_form": _optional(str, "perspective_sum"),
-    "require_expansive": _optional(bool, True),
+    **dict.fromkeys(("A_family", "B_family", "X_family"), (_family, _REQUIRED)),
+    **dict.fromkeys(("lambda_a", "lambda_b"), (_floats, _REQUIRED)),
+    "pair": (_pair, _REQUIRED),
+    "h_kind": (_string, _REQUIRED),
+    "interval": (_interval, _REQUIRED),
+    "limit_window": (float, 1e-9),
+    "tol": (float, 1e-9),
+    "grid_points": (int, 101),
+    "solver": (_string, "eigh"),
+    "floor": (float, None),
+    "lhs_form": (_string, "perspective_sum"),
+    "require_expansive": (_exactly(bool, "true or false"), True),
 }
+
+
+def _field(doc: dict, name: str):
+    """The eval argument name, read from doc; a malformed value is a DomainError naming it."""
+    parse, default = _FIELDS[name]
+    value = doc.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise DomainError(f"input document is missing field {name!r}")
+        return default
+    try:
+        return parse(value)
+    except (TypeError, ValueError, LookupError) as exc:
+        raise DomainError(f"field {name!r} is malformed: {exc}") from exc
+
+
+def _q(fn):
+    """fn, whose last argument is a QLogParams, taking the fields q and limit_window instead."""
+    return lambda *args: fn(*args[:-2], QLogParams(*args[-2:]))
+
 
 # op -> (function, the fields passed as its positional arguments, in order)
 EVAL_OPS = {
-    "q_log": (q_log, ("x", "params")),
-    "q_log_product": (q_log_product, ("x", "y", "params")),
-    "q_log_quotient": (q_log_quotient, ("x", "y", "params")),
-    "q_log_reciprocal": (q_log_reciprocal, ("y", "params")),
+    "q_log": (_q(q_log), ("x", "q", "limit_window")),
+    "q_log_product": (_q(q_log_product), ("x", "y", "q", "limit_window")),
+    "q_log_quotient": (_q(q_log_quotient), ("x", "y", "q", "limit_window")),
+    "q_log_reciprocal": (_q(q_log_reciprocal), ("y", "q", "limit_window")),
     "ratio_bounds": (scalar.ratio_bounds, ("g", "pair")),
     "convexity_check": (scalar.convexity_check, ("h_kind", "f", "interval", "grid_points")),
     "generalized_log_sum_gap": (scalar.generalized_log_sum_gap, ("f", "g", "pair", "tol")),
@@ -256,8 +267,10 @@ def _cmd_eval(args) -> int:
         raise DomainError(f"unknown op {args.op!r}; available: {', '.join(sorted(EVAL_OPS))}")
     with open(args.input, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DomainError("input document must be a JSON object")
     fn, fields = EVAL_OPS[args.op]
-    rendered = _render(fn(*(_FIELDS[name](doc, name) for name in fields)))
+    rendered = _render(fn(*(_field(doc, name) for name in fields)))
     sys.stdout.write(json.dumps(rendered, indent=2, sort_keys=True) + "\n")
     if "holds" in rendered and not rendered["holds"]:
         return 1

@@ -3,9 +3,9 @@
 Every generator takes a numpy Generator as its first argument and draws from
 it in a fixed order, so an instance is fully determined by the rng state it
 receives.  Preconditions of the target checks hold by construction: positive
-sequences stay in (0, hi], expansive members are I + QQ†, contractive PD
-members have spectrum inside (floor, 1], density matrices are normalized
-spectra in a random basis.
+sequences stay in (0, SEQUENCE_HI], expansive members are I + QQ†,
+contractive PD members have spectrum inside (CONTRACTIVE_FLOOR, 1], density
+matrices are normalized spectra in a random basis.
 
 Random-basis matrices are drawn and built in two steps.  A draw (_draw_pd,
 _draw_contractive_pd) takes the spectrum and a complex Gaussian from the
@@ -39,6 +39,9 @@ __all__ = [
     "rand_split_matching",
 ]
 
+CONTRACTIVE_FLOOR = 0.05
+SEQUENCE_HI = 10.0
+
 
 def _complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -62,9 +65,9 @@ def _draw_pd(rng: np.random.Generator, n: int, spectrum_range: tuple[float, floa
     return rng.uniform(lo, hi, n), _complex_gaussian(rng, n)
 
 
-def _draw_contractive_pd(rng: np.random.Generator, n: int, floor: float = 0.05):
-    """The draws of rand_contractive_pd: spectrum in (floor, 1], then the basis Gaussian."""
-    return 1.0 - (1.0 - floor) * rng.random(n), _complex_gaussian(rng, n)
+def _draw_contractive_pd(rng: np.random.Generator, n: int):
+    """The draws of rand_contractive_pd: the spectrum, then the basis Gaussian."""
+    return 1.0 - (1.0 - CONTRACTIVE_FLOOR) * rng.random(n), _complex_gaussian(rng, n)
 
 
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -90,11 +93,9 @@ def rand_expansive(rng: np.random.Generator, n: int) -> np.ndarray:
     return hermitize(np.eye(n) + Q @ Q.conj().T)
 
 
-def rand_contractive_pd(
-    rng: np.random.Generator, n: int, floor: float = 0.05
-) -> np.ndarray:
-    """PD matrix below I: spectrum uniform in (floor, 1]."""
-    w, G = _draw_contractive_pd(rng, n, floor)
+def rand_contractive_pd(rng: np.random.Generator, n: int) -> np.ndarray:
+    """PD matrix below I: spectrum uniform in (CONTRACTIVE_FLOOR, 1]."""
+    w, G = _draw_contractive_pd(rng, n)
     return _build(w, _unitaries(G))
 
 
@@ -105,18 +106,18 @@ def rand_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     return (U * s) @ Vh
 
 
-def rand_square(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def rand_square(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unstructured complex square matrix."""
-    return scale * _complex_gaussian(rng, n)
+    return _complex_gaussian(rng, n)
 
 
-def rand_sequence(rng: np.random.Generator, n: int, hi: float = 10.0) -> np.ndarray:
-    """Entries in (0, hi]: strictly positive so log-type f never sees 0."""
-    return hi * (1.0 - rng.random(n))
+def rand_sequence(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Entries in (0, SEQUENCE_HI]: strictly positive so log-type f never sees 0."""
+    return SEQUENCE_HI * (1.0 - rng.random(n))
 
 
-def rand_sequence_pair(rng: np.random.Generator, n: int, hi: float = 10.0) -> SequencePair:
-    return SequencePair(tuple(rand_sequence(rng, n, hi)), tuple(rand_sequence(rng, n, hi)))
+def rand_sequence_pair(rng: np.random.Generator, n: int) -> SequencePair:
+    return SequencePair(tuple(rand_sequence(rng, n)), tuple(rand_sequence(rng, n)))
 
 
 def rand_commuting_pair(

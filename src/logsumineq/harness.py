@@ -76,6 +76,8 @@ RECHECK_ABS_TOL = 1e-6
 # search's memory whatever the trial count: a block's draws take about 100 MB
 # at the largest config (n=64, m=16) and well under 1 MB at n=3, m=2.
 _SEARCH_BLOCK = 256
+# Eigenvalue window of both matrices of the trace suites' commuting pairs.
+_TRACE_SPECTRUM = (1e-2, 10.0)
 
 
 @dataclass(frozen=True)
@@ -237,9 +239,9 @@ def _suite_convexity_check(rng, config):
 # -- trace suites ----------------------------------------------------------
 
 
-def _commuting_pd_pair(rng, config, hi: float = 10.0):
+def _commuting_pd_pair(rng, config):
     n = _size(rng, config.n)
-    return gen.rand_commuting_pair(rng, n, (1e-2, hi), (1e-2, hi))
+    return gen.rand_commuting_pair(rng, n, _TRACE_SPECTRUM, _TRACE_SPECTRUM)
 
 
 def _suite_trace_log_sum(rng, config):
@@ -462,9 +464,8 @@ def _search_verdicts(draws: list[_SearchDraw], config: TrialConfig):
     for ks in groups.values():
         group = [draws[k] for k in ks]
         As, Bs = _search_families(group)
-        w = _perspective_sums(
-            [d.f for d in group], As, Bs, config.lhs_form, False, config.tolerance, "eigh"
-        )
+        fs = [d.f for d in group]
+        w = _perspective_sums(fs, As, Bs, config.lhs_form, False, config.tolerance)
         verdict = _verdict(w, config.tolerance)
         min_eig[ks] = verdict.residual_min_eigenvalue
         holds[ks] = verdict.holds

@@ -9,6 +9,12 @@ trials (see matfun on leading axes); perspective_sum_residual is its
 one-trial case.  Operator monotonicity/concavity/convexity of
 the scalar function is established by catalog, not numerically: only
 families whose operator class is classical textbook knowledge get the flags.
+
+Everything here decomposes through LAPACK's eigh, with one exception:
+perspective_sum_residual takes solver="jacobi", which the contractive search
+uses to re-verify a candidate through the independent Jacobi solver.  The
+choice reaches only that function's kernels, _perspective_sums and
+_perspective.
 """
 
 from __future__ import annotations
@@ -97,12 +103,12 @@ def _validate_family(mats, what: str) -> list[np.ndarray]:
     return out
 
 
-def _sqrt(H: np.ndarray, solver: str) -> np.ndarray:
-    return _decompose(H, solver).sqrt().reconstruct()
+def _sqrt(H: np.ndarray) -> np.ndarray:
+    return _decompose(H).sqrt().reconstruct()
 
 
-def _inverse(H: np.ndarray, solver: str) -> np.ndarray:
-    return _decompose(H, solver).inverse().reconstruct()
+def _inverse(H: np.ndarray) -> np.ndarray:
+    return _decompose(H).inverse().reconstruct()
 
 
 def _map(f, dec: SpectralDecomposition) -> SpectralDecomposition:
@@ -112,7 +118,9 @@ def _map(f, dec: SpectralDecomposition) -> SpectralDecomposition:
     return dec._with(np.stack([ft(wt) for ft, wt in zip(f, dec.eigenvalues, strict=True)]))
 
 
-def _perspective(f, dec_a: SpectralDecomposition, B: np.ndarray, solver: str) -> np.ndarray:
+def _perspective(
+    f, dec_a: SpectralDecomposition, B: np.ndarray, solver: str = "eigh"
+) -> np.ndarray:
     """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} from A's decomposition and Hermitian B.
 
     Works on stacks; f is one FunctionSpec or one per entry of the first axis.
@@ -124,29 +132,25 @@ def _perspective(f, dec_a: SpectralDecomposition, B: np.ndarray, solver: str) ->
     return _herm(sA @ _map(f, _decompose(arg, solver)).reconstruct() @ sA)
 
 
-def operator_perspective(f: FunctionSpec, A, B, solver: str = "eigh") -> np.ndarray:
+def operator_perspective(f: FunctionSpec, A, B) -> np.ndarray:
     """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} for positive definite A."""
-    return _perspective(f, spectral_decompose(A, solver), hermitize(B), solver)
+    return _perspective(f, spectral_decompose(A), hermitize(B))
 
 
-def perspective_identity_gap(f: FunctionSpec, A, B, solver: str = "eigh") -> float:
+def perspective_identity_gap(f: FunctionSpec, A, B) -> float:
     """Relative maxnorm distance between the perspective of (A, B) and plain f(B).
 
     The two coincide when A = I (or when A and B commute and f is applied in
     the shared basis); for generic non-commuting pairs they differ by O(1).
     This is a measurement, never an assertion.
     """
-    P = operator_perspective(f, A, B, solver)
-    FB = apply_function(f, hermitize(B), solver)
+    P = operator_perspective(f, A, B)
+    FB = apply_function(f, hermitize(B))
     return maxnorm(P - FB) / max(1.0, maxnorm(FB))
 
 
 def operator_jensen_residual(
-    f: FunctionSpec,
-    contraction,
-    X,
-    tol: float = DEFAULT_TOLERANCE,
-    solver: str = "eigh",
+    f: FunctionSpec, contraction, X, tol: float = DEFAULT_TOLERANCE
 ) -> LoewnerVerdict:
     """Operator Jensen check for a contraction C (operator norm <= 1).
 
@@ -175,7 +179,7 @@ def operator_jensen_residual(
     lo, hi, lo_open = f.domain()
     zero_in_domain = (lo < 0.0 or (lo == 0.0 and not lo_open)) and hi >= 0.0
 
-    dec_x = _decompose(Xh, solver)
+    dec_x = _decompose(Xh)
     if not unitary_like:
         if monotone:
             wx = dec_x.eigenvalues
@@ -190,10 +194,10 @@ def operator_jensen_residual(
             raise PreconditionError("monotone direction needs f(0) >= 0")
         if not monotone and float(f(0.0)) > _F_AT_ANCHOR_TOL:
             raise PreconditionError("convex direction needs f(0) <= 0")
-    fY = _decompose(Y, solver).map(f).reconstruct()
+    fY = _decompose(Y).map(f).reconstruct()
     CfXC = C.conj().T @ dec_x.map(f).reconstruct() @ C
     residual = fY - CfXC if monotone else CfXC - fY
-    return _residual_verdict(residual, tol, solver)
+    return _residual_verdict(residual, tol)
 
 
 def _require_expansive(w_sum: np.ndarray, m: int, tol: float) -> None:
@@ -222,7 +226,7 @@ def _perspective_sums(
     lhs_form: str,
     require_expansive: bool,
     tol: float,
-    solver: str,
+    solver: str = "eigh",
 ) -> np.ndarray:
     """Residual eigenvalues (T, n) of the perspective-sum inequality for T trials.
 
@@ -267,7 +271,8 @@ def perspective_sum_residual(
     some f false) claim kept for comparison experiments.  With
     require_expansive=True the input must satisfy sum(A_i) >= m*I; pass
     False to probe the inequality outside that hypothesis (see the harness
-    search mode).
+    search mode).  solver="jacobi" computes every eigendecomposition with the
+    Jacobi solver instead of eigh.
     """
     As = _validate_family(A_family, "A_family")
     Bs = _validate_family(B_family, "B_family")
@@ -283,11 +288,7 @@ def perspective_sum_residual(
 
 
 def operator_shannon_residual(
-    A_family,
-    B_family,
-    f: FunctionSpec,
-    tol: float = DEFAULT_TOLERANCE,
-    solver: str = "eigh",
+    A_family, B_family, f: FunctionSpec, tol: float = DEFAULT_TOLERANCE
 ) -> LoewnerVerdict:
     """Negative semidefiniteness of the perspective sum when the totals match.
 
@@ -308,17 +309,12 @@ def operator_shannon_residual(
     mismatch = maxnorm(A - B)
     if mismatch > SUM_MATCH_RTOL * max(1.0, maxnorm(A)):
         raise PreconditionError(f"sum(A_i) != sum(B_i) (maxnorm mismatch {mismatch:.3e})")
-    _require_expansive(_decompose(A, solver).eigenvalues, len(As), tol)
-    total = sum(_perspective(f, _decompose(Ai, solver), Bi, solver) for Ai, Bi in zip(As, Bs))
-    return _residual_verdict(-total, tol, solver)
+    _require_expansive(_decompose(A).eigenvalues, len(As), tol)
+    total = sum(_perspective(f, _decompose(Ai), Bi) for Ai, Bi in zip(As, Bs))
+    return _residual_verdict(-total, tol)
 
 
-def pooled_inverse_residual(
-    X_family,
-    A_family,
-    tol: float = DEFAULT_TOLERANCE,
-    solver: str = "eigh",
-) -> LoewnerVerdict:
+def pooled_inverse_residual(X_family, A_family, tol: float = DEFAULT_TOLERANCE) -> LoewnerVerdict:
     """sum_i X_i† A_i^{-1} X_i >= (sum X_i)† (sum A_i)^{-1} (sum X_i).
 
     X_i are arbitrary square complex matrices; A_i must be PD.
@@ -333,33 +329,29 @@ def pooled_inverse_residual(
         if Xk.shape[0] != n:
             raise DomainError(f"X_family[{k}] has dimension {Xk.shape[0]}, expected {n}")
         Xs.append(Xk)
-    lhs = sum(_herm(X.conj().T @ _inverse(A, solver) @ X) for X, A in zip(Xs, As))
+    lhs = sum(_herm(X.conj().T @ _inverse(A) @ X) for X, A in zip(Xs, As))
     SX = sum(Xs)
-    rhs = _herm(SX.conj().T @ _inverse(sum(As), solver) @ SX)
-    return _residual_verdict(lhs - rhs, tol, solver)
+    rhs = _herm(SX.conj().T @ _inverse(sum(As)) @ SX)
+    return _residual_verdict(lhs - rhs, tol)
 
 
-def _mean(f: FunctionSpec, sB: np.ndarray, A_inv: np.ndarray, solver: str) -> np.ndarray:
+def _mean(f: FunctionSpec, sB: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
     """B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2} from B^{1/2} and A^{-1}."""
     arg = _herm(sB @ A_inv @ sB)
-    return _herm(sB @ _decompose(arg, solver).map(f).inverse().reconstruct() @ sB)
+    return _herm(sB @ _decompose(arg).map(f).inverse().reconstruct() @ sB)
 
 
-def matrix_mean(f: FunctionSpec, A, B, solver: str = "eigh") -> np.ndarray:
+def matrix_mean(f: FunctionSpec, A, B) -> np.ndarray:
     """B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2} for PD A, B.
 
     f's matrix image must be PD so the middle inverse exists; for
     f = power(1/2) this is the geometric mean of A and B.
     """
-    return _mean(f, psd_sqrt(B, solver), psd_inverse(A, solver=solver), solver)
+    return _mean(f, psd_sqrt(B), psd_inverse(A))
 
 
 def pooled_mean_residual(
-    f: FunctionSpec,
-    A_family,
-    B_family,
-    tol: float = DEFAULT_TOLERANCE,
-    solver: str = "eigh",
+    f: FunctionSpec, A_family, B_family, tol: float = DEFAULT_TOLERANCE
 ) -> LoewnerVerdict:
     """Pooled-family mean bound for catalog operator-monotone f:
 
@@ -371,23 +363,18 @@ def pooled_mean_residual(
     if len(As) != len(Bs) or As[0].shape != Bs[0].shape:
         raise DomainError("families must match in length and dimension")
     require_operator_class(f, "operator_monotone")
-    roots = [_sqrt(Bi, solver) for Bi in Bs]
+    roots = [_sqrt(Bi) for Bi in Bs]
     f_sum = sum(
-        _decompose(_herm(sB @ _inverse(Ai, solver) @ sB), solver).map(f).reconstruct()
-        for Ai, sB in zip(As, roots)
+        _decompose(_herm(sB @ _inverse(Ai) @ sB)).map(f).reconstruct() for Ai, sB in zip(As, roots)
     )
     sB_sum = sum(roots)
-    lhs = _herm(sB_sum @ _inverse(f_sum, solver) @ sB_sum) / len(As)
-    rhs = _mean(f, _sqrt(sum(Bs), solver), _inverse(sum(As), solver), solver)
-    return _residual_verdict(rhs - lhs, tol, solver)
+    lhs = _herm(sB_sum @ _inverse(f_sum) @ sB_sum) / len(As)
+    rhs = _mean(f, _sqrt(sum(Bs)), _inverse(sum(As)))
+    return _residual_verdict(rhs - lhs, tol)
 
 
 def split_mean_residual(
-    f: FunctionSpec,
-    A_family,
-    B_family,
-    tol: float = DEFAULT_TOLERANCE,
-    solver: str = "eigh",
+    f: FunctionSpec, A_family, B_family, tol: float = DEFAULT_TOLERANCE
 ) -> LoewnerVerdict:
     """Per-member split of the pooled mean bound:
 
@@ -407,14 +394,14 @@ def split_mean_residual(
     lhs = 0.0 * As[0]
     sA_sum = 0.0 * As[0]
     for Ai, Bi in zip(As, Bs):
-        dec_a = _decompose(Ai, solver)
+        dec_a = _decompose(Ai)
         sA = dec_a.sqrt().reconstruct()
-        mean = _mean(f, _sqrt(Bi, solver), dec_a.inverse().reconstruct(), solver)
+        mean = _mean(f, _sqrt(Bi), dec_a.inverse().reconstruct())
         lhs = lhs + _herm(sA @ mean @ sA)
         sA_sum = sA_sum + sA
-    mean = _mean(f, _sqrt(sum(Bs), solver), _inverse(sum(As), solver), solver)
+    mean = _mean(f, _sqrt(sum(Bs)), _inverse(sum(As)))
     rhs = _herm(sA_sum @ mean @ sA_sum) / len(As)
-    return _residual_verdict(rhs - lhs, tol, solver)
+    return _residual_verdict(rhs - lhs, tol)
 
 
 def mean_monotonicity_residual(
@@ -424,7 +411,6 @@ def mean_monotonicity_residual(
     A_whole,
     B_whole,
     tol: float = DEFAULT_TOLERANCE,
-    solver: str = "eigh",
 ) -> LoewnerVerdict:
     """Mean monotonicity in both arguments for catalog operator-monotone f:
 
@@ -443,16 +429,16 @@ def mean_monotonicity_residual(
             f"A_part, B_part, A_whole and B_whole must share one shape, got {shapes}"
         )
     require_operator_class(f, "operator_monotone")
-    order_a = _residual_verdict(A - Ai, tol, solver)
+    order_a = _residual_verdict(A - Ai, tol)
     if not order_a.holds:
         raise PreconditionError(
             f"A_part <= A_whole fails (min eigenvalue {order_a.residual_min_eigenvalue:.3e})"
         )
-    order_b = _residual_verdict(B - Bi, tol, solver)
+    order_b = _residual_verdict(B - Bi, tol)
     if not order_b.holds:
         raise PreconditionError(
             f"B_part <= B_whole fails (min eigenvalue {order_b.residual_min_eigenvalue:.3e})"
         )
-    whole = _mean(f, _sqrt(B, solver), _inverse(A, solver), solver)
-    part = _mean(f, _sqrt(Bi, solver), _inverse(Ai, solver), solver)
-    return _residual_verdict(whole - part, tol, solver)
+    whole = _mean(f, _sqrt(B), _inverse(A))
+    part = _mean(f, _sqrt(Bi), _inverse(Ai))
+    return _residual_verdict(whole - part, tol)

@@ -21,7 +21,8 @@ elementwise.
 Two eigensolvers are available: "eigh" (LAPACK via numpy) and "jacobi" (a
 self-contained cyclic Jacobi sweep).  The second exists so that candidate
 counterexamples can be re-verified through an independent numerical route;
-keep the two code paths distinct.
+keep the two code paths distinct.  Only spectral_decompose and the private
+_decompose take the choice; every other function here uses "eigh".
 """
 
 from __future__ import annotations
@@ -287,9 +288,9 @@ def spectral_decompose(A, solver: str = "eigh") -> SpectralDecomposition:
     return _decompose(_require_hermitian(A), solver)
 
 
-def apply_function(f: FunctionSpec, A, solver: str = "eigh") -> np.ndarray:
+def apply_function(f: FunctionSpec, A) -> np.ndarray:
     """f(A) = U diag(f(w)) U†.  Raises DomainError if an eigenvalue exits f's domain."""
-    return spectral_decompose(A, solver).map(f).reconstruct()
+    return spectral_decompose(A).map(f).reconstruct()
 
 
 def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
@@ -306,18 +307,18 @@ def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
     return LoewnerVerdict(min_eig, norm, float(tol), holds)
 
 
-def _residual_verdict(R: np.ndarray, tol: float, solver: str) -> LoewnerVerdict:
+def _residual_verdict(R: np.ndarray, tol: float) -> LoewnerVerdict:
     """PSD verdict on the Hermitian part of an already validated residual."""
-    return _verdict(_decompose(_herm(R), solver).eigenvalues, tol)
+    return _verdict(_decompose(_herm(R)).eigenvalues, tol)
 
 
-def loewner_leq(A, B, tol: float = 1e-9, solver: str = "eigh") -> LoewnerVerdict:
+def loewner_leq(A, B, tol: float = 1e-9) -> LoewnerVerdict:
     """Verdict on A <= B in the Loewner order, i.e. B - A PSD within tolerance."""
     A = _as_square_complex(A, "A")
     B = _as_square_complex(B, "B")
     if A.shape != B.shape:
         raise DimensionError(f"dimension mismatch {A.shape} vs {B.shape}")
-    return _residual_verdict(B - A, tol, solver)
+    return _residual_verdict(B - A, tol)
 
 
 def make_commuting_pair(U, lambda_a, lambda_b) -> tuple[np.ndarray, np.ndarray]:
@@ -338,11 +339,11 @@ def make_commuting_pair(U, lambda_a, lambda_b) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def psd_inverse(A, floor: float | None = None, solver: str = "eigh") -> np.ndarray:
+def psd_inverse(A, floor: float | None = None) -> np.ndarray:
     """Inverse through the spectral decomposition (see SpectralDecomposition.inverse)."""
-    return spectral_decompose(A, solver).inverse(floor).reconstruct()
+    return spectral_decompose(A).inverse(floor).reconstruct()
 
 
-def psd_sqrt(A, solver: str = "eigh") -> np.ndarray:
+def psd_sqrt(A) -> np.ndarray:
     """Unique PSD square root; eigenvalues in [-1e-12*norm, 0) are clamped to 0."""
-    return spectral_decompose(A, solver).sqrt().reconstruct()
+    return spectral_decompose(A).sqrt().reconstruct()

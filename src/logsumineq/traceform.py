@@ -56,18 +56,16 @@ DENSITY_TRACE_TOL = 1e-10
 _CLUSTER_RTOL = 1e-8
 
 
-def joint_spectrum(A, B, solver: str = "eigh") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def joint_spectrum(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Paired eigenvalues (wa, wb) of a commuting Hermitian pair, plus the shared basis U.
 
     Diagonalizes A, then rediagonalizes B inside each (near-)degenerate
     eigenspace of A, where commutation alone does not pin the basis down.
     """
-    return _joint_spectrum(spectral_decompose(A, solver), B, solver)
+    return _joint_spectrum(spectral_decompose(A), B)
 
 
-def _joint_spectrum(
-    dec_a: SpectralDecomposition, B, solver: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _joint_spectrum(dec_a: SpectralDecomposition, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """joint_spectrum from A's decomposition."""
     B = hermitize(B)
     A = dec_a.reconstruct()
@@ -90,7 +88,7 @@ def _joint_spectrum(
             wb[start] = Bt[start, start].real
         else:
             block = hermitize(Bt[start:stop, start:stop])
-            sub = spectral_decompose(block, solver)
+            sub = spectral_decompose(block)
             wb[start:stop] = sub.eigenvalues
             U[:, start:stop] = U[:, start:stop] @ sub.unitary
         start = stop
@@ -120,27 +118,22 @@ def _in_domain(f: FunctionSpec, ratios: np.ndarray) -> bool:
 
 
 def _product_path(
-    f: FunctionSpec, g: FunctionSpec, A, B, solver: str, reverse: bool = False
+    f: FunctionSpec, g: FunctionSpec, A, B, reverse: bool = False
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """g(A), g(B) and trace[g(A) f(g(X) g(Y)^{-1})] by functional calculus and products.
 
     (X, Y) is (A, B), or (B, A) when reverse.  The route never touches the
     joint spectrum, so it stays an independent check of the scalar value.
     """
-    gA = apply_function(g, hermitize(A), solver)
-    gB = apply_function(g, hermitize(B), solver)
+    gA = apply_function(g, hermitize(A))
+    gB = apply_function(g, hermitize(B))
     num, den = (gB, gA) if reverse else (gA, gB)
-    P = hermitize(num @ psd_inverse(den, solver=solver))
-    return gA, gB, float(np.trace(gA @ apply_function(f, P, solver)).real)
+    P = hermitize(num @ psd_inverse(den))
+    return gA, gB, float(np.trace(gA @ apply_function(f, P)).real)
 
 
 def trace_log_sum_gap(
-    f: FunctionSpec,
-    g: FunctionSpec,
-    A,
-    B,
-    tol: float = DEFAULT_TOLERANCE,
-    solver: str = "eigh",
+    f: FunctionSpec, g: FunctionSpec, A, B, tol: float = DEFAULT_TOLERANCE
 ) -> InequalityVerdict:
     """trace[g(A) f(g(A) g(B)^{-1})] >= trace[g(A)] f(trace g(A)/trace g(B)).
 
@@ -148,10 +141,10 @@ def trace_log_sum_gap(
     on the ratio interval; all inherited from the scalar forward inequality
     on the joint spectrum.
     """
-    wa, wb, _ = joint_spectrum(A, B, solver)
+    wa, wb, _ = joint_spectrum(A, B)
     verdict = generalized_log_sum_gap(f, g, SequencePair(tuple(wa), tuple(wb)), tol)
     if _in_domain(f, np.asarray(g(wa), dtype=float) / np.asarray(g(wb), dtype=float)):
-        gA, gB, lhs_prod = _product_path(f, g, A, B, solver)
+        gA, gB, lhs_prod = _product_path(f, g, A, B)
         _cross_check("trace_log_sum_gap", verdict.lhs, lhs_prod, CROSS_CHECK_RTOL)
         tr_ga = float(np.trace(gA).real)
         rhs_prod = tr_ga * float(f(tr_ga / float(np.trace(gB).real)))
@@ -159,19 +152,14 @@ def trace_log_sum_gap(
     return verdict
 
 
-def exp_log_trace_gap(
-    A,
-    B,
-    tol: float = DEFAULT_TOLERANCE,
-    solver: str = "eigh",
-) -> InequalityVerdict:
+def exp_log_trace_gap(A, B, tol: float = DEFAULT_TOLERANCE) -> InequalityVerdict:
     """trace(A log A) - trace(A log B) >= trace(A) log(trace A/trace B).
 
     The f = log, g = identity trace inequality for positive definite
     commuting A, B.  The product-path cross-check recomputes both traces
     through functional calculus (log, matrix product, trace) to 1e-8.
     """
-    wa, wb, _ = joint_spectrum(A, B, solver)
+    wa, wb, _ = joint_spectrum(A, B)
     if np.any(wa <= 0.0) or np.any(wb <= 0.0):
         raise PreconditionError("both matrices must be positive definite")
     lhs = float(np.sum(wa * np.log(wa)) - np.sum(wa * np.log(wb)))
@@ -179,8 +167,8 @@ def exp_log_trace_gap(
     sum_b = float(np.sum(wb))
     rhs = sum_a * math.log(sum_a / sum_b)
 
-    LA = apply_function(log_fn(), hermitize(A), solver)
-    LB = apply_function(log_fn(), hermitize(B), solver)
+    LA = apply_function(log_fn(), hermitize(A))
+    LB = apply_function(log_fn(), hermitize(B))
     Ah = hermitize(A)
     lhs_prod = float(np.trace(Ah @ LA).real - np.trace(Ah @ LB).real)
     _cross_check("exp_log_trace_gap", lhs, lhs_prod, EXP_LOG_CROSS_RTOL)
@@ -190,9 +178,9 @@ def exp_log_trace_gap(
     return InequalityVerdict(lhs, rhs, gap, float(tol), bool(gap >= -tol * scale))
 
 
-def _density(M, what: str, solver: str = "eigh") -> SpectralDecomposition:
+def _density(M, what: str) -> SpectralDecomposition:
     """Decomposition of a density matrix, checked PSD with unit trace."""
-    dec = spectral_decompose(M, solver)
+    dec = spectral_decompose(M)
     w = dec.eigenvalues
     if float(w[0]) < -1e-12 * max(1.0, float(np.max(np.abs(w)))):
         raise DomainError(f"{what} is not PSD (min eigenvalue {float(w[0]):.3e})")
@@ -202,16 +190,16 @@ def _density(M, what: str, solver: str = "eigh") -> SpectralDecomposition:
     return dec
 
 
-def quantum_relative_entropy(rho, sigma, solver: str = "eigh") -> float:
+def quantum_relative_entropy(rho, sigma) -> float:
     """D(rho||sigma) = trace[rho (log rho - log sigma)] for commuting states.
 
     Eigenvalues below 1e-14 count as exact zeros (0*log 0 = 0); rho putting
     weight where sigma vanishes is a support violation (the divergence is
     +infinity) and raises SupportError.
     """
-    dec_rho = _density(rho, "rho", solver)
-    _density(sigma, "sigma", solver)
-    wr, ws, _ = _joint_spectrum(dec_rho, sigma, solver)
+    dec_rho = _density(rho, "rho")
+    _density(sigma, "sigma")
+    wr, ws, _ = _joint_spectrum(dec_rho, sigma)
     wr = np.clip(wr, 0.0, None)
     ws = np.clip(ws, 0.0, None)
     active = wr > SUPPORT_ATOL
@@ -222,35 +210,28 @@ def quantum_relative_entropy(rho, sigma, solver: str = "eigh") -> float:
     return float(np.sum(wr[active] * (np.log(wr[active]) - np.log(ws[active]))))
 
 
-def von_neumann_entropy(rho, solver: str = "eigh") -> float:
+def von_neumann_entropy(rho) -> float:
     """-trace(rho log rho) with the 0*log 0 = 0 convention; lies in [0, log n]."""
-    w = np.clip(_density(rho, "rho", solver).eigenvalues, 0.0, None)
+    w = np.clip(_density(rho, "rho").eigenvalues, 0.0, None)
     active = w > SUPPORT_ATOL
     if not np.any(active):
         return 0.0
     return float(-np.sum(w[active] * np.log(w[active])))
 
 
-def q_trace_gap(
-    A,
-    B,
-    q: float,
-    r: float,
-    tol: float = DEFAULT_TOLERANCE,
-    solver: str = "eigh",
-) -> InequalityVerdict:
+def q_trace_gap(A, B, q: float, r: float, tol: float = DEFAULT_TOLERANCE) -> InequalityVerdict:
     """Deformed-log trace inequality for commuting pairs.
 
     (trace B^r)^(1-q) trace[A^r lnq(A^r B^-r)] vs
     trace(A^r) [lnq(trace A^r) - lnq(trace B^r)], direction by sign of 2 - q.
     """
-    wa, wb, _ = joint_spectrum(A, B, solver)
+    wa, wb, _ = joint_spectrum(A, B)
     verdict = q_log_sum_gap(SequencePair(tuple(wa), tuple(wb)), q, r, tol)
 
     power = power_fn(float(r))
     lnq = q_log_fn(float(q))
     if _in_domain(lnq, np.asarray(power(wa), dtype=float) / np.asarray(power(wb), dtype=float)):
-        Ar, Br, core = _product_path(lnq, power, A, B, solver)
+        Ar, Br, core = _product_path(lnq, power, A, B)
         tr_br = float(np.trace(Br).real)
         lhs_prod = tr_br ** (1.0 - float(q)) * core
         _cross_check("q_trace_gap", verdict.lhs, lhs_prod, CROSS_CHECK_RTOL)
@@ -262,12 +243,7 @@ def q_trace_gap(
 
 
 def reverse_trace_gap(
-    f: FunctionSpec,
-    g: FunctionSpec,
-    A,
-    B,
-    tol: float = DEFAULT_TOLERANCE,
-    solver: str = "eigh",
+    f: FunctionSpec, g: FunctionSpec, A, B, tol: float = DEFAULT_TOLERANCE
 ) -> InequalityVerdict:
     """trace[g(A) f(g(B) g(A)^{-1})] <= trace[g(A)] f(trace g(B)/trace g(A)).
 
@@ -275,9 +251,9 @@ def reverse_trace_gap(
     on the ratio interval, matching the scalar reverse inequality on the
     joint spectrum.
     """
-    wa, wb, _ = joint_spectrum(A, B, solver)
+    wa, wb, _ = joint_spectrum(A, B)
     verdict = reverse_log_sum_gap(f, g, SequencePair(tuple(wa), tuple(wb)), tol)
     # The scalar verdict evaluated f at every ratio g(b_i)/g(a_i), so all lie in f's domain.
-    _, _, lhs_prod = _product_path(f, g, A, B, solver, reverse=True)
+    _, _, lhs_prod = _product_path(f, g, A, B, reverse=True)
     _cross_check("reverse_trace_gap", verdict.lhs, lhs_prod, CROSS_CHECK_RTOL)
     return verdict

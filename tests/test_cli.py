@@ -380,6 +380,35 @@ def test_eval_empty_document_names_first_field(tmp_path, capsys, op):
     )
 
 
+# A value of the wrong JSON type for every eval field.
+_WRONG_TYPED = {
+    **dict.fromkeys(("x", "y", "q", "r", "limit_window", "tol", "floor", "grid_points"), [1.0]),
+    **dict.fromkeys(("f", "g", "pair", "interval", "lambda_a", "lambda_b"), 5),
+    **dict.fromkeys(("h_kind", "solver", "lhs_form"), 5),
+    **dict.fromkeys(("M", "A", "B", "U", "X", "contraction", "rho", "sigma"), 5),
+    **dict.fromkeys(("A_part", "B_part", "A_whole", "B_whole"), 5),
+    **dict.fromkeys(("A_family", "B_family", "X_family"), 5),
+    "require_expansive": "false",
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli._FIELDS))
+def test_eval_wrong_typed_field_exits_two_naming_it(tmp_path, capsys, name):
+    op = next(op for op, (_, fields) in cli.EVAL_OPS.items() if name in fields)
+    doc = {**EVAL_FIXTURES[op][0], name: _WRONG_TYPED[name]}
+    code, out, err = _eval(tmp_path, capsys, op, doc)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: field {name!r} is malformed: ")
+
+
+def test_eval_non_object_document_exits_two(tmp_path, capsys):
+    assert _eval(tmp_path, capsys, "q_log", [2.0, 0.5]) == (
+        2,
+        "",
+        "error: input document must be a JSON object\n",
+    )
+
+
 # -- check --suite all ------------------------------------------------------------
 
 

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from logsumineq import harness
+from logsumineq import generators as gen
+from logsumineq import harness, matfun
 from logsumineq.errors import DomainError, NumericError
 from logsumineq.harness import (
     SUITES,
@@ -17,6 +18,7 @@ from logsumineq.harness import (
     report_to_json,
     run_suite,
 )
+from logsumineq.loewner import perspective_sum_residual
 
 FAST = dict(trials=60, seed=123, n=3, m=2)
 
@@ -242,3 +244,30 @@ def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls):
     counterexample_search(cfg)
     # rechecks go through the Jacobi solver, so every eigh call is a stacked one
     assert 0 < len(eigh_calls) <= 3 * groups
+
+
+def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
+    # the recheck is the one caller that picks a solver other than eigh
+    jacobi_calls = []
+    real = matfun.jacobi_eigh
+
+    def counting(A):
+        jacobi_calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(matfun, "jacobi_eigh", counting)
+    cfg = _search_config("sum_fb", 300)
+    rep = counterexample_search(cfg)
+    assert rep.findings and jacobi_calls
+    for finding in rep.findings:
+        rng = np.random.default_rng(finding["seed"])
+        m = int(rng.integers(1, cfg.m + 1))
+        n = int(rng.integers(1, cfg.n + 1))
+        As = [gen.rand_contractive_pd(rng, n) for _ in range(m)]
+        Bs = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
+        f = harness._concave_f(rng)
+        assert (n, m, f.label()) == (finding["n"], finding["m"], finding["f"])
+        verdict = perspective_sum_residual(
+            f, As, Bs, "sum_fb", require_expansive=False, tol=cfg.tolerance, solver="jacobi"
+        )
+        assert verdict.residual_min_eigenvalue == finding["recheck_min_eigenvalue"]

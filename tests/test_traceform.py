@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logsumineq import traceform
@@ -55,6 +55,62 @@ def test_joint_spectrum_rejects_noncommuting():
     B = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(PreconditionError):
         joint_spectrum(A, B)
+
+
+def _split_pair(seed, n, scale_a, t, scale_b):
+    """Commuting (A, B) plus their spectra; A has one eigenvalue pair split by t
+    times the clustering threshold, and B differs on that pair."""
+    rng = np.random.default_rng(seed)
+    U = rand_unitary(rng, n)
+    rest = rng.uniform(-scale_a, scale_a, n - 1)
+    threshold = traceform._CLUSTER_RTOL * max(1.0, float(np.max(np.abs(rest))))
+    wa = np.concatenate([[rest[0] + t * threshold], rest])
+    wb = rng.uniform(-scale_b, scale_b, n)
+    return wa, wb, *make_commuting_pair(U, wa, wb)
+
+
+def _check_joint_spectrum(wa, wb, A, B, clustered):
+    got_a, got_b, U = joint_spectrum(A, B)
+    # B's eigenvalues are distinct, so they fix which constructed pair is which
+    got, built = np.argsort(got_b), np.argsort(wb)
+    assert np.allclose(got_b[got], wb[built], rtol=0.0, atol=1e-9 * max(1.0, np.max(np.abs(wb))))
+    # inside a cluster A's eigenvalues may pair with B's in either order
+    slack = (abs(wa[0] - wa[1]) if clustered else 0.0) + 1e-12 * max(1.0, np.max(np.abs(wa)))
+    assert np.all(np.abs(got_a[got] - wa[built]) <= slack)
+    Bd = U.conj().T @ B @ U
+    assert maxnorm(Bd - np.diag(np.diag(Bd))) <= 1e-7 * max(1.0, maxnorm(B))
+
+
+def _separated(values, scale):
+    return values.size < 2 or np.diff(np.sort(values)).min() > 1e-3 * max(1.0, scale)
+
+
+# log10 of the split over the clustering threshold: below it, or a decade or more
+# above it.  Just above it the split is too small for eigh to pin the pair's
+# eigenvectors, and the leakage check fires (see the strict xfail below).
+log_splits = st.one_of(
+    st.floats(min_value=-3.0, max_value=-0.3), st.floats(min_value=1.0, max_value=3.0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.integers(2, 6), st.floats(0.0, 3.0), log_splits, st.floats(0.0, 3.0))
+def test_joint_spectrum_on_both_sides_of_the_cluster_threshold(seed, n, log_a, log_t, log_b):
+    wa, wb, A, B = _split_pair(seed, n, 10.0**log_a, 10.0**log_t, 10.0**log_b)
+    assume(_separated(wa[1:], 10.0**log_a) and _separated(wb, 10.0**log_b))
+    _check_joint_spectrum(wa, wb, A, B, clustered=log_t < 0.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PreconditionError,
+    reason="a pair split by 1.78x the clustering threshold is not clustered, and its "
+    "eigh eigenvectors leak 1.76e-7 of B off the diagonal, above the flat 1e-7 bound",
+)
+def test_joint_spectrum_pair_split_just_above_the_threshold():
+    wa, wb, A, B = _split_pair(4, 6, 10.0**2.607009469917796, 10.0**0.25, 10.0)
+    assert _separated(wa[1:], 10.0**2.607009469917796) and _separated(wb, 10.0)
+    _check_joint_spectrum(wa, wb, A, B, clustered=False)
 
 
 # -- forward trace inequality ----------------------------------------------------
