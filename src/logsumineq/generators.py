@@ -11,8 +11,9 @@ Random-basis matrices are drawn and built in two steps.  A draw (_draw_pd,
 _draw_contractive_pd) takes the spectrum and a complex Gaussian from the
 rng; the build (_unitaries, then _build) turns stacks of draws (..., n)
 and (..., n, n) into phase-fixed unitaries and U diag(w) U† in one qr and
-one matmul.  The one-matrix generators are the stack-free case of the same
-two steps, so a stacked build is bitwise equal to one call per matrix.
+one matmul.  Expansive members I + QQ† take the same two steps through
+_draw_expansive and _build_expansive.  The one-matrix generators are the
+stack-free case, so a stacked build is bitwise equal to one call per matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "rand_commuting_pair",
     "rand_density",
     "rand_density_pair",
-    "rand_pd_family",
     "rand_split_matching",
 ]
 
@@ -70,6 +70,18 @@ def _draw_contractive_pd(rng: np.random.Generator, n: int):
     return 1.0 - (1.0 - CONTRACTIVE_FLOOR) * rng.random(n), _complex_gaussian(rng, n)
 
 
+def _draw_expansive(rng: np.random.Generator, n: int):
+    """The draws of rand_expansive: the amplitude, then the Gaussian."""
+    return rng.uniform(0.3, 1.0), _complex_gaussian(rng, n)
+
+
+def _build_expansive(amp: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """I + QQ†, Q = amp G / sqrt(n), for (stacks of) amplitudes (...) and Gaussians (..., n, n)."""
+    n = G.shape[-1]
+    Q = (np.asarray(amp) / np.sqrt(n))[..., None, None] * G
+    return _herm(np.eye(n) + Q @ _adjoint(Q))
+
+
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish unitary: QR of a complex Gaussian with phase-fixed R diagonal."""
     return _unitaries(_complex_gaussian(rng, n))
@@ -88,9 +100,7 @@ def rand_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray
 
 def rand_expansive(rng: np.random.Generator, n: int) -> np.ndarray:
     """I + QQ†, so the spectrum sits in [1, 1 + ||Q||^2]."""
-    amp = rng.uniform(0.3, 1.0)
-    Q = (amp / np.sqrt(n)) * _complex_gaussian(rng, n)
-    return hermitize(np.eye(n) + Q @ Q.conj().T)
+    return _build_expansive(*_draw_expansive(rng, n))
 
 
 def rand_contractive_pd(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -147,22 +157,6 @@ def rand_density_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.
     U = rand_unitary(rng, n)
     rho = _build(_density_spectrum(rng, n), U)
     return rho, _build(_density_spectrum(rng, n), U)
-
-
-def rand_pd_family(
-    rng: np.random.Generator,
-    m: int,
-    n: int,
-    spectrum_range: tuple[float, float],
-    kind: str = "unconstrained",
-) -> list[np.ndarray]:
-    if kind == "expansive":
-        return [rand_expansive(rng, n) for _ in range(m)]
-    if kind == "contractive":
-        return [rand_contractive_pd(rng, n) for _ in range(m)]
-    if kind == "unconstrained":
-        return [rand_pd(rng, n, spectrum_range) for _ in range(m)]
-    raise ValueError(f"unknown family kind {kind!r}")
 
 
 def rand_split_matching(

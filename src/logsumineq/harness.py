@@ -7,20 +7,22 @@ worst_case_seed replays its worst trial exactly:
 
     run_suite(replace(config, trials=1, seed=report.worst_case_seed))
 
-The contractive search draws every trial from its own seed, in trial
-order, and evaluates the trials in blocks of consecutive indices: within a
-block, the trials of each (n, m) group are built and evaluated as one stack
-(one qr, one eigensolver call per perspective step, one for the residuals).
-Stacked results are bitwise equal to one-trial runs, so grouping changes no
-number in the report.  Search-mode candidates are rebuilt from their trial
-seed and re-verified through the independent Jacobi eigensolver at a
-tightened absolute tolerance before they are reported as findings.
+One loop serves run_suite and counterexample_search: it hands each block of
+consecutive trial seeds to the suite's evaluator.  Most suites evaluate one
+trial at a time; perspective_sum draws every trial from its own seed and
+evaluates the trials of each (n, m) group of a block as one stack (at most
+one qr, one eigensolver call per perspective step, one for the residuals),
+bitwise equal to one-trial runs, so the blocks change no number in a
+report.  Search-mode candidates are rebuilt from their trial seed and
+re-verified through the independent Jacobi eigensolver at a tightened
+absolute tolerance before they are reported as findings.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -72,10 +74,10 @@ _SEED_MOD = 2**64
 FAMILY_KINDS = ("expansive", "contractive", "unconstrained")
 LHS_FORMS = ("perspective_sum", "sum_fb")
 RECHECK_ABS_TOL = 1e-6
-# Consecutive search trials drawn before they are evaluated.  It bounds the
-# search's memory whatever the trial count: a block's draws take about 100 MB
-# at the largest config (n=64, m=16) and well under 1 MB at n=3, m=2.
-_SEARCH_BLOCK = 256
+# Consecutive trials handed to an evaluator at once.  It bounds a run's
+# memory whatever the trial count: a block of perspective-sum draws takes
+# about 100 MB at n=64, m=16 and well under 1 MB at n=3, m=2.
+_BLOCK = 256
 # Eigenvalue window of both matrices of the trace suites' commuting pairs.
 _TRACE_SPECTRUM = (1e-2, 10.0)
 
@@ -97,13 +99,18 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if not self.suite:
             raise DomainError("suite name must be non-empty")
-        if not 1 <= int(self.trials):
+        for name in ("trials", "seed", "n", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not 1 <= self.trials:
             raise DomainError("trials must be >= 1")
-        if not 0 <= int(self.seed) < _SEED_MOD:
+        if not 0 <= self.seed < _SEED_MOD:
             raise DomainError("seed must be a 64-bit unsigned integer")
-        if not 1 <= int(self.n) <= 64:
+        if not 1 <= self.n <= 64:
             raise DomainError("dimension n must be in [1, 64]")
-        if not 1 <= int(self.m) <= 16:
+        if not 1 <= self.m <= 16:
             raise DomainError("family size m must be in [1, 16]")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
             raise DomainError("tolerance must be positive")
@@ -129,14 +136,8 @@ class SuiteReport:
     findings: tuple[dict, ...] = ()
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    gap: float
-    holds: bool
-
-
 def _trial_seed(config: TrialConfig, index: int) -> int:
-    return (int(config.seed) + index) % _SEED_MOD
+    return (config.seed + index) % _SEED_MOD
 
 
 def _size(rng: np.random.Generator, cap: int) -> int:
@@ -149,7 +150,7 @@ def _size(rng: np.random.Generator, cap: int) -> int:
 def _suite_scalar_log_sum(rng, config):
     pair = gen.rand_sequence_pair(rng, _size(rng, config.n))
     v = generalized_log_sum_gap(log_fn(), identity_fn(), pair, config.tolerance)
-    return TrialOutcome(v.gap, v.holds)
+    return v.gap, v.holds
 
 
 def _suite_scalar_equality(rng, config):
@@ -159,13 +160,13 @@ def _suite_scalar_equality(rng, config):
     pair = SequencePair(tuple(c * b), tuple(b))
     v = generalized_log_sum_gap(log_fn(), identity_fn(), pair, config.tolerance)
     scale = max(1.0, abs(v.lhs), abs(v.rhs))
-    return TrialOutcome(-abs(v.gap), abs(v.gap) <= config.tolerance * scale)
+    return -abs(v.gap), abs(v.gap) <= config.tolerance * scale
 
 
 def _suite_scalar_reverse(rng, config):
     pair = gen.rand_sequence_pair(rng, _size(rng, config.n))
     v = reverse_log_sum_gap(log_fn(), identity_fn(), pair, config.tolerance)
-    return TrialOutcome(v.gap, v.holds)
+    return v.gap, v.holds
 
 
 def _suite_rational_reverse(rng, config):
@@ -174,7 +175,7 @@ def _suite_rational_reverse(rng, config):
     ratios = rng.uniform(0.9, 2.4, n)
     pair = SequencePair(tuple(a), tuple(ratios * a))
     v = rational_example_gap(pair, config.tolerance)
-    return TrialOutcome(v.gap, v.holds)
+    return v.gap, v.holds
 
 
 def _draw_q(rng) -> float:
@@ -189,7 +190,7 @@ def _suite_q_log_sum(rng, config):
     q = _draw_q(rng)
     r = float(rng.uniform(0.5, 2.0))
     v = q_log_sum_gap(pair, q, r, config.tolerance)
-    return TrialOutcome(v.gap, v.holds)
+    return v.gap, v.holds
 
 
 def _suite_q_direction(rng, config):
@@ -200,7 +201,7 @@ def _suite_q_direction(rng, config):
         v = q_log_sum_gap(pair, q, 1.0, config.tolerance)
         worst = min(worst, v.gap)
         holds = holds and v.holds
-    return TrialOutcome(worst, holds)
+    return worst, holds
 
 
 def _suite_ratio_bounds(rng, config):
@@ -213,7 +214,7 @@ def _suite_ratio_bounds(rng, config):
     tol = config.tolerance * max(1.0, abs(rb.m_g), abs(rb.M_g))
     holds = rb.m_g <= rb.M_g + tol and rb.m_g - tol <= agg <= rb.M_g + tol
     gap = min(rb.M_g - rb.m_g, agg - rb.m_g, rb.M_g - agg)
-    return TrialOutcome(gap, holds)
+    return gap, holds
 
 
 def _suite_convexity_check(rng, config):
@@ -233,7 +234,7 @@ def _suite_convexity_check(rng, config):
         ok = convexity_check("xfx", power_fn(float(rng.uniform(0.2, 2.0))), (0.01, 5.0), 101)
         expected = True
     agree = ok == expected
-    return TrialOutcome(0.0 if agree else -1.0, agree)
+    return 0.0 if agree else -1.0, agree
 
 
 # -- trace suites ----------------------------------------------------------
@@ -247,38 +248,38 @@ def _commuting_pd_pair(rng, config):
 def _suite_trace_log_sum(rng, config):
     A, B = _commuting_pd_pair(rng, config)
     v = trace_log_sum_gap(log_fn(), identity_fn(), A, B, config.tolerance)
-    return TrialOutcome(v.gap, v.holds)
+    return v.gap, v.holds
 
 
 def _suite_trace_reverse(rng, config):
     A, B = _commuting_pd_pair(rng, config)
     v = reverse_trace_gap(log_fn(), identity_fn(), A, B, config.tolerance)
-    return TrialOutcome(v.gap, v.holds)
+    return v.gap, v.holds
 
 
 def _suite_q_trace(rng, config):
     A, B = _commuting_pd_pair(rng, config)
     v = q_trace_gap(A, B, _draw_q(rng), float(rng.uniform(0.5, 2.0)), config.tolerance)
-    return TrialOutcome(v.gap, v.holds)
+    return v.gap, v.holds
 
 
 def _suite_exp_log_trace(rng, config):
     A, B = _commuting_pd_pair(rng, config)
     v = exp_log_trace_gap(A, B, config.tolerance)
-    return TrialOutcome(v.gap, v.holds)
+    return v.gap, v.holds
 
 
 def _suite_relative_entropy(rng, config):
     rho, sigma = gen.rand_density_pair(rng, _size(rng, config.n))
     d = quantum_relative_entropy(rho, sigma)
-    return TrialOutcome(d, d >= -config.tolerance)
+    return d, d >= -config.tolerance
 
 
 def _suite_entropy_bound(rng, config):
     n = _size(rng, config.n)
     s = von_neumann_entropy(gen.rand_density(rng, n))
     margin = min(s, math.log(n) - s)
-    return TrialOutcome(margin, margin >= -config.tolerance)
+    return margin, margin >= -config.tolerance
 
 
 # -- operator-order suites --------------------------------------------------
@@ -289,7 +290,7 @@ def _suite_operator_jensen(rng, config):
     C = gen.rand_contraction(rng, n)
     X = gen.rand_psd(rng, n, scale=2.0)
     v = operator_jensen_residual(power_fn(0.5), C, X, config.tolerance)
-    return TrialOutcome(v.residual_min_eigenvalue, v.holds)
+    return v.residual_min_eigenvalue, v.holds
 
 
 def _concave_f(rng):
@@ -301,27 +302,75 @@ def _concave_f(rng):
     return q_log_fn(float(rng.uniform(0.0, 2.0)))
 
 
-def _families(rng, config, a_kind: str):
-    """An A family of kind a_kind and an unconstrained B family, drawn in that order."""
+def _families(rng, config):
+    """Two PD families A and B of one drawn size, drawn in that order."""
     m = _size(rng, config.m)
     n = _size(rng, config.n)
-    As = gen.rand_pd_family(rng, m, n, config.spectrum_range, a_kind)
-    Bs = gen.rand_pd_family(rng, m, n, config.spectrum_range, "unconstrained")
-    return As, Bs
+    return [[gen.rand_pd(rng, n, config.spectrum_range) for _ in range(m)] for _ in range(2)]
 
 
-def _suite_perspective_sum(rng, config):
-    As, Bs = _families(rng, config, config.family_kind)
-    f = _concave_f(rng)
-    v = perspective_sum_residual(
-        f,
-        As,
-        Bs,
-        lhs_form=config.lhs_form,
-        require_expansive=config.family_kind == "expansive",
-        tol=config.tolerance,
-    )
-    return TrialOutcome(v.residual_min_eigenvalue, v.holds)
+class _SumDraw(NamedTuple):
+    """The rng draws of one perspective-sum trial, in draw order."""
+
+    n: int
+    m: int
+    params: tuple  # A_1..A_m, then B_1..B_m: an expansive amplitude or a spectrum (n,)
+    gaussians: tuple[np.ndarray, ...]  # the Gaussian (n, n) of each
+    f: FunctionSpec
+
+
+# The member draw of each family kind, as draw(rng, n, spectrum_range).
+_MEMBER_DRAWS = {
+    "expansive": lambda rng, n, _: gen._draw_expansive(rng, n),
+    "contractive": lambda rng, n, _: gen._draw_contractive_pd(rng, n),
+    "unconstrained": gen._draw_pd,
+}
+
+
+def _sum_draw(trial_seed: int, config: TrialConfig) -> _SumDraw:
+    """An A family of config.family_kind, an unconstrained B family, then f."""
+    rng = np.random.default_rng(trial_seed)
+    m = _size(rng, config.m)
+    n = _size(rng, config.n)
+    draw_a = _MEMBER_DRAWS[config.family_kind]
+    draws = [draw_a(rng, n, config.spectrum_range) for _ in range(m)]
+    draws += [gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)]
+    params, gaussians = zip(*draws)
+    return _SumDraw(n, m, params, gaussians, _concave_f(rng))
+
+
+def _sum_families(draws: list[_SumDraw], family_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks (T, m, n, n) of the A and B families of trials sharing (n, m)."""
+    m = draws[0].m
+    params = [d.params for d in draws]
+    G = np.array([d.gaussians for d in draws])
+    if family_kind == "expansive":
+        As = gen._build_expansive(np.array([p[:m] for p in params]), G[:, :m])
+        return As, gen._build(np.array([p[m:] for p in params]), gen._unitaries(G[:, m:]))
+    mats = gen._build(np.array(params), gen._unitaries(G))
+    return mats[:, :m], mats[:, m:]
+
+
+def _perspective_sum_verdicts(seeds, config):
+    """Residual minimum eigenvalue and holds flag of each trial, as Python lists.
+
+    The trials of each (n, m) group are built and evaluated as one stack.
+    """
+    draws = [_sum_draw(ts, config) for ts in seeds]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, d in enumerate(draws):
+        groups.setdefault((d.n, d.m), []).append(k)
+    min_eig, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
+    expansive = config.family_kind == "expansive"
+    for ks in groups.values():
+        group = [draws[k] for k in ks]
+        As, Bs = _sum_families(group, config.family_kind)
+        fs = [d.f for d in group]
+        w = _perspective_sums(fs, As, Bs, config.lhs_form, expansive, config.tolerance)
+        verdict = _verdict(w, config.tolerance)
+        min_eig[ks] = verdict.residual_min_eigenvalue
+        holds[ks] = verdict.holds
+    return min_eig.tolist(), holds.tolist()
 
 
 def _suite_operator_shannon(rng, config):
@@ -333,28 +382,28 @@ def _suite_operator_shannon(rng, config):
     if f.family == "power":
         f = power_fn(0.5, offset=-1.0)  # pin f(1) = 0
     v = operator_shannon_residual(As, Bs, f, config.tolerance)
-    return TrialOutcome(v.residual_min_eigenvalue, v.holds)
+    return v.residual_min_eigenvalue, v.holds
 
 
 def _suite_pooled_inverse(rng, config):
     m = _size(rng, config.m)
     n = _size(rng, config.n)
-    As = gen.rand_pd_family(rng, m, n, config.spectrum_range, "unconstrained")
+    As = [gen.rand_pd(rng, n, config.spectrum_range) for _ in range(m)]
     Xs = [gen.rand_square(rng, n) for _ in range(m)]
     v = pooled_inverse_residual(Xs, As, config.tolerance)
-    return TrialOutcome(v.residual_min_eigenvalue, v.holds)
+    return v.residual_min_eigenvalue, v.holds
 
 
 def _suite_pooled_mean(rng, config):
-    As, Bs = _families(rng, config, "unconstrained")
+    As, Bs = _families(rng, config)
     v = pooled_mean_residual(power_fn(0.5), As, Bs, config.tolerance)
-    return TrialOutcome(v.residual_min_eigenvalue, v.holds)
+    return v.residual_min_eigenvalue, v.holds
 
 
 def _suite_split_mean(rng, config):
-    As, Bs = _families(rng, config, "unconstrained")
+    As, Bs = _families(rng, config)
     v = split_mean_residual(power_fn(0.5), As, Bs, config.tolerance)
-    return TrialOutcome(v.residual_min_eigenvalue, v.holds)
+    return v.residual_min_eigenvalue, v.holds
 
 
 def _suite_mean_monotonicity(rng, config):
@@ -364,32 +413,56 @@ def _suite_mean_monotonicity(rng, config):
     A_whole = A_part + gen.rand_psd(rng, n, scale=float(rng.uniform(0.1, 1.0)))
     B_whole = B_part + gen.rand_pd(rng, n, (0.05, 0.5))
     v = mean_monotonicity_residual(power_fn(0.5), A_part, B_part, A_whole, B_whole, config.tolerance)
-    return TrialOutcome(v.residual_min_eigenvalue, v.holds)
+    return v.residual_min_eigenvalue, v.holds
+
+
+def _per_trial(suite_fn):
+    """The block evaluator of a suite_fn(rng, config) -> (gap, holds) of one trial."""
+    return lambda seeds, config: zip(*(suite_fn(np.random.default_rng(s), config) for s in seeds))
 
 
 SUITES = {
-    "scalar_log_sum": _suite_scalar_log_sum,
-    "scalar_equality": _suite_scalar_equality,
-    "scalar_reverse": _suite_scalar_reverse,
-    "rational_reverse": _suite_rational_reverse,
-    "q_log_sum": _suite_q_log_sum,
-    "q_direction": _suite_q_direction,
-    "ratio_bounds": _suite_ratio_bounds,
-    "convexity_check": _suite_convexity_check,
-    "trace_log_sum": _suite_trace_log_sum,
-    "trace_reverse": _suite_trace_reverse,
-    "q_trace": _suite_q_trace,
-    "exp_log_trace": _suite_exp_log_trace,
-    "relative_entropy": _suite_relative_entropy,
-    "entropy_bound": _suite_entropy_bound,
-    "operator_jensen": _suite_operator_jensen,
-    "perspective_sum": _suite_perspective_sum,
-    "operator_shannon": _suite_operator_shannon,
-    "pooled_inverse": _suite_pooled_inverse,
-    "pooled_mean": _suite_pooled_mean,
-    "split_mean": _suite_split_mean,
-    "mean_monotonicity": _suite_mean_monotonicity,
+    "scalar_log_sum": _per_trial(_suite_scalar_log_sum),
+    "scalar_equality": _per_trial(_suite_scalar_equality),
+    "scalar_reverse": _per_trial(_suite_scalar_reverse),
+    "rational_reverse": _per_trial(_suite_rational_reverse),
+    "q_log_sum": _per_trial(_suite_q_log_sum),
+    "q_direction": _per_trial(_suite_q_direction),
+    "ratio_bounds": _per_trial(_suite_ratio_bounds),
+    "convexity_check": _per_trial(_suite_convexity_check),
+    "trace_log_sum": _per_trial(_suite_trace_log_sum),
+    "trace_reverse": _per_trial(_suite_trace_reverse),
+    "q_trace": _per_trial(_suite_q_trace),
+    "exp_log_trace": _per_trial(_suite_exp_log_trace),
+    "relative_entropy": _per_trial(_suite_relative_entropy),
+    "entropy_bound": _per_trial(_suite_entropy_bound),
+    "operator_jensen": _per_trial(_suite_operator_jensen),
+    "perspective_sum": _perspective_sum_verdicts,
+    "operator_shannon": _per_trial(_suite_operator_shannon),
+    "pooled_inverse": _per_trial(_suite_pooled_inverse),
+    "pooled_mean": _per_trial(_suite_pooled_mean),
+    "split_mean": _per_trial(_suite_split_mean),
+    "mean_monotonicity": _per_trial(_suite_mean_monotonicity),
 }
+
+
+def _run(config: TrialConfig, evaluate):
+    """Walk the trial seeds in blocks of _BLOCK; evaluate(seeds, config) -> (gaps, holds).
+
+    Returns the worst gap (the first on ties), its trial seed, and the
+    (index, seed, gap) of each failing trial, in trial order.
+    """
+    worst_gap, worst_seed, failures = math.inf, _trial_seed(config, 0), []
+    for first in range(0, config.trials, _BLOCK):
+        indices = range(first, min(first + _BLOCK, config.trials))
+        seeds = [_trial_seed(config, index) for index in indices]
+        gaps, holds = evaluate(seeds, config)
+        for index, ts, gap, ok in zip(indices, seeds, gaps, holds):
+            if gap < worst_gap:
+                worst_gap, worst_seed = gap, ts
+            if not ok:
+                failures.append((index, ts, gap))
+    return float(worst_gap), worst_seed, failures
 
 
 def run_suite(config: TrialConfig) -> SuiteReport:
@@ -398,84 +471,22 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         raise DomainError(
             f"unknown suite {config.suite!r}; registered: {', '.join(sorted(SUITES))}"
         )
-    suite_fn = SUITES[config.suite]
     start = time.perf_counter()
-    violations = 0
-    worst_gap = math.inf
-    worst_seed = _trial_seed(config, 0)
-    for index in range(config.trials):
-        ts = _trial_seed(config, index)
-        outcome = suite_fn(np.random.default_rng(ts), config)
-        if not outcome.holds:
-            violations += 1
-        if outcome.gap < worst_gap:
-            worst_gap = outcome.gap
-            worst_seed = ts
+    worst_gap, worst_seed, failures = _run(config, SUITES[config.suite])
     return SuiteReport(
         suite=config.suite,
         config=config,
         trials=config.trials,
-        violations=violations,
-        worst_gap=float(worst_gap),
+        violations=len(failures),
+        worst_gap=worst_gap,
         worst_case_seed=worst_seed,
         wall_time=time.perf_counter() - start,
     )
 
 
-class _SearchDraw(NamedTuple):
-    """The rng draws of one contractive-search trial, in draw order."""
-
-    n: int
-    m: int
-    spectra: tuple[np.ndarray, ...]  # 2m spectra (n,): A_1..A_m, then B_1..B_m
-    gaussians: tuple[np.ndarray, ...]  # the basis Gaussian (n, n) of each
-    f: FunctionSpec
-
-
-def _search_draw(trial_seed: int, config: TrialConfig) -> _SearchDraw:
-    rng = np.random.default_rng(trial_seed)
-    m = _size(rng, config.m)
-    n = _size(rng, config.n)
-    draws = [gen._draw_contractive_pd(rng, n) for _ in range(m)]
-    draws += [gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)]
-    spectra, gaussians = zip(*draws)
-    return _SearchDraw(n, m, spectra, gaussians, _concave_f(rng))
-
-
-def _search_families(draws: list[_SearchDraw]) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks (T, m, n, n) of the A and B families of trials sharing (n, m)."""
-    mats = gen._build(
-        np.array([d.spectra for d in draws]), gen._unitaries(np.array([d.gaussians for d in draws]))
-    )
-    m = draws[0].m
-    return mats[:, :m], mats[:, m:]
-
-
-def _search_verdicts(draws: list[_SearchDraw], config: TrialConfig):
-    """Residual minimum eigenvalue and holds flag of every trial, as Python lists.
-
-    The trials of each (n, m) group are built and evaluated as one stack.
-    """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, d in enumerate(draws):
-        groups.setdefault((d.n, d.m), []).append(k)
-    min_eig = np.empty(len(draws))
-    holds = np.empty(len(draws), dtype=bool)
-    for ks in groups.values():
-        group = [draws[k] for k in ks]
-        As, Bs = _search_families(group)
-        fs = [d.f for d in group]
-        w = _perspective_sums(fs, As, Bs, config.lhs_form, False, config.tolerance)
-        verdict = _verdict(w, config.tolerance)
-        min_eig[ks] = verdict.residual_min_eigenvalue
-        holds[ks] = verdict.holds
-    return min_eig.tolist(), holds.tolist()
-
-
-def _recheck(trial_seed: int, config: TrialConfig):
-    """Rebuild one search trial from its seed and evaluate it through the Jacobi solver."""
-    draw = _search_draw(trial_seed, config)
-    As, Bs = _search_families([draw])
+def _recheck(draw: _SumDraw, config: TrialConfig):
+    """Evaluate one drawn trial through the Jacobi solver."""
+    As, Bs = _sum_families([draw], config.family_kind)
     return perspective_sum_residual(
         draw.f,
         As[0],
@@ -494,42 +505,35 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
     inequality can fail without it is an open question, so the report
     carries findings (re-verified candidates) and no pass/fail claim.
     """
+    if config.suite != "perspective_sum":
+        raise DomainError("counterexample_search requires suite='perspective_sum'")
     if config.family_kind != "contractive":
         raise DomainError("counterexample_search requires family_kind='contractive'")
     start = time.perf_counter()
-    findings: list[dict] = []
-    worst_gap = math.inf
-    worst_seed = _trial_seed(config, 0)
-    for first in range(0, config.trials, _SEARCH_BLOCK):
-        indices = range(first, min(first + _SEARCH_BLOCK, config.trials))
-        draws = [_search_draw(_trial_seed(config, index), config) for index in indices]
-        min_eigs, holds = _search_verdicts(draws, config)
-        for index, draw, min_eig, ok in zip(indices, draws, min_eigs, holds):
-            ts = _trial_seed(config, index)
-            if min_eig < worst_gap:
-                worst_gap = min_eig
-                worst_seed = ts
-            if not ok:
-                recheck = _recheck(ts, config)
-                if recheck.residual_min_eigenvalue < -RECHECK_ABS_TOL:
-                    findings.append(
-                        {
-                            "trial_index": index,
-                            "seed": ts,
-                            "n": draw.n,
-                            "m": draw.m,
-                            "f": draw.f.label(),
-                            "lhs_form": config.lhs_form,
-                            "first_min_eigenvalue": min_eig,
-                            "recheck_min_eigenvalue": recheck.residual_min_eigenvalue,
-                        }
-                    )
+    worst_gap, worst_seed, failures = _run(config, _perspective_sum_verdicts)
+    findings = []
+    for index, ts, min_eig in failures:
+        draw = _sum_draw(ts, config)
+        recheck = _recheck(draw, config)
+        if recheck.residual_min_eigenvalue < -RECHECK_ABS_TOL:
+            findings.append(
+                {
+                    "trial_index": index,
+                    "seed": ts,
+                    "n": draw.n,
+                    "m": draw.m,
+                    "f": draw.f.label(),
+                    "lhs_form": config.lhs_form,
+                    "first_min_eigenvalue": min_eig,
+                    "recheck_min_eigenvalue": recheck.residual_min_eigenvalue,
+                }
+            )
     return SuiteReport(
         suite="contractive_search",
         config=config,
         trials=config.trials,
         violations=len(findings),
-        worst_gap=float(worst_gap),
+        worst_gap=worst_gap,
         worst_case_seed=worst_seed,
         wall_time=time.perf_counter() - start,
         findings=tuple(findings),

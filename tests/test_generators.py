@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from logsumineq.generators import (
     _build,
+    _build_expansive,
     _complex_gaussian,
     _draw_contractive_pd,
+    _draw_expansive,
     _draw_pd,
     _unitaries,
     rand_commuting_pair,
@@ -102,8 +104,9 @@ def test_split_matching_sums_exactly(seed, n, m):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_stacked_builds_equal_one_matrix_at_a_time(n):
-    # one qr and one matmul over a stack of draws give the bits of rand_unitary
-    # and rand_pd called matrix by matrix from the same rng states
+    # one stacked build of the draws gives the bits of rand_unitary, rand_pd,
+    # rand_contractive_pd and rand_expansive called matrix by matrix from the
+    # same rng states
     seeds = range(40, 70)
     unitaries = [rand_unitary(np.random.default_rng(s), n) for s in seeds]
     gaussians = [_complex_gaussian(np.random.default_rng(s), n) for s in seeds]
@@ -118,3 +121,8 @@ def test_stacked_builds_equal_one_matrix_at_a_time(n):
     spectra, gaussians = zip(*(_draw_contractive_pd(np.random.default_rng(s), n) for s in seeds))
     stacked = _build(np.array(spectra), _unitaries(np.array(gaussians)))
     assert stacked.tobytes() == np.array(contractive).tobytes()
+
+    expansive = [rand_expansive(np.random.default_rng(s), n) for s in seeds]
+    amps, gaussians = zip(*(_draw_expansive(np.random.default_rng(s), n) for s in seeds))
+    stacked = _build_expansive(np.array(amps).reshape(5, 6), np.array(gaussians).reshape(5, 6, n, n))
+    assert stacked.tobytes() == np.array(expansive).tobytes()

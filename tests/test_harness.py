@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,25 @@ def test_config_validation():
         TrialConfig(suite="scalar_log_sum", family_kind="shrinking")
     with pytest.raises(DomainError):
         TrialConfig(suite="scalar_log_sum", lhs_form="other")
+    # counts take any integral value that is not a bool, stored as a plain int
+    for field, value in [
+        ("trials", 2.5),
+        ("trials", True),
+        ("trials", "10"),
+        ("seed", 5.0),
+        ("seed", None),
+        ("n", 3.7),
+        ("n", np.float64(3.0)),
+        ("m", False),
+        ("m", np.bool_(True)),
+    ]:
+        with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+            TrialConfig(suite="scalar_log_sum", **{field: value})
+    cfg = TrialConfig(
+        suite="scalar_log_sum", trials=np.int32(3), seed=np.int64(5), n=np.uint8(3), m=np.int16(2)
+    )
+    assert [type(v) for v in (cfg.trials, cfg.seed, cfg.n, cfg.m)] == [int] * 4
+    assert json.loads(report_to_json(run_suite(cfg)))["config"]["seed"] == 5
 
 
 def test_unknown_suite_lists_registry():
@@ -131,6 +152,10 @@ def test_search_requires_contractive_kind():
         counterexample_search(
             TrialConfig(suite="perspective_sum", trials=10, family_kind="expansive")
         )
+    with pytest.raises(DomainError, match="suite='perspective_sum'"):
+        counterexample_search(
+            TrialConfig(suite="scalar_log_sum", trials=10, family_kind="contractive")
+        )
 
 
 def test_search_runs_and_reports():
@@ -205,14 +230,14 @@ def _canonical(report):
 @pytest.mark.parametrize("lhs_form", ["perspective_sum", "sum_fb"])
 def test_stacked_search_residuals_equal_one_trial_runs(monkeypatch, lhs_form):
     recorded = []
-    real = harness._search_verdicts
+    real = harness._perspective_sum_verdicts
 
-    def recording(draws, config):
-        min_eigs, holds = real(draws, config)
+    def recording(seeds, config):
+        min_eigs, holds = real(seeds, config)
         recorded.extend(min_eigs)
         return min_eigs, holds
 
-    monkeypatch.setattr(harness, "_search_verdicts", recording)
+    monkeypatch.setattr(harness, "_perspective_sum_verdicts", recording)
     cfg = _search_config(lhs_form, 2000)
     rep = counterexample_search(cfg)
     monkeypatch.undo()
@@ -228,18 +253,18 @@ def test_stacked_search_residuals_equal_one_trial_runs(monkeypatch, lhs_form):
 def test_search_report_does_not_depend_on_the_block_size(monkeypatch, lhs_form):
     cfg = _search_config(lhs_form, 300, seed=77)
     default = _canonical(counterexample_search(cfg))
-    monkeypatch.setattr(harness, "_SEARCH_BLOCK", 7)
+    monkeypatch.setattr(harness, "_BLOCK", 7)
     assert _canonical(counterexample_search(cfg)) == default
 
 
 def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls):
     cfg = _search_config("perspective_sum", 500)
     groups = 0
-    for first in range(0, cfg.trials, harness._SEARCH_BLOCK):
-        block = range(first, min(first + harness._SEARCH_BLOCK, cfg.trials))
-        draws = [harness._search_draw(cfg.seed + index, cfg) for index in block]
+    for first in range(0, cfg.trials, harness._BLOCK):
+        block = range(first, min(first + harness._BLOCK, cfg.trials))
+        draws = [harness._sum_draw(cfg.seed + index, cfg) for index in block]
         groups += len({(d.n, d.m) for d in draws})
-    assert groups <= cfg.n * cfg.m * math.ceil(cfg.trials / harness._SEARCH_BLOCK)
+    assert groups <= cfg.n * cfg.m * math.ceil(cfg.trials / harness._BLOCK)
     eigh_calls.clear()
     counterexample_search(cfg)
     # rechecks go through the Jacobi solver, so every eigh call is a stacked one
@@ -271,3 +296,70 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
             f, As, Bs, "sum_fb", require_expansive=False, tol=cfg.tolerance, solver="jacobi"
         )
         assert verdict.residual_min_eigenvalue == finding["recheck_min_eigenvalue"]
+
+
+# -- one block loop for every suite --------------------------------------------
+
+
+def _public_perspective_trial(trial_seed, cfg):
+    """One perspective_sum trial rebuilt from its seed through the public functions."""
+    rng = np.random.default_rng(trial_seed)
+    m = int(rng.integers(1, cfg.m + 1))
+    n = int(rng.integers(1, cfg.n + 1))
+    member = {
+        "expansive": lambda: gen.rand_expansive(rng, n),
+        "contractive": lambda: gen.rand_contractive_pd(rng, n),
+        "unconstrained": lambda: gen.rand_pd(rng, n, cfg.spectrum_range),
+    }[cfg.family_kind]
+    As = [member() for _ in range(m)]
+    Bs = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
+    f = harness._concave_f(rng)
+    expansive = cfg.family_kind == "expansive"
+    return perspective_sum_residual(
+        f, As, Bs, cfg.lhs_form, require_expansive=expansive, tol=cfg.tolerance
+    )
+
+
+@pytest.mark.parametrize("lhs_form", ["perspective_sum", "sum_fb"])
+@pytest.mark.parametrize("family_kind", ["expansive", "contractive", "unconstrained"])
+def test_perspective_sum_trials_equal_the_public_residual(monkeypatch, family_kind, lhs_form):
+    recorded = []
+    real = SUITES["perspective_sum"]
+
+    def recording(seeds, config):
+        min_eigs, holds = real(seeds, config)
+        recorded.extend(zip(seeds, min_eigs, holds))
+        return min_eigs, holds
+
+    monkeypatch.setitem(SUITES, "perspective_sum", recording)
+    cfg = TrialConfig(
+        suite="perspective_sum",
+        trials=200,
+        seed=7,
+        n=4,
+        m=3,
+        family_kind=family_kind,
+        lhs_form=lhs_form,
+    )
+    rep = run_suite(cfg)
+    assert [ts for ts, _, _ in recorded] == [cfg.seed + index for index in range(cfg.trials)]
+    for ts, min_eig, holds in recorded:
+        verdict = _public_perspective_trial(ts, cfg)
+        assert (verdict.residual_min_eigenvalue, verdict.holds) == (min_eig, holds), ts
+    assert rep.violations == sum(not holds for _, _, holds in recorded)
+    assert rep.worst_gap == min(min_eig for _, min_eig, _ in recorded)
+    assert rep.worst_case_seed == next(ts for ts, g, _ in recorded if g == rep.worst_gap)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_suite_report_does_not_depend_on_the_block_size(monkeypatch, suite):
+    cfg = TrialConfig(suite=suite, trials=40, seed=7, n=3, m=2, lhs_form="sum_fb")
+    default = _canonical(run_suite(cfg))
+    monkeypatch.setattr(harness, "_BLOCK", 7)
+    assert _canonical(run_suite(cfg)) == default
+
+
+def test_readme_lists_every_registered_suite():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Registered suites:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([a-z_]+)`", paragraph) == sorted(SUITES)
