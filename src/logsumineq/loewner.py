@@ -10,11 +10,11 @@ one-trial case.  Operator monotonicity/concavity/convexity of
 the scalar function is established by catalog, not numerically: only
 families whose operator class is classical textbook knowledge get the flags.
 
-Everything here decomposes through LAPACK's eigh, with one exception:
-perspective_sum_residual takes solver="jacobi", which the contractive search
-uses to re-verify a candidate through the independent Jacobi solver.  The
-choice reaches only that function's kernels, _perspective_sums and
-_perspective.
+Everything here decomposes through LAPACK's eigh, with one exception: the
+perspective-sum kernel _perspective_sums, and perspective_sum_residual over
+it, take solver="jacobi".  The contractive search calls the kernel that way
+to re-verify its candidates, a stack at a time, through the independent
+Jacobi solver.  The choice reaches only that kernel and _perspective.
 """
 
 from __future__ import annotations

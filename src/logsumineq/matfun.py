@@ -8,26 +8,26 @@ result again.  Inputs are validated once, at the public functions; the
 private _decompose and _herm take arrays that are already square, finite
 and Hermitian, and are what internal kernels call.
 
-Stacks: _herm, _decompose, _verdict and every SpectralDecomposition method
-accept leading batch axes, (..., n, n) for matrices and (..., n) for
-eigenvalues, and treat each trailing matrix on its own.  Checks reduce over
-the last axis and report the first failing matrix with the message of the
-one-matrix case.  A one-matrix call is the stack case with no leading axes,
-not a second implementation, and a stacked result must be bitwise equal to
-the results of one call per matrix: numpy's eigh, qr and matmul loop the
-same LAPACK/BLAS routine over the leading axes, and everything else here is
-elementwise.
+Stacks: _herm, _decompose, _verdict, jacobi_eigh and every
+SpectralDecomposition method accept leading batch axes, (..., n, n) for
+matrices and (..., n) for eigenvalues, and treat each trailing matrix on its
+own.  Checks reduce over the last axis and report the first failing matrix
+with the message of the one-matrix case.  A one-matrix call is the stack
+case with no leading axes, not a second implementation, and a stacked
+result must be bitwise equal to the results of one call per matrix: numpy's
+eigh, qr and matmul loop the same LAPACK/BLAS routine over the leading axes,
+and everything else here is elementwise.
 
 Two eigensolvers are available: "eigh" (LAPACK via numpy) and "jacobi" (a
-self-contained cyclic Jacobi sweep).  The second exists so that candidate
-counterexamples can be re-verified through an independent numerical route;
-keep the two code paths distinct.  Only spectral_decompose and the private
-_decompose take the choice; every other function here uses "eigh".
+self-contained cyclic Jacobi sweep, run on a whole stack at once).  The
+second exists so that candidate counterexamples can be re-verified through
+an independent numerical route; keep the two code paths distinct.  Only
+spectral_decompose and the private _decompose take the choice; every other
+function here uses "eigh".
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +59,10 @@ PSD_CLAMP_RTOL = 1e-12
 SOLVERS = ("eigh", "jacobi")
 
 
-def _as_square_complex(M, what: str = "matrix") -> np.ndarray:
+def _as_square_complex(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
+    """M as a complex (n, n) array, or (..., n, n) with stack=True, checked finite."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+    if (A.ndim < 2 if stack else A.ndim != 2) or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
         raise DimensionError(f"{what} must be square with n >= 1, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise DomainError(f"{what} has non-finite entries")
@@ -99,10 +100,12 @@ def hermitize(M) -> np.ndarray:
     return _herm(_as_square_complex(M))
 
 
-def _require_hermitian(M, what: str = "matrix") -> np.ndarray:
-    A = _as_square_complex(M, what)
-    drift = maxnorm(A - A.conj().T)
-    if drift > HERMITIAN_RTOL * max(1.0, maxnorm(A)):
+def _require_hermitian(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
+    A = _as_square_complex(M, what, stack)
+    drift = np.abs(A - _adjoint(A)).max(axis=(-2, -1))
+    bad = drift > HERMITIAN_RTOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    if bad.any():
+        (drift,) = _first(bad, drift)
         raise DomainError(f"{what} is not Hermitian (anti-Hermitian part {drift:.3e})")
     return _herm(A)
 
@@ -200,71 +203,107 @@ class LoewnerVerdict:
 _JACOBI_MAX_SWEEPS = 100
 
 
-def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
+def _frobenius(H: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each matrix of a (K, n, n) stack, bit for bit.
 
-    Returns (eigenvalues ascending, unitary V with A = V diag(w) V†).
-    Independent of LAPACK; used as the second-opinion solver.
+    norm sums the squares of the real parts, then of the imaginary parts,
+    each as one BLAS dot product; a (K, 1, L) @ (K, L, 1) matmul runs the
+    same dot on every matrix.
     """
-    H = _require_hermitian(A, "jacobi input")
-    n = H.shape[0]
-    V = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(H)))
-    target = 1e-14 * scale
+    x = H.reshape(H.shape[0], 1, H.shape[-1] ** 2)
+    re, im = x.real, x.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
 
-    def offnorm(M: np.ndarray) -> float:
-        off = M - np.diag(np.diag(M))
-        return float(np.linalg.norm(off))
 
+def _rotate(X: np.ndarray, p: int, q: int, c, a, b, turn) -> None:
+    """Columns p, q of each matrix where turn: x_p <- c x_p - a x_q, x_q <- b x_p + c x_q.
+
+    Elsewhere they keep their bits: an identity rotation is not a no-op,
+    because x - 0*y turns -0.0 into +0.0.
+    """
+    x_p, x_q = X[:, :, p], X[:, :, q]
+    new_p = np.where(turn, c * x_p - a * x_q, x_p)
+    new_q = np.where(turn, b * x_p + c * x_q, x_q)
+    X[:, :, p], X[:, :, q] = new_p, new_q
+
+
+def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi diagonalization of a Hermitian matrix, or of a stack (..., n, n).
+
+    Returns (eigenvalues ascending, unitary V with A = V diag(w) V†), with
+    A's leading axes.  Independent of LAPACK; used as the second-opinion
+    solver.  Each matrix of a stack keeps its own scale, skips its own small
+    pairs and stops sweeping once it has converged, so it gets exactly the
+    arithmetic, and the bits, of a one-matrix call.  Errors name the first
+    failing matrix in C order, with the one-matrix message.
+    """
+    H = _require_hermitian(A, "jacobi input", stack=True)
+    shape, n = H.shape, H.shape[-1]
+    H = H.reshape(-1, n, n)
+    w = np.empty(H.shape[:-1])
+    V = np.empty(H.shape, dtype=complex)
+    U = np.broadcast_to(np.eye(n, dtype=complex), H.shape).copy()
+    ids = np.arange(H.shape[0])
+    scale = np.maximum(1.0, _frobenius(H))
+    target, floor = 1e-14 * scale, 1e-18 * scale
+    diagonal = np.eye(n, dtype=bool)
     sweeps = 0
-    while offnorm(H) > target:
+    while True:
+        # Only the matrices that have not converged sweep again.
+        offdiag = _frobenius(np.where(diagonal, 0.0, H))
+        live = offdiag > target
+        done = ~live
+        w[ids[done]] = np.diagonal(H[done], axis1=-2, axis2=-1).real
+        V[ids[done]] = U[done]
+        H, U, ids, target, floor, offdiag = (
+            x[live] for x in (H, U, ids, target, floor, offdiag)
+        )
+        if not ids.size:
+            break
         if sweeps >= _JACOBI_MAX_SWEEPS:
             raise NumericError(
                 f"jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
-                f"(n={n}, offdiag={offnorm(H):.3e}, maxnorm={maxnorm(H):.3e})"
+                f"(n={n}, offdiag={offdiag[0]:.3e}, maxnorm={maxnorm(H[0]):.3e})"
             )
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = H[p, q]
-                beta = abs(apq)
-                if beta <= 1e-18 * scale:
+                apq = H[:, p, q]
+                # hypot, not np.abs: array abs of complex values is not
+                # bitwise the scalar abs of a one-matrix sweep.
+                beta = np.hypot(apq.real, apq.imag)
+                turn = beta > floor
+                if not turn.any():
                     continue
+                beta = np.where(turn, beta, 1.0)
                 phi = apq / beta
-                tau = (H[q, q].real - H[p, p].real) / (2.0 * beta)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
+                tau = (H[:, q, q].real - H[:, p, p].real) / (2.0 * beta)
+                # 1/(tau + sqrt(1 + tau^2)) for tau >= 0, else -1/(-tau + sqrt(1 + tau^2))
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 # A <- J† A J with J[p,p]=c, J[p,q]=s*phi, J[q,p]=-s*conj(phi), J[q,q]=c
-                col_p = H[:, p].copy()
-                col_q = H[:, q].copy()
-                H[:, p] = c * col_p - s * np.conj(phi) * col_q
-                H[:, q] = s * phi * col_p + c * col_q
-                row_p = H[p, :].copy()
-                row_q = H[q, :].copy()
-                H[p, :] = c * row_p - s * phi * row_q
-                H[q, :] = s * np.conj(phi) * row_p + c * row_q
-                H[p, q] = 0.0
-                H[q, p] = 0.0
-                H[p, p] = H[p, p].real
-                H[q, q] = H[q, q].real
-                vcol_p = V[:, p].copy()
-                vcol_q = V[:, q].copy()
-                V[:, p] = c * vcol_p - s * np.conj(phi) * vcol_q
-                V[:, q] = s * phi * vcol_p + c * vcol_q
+                s_phi, s_conj = (s * phi)[:, None], (s * np.conj(phi))[:, None]
+                c, cols = c[:, None], turn[:, None]
+                _rotate(H, p, q, c, s_conj, s_phi, cols)
+                _rotate(H.swapaxes(-1, -2), p, q, c, s_phi, s_conj, cols)
+                H[turn, p, q] = 0.0
+                H[turn, q, p] = 0.0
+                H[turn, p, p] = H[turn, p, p].real
+                H[turn, q, q] = H[turn, q, q].real
+                _rotate(U, p, q, c, s_conj, s_phi, cols)
         sweeps += 1
-    w = np.real(np.diag(H))
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    order = np.argsort(w, axis=-1, kind="stable")
+    w = np.take_along_axis(w, order, axis=-1)
+    V = np.take_along_axis(V, order[:, None, :], axis=-1)
+    return w.reshape(shape[:-1]), V.reshape(shape)
 
 
 def _decompose(H: np.ndarray, solver: str = "eigh") -> SpectralDecomposition:
     """Eigendecomposition of (a stack of) already Hermitian arrays; no input checks.
 
-    "eigh" takes a whole stack in one LAPACK call; "jacobi" runs jacobi_eigh
-    on each matrix in turn.
+    Either solver takes a whole stack in one call: "eigh" in one LAPACK
+    call, "jacobi" in one call of jacobi_eigh, looked up by its module name
+    so that a wrapper bound there (a tracer, a test's counter) sees it.
     """
     if solver == "eigh":
         try:
@@ -274,10 +313,7 @@ def _decompose(H: np.ndarray, solver: str = "eigh") -> SpectralDecomposition:
                 f"eigh failed to converge (n={H.shape[-1]}, maxnorm={maxnorm(H):.3e}): {exc}"
             ) from exc
     elif solver == "jacobi":
-        w = np.empty(H.shape[:-1])
-        U = np.empty(H.shape, dtype=complex)
-        for index in np.ndindex(H.shape[:-2]):
-            w[index], U[index] = jacobi_eigh(H[index])
+        w, U = jacobi_eigh(H)
     else:
         raise DomainError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
     return SpectralDecomposition(np.ascontiguousarray(U), np.asarray(w, dtype=float))

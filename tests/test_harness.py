@@ -271,6 +271,29 @@ def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls):
     assert 0 < len(eigh_calls) <= 3 * groups
 
 
+def test_search_recheck_takes_three_jacobi_calls_per_group_per_block(monkeypatch):
+    cfg = _search_config("sum_fb", 500)
+    _, _, failures = harness._run(cfg, harness._perspective_sum_verdicts)
+    groups = 0
+    for first in range(0, len(failures), harness._BLOCK):
+        chunk = failures[first : first + harness._BLOCK]
+        draws = [harness._sum_draw(ts, cfg) for _, ts, _ in chunk]
+        groups += len({(d.n, d.m) for d in draws})
+    assert failures and groups <= cfg.n * cfg.m * math.ceil(len(failures) / harness._BLOCK)
+    jacobi_calls = []
+    real = matfun.jacobi_eigh
+
+    def counting(A):
+        jacobi_calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(matfun, "jacobi_eigh", counting)
+    counterexample_search(cfg)
+    # one decomposition of the totals and members, one of the perspective
+    # arguments and one of the residuals, each a stack over the group
+    assert 0 < len(jacobi_calls) <= 3 * groups
+
+
 def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
     # the recheck is the one caller that picks a solver other than eigh
     jacobi_calls = []

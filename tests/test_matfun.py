@@ -1,11 +1,21 @@
 """Hermitian functional calculus, Loewner comparisons, and the Jacobi solver."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsumineq.errors import DimensionError, DomainError, PreconditionError, SingularityError
+from logsumineq import matfun
+from logsumineq.errors import (
+    DimensionError,
+    DomainError,
+    NumericError,
+    PreconditionError,
+    SingularityError,
+)
 from logsumineq.functions import exp_fn, identity_fn, log_fn, power_fn
 from logsumineq.generators import rand_pd, rand_unitary
 from logsumineq.matfun import (
@@ -379,11 +389,108 @@ def test_stacked_checks_report_the_first_failing_matrix():
         stack.map(log_fn())
 
 
+def _scalar_jacobi(H):
+    """The cyclic Jacobi sweep in one-matrix scalar arithmetic, the reference for its bits."""
+    H = _herm(np.asarray(H, dtype=complex))
+    n = H.shape[0]
+    V = np.eye(n, dtype=complex)
+    scale = max(1.0, float(np.linalg.norm(H)))
+    while float(np.linalg.norm(H - np.diag(np.diag(H)))) > 1e-14 * scale:
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = H[p, q]
+                beta = abs(apq)
+                if beta <= 1e-18 * scale:
+                    continue
+                phi = apq / beta
+                tau = (H[q, q].real - H[p, p].real) / (2.0 * beta)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                col_p, col_q = H[:, p].copy(), H[:, q].copy()
+                H[:, p] = c * col_p - s * np.conj(phi) * col_q
+                H[:, q] = s * phi * col_p + c * col_q
+                row_p, row_q = H[p, :].copy(), H[q, :].copy()
+                H[p, :] = c * row_p - s * phi * row_q
+                H[q, :] = s * np.conj(phi) * row_p + c * row_q
+                H[p, q] = H[q, p] = 0.0
+                H[p, p], H[q, q] = H[p, p].real, H[q, q].real
+                col_p, col_q = V[:, p].copy(), V[:, q].copy()
+                V[:, p] = c * col_p - s * np.conj(phi) * col_q
+                V[:, q] = s * phi * col_p + c * col_q
+    w = np.real(np.diag(H))
+    order = np.argsort(w, kind="stable")
+    return w[order], V[:, order]
+
+
+def _jacobi_watch_stack(rng, n):
+    """Random members beside the members a stacked sweep must leave undisturbed."""
+    members = [rand_hermitian(rng, n, scale) for scale in (1.0, 1e-3, 1e3)]
+    # already diagonal: leaves after 0 sweeps while the others sweep
+    members.append(np.diag(rng.normal(size=n)).astype(complex))
+    members.append(rand_hermitian(rng, n).real)  # real symmetric
+    if n > 1:
+        # row and column 0 zero off the diagonal: every (0, q) entry stays zero,
+        # so that pair is skipped in every sweep while the other members rotate it
+        zero = rand_hermitian(rng, n).real
+        zero[0, 1:] = zero[1:, 0] = 0.0
+        members.append(zero)
+        # couplings of 1e-12 against diagonal gaps of order 1: |tau| ~ 1e12, where
+        # -|tau| + sqrt(1 + tau^2) is 0, for both signs of tau
+        weak = 1e-12 * rand_hermitian(rng, n)
+        members.append(weak - np.diag(np.diag(weak)) + np.diag(rng.permutation(n) + 1.0))
+    return np.array(members, dtype=complex)
+
+
 def test_stacked_jacobi_loops_over_the_leading_axes():
-    rng = np.random.default_rng(7)
-    H = np.array([[rand_hermitian(rng, 3) for _ in range(2)] for _ in range(2)])
-    stacked = _decompose(H, "jacobi")
-    for index in np.ndindex(2, 2):
-        w, V = jacobi_eigh(H[index])
-        assert _same_bits(stacked.eigenvalues[index], w)
-        assert _same_bits(stacked.unitary[index], V)
+    for n in (1, 2, 3, 4, 8):
+        rng = np.random.default_rng(7 + n)
+        H = _jacobi_watch_stack(rng, n)
+        ones = [jacobi_eigh(M) for M in H]
+        w, V = jacobi_eigh(H)
+        for k, (w1, V1) in enumerate(ones):
+            w0, V0 = _scalar_jacobi(H[k])
+            assert _same_bits(w1, w0) and _same_bits(V1, V0), (n, k)
+            assert _same_bits(w[k], w1), (n, k)
+            assert _same_bits(V[k], V1), (n, k)
+        # a rank-2 leading shape, each member among other neighbours
+        grid = np.array([H[::-1], H])
+        w, V = jacobi_eigh(grid)
+        stacked = _decompose(grid, "jacobi")
+        for index in np.ndindex(grid.shape[:2]):
+            w1, V1 = jacobi_eigh(grid[index])
+            assert _same_bits(w[index], w1), (n, index)
+            assert _same_bits(V[index], V1), (n, index)
+            assert _same_bits(stacked.eigenvalues[index], w1), (n, index)
+            assert _same_bits(stacked.unitary[index], V1), (n, index)
+
+
+def test_stacked_jacobi_errors_name_the_first_failing_matrix(monkeypatch):
+    good = np.diag([1.0, 2.0])
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    message = r"^jacobi input is not Hermitian \(anti-Hermitian part 1\.000e\+00\)$"
+    with pytest.raises(DomainError, match=message):
+        jacobi_eigh(skew)
+    with pytest.raises(DomainError, match=message):
+        jacobi_eigh(np.array([[good, skew], [2.0 * skew, good]]))
+    with pytest.raises(DomainError, match=r"^jacobi input has non-finite entries$"):
+        jacobi_eigh(np.array([good, np.diag([1.0, np.nan])]))
+    with pytest.raises(DimensionError, match=r"^jacobi input must be square with n >= 1, "):
+        jacobi_eigh(np.ones(2))
+
+    monkeypatch.setattr(matfun, "_JACOBI_MAX_SWEEPS", 1)
+    rng = np.random.default_rng(3)
+    slow = [rand_hermitian(rng, 3) for _ in range(2)]
+    with pytest.raises(NumericError) as one:
+        jacobi_eigh(slow[0])
+    assert re.match(
+        r"^jacobi did not converge in 1 sweeps \(n=3, offdiag=\S+, maxnorm=\S+\)$",
+        str(one.value),
+    )
+    with pytest.raises(NumericError) as stacked:
+        # the diagonal member converges at once; the first unconverged one is named
+        jacobi_eigh(np.array([np.diag([1.0, 2.0, 3.0]), *slow]))
+    assert str(stacked.value) == str(one.value)
