@@ -12,15 +12,18 @@ _draw_contractive_pd) takes the spectrum and a complex Gaussian from the
 rng; the build (_unitaries, then _build) turns stacks of draws (..., n)
 and (..., n, n) into phase-fixed unitaries and U diag(w) U† in one qr and
 one matmul.  Expansive members I + QQ† take the same two steps through
-_draw_expansive and _build_expansive.  The one-matrix generators are the
-stack-free case, so a stacked build is bitwise equal to one call per matrix.
+_draw_expansive and _build_expansive; PSD matrices, contractions and
+sum-matched families are built by _build_psd, _build_contraction and
+_split_matching from draws made in the generators' order.  The one-matrix
+generators are the stack-free case, so a stacked build is bitwise equal to
+one call per matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matfun import _adjoint, _herm, hermitize, make_commuting_pair
+from .matfun import _adjoint, _herm, _total, hermitize, make_commuting_pair
 from .scalar import SequencePair
 
 __all__ = [
@@ -82,6 +85,32 @@ def _build_expansive(amp: np.ndarray, G: np.ndarray) -> np.ndarray:
     return _herm(np.eye(n) + Q @ _adjoint(Q))
 
 
+def _build_psd(scale, G: np.ndarray) -> np.ndarray:
+    """QQ†, Q = sqrt(scale/n) G, for (stacks of) scales (...) and Gaussians (..., n, n)."""
+    Q = np.sqrt(np.asarray(scale) / G.shape[-1])[..., None, None] * G
+    return _herm(Q @ _adjoint(Q))
+
+
+def _build_contraction(s: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """(U diag(s)) V† from the SVD G = U S V†, for (stacks of) s (..., n) and G (..., n, n)."""
+    U, _, Vh = np.linalg.svd(G)
+    return (U * s[..., None, :]) @ Vh
+
+
+def _split_matching(total: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """carrier C_i carrier† with carrier = total^{1/2} S^{-1/2}, S = sum(C_i).
+
+    total (..., n, n) is Hermitian PD and shares (..., m, n, n) are PD; the
+    result's members sum to total.  Both roots come from one raw eigh call.
+    """
+    w, U = np.linalg.eigh(np.stack([_total(shares), total], axis=-3))
+    U_s, U_t = U[..., 0, :, :], U[..., 1, :, :]
+    S_inv_half = (U_s * (1.0 / np.sqrt(w[..., 0, None, :]))) @ _adjoint(U_s)
+    T_half = (U_t * np.sqrt(w[..., 1, None, :])) @ _adjoint(U_t)
+    carrier = (T_half @ S_inv_half)[..., None, :, :]
+    return _herm(carrier @ shares @ _adjoint(carrier))
+
+
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish unitary: QR of a complex Gaussian with phase-fixed R diagonal."""
     return _unitaries(_complex_gaussian(rng, n))
@@ -94,8 +123,7 @@ def rand_pd(rng: np.random.Generator, n: int, spectrum_range: tuple[float, float
 
 
 def rand_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    Q = np.sqrt(scale / n) * _complex_gaussian(rng, n)
-    return hermitize(Q @ Q.conj().T)
+    return _build_psd(scale, _complex_gaussian(rng, n))
 
 
 def rand_expansive(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -111,9 +139,8 @@ def rand_contractive_pd(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def rand_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     """General complex matrix with singular values in [0, 1]."""
-    U, _, Vh = np.linalg.svd(_complex_gaussian(rng, n))
-    s = rng.random(n)
-    return (U * s) @ Vh
+    G = _complex_gaussian(rng, n)
+    return _build_contraction(rng.random(n), G)
 
 
 def rand_square(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -163,12 +190,7 @@ def rand_split_matching(
     rng: np.random.Generator, total: np.ndarray, m: int, spectrum_range: tuple[float, float]
 ) -> list[np.ndarray]:
     """PD family B_1..B_m with sum exactly total (congruence-normalized shares)."""
-    n = total.shape[0]
-    shares = [rand_pd(rng, n, spectrum_range) for _ in range(m)]
-    S = sum(shares)
-    w, U = np.linalg.eigh(S)
-    S_inv_half = (U * (1.0 / np.sqrt(w))) @ U.conj().T
-    wt, Ut = np.linalg.eigh(hermitize(total))
-    T_half = (Ut * np.sqrt(wt)) @ Ut.conj().T
-    carrier = T_half @ S_inv_half
-    return [hermitize(carrier @ C @ carrier.conj().T) for C in shares]
+    total = hermitize(total)
+    spectra, gaussians = zip(*(_draw_pd(rng, total.shape[0], spectrum_range) for _ in range(m)))
+    shares = _build(np.array(spectra), _unitaries(np.array(gaussians)))
+    return list(_split_matching(total, shares))

@@ -8,12 +8,15 @@ worst_case_seed replays its worst trial exactly:
     run_suite(replace(config, trials=1, seed=report.worst_case_seed))
 
 One loop serves run_suite and counterexample_search: it hands each block of
-consecutive trial seeds to the suite's evaluator.  Most suites evaluate one
-trial at a time; perspective_sum draws every trial from its own seed and
-evaluates the trials of each (n, m) group of a block as one stack (at most
-one qr, one eigensolver call per perspective step, one for the residuals),
-bitwise equal to one-trial runs, so the blocks change no number in a
-report.  Search-mode candidates are rebuilt from their trial seed and
+consecutive trial seeds to the suite's evaluator.  The scalar and trace
+suites evaluate one trial at a time.  The seven Loewner suites
+(operator_jensen, perspective_sum, operator_shannon, pooled_inverse,
+pooled_mean, split_mean, mean_monotonicity) are each a draw plus a stacked
+kernel: every trial is drawn from its own seed, and the trials of each
+(n, m) group of a block are built and evaluated as one stack (at most one
+qr or svd per build, one eigensolver call per kernel step), bitwise equal
+to one-trial runs, so the blocks change no number in a report.
+Search-mode candidates keep the draws of their first pass and are
 re-verified through the independent Jacobi eigensolver at a tightened
 absolute tolerance before they are reported as findings: the same stacked
 kernel over each (n, m) group of a chunk of candidates, with three
@@ -35,16 +38,16 @@ from . import generators as gen
 from .errors import DomainError
 from .functions import FunctionSpec, identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from .loewner import (
+    _mean_monotonicity,
+    _operator_jensen,
+    _operator_shannon,
     _perspective_sums,
-    mean_monotonicity_residual,
-    operator_jensen_residual,
-    operator_shannon_residual,
+    _pooled_inverse,
+    _pooled_mean,
+    _split_mean,
     perspective_sum_residual,  # noqa: F401 (the benchmark self-tests read it from harness)
-    pooled_inverse_residual,
-    pooled_mean_residual,
-    split_mean_residual,
 )
-from .matfun import _verdict
+from .matfun import _total, _verdict
 from .scalar import (
     SequencePair,
     convexity_check,
@@ -287,12 +290,14 @@ def _suite_entropy_bound(rng, config):
 # -- operator-order suites --------------------------------------------------
 
 
-def _suite_operator_jensen(rng, config):
-    n = _size(rng, config.n)
-    C = gen.rand_contraction(rng, n)
-    X = gen.rand_psd(rng, n, scale=2.0)
-    v = operator_jensen_residual(power_fn(0.5), C, X, config.tolerance)
-    return v.residual_min_eigenvalue, v.holds
+class _Draw(NamedTuple):
+    """The rng draws of one trial, in draw order."""
+
+    n: int
+    m: int  # family size; 1 for the suites that draw single matrices
+    params: tuple  # the draws besides the Gaussians: spectra, amplitudes, scales
+    gaussians: tuple[np.ndarray, ...]  # the complex Gaussian (n, n) of each matrix
+    f: FunctionSpec | None = None
 
 
 def _concave_f(rng):
@@ -304,127 +309,183 @@ def _concave_f(rng):
     return q_log_fn(float(rng.uniform(0.0, 2.0)))
 
 
-def _families(rng, config):
-    """Two PD families A and B of one drawn size, drawn in that order."""
-    m = _size(rng, config.m)
-    n = _size(rng, config.n)
-    return [[gen.rand_pd(rng, n, config.spectrum_range) for _ in range(m)] for _ in range(2)]
-
-
-class _SumDraw(NamedTuple):
-    """The rng draws of one perspective-sum trial, in draw order."""
-
-    n: int
-    m: int
-    params: tuple  # A_1..A_m, then B_1..B_m: an expansive amplitude or a spectrum (n,)
-    gaussians: tuple[np.ndarray, ...]  # the Gaussian (n, n) of each
-    f: FunctionSpec
-
-
 # The member draw of each family kind, as draw(rng, n, spectrum_range).
 _MEMBER_DRAWS = {
     "expansive": lambda rng, n, _: gen._draw_expansive(rng, n),
     "contractive": lambda rng, n, _: gen._draw_contractive_pd(rng, n),
     "unconstrained": gen._draw_pd,
 }
+_SQRT = power_fn(0.5)
+_SHANNON_POWER = power_fn(0.5, offset=-1.0)  # sqrt pinned to f(1) = 0
 
 
-def _sum_draw(trial_seed: int, config: TrialConfig) -> _SumDraw:
-    """An A family of config.family_kind, an unconstrained B family, then f."""
-    rng = np.random.default_rng(trial_seed)
+def _family_draw(rng, config: TrialConfig, a_kind: str = "unconstrained"):
+    """m, n, then m members of a_kind (the A family) and m unconstrained PD members (B).
+
+    Returns the n, m, params and gaussians fields of the trial's _Draw.
+    """
     m = _size(rng, config.m)
     n = _size(rng, config.n)
-    draw_a = _MEMBER_DRAWS[config.family_kind]
+    draw_a = _MEMBER_DRAWS[a_kind]
     draws = [draw_a(rng, n, config.spectrum_range) for _ in range(m)]
     draws += [gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)]
     params, gaussians = zip(*draws)
-    return _SumDraw(n, m, params, gaussians, _concave_f(rng))
+    return n, m, params, gaussians
 
 
-def _sum_families(draws: list[_SumDraw], family_kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks (T, m, n, n) of the A and B families of trials sharing (n, m)."""
-    m = draws[0].m
-    params = [d.params for d in draws]
-    G = np.array([d.gaussians for d in draws])
-    if family_kind == "expansive":
+def _family_stacks(group: list[_Draw], a_kind: str = "unconstrained"):
+    """Stacks (T, m, n, n) of the A and B families of family draws sharing (n, m)."""
+    m = group[0].m
+    params = [d.params for d in group]
+    G = np.array([d.gaussians for d in group])
+    if a_kind == "expansive":
         As = gen._build_expansive(np.array([p[:m] for p in params]), G[:, :m])
         return As, gen._build(np.array([p[m:] for p in params]), gen._unitaries(G[:, m:]))
     mats = gen._build(np.array(params), gen._unitaries(G))
     return mats[:, :m], mats[:, m:]
 
 
-def _sum_residuals(
-    draws: list[_SumDraw], config: TrialConfig, require_expansive: bool, solver: str = "eigh"
-):
-    """(positions in draws, residual eigenvalues (T, n)) of each (n, m) group of draws.
+def _sum_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """An A family of config.family_kind, an unconstrained B family, then f."""
+    rng = np.random.default_rng(trial_seed)
+    return _Draw(*_family_draw(rng, config, config.family_kind), _concave_f(rng))
 
-    The trials of a group are built and evaluated as one stack.
-    """
+
+def _sum_residuals(group: list[_Draw], config: TrialConfig, solver: str = "eigh") -> np.ndarray:
+    As, Bs = _family_stacks(group, config.family_kind)
+    return _perspective_sums(
+        [d.f for d in group],
+        As,
+        Bs,
+        config.lhs_form,
+        config.family_kind == "expansive",
+        config.tolerance,
+        solver,
+    )
+
+
+def _jensen_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """rand_contraction's Gaussian and singular values, then rand_psd's Gaussian."""
+    rng = np.random.default_rng(trial_seed)
+    n = _size(rng, config.n)
+    g_c = gen._complex_gaussian(rng, n)
+    s = rng.random(n)
+    return _Draw(n, 1, (s,), (g_c, gen._complex_gaussian(rng, n)))
+
+
+def _jensen_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
+    G = np.array([d.gaussians for d in group])
+    C = gen._build_contraction(np.array([d.params[0] for d in group]), G[:, 0])
+    return _operator_jensen(_SQRT, C, gen._build_psd(2.0, G[:, 1]))
+
+
+def _shannon_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """An expansive A family, the shares of rand_split_matching, then f with f(1) = 0."""
+    rng = np.random.default_rng(trial_seed)
+    n, m, params, gaussians = _family_draw(rng, config, "expansive")
+    f = _concave_f(rng)
+    return _Draw(n, m, params, gaussians, _SHANNON_POWER if f.family == "power" else f)
+
+
+def _shannon_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
+    As, shares = _family_stacks(group, "expansive")
+    Bs = gen._split_matching(_total(As), shares)
+    return _operator_shannon([d.f for d in group], As, Bs, config.tolerance)
+
+
+def _pooled_inverse_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """m, n, m rand_pd members A_i, then m rand_square members X_i."""
+    rng = np.random.default_rng(trial_seed)
+    m = _size(rng, config.m)
+    n = _size(rng, config.n)
+    spectra, gaussians = zip(*(gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)))
+    squares = tuple(gen._complex_gaussian(rng, n) for _ in range(m))
+    return _Draw(n, m, spectra, gaussians + squares)
+
+
+def _pooled_inverse_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
+    m = group[0].m
+    G = np.array([d.gaussians for d in group])
+    As = gen._build(np.array([d.params for d in group]), gen._unitaries(G[:, :m]))
+    return _pooled_inverse(G[:, m:], As)
+
+
+def _mean_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    return _Draw(*_family_draw(np.random.default_rng(trial_seed), config))
+
+
+def _pooled_mean_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
+    return _pooled_mean(_SQRT, *_family_stacks(group))
+
+
+def _split_mean_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
+    return _split_mean(_SQRT, *_family_stacks(group))
+
+
+def _monotonicity_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """A_part, B_part, the scale and Gaussian of the PSD step to A_whole, B_whole's PD step."""
+    rng = np.random.default_rng(trial_seed)
+    n = _size(rng, config.n)
+    a_part, g_a = gen._draw_pd(rng, n, config.spectrum_range)
+    b_part, g_b = gen._draw_pd(rng, n, config.spectrum_range)
+    scale = rng.uniform(0.1, 1.0)
+    g_psd = gen._complex_gaussian(rng, n)
+    b_step, g_step = gen._draw_pd(rng, n, (0.05, 0.5))
+    return _Draw(n, 1, (a_part, b_part, scale, b_step), (g_a, g_b, g_psd, g_step))
+
+
+def _monotonicity_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
+    G = np.array([d.gaussians for d in group])
+    pd = [0, 1, 3]  # A_part, B_part, B_whole - B_part
+    spectra = np.array([[d.params[k] for k in pd] for d in group])
+    mats = gen._build(spectra, gen._unitaries(G[:, pd]))
+    A_part, B_part = mats[:, 0], mats[:, 1]
+    A_step = gen._build_psd(np.array([d.params[2] for d in group]), G[:, 2])
+    return _mean_monotonicity(
+        _SQRT, A_part, B_part, A_part + A_step, B_part + mats[:, 2], config.tolerance
+    )
+
+
+def _grouped(draws: list[_Draw], residuals):
+    """(positions in draws, residuals(group)) of each group of draws sharing (n, m)."""
     groups: dict[tuple[int, int], list[int]] = {}
     for k, d in enumerate(draws):
         groups.setdefault((d.n, d.m), []).append(k)
     for ks in groups.values():
-        group = [draws[k] for k in ks]
-        As, Bs = _sum_families(group, config.family_kind)
-        fs = [d.f for d in group]
-        w = _perspective_sums(
-            fs, As, Bs, config.lhs_form, require_expansive, config.tolerance, solver
-        )
-        yield ks, w
+        yield ks, residuals([draws[k] for k in ks])
 
 
-def _perspective_sum_verdicts(seeds, config):
-    """Residual minimum eigenvalue and holds flag of each trial, as Python lists."""
-    draws = [_sum_draw(ts, config) for ts in seeds]
+def _verdicts(draws: list[_Draw], config: TrialConfig, residuals):
+    """Residual minimum eigenvalue and holds flag of each trial, as Python lists.
+
+    residuals(group, config) gives the residual eigenvalues (T, n) of a group.
+    """
     min_eig, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
-    for ks, w in _sum_residuals(draws, config, config.family_kind == "expansive"):
+    for ks, w in _grouped(draws, lambda group: residuals(group, config)):
         verdict = _verdict(w, config.tolerance)
         min_eig[ks] = verdict.residual_min_eigenvalue
         holds[ks] = verdict.holds
     return min_eig.tolist(), holds.tolist()
 
 
-def _suite_operator_shannon(rng, config):
-    m = _size(rng, config.m)
-    n = _size(rng, config.n)
-    As = [gen.rand_expansive(rng, n) for _ in range(m)]
-    Bs = gen.rand_split_matching(rng, sum(As), m, config.spectrum_range)
-    f = _concave_f(rng)
-    if f.family == "power":
-        f = power_fn(0.5, offset=-1.0)  # pin f(1) = 0
-    v = operator_shannon_residual(As, Bs, f, config.tolerance)
-    return v.residual_min_eigenvalue, v.holds
+class _Stacked:
+    """The block evaluator of a suite given as a draw and a stacked kernel.
+
+    draw(trial_seed, config) makes a trial's rng draws in the order of the
+    one-trial generators; residuals(group, config) builds the stacks of a
+    group of draws sharing (n, m) and returns its kernel's residual
+    eigenvalues (T, n).
+    """
+
+    def __init__(self, draw, residuals):
+        self.draw = draw
+        self.residuals = residuals
+
+    def __call__(self, seeds, config):
+        return _verdicts([self.draw(ts, config) for ts in seeds], config, self.residuals)
 
 
-def _suite_pooled_inverse(rng, config):
-    m = _size(rng, config.m)
-    n = _size(rng, config.n)
-    As = [gen.rand_pd(rng, n, config.spectrum_range) for _ in range(m)]
-    Xs = [gen.rand_square(rng, n) for _ in range(m)]
-    v = pooled_inverse_residual(Xs, As, config.tolerance)
-    return v.residual_min_eigenvalue, v.holds
-
-
-def _suite_pooled_mean(rng, config):
-    As, Bs = _families(rng, config)
-    v = pooled_mean_residual(power_fn(0.5), As, Bs, config.tolerance)
-    return v.residual_min_eigenvalue, v.holds
-
-
-def _suite_split_mean(rng, config):
-    As, Bs = _families(rng, config)
-    v = split_mean_residual(power_fn(0.5), As, Bs, config.tolerance)
-    return v.residual_min_eigenvalue, v.holds
-
-
-def _suite_mean_monotonicity(rng, config):
-    n = _size(rng, config.n)
-    A_part = gen.rand_pd(rng, n, config.spectrum_range)
-    B_part = gen.rand_pd(rng, n, config.spectrum_range)
-    A_whole = A_part + gen.rand_psd(rng, n, scale=float(rng.uniform(0.1, 1.0)))
-    B_whole = B_part + gen.rand_pd(rng, n, (0.05, 0.5))
-    v = mean_monotonicity_residual(power_fn(0.5), A_part, B_part, A_whole, B_whole, config.tolerance)
-    return v.residual_min_eigenvalue, v.holds
+_perspective_sum_verdicts = _Stacked(_sum_draw, _sum_residuals)
 
 
 def _per_trial(suite_fn):
@@ -447,13 +508,13 @@ SUITES = {
     "exp_log_trace": _per_trial(_suite_exp_log_trace),
     "relative_entropy": _per_trial(_suite_relative_entropy),
     "entropy_bound": _per_trial(_suite_entropy_bound),
-    "operator_jensen": _per_trial(_suite_operator_jensen),
+    "operator_jensen": _Stacked(_jensen_draw, _jensen_residuals),
     "perspective_sum": _perspective_sum_verdicts,
-    "operator_shannon": _per_trial(_suite_operator_shannon),
-    "pooled_inverse": _per_trial(_suite_pooled_inverse),
-    "pooled_mean": _per_trial(_suite_pooled_mean),
-    "split_mean": _per_trial(_suite_split_mean),
-    "mean_monotonicity": _per_trial(_suite_mean_monotonicity),
+    "operator_shannon": _Stacked(_shannon_draw, _shannon_residuals),
+    "pooled_inverse": _Stacked(_pooled_inverse_draw, _pooled_inverse_residuals),
+    "pooled_mean": _Stacked(_mean_draw, _pooled_mean_residuals),
+    "split_mean": _Stacked(_mean_draw, _split_mean_residuals),
+    "mean_monotonicity": _Stacked(_monotonicity_draw, _monotonicity_residuals),
 }
 
 
@@ -507,15 +568,15 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
     if config.family_kind != "contractive":
         raise DomainError("counterexample_search requires family_kind='contractive'")
     start = time.perf_counter()
-    worst_gap, worst_seed, failures = _run(config, _perspective_sum_verdicts)
-    findings = []
-    for first in range(0, len(failures), _BLOCK):
-        chunk = failures[first : first + _BLOCK]
-        draws = [_sum_draw(ts, config) for _, ts, _ in chunk]
-        rechecks = np.empty(len(draws))
-        for ks, w in _sum_residuals(draws, config, False, solver="jacobi"):
+    findings, candidates = [], []  # candidates: (index, seed, first residual, draw)
+
+    def confirm(chunk):
+        """Re-verify a chunk of candidates through the Jacobi solver, one stack per group."""
+        rechecks = np.empty(len(chunk))
+        draws = [draw for *_, draw in chunk]
+        for ks, w in _grouped(draws, lambda group: _sum_residuals(group, config, "jacobi")):
             rechecks[ks] = w.min(axis=-1)
-        for (index, ts, min_eig), draw, recheck in zip(chunk, draws, rechecks.tolist()):
+        for (index, ts, min_eig, draw), recheck in zip(chunk, rechecks.tolist()):
             if recheck < -RECHECK_ABS_TOL:
                 findings.append(
                     {
@@ -529,6 +590,22 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
                         "recheck_min_eigenvalue": recheck,
                     }
                 )
+
+    def first_pass(seeds, config):
+        """The block's verdicts; its failing trials join the candidates with their draws."""
+        draws = [_sum_draw(ts, config) for ts in seeds]
+        min_eigs, holds = _verdicts(draws, config, _sum_residuals)
+        for ts, draw, min_eig, ok in zip(seeds, draws, min_eigs, holds):
+            if not ok:
+                candidates.append(((ts - config.seed) % _SEED_MOD, ts, min_eig, draw))
+        while len(candidates) >= _BLOCK:
+            confirm(candidates[:_BLOCK])
+            del candidates[:_BLOCK]
+        return min_eigs, holds
+
+    worst_gap, worst_seed, _ = _run(config, first_pass)
+    if candidates:
+        confirm(candidates)
     return SuiteReport(
         suite="contractive_search",
         config=config,

@@ -4,9 +4,19 @@ Verdicts compare both sides of a claimed Loewner inequality by forming the
 residual RHS - LHS (or the claim-appropriate orientation) and checking its
 minimum eigenvalue.  Public functions validate their inputs once; the
 private kernels take Hermitian arrays or SpectralDecompositions and
-decompose each matrix once.  The perspective-sum kernel works on stacks of
-trials (see matfun on leading axes); perspective_sum_residual is its
-one-trial case.  Operator monotonicity/concavity/convexity of
+decompose each matrix once.
+
+Each residual check has one kernel over a stack of T trials (see matfun on
+leading axes), (T, m, n, n) for the families, (T, n, n) for the matrices
+of operator Jensen and mean monotonicity, returning the residual
+eigenvalues (T, n).  A trial's members and totals sit side by side on the
+member axis, so each step of a kernel is one eigensolver call for the whole
+stack.  The public *_residual function of a check validates its one
+instance and runs the kernel as the T=1 stack.  The kernels check f's
+operator class and anchor values once per distinct f (for the perspective
+sum, perspective_sum_residual checks its f), then run their checks step by
+step over the stack; a failing check raises the one-trial message of the
+first failing trial.  Operator monotonicity/concavity/convexity of
 the scalar function is established by catalog, not numerically: only
 families whose operator class is classical textbook knowledge get the flags.
 
@@ -26,16 +36,16 @@ from .functions import FunctionSpec
 from .matfun import (
     LoewnerVerdict,
     SpectralDecomposition,
+    _adjoint,
     _as_square_complex,
     _decompose,
     _first,
     _herm,
-    _residual_verdict,
+    _total,
     _verdict,
     apply_function,
     hermitize,
     maxnorm,
-    operator_norm,
     psd_inverse,
     psd_sqrt,
     spectral_decompose,
@@ -92,7 +102,8 @@ def require_operator_class(f: FunctionSpec, *needed: str) -> None:
         )
 
 
-def _validate_family(mats, what: str) -> list[np.ndarray]:
+def _validate_family(mats, what: str) -> np.ndarray:
+    """The family as a Hermitian stack (m, n, n)."""
     if len(mats) < 1:
         raise DomainError(f"{what} must contain at least one matrix")
     out = [hermitize(M) for M in mats]
@@ -100,15 +111,15 @@ def _validate_family(mats, what: str) -> list[np.ndarray]:
     for k, M in enumerate(out):
         if M.shape[0] != n:
             raise DomainError(f"{what}[{k}] has dimension {M.shape[0]}, expected {n}")
-    return out
+    return np.stack(out)
 
 
-def _sqrt(H: np.ndarray) -> np.ndarray:
-    return _decompose(H).sqrt().reconstruct()
-
-
-def _inverse(H: np.ndarray) -> np.ndarray:
-    return _decompose(H).inverse().reconstruct()
+def _validate_families(A_family, B_family) -> tuple[np.ndarray, np.ndarray]:
+    As = _validate_family(A_family, "A_family")
+    Bs = _validate_family(B_family, "B_family")
+    if len(As) != len(Bs) or As[0].shape != Bs[0].shape:
+        raise DomainError("families must match in length and dimension")
+    return As, Bs
 
 
 def _map(f, dec: SpectralDecomposition) -> SpectralDecomposition:
@@ -149,6 +160,50 @@ def perspective_identity_gap(f: FunctionSpec, A, B) -> float:
     return maxnorm(P - FB) / max(1.0, maxnorm(FB))
 
 
+def _strict_contraction_problem(f: FunctionSpec, monotone: bool) -> str | None:
+    """Why f cannot take a contraction with C† C != I in its direction, or None."""
+    lo, hi, lo_open = f.domain()
+    if not ((lo < 0.0 or (lo == 0.0 and not lo_open)) and hi >= 0.0):
+        return f"{f.label()} is undefined at 0; a strict contraction pushes the spectrum there"
+    if monotone and float(f(0.0)) < -_F_AT_ANCHOR_TOL:
+        return "monotone direction needs f(0) >= 0"
+    if not monotone and float(f(0.0)) > _F_AT_ANCHOR_TOL:
+        return "convex direction needs f(0) <= 0"
+    return None
+
+
+def _operator_jensen(f: FunctionSpec, C: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Residual eigenvalues (T, n) of the operator Jensen check for C, Hermitian X (T, n, n)."""
+    norm = np.linalg.norm(C, 2, axis=(-2, -1))
+    bad = norm > 1.0 + 1e-12
+    if bad.any():
+        (norm,) = _first(bad, norm)
+        raise PreconditionError(f"contraction has operator norm {norm!r} > 1")
+    flags = operator_class_flags(f)
+    monotone = "operator_monotone" in flags
+    if not monotone and "operator_convex" not in flags:
+        raise PreconditionError(
+            f"{f.label()} is neither operator monotone nor operator convex in the catalog"
+        )
+    Ct = _adjoint(C)
+    dec = _decompose(np.stack([_herm(Ct @ X @ C), X], axis=1))  # Y = C† X C, then X
+    strict = np.abs(Ct @ C - np.eye(C.shape[-1])).max(axis=(-2, -1)) > 1e-12
+    if strict.any():
+        wx = dec.eigenvalues[:, 1]
+        not_psd = monotone & (wx[:, 0] < -1e-12 * np.maximum(1.0, np.abs(wx).max(axis=-1)))
+        problem = _strict_contraction_problem(f, monotone)
+        bad = strict & (not_psd | (problem is not None))
+        if bad.any():
+            t = int(np.flatnonzero(bad)[0])
+            raise PreconditionError(
+                "X must be PSD for the monotone direction" if not_psd[t] else problem
+            )
+    fYX = dec.map(f).reconstruct()
+    CfXC = Ct @ fYX[:, 1] @ C
+    residual = fYX[:, 0] - CfXC if monotone else CfXC - fYX[:, 0]
+    return _decompose(_herm(residual)).eigenvalues
+
+
 def operator_jensen_residual(
     f: FunctionSpec, contraction, X, tol: float = DEFAULT_TOLERANCE
 ) -> LoewnerVerdict:
@@ -161,43 +216,10 @@ def operator_jensen_residual(
     at 0 are not needed.
     """
     C = _as_square_complex(contraction, "contraction")
-    norm = operator_norm(C)
-    if norm > 1.0 + 1e-12:
-        raise PreconditionError(f"contraction has operator norm {norm!r} > 1")
     Xh = hermitize(X)
     if C.shape != Xh.shape:
         raise DomainError(f"contraction shape {C.shape} does not match X shape {Xh.shape}")
-    Y = _herm(C.conj().T @ Xh @ C)
-    unitary_like = maxnorm(C.conj().T @ C - np.eye(C.shape[0])) <= 1e-12
-
-    flags = operator_class_flags(f)
-    monotone = "operator_monotone" in flags
-    if not monotone and "operator_convex" not in flags:
-        raise PreconditionError(
-            f"{f.label()} is neither operator monotone nor operator convex in the catalog"
-        )
-    lo, hi, lo_open = f.domain()
-    zero_in_domain = (lo < 0.0 or (lo == 0.0 and not lo_open)) and hi >= 0.0
-
-    dec_x = _decompose(Xh)
-    if not unitary_like:
-        if monotone:
-            wx = dec_x.eigenvalues
-            if float(wx[0]) < -1e-12 * max(1.0, float(np.max(np.abs(wx)))):
-                raise PreconditionError("X must be PSD for the monotone direction")
-        if not zero_in_domain:
-            raise PreconditionError(
-                f"{f.label()} is undefined at 0; a strict contraction pushes the "
-                "spectrum there"
-            )
-        if monotone and float(f(0.0)) < -_F_AT_ANCHOR_TOL:
-            raise PreconditionError("monotone direction needs f(0) >= 0")
-        if not monotone and float(f(0.0)) > _F_AT_ANCHOR_TOL:
-            raise PreconditionError("convex direction needs f(0) <= 0")
-    fY = _decompose(Y).map(f).reconstruct()
-    CfXC = C.conj().T @ dec_x.map(f).reconstruct() @ C
-    residual = fY - CfXC if monotone else CfXC - fY
-    return _residual_verdict(residual, tol)
+    return _verdict(_operator_jensen(f, C[None], Xh[None])[0], tol)
 
 
 def _require_expansive(w_sum: np.ndarray, m: int, tol: float) -> None:
@@ -209,14 +231,6 @@ def _require_expansive(w_sum: np.ndarray, m: int, tol: float) -> None:
             f"family is not expansive: sum(A_i) >= m*I fails "
             f"(min eigenvalue of the slack {slack:.3e})"
         )
-
-
-def _total(X: np.ndarray) -> np.ndarray:
-    """Sum over axis 1 in member order, adding exactly as sum() adds a family."""
-    total = 0
-    for k in range(X.shape[1]):
-        total = total + X[:, k]
-    return total
 
 
 def _perspective_sums(
@@ -282,9 +296,31 @@ def perspective_sum_residual(
         raise DomainError("A_family and B_family must share dimension")
     require_operator_class(f, "operator_concave")
     w = _perspective_sums(
-        [f], np.stack(As)[None], np.stack(Bs)[None], lhs_form, require_expansive, tol, solver
+        [f], As[None], Bs[None], lhs_form, require_expansive, tol, solver
     )
     return _verdict(w[0], tol)
+
+
+def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, tol: float) -> np.ndarray:
+    """Residual eigenvalues (T, n) of the operator Shannon check for Hermitian stacks (T, m, n, n).
+
+    fs[t] is trial t's f.
+    """
+    for f in dict.fromkeys(fs):
+        require_operator_class(f, "operator_concave")
+        f_at_one = float(f(1.0))
+        if abs(f_at_one) > _F_AT_ANCHOR_TOL:
+            raise PreconditionError(f"f(1) must vanish, got {f_at_one!r}")
+    A = _total(As)
+    mismatch = np.abs(A - _total(Bs)).max(axis=(-2, -1))
+    bad = mismatch > SUM_MATCH_RTOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    if bad.any():
+        (mismatch,) = _first(bad, mismatch)
+        raise PreconditionError(f"sum(A_i) != sum(B_i) (maxnorm mismatch {mismatch:.3e})")
+    dec = _decompose(np.concatenate([A[:, None], As], axis=1))
+    _require_expansive(dec.eigenvalues[:, 0], As.shape[1], tol)
+    total = _total(_perspective(fs, dec[:, 1:], Bs))
+    return _decompose(_herm(-total)).eigenvalues
 
 
 def operator_shannon_residual(
@@ -296,22 +332,22 @@ def operator_shannon_residual(
     catalog operator-concave f with f(1) = 0.  The verdict is on
     -sum_i A_i^{1/2} f(A_i^{-1/2} B_i A_i^{-1/2}) A_i^{1/2} >= 0.
     """
-    As = _validate_family(A_family, "A_family")
-    Bs = _validate_family(B_family, "B_family")
-    if len(As) != len(Bs) or As[0].shape != Bs[0].shape:
-        raise DomainError("families must match in length and dimension")
-    require_operator_class(f, "operator_concave")
-    f_at_one = float(f(1.0))
-    if abs(f_at_one) > _F_AT_ANCHOR_TOL:
-        raise PreconditionError(f"f(1) must vanish, got {f_at_one!r}")
-    A = sum(As)
-    B = sum(Bs)
-    mismatch = maxnorm(A - B)
-    if mismatch > SUM_MATCH_RTOL * max(1.0, maxnorm(A)):
-        raise PreconditionError(f"sum(A_i) != sum(B_i) (maxnorm mismatch {mismatch:.3e})")
-    _require_expansive(_decompose(A).eigenvalues, len(As), tol)
-    total = sum(_perspective(f, _decompose(Ai), Bi) for Ai, Bi in zip(As, Bs))
-    return _residual_verdict(-total, tol)
+    As, Bs = _validate_families(A_family, B_family)
+    return _verdict(_operator_shannon([f], As[None], Bs[None], tol)[0], tol)
+
+
+def _pooled_inverse(Xs: np.ndarray, As: np.ndarray) -> np.ndarray:
+    """Residual eigenvalues (T, n) of the pooled-inverse check for stacks (T, m, n, n).
+
+    Xs are square and As Hermitian.
+    """
+    m = As.shape[1]
+    inverses = _decompose(np.concatenate([As, _total(As)[:, None]], axis=1)).inverse()
+    inverses = inverses.reconstruct()  # A_i^{-1}, then A^{-1}
+    lhs = _total(_herm(_adjoint(Xs) @ inverses[:, :m] @ Xs))
+    SX = _total(Xs)
+    rhs = _herm(_adjoint(SX) @ inverses[:, m] @ SX)
+    return _decompose(_herm(lhs - rhs)).eigenvalues
 
 
 def pooled_inverse_residual(X_family, A_family, tol: float = DEFAULT_TOLERANCE) -> LoewnerVerdict:
@@ -329,14 +365,11 @@ def pooled_inverse_residual(X_family, A_family, tol: float = DEFAULT_TOLERANCE) 
         if Xk.shape[0] != n:
             raise DomainError(f"X_family[{k}] has dimension {Xk.shape[0]}, expected {n}")
         Xs.append(Xk)
-    lhs = sum(_herm(X.conj().T @ _inverse(A) @ X) for X, A in zip(Xs, As))
-    SX = sum(Xs)
-    rhs = _herm(SX.conj().T @ _inverse(sum(As)) @ SX)
-    return _residual_verdict(lhs - rhs, tol)
+    return _verdict(_pooled_inverse(np.stack(Xs)[None], As[None])[0], tol)
 
 
 def _mean(f: FunctionSpec, sB: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
-    """B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2} from B^{1/2} and A^{-1}."""
+    """B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2} from (stacks of) B^{1/2} and A^{-1}."""
     arg = _herm(sB @ A_inv @ sB)
     return _herm(sB @ _decompose(arg).map(f).inverse().reconstruct() @ sB)
 
@@ -350,6 +383,22 @@ def matrix_mean(f: FunctionSpec, A, B) -> np.ndarray:
     return _mean(f, psd_sqrt(B), psd_inverse(A))
 
 
+def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
+    """Residual eigenvalues (T, n) of the pooled mean bound for Hermitian stacks (T, m, n, n)."""
+    require_operator_class(f, "operator_monotone")
+    m = As.shape[1]
+    dec = _decompose(np.concatenate([Bs, _total(Bs)[:, None], As, _total(As)[:, None]], axis=1))
+    roots = dec[:, : m + 1].sqrt().reconstruct()  # B_i^{1/2}, then B^{1/2}
+    inverses = dec[:, m + 1 :].inverse().reconstruct()  # A_i^{-1}, then A^{-1}
+    args = _decompose(_herm(roots @ inverses @ roots))
+    f_sum = _total(args[:, :m].map(f).reconstruct())
+    sB_sum = _total(roots[:, :m])
+    lhs = _herm(sB_sum @ _decompose(f_sum).inverse().reconstruct() @ sB_sum) / m
+    sB = roots[:, m]
+    rhs = _herm(sB @ args[:, m].map(f).inverse().reconstruct() @ sB)
+    return _decompose(_herm(rhs - lhs)).eigenvalues
+
+
 def pooled_mean_residual(
     f: FunctionSpec, A_family, B_family, tol: float = DEFAULT_TOLERANCE
 ) -> LoewnerVerdict:
@@ -358,19 +407,24 @@ def pooled_mean_residual(
         (1/m) (sum B_i^{1/2}) [sum f(B_i^{1/2} A_i^{-1} B_i^{1/2})]^{-1} (sum B_i^{1/2})
             <= B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2}.
     """
-    As = _validate_family(A_family, "A_family")
-    Bs = _validate_family(B_family, "B_family")
-    if len(As) != len(Bs) or As[0].shape != Bs[0].shape:
-        raise DomainError("families must match in length and dimension")
+    As, Bs = _validate_families(A_family, B_family)
+    return _verdict(_pooled_mean(f, As[None], Bs[None])[0], tol)
+
+
+def _split_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
+    """Residual eigenvalues (T, n) of the split mean bound for Hermitian stacks (T, m, n, n)."""
     require_operator_class(f, "operator_monotone")
-    roots = [_sqrt(Bi) for Bi in Bs]
-    f_sum = sum(
-        _decompose(_herm(sB @ _inverse(Ai) @ sB)).map(f).reconstruct() for Ai, sB in zip(As, roots)
-    )
-    sB_sum = sum(roots)
-    lhs = _herm(sB_sum @ _inverse(f_sum) @ sB_sum) / len(As)
-    rhs = _mean(f, _sqrt(sum(Bs)), _inverse(sum(As)))
-    return _residual_verdict(rhs - lhs, tol)
+    m = As.shape[1]
+    dec = _decompose(np.concatenate([As, _total(As)[:, None], Bs, _total(Bs)[:, None]], axis=1))
+    sA = dec[:, :m].sqrt().reconstruct()
+    # mean(A_i, B_i) for each member, then mean(A, B)
+    means = _mean(f, dec[:, m + 1 :].sqrt().reconstruct(), dec[:, : m + 1].inverse().reconstruct())
+    # Both sums start from 0.0 * A_1: its signed zeros can reach the residual.
+    zero = 0.0 * As[:, 0]
+    lhs = _total(_herm(sA @ means[:, :m] @ sA), zero)
+    sA_sum = _total(sA, zero)
+    rhs = _herm(sA_sum @ means[:, m] @ sA_sum) / m
+    return _decompose(_herm(rhs - lhs)).eigenvalues
 
 
 def split_mean_residual(
@@ -386,22 +440,35 @@ def split_mean_residual(
     negative verdict on valid PD input as information, not as a numerical
     fault (see the test suite for a reproducible 1x1 instance).
     """
-    As = _validate_family(A_family, "A_family")
-    Bs = _validate_family(B_family, "B_family")
-    if len(As) != len(Bs) or As[0].shape != Bs[0].shape:
-        raise DomainError("families must match in length and dimension")
+    As, Bs = _validate_families(A_family, B_family)
+    return _verdict(_split_mean(f, As[None], Bs[None])[0], tol)
+
+
+def _mean_monotonicity(
+    f: FunctionSpec,
+    A_part: np.ndarray,
+    B_part: np.ndarray,
+    A_whole: np.ndarray,
+    B_whole: np.ndarray,
+    tol: float,
+) -> np.ndarray:
+    """Residual eigenvalues (T, n) of mean monotonicity for Hermitian stacks (T, n, n)."""
     require_operator_class(f, "operator_monotone")
-    lhs = 0.0 * As[0]
-    sA_sum = 0.0 * As[0]
-    for Ai, Bi in zip(As, Bs):
-        dec_a = _decompose(Ai)
-        sA = dec_a.sqrt().reconstruct()
-        mean = _mean(f, _sqrt(Bi), dec_a.inverse().reconstruct())
-        lhs = lhs + _herm(sA @ mean @ sA)
-        sA_sum = sA_sum + sA
-    mean = _mean(f, _sqrt(sum(Bs)), _inverse(sum(As)))
-    rhs = _herm(sA_sum @ mean @ sA_sum) / len(As)
-    return _residual_verdict(rhs - lhs, tol)
+    dec = _decompose(
+        np.stack(
+            [_herm(A_whole - A_part), _herm(B_whole - B_part), B_whole, B_part, A_whole, A_part],
+            axis=1,
+        )
+    )
+    order = _verdict(dec.eigenvalues[:, :2], tol)
+    bad = ~order.holds
+    if bad.any():
+        name = "AB"[int(np.flatnonzero(bad)[0]) % 2]
+        (low,) = _first(bad, order.residual_min_eigenvalue)
+        raise PreconditionError(f"{name}_part <= {name}_whole fails (min eigenvalue {low:.3e})")
+    # mean(A_whole, B_whole), then mean(A_part, B_part)
+    means = _mean(f, dec[:, 2:4].sqrt().reconstruct(), dec[:, 4:].inverse().reconstruct())
+    return _decompose(_herm(means[:, 0] - means[:, 1])).eigenvalues
 
 
 def mean_monotonicity_residual(
@@ -419,26 +486,10 @@ def mean_monotonicity_residual(
 
     with mean(A, B) = B^{1/2}[f(B^{1/2}A^{-1}B^{1/2})]^{-1}B^{1/2}.
     """
-    Ai = hermitize(A_part)
-    Bi = hermitize(B_part)
-    A = hermitize(A_whole)
-    B = hermitize(B_whole)
-    shapes = [M.shape for M in (Ai, Bi, A, B)]
+    mats = [hermitize(M) for M in (A_part, B_part, A_whole, B_whole)]
+    shapes = [M.shape for M in mats]
     if len(set(shapes)) != 1:
         raise DimensionError(
             f"A_part, B_part, A_whole and B_whole must share one shape, got {shapes}"
         )
-    require_operator_class(f, "operator_monotone")
-    order_a = _residual_verdict(A - Ai, tol)
-    if not order_a.holds:
-        raise PreconditionError(
-            f"A_part <= A_whole fails (min eigenvalue {order_a.residual_min_eigenvalue:.3e})"
-        )
-    order_b = _residual_verdict(B - Bi, tol)
-    if not order_b.holds:
-        raise PreconditionError(
-            f"B_part <= B_whole fails (min eigenvalue {order_b.residual_min_eigenvalue:.3e})"
-        )
-    whole = _mean(f, _sqrt(B), _inverse(A))
-    part = _mean(f, _sqrt(Bi), _inverse(Ai))
-    return _residual_verdict(whole - part, tol)
+    return _verdict(_mean_monotonicity(f, *(M[None] for M in mats), tol)[0], tol)

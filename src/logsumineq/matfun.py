@@ -11,8 +11,9 @@ and Hermitian, and are what internal kernels call.
 Stacks: _herm, _decompose, _verdict, jacobi_eigh and every
 SpectralDecomposition method accept leading batch axes, (..., n, n) for
 matrices and (..., n) for eigenvalues, and treat each trailing matrix on its
-own.  Checks reduce over the last axis and report the first failing matrix
-with the message of the one-matrix case.  A one-matrix call is the stack
+own; _total sums a family's members along axis -3.  Checks reduce over
+the last axis and report the first failing matrix with the message of the
+one-matrix case.  A one-matrix call is the stack
 case with no leading axes, not a second implementation, and a stacked
 result must be bitwise equal to the results of one call per matrix: numpy's
 eigh, qr and matmul loop the same LAPACK/BLAS routine over the leading axes,
@@ -87,6 +88,16 @@ def _adjoint(A: np.ndarray) -> np.ndarray:
 def _herm(A: np.ndarray) -> np.ndarray:
     """(A + A†)/2 of (a stack of) square complex arrays; exactly Hermitian, no checks."""
     return (A + _adjoint(A)) / 2.0
+
+
+def _total(X: np.ndarray, total=0) -> np.ndarray:
+    """Sum over the member axis (-3) in member order, from total.
+
+    With the default start it adds exactly as sum() adds a list of members.
+    """
+    for k in range(X.shape[-3]):
+        total = total + X[..., k, :, :]
+    return total
 
 
 def _first(bad: np.ndarray, *values: np.ndarray) -> list[float]:

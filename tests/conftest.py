@@ -5,14 +5,25 @@ import pytest
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Shapes of the np.linalg.eigh calls made while the test runs, in call order."""
-    calls = []
-    real = np.linalg.eigh
+def lapack_calls(monkeypatch):
+    """Shapes of the np.linalg eigh, qr and svd calls made while the test runs.
 
-    def counted(H):
-        calls.append(H.shape)
-        return real(H)
+    A dict from routine name to the input shapes of its calls, in call order.
+    """
+    calls = {}
+    for name in ("eigh", "qr", "svd"):
+        shapes = calls[name] = []
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        def counted(a, *args, _real=real, _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def eigh_calls(lapack_calls):
+    """Shapes of the np.linalg.eigh calls made while the test runs, in call order."""
+    return lapack_calls["eigh"]

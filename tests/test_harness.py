@@ -12,6 +12,7 @@ import pytest
 from logsumineq import generators as gen
 from logsumineq import harness, matfun
 from logsumineq.errors import DomainError, NumericError
+from logsumineq.functions import power_fn
 from logsumineq.harness import (
     SUITES,
     SuiteReport,
@@ -20,7 +21,15 @@ from logsumineq.harness import (
     report_to_json,
     run_suite,
 )
-from logsumineq.loewner import perspective_sum_residual
+from logsumineq.loewner import (
+    mean_monotonicity_residual,
+    operator_jensen_residual,
+    operator_shannon_residual,
+    perspective_sum_residual,
+    pooled_inverse_residual,
+    pooled_mean_residual,
+    split_mean_residual,
+)
 
 FAST = dict(trials=60, seed=123, n=3, m=2)
 
@@ -230,14 +239,14 @@ def _canonical(report):
 @pytest.mark.parametrize("lhs_form", ["perspective_sum", "sum_fb"])
 def test_stacked_search_residuals_equal_one_trial_runs(monkeypatch, lhs_form):
     recorded = []
-    real = harness._perspective_sum_verdicts
+    real = harness._verdicts
 
-    def recording(seeds, config):
-        min_eigs, holds = real(seeds, config)
+    def recording(draws, config, residuals):
+        min_eigs, holds = real(draws, config, residuals)
         recorded.extend(min_eigs)
         return min_eigs, holds
 
-    monkeypatch.setattr(harness, "_perspective_sum_verdicts", recording)
+    monkeypatch.setattr(harness, "_verdicts", recording)
     cfg = _search_config(lhs_form, 2000)
     rep = counterexample_search(cfg)
     monkeypatch.undo()
@@ -321,6 +330,21 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
         assert verdict.residual_min_eigenvalue == finding["recheck_min_eigenvalue"]
 
 
+def test_search_draws_each_trial_once(monkeypatch):
+    # the recheck reuses the candidates' first-pass draws
+    draws = []
+    real = harness._sum_draw
+
+    def counting(trial_seed, config):
+        draws.append(trial_seed)
+        return real(trial_seed, config)
+
+    monkeypatch.setattr(harness, "_sum_draw", counting)
+    cfg = _search_config("sum_fb", 2000)
+    assert counterexample_search(cfg).findings
+    assert draws == [cfg.seed + index for index in range(cfg.trials)]
+
+
 # -- one block loop for every suite --------------------------------------------
 
 
@@ -386,3 +410,99 @@ def test_readme_lists_every_registered_suite():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme.split("Registered suites:", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"`([a-z_]+)`", paragraph) == sorted(SUITES)
+
+
+# -- the stacked Loewner suites ---------------------------------------------------
+
+LOEWNER_SUITES = [
+    "operator_jensen",
+    "operator_shannon",
+    "pooled_inverse",
+    "pooled_mean",
+    "split_mean",
+    "mean_monotonicity",
+]
+
+
+def _public_loewner_trial(suite, trial_seed, cfg):
+    """One Loewner trial rebuilt from its seed through the public functions."""
+    rng = np.random.default_rng(trial_seed)
+    sqrt, tol = power_fn(0.5), cfg.tolerance
+    if suite == "operator_jensen":
+        n = int(rng.integers(1, cfg.n + 1))
+        C = gen.rand_contraction(rng, n)
+        X = gen.rand_psd(rng, n, scale=2.0)
+        return operator_jensen_residual(sqrt, C, X, tol)
+    if suite == "mean_monotonicity":
+        n = int(rng.integers(1, cfg.n + 1))
+        A_part = gen.rand_pd(rng, n, cfg.spectrum_range)
+        B_part = gen.rand_pd(rng, n, cfg.spectrum_range)
+        A_whole = A_part + gen.rand_psd(rng, n, scale=float(rng.uniform(0.1, 1.0)))
+        B_whole = B_part + gen.rand_pd(rng, n, (0.05, 0.5))
+        return mean_monotonicity_residual(sqrt, A_part, B_part, A_whole, B_whole, tol)
+    m = int(rng.integers(1, cfg.m + 1))
+    n = int(rng.integers(1, cfg.n + 1))
+    if suite == "operator_shannon":
+        As = [gen.rand_expansive(rng, n) for _ in range(m)]
+        Bs = gen.rand_split_matching(rng, sum(As), m, cfg.spectrum_range)
+        f = harness._concave_f(rng)
+        if f.family == "power":
+            f = power_fn(0.5, offset=-1.0)
+        return operator_shannon_residual(As, Bs, f, tol)
+    As = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
+    if suite == "pooled_inverse":
+        Xs = [gen.rand_square(rng, n) for _ in range(m)]
+        return pooled_inverse_residual(Xs, As, tol)
+    Bs = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
+    residual = {"pooled_mean": pooled_mean_residual, "split_mean": split_mean_residual}[suite]
+    return residual(sqrt, As, Bs, tol)
+
+
+@pytest.mark.parametrize("suite", LOEWNER_SUITES)
+def test_loewner_suite_trials_equal_the_public_residual(monkeypatch, suite):
+    recorded = []
+    real = SUITES[suite]
+
+    def recording(seeds, config):
+        min_eigs, holds = real(seeds, config)
+        recorded.extend(zip(seeds, min_eigs, holds))
+        return min_eigs, holds
+
+    monkeypatch.setitem(SUITES, suite, recording)
+    # split_mean has a violation in these trials on this window, so both verdicts occur
+    window = (0.25, 4.0) if suite == "split_mean" else (0.5, 2.0)
+    cfg = TrialConfig(suite=suite, trials=200, seed=7, n=4, m=3, spectrum_range=window)
+    rep = run_suite(cfg)
+    assert [ts for ts, _, _ in recorded] == [cfg.seed + index for index in range(cfg.trials)]
+    for ts, min_eig, holds in recorded:
+        verdict = _public_loewner_trial(suite, ts, cfg)
+        assert (verdict.residual_min_eigenvalue, verdict.holds) == (min_eig, holds), ts
+    assert rep.violations == sum(not holds for _, _, holds in recorded)
+    assert rep.worst_gap == min(min_eig for _, min_eig, _ in recorded)
+
+
+# LAPACK calls of each group of a block: eigh (one per kernel step), qr, svd.
+_GROUP_CALLS = {
+    "operator_jensen": (2, 0, 1),  # [C† X C, X]; residual.  The contractions' svd.
+    "operator_shannon": (4, 1, 0),  # split matching; [A, A_i]; perspective; residual
+    "pooled_inverse": (2, 1, 0),  # [A_i, A]; residual
+    "pooled_mean": (4, 1, 0),  # [B_i, B, A_i, A]; means' arguments; f-sum; residual
+    "split_mean": (3, 1, 0),  # [A_i, A, B_i, B]; means' arguments; residual
+    "mean_monotonicity": (3, 1, 0),  # order gaps beside the four matrices; means; residual
+}
+
+
+@pytest.mark.parametrize("suite", LOEWNER_SUITES)
+def test_loewner_suite_lapack_calls_per_group_per_block(lapack_calls, suite):
+    cfg = TrialConfig(suite=suite, trials=300, seed=5, n=3, m=2)
+    draw = SUITES[suite].draw
+    groups = 0
+    for first in range(0, cfg.trials, harness._BLOCK):
+        block = range(first, min(first + harness._BLOCK, cfg.trials))
+        groups += len({(d.n, d.m) for d in (draw(cfg.seed + index, cfg) for index in block)})
+    assert groups <= cfg.n * cfg.m * math.ceil(cfg.trials / harness._BLOCK)
+    for calls in lapack_calls.values():
+        calls.clear()
+    run_suite(cfg)
+    counts = tuple(len(lapack_calls[name]) for name in ("eigh", "qr", "svd"))
+    assert counts == tuple(k * groups for k in _GROUP_CALLS[suite])

@@ -32,6 +32,7 @@ from logsumineq.generators import (
     rand_unitary,
 )
 from logsumineq.loewner import (
+    _operator_shannon,
     _perspective_sums,
     matrix_mean,
     mean_monotonicity_residual,
@@ -467,3 +468,23 @@ def test_perspective_sum_stack_reports_first_non_expansive_trial():
     assert str(err.value) == (
         "family is not expansive: sum(A_i) >= m*I fails (min eigenvalue of the slack -6.000e-01)"
     )
+
+
+def test_shannon_stack_reports_the_non_expansive_trial():
+    rng = np.random.default_rng(14)
+    f = power_fn(0.5, offset=-1.0)
+    As, Bs = [], []
+    for t in range(3):
+        family = [rand_expansive(rng, 3) for _ in range(2)]
+        if t == 1:
+            family = [0.1 * A for A in family]  # sum(A_i) falls far below 2I
+        As.append(family)
+        Bs.append(rand_split_matching(rng, hermitize(sum(family)), 2, (0.5, 2.0)))
+    with pytest.raises(PreconditionError) as one:
+        operator_shannon_residual(As[1], Bs[1], f)
+    assert str(one.value).startswith("family is not expansive")
+    with pytest.raises(PreconditionError) as stacked:
+        _operator_shannon([f] * 3, np.array(As), np.array(Bs), 1e-9)
+    assert str(stacked.value) == str(one.value)
+    for t in (0, 2):
+        assert operator_shannon_residual(As[t], Bs[t], f).holds

@@ -389,6 +389,59 @@ def test_stacked_checks_report_the_first_failing_matrix():
         stack.map(log_fn())
 
 
+# The threshold of each stacked check: the one-matrix call it must agree with,
+# that call's error, and the edge in terms of the largest eigenvalue.
+_THRESHOLDS = {
+    "inverse": (psd_inverse, SingularityError, lambda top: 1e-10 * top),
+    "sqrt": (psd_sqrt, DomainError, lambda top: -matfun.PSD_CLAMP_RTOL * top),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_THRESHOLDS))
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=seeds,
+    n=st.integers(min_value=2, max_value=5),
+    offsets=st.lists(
+        st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(min_value=-9.0, max_value=-0.3)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_stacked_threshold_checks_match_one_matrix_calls(method, seed, n, offsets):
+    # Each member's smallest eigenvalue sits at edge * (1 +- delta), so some
+    # land on either side of the threshold and, for tiny delta, rounding
+    # decides the side.  The stack must agree with the one-matrix calls:
+    # every member's bits, or the error of the first member that fails.
+    public, error, edge = _THRESHOLDS[method]
+    rng = np.random.default_rng(seed)
+    members, outcomes = [], []
+    for sign, exponent in offsets:
+        top = float(rng.uniform(1.0, 50.0))
+        w = top * rng.uniform(0.5, 1.0, n)
+        w[-1] = top
+        w[0] = edge(top) * (1.0 + sign * 10.0**exponent)
+        U = rand_unitary(rng, n)
+        H = hermitize((U * w) @ U.conj().T)
+        members.append(H)
+        try:
+            outcomes.append(public(H))
+        except error as exc:
+            outcomes.append(str(exc))
+        if 10.0**exponent > 1e-2:  # far enough from the edge for the side to be known
+            assert isinstance(outcomes[-1], str) == (sign * edge(top) < 0.0)
+    stack = _decompose(np.array(members))
+    failures = [o for o in outcomes if isinstance(o, str)]
+    if failures:
+        with pytest.raises(error) as err:
+            getattr(stack, method)()
+        assert str(err.value) == failures[0]
+    else:
+        result = getattr(stack, method)().reconstruct()
+        for k, one in enumerate(outcomes):
+            assert _same_bits(result[k], one), k
+
+
 def _scalar_jacobi(H):
     """The cyclic Jacobi sweep in one-matrix scalar arithmetic, the reference for its bits."""
     H = _herm(np.asarray(H, dtype=complex))
