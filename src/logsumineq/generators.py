@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matfun import _adjoint, _herm, _total, hermitize, make_commuting_pair
+from .matfun import _adjoint, _herm, _total, hermitize
 from .scalar import SequencePair
 
 __all__ = [
@@ -166,7 +166,7 @@ def rand_commuting_pair(
     U = rand_unitary(rng, n)
     wa = rng.uniform(a_range[0], a_range[1], n)
     wb = rng.uniform(b_range[0], b_range[1], n)
-    return make_commuting_pair(U, wa, wb)
+    return _build(wa, U), _build(wb, U)
 
 
 def _density_spectrum(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -79,10 +79,11 @@ _SEED_MOD = 2**64
 FAMILY_KINDS = ("expansive", "contractive", "unconstrained")
 LHS_FORMS = ("perspective_sum", "sum_fb")
 RECHECK_ABS_TOL = 1e-6
-# Consecutive trials handed to an evaluator at once.  It bounds a run's
-# memory whatever the trial count: a block of perspective-sum draws takes
-# about 100 MB at n=64, m=16 and well under 1 MB at n=3, m=2.
+# Consecutive trials handed to an evaluator at once: at most _BLOCK, and at most
+# as many as keep (m + 1) complex n x n matrices per trial within _BLOCK_BYTES,
+# which bounds memory at every size (256 trials take ~100 MB at n=64, m=16).
 _BLOCK = 256
+_BLOCK_BYTES = 2**24
 # Eigenvalue window of both matrices of the trace suites' commuting pairs.
 _TRACE_SPECTRUM = (1e-2, 10.0)
 
@@ -518,15 +519,20 @@ SUITES = {
 }
 
 
+def _block(config: TrialConfig) -> int:
+    return max(1, min(_BLOCK, _BLOCK_BYTES // (16 * (config.m + 1) * config.n**2)))
+
+
 def _run(config: TrialConfig, evaluate):
-    """Walk the trial seeds in blocks of _BLOCK; evaluate(seeds, config) -> (gaps, holds).
+    """Walk the trial seeds in blocks of _block(config); evaluate(seeds, config) -> (gaps, holds).
 
     Returns the worst gap (the first on ties), its trial seed, and the
     (index, seed, gap) of each failing trial, in trial order.
     """
     worst_gap, worst_seed, failures = math.inf, _trial_seed(config, 0), []
-    for first in range(0, config.trials, _BLOCK):
-        indices = range(first, min(first + _BLOCK, config.trials))
+    block = _block(config)
+    for first in range(0, config.trials, block):
+        indices = range(first, min(first + block, config.trials))
         seeds = [_trial_seed(config, index) for index in indices]
         gaps, holds = evaluate(seeds, config)
         for index, ts, gap, ok in zip(indices, seeds, gaps, holds):
@@ -569,6 +575,7 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
         raise DomainError("counterexample_search requires family_kind='contractive'")
     start = time.perf_counter()
     findings, candidates = [], []  # candidates: (index, seed, first residual, draw)
+    block = _block(config)
 
     def confirm(chunk):
         """Re-verify a chunk of candidates through the Jacobi solver, one stack per group."""
@@ -598,9 +605,9 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
         for ts, draw, min_eig, ok in zip(seeds, draws, min_eigs, holds):
             if not ok:
                 candidates.append(((ts - config.seed) % _SEED_MOD, ts, min_eig, draw))
-        while len(candidates) >= _BLOCK:
-            confirm(candidates[:_BLOCK])
-            del candidates[:_BLOCK]
+        while len(candidates) >= block:
+            confirm(candidates[:block])
+            del candidates[:block]
         return min_eigs, holds
 
     worst_gap, worst_seed, _ = _run(config, first_pass)

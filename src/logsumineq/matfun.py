@@ -40,7 +40,6 @@ __all__ = [
     "SpectralDecomposition",
     "LoewnerVerdict",
     "maxnorm",
-    "operator_norm",
     "hermitize",
     "commutator_maxnorm",
     "commutes",
@@ -74,11 +73,6 @@ def maxnorm(M) -> float:
     """Largest entry magnitude."""
     A = np.asarray(M, dtype=complex)
     return float(np.max(np.abs(A))) if A.size else 0.0
-
-
-def operator_norm(M) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(M, dtype=complex), 2))
 
 
 def _adjoint(A: np.ndarray) -> np.ndarray:
@@ -127,8 +121,8 @@ def commutator_maxnorm(A, B) -> float:
     return maxnorm(A @ B - B @ A)
 
 
-def commutes(A, B, rtol: float = COMMUTE_RTOL) -> bool:
-    return commutator_maxnorm(A, B) <= rtol * max(1.0, maxnorm(A) * maxnorm(B))
+def commutes(A, B) -> bool:
+    return commutator_maxnorm(A, B) <= COMMUTE_RTOL * max(1.0, maxnorm(A) * maxnorm(B))
 
 
 @dataclass(frozen=True)
@@ -354,18 +348,13 @@ def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
     return LoewnerVerdict(min_eig, norm, float(tol), holds)
 
 
-def _residual_verdict(R: np.ndarray, tol: float) -> LoewnerVerdict:
-    """PSD verdict on the Hermitian part of an already validated residual."""
-    return _verdict(_decompose(_herm(R)).eigenvalues, tol)
-
-
 def loewner_leq(A, B, tol: float = 1e-9) -> LoewnerVerdict:
     """Verdict on A <= B in the Loewner order, i.e. B - A PSD within tolerance."""
     A = _as_square_complex(A, "A")
     B = _as_square_complex(B, "B")
     if A.shape != B.shape:
         raise DimensionError(f"dimension mismatch {A.shape} vs {B.shape}")
-    return _residual_verdict(B - A, tol)
+    return _verdict(_decompose(_herm(B - A)).eigenvalues, tol)
 
 
 def make_commuting_pair(U, lambda_a, lambda_b) -> tuple[np.ndarray, np.ndarray]:
@@ -381,9 +370,7 @@ def make_commuting_pair(U, lambda_a, lambda_b) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"eigenvalue lists must have length {n}")
     if not (np.all(np.isfinite(la)) and np.all(np.isfinite(lb))):
         raise DomainError("eigenvalue lists must be finite")
-    A = hermitize((U * la) @ U.conj().T)
-    B = hermitize((U * lb) @ U.conj().T)
-    return A, B
+    return SpectralDecomposition(U, la).reconstruct(), SpectralDecomposition(U, lb).reconstruct()
 
 
 def psd_inverse(A, floor: float | None = None) -> np.ndarray:

@@ -86,16 +86,21 @@ def _verdict(lhs: float, rhs: float, gap: float, tol: float) -> InequalityVerdic
     return InequalityVerdict(float(lhs), float(rhs), float(gap), float(tol), bool(gap >= -tol * scale))
 
 
+def _positive(g: FunctionSpec, values: tuple[float, ...], name: str) -> np.ndarray:
+    """g at each entry of the sequence name, checked strictly positive."""
+    gv = np.asarray(g(np.asarray(values)), dtype=float)
+    if np.any(gv <= 0.0):
+        raise PreconditionError(f"g({name}_i) must be strictly positive for every i")
+    return gv
+
+
 def ratio_bounds(g: FunctionSpec, pair: SequencePair) -> RatioBounds:
     """Extremes of the pointwise ratio set g(a_i)/g(b_i).
 
     Requires every g(b_i) > 0 so the ratios are well defined.
     """
-    gb = np.asarray(g(np.asarray(pair.b)), dtype=float)
-    if np.any(gb <= 0.0):
-        raise PreconditionError("g(b_i) must be strictly positive for every i")
-    ga = np.asarray(g(np.asarray(pair.a)), dtype=float)
-    ratios = ga / gb
+    gb = _positive(g, pair.b, "b")
+    ratios = np.asarray(g(np.asarray(pair.a)), dtype=float) / gb
     return RatioBounds(float(ratios.min()), float(ratios.max()))
 
 
@@ -154,9 +159,7 @@ def generalized_log_sum_gap(
     at 0, e.g. 0*log 0 = 0); this requires x*f(x) -> 0 at 0+, which holds for
     every built-in family except q_log with q >= 2 and power with r <= -1.
     """
-    gb = np.asarray(g(np.asarray(pair.b)), dtype=float)
-    if np.any(gb <= 0.0):
-        raise PreconditionError("g(b_i) must be strictly positive for every i")
+    gb = _positive(g, pair.b, "b")
     ga = np.asarray(g(np.asarray(pair.a)), dtype=float)
     ratios = ga / gb
     active = ga != 0.0
@@ -198,15 +201,14 @@ def reverse_log_sum_gap(
     Requires g(a_i) > 0 (they act as Jensen weights after rescaling) and
     x*f(1/x) concave on the ratio interval [m_g, M_g].
     """
-    ga = np.asarray(g(np.asarray(pair.a)), dtype=float)
-    if np.any(ga <= 0.0):
-        raise PreconditionError("g(a_i) must be strictly positive for every i")
-    bounds = ratio_bounds(g, pair)
-    gb = np.asarray(g(np.asarray(pair.b)), dtype=float)
-    if not _interval_degenerate(bounds.m_g, bounds.M_g):
-        if not convexity_check("xf1overx", f, (bounds.m_g, bounds.M_g)):
+    ga = _positive(g, pair.a, "a")
+    gb = _positive(g, pair.b, "b")
+    ratios = ga / gb
+    m_g, M_g = float(ratios.min()), float(ratios.max())
+    if not _interval_degenerate(m_g, M_g):
+        if not convexity_check("xf1overx", f, (m_g, M_g)):
             raise PreconditionError(
-                f"x*f(1/x) is not concave on [{bounds.m_g:g}, {bounds.M_g:g}] for {f.label()}"
+                f"x*f(1/x) is not concave on [{m_g:g}, {M_g:g}] for {f.label()}"
             )
     lhs = float(np.sum(ga * np.asarray(f(gb / ga), dtype=float)))
     sum_a = float(ga.sum())

@@ -6,9 +6,12 @@ inequality reduces exactly to its scalar counterpart on the paired
 eigenvalue lists.  The matrix-product route (functional calculus plus
 explicit products and traces) is then compared against that value as an
 internal cross-check; disagreement raises NumericError instead of returning
-a silently wrong verdict.  The product route is skipped when a zero weight
-makes f blow up there (e.g. 0 * log 0 terms), since only the scalar route
-carries the continuity convention.
+a silently wrong verdict.  The two routes share only A's decomposition:
+the product route takes g(A) from it and decomposes B, the denominator and
+the product itself.  The product route is skipped when a zero weight makes
+f blow up there (e.g. 0 * log 0 terms), since only the scalar route carries
+the continuity convention.  Each public function checks each input once at
+entry, A before B, and then runs on trusted arrays.
 """
 
 from __future__ import annotations
@@ -21,19 +24,19 @@ from .errors import DomainError, NumericError, PreconditionError, SupportError
 from .functions import FunctionSpec, log_fn, power_fn, q_log_fn
 from .matfun import (
     SpectralDecomposition,
-    apply_function,
+    _decompose,
+    _herm,
+    _require_hermitian,
     commutator_maxnorm,
     commutes,
-    hermitize,
     maxnorm,
-    psd_inverse,
-    spectral_decompose,
 )
 from .qlog import QLogParams, q_log
 from .scalar import (
     DEFAULT_TOLERANCE,
     InequalityVerdict,
     SequencePair,
+    _verdict,
     generalized_log_sum_gap,
     q_log_sum_gap,
     reverse_log_sum_gap,
@@ -62,12 +65,18 @@ def joint_spectrum(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Diagonalizes A, then rediagonalizes B inside each (near-)degenerate
     eigenspace of A, where commutation alone does not pin the basis down.
     """
-    return _joint_spectrum(spectral_decompose(A), B)
+    return _checked_joint(A, B)[3]
+
+
+def _checked_joint(A, B):
+    """(A, B, A's decomposition, joint spectrum), each input checked Hermitian once, A first."""
+    A, B = _require_hermitian(A), _require_hermitian(B)
+    dec_a = _decompose(A)
+    return A, B, dec_a, _joint_spectrum(dec_a, B)
 
 
 def _joint_spectrum(dec_a: SpectralDecomposition, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """joint_spectrum from A's decomposition."""
-    B = hermitize(B)
+    """joint_spectrum from A's decomposition and Hermitian B."""
     A = dec_a.reconstruct()
     if not commutes(A, B):
         raise PreconditionError(
@@ -87,8 +96,7 @@ def _joint_spectrum(dec_a: SpectralDecomposition, B) -> tuple[np.ndarray, np.nda
         if stop - start == 1:
             wb[start] = Bt[start, start].real
         else:
-            block = hermitize(Bt[start:stop, start:stop])
-            sub = spectral_decompose(block)
+            sub = _decompose(_herm(Bt[start:stop, start:stop]))
             wb[start:stop] = sub.eigenvalues
             U[:, start:stop] = U[:, start:stop] @ sub.unitary
         start = stop
@@ -118,18 +126,19 @@ def _in_domain(f: FunctionSpec, ratios: np.ndarray) -> bool:
 
 
 def _product_path(
-    f: FunctionSpec, g: FunctionSpec, A, B, reverse: bool = False
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """g(A), g(B) and trace[g(A) f(g(X) g(Y)^{-1})] by functional calculus and products.
+    f: FunctionSpec, g: FunctionSpec, dec_a: SpectralDecomposition, B, reverse: bool = False
+) -> tuple[float, float, float]:
+    """trace g(A), trace g(B) and trace[g(A) f(g(X) g(Y)^{-1})] by functional calculus.
 
-    (X, Y) is (A, B), or (B, A) when reverse.  The route never touches the
-    joint spectrum, so it stays an independent check of the scalar value.
+    (X, Y) is (A, B), or (B, A) when reverse.  Only g(A) comes from the joint
+    spectrum's decomposition of A, so the route stays an independent check.
     """
-    gA = apply_function(g, hermitize(A))
-    gB = apply_function(g, hermitize(B))
+    gA = dec_a.map(g).reconstruct()
+    gB = _decompose(B).map(g).reconstruct()
     num, den = (gB, gA) if reverse else (gA, gB)
-    P = hermitize(num @ psd_inverse(den))
-    return gA, gB, float(np.trace(gA @ apply_function(f, P)).real)
+    P = _herm(num @ _decompose(den).inverse().reconstruct())
+    core = float(np.trace(gA @ _decompose(P).map(f).reconstruct()).real)
+    return float(np.trace(gA).real), float(np.trace(gB).real), core
 
 
 def trace_log_sum_gap(
@@ -141,13 +150,12 @@ def trace_log_sum_gap(
     on the ratio interval; all inherited from the scalar forward inequality
     on the joint spectrum.
     """
-    wa, wb, _ = joint_spectrum(A, B)
+    _, B, dec_a, (wa, wb, _) = _checked_joint(A, B)
     verdict = generalized_log_sum_gap(f, g, SequencePair(tuple(wa), tuple(wb)), tol)
     if _in_domain(f, np.asarray(g(wa), dtype=float) / np.asarray(g(wb), dtype=float)):
-        gA, gB, lhs_prod = _product_path(f, g, A, B)
+        tr_ga, tr_gb, lhs_prod = _product_path(f, g, dec_a, B)
         _cross_check("trace_log_sum_gap", verdict.lhs, lhs_prod, CROSS_CHECK_RTOL)
-        tr_ga = float(np.trace(gA).real)
-        rhs_prod = tr_ga * float(f(tr_ga / float(np.trace(gB).real)))
+        rhs_prod = tr_ga * float(f(tr_ga / tr_gb))
         _cross_check("trace_log_sum_gap rhs", verdict.rhs, rhs_prod, CROSS_CHECK_RTOL)
     return verdict
 
@@ -159,7 +167,7 @@ def exp_log_trace_gap(A, B, tol: float = DEFAULT_TOLERANCE) -> InequalityVerdict
     commuting A, B.  The product-path cross-check recomputes both traces
     through functional calculus (log, matrix product, trace) to 1e-8.
     """
-    wa, wb, _ = joint_spectrum(A, B)
+    A, B, dec_a, (wa, wb, _) = _checked_joint(A, B)
     if np.any(wa <= 0.0) or np.any(wb <= 0.0):
         raise PreconditionError("both matrices must be positive definite")
     lhs = float(np.sum(wa * np.log(wa)) - np.sum(wa * np.log(wb)))
@@ -167,27 +175,24 @@ def exp_log_trace_gap(A, B, tol: float = DEFAULT_TOLERANCE) -> InequalityVerdict
     sum_b = float(np.sum(wb))
     rhs = sum_a * math.log(sum_a / sum_b)
 
-    LA = apply_function(log_fn(), hermitize(A))
-    LB = apply_function(log_fn(), hermitize(B))
-    Ah = hermitize(A)
-    lhs_prod = float(np.trace(Ah @ LA).real - np.trace(Ah @ LB).real)
+    LA = dec_a.map(log_fn()).reconstruct()
+    LB = _decompose(B).map(log_fn()).reconstruct()
+    lhs_prod = float(np.trace(A @ LA).real - np.trace(A @ LB).real)
     _cross_check("exp_log_trace_gap", lhs, lhs_prod, EXP_LOG_CROSS_RTOL)
-
-    gap = lhs - rhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return InequalityVerdict(lhs, rhs, gap, float(tol), bool(gap >= -tol * scale))
+    return _verdict(lhs, rhs, lhs - rhs, tol)
 
 
-def _density(M, what: str) -> SpectralDecomposition:
-    """Decomposition of a density matrix, checked PSD with unit trace."""
-    dec = spectral_decompose(M)
+def _density(M, what: str) -> tuple[np.ndarray, SpectralDecomposition]:
+    """A density matrix as a Hermitian array and its decomposition, checked PSD with unit trace."""
+    H = _require_hermitian(M)
+    dec = _decompose(H)
     w = dec.eigenvalues
     if float(w[0]) < -1e-12 * max(1.0, float(np.max(np.abs(w)))):
         raise DomainError(f"{what} is not PSD (min eigenvalue {float(w[0]):.3e})")
     tr = float(np.sum(w))
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise DomainError(f"{what} must have unit trace, got {tr!r}")
-    return dec
+    return H, dec
 
 
 def quantum_relative_entropy(rho, sigma) -> float:
@@ -197,8 +202,8 @@ def quantum_relative_entropy(rho, sigma) -> float:
     weight where sigma vanishes is a support violation (the divergence is
     +infinity) and raises SupportError.
     """
-    dec_rho = _density(rho, "rho")
-    _density(sigma, "sigma")
+    _, dec_rho = _density(rho, "rho")
+    sigma, _ = _density(sigma, "sigma")
     wr, ws, _ = _joint_spectrum(dec_rho, sigma)
     wr = np.clip(wr, 0.0, None)
     ws = np.clip(ws, 0.0, None)
@@ -212,7 +217,7 @@ def quantum_relative_entropy(rho, sigma) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """-trace(rho log rho) with the 0*log 0 = 0 convention; lies in [0, log n]."""
-    w = np.clip(_density(rho, "rho").eigenvalues, 0.0, None)
+    w = np.clip(_density(rho, "rho")[1].eigenvalues, 0.0, None)
     active = w > SUPPORT_ATOL
     if not np.any(active):
         return 0.0
@@ -225,18 +230,16 @@ def q_trace_gap(A, B, q: float, r: float, tol: float = DEFAULT_TOLERANCE) -> Ine
     (trace B^r)^(1-q) trace[A^r lnq(A^r B^-r)] vs
     trace(A^r) [lnq(trace A^r) - lnq(trace B^r)], direction by sign of 2 - q.
     """
-    wa, wb, _ = joint_spectrum(A, B)
+    _, B, dec_a, (wa, wb, _) = _checked_joint(A, B)
     verdict = q_log_sum_gap(SequencePair(tuple(wa), tuple(wb)), q, r, tol)
 
     power = power_fn(float(r))
     lnq = q_log_fn(float(q))
     if _in_domain(lnq, np.asarray(power(wa), dtype=float) / np.asarray(power(wb), dtype=float)):
-        Ar, Br, core = _product_path(lnq, power, A, B)
-        tr_br = float(np.trace(Br).real)
+        tr_ar, tr_br, core = _product_path(lnq, power, dec_a, B)
         lhs_prod = tr_br ** (1.0 - float(q)) * core
         _cross_check("q_trace_gap", verdict.lhs, lhs_prod, CROSS_CHECK_RTOL)
         params = QLogParams(float(q))
-        tr_ar = float(np.trace(Ar).real)
         rhs_prod = tr_ar * (q_log(tr_ar, params) - q_log(tr_br, params))
         _cross_check("q_trace_gap rhs", verdict.rhs, rhs_prod, CROSS_CHECK_RTOL)
     return verdict
@@ -251,9 +254,9 @@ def reverse_trace_gap(
     on the ratio interval, matching the scalar reverse inequality on the
     joint spectrum.
     """
-    wa, wb, _ = joint_spectrum(A, B)
+    _, B, dec_a, (wa, wb, _) = _checked_joint(A, B)
     verdict = reverse_log_sum_gap(f, g, SequencePair(tuple(wa), tuple(wb)), tol)
     # The scalar verdict evaluated f at every ratio g(b_i)/g(a_i), so all lie in f's domain.
-    _, _, lhs_prod = _product_path(f, g, A, B, reverse=True)
+    _, _, lhs_prod = _product_path(f, g, dec_a, B, reverse=True)
     _cross_check("reverse_trace_gap", verdict.lhs, lhs_prod, CROSS_CHECK_RTOL)
     return verdict

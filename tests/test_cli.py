@@ -127,6 +127,16 @@ def test_eval_domain_error_exits_two(tmp_path):
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "op", ["trace_log_sum_gap", "exp_log_trace_gap", "q_trace_gap", "reverse_trace_gap"]
+)
+def test_eval_non_hermitian_b_exits_two(tmp_path, capsys, op):
+    doc = {**EVAL_FIXTURES[op][0], "B": _m(np.array([[2.0, 1.0], [0.0, 2.0]]))}
+    code, out, err = _eval(tmp_path, capsys, op, doc)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: matrix is not Hermitian")
+
+
 def test_eval_unknown_op_exits_two(tmp_path):
     p = tmp_path / "in.json"
     p.write_text("{}")

@@ -23,7 +23,7 @@ from logsumineq.generators import (
     rand_split_matching,
     rand_unitary,
 )
-from logsumineq.matfun import commutes, hermitize, maxnorm
+from logsumineq.matfun import commutes, hermitize, make_commuting_pair, maxnorm
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=8)
@@ -72,6 +72,21 @@ def test_commuting_pair(seed, n):
     A, B = rand_commuting_pair(np.random.default_rng(seed), n, (0.1, 4.0), (0.1, 4.0))
     assert commutes(A, B)
     assert np.min(np.linalg.eigvalsh(A)) > 0.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_commuting_pair_is_make_commuting_pair_on_its_draws(seed):
+    A, B = rand_commuting_pair(np.random.default_rng(seed), 4, (0.1, 4.0), (0.5, 2.0))
+    rng = np.random.default_rng(seed)
+    U = rand_unitary(rng, 4)
+    wa, wb = rng.uniform(0.1, 4.0, 4), rng.uniform(0.5, 2.0, 4)
+    for got, want in zip((A, B), make_commuting_pair(U, wa, wb)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_commuting_pair_runs_no_input_check(input_checks):
+    rand_commuting_pair(np.random.default_rng(0), 3, (0.5, 2.0), (0.5, 2.0))
+    assert input_checks == {"_as_square_complex": 0, "_require_hermitian": 0}
 
 
 @settings(max_examples=100, deadline=None)

@@ -406,6 +406,24 @@ def test_suite_report_does_not_depend_on_the_block_size(monkeypatch, suite):
     assert _canonical(run_suite(cfg)) == default
 
 
+def test_block_is_capped_by_bytes():
+    for n, m in ((4, 2), (8, 4)):  # the benchmark's sizes keep the full block
+        assert harness._block(TrialConfig(suite="perspective_sum", n=n, m=m)) == harness._BLOCK
+    big = TrialConfig(suite="perspective_sum", n=64, m=16)
+    assert 1 <= harness._block(big) < harness._BLOCK
+    assert harness._block(big) * 16 * (big.m + 1) * big.n**2 <= harness._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("suite", ["perspective_sum", "search"])
+def test_report_does_not_depend_on_the_byte_budget(monkeypatch, suite):
+    cfg = _search_config("sum_fb", 300, seed=77)
+    run = counterexample_search if suite == "search" else run_suite
+    default = _canonical(run(cfg))
+    monkeypatch.setattr(harness, "_BLOCK_BYTES", 5 * 16 * (cfg.m + 1) * cfg.n**2)
+    assert harness._block(cfg) == 5
+    assert _canonical(run(cfg)) == default
+
+
 def test_readme_lists_every_registered_suite():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme.split("Registered suites:", 1)[1].split("\n\n", 1)[0]

@@ -8,7 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logsumineq.errors import DomainError, PreconditionError
-from logsumineq.functions import identity_fn, log_fn, power_fn, q_log_fn, rational_fn
+from logsumineq.functions import (
+    FunctionSpec,
+    identity_fn,
+    log_fn,
+    power_fn,
+    q_log_fn,
+    rational_fn,
+)
 from logsumineq.scalar import (
     SequencePair,
     convexity_check,
@@ -191,6 +198,27 @@ def test_reverse_frozen_gap():
 def test_reverse_requires_positive_ga():
     with pytest.raises(PreconditionError):
         reverse_log_sum_gap(log_fn(), identity_fn(), pair_of([0.0, 1.0], [1.0, 1.0]))
+
+
+def test_reverse_evaluates_g_once_per_sequence(monkeypatch):
+    evaluated = []
+    real = FunctionSpec.__call__
+
+    def counted(self, values):
+        if self.family == "identity":
+            evaluated.append(np.asarray(values).tolist())
+        return real(self, values)
+
+    monkeypatch.setattr(FunctionSpec, "__call__", counted)
+    reverse_log_sum_gap(log_fn(), identity_fn(), pair_of([2.0, 1.0], [1.0, 2.0]))
+    assert evaluated == [[2.0, 1.0], [1.0, 2.0]]
+
+
+def test_reverse_checks_ga_before_gb():
+    with pytest.raises(PreconditionError, match=r"^g\(a_i\) must be strictly positive"):
+        reverse_log_sum_gap(log_fn(), identity_fn(), pair_of([0.0, 1.0], [0.0, 1.0]))
+    with pytest.raises(PreconditionError, match=r"^g\(b_i\) must be strictly positive"):
+        reverse_log_sum_gap(log_fn(), identity_fn(), pair_of([1.0, 1.0], [0.0, 1.0]))
 
 
 def test_reverse_rejects_nonconcave_kernel():

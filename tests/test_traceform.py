@@ -11,7 +11,7 @@ from logsumineq import traceform
 from logsumineq.errors import DomainError, PreconditionError, SupportError
 from logsumineq.functions import identity_fn, log_fn, power_fn
 from logsumineq.generators import rand_commuting_pair, rand_density, rand_density_pair, rand_unitary
-from logsumineq.matfun import hermitize, make_commuting_pair, maxnorm
+from logsumineq.matfun import apply_function, hermitize, make_commuting_pair, maxnorm, psd_inverse
 from logsumineq.scalar import SequencePair, generalized_log_sum_gap, q_log_sum_gap, reverse_log_sum_gap
 from logsumineq.traceform import (
     exp_log_trace_gap,
@@ -349,8 +349,8 @@ def test_product_path_cross_checks_run_on_interior_inputs(monkeypatch, eigh_call
     eigh_calls.clear()
     gap(*_INTERIOR)
     assert seen == labels
-    # joint spectrum, then g(A), g(B), the inverse of the denominator and f of the product
-    assert len(eigh_calls) == 5
+    # joint spectrum (g(A) reuses it), g(B), the inverse of the denominator, f of the product
+    assert len(eigh_calls) == 4
 
 
 @pytest.mark.parametrize(
@@ -369,3 +369,61 @@ def test_product_path_skipped_when_a_ratio_leaves_the_domain(monkeypatch, eigh_c
     assert gap(*_ZERO_A).holds
     assert seen == []
     assert len(eigh_calls) == 1
+
+
+# -- one entry check per input ------------------------------------------------------
+
+_PAIR_GAPS = {
+    "forward": lambda A, B: trace_log_sum_gap(log_fn(), identity_fn(), A, B),
+    "reverse": lambda A, B: reverse_trace_gap(log_fn(), identity_fn(), A, B),
+    "q": lambda A, B: q_trace_gap(A, B, 0.5, 1.5),
+    "exp_log": exp_log_trace_gap,
+}
+
+
+@pytest.mark.parametrize("name, eighs", [("forward", 4), ("reverse", 4), ("q", 4), ("exp_log", 2)])
+def test_trace_gaps_check_each_input_once(input_checks, eigh_calls, name, eighs):
+    eigh_calls.clear()
+    _PAIR_GAPS[name](*_INTERIOR)
+    # A then B, each checked square, finite and Hermitian at entry and nowhere after
+    assert input_checks == {"_as_square_complex": 2, "_require_hermitian": 2}
+    assert len(eigh_calls) == eighs
+
+
+_NOT_HERMITIAN = np.array([[2.0, 1.0], [0.0, 2.0]])
+
+_PAIR_FUNCTIONS = {
+    **_PAIR_GAPS,
+    "joint_spectrum": joint_spectrum,
+    "relative_entropy": lambda A, B: quantum_relative_entropy(A / 2.0, B / 4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_FUNCTIONS))
+def test_non_hermitian_b_is_rejected_like_a(name):
+    # B's Hermitian part 2I + [[0, .5], [.5, 0]] commutes with A = I and would pass
+    call = _PAIR_FUNCTIONS[name]
+    for A, B in ((np.eye(2), _NOT_HERMITIAN), (_NOT_HERMITIAN, np.eye(2))):
+        with pytest.raises(DomainError, match=r"^matrix is not Hermitian"):
+            call(A, B)
+
+
+def _public_product_path(f, g, A, B, reverse=False):
+    """The product route through the validating public functions: the reference."""
+    gA = apply_function(g, hermitize(A))
+    gB = apply_function(g, hermitize(B))
+    num, den = (gB, gA) if reverse else (gA, gB)
+    P = hermitize(num @ psd_inverse(den))
+    core = float(np.trace(gA @ apply_function(f, P)).real)
+    return float(np.trace(gA).real), float(np.trace(gB).real), core
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("seed", range(12))
+def test_product_path_on_the_joint_decomposition_is_the_public_route(seed, reverse):
+    n = 1 + seed % 6
+    A, B = rand_commuting_pair(np.random.default_rng(seed), n, (0.1, 5.0), (0.1, 5.0))
+    _, Bh, dec_a, _ = traceform._checked_joint(A, B)
+    got = traceform._product_path(log_fn(), power_fn(1.5), dec_a, Bh, reverse)
+    want = _public_product_path(log_fn(), power_fn(1.5), A, B, reverse)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
