@@ -258,7 +258,8 @@ def _cmd_search(args) -> int:
         lhs_form=args.lhs_form,
     )
     _emit(report_to_json(counterexample_search(config)), args.report)
-    # Search explores an open question: findings are data, not failures.
+    # Findings are data, not failures: with lhs_form=perspective_sum the search
+    # stress-tests a theorem, with sum_fb it finds the pinned false statement.
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .qlog import QLogParams, q_log
+from .qlog import QLogParams, _q_log, q_log
 
 __all__ = [
     "FunctionSpec",
@@ -106,11 +106,11 @@ class FunctionSpec:
 
     def check_domain(self, values, what: str = "argument") -> np.ndarray:
         arr = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError(f"{what} of {self.label()} must be finite")
         lo, hi, lo_open = self.domain()
         bad = (arr < lo) | (arr > hi) | ((arr == lo) & lo_open)
-        if np.any(bad):
+        if bad.any():
             offender = float(arr[bad].flat[0])
             raise DomainError(f"{what} {offender} outside domain of {self.label()}")
         return arr
@@ -163,6 +163,61 @@ class FunctionSpec:
         if self.offset:
             base += f"{self.offset:+g}"
         return base
+
+
+# Scalar exponents that numpy's x ** r takes by reciprocal, sqrt and square,
+# whose last bit can differ from its pow with an array of exponents.
+_FAST_POWERS = (-1.0, 0.5, 2.0)
+
+
+def _apply_rows(fs, X: np.ndarray) -> np.ndarray:
+    """fs(X) for one FunctionSpec fs, else fs[t](X[t]) for each entry t of X's first axis.
+
+    Rows that share a spec are evaluated in one call, and so are the power
+    or q_log specs that differ only in their parameter (_with_params).
+    Every row gets the bits of a call on that row alone.
+    """
+    if isinstance(fs, FunctionSpec):
+        return fs(X)
+    rows: dict[FunctionSpec, list[int]] = {}
+    for t, f in enumerate(fs):
+        rows.setdefault(f, []).append(t)
+    if len(rows) == 1:
+        return fs[0](X)
+    out = np.empty(np.shape(X))
+    batches: dict[tuple, list[FunctionSpec]] = {}
+    for f in rows:
+        if f.family == "q_log" or (f.family == "power" and f.param not in _FAST_POWERS):
+            batches.setdefault((f.family, f.offset, f.limit_window), []).append(f)
+    for specs in batches.values():
+        if len(specs) > 1:
+            ts = [t for f in specs for t in rows.pop(f)]
+            out[ts] = _with_params([fs[t] for t in ts], X[ts])
+    for f, ts in rows.items():
+        out[ts] = f(X[ts])
+    return out
+
+
+def _with_params(fs: list[FunctionSpec], X: np.ndarray) -> np.ndarray:
+    """fs[t](X[t]) in one call, for specs of one family, offset and window that differ in param.
+
+    The arithmetic is evaluate's, with the parameter as a column; numpy's
+    pow with an array of exponents matches its pow with each scalar one
+    except at the exponents _FAST_POWERS, which _apply_rows keeps apart.
+    """
+    column = (-1,) + (1,) * (X.ndim - 1)
+    lo, hi, lo_open = (np.reshape(v, column) for v in zip(*(f.domain() for f in fs)))
+    bad = ~np.isfinite(X) | (X < lo) | (X > hi) | ((X == lo) & lo_open)
+    if bad.any():
+        t = int(np.flatnonzero(bad.reshape(len(fs), -1).any(axis=-1))[0])
+        fs[t].check_domain(X[t])  # raises the one-row message
+    param = np.reshape([f.param for f in fs], column)
+    first = fs[0]
+    if first.family == "power":
+        out = X.astype(float) ** param
+    else:
+        out = _q_log(X, param, first.limit_window)
+    return out + first.offset if first.offset != 0.0 else out
 
 
 def identity_fn() -> FunctionSpec:

@@ -12,11 +12,13 @@ _draw_contractive_pd) takes the spectrum and a complex Gaussian from the
 rng; the build (_unitaries, then _build) turns stacks of draws (..., n)
 and (..., n, n) into phase-fixed unitaries and U diag(w) U† in one qr and
 one matmul.  Expansive members I + QQ† take the same two steps through
-_draw_expansive and _build_expansive; PSD matrices, contractions and
-sum-matched families are built by _build_psd, _build_contraction and
-_split_matching from draws made in the generators' order.  The one-matrix
-generators are the stack-free case, so a stacked build is bitwise equal to
-one call per matrix.
+_draw_expansive and _build_expansive; commuting pairs and density
+matrices draw through _draw_commuting, _draw_density and _draw_density_pair
+and build through _build_pair (two spectra over one basis) or _build; PSD
+matrices, contractions and sum-matched families are built by _build_psd,
+_build_contraction and _split_matching from draws made in the generators'
+order.  The one-matrix generators are the stack-free case, so a stacked
+build is bitwise equal to one call per matrix.
 """
 
 from __future__ import annotations
@@ -157,16 +159,25 @@ def rand_sequence_pair(rng: np.random.Generator, n: int) -> SequencePair:
     return SequencePair(tuple(rand_sequence(rng, n)), tuple(rand_sequence(rng, n)))
 
 
+def _draw_commuting(rng: np.random.Generator, n: int, a_range, b_range):
+    """The draws of rand_commuting_pair: the basis Gaussian, then the spectra of A and B."""
+    G = _complex_gaussian(rng, n)
+    return G, rng.uniform(a_range[0], a_range[1], n), rng.uniform(b_range[0], b_range[1], n)
+
+
+def _build_pair(G: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U diag(wa) U† and U diag(wb) U† over the unitaries U of (stacks of) Gaussians G."""
+    U = _unitaries(G)
+    return _build(wa, U), _build(wb, U)
+
+
 def rand_commuting_pair(
     rng: np.random.Generator,
     n: int,
     a_range: tuple[float, float],
     b_range: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    U = rand_unitary(rng, n)
-    wa = rng.uniform(a_range[0], a_range[1], n)
-    wb = rng.uniform(b_range[0], b_range[1], n)
-    return _build(wa, U), _build(wb, U)
+    return _build_pair(*_draw_commuting(rng, n, a_range, b_range))
 
 
 def _density_spectrum(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -174,16 +185,25 @@ def _density_spectrum(rng: np.random.Generator, n: int) -> np.ndarray:
     return w / w.sum()
 
 
+def _draw_density(rng: np.random.Generator, n: int):
+    """The draws of rand_density: the spectrum, then the basis Gaussian."""
+    return _density_spectrum(rng, n), _complex_gaussian(rng, n)
+
+
+def _draw_density_pair(rng: np.random.Generator, n: int):
+    """The draws of rand_density_pair: the basis Gaussian, then the spectra of rho and sigma."""
+    G = _complex_gaussian(rng, n)
+    return G, _density_spectrum(rng, n), _density_spectrum(rng, n)
+
+
 def rand_density(rng: np.random.Generator, n: int) -> np.ndarray:
-    w = _density_spectrum(rng, n)
-    return _build(w, rand_unitary(rng, n))
+    w, G = _draw_density(rng, n)
+    return _build(w, _unitaries(G))
 
 
 def rand_density_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Commuting density pair with full support (shared eigenbasis)."""
-    U = rand_unitary(rng, n)
-    rho = _build(_density_spectrum(rng, n), U)
-    return rho, _build(_density_spectrum(rng, n), U)
+    return _build_pair(*_draw_density_pair(rng, n))
 
 
 def rand_split_matching(

@@ -8,14 +8,14 @@ worst_case_seed replays its worst trial exactly:
     run_suite(replace(config, trials=1, seed=report.worst_case_seed))
 
 One loop serves run_suite and counterexample_search: it hands each block of
-consecutive trial seeds to the suite's evaluator.  The scalar and trace
-suites evaluate one trial at a time.  The seven Loewner suites
-(operator_jensen, perspective_sum, operator_shannon, pooled_inverse,
-pooled_mean, split_mean, mean_monotonicity) are each a draw plus a stacked
-kernel: every trial is drawn from its own seed, and the trials of each
-(n, m) group of a block are built and evaluated as one stack (at most one
-qr or svd per build, one eigensolver call per kernel step), bitwise equal
-to one-trial runs, so the blocks change no number in a report.
+consecutive trial seeds to the suite's evaluator.  Every suite is a draw
+plus a stacked kernel (_Stacked): every trial is drawn from its own seed,
+and the trials of each (n, m) group of a block are built and evaluated as
+one stack (at most one qr or svd per build, one eigensolver call per kernel
+step), bitwise equal to one-trial runs, so the blocks change no number in a
+report.  The kernels of the scalar and trace suites are those of the scalar
+and traceform layers, over (T, n) sequences and (T, n, n) commuting pairs;
+the seven Loewner suites take the residual kernels of loewner.
 Search-mode candidates keep the draws of their first pass and are
 re-verified through the independent Jacobi eigensolver at a tightened
 absolute tolerance before they are reported as findings: the same stacked
@@ -25,6 +25,7 @@ jacobi_eigh calls per group in place of eigh.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -49,21 +50,21 @@ from .loewner import (
 )
 from .matfun import _total, _verdict
 from .scalar import (
-    SequencePair,
-    convexity_check,
-    generalized_log_sum_gap,
-    q_log_sum_gap,
-    ratio_bounds,
-    rational_example_gap,
-    reverse_log_sum_gap,
+    _curvature_holds,
+    _forward,
+    _q_log_sums,
+    _ratio_bounds,
+    _rational_example,
+    _reverse,
 )
+from .scalar import _verdict as _inequality_verdict
 from .traceform import (
-    exp_log_trace_gap,
-    q_trace_gap,
-    quantum_relative_entropy,
-    reverse_trace_gap,
-    trace_log_sum_gap,
-    von_neumann_entropy,
+    _entropies,
+    _exp_log_traces,
+    _q_traces,
+    _relative_entropies,
+    _reverse_traces,
+    _trace_log_sums,
 )
 
 __all__ = [
@@ -150,38 +151,83 @@ def _size(rng: np.random.Generator, cap: int) -> int:
     return int(rng.integers(1, cap + 1))
 
 
+class _Draw(NamedTuple):
+    """The rng draws of one trial, in draw order."""
+
+    n: int  # the size of a trial's arrays: sequence length, matrix dimension or grid points
+    m: int  # family size; 1 for the suites that draw no family
+    params: tuple  # the draws besides the Gaussians: sequences, spectra, orders, scales
+    gaussians: tuple[np.ndarray, ...] = ()  # the complex Gaussian (n, n) of each matrix
+    f: FunctionSpec | None = None
+
+
+def _params(group: list[_Draw], *ks: int) -> list[np.ndarray]:
+    """The stacks over a group of its draws' params ks."""
+    return [np.array([d.params[k] for d in group]) for k in ks]
+
+
+def _gaps(sides, config: TrialConfig):
+    """The gap and holds flag (T,) of a scalar or trace kernel's (lhs, rhs, gap)."""
+    verdict = _inequality_verdict(*sides, config.tolerance)
+    return verdict.gap, verdict.holds
+
+
+def _min(a, b):
+    """min(a, b) elementwise as Python takes it: a unless b < a, so 0.0 and -0.0 tie to a."""
+    return np.where(b < a, b, a)
+
+
+_LOG = log_fn()
+_IDENTITY = identity_fn()
+_SQUARE = power_fn(2.0)
+
+
 # -- scalar suites ---------------------------------------------------------
 
 
-def _suite_scalar_log_sum(rng, config):
-    pair = gen.rand_sequence_pair(rng, _size(rng, config.n))
-    v = generalized_log_sum_gap(log_fn(), identity_fn(), pair, config.tolerance)
-    return v.gap, v.holds
+def _pair(rng, config: TrialConfig):
+    """n, then rand_sequence_pair's two sequences."""
+    n = _size(rng, config.n)
+    return n, gen.rand_sequence(rng, n), gen.rand_sequence(rng, n)
 
 
-def _suite_scalar_equality(rng, config):
+def _pair_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    n, a, b = _pair(np.random.default_rng(trial_seed), config)
+    return _Draw(n, 1, (a, b))
+
+
+def _log_sum_gaps(group, config):
+    return _gaps(_forward(_LOG, _IDENTITY, *_params(group, 0, 1)), config)
+
+
+def _equality_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """n, b, then the scale c of the proportional pair (c b, b)."""
+    rng = np.random.default_rng(trial_seed)
     n = _size(rng, config.n)
     b = gen.rand_sequence(rng, n)
-    c = rng.uniform(0.1, 10.0)
-    pair = SequencePair(tuple(c * b), tuple(b))
-    v = generalized_log_sum_gap(log_fn(), identity_fn(), pair, config.tolerance)
-    scale = max(1.0, abs(v.lhs), abs(v.rhs))
-    return -abs(v.gap), abs(v.gap) <= config.tolerance * scale
+    return _Draw(n, 1, (rng.uniform(0.1, 10.0) * b, b))
 
 
-def _suite_scalar_reverse(rng, config):
-    pair = gen.rand_sequence_pair(rng, _size(rng, config.n))
-    v = reverse_log_sum_gap(log_fn(), identity_fn(), pair, config.tolerance)
-    return v.gap, v.holds
+def _equality_gaps(group, config):
+    lhs, rhs, gap = _forward(_LOG, _IDENTITY, *_params(group, 0, 1))
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return -np.abs(gap), np.abs(gap) <= config.tolerance * scale
 
 
-def _suite_rational_reverse(rng, config):
+def _reverse_gaps(group, config):
+    return _gaps(_reverse(_LOG, _IDENTITY, *_params(group, 0, 1)), config)
+
+
+def _rational_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """n, a, then the ratios b_i / a_i."""
+    rng = np.random.default_rng(trial_seed)
     n = _size(rng, config.n)
     a = rng.uniform(1.0, 10.0, n)
-    ratios = rng.uniform(0.9, 2.4, n)
-    pair = SequencePair(tuple(a), tuple(ratios * a))
-    v = rational_example_gap(pair, config.tolerance)
-    return v.gap, v.holds
+    return _Draw(n, 1, (a, rng.uniform(0.9, 2.4, n) * a))
+
+
+def _rational_gaps(group, config):
+    return _gaps(_rational_example(*_params(group, 0, 1)), config)
 
 
 def _draw_q(rng) -> float:
@@ -191,114 +237,139 @@ def _draw_q(rng) -> float:
     return float(rng.uniform(2.1, 3.5))
 
 
-def _suite_q_log_sum(rng, config):
-    pair = gen.rand_sequence_pair(rng, _size(rng, config.n))
-    q = _draw_q(rng)
-    r = float(rng.uniform(0.5, 2.0))
-    v = q_log_sum_gap(pair, q, r, config.tolerance)
-    return v.gap, v.holds
+def _q_pair_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """A sequence pair, then q and r."""
+    rng = np.random.default_rng(trial_seed)
+    n, a, b = _pair(rng, config)
+    return _Draw(n, 1, (a, b, _draw_q(rng), float(rng.uniform(0.5, 2.0))))
 
 
-def _suite_q_direction(rng, config):
-    pair = gen.rand_sequence_pair(rng, _size(rng, config.n))
-    worst = math.inf
-    holds = True
-    for q in (0.0, 0.5, 1.5, 2.5, 3.0):
-        v = q_log_sum_gap(pair, q, 1.0, config.tolerance)
-        worst = min(worst, v.gap)
-        holds = holds and v.holds
-    return worst, holds
+def _q_log_sum_gaps(group, config):
+    return _gaps(_q_log_sums(*_params(group, 0, 1, 2, 3)), config)
 
 
-def _suite_ratio_bounds(rng, config):
-    pair = gen.rand_sequence_pair(rng, _size(rng, config.n))
-    g = identity_fn() if rng.random() < 0.5 else power_fn(2.0)
-    rb = ratio_bounds(g, pair)
-    ga = np.asarray(g(np.asarray(pair.a)), dtype=float)
-    gb = np.asarray(g(np.asarray(pair.b)), dtype=float)
-    agg = float(ga.sum() / gb.sum())
-    tol = config.tolerance * max(1.0, abs(rb.m_g), abs(rb.M_g))
-    holds = rb.m_g <= rb.M_g + tol and rb.m_g - tol <= agg <= rb.M_g + tol
-    gap = min(rb.M_g - rb.m_g, agg - rb.m_g, rb.M_g - agg)
-    return gap, holds
+_Q_DIRECTIONS = (0.0, 0.5, 1.5, 2.5, 3.0)
 
 
-def _suite_convexity_check(rng, config):
+def _q_direction_gaps(group, config):
+    """The worst gap over the orders _Q_DIRECTIONS at r = 1, all orders of a group in one stack."""
+    a, b = (np.repeat(x, len(_Q_DIRECTIONS), axis=0) for x in _params(group, 0, 1))
+    q = np.tile(_Q_DIRECTIONS, len(group))
+    gap, holds = _gaps(_q_log_sums(a, b, q, np.ones(len(q))), config)
+    gap, holds = gap.reshape(len(group), -1), holds.reshape(len(group), -1)
+    return functools.reduce(_min, gap.T), holds.all(axis=-1)
+
+
+def _ratio_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """A sequence pair, then g: the identity or the square."""
+    rng = np.random.default_rng(trial_seed)
+    n, a, b = _pair(rng, config)
+    return _Draw(n, 1, (a, b), f=_IDENTITY if rng.random() < 0.5 else _SQUARE)
+
+
+def _ratio_gaps(group, config):
+    """Whether [m_g, M_g] is ordered and holds the aggregate ratio, within tolerance."""
+    m_g, M_g, agg = _ratio_bounds([d.f for d in group], *_params(group, 0, 1))
+    tol = config.tolerance * np.maximum(1.0, np.maximum(np.abs(m_g), np.abs(M_g)))
+    holds = (m_g <= M_g + tol) & (m_g - tol <= agg) & (agg <= M_g + tol)
+    return _min(_min(M_g - m_g, agg - m_g), M_g - agg), holds
+
+
+def _convexity_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """The case, then its parameters; n is the grid size, which fixes the curvature kind.
+
+    params are the interval's ends and the expected verdict.
+    """
+    rng = np.random.default_rng(trial_seed)
     case = int(rng.integers(4))
     if case == 0:
-        ok = convexity_check("xfx", log_fn(), (0.05 + 0.1 * rng.random(), 10.0), 101)
-        expected = True
-    elif case == 1:
-        ok = convexity_check("xfx", q_log_fn(float(rng.uniform(2.05, 4.0))), (0.1, 10.0), 101)
-        expected = False
-    elif case == 2:
-        ok = convexity_check(
-            "xf1overx", rational_fn(), (float(rng.uniform(0.42, 0.6)), float(rng.uniform(5, 10))), 201
-        )
-        expected = True
-    else:
-        ok = convexity_check("xfx", power_fn(float(rng.uniform(0.2, 2.0))), (0.01, 5.0), 101)
-        expected = True
-    agree = ok == expected
-    return 0.0 if agree else -1.0, agree
+        return _Draw(101, 1, (0.05 + 0.1 * rng.random(), 10.0, True), f=_LOG)
+    if case == 1:
+        return _Draw(101, 1, (0.1, 10.0, False), f=q_log_fn(float(rng.uniform(2.05, 4.0))))
+    if case == 2:
+        lo, hi = float(rng.uniform(0.42, 0.6)), float(rng.uniform(5, 10))
+        return _Draw(201, 1, (lo, hi, True), f=rational_fn())
+    return _Draw(101, 1, (0.01, 5.0, True), f=power_fn(float(rng.uniform(0.2, 2.0))))
+
+
+def _convexity_gaps(group, config):
+    lo, hi, expected = _params(group, 0, 1, 2)
+    h_kind = "xf1overx" if group[0].n == 201 else "xfx"
+    agree = _curvature_holds(h_kind, [d.f for d in group], lo, hi, group[0].n) == expected
+    return np.where(agree, 0.0, -1.0), agree
 
 
 # -- trace suites ----------------------------------------------------------
 
 
-def _commuting_pd_pair(rng, config):
+def _commuting(rng, config: TrialConfig) -> _Draw:
+    """n, then rand_commuting_pair's draws: the Gaussian, then the spectra wa and wb."""
     n = _size(rng, config.n)
-    return gen.rand_commuting_pair(rng, n, _TRACE_SPECTRUM, _TRACE_SPECTRUM)
+    G, wa, wb = gen._draw_commuting(rng, n, _TRACE_SPECTRUM, _TRACE_SPECTRUM)
+    return _Draw(n, 1, (wa, wb), (G,))
 
 
-def _suite_trace_log_sum(rng, config):
-    A, B = _commuting_pd_pair(rng, config)
-    v = trace_log_sum_gap(log_fn(), identity_fn(), A, B, config.tolerance)
-    return v.gap, v.holds
+def _commuting_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    return _commuting(np.random.default_rng(trial_seed), config)
 
 
-def _suite_trace_reverse(rng, config):
-    A, B = _commuting_pd_pair(rng, config)
-    v = reverse_trace_gap(log_fn(), identity_fn(), A, B, config.tolerance)
-    return v.gap, v.holds
+def _q_trace_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """A commuting pair, then q and r."""
+    rng = np.random.default_rng(trial_seed)
+    draw = _commuting(rng, config)
+    return draw._replace(params=(*draw.params, _draw_q(rng), float(rng.uniform(0.5, 2.0))))
 
 
-def _suite_q_trace(rng, config):
-    A, B = _commuting_pd_pair(rng, config)
-    v = q_trace_gap(A, B, _draw_q(rng), float(rng.uniform(0.5, 2.0)), config.tolerance)
-    return v.gap, v.holds
+def _pairs(group: list[_Draw]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks (T, n, n) of the two matrices sharing each trial's basis."""
+    return gen._build_pair(np.array([d.gaussians[0] for d in group]), *_params(group, 0, 1))
 
 
-def _suite_exp_log_trace(rng, config):
-    A, B = _commuting_pd_pair(rng, config)
-    v = exp_log_trace_gap(A, B, config.tolerance)
-    return v.gap, v.holds
+def _trace_log_sum_gaps(group, config):
+    return _gaps(_trace_log_sums(_LOG, _IDENTITY, *_pairs(group)), config)
 
 
-def _suite_relative_entropy(rng, config):
-    rho, sigma = gen.rand_density_pair(rng, _size(rng, config.n))
-    d = quantum_relative_entropy(rho, sigma)
+def _trace_reverse_gaps(group, config):
+    return _gaps(_reverse_traces(_LOG, _IDENTITY, *_pairs(group)), config)
+
+
+def _q_trace_gaps(group, config):
+    return _gaps(_q_traces(*_pairs(group), *_params(group, 2, 3)), config)
+
+
+def _exp_log_trace_gaps(group, config):
+    return _gaps(_exp_log_traces(*_pairs(group)), config)
+
+
+def _density_pair_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """n, then rand_density_pair's draws: the Gaussian, then the spectra of rho and sigma."""
+    rng = np.random.default_rng(trial_seed)
+    n = _size(rng, config.n)
+    G, w_rho, w_sigma = gen._draw_density_pair(rng, n)
+    return _Draw(n, 1, (w_rho, w_sigma), (G,))
+
+
+def _relative_entropy_gaps(group, config):
+    d = _relative_entropies(*_pairs(group))
     return d, d >= -config.tolerance
 
 
-def _suite_entropy_bound(rng, config):
+def _density_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+    """n, then rand_density's draws: the spectrum, then the Gaussian."""
+    rng = np.random.default_rng(trial_seed)
     n = _size(rng, config.n)
-    s = von_neumann_entropy(gen.rand_density(rng, n))
-    margin = min(s, math.log(n) - s)
+    w, G = gen._draw_density(rng, n)
+    return _Draw(n, 1, (w,), (G,))
+
+
+def _entropy_bound_gaps(group, config):
+    (w,) = _params(group, 0)
+    s = _entropies(gen._build(w, gen._unitaries(np.array([d.gaussians[0] for d in group]))))
+    margin = _min(s, math.log(group[0].n) - s)
     return margin, margin >= -config.tolerance
 
 
 # -- operator-order suites --------------------------------------------------
-
-
-class _Draw(NamedTuple):
-    """The rng draws of one trial, in draw order."""
-
-    n: int
-    m: int  # family size; 1 for the suites that draw single matrices
-    params: tuple  # the draws besides the Gaussians: spectra, amplitudes, scales
-    gaussians: tuple[np.ndarray, ...]  # the complex Gaussian (n, n) of each matrix
-    f: FunctionSpec | None = None
 
 
 def _concave_f(rng):
@@ -447,75 +518,82 @@ def _monotonicity_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarr
     )
 
 
-def _grouped(draws: list[_Draw], residuals):
-    """(positions in draws, residuals(group)) of each group of draws sharing (n, m)."""
+def _grouped(draws: list[_Draw], evaluate):
+    """(positions in draws, evaluate(group)) of each group of draws sharing (n, m)."""
     groups: dict[tuple[int, int], list[int]] = {}
     for k, d in enumerate(draws):
         groups.setdefault((d.n, d.m), []).append(k)
     for ks in groups.values():
-        yield ks, residuals([draws[k] for k in ks])
+        yield ks, evaluate([draws[k] for k in ks])
 
 
-def _verdicts(draws: list[_Draw], config: TrialConfig, residuals):
-    """Residual minimum eigenvalue and holds flag of each trial, as Python lists.
+def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
+    """Gap and holds flag of each trial, as Python lists.
+
+    kernel(group, config) gives the gaps and holds flags (T,) of a group of
+    draws sharing (n, m).
+    """
+    gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
+    for ks, (gap, ok) in _grouped(draws, lambda group: kernel(group, config)):
+        gaps[ks], holds[ks] = gap, ok
+    return gaps.tolist(), holds.tolist()
+
+
+def _min_eigenvalues(residuals):
+    """The kernel of a Loewner suite: each trial's residual minimum eigenvalue and holds flag.
 
     residuals(group, config) gives the residual eigenvalues (T, n) of a group.
     """
-    min_eig, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
-    for ks, w in _grouped(draws, lambda group: residuals(group, config)):
-        verdict = _verdict(w, config.tolerance)
-        min_eig[ks] = verdict.residual_min_eigenvalue
-        holds[ks] = verdict.holds
-    return min_eig.tolist(), holds.tolist()
+
+    def kernel(group, config):
+        verdict = _verdict(residuals(group, config), config.tolerance)
+        return verdict.residual_min_eigenvalue, verdict.holds
+
+    return kernel
 
 
 class _Stacked:
     """The block evaluator of a suite given as a draw and a stacked kernel.
 
     draw(trial_seed, config) makes a trial's rng draws in the order of the
-    one-trial generators; residuals(group, config) builds the stacks of a
-    group of draws sharing (n, m) and returns its kernel's residual
-    eigenvalues (T, n).
+    one-trial generators; kernel(group, config) builds the stacks of a
+    group of draws sharing (n, m) and returns the gap and holds flag (T,)
+    of each trial.
     """
 
-    def __init__(self, draw, residuals):
+    def __init__(self, draw, kernel):
         self.draw = draw
-        self.residuals = residuals
+        self.kernel = kernel
 
     def __call__(self, seeds, config):
-        return _verdicts([self.draw(ts, config) for ts in seeds], config, self.residuals)
+        return _verdicts([self.draw(ts, config) for ts in seeds], config, self.kernel)
 
 
-_perspective_sum_verdicts = _Stacked(_sum_draw, _sum_residuals)
-
-
-def _per_trial(suite_fn):
-    """The block evaluator of a suite_fn(rng, config) -> (gap, holds) of one trial."""
-    return lambda seeds, config: zip(*(suite_fn(np.random.default_rng(s), config) for s in seeds))
-
+_sum_verdicts = _min_eigenvalues(_sum_residuals)
+_perspective_sum_verdicts = _Stacked(_sum_draw, _sum_verdicts)
 
 SUITES = {
-    "scalar_log_sum": _per_trial(_suite_scalar_log_sum),
-    "scalar_equality": _per_trial(_suite_scalar_equality),
-    "scalar_reverse": _per_trial(_suite_scalar_reverse),
-    "rational_reverse": _per_trial(_suite_rational_reverse),
-    "q_log_sum": _per_trial(_suite_q_log_sum),
-    "q_direction": _per_trial(_suite_q_direction),
-    "ratio_bounds": _per_trial(_suite_ratio_bounds),
-    "convexity_check": _per_trial(_suite_convexity_check),
-    "trace_log_sum": _per_trial(_suite_trace_log_sum),
-    "trace_reverse": _per_trial(_suite_trace_reverse),
-    "q_trace": _per_trial(_suite_q_trace),
-    "exp_log_trace": _per_trial(_suite_exp_log_trace),
-    "relative_entropy": _per_trial(_suite_relative_entropy),
-    "entropy_bound": _per_trial(_suite_entropy_bound),
-    "operator_jensen": _Stacked(_jensen_draw, _jensen_residuals),
+    "scalar_log_sum": _Stacked(_pair_draw, _log_sum_gaps),
+    "scalar_equality": _Stacked(_equality_draw, _equality_gaps),
+    "scalar_reverse": _Stacked(_pair_draw, _reverse_gaps),
+    "rational_reverse": _Stacked(_rational_draw, _rational_gaps),
+    "q_log_sum": _Stacked(_q_pair_draw, _q_log_sum_gaps),
+    "q_direction": _Stacked(_pair_draw, _q_direction_gaps),
+    "ratio_bounds": _Stacked(_ratio_draw, _ratio_gaps),
+    "convexity_check": _Stacked(_convexity_draw, _convexity_gaps),
+    "trace_log_sum": _Stacked(_commuting_draw, _trace_log_sum_gaps),
+    "trace_reverse": _Stacked(_commuting_draw, _trace_reverse_gaps),
+    "q_trace": _Stacked(_q_trace_draw, _q_trace_gaps),
+    "exp_log_trace": _Stacked(_commuting_draw, _exp_log_trace_gaps),
+    "relative_entropy": _Stacked(_density_pair_draw, _relative_entropy_gaps),
+    "entropy_bound": _Stacked(_density_draw, _entropy_bound_gaps),
+    "operator_jensen": _Stacked(_jensen_draw, _min_eigenvalues(_jensen_residuals)),
     "perspective_sum": _perspective_sum_verdicts,
-    "operator_shannon": _Stacked(_shannon_draw, _shannon_residuals),
-    "pooled_inverse": _Stacked(_pooled_inverse_draw, _pooled_inverse_residuals),
-    "pooled_mean": _Stacked(_mean_draw, _pooled_mean_residuals),
-    "split_mean": _Stacked(_mean_draw, _split_mean_residuals),
-    "mean_monotonicity": _Stacked(_monotonicity_draw, _monotonicity_residuals),
+    "operator_shannon": _Stacked(_shannon_draw, _min_eigenvalues(_shannon_residuals)),
+    "pooled_inverse": _Stacked(_pooled_inverse_draw, _min_eigenvalues(_pooled_inverse_residuals)),
+    "pooled_mean": _Stacked(_mean_draw, _min_eigenvalues(_pooled_mean_residuals)),
+    "split_mean": _Stacked(_mean_draw, _min_eigenvalues(_split_mean_residuals)),
+    "mean_monotonicity": _Stacked(_monotonicity_draw, _min_eigenvalues(_monotonicity_residuals)),
 }
 
 
@@ -565,9 +643,13 @@ def run_suite(config: TrialConfig) -> SuiteReport:
 def counterexample_search(config: TrialConfig) -> SuiteReport:
     """Probe the perspective-sum inequality on contractive families.
 
-    The expansivity hypothesis is deliberately dropped; whether the
-    inequality can fail without it is an open question, so the report
-    carries findings (re-verified candidates) and no pass/fail claim.
+    The expansivity hypothesis is deliberately dropped.  With
+    lhs_form="perspective_sum" the search stress-tests a theorem: the
+    operator perspective of an operator-concave f is jointly concave
+    (Ebadian, Nikoufar and Eshaghi Gordji, PNAS 2011) and positively
+    homogeneous, hence superadditive over every PD family.  With "sum_fb" it
+    finds the pinned false statement.  The report carries findings
+    (re-verified candidates) and no pass/fail claim.
     """
     if config.suite != "perspective_sum":
         raise DomainError("counterexample_search requires suite='perspective_sum'")
@@ -601,7 +683,7 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
     def first_pass(seeds, config):
         """The block's verdicts; its failing trials join the candidates with their draws."""
         draws = [_sum_draw(ts, config) for ts in seeds]
-        min_eigs, holds = _verdicts(draws, config, _sum_residuals)
+        min_eigs, holds = _verdicts(draws, config, _sum_verdicts)
         for ts, draw, min_eig, ok in zip(seeds, draws, min_eigs, holds):
             if not ok:
                 candidates.append(((ts - config.seed) % _SEED_MOD, ts, min_eig, draw))

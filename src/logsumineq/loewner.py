@@ -41,6 +41,7 @@ from .matfun import (
     _decompose,
     _first,
     _herm,
+    _require_hermitian,
     _total,
     _verdict,
     apply_function,
@@ -103,10 +104,10 @@ def require_operator_class(f: FunctionSpec, *needed: str) -> None:
 
 
 def _validate_family(mats, what: str) -> np.ndarray:
-    """The family as a Hermitian stack (m, n, n)."""
+    """The family as a Hermitian stack (m, n, n), each member checked Hermitian."""
     if len(mats) < 1:
         raise DomainError(f"{what} must contain at least one matrix")
-    out = [hermitize(M) for M in mats]
+    out = [_require_hermitian(M, f"{what}[{k}]") for k, M in enumerate(mats)]
     n = out[0].shape[0]
     for k, M in enumerate(out):
         if M.shape[0] != n:
@@ -122,13 +123,6 @@ def _validate_families(A_family, B_family) -> tuple[np.ndarray, np.ndarray]:
     return As, Bs
 
 
-def _map(f, dec: SpectralDecomposition) -> SpectralDecomposition:
-    """f(A) for one FunctionSpec f, or for a sequence of them, f[t] on entry t of a stack."""
-    if isinstance(f, FunctionSpec):
-        return dec.map(f)
-    return dec._with(np.stack([ft(wt) for ft, wt in zip(f, dec.eigenvalues, strict=True)]))
-
-
 def _perspective(
     f, dec_a: SpectralDecomposition, B: np.ndarray, solver: str = "eigh"
 ) -> np.ndarray:
@@ -140,12 +134,12 @@ def _perspective(
     sA = root.reconstruct()
     sA_inv = root.inverse().reconstruct()
     arg = _herm(sA_inv @ B @ sA_inv)
-    return _herm(sA @ _map(f, _decompose(arg, solver)).reconstruct() @ sA)
+    return _herm(sA @ _decompose(arg, solver).map(f).reconstruct() @ sA)
 
 
 def operator_perspective(f: FunctionSpec, A, B) -> np.ndarray:
     """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} for positive definite A."""
-    return _perspective(f, spectral_decompose(A), hermitize(B))
+    return _perspective(f, spectral_decompose(A), _require_hermitian(B, "B"))
 
 
 def perspective_identity_gap(f: FunctionSpec, A, B) -> float:
@@ -216,7 +210,7 @@ def operator_jensen_residual(
     at 0 are not needed.
     """
     C = _as_square_complex(contraction, "contraction")
-    Xh = hermitize(X)
+    Xh = _require_hermitian(X, "X")
     if C.shape != Xh.shape:
         raise DomainError(f"contraction shape {C.shape} does not match X shape {Xh.shape}")
     return _verdict(_operator_jensen(f, C[None], Xh[None])[0], tol)
@@ -258,7 +252,7 @@ def _perspective_sums(
         _require_expansive(dec.eigenvalues[:, 0], As.shape[1], tol)
     if lhs_form == "sum_fb":
         rhs = _perspective(fs, dec[:, 0], B[:, 0], solver)
-        lhs = _total(_map(fs, dec[:, 1:]).reconstruct())
+        lhs = _total(dec[:, 1:].map(fs).reconstruct())
     else:
         P = _perspective(fs, dec, np.concatenate([B, Bs], axis=1), solver)
         rhs, lhs = P[:, 0], _total(P[:, 1:])
@@ -486,7 +480,8 @@ def mean_monotonicity_residual(
 
     with mean(A, B) = B^{1/2}[f(B^{1/2}A^{-1}B^{1/2})]^{-1}B^{1/2}.
     """
-    mats = [hermitize(M) for M in (A_part, B_part, A_whole, B_whole)]
+    named = {"A_part": A_part, "B_part": B_part, "A_whole": A_whole, "B_whole": B_whole}
+    mats = [_require_hermitian(M, name) for name, M in named.items()]
     shapes = [M.shape for M in mats]
     if len(set(shapes)) != 1:
         raise DimensionError(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError, PreconditionError, SingularityError
-from .functions import FunctionSpec
+from .functions import FunctionSpec, _apply_rows
 
 __all__ = [
     "SpectralDecomposition",
@@ -153,9 +153,12 @@ class SpectralDecomposition:
             raise DomainError("matrix has non-finite entries")
         return SpectralDecomposition(self.unitary, w)
 
-    def map(self, f: FunctionSpec) -> SpectralDecomposition:
-        """f(A).  Raises DomainError if an eigenvalue exits f's domain."""
-        return self._with(f(self.eigenvalues))
+    def map(self, f) -> SpectralDecomposition:
+        """f(A).  Raises DomainError if an eigenvalue exits f's domain.
+
+        f is a FunctionSpec, or for a stack one per entry of the first axis.
+        """
+        return self._with(_apply_rows(f, self.eigenvalues))
 
     def sqrt(self) -> SpectralDecomposition:
         """Unique PSD square root; eigenvalues in [-1e-12*norm, 0) are clamped to 0."""
@@ -350,8 +353,8 @@ def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
 
 def loewner_leq(A, B, tol: float = 1e-9) -> LoewnerVerdict:
     """Verdict on A <= B in the Loewner order, i.e. B - A PSD within tolerance."""
-    A = _as_square_complex(A, "A")
-    B = _as_square_complex(B, "B")
+    A = _require_hermitian(A, "A")
+    B = _require_hermitian(B, "B")
     if A.shape != B.shape:
         raise DimensionError(f"dimension mismatch {A.shape} vs {B.shape}")
     return _verdict(_decompose(_herm(B - A)).eigenvalues, tol)

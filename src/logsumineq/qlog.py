@@ -48,21 +48,34 @@ class QLogParams:
 
 def _check_positive(name: str, value) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise DomainError(f"{name} must be strictly positive")
     return arr
 
 
+def _q_log(arr: np.ndarray, q, limit_window: float = 1e-9) -> np.ndarray:
+    """qlog of checked positive arr; q is a float or an array broadcasting against arr.
+
+    An array q gives each entry its own order (q[:, None] for one per row) with
+    the arithmetic of a call per order, so a stack of orders is bitwise equal
+    to one call per order.
+    """
+    one_minus_q = 1.0 - q
+    logs = np.log(arr)
+    if np.ndim(q) == 0:
+        if abs(one_minus_q) <= limit_window:
+            return logs
+        return np.expm1(one_minus_q * logs) / one_minus_q
+    near = np.abs(one_minus_q) <= limit_window
+    one_minus_q = np.where(near, 1.0, one_minus_q)
+    return np.where(near, logs, np.expm1(one_minus_q * logs) / one_minus_q)
+
+
 def q_log(x, params: QLogParams):
     """Evaluate qlog(x).  Accepts scalars or arrays of positive reals."""
-    arr = _check_positive("x", x)
-    one_minus_q = 1.0 - params.q
-    if abs(one_minus_q) <= params.limit_window:
-        out = np.log(arr)
-    else:
-        out = np.expm1(one_minus_q * np.log(arr)) / one_minus_q
+    out = _q_log(_check_positive("x", x), params.q, params.limit_window)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 

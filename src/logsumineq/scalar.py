@@ -14,6 +14,18 @@ Both reduce to the classical log-sum inequality at f = log, g = identity.
 The curvature hypotheses are always verified numerically on a uniform grid
 (second divided differences), because tabulated function specs carry no
 symbolic derivative.
+
+Each statement has one kernel over a stack of T sequence pairs of one
+length n, (T, n) arrays, that returns the lhs, rhs and gap (T,) of every
+pair; the public function of a statement checks its one pair and runs the
+kernel as the T=1 stack.  A kernel checks each domain and precondition once
+over the whole stack and raises the one-pair message of the first failing
+pair.  The kernels are bitwise equal to one pair at a time: their numpy
+work is elementwise or a sum along the last axis, and what a one-pair run
+computes on Python floats (x ** y, whose libm result can differ from
+numpy's vectorized pow in the last bit) stays on Python floats, one pair at
+a time.  Where a term is dropped (a zero weight), its row is summed over
+the remaining terms alone, as the one-pair run sums them.
 """
 
 from __future__ import annotations
@@ -24,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .functions import FunctionSpec, power_fn
-from .qlog import QLogParams, q_log
+from .functions import FunctionSpec, _apply_rows, power_fn
+from .qlog import QLogParams, _check_positive, _q_log
 
 __all__ = [
     "SequencePair",
@@ -41,6 +53,7 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_GRID_POINTS = 101
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -81,17 +94,59 @@ class InequalityVerdict:
     holds: bool
 
 
-def _verdict(lhs: float, rhs: float, gap: float, tol: float) -> InequalityVerdict:
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return InequalityVerdict(float(lhs), float(rhs), float(gap), float(tol), bool(gap >= -tol * scale))
+def _verdict(lhs, rhs, gap, tol: float) -> InequalityVerdict:
+    """The verdict of one pair (float fields), or of a stack (array fields over the pairs)."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    holds = gap >= -tol * scale
+    if np.ndim(gap) == 0:
+        return InequalityVerdict(float(lhs), float(rhs), float(gap), float(tol), bool(holds))
+    return InequalityVerdict(lhs, rhs, gap, float(tol), holds)
 
 
-def _positive(g: FunctionSpec, values: tuple[float, ...], name: str) -> np.ndarray:
-    """g at each entry of the sequence name, checked strictly positive."""
-    gv = np.asarray(g(np.asarray(values)), dtype=float)
-    if np.any(gv <= 0.0):
+def _one(sides, tol: float) -> InequalityVerdict:
+    """The verdict of the one pair of a T=1 kernel's (lhs, rhs, gap)."""
+    return _verdict(*(side[0] for side in sides), tol)
+
+
+def _stack(pair: SequencePair) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([pair.a]), np.array([pair.b])
+
+
+def _positive(g, values: np.ndarray, name: str) -> np.ndarray:
+    """g at each entry of the sequences name (T, n), checked strictly positive.
+
+    g is a FunctionSpec, or one per pair.
+    """
+    gv = np.asarray(_apply_rows(g, values), dtype=float)
+    if (gv <= 0.0).any():
         raise PreconditionError(f"g({name}_i) must be strictly positive for every i")
     return gv
+
+
+def _active_sums(weights: np.ndarray, fx, active: np.ndarray) -> np.ndarray:
+    """Each row's sum of weights * f over its active entries (0.0 for a row with none).
+
+    fx(sel) evaluates f at the entries [sel] only, so f never sees an
+    inactive entry.  A row with an inactive entry is summed over its active
+    terms alone: numpy's pairwise summation groups a row with zeros in it
+    differently from the row without them once n > 8.
+    """
+    if active.all():
+        return (weights * fx(...)).sum(axis=-1)
+    terms = np.zeros(weights.shape)
+    terms[active] = weights[active] * fx(active)
+    sums = terms.sum(axis=-1)
+    for t in np.flatnonzero(~active.all(axis=-1)).tolist():
+        sums[t] = terms[t][active[t]].sum()
+    return sums
+
+
+def _ratio_bounds(g, a: np.ndarray, b: np.ndarray):
+    """m_g, M_g and the aggregate ratio sum g(a_i) / sum g(b_i) (T,) of T pairs (T, n)."""
+    gb = _positive(g, b, "b")
+    ga = np.asarray(_apply_rows(g, a), dtype=float)
+    ratios = ga / gb
+    return ratios.min(axis=-1), ratios.max(axis=-1), ga.sum(axis=-1) / gb.sum(axis=-1)
 
 
 def ratio_bounds(g: FunctionSpec, pair: SequencePair) -> RatioBounds:
@@ -99,9 +154,30 @@ def ratio_bounds(g: FunctionSpec, pair: SequencePair) -> RatioBounds:
 
     Requires every g(b_i) > 0 so the ratios are well defined.
     """
-    gb = _positive(g, pair.b, "b")
-    ratios = np.asarray(g(np.asarray(pair.a)), dtype=float) / gb
-    return RatioBounds(float(ratios.min()), float(ratios.max()))
+    m_g, M_g, _ = _ratio_bounds(g, *_stack(pair))
+    return RatioBounds(float(m_g[0]), float(M_g[0]))
+
+
+def _curvature_holds(h_kind: str, f, lo: np.ndarray, hi: np.ndarray, grid_points: int):
+    """Whether each interval [lo_t, hi_t] (T,) passes convexity_check's grid test.
+
+    f is a FunctionSpec, or one per interval.  Each grid is np.linspace's,
+    computed with its arithmetic.
+    """
+    if h_kind == "xf1overx":
+        if ((lo <= 0.0) & (0.0 <= hi)).any():
+            raise DomainError("interval for x*f(1/x) must not contain 0")
+    step = (hi - lo) / (grid_points - 1)
+    xs = np.arange(grid_points) * step[:, None] + lo[:, None]
+    xs[:, -1] = hi
+    h = xs * np.asarray(_apply_rows(f, xs if h_kind == "xfx" else 1.0 / xs), dtype=float)
+    delta = xs[:, 1] - xs[:, 0]
+    second = (h[:, :-2] - 2.0 * h[:, 1:-1] + h[:, 2:]) / (delta * delta)[:, None]
+    noise = 64.0 * _EPS * np.maximum(1.0, np.abs(h).max(axis=-1)) / (delta * delta)
+    threshold = np.maximum(1e-9, noise)[:, None]
+    if h_kind == "xfx":
+        return (second >= -threshold).all(axis=-1)
+    return (second <= threshold).all(axis=-1)
 
 
 def convexity_check(
@@ -126,24 +202,59 @@ def convexity_check(
         raise DomainError("interval must be finite and non-degenerate")
     if grid_points < 3:
         raise DomainError("grid_points must be at least 3")
-    xs = np.linspace(lo, hi, int(grid_points))
-    if h_kind == "xfx":
-        h = xs * np.asarray(f(xs), dtype=float)
-    else:
-        if lo <= 0.0 <= hi:
-            raise DomainError("interval for x*f(1/x) must not contain 0")
-        h = xs * np.asarray(f(1.0 / xs), dtype=float)
-    delta = xs[1] - xs[0]
-    second = (h[:-2] - 2.0 * h[1:-1] + h[2:]) / (delta * delta)
-    noise = 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(h)))) / (delta * delta)
-    threshold = max(1e-9, noise)
-    if h_kind == "xfx":
-        return bool(np.all(second >= -threshold))
-    return bool(np.all(second <= threshold))
+    return bool(_curvature_holds(h_kind, f, np.array([lo]), np.array([hi]), int(grid_points))[0])
 
 
-def _interval_degenerate(lo: float, hi: float) -> bool:
-    return hi - lo <= 8.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+def _interval_degenerate(lo, hi):
+    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return hi - lo <= 8.0 * _EPS * scale
+
+
+def _require_curvature(h_kind: str, f: FunctionSpec, lo, hi, message) -> None:
+    """The grid test on each finite, non-degenerate interval [lo_t, hi_t].
+
+    The first failing interval raises PreconditionError(message(lo_t, hi_t)).
+    """
+    rows = np.flatnonzero(np.isfinite(lo) & ~_interval_degenerate(lo, hi))
+    if rows.size:
+        bad = ~_curvature_holds(h_kind, f, lo[rows], hi[rows], DEFAULT_GRID_POINTS)
+        if bad.any():
+            t = rows[np.flatnonzero(bad)[0]]
+            raise PreconditionError(message(lo[t], hi[t]))
+
+
+def _forward(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray):
+    """lhs, rhs and gap (T,) of the forward inequality for T pairs of sequences a, b (T, n)."""
+    gb = _positive(g, b, "b")
+    ga = np.asarray(_apply_rows(g, a), dtype=float)
+    ratios = ga / gb
+    active = ga != 0.0
+    if not active.all() and not f.zero_weight_term_vanishes():
+        raise DomainError(
+            f"zero-weight terms are undefined for {f.label()}: x*f(x) does not vanish at 0"
+        )
+    sum_a, sum_b = ga.sum(axis=-1), gb.sum(axis=-1)
+    lhs = _active_sums(ga, lambda sel: np.asarray(f(ratios[sel]), dtype=float), active)
+    weighted = sum_a != 0.0
+    total = sum_a[weighted] / sum_b[weighted]
+    rhs = np.zeros(len(sum_a))
+    rhs[weighted] = sum_a[weighted] * np.asarray(f(total), dtype=float)
+
+    # Curvature hypothesis over the hull of the evaluated ratio points.
+    lo = np.where(active, ratios, np.inf).min(axis=-1)
+    hi = np.where(active, ratios, -np.inf).max(axis=-1)
+    lo[weighted] = np.minimum(lo[weighted], total)
+    hi[weighted] = np.maximum(hi[weighted], total)
+    _require_curvature(
+        "xfx",
+        f,
+        lo,
+        hi,
+        lambda lo, hi: (
+            f"x*f(x) is not convex on the ratio interval [{lo:g}, {hi:g}] for {f.label()}"
+        ),
+    )
+    return lhs, rhs, lhs - rhs
 
 
 def generalized_log_sum_gap(
@@ -159,35 +270,25 @@ def generalized_log_sum_gap(
     at 0, e.g. 0*log 0 = 0); this requires x*f(x) -> 0 at 0+, which holds for
     every built-in family except q_log with q >= 2 and power with r <= -1.
     """
-    gb = _positive(g, pair.b, "b")
-    ga = np.asarray(g(np.asarray(pair.a)), dtype=float)
+    return _one(_forward(f, g, *_stack(pair)), tol)
+
+
+def _reverse(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray):
+    """lhs, rhs and gap (T,) of the reverse inequality for T pairs of sequences a, b (T, n)."""
+    ga = _positive(g, a, "a")
+    gb = _positive(g, b, "b")
     ratios = ga / gb
-    active = ga != 0.0
-    if np.any(~active) and not f.zero_weight_term_vanishes():
-        raise DomainError(
-            f"zero-weight terms are undefined for {f.label()}: x*f(x) does not vanish at 0"
-        )
-
-    sum_a = float(ga.sum())
-    sum_b = float(gb.sum())
-    if np.any(active):
-        lhs = float(np.sum(ga[active] * np.asarray(f(ratios[active]), dtype=float)))
-    else:
-        lhs = 0.0
-    rhs = sum_a * float(f(sum_a / sum_b)) if sum_a != 0.0 else 0.0
-
-    # Curvature hypothesis over the hull of the evaluated ratio points.
-    points = list(ratios[active])
-    if sum_a != 0.0:
-        points.append(sum_a / sum_b)
-    if points:
-        lo, hi = min(points), max(points)
-        if not _interval_degenerate(lo, hi):
-            if not convexity_check("xfx", f, (lo, hi)):
-                raise PreconditionError(
-                    f"x*f(x) is not convex on the ratio interval [{lo:g}, {hi:g}] for {f.label()}"
-                )
-    return _verdict(lhs, rhs, lhs - rhs, tol)
+    _require_curvature(
+        "xf1overx",
+        f,
+        ratios.min(axis=-1),
+        ratios.max(axis=-1),
+        lambda lo, hi: f"x*f(1/x) is not concave on [{lo:g}, {hi:g}] for {f.label()}",
+    )
+    lhs = (ga * np.asarray(f(gb / ga), dtype=float)).sum(axis=-1)
+    sum_a, sum_b = ga.sum(axis=-1), gb.sum(axis=-1)
+    rhs = sum_a * np.asarray(f(sum_b / sum_a), dtype=float)
+    return lhs, rhs, rhs - lhs
 
 
 def reverse_log_sum_gap(
@@ -201,24 +302,27 @@ def reverse_log_sum_gap(
     Requires g(a_i) > 0 (they act as Jensen weights after rescaling) and
     x*f(1/x) concave on the ratio interval [m_g, M_g].
     """
-    ga = _positive(g, pair.a, "a")
-    gb = _positive(g, pair.b, "b")
-    ratios = ga / gb
-    m_g, M_g = float(ratios.min()), float(ratios.max())
-    if not _interval_degenerate(m_g, M_g):
-        if not convexity_check("xf1overx", f, (m_g, M_g)):
-            raise PreconditionError(
-                f"x*f(1/x) is not concave on [{m_g:g}, {M_g:g}] for {f.label()}"
-            )
-    lhs = float(np.sum(ga * np.asarray(f(gb / ga), dtype=float)))
-    sum_a = float(ga.sum())
-    sum_b = float(gb.sum())
-    rhs = sum_a * float(f(sum_b / sum_a))
-    return _verdict(lhs, rhs, rhs - lhs, tol)
+    return _one(_reverse(f, g, *_stack(pair)), tol)
 
 
 _RATIONAL_ENTRY_FLOOR = math.sqrt(2.0 / 3.0)
 _RATIONAL_RATIO_CAP = math.sqrt(6.0)
+
+
+def _rational_example(a: np.ndarray, b: np.ndarray):
+    """lhs, rhs and gap (T,) of the rational example for T pairs of sequences a, b (T, n)."""
+    if (a <= _RATIONAL_ENTRY_FLOOR).any() or (b <= _RATIONAL_ENTRY_FLOOR).any():
+        raise PreconditionError("all entries must exceed sqrt(2/3)")
+    r = b / a
+    if (r > _RATIONAL_RATIO_CAP).any() or (r <= _RATIONAL_ENTRY_FLOOR).any():
+        raise PreconditionError(
+            "each ratio b_i/a_i must lie in (sqrt(2/3), sqrt(6)] for the curvature "
+            "hypotheses to hold on the whole ratio interval"
+        )
+    lhs = (a * a * b / (2.0 * a * a + b * b)).sum(axis=-1)
+    sa, sb = a.sum(axis=-1), b.sum(axis=-1)
+    rhs = sa * sa * sb / (2.0 * sa * sa + sb * sb)
+    return lhs, rhs, rhs - lhs
 
 
 def rational_example_gap(pair: SequencePair, tol: float = DEFAULT_TOLERANCE) -> InequalityVerdict:
@@ -234,21 +338,45 @@ def rational_example_gap(pair: SequencePair, tol: float = DEFAULT_TOLERANCE) -> 
     f is evaluated at inside the concavity region of x*f(x) (x > sqrt(2/3)).
     Inputs outside this box are rejected rather than evaluated.
     """
-    a = np.asarray(pair.a, dtype=float)
-    b = np.asarray(pair.b, dtype=float)
-    if np.any(a <= _RATIONAL_ENTRY_FLOOR) or np.any(b <= _RATIONAL_ENTRY_FLOOR):
-        raise PreconditionError("all entries must exceed sqrt(2/3)")
-    r = b / a
-    if np.any(r > _RATIONAL_RATIO_CAP) or np.any(r <= _RATIONAL_ENTRY_FLOOR):
-        raise PreconditionError(
-            "each ratio b_i/a_i must lie in (sqrt(2/3), sqrt(6)] for the curvature "
-            "hypotheses to hold on the whole ratio interval"
-        )
-    lhs = float(np.sum(a * a * b / (2.0 * a * a + b * b)))
-    sa = float(a.sum())
-    sb = float(b.sum())
-    rhs = sa * sa * sb / (2.0 * sa * sa + sb * sb)
-    return _verdict(lhs, rhs, rhs - lhs, tol)
+    return _one(_rational_example(*_stack(pair)), tol)
+
+
+def _q_log_sums(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
+    """lhs, rhs and gap (T,) of the deformed-log inequality for T pairs (T, n).
+
+    Pair t has its own order q[t] and power r[t].  The powers keep the bits
+    of the one-pair run (see _apply_rows), and (sum s)**(1-q) stays a Python
+    float power.
+    """
+    if (q == 2.0).any():
+        raise PreconditionError("q = 2 has no inequality direction")
+    powers = _apply_rows([power_fn(x) for x in r.tolist()], np.stack([a, b], axis=1))
+    p, s = powers[:, 0], powers[:, 1]
+    if (s <= 0.0).any():
+        raise PreconditionError("b_i**r must be strictly positive for every i")
+    if (p < 0.0).any():
+        raise PreconditionError("a_i**r must be nonnegative")
+    active = p > 0.0
+    if (~active & (q >= 2.0)[:, None]).any():
+        raise PreconditionError("zero entries are not extendable for q > 2")
+    if not np.isfinite(q).all():
+        QLogParams(float(q[~np.isfinite(q)][0]))  # raises the one-pair message
+
+    def q_log(x, orders):
+        return _q_log(_check_positive("x", x), orders)
+
+    orders = np.broadcast_to(q[:, None], p.shape)
+    core = _active_sums(p, lambda sel: q_log(p[sel] / s[sel], orders[sel]), active)
+    sum_p, sum_s = p.sum(axis=-1), s.sum(axis=-1)
+    live = sum_p != 0.0
+    lhs, rhs = np.zeros(len(q)), np.zeros(len(q))
+    ql, sum_p, sum_s, core = q[live], sum_p[live], sum_s[live], core[live]
+    lhs[live] = [
+        ss ** (1.0 - qq) * c for ss, qq, c in zip(sum_s.tolist(), ql.tolist(), core.tolist())
+    ]
+    rhs[live] = sum_p * (q_log(sum_p, ql) - q_log(sum_s, ql))
+    raw = lhs - rhs
+    return lhs, rhs, np.where(q < 2.0, raw, -raw)
 
 
 def q_log_sum_gap(
@@ -267,28 +395,4 @@ def q_log_sum_gap(
     For q < 2 the claim is lhs >= rhs; for q > 2 it reverses.  gap is
     oriented so that nonnegative means the claimed direction holds.
     """
-    if float(q) == 2.0:
-        raise PreconditionError("q = 2 has no inequality direction")
-    power = power_fn(float(r))
-    p = np.asarray(power(np.asarray(pair.a)), dtype=float)
-    s = np.asarray(power(np.asarray(pair.b)), dtype=float)
-    if np.any(s <= 0.0):
-        raise PreconditionError("b_i**r must be strictly positive for every i")
-    if np.any(p < 0.0):
-        raise PreconditionError("a_i**r must be nonnegative")
-    active = p > 0.0
-    if np.any(~active) and float(q) >= 2.0:
-        raise PreconditionError("zero entries are not extendable for q > 2")
-    params = QLogParams(float(q))
-    sum_p = float(p.sum())
-    sum_s = float(s.sum())
-    if sum_p == 0.0:
-        lhs = 0.0
-        rhs = 0.0
-    else:
-        core = float(np.sum(p[active] * q_log(p[active] / s[active], params)))
-        lhs = sum_s ** (1.0 - float(q)) * core
-        rhs = sum_p * (q_log(sum_p, params) - q_log(sum_s, params))
-    raw = lhs - rhs
-    gap = raw if float(q) < 2.0 else -raw
-    return _verdict(lhs, rhs, gap, tol)
+    return _one(_q_log_sums(*_stack(pair), np.array([float(q)]), np.array([float(r)])), tol)

@@ -137,6 +137,24 @@ def test_eval_non_hermitian_b_exits_two(tmp_path, capsys, op):
     assert err.startswith("error: matrix is not Hermitian")
 
 
+@pytest.mark.parametrize(
+    "op, field, what",
+    [
+        ("perspective_sum_residual", "A_family", "A_family[0]"),
+        ("split_mean_residual", "B_family", "B_family[0]"),
+        ("operator_jensen_residual", "X", "X"),
+        ("loewner_leq", "B", "B"),
+    ],
+)
+def test_eval_loewner_non_hermitian_input_exits_two(tmp_path, capsys, op, field, what):
+    bad = _m(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    doc = dict(EVAL_FIXTURES[op][0])
+    doc[field] = [bad, *doc[field][1:]] if field.endswith("_family") else bad
+    code, out, err = _eval(tmp_path, capsys, op, doc)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {what} is not Hermitian")
+
+
 def test_eval_unknown_op_exits_two(tmp_path):
     p = tmp_path / "in.json"
     p.write_text("{}")

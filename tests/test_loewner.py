@@ -6,13 +6,14 @@ plain-sum left-hand side with f = log, and the split-mean comparison.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsumineq.errors import DimensionError, PreconditionError
+from logsumineq.errors import DimensionError, DomainError, PreconditionError
 from logsumineq.functions import (
     exp_fn,
     identity_fn,
@@ -46,7 +47,7 @@ from logsumineq.loewner import (
     pooled_mean_residual,
     split_mean_residual,
 )
-from logsumineq.matfun import hermitize, maxnorm, psd_inverse, psd_sqrt
+from logsumineq.matfun import hermitize, loewner_leq, maxnorm, psd_inverse, psd_sqrt
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=5)
@@ -488,3 +489,46 @@ def test_shannon_stack_reports_the_non_expansive_trial():
     assert str(stacked.value) == str(one.value)
     for t in (0, 2):
         assert operator_shannon_residual(As[t], Bs[t], f).holds
+
+
+# -- Hermitian inputs at the public edges -----------------------------------------
+
+_N = np.array([[2.0, 1.0], [0.0, 2.0]])  # its Hermitian part is PD, and would pass
+_I = np.eye(2)
+
+_NOT_HERMITIAN_CALLS = {
+    "perspective_sum_residual A": (
+        lambda: perspective_sum_residual(log_fn(), [_N, 2 * _I], [_I, _I]),
+        "A_family[0]",
+    ),
+    "perspective_sum_residual B": (
+        lambda: perspective_sum_residual(log_fn(), [2 * _I, 2 * _I], [_I, _N]),
+        "B_family[1]",
+    ),
+    "operator_shannon_residual": (
+        lambda: operator_shannon_residual([2 * _I, _N], [2 * _I, _N], log_fn()),
+        "A_family[1]",
+    ),
+    "pooled_inverse_residual": (lambda: pooled_inverse_residual([_I], [_N]), "A_family[0]"),
+    "pooled_mean_residual": (lambda: pooled_mean_residual(SQRT, [_N], [_I]), "A_family[0]"),
+    "split_mean_residual": (lambda: split_mean_residual(SQRT, [_I], [_N]), "B_family[0]"),
+    "operator_perspective": (lambda: operator_perspective(SQRT, 2 * _I, _N), "B"),
+    "operator_jensen_residual": (lambda: operator_jensen_residual(SQRT, 0.5 * _I, _N), "X"),
+    "mean_monotonicity_residual A_part": (
+        lambda: mean_monotonicity_residual(SQRT, _N, _I, 3 * _I, 3 * _I),
+        "A_part",
+    ),
+    "mean_monotonicity_residual B_whole": (
+        lambda: mean_monotonicity_residual(SQRT, _I, _I, 3 * _I, _N),
+        "B_whole",
+    ),
+    "loewner_leq A": (lambda: loewner_leq(_N, 3 * _I), "A"),
+    "loewner_leq B": (lambda: loewner_leq(_I, _N), "B"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_HERMITIAN_CALLS))
+def test_non_hermitian_input_is_rejected(name):
+    call, what = _NOT_HERMITIAN_CALLS[name]
+    with pytest.raises(DomainError, match="^" + re.escape(what) + " is not Hermitian"):
+        call()

@@ -16,6 +16,8 @@ from logsumineq.functions import (
     q_log_fn,
     rational_fn,
 )
+from logsumineq import scalar
+from logsumineq.qlog import QLogParams, q_log
 from logsumineq.scalar import (
     SequencePair,
     convexity_check,
@@ -211,7 +213,8 @@ def test_reverse_evaluates_g_once_per_sequence(monkeypatch):
 
     monkeypatch.setattr(FunctionSpec, "__call__", counted)
     reverse_log_sum_gap(log_fn(), identity_fn(), pair_of([2.0, 1.0], [1.0, 2.0]))
-    assert evaluated == [[2.0, 1.0], [1.0, 2.0]]
+    # once on a, then once on b, each as the one-pair stack (1, n) of the kernel
+    assert evaluated == [[[2.0, 1.0]], [[1.0, 2.0]]]
 
 
 def test_reverse_checks_ga_before_gb():
@@ -347,3 +350,54 @@ def test_q_direction_flip_example():
     above = q_log_sum_gap(pair, q=3.0, r=1.0)
     assert below.holds and above.holds
     assert below.gap >= 0.0 and above.gap >= 0.0
+
+
+# -- stacked kernels ---------------------------------------------------------------
+
+
+def test_stacked_kernels_sum_each_row_over_its_active_terms_alone():
+    # at n = 16 numpy's pairwise sum groups a row with zeros in it differently
+    # from the row without them, so dropped terms must leave the sum, not be zeroed
+    rng = np.random.default_rng(16)
+    T, n = 40, 16
+    a = rng.uniform(0.1, 10.0, (T, n))
+    b = rng.uniform(0.1, 10.0, (T, n))
+    a[rng.random(a.shape) < 0.25] = 0.0
+    a[0] = 0.0  # a row without an active term
+    q, r = rng.uniform(-2.0, 1.9, T), rng.uniform(0.5, 2.0, T)
+
+    lhs, _, _ = scalar._forward(log_fn(), identity_fn(), a, b)
+    zeroed = 0
+    for t in range(T):
+        active = a[t] != 0.0
+        terms = a[t][active] * np.log(a[t][active] / b[t][active])
+        assert float(lhs[t]).hex() == float(np.sum(terms)).hex(), t
+        padded = np.zeros(n)
+        padded[active] = terms
+        zeroed += float(np.sum(padded)) != float(np.sum(terms))
+    assert zeroed > 0  # the case the kernel guards against occurs here
+
+    stacked = scalar._q_log_sums(a, b, q, r)
+    for t in range(T):
+        one = q_log_sum_gap(pair_of(a[t], b[t]), q[t], r[t])
+        got = [float(side[t]).hex() for side in stacked]
+        assert got == [float(x).hex() for x in (one.lhs, one.rhs, one.gap)], t
+
+
+def test_q_log_sum_lhs_takes_a_python_float_power():
+    # (sum s)**(1-q) is a Python float power, one pair at a time: numpy's
+    # vectorized pow differs from it in the last bit on a few percent of inputs
+    rng = np.random.default_rng(21)
+    T = 400
+    a, b = rng.uniform(0.1, 10.0, (T, 4)), rng.uniform(0.1, 10.0, (T, 4))
+    q, r = rng.uniform(-2.0, 1.9, T), rng.uniform(0.5, 2.0, T)
+    lhs, _, _ = scalar._q_log_sums(a, b, q, r)
+    sums, cores = [], []
+    for t in range(T):
+        p, s = a[t] ** float(r[t]), b[t] ** float(r[t])
+        sums.append(float(s.sum()))
+        cores.append(float(np.sum(p * q_log(p / s, QLogParams(float(q[t]))))))
+        want = sums[-1] ** (1.0 - float(q[t])) * cores[-1]
+        assert float(lhs[t]).hex() == want.hex(), t
+    vectorized = np.array(sums) ** (1.0 - q) * np.array(cores)
+    assert np.any(vectorized != lhs)  # the case the kernel guards against occurs here

@@ -8,10 +8,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logsumineq import traceform
-from logsumineq.errors import DomainError, PreconditionError, SupportError
+from logsumineq.errors import DimensionError, DomainError, PreconditionError, SupportError
 from logsumineq.functions import identity_fn, log_fn, power_fn
 from logsumineq.generators import rand_commuting_pair, rand_density, rand_density_pair, rand_unitary
-from logsumineq.matfun import apply_function, hermitize, make_commuting_pair, maxnorm, psd_inverse
+from logsumineq.matfun import (
+    _decompose,
+    apply_function,
+    hermitize,
+    make_commuting_pair,
+    maxnorm,
+    psd_inverse,
+)
 from logsumineq.scalar import SequencePair, generalized_log_sum_gap, q_log_sum_gap, reverse_log_sum_gap
 from logsumineq.traceform import (
     exp_log_trace_gap,
@@ -261,7 +268,8 @@ def test_relative_entropy_decomposes_each_state_once(eigh_calls):
     rho, sigma = rand_density_pair(np.random.default_rng(3), 4)
     eigh_calls.clear()
     quantum_relative_entropy(rho, sigma)
-    assert eigh_calls == [(4, 4), (4, 4)]  # rho (reused by joint_spectrum), then sigma
+    # rho (reused by joint_spectrum) beside sigma, in one stacked call
+    assert eigh_calls == [(1, 2, 4, 4)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -423,7 +431,70 @@ def _public_product_path(f, g, A, B, reverse=False):
 def test_product_path_on_the_joint_decomposition_is_the_public_route(seed, reverse):
     n = 1 + seed % 6
     A, B = rand_commuting_pair(np.random.default_rng(seed), n, (0.1, 5.0), (0.1, 5.0))
-    _, Bh, dec_a, _ = traceform._checked_joint(A, B)
-    got = traceform._product_path(log_fn(), power_fn(1.5), dec_a, Bh, reverse)
+    Ah, Bh = traceform._checked_pair(A, B)
+    got = traceform._product_path(log_fn(), power_fn(1.5), _decompose(Ah), Bh, reverse)
     want = _public_product_path(log_fn(), power_fn(1.5), A, B, reverse)
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_FUNCTIONS))
+def test_pair_of_different_shapes_is_a_dimension_error(name):
+    call = _PAIR_FUNCTIONS[name]
+    for A, B in ((np.eye(2), np.eye(3)), (np.eye(3), np.eye(2))):
+        with pytest.raises(DimensionError, match=r"^dimension mismatch") as err:
+            call(A, B)
+        assert f"{A.shape} vs {B.shape}" in str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_GAPS))
+def test_referee_recomputes_each_cross_checked_quantity(monkeypatch, name):
+    # the 50-digit product path of every cross-checked lhs and rhs, on an undisputed pair
+    refereed = []
+    real = traceform._cross_check
+
+    def spy(label, primary, product_path, rtol, referee):
+        refereed.append((label, float(primary[0]), referee(0)))
+        return real(label, primary, product_path, rtol, referee)
+
+    monkeypatch.setattr(traceform, "_cross_check", spy)
+    _PAIR_GAPS[name](*_INTERIOR)
+    assert len(refereed) == {"forward": 2, "reverse": 1, "q": 2, "exp_log": 1}[name]
+    for label, primary, value in refereed:
+        assert value == pytest.approx(primary, rel=1e-12, abs=1e-12), label
+
+
+def test_exp_log_rhs_takes_math_log():
+    # trace(A) log(trace A / trace B) is math.log on Python floats, one pair at a
+    # time: numpy's vectorized log differs from libm's on a few inputs in 10^4
+    rng = np.random.default_rng(22)
+    T = 20_000
+    wa, wb = rng.uniform(0.01, 10.0, (T, 2)), rng.uniform(0.01, 10.0, (T, 2))
+    U = rand_unitary(rng, 2)
+    A = (U * wa[:, None, :]) @ U.conj().T
+    B = (U * wb[:, None, :]) @ U.conj().T
+    A, B = (A + A.conj().swapaxes(-1, -2)) / 2, (B + B.conj().swapaxes(-1, -2)) / 2
+    _, rhs, _ = traceform._exp_log_traces(A, B)
+    ja, jb, _ = traceform._joint(_decompose(A), B)
+    sum_a, sum_b = ja.sum(axis=-1), jb.sum(axis=-1)
+    want = [sa * math.log(sa / sb) for sa, sb in zip(sum_a.tolist(), sum_b.tolist())]
+    assert rhs.tolist() == want
+    assert np.any(sum_a * np.log(sum_a / sum_b) != rhs)  # the case guarded against occurs
+
+
+def test_stacked_joint_spectrum_runs_the_cluster_loop_on_clustered_pairs_only(eigh_calls):
+    # a stack mixing pairs whose A has a repeated eigenvalue with pairs whose A has none
+    rng = np.random.default_rng(31)
+    pairs = []
+    for t in range(8):
+        wa = rng.uniform(1.0, 5.0, 4)
+        if t % 3 == 0:
+            wa[1] = wa[2]  # a cluster in A's spectrum
+        pairs.append(make_commuting_pair(rand_unitary(rng, 4), wa, rng.uniform(1.0, 5.0, 4)))
+    A, B = (np.stack([hermitize(M) for M in mats]) for mats in zip(*pairs))
+    eigh_calls.clear()
+    wa, wb, U = traceform._joint(_decompose(A), B)
+    # one stacked call, then one per cluster
+    assert eigh_calls == [(8, 4, 4)] + [(2, 2)] * 3
+    for t, (At, Bt) in enumerate(pairs):
+        want = joint_spectrum(At, Bt)
+        assert all(x[t].tobytes() == y.tobytes() for x, y in zip((wa, wb, U), want)), t
