@@ -23,7 +23,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import loewner, matfun, scalar, traceform
+from . import harness, loewner, matfun, scalar, traceform
 from .errors import DomainError, NumericError
 from .functions import FunctionSpec
 from .harness import SUITES, TrialConfig, counterexample_search, report_to_json, run_suite
@@ -39,25 +39,32 @@ __all__ = ["main"]
 _REQUIRED = object()
 
 
+def _number(value) -> float:
+    """A JSON number, int or float but not a bool, as a float."""
+    if type(value) not in (int, float):
+        raise DomainError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _fn(obj) -> FunctionSpec:
     if not isinstance(obj, dict) or "family" not in obj:
         raise DomainError("must be an object with a 'family' name")
     grid = obj.get("grid")
     if grid is not None:
-        grid = (tuple(map(float, grid[0])), tuple(map(float, grid[1])))
+        grid = (tuple(map(_number, grid[0])), tuple(map(_number, grid[1])))
     return FunctionSpec(
         family=str(obj["family"]),
-        param=None if obj.get("param") is None else float(obj["param"]),
-        offset=float(obj.get("offset", 0.0)),
+        param=None if obj.get("param") is None else _number(obj["param"]),
+        offset=_number(obj.get("offset", 0.0)),
         grid=grid,
-        limit_window=float(obj.get("limit_window", 1e-9)),
+        limit_window=_number(obj.get("limit_window", 1e-9)),
     )
 
 
 def _pair(obj) -> SequencePair:
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise DomainError("must be an object with lists 'a' and 'b'")
-    return SequencePair(tuple(map(float, obj["a"])), tuple(map(float, obj["b"])))
+    return SequencePair(tuple(map(_number, obj["a"])), tuple(map(_number, obj["b"])))
 
 
 def _family(objs) -> list[np.ndarray]:
@@ -67,18 +74,18 @@ def _family(objs) -> list[np.ndarray]:
 
 
 def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+    return [_number(v) for v in values]
 
 
 def _interval(obj) -> tuple[float, float]:
-    return (float(obj[0]), float(obj[1]))
+    return (_number(obj[0]), _number(obj[1]))
 
 
 def _exactly(kind: type, what: str):
-    """Parser that accepts only values of JSON type kind; no coercion."""
+    """Parser that accepts only values of JSON type kind, exactly: no coercion, no bool as int."""
 
     def parse(value):
-        if not isinstance(value, kind):
+        if type(value) is not kind:
             raise DomainError(f"must be {what}, got {value!r}")
         return value
 
@@ -90,7 +97,7 @@ _string = _exactly(str, "a string")
 # Each eval argument is parsed by its field name, whatever the op: name ->
 # (parser of the JSON value, default when the field is absent or null).
 _FIELDS = {
-    **dict.fromkeys(("x", "y", "q", "r"), (float, _REQUIRED)),
+    **dict.fromkeys(("x", "y", "q", "r"), (_number, _REQUIRED)),
     **dict.fromkeys(("f", "g"), (_fn, _REQUIRED)),
     **dict.fromkeys(
         ("M", "A", "B", "U", "X", "contraction", "rho", "sigma")
@@ -102,11 +109,11 @@ _FIELDS = {
     "pair": (_pair, _REQUIRED),
     "h_kind": (_string, _REQUIRED),
     "interval": (_interval, _REQUIRED),
-    "limit_window": (float, 1e-9),
-    "tol": (float, 1e-9),
-    "grid_points": (int, 101),
+    "limit_window": (_number, 1e-9),
+    "tol": (_number, 1e-9),
+    "grid_points": (_exactly(int, "an integer"), 101),
     "solver": (_string, "eigh"),
-    "floor": (float, None),
+    "floor": (_number, None),
     "lhs_form": (_string, "perspective_sum"),
     "require_expansive": (_exactly(bool, "true or false"), True),
 }
@@ -122,7 +129,7 @@ def _field(doc: dict, name: str):
         return default
     try:
         return parse(value)
-    except (TypeError, ValueError, LookupError) as exc:
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
         raise DomainError(f"field {name!r} is malformed: {exc}") from exc
 
 
@@ -300,18 +307,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_check, 1000, 4, 2)
     p_check.add_argument(
         "--generator",
-        choices=["expansive", "contractive", "unconstrained"],
+        choices=harness.FAMILY_KINDS,
         default="expansive",
-        help="matrix family kind for the operator suites",
+        help="the A family's kind; only the perspective_sum suite reads it",
     )
     p_check.set_defaults(fn=_cmd_check)
 
     p_search = sub.add_parser("search", help="contractive counterexample search (no pass/fail)")
     p_search.add_argument("--mode", required=True, choices=["contractive"])
     common(p_search, 10000, 3, 2)
-    p_search.add_argument(
-        "--lhs-form", choices=["perspective_sum", "sum_fb"], default="perspective_sum"
-    )
+    p_search.add_argument("--lhs-form", choices=harness.LHS_FORMS, default="perspective_sum")
     p_search.set_defaults(fn=_cmd_search)
 
     p_eval = sub.add_parser("eval", help="evaluate one operation on a JSON input document")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matfun import _adjoint, _herm, _total, hermitize
+from .matfun import SpectralDecomposition, _adjoint, _decompose, _herm, _total, hermitize
 from .scalar import SequencePair
 
 __all__ = [
@@ -99,13 +99,13 @@ def _build_contraction(s: np.ndarray, G: np.ndarray) -> np.ndarray:
     return (U * s[..., None, :]) @ Vh
 
 
-def _split_matching(total: np.ndarray, shares: np.ndarray) -> np.ndarray:
+def _split_matching(dec: SpectralDecomposition, shares: np.ndarray) -> np.ndarray:
     """carrier C_i carrier† with carrier = total^{1/2} S^{-1/2}, S = sum(C_i).
 
-    total (..., n, n) is Hermitian PD and shares (..., m, n, n) are PD; the
-    result's members sum to total.  Both roots come from one raw eigh call.
+    dec decomposes [S, total] (..., 2, n, n), total Hermitian PD, and shares
+    (..., m, n, n) are PD; the result's members sum to total.
     """
-    w, U = np.linalg.eigh(np.stack([_total(shares), total], axis=-3))
+    w, U = dec.eigenvalues, dec.unitary
     U_s, U_t = U[..., 0, :, :], U[..., 1, :, :]
     S_inv_half = (U_s * (1.0 / np.sqrt(w[..., 0, None, :]))) @ _adjoint(U_s)
     T_half = (U_t * np.sqrt(w[..., 1, None, :])) @ _adjoint(U_t)
@@ -213,4 +213,4 @@ def rand_split_matching(
     total = hermitize(total)
     spectra, gaussians = zip(*(_draw_pd(rng, total.shape[0], spectrum_range) for _ in range(m)))
     shares = _build(np.array(spectra), _unitaries(np.array(gaussians)))
-    return list(_split_matching(total, shares))
+    return list(_split_matching(_decompose(np.stack([_total(shares), total])), shares))

@@ -9,17 +9,19 @@ worst_case_seed replays its worst trial exactly:
 
 One loop serves run_suite and counterexample_search: it hands each block of
 consecutive trial seeds to the suite's evaluator.  Every suite is a draw
-plus a stacked kernel (_Stacked): every trial is drawn from its own seed,
-and the trials of each (n, m) group of a block are built and evaluated as
-one stack (at most one qr or svd per build, one eigensolver call per kernel
-step), bitwise equal to one-trial runs, so the blocks change no number in a
-report.  The kernels of the scalar and trace suites are those of the scalar
-and traceform layers, over (T, n) sequences and (T, n, n) commuting pairs;
-the seven Loewner suites take the residual kernels of loewner.
-Search-mode candidates keep the draws of their first pass and are
-re-verified through the independent Jacobi eigensolver at a tightened
-absolute tolerance before they are reported as findings: the same stacked
-kernel over each (n, m) group of a chunk of candidates, with three
+plus a stacked kernel (_Stacked).  _Stacked.draws, the one place a seed
+becomes an rng, hands each trial a fresh rng of its seed, and draw(rng,
+config) returns the trial's values in draw order; _stacks stacks each value
+over an (n, m) group of a block, and kernel(config, *stacks) builds and
+evaluates the group as one stack (at most one qr or svd per build, one
+eigensolver call per kernel step), bitwise equal to one-trial runs, so the
+blocks change no number in a report.  The kernels of the scalar and trace
+suites are those of the scalar and traceform layers, over (T, n) sequences
+and (T, n, n) commuting pairs; the seven Loewner suites take the residual
+kernels of loewner.  Search-mode candidates keep the draws of their first
+pass and are re-verified through the independent Jacobi eigensolver at a
+tightened absolute tolerance before they are reported as findings: the same
+stacked kernel over each (n, m) group of a chunk of candidates, with three
 jacobi_eigh calls per group in place of eigh.
 """
 
@@ -48,7 +50,7 @@ from .loewner import (
     _split_mean,
     perspective_sum_residual,  # noqa: F401 (the benchmark self-tests read it from harness)
 )
-from .matfun import _total, _verdict
+from .matfun import _decompose, _total, _verdict
 from .scalar import (
     _curvature_holds,
     _forward,
@@ -152,18 +154,20 @@ def _size(rng: np.random.Generator, cap: int) -> int:
 
 
 class _Draw(NamedTuple):
-    """The rng draws of one trial, in draw order."""
+    """The rng draws of one trial."""
 
     n: int  # the size of a trial's arrays: sequence length, matrix dimension or grid points
     m: int  # family size; 1 for the suites that draw no family
-    params: tuple  # the draws besides the Gaussians: sequences, spectra, orders, scales
-    gaussians: tuple[np.ndarray, ...] = ()  # the complex Gaussian (n, n) of each matrix
-    f: FunctionSpec | None = None
+    values: tuple  # the trial's draws, in draw order unless its draw says otherwise
 
 
-def _params(group: list[_Draw], *ks: int) -> list[np.ndarray]:
-    """The stacks over a group of its draws' params ks."""
-    return [np.array([d.params[k] for d in group]) for k in ks]
+def _stacks(group: list[_Draw]) -> list:
+    """Each value of a group of draws sharing (n, m), stacked over the group.
+
+    A FunctionSpec value stacks as a list of T specs, any other value as an array (T, ...).
+    """
+    values = zip(*(d.values for d in group))
+    return [list(v) if isinstance(v[0], FunctionSpec) else np.array(v) for v in values]
 
 
 def _gaps(sides, config: TrialConfig):
@@ -185,49 +189,42 @@ _SQUARE = power_fn(2.0)
 # -- scalar suites ---------------------------------------------------------
 
 
-def _pair(rng, config: TrialConfig):
+def _pair_draw(rng, config: TrialConfig) -> _Draw:
     """n, then rand_sequence_pair's two sequences."""
     n = _size(rng, config.n)
-    return n, gen.rand_sequence(rng, n), gen.rand_sequence(rng, n)
+    return _Draw(n, 1, (gen.rand_sequence(rng, n), gen.rand_sequence(rng, n)))
 
 
-def _pair_draw(trial_seed: int, config: TrialConfig) -> _Draw:
-    n, a, b = _pair(np.random.default_rng(trial_seed), config)
-    return _Draw(n, 1, (a, b))
+def _log_sum_gaps(config, a, b):
+    return _gaps(_forward(_LOG, _IDENTITY, a, b), config)
 
 
-def _log_sum_gaps(group, config):
-    return _gaps(_forward(_LOG, _IDENTITY, *_params(group, 0, 1)), config)
-
-
-def _equality_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+def _equality_draw(rng, config: TrialConfig) -> _Draw:
     """n, b, then the scale c of the proportional pair (c b, b)."""
-    rng = np.random.default_rng(trial_seed)
     n = _size(rng, config.n)
     b = gen.rand_sequence(rng, n)
     return _Draw(n, 1, (rng.uniform(0.1, 10.0) * b, b))
 
 
-def _equality_gaps(group, config):
-    lhs, rhs, gap = _forward(_LOG, _IDENTITY, *_params(group, 0, 1))
+def _equality_gaps(config, a, b):
+    lhs, rhs, gap = _forward(_LOG, _IDENTITY, a, b)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return -np.abs(gap), np.abs(gap) <= config.tolerance * scale
 
 
-def _reverse_gaps(group, config):
-    return _gaps(_reverse(_LOG, _IDENTITY, *_params(group, 0, 1)), config)
+def _reverse_gaps(config, a, b):
+    return _gaps(_reverse(_LOG, _IDENTITY, a, b), config)
 
 
-def _rational_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+def _rational_draw(rng, config: TrialConfig) -> _Draw:
     """n, a, then the ratios b_i / a_i."""
-    rng = np.random.default_rng(trial_seed)
     n = _size(rng, config.n)
     a = rng.uniform(1.0, 10.0, n)
     return _Draw(n, 1, (a, rng.uniform(0.9, 2.4, n) * a))
 
 
-def _rational_gaps(group, config):
-    return _gaps(_rational_example(*_params(group, 0, 1)), config)
+def _rational_gaps(config, a, b):
+    return _gaps(_rational_example(a, b), config)
 
 
 def _draw_q(rng) -> float:
@@ -237,135 +234,112 @@ def _draw_q(rng) -> float:
     return float(rng.uniform(2.1, 3.5))
 
 
-def _q_pair_draw(trial_seed: int, config: TrialConfig) -> _Draw:
-    """A sequence pair, then q and r."""
-    rng = np.random.default_rng(trial_seed)
-    n, a, b = _pair(rng, config)
-    return _Draw(n, 1, (a, b, _draw_q(rng), float(rng.uniform(0.5, 2.0))))
+def _with_q_r(draw):
+    """The draw that makes draw's values, then an order q and a power r."""
+
+    def draw_q_r(rng, config: TrialConfig) -> _Draw:
+        n, m, values = draw(rng, config)
+        return _Draw(n, m, (*values, _draw_q(rng), float(rng.uniform(0.5, 2.0))))
+
+    return draw_q_r
 
 
-def _q_log_sum_gaps(group, config):
-    return _gaps(_q_log_sums(*_params(group, 0, 1, 2, 3)), config)
+def _q_log_sum_gaps(config, a, b, q, r):
+    return _gaps(_q_log_sums(a, b, q, r), config)
 
 
 _Q_DIRECTIONS = (0.0, 0.5, 1.5, 2.5, 3.0)
 
 
-def _q_direction_gaps(group, config):
+def _q_direction_gaps(config, a, b):
     """The worst gap over the orders _Q_DIRECTIONS at r = 1, all orders of a group in one stack."""
-    a, b = (np.repeat(x, len(_Q_DIRECTIONS), axis=0) for x in _params(group, 0, 1))
-    q = np.tile(_Q_DIRECTIONS, len(group))
+    T = len(a)
+    a, b = (np.repeat(x, len(_Q_DIRECTIONS), axis=0) for x in (a, b))
+    q = np.tile(_Q_DIRECTIONS, T)
     gap, holds = _gaps(_q_log_sums(a, b, q, np.ones(len(q))), config)
-    gap, holds = gap.reshape(len(group), -1), holds.reshape(len(group), -1)
+    gap, holds = gap.reshape(T, -1), holds.reshape(T, -1)
     return functools.reduce(_min, gap.T), holds.all(axis=-1)
 
 
-def _ratio_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+def _ratio_draw(rng, config: TrialConfig) -> _Draw:
     """A sequence pair, then g: the identity or the square."""
-    rng = np.random.default_rng(trial_seed)
-    n, a, b = _pair(rng, config)
-    return _Draw(n, 1, (a, b), f=_IDENTITY if rng.random() < 0.5 else _SQUARE)
+    n, m, values = _pair_draw(rng, config)
+    return _Draw(n, m, (*values, _IDENTITY if rng.random() < 0.5 else _SQUARE))
 
 
-def _ratio_gaps(group, config):
+def _ratio_gaps(config, a, b, g):
     """Whether [m_g, M_g] is ordered and holds the aggregate ratio, within tolerance."""
-    m_g, M_g, agg = _ratio_bounds([d.f for d in group], *_params(group, 0, 1))
+    m_g, M_g, agg = _ratio_bounds(g, a, b)
     tol = config.tolerance * np.maximum(1.0, np.maximum(np.abs(m_g), np.abs(M_g)))
     holds = (m_g <= M_g + tol) & (m_g - tol <= agg) & (agg <= M_g + tol)
     return _min(_min(M_g - m_g, agg - m_g), M_g - agg), holds
 
 
-def _convexity_draw(trial_seed: int, config: TrialConfig) -> _Draw:
-    """The case, then its parameters; n is the grid size, which fixes the curvature kind.
-
-    params are the interval's ends and the expected verdict.
-    """
-    rng = np.random.default_rng(trial_seed)
+def _convexity_draw(rng, config: TrialConfig) -> _Draw:
+    """The case, then f, the interval's ends, the expected verdict and the grid size n."""
     case = int(rng.integers(4))
     if case == 0:
-        return _Draw(101, 1, (0.05 + 0.1 * rng.random(), 10.0, True), f=_LOG)
+        return _Draw(101, 1, (_LOG, 0.05 + 0.1 * rng.random(), 10.0, True, 101))
     if case == 1:
-        return _Draw(101, 1, (0.1, 10.0, False), f=q_log_fn(float(rng.uniform(2.05, 4.0))))
+        return _Draw(101, 1, (q_log_fn(float(rng.uniform(2.05, 4.0))), 0.1, 10.0, False, 101))
     if case == 2:
         lo, hi = float(rng.uniform(0.42, 0.6)), float(rng.uniform(5, 10))
-        return _Draw(201, 1, (lo, hi, True), f=rational_fn())
-    return _Draw(101, 1, (0.01, 5.0, True), f=power_fn(float(rng.uniform(0.2, 2.0))))
+        return _Draw(201, 1, (rational_fn(), lo, hi, True, 201))
+    return _Draw(101, 1, (power_fn(float(rng.uniform(0.2, 2.0))), 0.01, 5.0, True, 101))
 
 
-def _convexity_gaps(group, config):
-    lo, hi, expected = _params(group, 0, 1, 2)
-    h_kind = "xf1overx" if group[0].n == 201 else "xfx"
-    agree = _curvature_holds(h_kind, [d.f for d in group], lo, hi, group[0].n) == expected
+def _convexity_gaps(config, f, lo, hi, expected, points):
+    points = int(points[0])  # a group shares its grid size
+    h_kind = "xf1overx" if points == 201 else "xfx"
+    agree = _curvature_holds(h_kind, f, lo, hi, points) == expected
     return np.where(agree, 0.0, -1.0), agree
 
 
 # -- trace suites ----------------------------------------------------------
 
 
-def _commuting(rng, config: TrialConfig) -> _Draw:
+def _commuting_draw(rng, config: TrialConfig) -> _Draw:
     """n, then rand_commuting_pair's draws: the Gaussian, then the spectra wa and wb."""
     n = _size(rng, config.n)
-    G, wa, wb = gen._draw_commuting(rng, n, _TRACE_SPECTRUM, _TRACE_SPECTRUM)
-    return _Draw(n, 1, (wa, wb), (G,))
+    return _Draw(n, 1, gen._draw_commuting(rng, n, _TRACE_SPECTRUM, _TRACE_SPECTRUM))
 
 
-def _commuting_draw(trial_seed: int, config: TrialConfig) -> _Draw:
-    return _commuting(np.random.default_rng(trial_seed), config)
+def _trace_log_sum_gaps(config, G, wa, wb):
+    return _gaps(_trace_log_sums(_LOG, _IDENTITY, *gen._build_pair(G, wa, wb)), config)
 
 
-def _q_trace_draw(trial_seed: int, config: TrialConfig) -> _Draw:
-    """A commuting pair, then q and r."""
-    rng = np.random.default_rng(trial_seed)
-    draw = _commuting(rng, config)
-    return draw._replace(params=(*draw.params, _draw_q(rng), float(rng.uniform(0.5, 2.0))))
+def _trace_reverse_gaps(config, G, wa, wb):
+    return _gaps(_reverse_traces(_LOG, _IDENTITY, *gen._build_pair(G, wa, wb)), config)
 
 
-def _pairs(group: list[_Draw]) -> tuple[np.ndarray, np.ndarray]:
-    """The stacks (T, n, n) of the two matrices sharing each trial's basis."""
-    return gen._build_pair(np.array([d.gaussians[0] for d in group]), *_params(group, 0, 1))
+def _q_trace_gaps(config, G, wa, wb, q, r):
+    return _gaps(_q_traces(*gen._build_pair(G, wa, wb), q, r), config)
 
 
-def _trace_log_sum_gaps(group, config):
-    return _gaps(_trace_log_sums(_LOG, _IDENTITY, *_pairs(group)), config)
+def _exp_log_trace_gaps(config, G, wa, wb):
+    return _gaps(_exp_log_traces(*gen._build_pair(G, wa, wb)), config)
 
 
-def _trace_reverse_gaps(group, config):
-    return _gaps(_reverse_traces(_LOG, _IDENTITY, *_pairs(group)), config)
-
-
-def _q_trace_gaps(group, config):
-    return _gaps(_q_traces(*_pairs(group), *_params(group, 2, 3)), config)
-
-
-def _exp_log_trace_gaps(group, config):
-    return _gaps(_exp_log_traces(*_pairs(group)), config)
-
-
-def _density_pair_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+def _density_pair_draw(rng, config: TrialConfig) -> _Draw:
     """n, then rand_density_pair's draws: the Gaussian, then the spectra of rho and sigma."""
-    rng = np.random.default_rng(trial_seed)
     n = _size(rng, config.n)
-    G, w_rho, w_sigma = gen._draw_density_pair(rng, n)
-    return _Draw(n, 1, (w_rho, w_sigma), (G,))
+    return _Draw(n, 1, gen._draw_density_pair(rng, n))
 
 
-def _relative_entropy_gaps(group, config):
-    d = _relative_entropies(*_pairs(group))
+def _relative_entropy_gaps(config, G, w_rho, w_sigma):
+    d = _relative_entropies(*gen._build_pair(G, w_rho, w_sigma))
     return d, d >= -config.tolerance
 
 
-def _density_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+def _density_draw(rng, config: TrialConfig) -> _Draw:
     """n, then rand_density's draws: the spectrum, then the Gaussian."""
-    rng = np.random.default_rng(trial_seed)
     n = _size(rng, config.n)
-    w, G = gen._draw_density(rng, n)
-    return _Draw(n, 1, (w,), (G,))
+    return _Draw(n, 1, gen._draw_density(rng, n))
 
 
-def _entropy_bound_gaps(group, config):
-    (w,) = _params(group, 0)
-    s = _entropies(gen._build(w, gen._unitaries(np.array([d.gaussians[0] for d in group]))))
-    margin = _min(s, math.log(group[0].n) - s)
+def _entropy_bound_gaps(config, w, G):
+    s = _entropies(gen._build(w, gen._unitaries(G)))
+    margin = _min(s, math.log(w.shape[-1]) - s)
     return margin, margin >= -config.tolerance
 
 
@@ -394,147 +368,133 @@ _SHANNON_POWER = power_fn(0.5, offset=-1.0)  # sqrt pinned to f(1) = 0
 def _family_draw(rng, config: TrialConfig, a_kind: str = "unconstrained"):
     """m, n, then m members of a_kind (the A family) and m unconstrained PD members (B).
 
-    Returns the n, m, params and gaussians fields of the trial's _Draw.
+    Returns n, m and the values: the amplitudes and Gaussians of an expansive A, then the
+    spectra and Gaussians of B; or else the spectra and the Gaussians of all 2m members.
     """
     m = _size(rng, config.m)
     n = _size(rng, config.n)
     draw_a = _MEMBER_DRAWS[a_kind]
-    draws = [draw_a(rng, n, config.spectrum_range) for _ in range(m)]
-    draws += [gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)]
-    params, gaussians = zip(*draws)
-    return n, m, params, gaussians
-
-
-def _family_stacks(group: list[_Draw], a_kind: str = "unconstrained"):
-    """Stacks (T, m, n, n) of the A and B families of family draws sharing (n, m)."""
-    m = group[0].m
-    params = [d.params for d in group]
-    G = np.array([d.gaussians for d in group])
+    a = [draw_a(rng, n, config.spectrum_range) for _ in range(m)]
+    b = [gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)]
     if a_kind == "expansive":
-        As = gen._build_expansive(np.array([p[:m] for p in params]), G[:, :m])
-        return As, gen._build(np.array([p[m:] for p in params]), gen._unitaries(G[:, m:]))
-    mats = gen._build(np.array(params), gen._unitaries(G))
+        return n, m, (*zip(*a), *zip(*b))
+    return n, m, tuple(zip(*a, *b))
+
+
+def _families(*stacks):
+    """The A and B stacks (T, m, n, n) built from the stacked values of _family_draw."""
+    if len(stacks) == 4:  # an expansive A family
+        amp, G_a, w_b, G_b = stacks
+        return gen._build_expansive(amp, G_a), gen._build(w_b, gen._unitaries(G_b))
+    w, G = stacks
+    m = w.shape[1] // 2
+    mats = gen._build(w, gen._unitaries(G))
     return mats[:, :m], mats[:, m:]
 
 
-def _sum_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+def _sum_draw(rng, config: TrialConfig) -> _Draw:
     """An A family of config.family_kind, an unconstrained B family, then f."""
-    rng = np.random.default_rng(trial_seed)
-    return _Draw(*_family_draw(rng, config, config.family_kind), _concave_f(rng))
+    n, m, values = _family_draw(rng, config, config.family_kind)
+    return _Draw(n, m, (*values, _concave_f(rng)))
 
 
-def _sum_residuals(group: list[_Draw], config: TrialConfig, solver: str = "eigh") -> np.ndarray:
-    As, Bs = _family_stacks(group, config.family_kind)
-    return _perspective_sums(
-        [d.f for d in group],
-        As,
-        Bs,
-        config.lhs_form,
-        config.family_kind == "expansive",
-        config.tolerance,
-        solver,
-    )
+def _sum_residuals(config: TrialConfig, *stacks, solver: str = "eigh") -> np.ndarray:
+    *family, fs = stacks
+    As, Bs = _families(*family)
+    expansive = config.family_kind == "expansive"
+    return _perspective_sums(fs, As, Bs, config.lhs_form, expansive, config.tolerance, solver)
 
 
-def _jensen_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+def _jensen_draw(rng, config: TrialConfig) -> _Draw:
     """rand_contraction's Gaussian and singular values, then rand_psd's Gaussian."""
-    rng = np.random.default_rng(trial_seed)
     n = _size(rng, config.n)
     g_c = gen._complex_gaussian(rng, n)
-    s = rng.random(n)
-    return _Draw(n, 1, (s,), (g_c, gen._complex_gaussian(rng, n)))
+    return _Draw(n, 1, (g_c, rng.random(n), gen._complex_gaussian(rng, n)))
 
 
-def _jensen_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
-    G = np.array([d.gaussians for d in group])
-    C = gen._build_contraction(np.array([d.params[0] for d in group]), G[:, 0])
-    return _operator_jensen(_SQRT, C, gen._build_psd(2.0, G[:, 1]))
+def _jensen_residuals(config, G_c, s, G_x):
+    return _operator_jensen(_SQRT, gen._build_contraction(s, G_c), gen._build_psd(2.0, G_x))
 
 
-def _shannon_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+def _shannon_draw(rng, config: TrialConfig) -> _Draw:
     """An expansive A family, the shares of rand_split_matching, then f with f(1) = 0."""
-    rng = np.random.default_rng(trial_seed)
-    n, m, params, gaussians = _family_draw(rng, config, "expansive")
+    n, m, values = _family_draw(rng, config, "expansive")
     f = _concave_f(rng)
-    return _Draw(n, m, params, gaussians, _SHANNON_POWER if f.family == "power" else f)
+    return _Draw(n, m, (*values, _SHANNON_POWER if f.family == "power" else f))
 
 
-def _shannon_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
-    As, shares = _family_stacks(group, "expansive")
-    Bs = gen._split_matching(_total(As), shares)
-    return _operator_shannon([d.f for d in group], As, Bs, config.tolerance)
+def _shannon_residuals(config, *stacks) -> np.ndarray:
+    """One decomposition of [S, A, A_1..A_m]: S = sum(shares) and A = sum(A_i)."""
+    *family, fs = stacks
+    As, shares = _families(*family)
+    totals = np.stack([_total(shares), _total(As)], axis=1)
+    dec = _decompose(np.concatenate([totals, As], axis=1))
+    Bs = gen._split_matching(dec[:, :2], shares)
+    return _operator_shannon(fs, As, Bs, dec[:, 1:], config.tolerance)
 
 
-def _pooled_inverse_draw(trial_seed: int, config: TrialConfig) -> _Draw:
+def _pooled_inverse_draw(rng, config: TrialConfig) -> _Draw:
     """m, n, m rand_pd members A_i, then m rand_square members X_i."""
-    rng = np.random.default_rng(trial_seed)
     m = _size(rng, config.m)
     n = _size(rng, config.n)
-    spectra, gaussians = zip(*(gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)))
-    squares = tuple(gen._complex_gaussian(rng, n) for _ in range(m))
-    return _Draw(n, m, spectra, gaussians + squares)
+    pds = [gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)]
+    return _Draw(n, m, (*zip(*pds), tuple(gen._complex_gaussian(rng, n) for _ in range(m))))
 
 
-def _pooled_inverse_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
-    m = group[0].m
-    G = np.array([d.gaussians for d in group])
-    As = gen._build(np.array([d.params for d in group]), gen._unitaries(G[:, :m]))
-    return _pooled_inverse(G[:, m:], As)
+def _pooled_inverse_residuals(config, w, G, X) -> np.ndarray:
+    return _pooled_inverse(X, gen._build(w, gen._unitaries(G)))
 
 
-def _mean_draw(trial_seed: int, config: TrialConfig) -> _Draw:
-    return _Draw(*_family_draw(np.random.default_rng(trial_seed), config))
+def _mean_draw(rng, config: TrialConfig) -> _Draw:
+    return _Draw(*_family_draw(rng, config))
 
 
-def _pooled_mean_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
-    return _pooled_mean(_SQRT, *_family_stacks(group))
+def _pooled_mean_residuals(config, w, G) -> np.ndarray:
+    return _pooled_mean(_SQRT, *_families(w, G))
 
 
-def _split_mean_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
-    return _split_mean(_SQRT, *_family_stacks(group))
+def _split_mean_residuals(config, w, G) -> np.ndarray:
+    return _split_mean(_SQRT, *_families(w, G))
 
 
-def _monotonicity_draw(trial_seed: int, config: TrialConfig) -> _Draw:
-    """A_part, B_part, the scale and Gaussian of the PSD step to A_whole, B_whole's PD step."""
-    rng = np.random.default_rng(trial_seed)
+def _monotonicity_draw(rng, config: TrialConfig) -> _Draw:
+    """A_part, B_part, the scale and Gaussian of the PSD step to A_whole, B_whole's PD step.
+
+    The values are the spectra and the Gaussians of the three PD draws
+    (A_part, B_part, B_whole - B_part), then the PSD step's scale and Gaussian.
+    """
     n = _size(rng, config.n)
-    a_part, g_a = gen._draw_pd(rng, n, config.spectrum_range)
-    b_part, g_b = gen._draw_pd(rng, n, config.spectrum_range)
+    a_part = gen._draw_pd(rng, n, config.spectrum_range)
+    b_part = gen._draw_pd(rng, n, config.spectrum_range)
     scale = rng.uniform(0.1, 1.0)
     g_psd = gen._complex_gaussian(rng, n)
-    b_step, g_step = gen._draw_pd(rng, n, (0.05, 0.5))
-    return _Draw(n, 1, (a_part, b_part, scale, b_step), (g_a, g_b, g_psd, g_step))
+    b_step = gen._draw_pd(rng, n, (0.05, 0.5))
+    return _Draw(n, 1, (*zip(a_part, b_part, b_step), scale, g_psd))
 
 
-def _monotonicity_residuals(group: list[_Draw], config: TrialConfig) -> np.ndarray:
-    G = np.array([d.gaussians for d in group])
-    pd = [0, 1, 3]  # A_part, B_part, B_whole - B_part
-    spectra = np.array([[d.params[k] for k in pd] for d in group])
-    mats = gen._build(spectra, gen._unitaries(G[:, pd]))
-    A_part, B_part = mats[:, 0], mats[:, 1]
-    A_step = gen._build_psd(np.array([d.params[2] for d in group]), G[:, 2])
-    return _mean_monotonicity(
-        _SQRT, A_part, B_part, A_part + A_step, B_part + mats[:, 2], config.tolerance
-    )
+def _monotonicity_residuals(config, w, G, scale, G_psd) -> np.ndarray:
+    A_part, B_part, B_step = np.moveaxis(gen._build(w, gen._unitaries(G)), 1, 0)
+    A_whole = A_part + gen._build_psd(scale, G_psd)
+    return _mean_monotonicity(_SQRT, A_part, B_part, A_whole, B_part + B_step, config.tolerance)
 
 
 def _grouped(draws: list[_Draw], evaluate):
-    """(positions in draws, evaluate(group)) of each group of draws sharing (n, m)."""
+    """(positions in draws, evaluate(*stacks)) of each group of draws sharing (n, m)."""
     groups: dict[tuple[int, int], list[int]] = {}
     for k, d in enumerate(draws):
         groups.setdefault((d.n, d.m), []).append(k)
     for ks in groups.values():
-        yield ks, evaluate([draws[k] for k in ks])
+        yield ks, evaluate(*_stacks([draws[k] for k in ks]))
 
 
 def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
     """Gap and holds flag of each trial, as Python lists.
 
-    kernel(group, config) gives the gaps and holds flags (T,) of a group of
-    draws sharing (n, m).
+    kernel(config, *stacks) gives the gaps and holds flags (T,) of a group
+    of draws sharing (n, m).
     """
     gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
-    for ks, (gap, ok) in _grouped(draws, lambda group: kernel(group, config)):
+    for ks, (gap, ok) in _grouped(draws, functools.partial(kernel, config)):
         gaps[ks], holds[ks] = gap, ok
     return gaps.tolist(), holds.tolist()
 
@@ -542,11 +502,11 @@ def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
 def _min_eigenvalues(residuals):
     """The kernel of a Loewner suite: each trial's residual minimum eigenvalue and holds flag.
 
-    residuals(group, config) gives the residual eigenvalues (T, n) of a group.
+    residuals(config, *stacks) gives the residual eigenvalues (T, n) of a group.
     """
 
-    def kernel(group, config):
-        verdict = _verdict(residuals(group, config), config.tolerance)
+    def kernel(config, *stacks):
+        verdict = _verdict(residuals(config, *stacks), config.tolerance)
         return verdict.residual_min_eigenvalue, verdict.holds
 
     return kernel
@@ -555,18 +515,22 @@ def _min_eigenvalues(residuals):
 class _Stacked:
     """The block evaluator of a suite given as a draw and a stacked kernel.
 
-    draw(trial_seed, config) makes a trial's rng draws in the order of the
-    one-trial generators; kernel(group, config) builds the stacks of a
-    group of draws sharing (n, m) and returns the gap and holds flag (T,)
-    of each trial.
+    draw(rng, config) makes a trial's draws from its rng in the order of the
+    one-trial generators; kernel(config, *stacks) builds a group of draws
+    sharing (n, m) from the stacks of their values (_stacks) and returns the
+    gap and holds flag (T,) of each trial.
     """
 
     def __init__(self, draw, kernel):
         self.draw = draw
         self.kernel = kernel
 
+    def draws(self, seeds, config: TrialConfig) -> list[_Draw]:
+        """The draws of the trials seeded seeds, each from a fresh rng of its seed."""
+        return [self.draw(np.random.default_rng(ts), config) for ts in seeds]
+
     def __call__(self, seeds, config):
-        return _verdicts([self.draw(ts, config) for ts in seeds], config, self.kernel)
+        return _verdicts(self.draws(seeds, config), config, self.kernel)
 
 
 _sum_verdicts = _min_eigenvalues(_sum_residuals)
@@ -577,13 +541,13 @@ SUITES = {
     "scalar_equality": _Stacked(_equality_draw, _equality_gaps),
     "scalar_reverse": _Stacked(_pair_draw, _reverse_gaps),
     "rational_reverse": _Stacked(_rational_draw, _rational_gaps),
-    "q_log_sum": _Stacked(_q_pair_draw, _q_log_sum_gaps),
+    "q_log_sum": _Stacked(_with_q_r(_pair_draw), _q_log_sum_gaps),
     "q_direction": _Stacked(_pair_draw, _q_direction_gaps),
     "ratio_bounds": _Stacked(_ratio_draw, _ratio_gaps),
     "convexity_check": _Stacked(_convexity_draw, _convexity_gaps),
     "trace_log_sum": _Stacked(_commuting_draw, _trace_log_sum_gaps),
     "trace_reverse": _Stacked(_commuting_draw, _trace_reverse_gaps),
-    "q_trace": _Stacked(_q_trace_draw, _q_trace_gaps),
+    "q_trace": _Stacked(_with_q_r(_commuting_draw), _q_trace_gaps),
     "exp_log_trace": _Stacked(_commuting_draw, _exp_log_trace_gaps),
     "relative_entropy": _Stacked(_density_pair_draw, _relative_entropy_gaps),
     "entropy_bound": _Stacked(_density_draw, _entropy_bound_gaps),
@@ -663,7 +627,7 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
         """Re-verify a chunk of candidates through the Jacobi solver, one stack per group."""
         rechecks = np.empty(len(chunk))
         draws = [draw for *_, draw in chunk]
-        for ks, w in _grouped(draws, lambda group: _sum_residuals(group, config, "jacobi")):
+        for ks, w in _grouped(draws, functools.partial(_sum_residuals, config, solver="jacobi")):
             rechecks[ks] = w.min(axis=-1)
         for (index, ts, min_eig, draw), recheck in zip(chunk, rechecks.tolist()):
             if recheck < -RECHECK_ABS_TOL:
@@ -673,7 +637,7 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
                         "seed": ts,
                         "n": draw.n,
                         "m": draw.m,
-                        "f": draw.f.label(),
+                        "f": draw.values[-1].label(),  # the draw's last value is f
                         "lhs_form": config.lhs_form,
                         "first_min_eigenvalue": min_eig,
                         "recheck_min_eigenvalue": recheck,
@@ -682,7 +646,7 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
 
     def first_pass(seeds, config):
         """The block's verdicts; its failing trials join the candidates with their draws."""
-        draws = [_sum_draw(ts, config) for ts in seeds]
+        draws = _perspective_sum_verdicts.draws(seeds, config)
         min_eigs, holds = _verdicts(draws, config, _sum_verdicts)
         for ts, draw, min_eig, ok in zip(seeds, draws, min_eigs, holds):
             if not ok:

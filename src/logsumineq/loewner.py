@@ -118,8 +118,10 @@ def _validate_family(mats, what: str) -> np.ndarray:
 def _validate_families(A_family, B_family) -> tuple[np.ndarray, np.ndarray]:
     As = _validate_family(A_family, "A_family")
     Bs = _validate_family(B_family, "B_family")
-    if len(As) != len(Bs) or As[0].shape != Bs[0].shape:
-        raise DomainError("families must match in length and dimension")
+    if len(As) != len(Bs):
+        raise DomainError("A_family and B_family must have the same length")
+    if As[0].shape != Bs[0].shape:
+        raise DomainError("A_family and B_family must share dimension")
     return As, Bs
 
 
@@ -282,12 +284,7 @@ def perspective_sum_residual(
     search mode).  solver="jacobi" computes every eigendecomposition with the
     Jacobi solver instead of eigh.
     """
-    As = _validate_family(A_family, "A_family")
-    Bs = _validate_family(B_family, "B_family")
-    if len(As) != len(Bs):
-        raise DomainError("A_family and B_family must have the same length")
-    if As[0].shape != Bs[0].shape:
-        raise DomainError("A_family and B_family must share dimension")
+    As, Bs = _validate_families(A_family, B_family)
     require_operator_class(f, "operator_concave")
     w = _perspective_sums(
         [f], As[None], Bs[None], lhs_form, require_expansive, tol, solver
@@ -295,10 +292,10 @@ def perspective_sum_residual(
     return _verdict(w[0], tol)
 
 
-def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, tol: float) -> np.ndarray:
+def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, dec, tol: float) -> np.ndarray:
     """Residual eigenvalues (T, n) of the operator Shannon check for Hermitian stacks (T, m, n, n).
 
-    fs[t] is trial t's f.
+    fs[t] is trial t's f; dec decomposes [A, A_1..A_m] (T, m + 1, n, n), A = sum(A_i).
     """
     for f in dict.fromkeys(fs):
         require_operator_class(f, "operator_concave")
@@ -311,7 +308,6 @@ def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, tol: float) -> np.ndar
     if bad.any():
         (mismatch,) = _first(bad, mismatch)
         raise PreconditionError(f"sum(A_i) != sum(B_i) (maxnorm mismatch {mismatch:.3e})")
-    dec = _decompose(np.concatenate([A[:, None], As], axis=1))
     _require_expansive(dec.eigenvalues[:, 0], As.shape[1], tol)
     total = _total(_perspective(fs, dec[:, 1:], Bs))
     return _decompose(_herm(-total)).eigenvalues
@@ -327,7 +323,8 @@ def operator_shannon_residual(
     -sum_i A_i^{1/2} f(A_i^{-1/2} B_i A_i^{-1/2}) A_i^{1/2} >= 0.
     """
     As, Bs = _validate_families(A_family, B_family)
-    return _verdict(_operator_shannon([f], As[None], Bs[None], tol)[0], tol)
+    dec = _decompose(np.concatenate([_total(As)[None], As])[None])
+    return _verdict(_operator_shannon([f], As[None], Bs[None], dec, tol)[0], tol)
 
 
 def _pooled_inverse(Xs: np.ndarray, As: np.ndarray) -> np.ndarray:

@@ -408,25 +408,34 @@ def test_eval_empty_document_names_first_field(tmp_path, capsys, op):
     )
 
 
-# A value of the wrong JSON type for every eval field.
+# Malformed values of every eval field, mostly of the wrong JSON type: a number
+# field takes neither a list, a bool, a string nor an integer beyond float
+# range, and grid_points takes JSON integers only.
+_NOT_NUMBERS = [[1.0], True, "1", 10**400]
 _WRONG_TYPED = {
-    **dict.fromkeys(("x", "y", "q", "r", "limit_window", "tol", "floor", "grid_points"), [1.0]),
-    **dict.fromkeys(("f", "g", "pair", "interval", "lambda_a", "lambda_b"), 5),
-    **dict.fromkeys(("h_kind", "solver", "lhs_form"), 5),
-    **dict.fromkeys(("M", "A", "B", "U", "X", "contraction", "rho", "sigma"), 5),
-    **dict.fromkeys(("A_part", "B_part", "A_whole", "B_whole"), 5),
-    **dict.fromkeys(("A_family", "B_family", "X_family"), 5),
-    "require_expansive": "false",
+    **dict.fromkeys(("x", "y", "q", "r", "limit_window", "tol", "floor"), _NOT_NUMBERS),
+    "grid_points": [[1.0], True, "1", 3.9],
+    "f": [5, {"family": "power", "param": "0.5"}],
+    "g": [5, {"family": "identity", "offset": True}],
+    "pair": [5, {"a": [True, 2.0], "b": [1.0, 2.0]}],
+    "interval": [5, [True, 2.0]],
+    **dict.fromkeys(("lambda_a", "lambda_b"), [5, ["1", "2"]]),
+    **dict.fromkeys(("h_kind", "solver", "lhs_form"), [5]),
+    **dict.fromkeys(("M", "A", "B", "U", "X", "contraction", "rho", "sigma"), [5]),
+    **dict.fromkeys(("A_part", "B_part", "A_whole", "B_whole"), [5]),
+    **dict.fromkeys(("A_family", "B_family", "X_family"), [5]),
+    "require_expansive": ["false"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(cli._FIELDS))
 def test_eval_wrong_typed_field_exits_two_naming_it(tmp_path, capsys, name):
     op = next(op for op, (_, fields) in cli.EVAL_OPS.items() if name in fields)
-    doc = {**EVAL_FIXTURES[op][0], name: _WRONG_TYPED[name]}
-    code, out, err = _eval(tmp_path, capsys, op, doc)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: field {name!r} is malformed: ")
+    for value in _WRONG_TYPED[name]:
+        doc = {**EVAL_FIXTURES[op][0], name: value}
+        code, out, err = _eval(tmp_path, capsys, op, doc)
+        assert (code, out) == (2, ""), value
+        assert err.startswith(f"error: field {name!r} is malformed: "), value
 
 
 def test_eval_non_object_document_exits_two(tmp_path, capsys):

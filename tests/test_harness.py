@@ -311,7 +311,7 @@ def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls):
     groups = 0
     for first in range(0, cfg.trials, harness._BLOCK):
         block = range(first, min(first + harness._BLOCK, cfg.trials))
-        draws = [harness._sum_draw(cfg.seed + index, cfg) for index in block]
+        draws = harness._perspective_sum_verdicts.draws([cfg.seed + index for index in block], cfg)
         groups += len({(d.n, d.m) for d in draws})
     assert groups <= cfg.n * cfg.m * math.ceil(cfg.trials / harness._BLOCK)
     eigh_calls.clear()
@@ -326,7 +326,7 @@ def test_search_recheck_takes_three_jacobi_calls_per_group_per_block(monkeypatch
     groups = 0
     for first in range(0, len(failures), harness._BLOCK):
         chunk = failures[first : first + harness._BLOCK]
-        draws = [harness._sum_draw(ts, cfg) for _, ts, _ in chunk]
+        draws = harness._perspective_sum_verdicts.draws([ts for _, ts, _ in chunk], cfg)
         groups += len({(d.n, d.m) for d in draws})
     assert failures and groups <= cfg.n * cfg.m * math.ceil(len(failures) / harness._BLOCK)
     jacobi_calls = []
@@ -370,19 +370,27 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
         assert verdict.residual_min_eigenvalue == finding["recheck_min_eigenvalue"]
 
 
-def test_search_draws_each_trial_once(monkeypatch):
-    # the recheck reuses the candidates' first-pass draws
-    draws = []
-    real = harness._sum_draw
+@pytest.mark.parametrize("run", [*sorted(SUITES), "search perspective_sum", "search sum_fb"])
+def test_each_trial_draws_from_one_rng_of_its_trial_seed(monkeypatch, run):
+    # trial i of seed s draws from the stream (s + i) mod 2**64, here across the
+    # wrap; the search's recheck reuses the candidates' first-pass draws
+    seeds = []
+    real = np.random.default_rng
 
-    def counting(trial_seed, config):
-        draws.append(trial_seed)
-        return real(trial_seed, config)
+    def recording(seed):
+        seeds.append(seed)
+        return real(seed)
 
-    monkeypatch.setattr(harness, "_sum_draw", counting)
-    cfg = _search_config("sum_fb", 2000)
-    assert counterexample_search(cfg).findings
-    assert draws == [cfg.seed + index for index in range(cfg.trials)]
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    seed = 2**64 - 3
+    if run.startswith("search"):
+        cfg = _search_config(run.split()[1], 300, seed=seed)
+        rep = counterexample_search(cfg)
+        assert bool(rep.findings) == (cfg.lhs_form == "sum_fb")
+    else:
+        cfg = TrialConfig(suite=run, trials=6, seed=seed, n=3, m=2)
+        run_suite(cfg)
+    assert seeds == [(seed + index) % 2**64 for index in range(cfg.trials)]
 
 
 # -- one block loop for every suite --------------------------------------------
@@ -542,7 +550,7 @@ def test_loewner_suite_trials_equal_the_public_residual(monkeypatch, suite):
 # LAPACK calls of each group of a block: eigh (one per kernel step), qr, svd.
 _GROUP_CALLS = {
     "operator_jensen": (2, 0, 1),  # [C† X C, X]; residual.  The contractions' svd.
-    "operator_shannon": (4, 1, 0),  # split matching; [A, A_i]; perspective; residual
+    "operator_shannon": (3, 1, 0),  # [S, A, A_i] for the split matching; perspective; residual
     "pooled_inverse": (2, 1, 0),  # [A_i, A]; residual
     "pooled_mean": (4, 1, 0),  # [B_i, B, A_i, A]; means' arguments; f-sum; residual
     "split_mean": (3, 1, 0),  # [A_i, A, B_i, B]; means' arguments; residual
@@ -553,11 +561,10 @@ _GROUP_CALLS = {
 @pytest.mark.parametrize("suite", LOEWNER_SUITES)
 def test_loewner_suite_lapack_calls_per_group_per_block(lapack_calls, suite):
     cfg = TrialConfig(suite=suite, trials=300, seed=5, n=3, m=2)
-    draw = SUITES[suite].draw
     groups = 0
     for first in range(0, cfg.trials, harness._BLOCK):
-        block = range(first, min(first + harness._BLOCK, cfg.trials))
-        groups += len({(d.n, d.m) for d in (draw(cfg.seed + index, cfg) for index in block)})
+        block = [cfg.seed + i for i in range(first, min(first + harness._BLOCK, cfg.trials))]
+        groups += len({(d.n, d.m) for d in SUITES[suite].draws(block, cfg)})
     assert groups <= cfg.n * cfg.m * math.ceil(cfg.trials / harness._BLOCK)
     for calls in lapack_calls.values():
         calls.clear()
@@ -689,11 +696,10 @@ _TRACE_GROUP_CALLS = {
 @pytest.mark.parametrize("suite", sorted(_TRACE_GROUP_CALLS))
 def test_trace_suite_lapack_calls_per_group_per_block(lapack_calls, suite):
     cfg = TrialConfig(suite=suite, trials=300, seed=5, n=4)
-    draw = SUITES[suite].draw
     groups = 0
     for first in range(0, cfg.trials, harness._BLOCK):
-        block = range(first, min(first + harness._BLOCK, cfg.trials))
-        groups += len({d.n for d in (draw(cfg.seed + index, cfg) for index in block)})
+        block = [cfg.seed + i for i in range(first, min(first + harness._BLOCK, cfg.trials))]
+        groups += len({d.n for d in SUITES[suite].draws(block, cfg)})
     assert groups <= cfg.n * math.ceil(cfg.trials / harness._BLOCK)
     for calls in lapack_calls.values():
         calls.clear()

@@ -47,7 +47,15 @@ from logsumineq.loewner import (
     pooled_mean_residual,
     split_mean_residual,
 )
-from logsumineq.matfun import hermitize, loewner_leq, maxnorm, psd_inverse, psd_sqrt
+from logsumineq.matfun import (
+    _decompose,
+    _total,
+    hermitize,
+    loewner_leq,
+    maxnorm,
+    psd_inverse,
+    psd_sqrt,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=5)
@@ -484,8 +492,10 @@ def test_shannon_stack_reports_the_non_expansive_trial():
     with pytest.raises(PreconditionError) as one:
         operator_shannon_residual(As[1], Bs[1], f)
     assert str(one.value).startswith("family is not expansive")
+    As = np.array(As)
+    dec = _decompose(np.concatenate([_total(As)[:, None], As], axis=1))
     with pytest.raises(PreconditionError) as stacked:
-        _operator_shannon([f] * 3, np.array(As), np.array(Bs), 1e-9)
+        _operator_shannon([f] * 3, As, np.array(Bs), dec, 1e-9)
     assert str(stacked.value) == str(one.value)
     for t in (0, 2):
         assert operator_shannon_residual(As[t], Bs[t], f).holds
@@ -532,3 +542,28 @@ def test_non_hermitian_input_is_rejected(name):
     call, what = _NOT_HERMITIAN_CALLS[name]
     with pytest.raises(DomainError, match="^" + re.escape(what) + " is not Hermitian"):
         call()
+
+
+# -- matched A and B families --------------------------------------------------------
+
+# The public functions that take an A and a B family, called on (As, Bs) with f = sqrt.
+_FAMILY_PAIR_CALLS = {
+    "perspective_sum_residual": lambda As, Bs: perspective_sum_residual(SQRT, As, Bs),
+    "operator_shannon_residual": lambda As, Bs: operator_shannon_residual(As, Bs, SQRT),
+    "pooled_mean_residual": lambda As, Bs: pooled_mean_residual(SQRT, As, Bs),
+    "split_mean_residual": lambda As, Bs: split_mean_residual(SQRT, As, Bs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_PAIR_CALLS))
+def test_families_of_different_length_are_rejected(name):
+    with pytest.raises(DomainError) as exc:
+        _FAMILY_PAIR_CALLS[name]([2 * _I, 2 * _I], [_I])
+    assert str(exc.value) == "A_family and B_family must have the same length"
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_PAIR_CALLS))
+def test_families_of_different_dimension_are_rejected(name):
+    with pytest.raises(DomainError) as exc:
+        _FAMILY_PAIR_CALLS[name]([2 * _I], [np.eye(3)])
+    assert str(exc.value) == "A_family and B_family must share dimension"
