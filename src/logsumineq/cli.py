@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 
@@ -40,9 +41,11 @@ _REQUIRED = object()
 
 
 def _number(value) -> float:
-    """A JSON number, int or float but not a bool, as a float."""
+    """A finite JSON number, int or float but not a bool, as a float."""
     if type(value) not in (int, float):
         raise DomainError(f"must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -231,17 +234,21 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_check(args) -> int:
-    config = TrialConfig(
-        suite=args.suite,
+def _config(args, **fields) -> TrialConfig:
+    """The TrialConfig of the options common to check and search, plus the command's fields."""
+    return TrialConfig(
         trials=args.trials,
         seed=args.seed,
         n=args.dim,
         m=args.m,
         tolerance=args.tol,
         spectrum_range=(args.spectrum_lo, args.spectrum_hi),
-        family_kind=args.generator,
+        **fields,
     )
+
+
+def _cmd_check(args) -> int:
+    config = _config(args, suite=args.suite, family_kind=args.generator)
     if args.suite == "all":
         reports = [run_suite(replace(config, suite=name)) for name in sorted(SUITES)]
         text = json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True) + "\n"
@@ -253,16 +260,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    config = TrialConfig(
-        suite="perspective_sum",
-        trials=args.trials,
-        seed=args.seed,
-        n=args.dim,
-        m=args.m,
-        tolerance=args.tol,
-        spectrum_range=(args.spectrum_lo, args.spectrum_hi),
-        family_kind="contractive",
-        lhs_form=args.lhs_form,
+    config = _config(
+        args, suite="perspective_sum", family_kind="contractive", lhs_form=args.lhs_form
     )
     _emit(report_to_json(counterexample_search(config)), args.report)
     # Findings are data, not failures: with lhs_form=perspective_sum the search

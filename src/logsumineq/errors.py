@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the tolerance rule, shared across the package."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -23,3 +25,10 @@ class DimensionError(ValueError):
 
 class NumericError(RuntimeError):
     """An iterative numerical routine failed to converge."""
+
+
+def _tolerance(tol) -> float:
+    """tol as a float, checked finite and > 0: the rule for every verdict's tolerance."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tol!r}")
+    return float(tol)

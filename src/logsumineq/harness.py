@@ -15,9 +15,13 @@ config) returns the trial's values in draw order; _stacks stacks each value
 over an (n, m) group of a block, and kernel(config, *stacks) builds and
 evaluates the group as one stack (at most one qr or svd per build, one
 eigensolver call per kernel step), bitwise equal to one-trial runs, so the
-blocks change no number in a report.  The kernels of the scalar and trace
-suites are those of the scalar and traceform layers, over (T, n) sequences
-and (T, n, n) commuting pairs; the seven Loewner suites take the residual
+blocks change no number in a report.  Three steps are stated once: _sized
+draws the size n of every suite without a family and hands it to draw(rng,
+n); _sides judges a scalar or trace kernel's (lhs, rhs, gap) at the
+tolerance; _on_pairs builds the commuting pairs of the trace suites from
+their Gaussians and spectra.  The kernels of the scalar and trace suites
+are those of the scalar and traceform layers, over (T, n) sequences and
+(T, n, n) commuting pairs; the seven Loewner suites take the residual
 kernels of loewner.  Search-mode candidates keep the draws of their first
 pass and are re-verified through the independent Jacobi eigensolver at a
 tightened absolute tolerance before they are reported as findings: the same
@@ -38,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import generators as gen
-from .errors import DomainError
+from .errors import DomainError, _tolerance
 from .functions import FunctionSpec, identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from .loewner import (
     _mean_monotonicity,
@@ -121,8 +125,7 @@ class TrialConfig:
             raise DomainError("dimension n must be in [1, 64]")
         if not 1 <= self.m <= 16:
             raise DomainError("family size m must be in [1, 16]")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise DomainError("tolerance must be positive")
+        _tolerance(self.tolerance)
         lo, hi = self.spectrum_range
         if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo < hi):
             raise DomainError("spectrum_range must satisfy 0 < lo < hi")
@@ -170,10 +173,30 @@ def _stacks(group: list[_Draw]) -> list:
     return [list(v) if isinstance(v[0], FunctionSpec) else np.array(v) for v in values]
 
 
+def _sized(draw):
+    """The draw of a suite without a family: n, then draw(rng, n)'s values."""
+
+    def sized(rng, config: TrialConfig) -> _Draw:
+        n = _size(rng, config.n)
+        return _Draw(n, 1, draw(rng, n))
+
+    return sized
+
+
 def _gaps(sides, config: TrialConfig):
     """The gap and holds flag (T,) of a scalar or trace kernel's (lhs, rhs, gap)."""
     verdict = _inequality_verdict(*sides, config.tolerance)
     return verdict.gap, verdict.holds
+
+
+def _sides(kernel, *fg):
+    """The suite kernel judging kernel(*fg, *stacks)'s (lhs, rhs, gap) at config.tolerance."""
+    return lambda config, *stacks: _gaps(kernel(*fg, *stacks), config)
+
+
+def _on_pairs(kernel, *fg):
+    """kernel(*fg, A, B, *rest) on the commuting pairs of the stacks (G, wa, wb, *rest)."""
+    return lambda G, wa, wb, *rest: kernel(*fg, *gen._build_pair(G, wa, wb), *rest)
 
 
 def _min(a, b):
@@ -189,21 +212,15 @@ _SQUARE = power_fn(2.0)
 # -- scalar suites ---------------------------------------------------------
 
 
-def _pair_draw(rng, config: TrialConfig) -> _Draw:
-    """n, then rand_sequence_pair's two sequences."""
-    n = _size(rng, config.n)
-    return _Draw(n, 1, (gen.rand_sequence(rng, n), gen.rand_sequence(rng, n)))
+def _pair(rng, n):
+    """rand_sequence_pair's two sequences."""
+    return gen.rand_sequence(rng, n), gen.rand_sequence(rng, n)
 
 
-def _log_sum_gaps(config, a, b):
-    return _gaps(_forward(_LOG, _IDENTITY, a, b), config)
-
-
-def _equality_draw(rng, config: TrialConfig) -> _Draw:
-    """n, b, then the scale c of the proportional pair (c b, b)."""
-    n = _size(rng, config.n)
+def _equality(rng, n):
+    """b, then the scale c of the proportional pair (c b, b)."""
     b = gen.rand_sequence(rng, n)
-    return _Draw(n, 1, (rng.uniform(0.1, 10.0) * b, b))
+    return rng.uniform(0.1, 10.0) * b, b
 
 
 def _equality_gaps(config, a, b):
@@ -212,19 +229,10 @@ def _equality_gaps(config, a, b):
     return -np.abs(gap), np.abs(gap) <= config.tolerance * scale
 
 
-def _reverse_gaps(config, a, b):
-    return _gaps(_reverse(_LOG, _IDENTITY, a, b), config)
-
-
-def _rational_draw(rng, config: TrialConfig) -> _Draw:
-    """n, a, then the ratios b_i / a_i."""
-    n = _size(rng, config.n)
+def _rational(rng, n):
+    """a, then the ratios b_i / a_i."""
     a = rng.uniform(1.0, 10.0, n)
-    return _Draw(n, 1, (a, rng.uniform(0.9, 2.4, n) * a))
-
-
-def _rational_gaps(config, a, b):
-    return _gaps(_rational_example(a, b), config)
+    return a, rng.uniform(0.9, 2.4, n) * a
 
 
 def _draw_q(rng) -> float:
@@ -244,10 +252,6 @@ def _with_q_r(draw):
     return draw_q_r
 
 
-def _q_log_sum_gaps(config, a, b, q, r):
-    return _gaps(_q_log_sums(a, b, q, r), config)
-
-
 _Q_DIRECTIONS = (0.0, 0.5, 1.5, 2.5, 3.0)
 
 
@@ -261,10 +265,9 @@ def _q_direction_gaps(config, a, b):
     return functools.reduce(_min, gap.T), holds.all(axis=-1)
 
 
-def _ratio_draw(rng, config: TrialConfig) -> _Draw:
+def _ratio(rng, n):
     """A sequence pair, then g: the identity or the square."""
-    n, m, values = _pair_draw(rng, config)
-    return _Draw(n, m, (*values, _IDENTITY if rng.random() < 0.5 else _SQUARE))
+    return (*_pair(rng, n), _IDENTITY if rng.random() < 0.5 else _SQUARE)
 
 
 def _ratio_gaps(config, a, b, g):
@@ -298,43 +301,14 @@ def _convexity_gaps(config, f, lo, hi, expected, points):
 # -- trace suites ----------------------------------------------------------
 
 
-def _commuting_draw(rng, config: TrialConfig) -> _Draw:
-    """n, then rand_commuting_pair's draws: the Gaussian, then the spectra wa and wb."""
-    n = _size(rng, config.n)
-    return _Draw(n, 1, gen._draw_commuting(rng, n, _TRACE_SPECTRUM, _TRACE_SPECTRUM))
+def _commuting(rng, n):
+    """rand_commuting_pair's draws: the Gaussian, then the spectra wa and wb."""
+    return gen._draw_commuting(rng, n, _TRACE_SPECTRUM, _TRACE_SPECTRUM)
 
 
-def _trace_log_sum_gaps(config, G, wa, wb):
-    return _gaps(_trace_log_sums(_LOG, _IDENTITY, *gen._build_pair(G, wa, wb)), config)
-
-
-def _trace_reverse_gaps(config, G, wa, wb):
-    return _gaps(_reverse_traces(_LOG, _IDENTITY, *gen._build_pair(G, wa, wb)), config)
-
-
-def _q_trace_gaps(config, G, wa, wb, q, r):
-    return _gaps(_q_traces(*gen._build_pair(G, wa, wb), q, r), config)
-
-
-def _exp_log_trace_gaps(config, G, wa, wb):
-    return _gaps(_exp_log_traces(*gen._build_pair(G, wa, wb)), config)
-
-
-def _density_pair_draw(rng, config: TrialConfig) -> _Draw:
-    """n, then rand_density_pair's draws: the Gaussian, then the spectra of rho and sigma."""
-    n = _size(rng, config.n)
-    return _Draw(n, 1, gen._draw_density_pair(rng, n))
-
-
-def _relative_entropy_gaps(config, G, w_rho, w_sigma):
-    d = _relative_entropies(*gen._build_pair(G, w_rho, w_sigma))
+def _relative_entropy_gaps(config, *stacks):
+    d = _on_pairs(_relative_entropies)(*stacks)
     return d, d >= -config.tolerance
-
-
-def _density_draw(rng, config: TrialConfig) -> _Draw:
-    """n, then rand_density's draws: the spectrum, then the Gaussian."""
-    n = _size(rng, config.n)
-    return _Draw(n, 1, gen._draw_density(rng, n))
 
 
 def _entropy_bound_gaps(config, w, G):
@@ -405,11 +379,9 @@ def _sum_residuals(config: TrialConfig, *stacks, solver: str = "eigh") -> np.nda
     return _perspective_sums(fs, As, Bs, config.lhs_form, expansive, config.tolerance, solver)
 
 
-def _jensen_draw(rng, config: TrialConfig) -> _Draw:
+def _jensen(rng, n):
     """rand_contraction's Gaussian and singular values, then rand_psd's Gaussian."""
-    n = _size(rng, config.n)
-    g_c = gen._complex_gaussian(rng, n)
-    return _Draw(n, 1, (g_c, rng.random(n), gen._complex_gaussian(rng, n)))
+    return gen._complex_gaussian(rng, n), rng.random(n), gen._complex_gaussian(rng, n)
 
 
 def _jensen_residuals(config, G_c, s, G_x):
@@ -537,21 +509,21 @@ _sum_verdicts = _min_eigenvalues(_sum_residuals)
 _perspective_sum_verdicts = _Stacked(_sum_draw, _sum_verdicts)
 
 SUITES = {
-    "scalar_log_sum": _Stacked(_pair_draw, _log_sum_gaps),
-    "scalar_equality": _Stacked(_equality_draw, _equality_gaps),
-    "scalar_reverse": _Stacked(_pair_draw, _reverse_gaps),
-    "rational_reverse": _Stacked(_rational_draw, _rational_gaps),
-    "q_log_sum": _Stacked(_with_q_r(_pair_draw), _q_log_sum_gaps),
-    "q_direction": _Stacked(_pair_draw, _q_direction_gaps),
-    "ratio_bounds": _Stacked(_ratio_draw, _ratio_gaps),
+    "scalar_log_sum": _Stacked(_sized(_pair), _sides(_forward, _LOG, _IDENTITY)),
+    "scalar_equality": _Stacked(_sized(_equality), _equality_gaps),
+    "scalar_reverse": _Stacked(_sized(_pair), _sides(_reverse, _LOG, _IDENTITY)),
+    "rational_reverse": _Stacked(_sized(_rational), _sides(_rational_example)),
+    "q_log_sum": _Stacked(_with_q_r(_sized(_pair)), _sides(_q_log_sums)),
+    "q_direction": _Stacked(_sized(_pair), _q_direction_gaps),
+    "ratio_bounds": _Stacked(_sized(_ratio), _ratio_gaps),
     "convexity_check": _Stacked(_convexity_draw, _convexity_gaps),
-    "trace_log_sum": _Stacked(_commuting_draw, _trace_log_sum_gaps),
-    "trace_reverse": _Stacked(_commuting_draw, _trace_reverse_gaps),
-    "q_trace": _Stacked(_with_q_r(_commuting_draw), _q_trace_gaps),
-    "exp_log_trace": _Stacked(_commuting_draw, _exp_log_trace_gaps),
-    "relative_entropy": _Stacked(_density_pair_draw, _relative_entropy_gaps),
-    "entropy_bound": _Stacked(_density_draw, _entropy_bound_gaps),
-    "operator_jensen": _Stacked(_jensen_draw, _min_eigenvalues(_jensen_residuals)),
+    "trace_log_sum": _Stacked(_sized(_commuting), _sides(_on_pairs(_trace_log_sums, _LOG, _IDENTITY))),
+    "trace_reverse": _Stacked(_sized(_commuting), _sides(_on_pairs(_reverse_traces, _LOG, _IDENTITY))),
+    "q_trace": _Stacked(_with_q_r(_sized(_commuting)), _sides(_on_pairs(_q_traces))),
+    "exp_log_trace": _Stacked(_sized(_commuting), _sides(_on_pairs(_exp_log_traces))),
+    "relative_entropy": _Stacked(_sized(gen._draw_density_pair), _relative_entropy_gaps),
+    "entropy_bound": _Stacked(_sized(gen._draw_density), _entropy_bound_gaps),
+    "operator_jensen": _Stacked(_sized(_jensen), _min_eigenvalues(_jensen_residuals)),
     "perspective_sum": _perspective_sum_verdicts,
     "operator_shannon": _Stacked(_shannon_draw, _min_eigenvalues(_shannon_residuals)),
     "pooled_inverse": _Stacked(_pooled_inverse_draw, _min_eigenvalues(_pooled_inverse_residuals)),

@@ -21,10 +21,10 @@ the scalar function is established by catalog, not numerically: only
 families whose operator class is classical textbook knowledge get the flags.
 
 Everything here decomposes through LAPACK's eigh, with one exception: the
-perspective-sum kernel _perspective_sums, and perspective_sum_residual over
-it, take solver="jacobi".  The contractive search calls the kernel that way
-to re-verify its candidates, a stack at a time, through the independent
-Jacobi solver.  The choice reaches only that kernel and _perspective.
+perspective-sum kernel _perspective_sums takes solver="jacobi".  The
+contractive search calls the kernel that way to re-verify its candidates, a
+stack at a time, through the independent Jacobi solver.  The choice reaches
+only that kernel and _perspective.
 """
 
 from __future__ import annotations
@@ -268,7 +268,6 @@ def perspective_sum_residual(
     lhs_form: str = "perspective_sum",
     require_expansive: bool = True,
     tol: float = DEFAULT_TOLERANCE,
-    solver: str = "eigh",
 ) -> LoewnerVerdict:
     """Superadditivity of the operator perspective over a PD family.
 
@@ -281,14 +280,11 @@ def perspective_sum_residual(
     some f false) claim kept for comparison experiments.  With
     require_expansive=True the input must satisfy sum(A_i) >= m*I; pass
     False to probe the inequality outside that hypothesis (see the harness
-    search mode).  solver="jacobi" computes every eigendecomposition with the
-    Jacobi solver instead of eigh.
+    search mode).
     """
     As, Bs = _validate_families(A_family, B_family)
     require_operator_class(f, "operator_concave")
-    w = _perspective_sums(
-        [f], As[None], Bs[None], lhs_form, require_expansive, tol, solver
-    )
+    w = _perspective_sums([f], As[None], Bs[None], lhs_form, require_expansive, tol)
     return _verdict(w[0], tol)
 
 

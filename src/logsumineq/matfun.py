@@ -33,7 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericError, PreconditionError, SingularityError
+from .errors import (
+    DimensionError,
+    DomainError,
+    NumericError,
+    PreconditionError,
+    SingularityError,
+    _tolerance,
+)
 from .functions import FunctionSpec, _apply_rows
 
 __all__ = [
@@ -177,15 +184,15 @@ class SpectralDecomposition:
         """A^{-1} for positive definite A.
 
         floor defaults to 1e-10 * max|eigenvalue|; any eigenvalue below the
-        floor (or a floor that is not strictly positive) is treated as
-        singular rather than inverted, so round-off null spaces cannot leak
-        huge weights.
+        floor (or a floor that is not strictly positive, NaN included) is
+        treated as singular rather than inverted, so round-off null spaces
+        cannot leak huge weights.
         """
         w = self.eigenvalues
         lowest = w.min(axis=-1)
         if floor is None:
             floor = 1e-10 * abs(w).max(axis=-1)
-        bad = (floor <= 0.0) | (lowest < floor)
+        bad = ~((floor > 0.0) & (lowest >= floor))
         if bad.any():
             lim, low = _first(bad, floor, lowest)
             raise SingularityError(
@@ -343,12 +350,13 @@ def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
     For a stack w of shape (..., n) the verdict's fields are arrays over the
     leading axes; for one residual they are plain floats and a bool.
     """
+    tol = _tolerance(tol)
     min_eig = w.min(axis=-1)
     norm = abs(w).max(axis=-1)
     holds = min_eig >= -tol * np.maximum(1.0, norm)
     if np.ndim(w) == 1:
-        return LoewnerVerdict(float(min_eig), float(norm), float(tol), bool(holds))
-    return LoewnerVerdict(min_eig, norm, float(tol), holds)
+        return LoewnerVerdict(float(min_eig), float(norm), tol, bool(holds))
+    return LoewnerVerdict(min_eig, norm, tol, holds)
 
 
 def loewner_leq(A, B, tol: float = 1e-9) -> LoewnerVerdict:

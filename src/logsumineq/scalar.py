@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, _tolerance
 from .functions import FunctionSpec, _apply_rows, power_fn
 from .qlog import QLogParams, _check_positive, _q_log
 
@@ -53,6 +53,7 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_GRID_POINTS = 101
+_MAX_GRID_POINTS = 100_000  # keeps each of the check's grids within a few MB
 _EPS = float(np.finfo(float).eps)
 
 
@@ -96,11 +97,12 @@ class InequalityVerdict:
 
 def _verdict(lhs, rhs, gap, tol: float) -> InequalityVerdict:
     """The verdict of one pair (float fields), or of a stack (array fields over the pairs)."""
+    tol = _tolerance(tol)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     holds = gap >= -tol * scale
     if np.ndim(gap) == 0:
-        return InequalityVerdict(float(lhs), float(rhs), float(gap), float(tol), bool(holds))
-    return InequalityVerdict(lhs, rhs, gap, float(tol), holds)
+        return InequalityVerdict(float(lhs), float(rhs), float(gap), tol, bool(holds))
+    return InequalityVerdict(lhs, rhs, gap, tol, holds)
 
 
 def _one(sides, tol: float) -> InequalityVerdict:
@@ -200,8 +202,8 @@ def convexity_check(
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError("interval must be finite and non-degenerate")
-    if grid_points < 3:
-        raise DomainError("grid_points must be at least 3")
+    if not 3 <= grid_points <= _MAX_GRID_POINTS:
+        raise DomainError(f"grid_points must be in [3, {_MAX_GRID_POINTS}]")
     return bool(_curvature_holds(h_kind, f, np.array([lo]), np.array([hi]), int(grid_points))[0])
 
 

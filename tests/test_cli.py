@@ -409,9 +409,9 @@ def test_eval_empty_document_names_first_field(tmp_path, capsys, op):
 
 
 # Malformed values of every eval field, mostly of the wrong JSON type: a number
-# field takes neither a list, a bool, a string nor an integer beyond float
-# range, and grid_points takes JSON integers only.
-_NOT_NUMBERS = [[1.0], True, "1", 10**400]
+# field takes neither a list, a bool, a string, an integer beyond float range
+# nor NaN or an infinity, and grid_points takes JSON integers only.
+_NOT_NUMBERS = [[1.0], True, "1", 10**400, float("nan"), float("inf"), -float("inf")]
 _WRONG_TYPED = {
     **dict.fromkeys(("x", "y", "q", "r", "limit_window", "tol", "floor"), _NOT_NUMBERS),
     "grid_points": [[1.0], True, "1", 3.9],
@@ -436,6 +436,16 @@ def test_eval_wrong_typed_field_exits_two_naming_it(tmp_path, capsys, name):
         code, out, err = _eval(tmp_path, capsys, op, doc)
         assert (code, out) == (2, ""), value
         assert err.startswith(f"error: field {name!r} is malformed: "), value
+
+
+@pytest.mark.parametrize("points", [100_001, 10**400], ids=["100001", "10^400"])
+def test_eval_grid_points_beyond_range_exits_two(tmp_path, capsys, points):
+    doc = {**EVAL_FIXTURES["convexity_check"][0], "grid_points": points}
+    assert _eval(tmp_path, capsys, "convexity_check", doc) == (
+        2,
+        "",
+        "error: grid_points must be in [3, 100000]\n",
+    )
 
 
 def test_eval_non_object_document_exits_two(tmp_path, capsys):

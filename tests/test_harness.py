@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from logsumineq import generators as gen
-from logsumineq import harness, matfun, traceform
+from logsumineq import harness, loewner, matfun, traceform
 from logsumineq.errors import DomainError, NumericError
 from logsumineq.functions import identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from logsumineq.harness import (
@@ -364,10 +364,9 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
         Bs = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
         f = harness._concave_f(rng)
         assert (n, m, f.label()) == (finding["n"], finding["m"], finding["f"])
-        verdict = perspective_sum_residual(
-            f, As, Bs, "sum_fb", require_expansive=False, tol=cfg.tolerance, solver="jacobi"
-        )
-        assert verdict.residual_min_eigenvalue == finding["recheck_min_eigenvalue"]
+        As, Bs = np.stack(As)[None], np.stack(Bs)[None]
+        w = loewner._perspective_sums([f], As, Bs, "sum_fb", False, cfg.tolerance, solver="jacobi")
+        assert w[0].min() == finding["recheck_min_eigenvalue"]
 
 
 @pytest.mark.parametrize("run", [*sorted(SUITES), "search perspective_sum", "search sum_fb"])

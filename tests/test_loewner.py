@@ -227,6 +227,16 @@ def test_perspective_sum_checks_expansivity_when_asked():
     assert perspective_sum_residual(SQRT, As, Bs, require_expansive=False).holds
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_expansivity_check_rejects_a_tolerance_not_finite_and_positive(tol):
+    # the expansivity check is the first reader of tol, so it meets the rule first
+    rng = np.random.default_rng(7)
+    As = [0.1 * np.eye(3), 0.1 * np.eye(3)]
+    Bs = [rand_pd(rng, 3, (0.5, 2.0)) for _ in range(2)]
+    with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+        perspective_sum_residual(SQRT, As, Bs, require_expansive=True, tol=tol)
+
+
 def test_plain_sum_lhs_fails_for_log():
     # sum f(B_i) <= f-perspective aggregate is FALSE for f = log:
     # concrete rejection witness, scaled identities

@@ -107,6 +107,13 @@ def test_unknown_kernel_kind():
         convexity_check("fxx", log_fn(), (0.1, 1.0))
 
 
+@pytest.mark.parametrize("points", [2, 100_001, 10**400], ids=["2", "100001", "10^400"])
+def test_grid_points_out_of_range_rejected_before_any_grid(monkeypatch, points):
+    monkeypatch.setattr(scalar, "_curvature_holds", lambda *args: pytest.fail("grid built"))
+    with pytest.raises(DomainError, match=r"grid_points must be in \[3, 100000\]"):
+        convexity_check("xfx", log_fn(), (0.1, 10.0), points)
+
+
 @settings(max_examples=100)
 @given(st.floats(min_value=0.1, max_value=1.9))
 def test_power_xfx_convex_for_admissible_exponents(r):
@@ -115,6 +122,12 @@ def test_power_xfx_convex_for_admissible_exponents(r):
 
 
 # -- forward inequality -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_scalar_verdict_rejects_a_tolerance_not_finite_and_positive(tol):
+    with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+        generalized_log_sum_gap(log_fn(), identity_fn(), pair_of([1.0, 2.0], [2.0, 1.0]), tol)
 
 
 def test_forward_log_sum_frozen_gap():

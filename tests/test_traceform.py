@@ -131,6 +131,12 @@ def test_trace_frozen_gap():
     assert v.gap == pytest.approx(LN2, rel=1e-12)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_trace_verdict_rejects_a_tolerance_not_finite_and_positive(tol):
+    with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+        trace_log_sum_gap(log_fn(), identity_fn(), np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), tol)
+
+
 def test_trace_equality_on_proportional():
     A = np.diag([1.0, 2.0])
     v = trace_log_sum_gap(log_fn(), identity_fn(), A, 2.0 * A)
