@@ -49,7 +49,9 @@ SEQUENCE_HI = 10.0
 
 
 def _complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    """Real part, then imaginary part, drawn in one call: the values of two (n, n) draws."""
+    x = rng.standard_normal((2, n, n))
+    return x[0] + 1j * x[1]
 
 
 def _unitaries(G: np.ndarray) -> np.ndarray:

@@ -323,9 +323,9 @@ def _entropy_bound_gaps(config, w, G):
 def _concave_f(rng):
     pick = int(rng.integers(3))
     if pick == 0:
-        return power_fn(0.5)
+        return _SQRT
     if pick == 1:
-        return log_fn()
+        return _LOG
     return q_log_fn(float(rng.uniform(0.0, 2.0)))
 
 

@@ -24,7 +24,10 @@ self-contained cyclic Jacobi sweep, run on a whole stack at once).  The
 second exists so that candidate counterexamples can be re-verified through
 an independent numerical route; keep the two code paths distinct.  Only
 spectral_decompose and the private _decompose take the choice; every other
-function here uses "eigh".
+function here uses "eigh".  The sweep holds each matrix H and its
+accumulated unitary U as one (2n, n) array, H on rows :n and U on rows n:,
+so that one column rotation turns both; a pair is rotated and fixed
+without a mask only when every live matrix of the stack turns it.
 """
 
 from __future__ import annotations
@@ -230,15 +233,17 @@ def _frobenius(H: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
 
 
-def _rotate(X: np.ndarray, p: int, q: int, c, a, b, turn) -> None:
-    """Columns p, q of each matrix where turn: x_p <- c x_p - a x_q, x_q <- b x_p + c x_q.
+def _rotate(X: np.ndarray, p: int, q: int, c, a, b, turn=None) -> None:
+    """Columns p, q of each matrix: x_p <- c x_p - a x_q, x_q <- b x_p + c x_q.
 
-    Elsewhere they keep their bits: an identity rotation is not a no-op,
-    because x - 0*y turns -0.0 into +0.0.
+    With a turn mask only the matrices where turn is True rotate; the others
+    keep their bits, because an identity rotation is not a no-op: x - 0*y
+    turns -0.0 into +0.0.
     """
     x_p, x_q = X[:, :, p], X[:, :, q]
-    new_p = np.where(turn, c * x_p - a * x_q, x_p)
-    new_q = np.where(turn, b * x_p + c * x_q, x_q)
+    new_p, new_q = c * x_p - a * x_q, b * x_p + c * x_q
+    if turn is not None:
+        new_p, new_q = np.where(turn, new_p, x_p), np.where(turn, new_q, x_q)
     X[:, :, p], X[:, :, q] = new_p, new_q
 
 
@@ -251,28 +256,36 @@ def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
     pairs and stops sweeping once it has converged, so it gets exactly the
     arithmetic, and the bits, of a one-matrix call.  Errors name the first
     failing matrix in C order, with the one-matrix message.
+
+    The sweep holds the live matrices as one (K, 2n, n) array W, H on rows
+    :n and the accumulated unitary U on rows n:, so that one column rotation
+    of W turns both.  A pair that every live matrix turns is rotated and
+    fixed with plain slices; only a pair that some of them skip takes the
+    masked form.
     """
     H = _require_hermitian(A, "jacobi input", stack=True)
     shape, n = H.shape, H.shape[-1]
     H = H.reshape(-1, n, n)
+    K = H.shape[0]
     w = np.empty(H.shape[:-1])
     V = np.empty(H.shape, dtype=complex)
-    U = np.broadcast_to(np.eye(n, dtype=complex), H.shape).copy()
-    ids = np.arange(H.shape[0])
+    W = np.concatenate((H, np.broadcast_to(np.eye(n, dtype=complex), H.shape)), axis=1)
+    ids = np.arange(K)
     scale = np.maximum(1.0, _frobenius(H))
     target, floor = 1e-14 * scale, 1e-18 * scale
     diagonal = np.eye(n, dtype=bool)
     sweeps = 0
     while True:
         # Only the matrices that have not converged sweep again.
+        H = W[:, :n]
         offdiag = _frobenius(np.where(diagonal, 0.0, H))
         live = offdiag > target
-        done = ~live
-        w[ids[done]] = np.diagonal(H[done], axis1=-2, axis2=-1).real
-        V[ids[done]] = U[done]
-        H, U, ids, target, floor, offdiag = (
-            x[live] for x in (H, U, ids, target, floor, offdiag)
-        )
+        if not live.all():
+            done = ~live
+            w[ids[done]] = np.diagonal(H[done], axis1=-2, axis2=-1).real
+            V[ids[done]] = W[done, n:]
+            W, ids, target, floor, offdiag = (x[live] for x in (W, ids, target, floor, offdiag))
+            H = W[:, :n]
         if not ids.size:
             break
         if sweeps >= _JACOBI_MAX_SWEEPS:
@@ -280,6 +293,7 @@ def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
                 f"jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
                 f"(n={n}, offdiag={offdiag[0]:.3e}, maxnorm={maxnorm(H[0]):.3e})"
             )
+        HT = H.swapaxes(-1, -2)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = H[:, p, q]
@@ -287,30 +301,31 @@ def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
                 # bitwise the scalar abs of a one-matrix sweep.
                 beta = np.hypot(apq.real, apq.imag)
                 turn = beta > floor
-                if not turn.any():
-                    continue
-                beta = np.where(turn, beta, 1.0)
+                every = turn.all()
+                if not every:
+                    if not turn.any():
+                        continue
+                    beta = np.where(turn, beta, 1.0)
                 phi = apq / beta
                 tau = (H[:, q, q].real - H[:, p, p].real) / (2.0 * beta)
                 # 1/(tau + sqrt(1 + tau^2)) for tau >= 0, else -1/(-tau + sqrt(1 + tau^2))
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
-                # A <- J† A J with J[p,p]=c, J[p,q]=s*phi, J[q,p]=-s*conj(phi), J[q,q]=c
+                # A <- J† A J and U <- U J with J[p,p]=c, J[p,q]=s*phi,
+                # J[q,p]=-s*conj(phi), J[q,q]=c
                 s_phi, s_conj = (s * phi)[:, None], (s * np.conj(phi))[:, None]
-                c, cols = c[:, None], turn[:, None]
-                _rotate(H, p, q, c, s_conj, s_phi, cols)
-                _rotate(H.swapaxes(-1, -2), p, q, c, s_phi, s_conj, cols)
-                H[turn, p, q] = 0.0
-                H[turn, q, p] = 0.0
-                H[turn, p, p] = H[turn, p, p].real
-                H[turn, q, q] = H[turn, q, q].real
-                _rotate(U, p, q, c, s_conj, s_phi, cols)
+                c = c[:, None]
+                cols, sel = (None, slice(None)) if every else (turn[:, None], turn)
+                _rotate(W, p, q, c, s_conj, s_phi, cols)
+                _rotate(HT, p, q, c, s_phi, s_conj, cols)
+                H[sel, p, q] = H[sel, q, p] = 0.0
+                H[sel, p, p] = H[sel, p, p].real
+                H[sel, q, q] = H[sel, q, q].real
         sweeps += 1
     order = np.argsort(w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
-    V = np.take_along_axis(V, order[:, None, :], axis=-1)
-    return w.reshape(shape[:-1]), V.reshape(shape)
+    rows = np.arange(K)[:, None]
+    return w[rows, order].reshape(shape[:-1]), V[rows, :, order].swapaxes(-1, -2).reshape(shape)
 
 
 def _decompose(H: np.ndarray, solver: str = "eigh") -> SpectralDecomposition:

@@ -117,6 +117,19 @@ def test_split_matching_sums_exactly(seed, n, m):
         assert np.min(np.linalg.eigvalsh(P)) > 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_complex_gaussian_draws_as_two_real_draws(n):
+    # one (2, n, n) draw gives the values of a real (n, n) draw and then an
+    # imaginary one, and leaves the stream where those two calls leave it
+    for seed in range(20):
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        G = _complex_gaussian(one, n)
+        re = two.standard_normal((n, n))
+        im = two.standard_normal((n, n))
+        assert G.tobytes() == (re + 1j * im).tobytes(), (n, seed)
+        assert one.random() == two.random(), (n, seed)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_stacked_builds_equal_one_matrix_at_a_time(n):
     # one stacked build of the draws gives the bits of rand_unitary, rand_pd,

@@ -532,6 +532,25 @@ def test_stacked_jacobi_loops_over_the_leading_axes():
             assert _same_bits(stacked.unitary[index], V1), (n, index)
 
 
+def test_jacobi_of_an_empty_stack_is_empty():
+    for shape in ((0, 3, 3), (2, 0, 3, 3)):
+        w, V = jacobi_eigh(np.zeros(shape))
+        assert w.shape == shape[:-1] and V.shape == shape
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_stacked_jacobi_where_every_member_turns_every_pair(n):
+    # dense random members rotate every (p, q) of every sweep, so the sweep
+    # takes its unmasked path; n=1 has no pair to rotate at all
+    rng = np.random.default_rng(70 + n)
+    H = np.array([rand_hermitian(rng, n, scale) for scale in (1.0, 1.0, 1e-3, 1e3, 1.0, 1.0)])
+    w, V = jacobi_eigh(H)
+    for k in range(H.shape[0]):
+        w0, V0 = _scalar_jacobi(H[k])
+        assert _same_bits(w[k], w0), (n, k)
+        assert _same_bits(V[k], V0), (n, k)
+
+
 def test_stacked_jacobi_errors_name_the_first_failing_matrix(monkeypatch):
     good = np.diag([1.0, 2.0])
     skew = np.array([[1.0, 1.0], [0.0, 1.0]])
