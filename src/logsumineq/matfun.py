@@ -277,17 +277,16 @@ def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
     sweeps = 0
     while True:
         # Only the matrices that have not converged sweep again.
-        H = W[:, :n]
-        offdiag = _frobenius(np.where(diagonal, 0.0, H))
+        offdiag = _frobenius(np.where(diagonal, 0.0, W[:, :n]))
         live = offdiag > target
         if not live.all():
             done = ~live
-            w[ids[done]] = np.diagonal(H[done], axis1=-2, axis2=-1).real
+            w[ids[done]] = np.diagonal(W[done, :n], axis1=-2, axis2=-1).real
             V[ids[done]] = W[done, n:]
             W, ids, target, floor, offdiag = (x[live] for x in (W, ids, target, floor, offdiag))
-            H = W[:, :n]
         if not ids.size:
             break
+        H = W[:, :n]
         if sweeps >= _JACOBI_MAX_SWEEPS:
             raise NumericError(
                 f"jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
