@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import harness, loewner, matfun, scalar, traceform
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _number
 from .functions import FunctionSpec
 from .harness import SUITES, TrialConfig, counterexample_search, report_to_json, run_suite
 from .matio import matrix_from_obj, matrix_to_obj
@@ -38,15 +37,6 @@ __all__ = ["main"]
 # -- eval input parsing ------------------------------------------------------
 
 _REQUIRED = object()
-
-
-def _number(value) -> float:
-    """A finite JSON number, int or float but not a bool, as a float."""
-    if type(value) not in (int, float):
-        raise DomainError(f"must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise DomainError(f"must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _fn(obj) -> FunctionSpec:

@@ -1,4 +1,4 @@
-"""Exception types, and the tolerance rule, shared across the package."""
+"""Exception types, and the number and tolerance rules, shared across the package."""
 
 import math
 
@@ -25,6 +25,15 @@ class DimensionError(ValueError):
 
 class NumericError(RuntimeError):
     """An iterative numerical routine failed to converge."""
+
+
+def _number(value) -> float:
+    """A finite JSON number, int or float but not a bool, as a float: the rule for eval input."""
+    if type(value) not in (int, float):
+        raise DomainError(f"must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _tolerance(tol) -> float:

@@ -406,10 +406,8 @@ def _split_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
     sA = dec[:, :m].sqrt().reconstruct()
     # mean(A_i, B_i) for each member, then mean(A, B)
     means = _mean(f, dec[:, m + 1 :].sqrt().reconstruct(), dec[:, : m + 1].inverse().reconstruct())
-    # Both sums start from 0.0 * A_1: its signed zeros can reach the residual.
-    zero = 0.0 * As[:, 0]
-    lhs = _total(_herm(sA @ means[:, :m] @ sA), zero)
-    sA_sum = _total(sA, zero)
+    lhs = _total(_herm(sA @ means[:, :m] @ sA))
+    sA_sum = _total(sA)
     rhs = _herm(sA_sum @ means[:, m] @ sA_sum) / m
     return _decompose(_herm(rhs - lhs)).eigenvalues
 

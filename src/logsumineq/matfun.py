@@ -94,14 +94,9 @@ def _herm(A: np.ndarray) -> np.ndarray:
     return (A + _adjoint(A)) / 2.0
 
 
-def _total(X: np.ndarray, total=0) -> np.ndarray:
-    """Sum over the member axis (-3) in member order, from total.
-
-    With the default start it adds exactly as sum() adds a list of members.
-    """
-    for k in range(X.shape[-3]):
-        total = total + X[..., k, :, :]
-    return total
+def _total(X: np.ndarray) -> np.ndarray:
+    """Sum over the member axis (-3) in member order, as sum() adds a list of members."""
+    return sum(X[..., k, :, :] for k in range(X.shape[-3]))
 
 
 def _first(bad: np.ndarray, *values: np.ndarray) -> list[float]:

@@ -1,8 +1,9 @@
 """Matrix exchange format.
 
 A matrix travels as a JSON object {"n": int, "re": n x n reals, "im": n x n
-reals}.  Values are serialized with 17 significant digits, which round-trips
-IEEE doubles exactly; bit-exact text round-trip is not promised.
+reals}; n is a JSON integer >= 1 and every entry a finite JSON number.
+Values are serialized with 17 significant digits, which round-trips IEEE
+doubles exactly; bit-exact text round-trip is not promised.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _number
 
 __all__ = ["matrix_to_obj", "matrix_from_obj", "dump_matrix", "load_matrix"]
 
@@ -36,13 +37,16 @@ def matrix_to_obj(M) -> dict:
 def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"n", "re", "im"} <= set(obj):
         raise DomainError("matrix object must have fields n, re, im")
-    n = int(obj["n"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise DimensionError(f"re/im must be {n}x{n} arrays")
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise DomainError("matrix entries must be finite")
+    n = obj["n"]
+    if type(n) is not int or n < 1:
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    parts = obj["re"], obj["im"]
+    for part in parts:
+        if not (isinstance(part, list) and len(part) == n) or any(
+            not isinstance(row, list) or len(row) != n for row in part
+        ):
+            raise DimensionError(f"re/im must be {n}x{n} lists")
+    re, im = (np.array([[_number(v) for v in row] for row in part]) for part in parts)
     return re + 1j * im
 
 

@@ -20,12 +20,9 @@ length n, (T, n) arrays, that returns the lhs, rhs and gap (T,) of every
 pair; the public function of a statement checks its one pair and runs the
 kernel as the T=1 stack.  A kernel checks each domain and precondition once
 over the whole stack and raises the one-pair message of the first failing
-pair.  The kernels are bitwise equal to one pair at a time: their numpy
-work is elementwise or a sum along the last axis, and what a one-pair run
-computes on Python floats (x ** y, whose libm result can differ from
-numpy's vectorized pow in the last bit) stays on Python floats, one pair at
-a time.  Where a term is dropped (a zero weight), its row is summed over
-the remaining terms alone, as the one-pair run sums them.
+pair.  A row of a stack gets the bits of its T=1 run: the numpy work is
+elementwise or a sum along the last axis, and a dropped term (a zero
+weight) adds 0.0 to its row's sum.
 """
 
 from __future__ import annotations
@@ -129,18 +126,13 @@ def _active_sums(weights: np.ndarray, fx, active: np.ndarray) -> np.ndarray:
     """Each row's sum of weights * f over its active entries (0.0 for a row with none).
 
     fx(sel) evaluates f at the entries [sel] only, so f never sees an
-    inactive entry.  A row with an inactive entry is summed over its active
-    terms alone: numpy's pairwise summation groups a row with zeros in it
-    differently from the row without them once n > 8.
+    inactive entry; an inactive entry adds 0.0 to its row's sum.
     """
     if active.all():
         return (weights * fx(...)).sum(axis=-1)
     terms = np.zeros(weights.shape)
     terms[active] = weights[active] * fx(active)
-    sums = terms.sum(axis=-1)
-    for t in np.flatnonzero(~active.all(axis=-1)).tolist():
-        sums[t] = terms[t][active[t]].sum()
-    return sums
+    return terms.sum(axis=-1)
 
 
 def _ratio_bounds(g, a: np.ndarray, b: np.ndarray):
@@ -343,12 +335,10 @@ def rational_example_gap(pair: SequencePair, tol: float = DEFAULT_TOLERANCE) -> 
     return _one(_rational_example(*_stack(pair)), tol)
 
 
-def _q_log_sums(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
-    """lhs, rhs and gap (T,) of the deformed-log inequality for T pairs (T, n).
+def _q_powers(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
+    """p = a**r and s = b**r (T, n) of T pairs (T, n), pair t with its own power r[t].
 
-    Pair t has its own order q[t] and power r[t].  The powers keep the bits
-    of the one-pair run (see _apply_rows), and (sum s)**(1-q) stays a Python
-    float power.
+    Checks that no order q[t] is 2 and that p >= 0 and s > 0.
     """
     if (q == 2.0).any():
         raise PreconditionError("q = 2 has no inequality direction")
@@ -358,6 +348,11 @@ def _q_log_sums(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
         raise PreconditionError("b_i**r must be strictly positive for every i")
     if (p < 0.0).any():
         raise PreconditionError("a_i**r must be nonnegative")
+    return p, s
+
+
+def _q_sums(p: np.ndarray, s: np.ndarray, q: np.ndarray):
+    """lhs, rhs and gap (T,) of the deformed-log inequality from the powers p, s (T, n)."""
     active = p > 0.0
     if (~active & (q >= 2.0)[:, None]).any():
         raise PreconditionError("zero entries are not extendable for q > 2")
@@ -372,13 +367,19 @@ def _q_log_sums(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
     sum_p, sum_s = p.sum(axis=-1), s.sum(axis=-1)
     live = sum_p != 0.0
     lhs, rhs = np.zeros(len(q)), np.zeros(len(q))
-    ql, sum_p, sum_s, core = q[live], sum_p[live], sum_s[live], core[live]
-    lhs[live] = [
-        ss ** (1.0 - qq) * c for ss, qq, c in zip(sum_s.tolist(), ql.tolist(), core.tolist())
-    ]
+    ql, sum_p, sum_s = q[live], sum_p[live], sum_s[live]
+    lhs[live] = sum_s ** (1.0 - ql) * core[live]
     rhs[live] = sum_p * (q_log(sum_p, ql) - q_log(sum_s, ql))
     raw = lhs - rhs
     return lhs, rhs, np.where(q < 2.0, raw, -raw)
+
+
+def _q_log_sums(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
+    """lhs, rhs and gap (T,) of the deformed-log inequality for T pairs (T, n).
+
+    Pair t has its own order q[t] and power r[t].
+    """
+    return _q_sums(*_q_powers(a, b, q, r), q)
 
 
 def q_log_sum_gap(

@@ -30,7 +30,6 @@ of the first failing pair.
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import sys
@@ -39,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError, PreconditionError, SupportError
-from .functions import FunctionSpec, _apply_rows, log_fn, power_fn, q_log_fn
+from .functions import FunctionSpec, log_fn, power_fn, q_log_fn
 from .matfun import (
     COMMUTE_RTOL,
     SpectralDecomposition,
@@ -56,7 +55,8 @@ from .scalar import (
     _active_sums,
     _forward,
     _one,
-    _q_log_sums,
+    _q_powers,
+    _q_sums,
     _reverse,
 )
 
@@ -76,6 +76,7 @@ SUPPORT_ATOL = 1e-14
 DENSITY_TRACE_TOL = 1e-10
 _CLUSTER_RTOL = 1e-8
 _LOG = log_fn()
+_Q_LOG = q_log_fn(0.0)  # every q_log shares one domain
 
 
 def _checked_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
@@ -210,14 +211,15 @@ def _in_domain(f: FunctionSpec, ratios: np.ndarray) -> np.ndarray:
     return (((ratios > lo) if lo_open else (ratios >= lo)) & (ratios <= hi)).all(axis=-1)
 
 
-def _product_path(f, g, dec_a: SpectralDecomposition, B: np.ndarray, reverse: bool = False):
+def _product_path(f, g, dec_ga: SpectralDecomposition, B: np.ndarray, reverse: bool = False):
     """trace g(A), trace g(B) and trace[g(A) f(g(X) g(Y)^{-1})] (T,) by functional calculus.
 
     (X, Y) is (A, B), or (B, A) when reverse; f and g are FunctionSpecs, or
-    one per pair.  Only g(A) comes from the joint spectrum's decomposition
-    of A, so the route stays an independent check.
+    one per pair.  dec_ga is g(A)'s decomposition, read off the joint
+    spectrum's decomposition of A; the rest of the route stays an
+    independent check.
     """
-    gA = dec_a.map(g).reconstruct()
+    gA = dec_ga.reconstruct()
     gB = _decompose(B).map(g).reconstruct()
     num, den = (gB, gA) if reverse else (gA, gB)
     P = _herm(num @ _decompose(den).inverse().reconstruct())
@@ -233,7 +235,7 @@ def _trace_log_sums(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarr
     rows = _in_domain(f, np.asarray(g(wa), dtype=float) / np.asarray(g(wb), dtype=float))
     if rows.any():
         lhs, rhs, A, B = sides[0][rows], sides[1][rows], A[rows], B[rows]
-        tr_ga, tr_gb, core = _product_path(f, g, dec_a[rows], B)
+        tr_ga, tr_gb, core = _product_path(f, g, dec_a[rows].map(g), B)
         _cross_check(
             "trace_log_sum_gap",
             lhs,
@@ -270,8 +272,8 @@ def _exp_log_traces(A: np.ndarray, B: np.ndarray):
     if (wa <= 0.0).any() or (wb <= 0.0).any():
         raise PreconditionError("both matrices must be positive definite")
     lhs = (wa * np.log(wa)).sum(axis=-1) - (wa * np.log(wb)).sum(axis=-1)
-    sum_a, sum_b = wa.sum(axis=-1).tolist(), wb.sum(axis=-1).tolist()
-    rhs = np.array([sa * math.log(sa / sb) for sa, sb in zip(sum_a, sum_b)])
+    sum_a, sum_b = wa.sum(axis=-1), wb.sum(axis=-1)
+    rhs = sum_a * np.log(sum_a / sum_b)
 
     LA = dec_a.map(_LOG).reconstruct()
     LB = _decompose(B).map(_LOG).reconstruct()
@@ -354,19 +356,16 @@ def _q_traces(A: np.ndarray, B: np.ndarray, q: np.ndarray, r: np.ndarray):
     """
     dec_a = _decompose(A)
     wa, wb, _ = _joint(dec_a, B)
-    sides = _q_log_sums(wa, wb, q, r)
-    powers = [power_fn(x) for x in r.tolist()]
-    lnqs = [q_log_fn(x) for x in q.tolist()]
-    # every q_log shares one domain
-    rows = _in_domain(lnqs[0], _apply_rows(powers, wa) / _apply_rows(powers, wb))
+    p, s = _q_powers(wa, wb, q, r)
+    sides = _q_sums(p, s, q)
+    rows = _in_domain(_Q_LOG, p / s)
     if rows.any():
-        lhs, rhs, A, B = sides[0][rows], sides[1][rows], A[rows], B[rows]
-        ks = np.flatnonzero(rows).tolist()
-        powers, lnqs, q = [powers[k] for k in ks], [lnqs[k] for k in ks], q[rows]
-        tr_ar, tr_br, core = _product_path(lnqs, powers, dec_a[rows], B)
-        lhs_prod = np.array(
-            [tb ** (1.0 - qq) * c for tb, qq, c in zip(tr_br.tolist(), q.tolist(), core.tolist())]
-        )
+        lhs, rhs, A, B, q = sides[0][rows], sides[1][rows], A[rows], B[rows], q[rows]
+        powers = [power_fn(x) for x in r[rows].tolist()]
+        lnqs = [q_log_fn(x) for x in q.tolist()]
+        dec_ar = SpectralDecomposition(dec_a.unitary[rows], p[rows])
+        tr_ar, tr_br, core = _product_path(lnqs, powers, dec_ar, B)
+        lhs_prod = tr_br ** (1.0 - q) * core
 
         def refereed(quantity):
             return lambda k: _referee(quantity, A[k], B[k], lnqs[k], powers[k], float(q[k]))
@@ -395,7 +394,7 @@ def _reverse_traces(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarr
     wa, wb, _ = _joint(dec_a, B)
     sides = _reverse(f, g, wa, wb)
     # The scalar verdict evaluated f at every ratio g(b_i)/g(a_i), so all lie in f's domain.
-    _, _, core = _product_path(f, g, dec_a, B, reverse=True)
+    _, _, core = _product_path(f, g, dec_a.map(g), B, reverse=True)
     _cross_check(
         "reverse_trace_gap",
         sides[0],

@@ -7,8 +7,10 @@ out literally so the gate is auditable without chasing indirection.
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -301,8 +303,11 @@ def test_criterion_10_cli_determinism(tmp_path):
         sys.executable, "-m", "logsumineq", "check",
         "--suite", "trace_log_sum", "--trials", "200", "--seed", "77",
     ]
-    out1 = subprocess.run(args, capture_output=True, text=True, timeout=600)
-    out2 = subprocess.run(args, capture_output=True, text=True, timeout=600)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out1 = subprocess.run(args, capture_output=True, text=True, timeout=600, env=env)
+    out2 = subprocess.run(args, capture_output=True, text=True, timeout=600, env=env)
     assert out1.returncode == 0 and out2.returncode == 0
     d1, d2 = json.loads(out1.stdout), json.loads(out2.stdout)
     d1.pop("wall_time")

@@ -1,8 +1,10 @@
 """CLI surface: subcommands, exit codes, JSON output, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +14,19 @@ from logsumineq.functions import identity_fn, log_fn, power_fn
 from logsumineq.matio import matrix_to_obj
 
 
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the package on the child's path, installed or not
+_PATH = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+_ENV = {**os.environ, "PYTHONPATH": _PATH}
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "logsumineq", *args],
         capture_output=True,
         text=True,
         timeout=600,
+        env=_ENV,
     )
 
 
@@ -412,6 +421,13 @@ def test_eval_empty_document_names_first_field(tmp_path, capsys, op):
 # field takes neither a list, a bool, a string, an integer beyond float range
 # nor NaN or an infinity, and grid_points takes JSON integers only.
 _NOT_NUMBERS = [[1.0], True, "1", 10**400, float("nan"), float("inf"), -float("inf")]
+# a matrix's n is a JSON integer, and its entries are numbers as above
+_NOT_MATRICES = [
+    5,
+    {"n": 2.9, "re": [["2", True], [True, "3.5"]], "im": [[0, 0], [0, 0]]},
+    {"n": True, "re": [[2.0]], "im": [[0.0]]},
+    {"n": 2, "re": [["2", True], [True, "3.5"]], "im": [[0, 0], [0, 0]]},
+]
 _WRONG_TYPED = {
     **dict.fromkeys(("x", "y", "q", "r", "limit_window", "tol", "floor"), _NOT_NUMBERS),
     "grid_points": [[1.0], True, "1", 3.9],
@@ -421,8 +437,8 @@ _WRONG_TYPED = {
     "interval": [5, [True, 2.0]],
     **dict.fromkeys(("lambda_a", "lambda_b"), [5, ["1", "2"]]),
     **dict.fromkeys(("h_kind", "solver", "lhs_form"), [5]),
-    **dict.fromkeys(("M", "A", "B", "U", "X", "contraction", "rho", "sigma"), [5]),
-    **dict.fromkeys(("A_part", "B_part", "A_whole", "B_whole"), [5]),
+    **dict.fromkeys(("M", "A", "B", "U", "X", "contraction", "rho", "sigma"), _NOT_MATRICES),
+    **dict.fromkeys(("A_part", "B_part", "A_whole", "B_whole"), _NOT_MATRICES),
     **dict.fromkeys(("A_family", "B_family", "X_family"), [5]),
     "require_expansive": ["false"],
 }

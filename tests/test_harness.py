@@ -123,7 +123,8 @@ def test_different_seed_changes_worst_case():
 
 
 def test_worst_case_seed_replays_exactly():
-    for suite in ("scalar_log_sum", "q_log_sum", "perspective_sum", "pooled_mean"):
+    suites = ("scalar_log_sum", "q_log_sum", "q_direction", "q_trace", "exp_log_trace")
+    for suite in suites + ("perspective_sum", "pooled_mean", "split_mean"):
         rep = run_suite(TrialConfig(suite=suite, trials=150, seed=31, n=3, m=2))
         replay = run_suite(TrialConfig(suite=suite, trials=1, seed=rep.worst_case_seed, n=3, m=2))
         assert replay.worst_gap == rep.worst_gap, suite

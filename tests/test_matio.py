@@ -46,6 +46,14 @@ def test_from_obj_validation():
         matrix_from_obj({"n": 1, "re": [[1.0]]})  # missing im
     with pytest.raises(DomainError):
         matrix_from_obj({"n": 1, "re": [[float("nan")]], "im": [[0.0]]})
+    for n in (True, "1", 1.0, 0):  # n is a JSON integer >= 1
+        with pytest.raises(DomainError, match="^n must be an integer >= 1"):
+            matrix_from_obj({"n": n, "re": [[1.0]], "im": [[0.0]]})
+    for entry in (True, "1", None, [1.0]):  # an entry is a JSON int or float
+        with pytest.raises(DomainError, match="^must be a number"):
+            matrix_from_obj({"n": 1, "re": [[1.0]], "im": [[entry]]})
+    with pytest.raises(DimensionError):
+        matrix_from_obj({"n": 1, "re": [1.0], "im": [[0.0]]})  # a row that is not a list
 
 
 @settings(max_examples=150)
