@@ -181,23 +181,8 @@ EVAL_OPS = {
 
 
 def _render(result):
-    if isinstance(result, InequalityVerdict):
-        return {
-            "lhs": result.lhs,
-            "rhs": result.rhs,
-            "gap": result.gap,
-            "tolerance": result.tolerance,
-            "holds": result.holds,
-        }
-    if isinstance(result, matfun.LoewnerVerdict):
-        return {
-            "residual_min_eigenvalue": result.residual_min_eigenvalue,
-            "residual_norm": result.residual_norm,
-            "tolerance": result.tolerance,
-            "holds": result.holds,
-        }
-    if isinstance(result, RatioBounds):
-        return {"m_g": result.m_g, "M_g": result.M_g}
+    if isinstance(result, (InequalityVerdict, matfun.LoewnerVerdict, RatioBounds)):
+        return asdict(result)
     if isinstance(result, matfun.SpectralDecomposition):
         return {
             "eigenvalues": [float(v) for v in result.eigenvalues],

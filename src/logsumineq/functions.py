@@ -5,6 +5,11 @@ The same specs drive plain scalar evaluation, the convexity grid checks, and
 the Hermitian functional calculus, so every code path applies literally the
 same f.  An optional additive offset supports shifted variants such as
 sqrt(x) - 1 (useful when a check requires f(1) = 0).
+
+Each family has one formula (_formula) and one domain rule (_outside), and a
+spec is validated once, when it is built.  evaluate and the row-batched
+_apply_rows both run that formula, so a row of a stack gets the bits of a
+call on that row alone.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .qlog import QLogParams, _q_log, q_log
+from .qlog import QLogParams, _q_log
 
 __all__ = [
     "FunctionSpec",
@@ -68,6 +73,8 @@ class FunctionSpec:
                 raise DomainError("power exponent must be nonzero")
             if self.family == "shifted_log" and self.param <= 0.0:
                 raise DomainError("shifted_log shift must be positive")
+            if self.family == "q_log":
+                QLogParams(self.param, self.limit_window)
         if self.family == "tabulated":
             if self.grid is None:
                 raise DomainError("tabulated spec requires a grid")
@@ -108,8 +115,7 @@ class FunctionSpec:
         arr = np.asarray(values, dtype=float)
         if not np.isfinite(arr).all():
             raise DomainError(f"{what} of {self.label()} must be finite")
-        lo, hi, lo_open = self.domain()
-        bad = (arr < lo) | (arr > hi) | ((arr == lo) & lo_open)
+        bad = _outside(arr, *self.domain())
         if bad.any():
             offender = float(arr[bad].flat[0])
             raise DomainError(f"{what} {offender} outside domain of {self.label()}")
@@ -122,34 +128,13 @@ class FunctionSpec:
         if self.family == "power":
             return float(self.param) > -1.0
         if self.family == "tabulated":
-            lo, hi, _ = self.domain()
-            return lo <= 0.0 <= hi
+            return not _outside(0.0, *self.domain())
         return True
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, values):
-        arr = self.check_domain(values)
-        if self.family == "identity":
-            out = arr.copy()
-        elif self.family == "log":
-            out = np.log(arr)
-        elif self.family == "exp":
-            out = np.exp(arr)
-        elif self.family == "power":
-            r = float(self.param)
-            out = arr.astype(float) ** r
-        elif self.family == "q_log":
-            out = np.asarray(q_log(arr, QLogParams(float(self.param), self.limit_window)))
-        elif self.family == "shifted_log":
-            out = np.log(arr + float(self.param))
-        elif self.family == "rational":
-            out = arr / (arr * arr + 2.0)
-        else:  # tabulated
-            xs, ys = self.grid
-            out = np.interp(arr, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-        if self.offset != 0.0:
-            out = out + self.offset
+        out = _formula(self, self.check_domain(values), self.param)
         return float(out) if np.ndim(values) == 0 else out
 
     def __call__(self, values):
@@ -165,6 +150,38 @@ class FunctionSpec:
         return base
 
 
+def _outside(x, lo, hi, lo_open):
+    """Where x lies outside the domain (lo, hi, lo_open) of FunctionSpec.domain; NaN is outside."""
+    return np.isnan(x) | (x < lo) | (x > hi) | ((x == lo) & lo_open)
+
+
+def _formula(f: FunctionSpec, arr: np.ndarray, param) -> np.ndarray:
+    """f at arr, already checked in f's domain, offset included: the one formula of each family.
+
+    param is f.param, or for power and q_log a column of parameters, one per
+    row of arr; numpy's pow and _q_log give each row the arithmetic of a call
+    with its own parameter.
+    """
+    if f.family == "identity":
+        out = arr.copy()
+    elif f.family == "log":
+        out = np.log(arr)
+    elif f.family == "exp":
+        out = np.exp(arr)
+    elif f.family == "power":
+        out = arr.astype(float) ** param
+    elif f.family == "q_log":
+        out = _q_log(arr, param, f.limit_window)
+    elif f.family == "shifted_log":
+        out = np.log(arr + float(param))
+    elif f.family == "rational":
+        out = arr / (arr * arr + 2.0)
+    else:  # tabulated
+        xs, ys = f.grid
+        out = np.interp(arr, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    return out + f.offset if f.offset != 0.0 else out
+
+
 # Scalar exponents that numpy's x ** r takes by reciprocal, sqrt and square,
 # whose last bit can differ from its pow with an array of exponents.
 _FAST_POWERS = (-1.0, 0.5, 2.0)
@@ -173,51 +190,29 @@ _FAST_POWERS = (-1.0, 0.5, 2.0)
 def _apply_rows(fs, X: np.ndarray) -> np.ndarray:
     """fs(X) for one FunctionSpec fs, else fs[t](X[t]) for each entry t of X's first axis.
 
-    Rows that share a spec are evaluated in one call, and so are the power
-    or q_log specs that differ only in their parameter (_with_params).
-    Every row gets the bits of a call on that row alone.
+    Every row is checked in its spec's domain first, and the first failing
+    row raises its one-row message.  Then each group of rows gets one call
+    of _formula: the rows of one spec, or of the power or q_log specs that
+    share family, offset and window, with their parameters as a column.
     """
     if isinstance(fs, FunctionSpec):
         return fs(X)
-    rows: dict[FunctionSpec, list[int]] = {}
-    for t, f in enumerate(fs):
-        rows.setdefault(f, []).append(t)
-    if len(rows) == 1:
-        return fs[0](X)
-    out = np.empty(np.shape(X))
-    batches: dict[tuple, list[FunctionSpec]] = {}
-    for f in rows:
-        if f.family == "q_log" or (f.family == "power" and f.param not in _FAST_POWERS):
-            batches.setdefault((f.family, f.offset, f.limit_window), []).append(f)
-    for specs in batches.values():
-        if len(specs) > 1:
-            ts = [t for f in specs for t in rows.pop(f)]
-            out[ts] = _with_params([fs[t] for t in ts], X[ts])
-    for f, ts in rows.items():
-        out[ts] = f(X[ts])
-    return out
-
-
-def _with_params(fs: list[FunctionSpec], X: np.ndarray) -> np.ndarray:
-    """fs[t](X[t]) in one call, for specs of one family, offset and window that differ in param.
-
-    The arithmetic is evaluate's, with the parameter as a column; numpy's
-    pow with an array of exponents matches its pow with each scalar one
-    except at the exponents _FAST_POWERS, which _apply_rows keeps apart.
-    """
     column = (-1,) + (1,) * (X.ndim - 1)
-    lo, hi, lo_open = (np.reshape(v, column) for v in zip(*(f.domain() for f in fs)))
-    bad = ~np.isfinite(X) | (X < lo) | (X > hi) | ((X == lo) & lo_open)
+    lo, hi, lo_open = (np.array(v).reshape(column) for v in zip(*(f.domain() for f in fs)))
+    bad = ~np.isfinite(X) | _outside(X, lo, hi, lo_open)
     if bad.any():
         t = int(np.flatnonzero(bad.reshape(len(fs), -1).any(axis=-1))[0])
         fs[t].check_domain(X[t])  # raises the one-row message
-    param = np.reshape([f.param for f in fs], column)
-    first = fs[0]
-    if first.family == "power":
-        out = X.astype(float) ** param
-    else:
-        out = _q_log(X, param, first.limit_window)
-    return out + first.offset if first.offset != 0.0 else out
+    groups: dict = {}
+    for t, f in enumerate(fs):
+        batched = f.family == "q_log" or (f.family == "power" and f.param not in _FAST_POWERS)
+        groups.setdefault((f.family, f.offset, f.limit_window) if batched else f, []).append(t)
+    out = np.empty(np.shape(X))
+    for key, ts in groups.items():
+        f = fs[ts[0]]
+        param = np.reshape([fs[t].param for t in ts], column) if isinstance(key, tuple) else f.param
+        out[ts] = _formula(f, X[ts], param)
+    return out
 
 
 def identity_fn() -> FunctionSpec:
@@ -237,7 +232,6 @@ def power_fn(r: float, offset: float = 0.0) -> FunctionSpec:
 
 
 def q_log_fn(q: float, limit_window: float = 1e-9, offset: float = 0.0) -> FunctionSpec:
-    QLogParams(float(q), limit_window)  # validate eagerly
     return FunctionSpec("q_log", param=float(q), offset=offset, limit_window=limit_window)
 
 

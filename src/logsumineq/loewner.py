@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError, PreconditionError
-from .functions import FunctionSpec
+from .functions import FunctionSpec, _outside
 from .matfun import (
     LoewnerVerdict,
     SpectralDecomposition,
@@ -158,8 +158,7 @@ def perspective_identity_gap(f: FunctionSpec, A, B) -> float:
 
 def _strict_contraction_problem(f: FunctionSpec, monotone: bool) -> str | None:
     """Why f cannot take a contraction with C† C != I in its direction, or None."""
-    lo, hi, lo_open = f.domain()
-    if not ((lo < 0.0 or (lo == 0.0 and not lo_open)) and hi >= 0.0):
+    if _outside(0.0, *f.domain()):
         return f"{f.label()} is undefined at 0; a strict contraction pushes the spectrum there"
     if monotone and float(f(0.0)) < -_F_AT_ANCHOR_TOL:
         return "monotone direction needs f(0) >= 0"

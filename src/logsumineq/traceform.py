@@ -6,10 +6,10 @@ inequality reduces exactly to its scalar counterpart on the paired
 eigenvalue lists.  The matrix-product route (functional calculus plus
 explicit products and traces) is then compared against that value as an
 internal cross-check.  The two routes share only A's decomposition:
-the product route takes g(A) from it and decomposes B, the denominator and
-the product itself.  The product route is skipped when a zero weight makes
-f blow up there (e.g. 0 * log 0 terms), since only the scalar route carries
-the continuity convention.
+the product route takes g(A) from it, decomposes B and the product, and
+inverts the denominator from its mapped decomposition.  The product route
+is skipped when a zero weight makes f blow up there (e.g. 0 * log 0
+terms), since only the scalar route carries the continuity convention.
 
 A product-path value outside its cross-check bound goes to a referee: the
 same product-path formula evaluated by mpmath at 50 digits on the float64
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError, PreconditionError, SupportError
-from .functions import FunctionSpec, log_fn, power_fn, q_log_fn
+from .functions import FunctionSpec, _outside, identity_fn, log_fn, power_fn, q_log_fn
 from .matfun import (
     COMMUTE_RTOL,
     SpectralDecomposition,
@@ -55,6 +55,7 @@ from .scalar import (
     _active_sums,
     _forward,
     _one,
+    _positive,
     _q_powers,
     _q_sums,
     _reverse,
@@ -75,6 +76,7 @@ EXP_LOG_CROSS_RTOL = 1e-8
 SUPPORT_ATOL = 1e-14
 DENSITY_TRACE_TOL = 1e-10
 _CLUSTER_RTOL = 1e-8
+_IDENTITY = identity_fn()
 _LOG = log_fn()
 _Q_LOG = q_log_fn(0.0)  # every q_log shares one domain
 
@@ -205,24 +207,19 @@ def _referee(quantity: str, A: np.ndarray, B: np.ndarray, f=None, g=None, q=None
 # -- the trace statements ----------------------------------------------------
 
 
-def _in_domain(f: FunctionSpec, ratios: np.ndarray) -> np.ndarray:
-    """Whether every ratio of each row lies in f's domain, so the product path can evaluate f."""
-    lo, hi, lo_open = f.domain()
-    return (((ratios > lo) if lo_open else (ratios >= lo)) & (ratios <= hi)).all(axis=-1)
-
-
 def _product_path(f, g, dec_ga: SpectralDecomposition, B: np.ndarray, reverse: bool = False):
     """trace g(A), trace g(B) and trace[g(A) f(g(X) g(Y)^{-1})] (T,) by functional calculus.
 
     (X, Y) is (A, B), or (B, A) when reverse; f and g are FunctionSpecs, or
     one per pair.  dec_ga is g(A)'s decomposition, read off the joint
     spectrum's decomposition of A; the rest of the route stays an
-    independent check.
+    independent check.  The denominator is inverted from its mapped
+    decomposition.
     """
-    gA = dec_ga.reconstruct()
-    gB = _decompose(B).map(g).reconstruct()
-    num, den = (gB, gA) if reverse else (gA, gB)
-    P = _herm(num @ _decompose(den).inverse().reconstruct())
+    dec_gb = _decompose(B).map(g)
+    gA, gB = dec_ga.reconstruct(), dec_gb.reconstruct()
+    num, den = (gB, dec_ga) if reverse else (gA, dec_gb)
+    P = _herm(num @ den.inverse().reconstruct())
     core = _trace(gA @ _decompose(P).map(f).reconstruct())
     return _trace(gA), _trace(gB), core
 
@@ -231,11 +228,13 @@ def _trace_log_sums(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarr
     """lhs, rhs and gap (T,) of the forward trace inequality for commuting stacks A, B."""
     dec_a = _decompose(A)
     wa, wb, _ = _joint(dec_a, B)
-    sides = _forward(f, g, wa, wb)
-    rows = _in_domain(f, np.asarray(g(wa), dtype=float) / np.asarray(g(wb), dtype=float))
+    gb = _positive(g, wb, "b")
+    ga = g(wa)
+    sides = _forward(f, _IDENTITY, ga, gb)  # the forward inequality on the weights g(a), g(b)
+    rows = ~_outside(ga / gb, *f.domain()).any(axis=-1)
     if rows.any():
         lhs, rhs, A, B = sides[0][rows], sides[1][rows], A[rows], B[rows]
-        tr_ga, tr_gb, core = _product_path(f, g, dec_a[rows].map(g), B)
+        tr_ga, tr_gb, core = _product_path(f, g, dec_a[rows]._with(ga[rows]), B)
         _cross_check(
             "trace_log_sum_gap",
             lhs,
@@ -358,13 +357,12 @@ def _q_traces(A: np.ndarray, B: np.ndarray, q: np.ndarray, r: np.ndarray):
     wa, wb, _ = _joint(dec_a, B)
     p, s = _q_powers(wa, wb, q, r)
     sides = _q_sums(p, s, q)
-    rows = _in_domain(_Q_LOG, p / s)
+    rows = ~_outside(p / s, *_Q_LOG.domain()).any(axis=-1)
     if rows.any():
         lhs, rhs, A, B, q = sides[0][rows], sides[1][rows], A[rows], B[rows], q[rows]
         powers = [power_fn(x) for x in r[rows].tolist()]
         lnqs = [q_log_fn(x) for x in q.tolist()]
-        dec_ar = SpectralDecomposition(dec_a.unitary[rows], p[rows])
-        tr_ar, tr_br, core = _product_path(lnqs, powers, dec_ar, B)
+        tr_ar, tr_br, core = _product_path(lnqs, powers, dec_a[rows]._with(p[rows]), B)
         lhs_prod = tr_br ** (1.0 - q) * core
 
         def refereed(quantity):
@@ -392,9 +390,11 @@ def _reverse_traces(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarr
     """lhs, rhs and gap (T,) of the reverse trace inequality for commuting stacks A, B."""
     dec_a = _decompose(A)
     wa, wb, _ = _joint(dec_a, B)
-    sides = _reverse(f, g, wa, wb)
+    ga = _positive(g, wa, "a")
+    gb = _positive(g, wb, "b")
+    sides = _reverse(f, _IDENTITY, ga, gb)  # the reverse inequality on the weights g(a), g(b)
     # The scalar verdict evaluated f at every ratio g(b_i)/g(a_i), so all lie in f's domain.
-    _, _, core = _product_path(f, g, dec_a.map(g), B, reverse=True)
+    _, _, core = _product_path(f, g, dec_a._with(ga), B, reverse=True)
     _cross_check(
         "reverse_trace_gap",
         sides[0],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from logsumineq.errors import DomainError
 from logsumineq.functions import (
     FunctionSpec,
+    _apply_rows,
     exp_fn,
     identity_fn,
     log_fn,
@@ -35,6 +36,8 @@ def test_family_validation():
         FunctionSpec("tabulated")  # missing grid
     with pytest.raises(DomainError):
         tabulated_fn([0.0, 0.0], [1.0, 2.0])  # non-increasing abscissae
+    with pytest.raises(DomainError):
+        FunctionSpec("q_log", 1.5, limit_window=1.0)  # window outside (0, 1e-6]
 
 
 def test_point_values():
@@ -131,3 +134,33 @@ def test_vectorized_matches_scalar_loop(values):
     out = f(arr)
     for v, o in zip(values, out):
         assert o == f(float(v))
+
+
+_MIXED_ROWS = [
+    power_fn(0.5),
+    power_fn(2.0),
+    power_fn(1.3),
+    power_fn(1.7),
+    q_log_fn(0.4),
+    q_log_fn(1.6),
+    log_fn(),
+    power_fn(0.5, offset=-1.0),
+]
+
+
+def test_rows_of_mixed_specs_get_the_bits_of_their_own_calls():
+    X = np.random.default_rng(3).uniform(0.05, 20.0, (len(_MIXED_ROWS), 7))
+    out = _apply_rows(_MIXED_ROWS, X)
+    for t, f in enumerate(_MIXED_ROWS):
+        assert out[t].tobytes() == f(X[t]).tobytes(), f.label()
+
+
+def test_rows_of_mixed_specs_raise_the_first_failing_rows_message():
+    X = np.random.default_rng(3).uniform(0.05, 20.0, (len(_MIXED_ROWS), 7))
+    X[2, 1] = X[0, 3] = -1.0  # power(1.3) and power(0.5) fall in different groups
+    X[6, 0] = np.nan
+    with pytest.raises(DomainError) as one_row:
+        _MIXED_ROWS[0](X[0])
+    with pytest.raises(DomainError) as err:
+        _apply_rows(_MIXED_ROWS, X)
+    assert str(err.value) == str(one_row.value) == "argument -1.0 outside domain of power(0.5)"
