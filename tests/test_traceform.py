@@ -395,13 +395,19 @@ _PAIR_GAPS = {
 }
 
 
-@pytest.mark.parametrize("name, eighs", [("forward", 3), ("reverse", 3), ("q", 3), ("exp_log", 2)])
-def test_trace_gaps_check_each_input_once(input_checks, eigh_calls, name, eighs):
+# joint spectrum, g(B) and f of the product for the product-path gaps; exp_log has no product
+_PAIR_GAP_EIGHS = {"forward": 3, "reverse": 3, "q": 3, "exp_log": 2}
+
+
+@pytest.mark.parametrize("name, n", [("forward", 4), ("reverse", 4), ("q", 4), ("exp_log", 2)])
+def test_trace_gaps_check_each_input_once(input_checks, eigh_calls, name, n):
+    pair = rand_commuting_pair(np.random.default_rng(n), n, (0.5, 2.0), (0.5, 2.0))
     eigh_calls.clear()
-    _PAIR_GAPS[name](*_INTERIOR)
+    input_checks.update(dict.fromkeys(input_checks, 0))
+    _PAIR_GAPS[name](*pair)
     # A then B, each checked square, finite and Hermitian at entry and nowhere after
     assert input_checks == {"_as_square_complex": 2, "_require_hermitian": 2}
-    assert len(eigh_calls) == eighs
+    assert len(eigh_calls) == _PAIR_GAP_EIGHS[name]
 
 
 _NOT_HERMITIAN = np.array([[2.0, 1.0], [0.0, 2.0]])
