@@ -10,12 +10,15 @@ worst_case_seed replays its worst trial exactly:
 One loop serves run_suite and counterexample_search: it hands each block of
 consecutive trial seeds to the suite's evaluator.  Every suite is a draw
 plus a stacked kernel (_Stacked).  _Stacked.draws, the one place a seed
-becomes an rng, hands each trial a fresh rng of its seed, and draw(rng,
-config) returns the trial's values in draw order; _stacks stacks each value
-over an (n, m) group of a block, and kernel(config, *stacks) builds and
-evaluates the group as one stack (at most one qr or svd per build, one
-eigensolver call per kernel step), bitwise equal to one-trial runs, so the
-blocks change no number in a report.  Three steps are stated once: _sized
+becomes an rng, hands each trial the stream of np.random.default_rng(seed),
+and draw(rng, config) returns the trial's values in draw order.  It seeds a
+whole block at once (_rngs): numpy's SeedSequence hash runs over the block's
+seeds as uint32 arrays, PCG64's seeding in Python ints, and one Generator
+takes each trial's state in turn.  _stacks stacks each value over an
+(n, m) group of a block, and kernel(config, *stacks) builds and evaluates
+the group as one stack (at most one qr or svd per build, one eigensolver
+call per kernel step), bitwise equal to one-trial runs, so the blocks
+change no number in a report.  Three steps are stated once: _sized
 draws the size n of every suite without a family and hands it to draw(rng,
 n); _sides judges a scalar or trace kernel's (lhs, rhs, gap) at the
 tolerance; _on_pairs builds the commuting pairs of the trace suites from
@@ -150,6 +153,70 @@ class SuiteReport:
 
 def _trial_seed(config: TrialConfig, index: int) -> int:
     return (config.seed + index) % _SEED_MOD
+
+
+# numpy's SeedSequence (NEP 19) and PCG64 constants, for _rngs.
+_M32 = 2**32 - 1
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715  # MIX_MULT_L, MIX_MULT_R
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M128 = 2**128 - 1
+
+
+def _hash_constants(init: int, mult: int, calls: int):
+    """The xor and multiplier columns (calls, 1) of a SeedSequence hash's successive calls."""
+    xors, mults = [], []
+    for _ in range(calls):
+        xors.append(init)
+        init = init * mult & _M32
+        mults.append(init)
+    return (np.array(c, dtype=np.uint32)[:, None] for c in (xors, mults))
+
+
+# Pool hashing (INIT_A, MULT_A): 4 entropy words, then 3 mixes from each of
+# the 4 words.  Output (INIT_B, MULT_B): 8 words.
+_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_XOR, _STATE_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_OTHERS = [[d for d in range(4) if d != s] for s in range(4)]
+
+
+def _hashmix(x, xor, mult):
+    x = (x ^ xor) * mult
+    return x ^ (x >> 16)
+
+
+def _rngs(seeds):
+    """One Generator in the state of np.random.default_rng(seed), for each seed in turn.
+
+    SeedSequence(seed) hashes a pool of the seed's low and high 32-bit words
+    and two zero words (a seed below 2**32 hashes as with a zero high word)
+    into 8 words; here each pool word is a uint32 array over the block.  The
+    8 words make 4 uint64, the (high, low) halves of PCG64's initstate and
+    initseq, and PCG64 seeds with inc = 2 initseq + 1 and state =
+    (inc + initstate) * MULT + inc mod 2**128.  The same Generator is yielded
+    for every seed, with no buffered 32-bit half left from the trial before;
+    take a trial's draws before the next seed.
+    """
+    s = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = s & _M32, s >> 32
+    pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MULT[:4])
+    for src, dst in enumerate(_OTHERS):
+        k = slice(4 + 3 * src, 7 + 3 * src)
+        y = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _POOL_XOR[k], _POOL_MULT[k])
+        pool[dst] = y ^ (y >> 16)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT).astype(np.uint64)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for s_hi, s_lo, i_hi, i_lo in zip(*(words[1::2] << 32 | words[0::2]).tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _size(rng: np.random.Generator, cap: int) -> int:
@@ -498,8 +565,12 @@ class _Stacked:
         self.kernel = kernel
 
     def draws(self, seeds, config: TrialConfig) -> list[_Draw]:
-        """The draws of the trials seeded seeds, each from a fresh rng of its seed."""
-        return [self.draw(np.random.default_rng(ts), config) for ts in seeds]
+        """The draws of the trials seeded seeds, each from the stream of default_rng(seed).
+
+        The block is seeded at once (_rngs); each trial's draws are taken
+        before the next trial's state is set.
+        """
+        return [self.draw(rng, config) for rng in _rngs(seeds)]
 
     def __call__(self, seeds, config):
         return _verdicts(self.draws(seeds, config), config, self.kernel)

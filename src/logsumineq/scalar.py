@@ -342,7 +342,9 @@ def _q_powers(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
     """
     if (q == 2.0).any():
         raise PreconditionError("q = 2 has no inequality direction")
-    powers = _apply_rows([power_fn(x) for x in r.tolist()], np.stack([a, b], axis=1))
+    rs = r.tolist()
+    specs = {x: power_fn(x) for x in set(rs)}  # one spec per distinct power
+    powers = _apply_rows([specs[x] for x in rs], np.stack([a, b], axis=1))
     p, s = powers[:, 0], powers[:, 1]
     if (s <= 0.0).any():
         raise PreconditionError("b_i**r must be strictly positive for every i")

@@ -375,13 +375,13 @@ def test_each_trial_draws_from_one_rng_of_its_trial_seed(monkeypatch, run):
     # trial i of seed s draws from the stream (s + i) mod 2**64, here across the
     # wrap; the search's recheck reuses the candidates' first-pass draws
     seeds = []
-    real = np.random.default_rng
+    real = harness._rngs
 
-    def recording(seed):
-        seeds.append(seed)
-        return real(seed)
+    def recording(block):
+        seeds.extend(block)
+        return real(block)
 
-    monkeypatch.setattr(np.random, "default_rng", recording)
+    monkeypatch.setattr(harness, "_rngs", recording)
     seed = 2**64 - 3
     if run.startswith("search"):
         cfg = _search_config(run.split()[1], 300, seed=seed)
@@ -391,6 +391,25 @@ def test_each_trial_draws_from_one_rng_of_its_trial_seed(monkeypatch, run):
         cfg = TrialConfig(suite=run, trials=6, seed=seed, n=3, m=2)
         run_suite(cfg)
     assert seeds == [(seed + index) % 2**64 for index in range(cfg.trials)]
+
+
+_EDGE_SEEDS = [0, 1, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**63 + 1]
+_EDGE_SEEDS += list(range(2**64 - 5, 2**64))
+
+
+@pytest.mark.parametrize("one_block", [True, False], ids=["one block", "blocks of 1"])
+def test_block_seeding_gives_each_seed_the_stream_of_default_rng(one_block):
+    # the guard against numpy changing SeedSequence or PCG64 seeding: a block's
+    # streams are default_rng(seed)'s, whatever the block; integers(1, 5) leaves
+    # a buffered 32-bit half behind, which the next seed must not inherit
+    seeds = _EDGE_SEEDS + np.random.default_rng(2005).integers(0, 2**64, 1000, np.uint64).tolist()
+    blocks = [seeds] if one_block else [[s] for s in seeds]
+
+    def draws(rng):
+        return [x.tobytes() for x in (rng.integers(1, 5), rng.standard_normal(3), rng.random(2))]
+
+    got = [draws(rng) for b in blocks for rng in harness._rngs(b)]
+    assert got == [draws(np.random.default_rng(s)) for s in seeds]
 
 
 # -- one block loop for every suite --------------------------------------------

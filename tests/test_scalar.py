@@ -394,3 +394,24 @@ def test_stacked_kernels_give_each_row_its_one_pair_bits():
         one = q_log_sum_gap(pair_of(a[t], b[t]), q[t], r[t])
         got = [float(side[t]).hex() for side in stacked]
         assert got == [float(x).hex() for x in (one.lhs, one.rhs, one.gap)], t
+
+
+def test_q_powers_build_one_spec_per_distinct_power(monkeypatch):
+    # q_direction takes r = 1 at every order: its rows share one spec, and each
+    # row still gets the bits of its own spec's call
+    built = []
+    real = scalar.power_fn
+
+    def counting(r):
+        built.append(r)
+        return real(r)
+
+    monkeypatch.setattr(scalar, "power_fn", counting)
+    rng = np.random.default_rng(18)
+    r = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.7])
+    a, b = rng.uniform(0.1, 10.0, (2, len(r), 5))
+    p, s = scalar._q_powers(a, b, np.zeros(len(r)), r)
+    assert sorted(built) == [0.7, 1.0]
+    for t, x in enumerate(r):
+        assert p[t].tobytes() == real(x)(a[t]).tobytes()
+        assert s[t].tobytes() == real(x)(b[t]).tobytes()
