@@ -194,24 +194,49 @@ def _apply_rows(fs, X: np.ndarray) -> np.ndarray:
     row raises its one-row message.  Then each group of rows gets one call
     of _formula: the rows of one spec, or of the power or q_log specs that
     share family, offset and window, with their parameters as a column.
+    Domains and groups are taken once per distinct spec object, and a group
+    that covers every row runs on X whole.
     """
     if isinstance(fs, FunctionSpec):
         return fs(X)
+    by_id = dict(zip(map(id, fs), fs))  # the distinct spec objects, in order of first row
+    number = {key: k for k, key in enumerate(by_id)}
+    pos = np.fromiter(map(number.__getitem__, map(id, fs)), dtype=np.intp, count=len(fs))
+    specs = list(by_id.values())
     column = (-1,) + (1,) * (X.ndim - 1)
-    lo, hi, lo_open = (np.array(v).reshape(column) for v in zip(*(f.domain() for f in fs)))
+    if len(specs) == 1:
+        lo, hi, lo_open = specs[0].domain()
+    else:
+        domains = zip(*(f.domain() for f in specs))
+        lo, hi, lo_open = (np.array(v)[pos].reshape(column) for v in domains)
     bad = ~np.isfinite(X) | _outside(X, lo, hi, lo_open)
     if bad.any():
         t = int(np.flatnonzero(bad.reshape(len(fs), -1).any(axis=-1))[0])
         fs[t].check_domain(X[t])  # raises the one-row message
-    groups: dict = {}
-    for t, f in enumerate(fs):
+    groups: dict = {}  # the numbers of each group's distinct specs
+    for k, f in enumerate(specs):
         batched = f.family == "q_log" or (f.family == "power" and f.param not in _FAST_POWERS)
-        groups.setdefault((f.family, f.offset, f.limit_window) if batched else f, []).append(t)
+        groups.setdefault((f.family, f.offset, f.limit_window) if batched else f, []).append(k)
+
+    def formula(key, ks, rows):
+        f = specs[ks[0]]
+        param = f.param
+        if isinstance(key, tuple) and len(ks) > 1:  # each row's parameter, as a column
+            params = np.zeros(len(specs))
+            params[ks] = [specs[k].param for k in ks]
+            param = params[pos[rows]].reshape(column)
+        return _formula(f, X[rows], param)
+
+    if len(groups) == 1:  # one group covers every row: X whole
+        return formula(*next(iter(groups.items())), slice(None))
+    group_of = np.empty(len(specs), dtype=np.intp)
+    for g, ks in enumerate(groups.values()):
+        group_of[ks] = g
+    row_group = group_of[pos]
     out = np.empty(np.shape(X))
-    for key, ts in groups.items():
-        f = fs[ts[0]]
-        param = np.reshape([fs[t].param for t in ts], column) if isinstance(key, tuple) else f.param
-        out[ts] = _formula(f, X[ts], param)
+    for g, (key, ks) in enumerate(groups.items()):
+        rows = row_group == g
+        out[rows] = formula(key, ks, rows)
     return out
 
 

@@ -101,17 +101,19 @@ def _build_contraction(s: np.ndarray, G: np.ndarray) -> np.ndarray:
     return (U * s[..., None, :]) @ Vh
 
 
-def _split_matching(dec: SpectralDecomposition, shares: np.ndarray) -> np.ndarray:
-    """carrier C_i carrier† with carrier = total^{1/2} S^{-1/2}, S = sum(C_i).
+def _split_matching(dec: SpectralDecomposition, shares: np.ndarray, m) -> np.ndarray:
+    """carrier C_i carrier† with carrier = total^{1/2} S^{-1/2}, S = sum(C_i), for T families.
 
-    dec decomposes [S, total] (..., 2, n, n), total Hermitian PD, and shares
-    (..., m, n, n) are PD; the result's members sum to total.
+    dec decomposes [S_1..S_T, total_1..total_T] (2T, n, n), each total
+    Hermitian PD, and the PD shares lie on one flat member axis (K, n, n),
+    family t's m[t] on consecutive rows; each family's members sum to its total.
     """
+    T = len(m)
     w, U = dec.eigenvalues, dec.unitary
-    U_s, U_t = U[..., 0, :, :], U[..., 1, :, :]
-    S_inv_half = (U_s * (1.0 / np.sqrt(w[..., 0, None, :]))) @ _adjoint(U_s)
-    T_half = (U_t * np.sqrt(w[..., 1, None, :])) @ _adjoint(U_t)
-    carrier = (T_half @ S_inv_half)[..., None, :, :]
+    U_s, U_t = U[:T], U[T:]
+    S_inv_half = (U_s * (1.0 / np.sqrt(w[:T, None, :]))) @ _adjoint(U_s)
+    T_half = (U_t * np.sqrt(w[T:, None, :])) @ _adjoint(U_t)
+    carrier = np.repeat(T_half @ S_inv_half, m, axis=0)
     return _herm(carrier @ shares @ _adjoint(carrier))
 
 
@@ -215,4 +217,5 @@ def rand_split_matching(
     total = hermitize(total)
     spectra, gaussians = zip(*(_draw_pd(rng, total.shape[0], spectrum_range) for _ in range(m)))
     shares = _build(np.array(spectra), _unitaries(np.array(gaussians)))
-    return list(_split_matching(_decompose(np.stack([_total(shares), total])), shares))
+    dec = _decompose(np.concatenate([_total(shares, [m]), total[None]]))
+    return list(_split_matching(dec, shares, [m]))

@@ -14,11 +14,13 @@ becomes an rng, hands each trial the stream of np.random.default_rng(seed),
 and draw(rng, config) returns the trial's values in draw order.  It seeds a
 whole block at once (_rngs): numpy's SeedSequence hash runs over the block's
 seeds as uint32 arrays, PCG64's seeding in Python ints, and one Generator
-takes each trial's state in turn.  _stacks stacks each value over an
-(n, m) group of a block, and kernel(config, *stacks) builds and evaluates
-the group as one stack (at most one qr or svd per build, one eigensolver
-call per kernel step), bitwise equal to one-trial runs, so the blocks
-change no number in a report.  Three steps are stated once: _sized
+takes each trial's state in turn.  _grouped groups a block's trials by n
+alone, _stacks stacks each value over a group (a family's members of every
+trial on one flat member axis (K, n, n), beside the member count m of each
+trial), and kernel(config, *stacks) builds and evaluates the group as one
+stack (at most one qr or svd per build, one eigensolver call per kernel
+step), bitwise equal to one-trial runs, so the blocks change no number in
+a report.  Three steps are stated once: _sized
 draws the size n of every suite without a family and hands it to draw(rng,
 n); _sides judges a scalar or trace kernel's (lhs, rhs, gap) at the
 tolerance; _on_pairs builds the commuting pairs of the trace suites from
@@ -28,7 +30,7 @@ are those of the scalar and traceform layers, over (T, n) sequences and
 kernels of loewner.  Search-mode candidates keep the draws of their first
 pass and are re-verified through the independent Jacobi eigensolver at a
 tightened absolute tolerance before they are reported as findings: the same
-stacked kernel over each (n, m) group of a chunk of candidates, with three
+stacked kernel over each n-group of a chunk of candidates, with three
 jacobi_eigh calls per group in place of eigh.
 """
 
@@ -227,17 +229,26 @@ class _Draw(NamedTuple):
     """The rng draws of one trial."""
 
     n: int  # the size of a trial's arrays: sequence length, matrix dimension or grid points
-    m: int  # family size; 1 for the suites that draw no family
     values: tuple  # the trial's draws, in draw order unless its draw says otherwise
 
 
 def _stacks(group: list[_Draw]) -> list:
-    """Each value of a group of draws sharing (n, m), stacked over the group.
+    """Each value of a group of draws sharing n, over the group.
 
-    A FunctionSpec value stacks as a list of T specs, any other value as an array (T, ...).
+    A FunctionSpec value becomes a list of T specs.  A tuple holds a trial's
+    members; the members of the whole group concatenate, trial by trial, into
+    one flat member axis, an array (K, ...).  Any other value, a family's
+    member count m among them, stacks as an array (T, ...).
     """
-    values = zip(*(d.values for d in group))
-    return [list(v) if isinstance(v[0], FunctionSpec) else np.array(v) for v in values]
+    stacks = []
+    for v in zip(*(d.values for d in group)):
+        if isinstance(v[0], FunctionSpec):
+            stacks.append(list(v))
+        elif isinstance(v[0], tuple):
+            stacks.append(np.array([member for members in v for member in members]))
+        else:
+            stacks.append(np.array(v))
+    return stacks
 
 
 def _sized(draw):
@@ -245,7 +256,7 @@ def _sized(draw):
 
     def sized(rng, config: TrialConfig) -> _Draw:
         n = _size(rng, config.n)
-        return _Draw(n, 1, draw(rng, n))
+        return _Draw(n, draw(rng, n))
 
     return sized
 
@@ -313,8 +324,8 @@ def _with_q_r(draw):
     """The draw that makes draw's values, then an order q and a power r."""
 
     def draw_q_r(rng, config: TrialConfig) -> _Draw:
-        n, m, values = draw(rng, config)
-        return _Draw(n, m, (*values, _draw_q(rng), float(rng.uniform(0.5, 2.0))))
+        n, values = draw(rng, config)
+        return _Draw(n, (*values, _draw_q(rng), float(rng.uniform(0.5, 2.0))))
 
     return draw_q_r
 
@@ -349,13 +360,13 @@ def _convexity_draw(rng, config: TrialConfig) -> _Draw:
     """The case, then f, the interval's ends, the expected verdict and the grid size n."""
     case = int(rng.integers(4))
     if case == 0:
-        return _Draw(101, 1, (_LOG, 0.05 + 0.1 * rng.random(), 10.0, True, 101))
+        return _Draw(101, (_LOG, 0.05 + 0.1 * rng.random(), 10.0, True, 101))
     if case == 1:
-        return _Draw(101, 1, (q_log_fn(float(rng.uniform(2.05, 4.0))), 0.1, 10.0, False, 101))
+        return _Draw(101, (q_log_fn(float(rng.uniform(2.05, 4.0))), 0.1, 10.0, False, 101))
     if case == 2:
         lo, hi = float(rng.uniform(0.42, 0.6)), float(rng.uniform(5, 10))
-        return _Draw(201, 1, (rational_fn(), lo, hi, True, 201))
-    return _Draw(101, 1, (power_fn(float(rng.uniform(0.2, 2.0))), 0.01, 5.0, True, 101))
+        return _Draw(201, (rational_fn(), lo, hi, True, 201))
+    return _Draw(101, (power_fn(float(rng.uniform(0.2, 2.0))), 0.01, 5.0, True, 101))
 
 
 def _convexity_gaps(config, f, lo, hi, expected, points):
@@ -406,11 +417,12 @@ _SQRT = power_fn(0.5)
 _SHANNON_POWER = power_fn(0.5, offset=-1.0)  # sqrt pinned to f(1) = 0
 
 
-def _family_draw(rng, config: TrialConfig, a_kind: str = "unconstrained"):
+def _family_draw(rng, config: TrialConfig, a_kind: str = "unconstrained") -> _Draw:
     """m, n, then m members of a_kind (the A family) and m unconstrained PD members (B).
 
-    Returns n, m and the values: the amplitudes and Gaussians of an expansive A, then the
-    spectra and Gaussians of B; or else the spectra and the Gaussians of all 2m members.
+    The values are m, then the amplitudes and Gaussians of an expansive A and the
+    spectra and Gaussians of B; or else m, then the spectra and the Gaussians of all
+    2m members, A's first.
     """
     m = _size(rng, config.m)
     n = _size(rng, config.n)
@@ -418,32 +430,36 @@ def _family_draw(rng, config: TrialConfig, a_kind: str = "unconstrained"):
     a = [draw_a(rng, n, config.spectrum_range) for _ in range(m)]
     b = [gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)]
     if a_kind == "expansive":
-        return n, m, (*zip(*a), *zip(*b))
-    return n, m, tuple(zip(*a, *b))
+        return _Draw(n, (m, *zip(*a), *zip(*b)))
+    return _Draw(n, (m, *zip(*a, *b)))
 
 
-def _families(*stacks):
-    """The A and B stacks (T, m, n, n) built from the stacked values of _family_draw."""
+def _families(m, *stacks):
+    """The A and B members (K, n, n), trial t's m[t] on consecutive rows, from _family_draw's.
+
+    Without an expansive A, trial t's 2 m[t] matrices are built as one run of
+    rows, A's m[t] first, and split into the two families.
+    """
     if len(stacks) == 4:  # an expansive A family
         amp, G_a, w_b, G_b = stacks
         return gen._build_expansive(amp, G_a), gen._build(w_b, gen._unitaries(G_b))
     w, G = stacks
-    m = w.shape[1] // 2
     mats = gen._build(w, gen._unitaries(G))
-    return mats[:, :m], mats[:, m:]
+    a = np.arange(len(mats) // 2) + np.repeat(np.cumsum(m) - m, m)
+    return mats[a], mats[a + np.repeat(m, m)]
 
 
 def _sum_draw(rng, config: TrialConfig) -> _Draw:
     """An A family of config.family_kind, an unconstrained B family, then f."""
-    n, m, values = _family_draw(rng, config, config.family_kind)
-    return _Draw(n, m, (*values, _concave_f(rng)))
+    n, values = _family_draw(rng, config, config.family_kind)
+    return _Draw(n, (*values, _concave_f(rng)))
 
 
-def _sum_residuals(config: TrialConfig, *stacks, solver: str = "eigh") -> np.ndarray:
+def _sum_residuals(config: TrialConfig, m, *stacks, solver: str = "eigh") -> np.ndarray:
     *family, fs = stacks
-    As, Bs = _families(*family)
+    As, Bs = _families(m, *family)
     expansive = config.family_kind == "expansive"
-    return _perspective_sums(fs, As, Bs, config.lhs_form, expansive, config.tolerance, solver)
+    return _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, config.tolerance, solver)
 
 
 def _jensen(rng, n):
@@ -457,19 +473,19 @@ def _jensen_residuals(config, G_c, s, G_x):
 
 def _shannon_draw(rng, config: TrialConfig) -> _Draw:
     """An expansive A family, the shares of rand_split_matching, then f with f(1) = 0."""
-    n, m, values = _family_draw(rng, config, "expansive")
+    n, values = _family_draw(rng, config, "expansive")
     f = _concave_f(rng)
-    return _Draw(n, m, (*values, _SHANNON_POWER if f.family == "power" else f))
+    return _Draw(n, (*values, _SHANNON_POWER if f.family == "power" else f))
 
 
-def _shannon_residuals(config, *stacks) -> np.ndarray:
-    """One decomposition of [S, A, A_1..A_m]: S = sum(shares) and A = sum(A_i)."""
+def _shannon_residuals(config, m, *stacks) -> np.ndarray:
+    """One decomposition of [S, A, A_i]: each trial's S = sum(shares) and A = sum(A_i)."""
     *family, fs = stacks
-    As, shares = _families(*family)
-    totals = np.stack([_total(shares), _total(As)], axis=1)
-    dec = _decompose(np.concatenate([totals, As], axis=1))
-    Bs = gen._split_matching(dec[:, :2], shares)
-    return _operator_shannon(fs, As, Bs, dec[:, 1:], config.tolerance)
+    As, shares = _families(m, *family)
+    dec = _decompose(np.concatenate([_total(shares, m), _total(As, m), As]))
+    T = len(m)
+    Bs = gen._split_matching(dec[: 2 * T], shares, m)
+    return _operator_shannon(fs, As, Bs, m, dec[T:], config.tolerance)
 
 
 def _pooled_inverse_draw(rng, config: TrialConfig) -> _Draw:
@@ -477,23 +493,19 @@ def _pooled_inverse_draw(rng, config: TrialConfig) -> _Draw:
     m = _size(rng, config.m)
     n = _size(rng, config.n)
     pds = [gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)]
-    return _Draw(n, m, (*zip(*pds), tuple(gen._complex_gaussian(rng, n) for _ in range(m))))
+    return _Draw(n, (m, *zip(*pds), tuple(gen._complex_gaussian(rng, n) for _ in range(m))))
 
 
-def _pooled_inverse_residuals(config, w, G, X) -> np.ndarray:
-    return _pooled_inverse(X, gen._build(w, gen._unitaries(G)))
+def _pooled_inverse_residuals(config, m, w, G, X) -> np.ndarray:
+    return _pooled_inverse(X, gen._build(w, gen._unitaries(G)), m)
 
 
-def _mean_draw(rng, config: TrialConfig) -> _Draw:
-    return _Draw(*_family_draw(rng, config))
+def _pooled_mean_residuals(config, m, w, G) -> np.ndarray:
+    return _pooled_mean(_SQRT, *_families(m, w, G), m)
 
 
-def _pooled_mean_residuals(config, w, G) -> np.ndarray:
-    return _pooled_mean(_SQRT, *_families(w, G))
-
-
-def _split_mean_residuals(config, w, G) -> np.ndarray:
-    return _split_mean(_SQRT, *_families(w, G))
+def _split_mean_residuals(config, m, w, G) -> np.ndarray:
+    return _split_mean(_SQRT, *_families(m, w, G), m)
 
 
 def _monotonicity_draw(rng, config: TrialConfig) -> _Draw:
@@ -508,20 +520,21 @@ def _monotonicity_draw(rng, config: TrialConfig) -> _Draw:
     scale = rng.uniform(0.1, 1.0)
     g_psd = gen._complex_gaussian(rng, n)
     b_step = gen._draw_pd(rng, n, (0.05, 0.5))
-    return _Draw(n, 1, (*zip(a_part, b_part, b_step), scale, g_psd))
+    return _Draw(n, (*zip(a_part, b_part, b_step), scale, g_psd))
 
 
 def _monotonicity_residuals(config, w, G, scale, G_psd) -> np.ndarray:
-    A_part, B_part, B_step = np.moveaxis(gen._build(w, gen._unitaries(G)), 1, 0)
+    mats = gen._build(w, gen._unitaries(G))  # each trial's A_part, B_part, B_step in turn
+    A_part, B_part, B_step = mats[0::3], mats[1::3], mats[2::3]
     A_whole = A_part + gen._build_psd(scale, G_psd)
     return _mean_monotonicity(_SQRT, A_part, B_part, A_whole, B_part + B_step, config.tolerance)
 
 
 def _grouped(draws: list[_Draw], evaluate):
-    """(positions in draws, evaluate(*stacks)) of each group of draws sharing (n, m)."""
-    groups: dict[tuple[int, int], list[int]] = {}
+    """(positions in draws, evaluate(*stacks)) of each group of draws sharing n."""
+    groups: dict[int, list[int]] = {}
     for k, d in enumerate(draws):
-        groups.setdefault((d.n, d.m), []).append(k)
+        groups.setdefault(d.n, []).append(k)
     for ks in groups.values():
         yield ks, evaluate(*_stacks([draws[k] for k in ks]))
 
@@ -530,7 +543,7 @@ def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
     """Gap and holds flag of each trial, as Python lists.
 
     kernel(config, *stacks) gives the gaps and holds flags (T,) of a group
-    of draws sharing (n, m).
+    of draws sharing n.
     """
     gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
     for ks, (gap, ok) in _grouped(draws, functools.partial(kernel, config)):
@@ -556,8 +569,9 @@ class _Stacked:
 
     draw(rng, config) makes a trial's draws from its rng in the order of the
     one-trial generators; kernel(config, *stacks) builds a group of draws
-    sharing (n, m) from the stacks of their values (_stacks) and returns the
-    gap and holds flag (T,) of each trial.
+    sharing n from the stacks of their values (_stacks), a family's members
+    on one flat member axis beside the member counts, and returns the gap and
+    holds flag (T,) of each trial.
     """
 
     def __init__(self, draw, kernel):
@@ -598,8 +612,8 @@ SUITES = {
     "perspective_sum": _perspective_sum_verdicts,
     "operator_shannon": _Stacked(_shannon_draw, _min_eigenvalues(_shannon_residuals)),
     "pooled_inverse": _Stacked(_pooled_inverse_draw, _min_eigenvalues(_pooled_inverse_residuals)),
-    "pooled_mean": _Stacked(_mean_draw, _min_eigenvalues(_pooled_mean_residuals)),
-    "split_mean": _Stacked(_mean_draw, _min_eigenvalues(_split_mean_residuals)),
+    "pooled_mean": _Stacked(_family_draw, _min_eigenvalues(_pooled_mean_residuals)),
+    "split_mean": _Stacked(_family_draw, _min_eigenvalues(_split_mean_residuals)),
     "mean_monotonicity": _Stacked(_monotonicity_draw, _min_eigenvalues(_monotonicity_residuals)),
 }
 
@@ -679,7 +693,7 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
                         "trial_index": index,
                         "seed": ts,
                         "n": draw.n,
-                        "m": draw.m,
+                        "m": draw.values[0],  # a family draw's first value is m
                         "f": draw.values[-1].label(),  # the draw's last value is f
                         "lhs_form": config.lhs_form,
                         "first_min_eigenvalue": min_eig,

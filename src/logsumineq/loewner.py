@@ -7,18 +7,23 @@ private kernels take Hermitian arrays or SpectralDecompositions and
 decompose each matrix once.
 
 Each residual check has one kernel over a stack of T trials (see matfun on
-leading axes), (T, m, n, n) for the families, (T, n, n) for the matrices
-of operator Jensen and mean monotonicity, returning the residual
-eigenvalues (T, n).  A trial's members and totals sit side by side on the
-member axis, so each step of a kernel is one eigensolver call for the whole
-stack.  The public *_residual function of a check validates its one
+leading axes), returning the residual eigenvalues (T, n).  The matrices of
+operator Jensen and mean monotonicity come as stacks (T, n, n).  The
+families of the other five checks lie on one flat member axis (K, n, n):
+trial t has m[t] members on consecutive rows, whatever the other trials'
+sizes, and the kernel takes the member counts m beside them (matfun._total
+sums each trial's members).  A kernel step decomposes the trials' totals
+and all their members together, so it is one eigensolver call for the
+whole stack.  The public *_residual function of a check validates its one
 instance and runs the kernel as the T=1 stack.  The kernels check f's
 operator class and anchor values once per distinct f (for the perspective
 sum, perspective_sum_residual checks its f), then run their checks step by
-step over the stack; a failing check raises the one-trial message of the
-first failing trial.  Operator monotonicity/concavity/convexity of
-the scalar function is established by catalog, not numerically: only
-families whose operator class is classical textbook knowledge get the flags.
+step over the stack; a failing check raises the one-trial message of a
+failing trial, the first in trial order for the hypotheses (expansivity,
+matching sums, the contraction and order checks).  Operator
+monotonicity/concavity/convexity of the scalar function is established by
+catalog, not numerically: only families whose operator class is classical
+textbook knowledge get the flags.
 
 Everything here decomposes through LAPACK's eigh, with one exception: the
 perspective-sum kernel _perspective_sums takes solver="jacobi".  The
@@ -217,9 +222,9 @@ def operator_jensen_residual(
     return _verdict(_operator_jensen(f, C[None], Xh[None])[0], tol)
 
 
-def _require_expansive(w_sum: np.ndarray, m: int, tol: float) -> None:
-    """sum(A_i) >= m*I from the eigenvalues (..., n) of the sum(s)."""
-    check = _verdict(w_sum - m, tol)
+def _require_expansive(w_sum: np.ndarray, m, tol: float) -> None:
+    """sum(A_i) >= m*I from the eigenvalues (T, n) of the sums of T families of m[t] members."""
+    check = _verdict(w_sum - np.asarray(m)[:, None], tol)
     if not np.all(check.holds):
         (slack,) = _first(~np.asarray(check.holds), check.residual_min_eigenvalue)
         raise PreconditionError(
@@ -228,10 +233,16 @@ def _require_expansive(w_sum: np.ndarray, m: int, tol: float) -> None:
         )
 
 
+def _per_member(fs, m) -> list:
+    """Family t's f repeated over its m[t] members: one f per row of the member axis."""
+    return [f for f, k in zip(fs, m) for _ in range(k)]
+
+
 def _perspective_sums(
     fs,
     As: np.ndarray,
     Bs: np.ndarray,
+    m,
     lhs_form: str,
     require_expansive: bool,
     tol: float,
@@ -239,24 +250,26 @@ def _perspective_sums(
 ) -> np.ndarray:
     """Residual eigenvalues (T, n) of the perspective-sum inequality for T trials.
 
-    As and Bs are Hermitian stacks (T, m, n, n) and fs[t] is trial t's f.
-    The totals sit on the member axis beside the members, so each step (the
-    decomposition, then the perspective argument's) is one eigensolver call
-    for all trials; the residuals take one more.
+    As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive
+    rows, and fs[t] is trial t's f.  The totals sit beside the members, so
+    each step (the decomposition, then the perspective argument's) is one
+    eigensolver call for all trials; the residuals take one more.
     """
     if lhs_form not in ("perspective_sum", "sum_fb"):
         raise DomainError(f"unknown lhs_form {lhs_form!r}")
-    A, B = _total(As)[:, None], _total(Bs)[:, None]
+    T = len(m)
+    A, B = _total(As, m), _total(Bs, m)
     members = Bs if lhs_form == "sum_fb" else As
-    dec = _decompose(np.concatenate([A, members], axis=1), solver)
+    dec = _decompose(np.concatenate([A, members]), solver)
     if require_expansive:
-        _require_expansive(dec.eigenvalues[:, 0], As.shape[1], tol)
+        _require_expansive(dec.eigenvalues[:T], m, tol)
+    f_members = _per_member(fs, m)
     if lhs_form == "sum_fb":
-        rhs = _perspective(fs, dec[:, 0], B[:, 0], solver)
-        lhs = _total(dec[:, 1:].map(fs).reconstruct())
+        rhs = _perspective(fs, dec[:T], B, solver)
+        lhs = _total(dec[T:].map(f_members).reconstruct(), m)
     else:
-        P = _perspective(fs, dec, np.concatenate([B, Bs], axis=1), solver)
-        rhs, lhs = P[:, 0], _total(P[:, 1:])
+        P = _perspective([*fs, *f_members], dec, np.concatenate([B, Bs]), solver)
+        rhs, lhs = P[:T], _total(P[T:], m)
     return _decompose(_herm(rhs - lhs), solver).eigenvalues
 
 
@@ -283,28 +296,31 @@ def perspective_sum_residual(
     """
     As, Bs = _validate_families(A_family, B_family)
     require_operator_class(f, "operator_concave")
-    w = _perspective_sums([f], As[None], Bs[None], lhs_form, require_expansive, tol)
+    w = _perspective_sums([f], As, Bs, [len(As)], lhs_form, require_expansive, tol)
     return _verdict(w[0], tol)
 
 
-def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, dec, tol: float) -> np.ndarray:
-    """Residual eigenvalues (T, n) of the operator Shannon check for Hermitian stacks (T, m, n, n).
+def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, m, dec, tol: float) -> np.ndarray:
+    """Residual eigenvalues (T, n) of the operator Shannon check for T trials.
 
-    fs[t] is trial t's f; dec decomposes [A, A_1..A_m] (T, m + 1, n, n), A = sum(A_i).
+    As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive
+    rows, and fs[t] is trial t's f; dec decomposes the totals A = sum(A_i)
+    of the T trials, then the members (T + K, n, n).
     """
     for f in dict.fromkeys(fs):
         require_operator_class(f, "operator_concave")
         f_at_one = float(f(1.0))
         if abs(f_at_one) > _F_AT_ANCHOR_TOL:
             raise PreconditionError(f"f(1) must vanish, got {f_at_one!r}")
-    A = _total(As)
-    mismatch = np.abs(A - _total(Bs)).max(axis=(-2, -1))
+    A = _total(As, m)
+    mismatch = np.abs(A - _total(Bs, m)).max(axis=(-2, -1))
     bad = mismatch > SUM_MATCH_RTOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     if bad.any():
         (mismatch,) = _first(bad, mismatch)
         raise PreconditionError(f"sum(A_i) != sum(B_i) (maxnorm mismatch {mismatch:.3e})")
-    _require_expansive(dec.eigenvalues[:, 0], As.shape[1], tol)
-    total = _total(_perspective(fs, dec[:, 1:], Bs))
+    T = len(m)
+    _require_expansive(dec.eigenvalues[:T], m, tol)
+    total = _total(_perspective(_per_member(fs, m), dec[T:], Bs), m)
     return _decompose(_herm(-total)).eigenvalues
 
 
@@ -318,21 +334,23 @@ def operator_shannon_residual(
     -sum_i A_i^{1/2} f(A_i^{-1/2} B_i A_i^{-1/2}) A_i^{1/2} >= 0.
     """
     As, Bs = _validate_families(A_family, B_family)
-    dec = _decompose(np.concatenate([_total(As)[None], As])[None])
-    return _verdict(_operator_shannon([f], As[None], Bs[None], dec, tol)[0], tol)
+    m = [len(As)]
+    dec = _decompose(np.concatenate([_total(As, m), As]))
+    return _verdict(_operator_shannon([f], As, Bs, m, dec, tol)[0], tol)
 
 
-def _pooled_inverse(Xs: np.ndarray, As: np.ndarray) -> np.ndarray:
-    """Residual eigenvalues (T, n) of the pooled-inverse check for stacks (T, m, n, n).
+def _pooled_inverse(Xs: np.ndarray, As: np.ndarray, m) -> np.ndarray:
+    """Residual eigenvalues (T, n) of the pooled-inverse check for T trials.
 
-    Xs are square and As Hermitian.
+    Xs (square) and As (Hermitian) are members (K, n, n), trial t's m[t] on
+    consecutive rows.
     """
-    m = As.shape[1]
-    inverses = _decompose(np.concatenate([As, _total(As)[:, None]], axis=1)).inverse()
+    K = len(As)
+    inverses = _decompose(np.concatenate([As, _total(As, m)])).inverse()
     inverses = inverses.reconstruct()  # A_i^{-1}, then A^{-1}
-    lhs = _total(_herm(_adjoint(Xs) @ inverses[:, :m] @ Xs))
-    SX = _total(Xs)
-    rhs = _herm(_adjoint(SX) @ inverses[:, m] @ SX)
+    lhs = _total(_herm(_adjoint(Xs) @ inverses[:K] @ Xs), m)
+    SX = _total(Xs, m)
+    rhs = _herm(_adjoint(SX) @ inverses[K:] @ SX)
     return _decompose(_herm(lhs - rhs)).eigenvalues
 
 
@@ -351,7 +369,7 @@ def pooled_inverse_residual(X_family, A_family, tol: float = DEFAULT_TOLERANCE) 
         if Xk.shape[0] != n:
             raise DomainError(f"X_family[{k}] has dimension {Xk.shape[0]}, expected {n}")
         Xs.append(Xk)
-    return _verdict(_pooled_inverse(np.stack(Xs)[None], As[None])[0], tol)
+    return _verdict(_pooled_inverse(np.stack(Xs), As, [len(As)])[0], tol)
 
 
 def _mean(f: FunctionSpec, sB: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
@@ -369,19 +387,24 @@ def matrix_mean(f: FunctionSpec, A, B) -> np.ndarray:
     return _mean(f, psd_sqrt(B), psd_inverse(A))
 
 
-def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
-    """Residual eigenvalues (T, n) of the pooled mean bound for Hermitian stacks (T, m, n, n)."""
+def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m) -> np.ndarray:
+    """Residual eigenvalues (T, n) of the pooled mean bound for T trials.
+
+    As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive rows.
+    """
     require_operator_class(f, "operator_monotone")
-    m = As.shape[1]
-    dec = _decompose(np.concatenate([Bs, _total(Bs)[:, None], As, _total(As)[:, None]], axis=1))
-    roots = dec[:, : m + 1].sqrt().reconstruct()  # B_i^{1/2}, then B^{1/2}
-    inverses = dec[:, m + 1 :].inverse().reconstruct()  # A_i^{-1}, then A^{-1}
+    K = len(As)
+    dec = _decompose(np.concatenate([Bs, _total(Bs, m), As, _total(As, m)]))
+    half = K + len(m)
+    roots = dec[:half].sqrt().reconstruct()  # B_i^{1/2}, then B^{1/2}
+    inverses = dec[half:].inverse().reconstruct()  # A_i^{-1}, then A^{-1}
     args = _decompose(_herm(roots @ inverses @ roots))
-    f_sum = _total(args[:, :m].map(f).reconstruct())
-    sB_sum = _total(roots[:, :m])
-    lhs = _herm(sB_sum @ _decompose(f_sum).inverse().reconstruct() @ sB_sum) / m
-    sB = roots[:, m]
-    rhs = _herm(sB @ args[:, m].map(f).inverse().reconstruct() @ sB)
+    f_sum = _total(args[:K].map(f).reconstruct(), m)
+    sB_sum = _total(roots[:K], m)
+    pooled = _decompose(f_sum).inverse().reconstruct()
+    lhs = _herm(sB_sum @ pooled @ sB_sum) / np.asarray(m)[:, None, None]
+    sB = roots[K:]
+    rhs = _herm(sB @ args[K:].map(f).inverse().reconstruct() @ sB)
     return _decompose(_herm(rhs - lhs)).eigenvalues
 
 
@@ -394,20 +417,24 @@ def pooled_mean_residual(
             <= B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2}.
     """
     As, Bs = _validate_families(A_family, B_family)
-    return _verdict(_pooled_mean(f, As[None], Bs[None])[0], tol)
+    return _verdict(_pooled_mean(f, As, Bs, [len(As)])[0], tol)
 
 
-def _split_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray) -> np.ndarray:
-    """Residual eigenvalues (T, n) of the split mean bound for Hermitian stacks (T, m, n, n)."""
+def _split_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m) -> np.ndarray:
+    """Residual eigenvalues (T, n) of the split mean bound for T trials.
+
+    As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive rows.
+    """
     require_operator_class(f, "operator_monotone")
-    m = As.shape[1]
-    dec = _decompose(np.concatenate([As, _total(As)[:, None], Bs, _total(Bs)[:, None]], axis=1))
-    sA = dec[:, :m].sqrt().reconstruct()
+    K = len(As)
+    dec = _decompose(np.concatenate([As, _total(As, m), Bs, _total(Bs, m)]))
+    half = K + len(m)
+    sA = dec[:K].sqrt().reconstruct()
     # mean(A_i, B_i) for each member, then mean(A, B)
-    means = _mean(f, dec[:, m + 1 :].sqrt().reconstruct(), dec[:, : m + 1].inverse().reconstruct())
-    lhs = _total(_herm(sA @ means[:, :m] @ sA))
-    sA_sum = _total(sA)
-    rhs = _herm(sA_sum @ means[:, m] @ sA_sum) / m
+    means = _mean(f, dec[half:].sqrt().reconstruct(), dec[:half].inverse().reconstruct())
+    lhs = _total(_herm(sA @ means[:K] @ sA), m)
+    sA_sum = _total(sA, m)
+    rhs = _herm(sA_sum @ means[K:] @ sA_sum) / np.asarray(m)[:, None, None]
     return _decompose(_herm(rhs - lhs)).eigenvalues
 
 
@@ -425,7 +452,7 @@ def split_mean_residual(
     fault (see the test suite for a reproducible 1x1 instance).
     """
     As, Bs = _validate_families(A_family, B_family)
-    return _verdict(_split_mean(f, As[None], Bs[None])[0], tol)
+    return _verdict(_split_mean(f, As, Bs, [len(As)])[0], tol)
 
 
 def _mean_monotonicity(

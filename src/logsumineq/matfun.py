@@ -11,7 +11,8 @@ and Hermitian, and are what internal kernels call.
 Stacks: _herm, _decompose, _verdict, jacobi_eigh and every
 SpectralDecomposition method accept leading batch axes, (..., n, n) for
 matrices and (..., n) for eigenvalues, and treat each trailing matrix on its
-own; _total sums a family's members along axis -3.  Checks reduce over
+own; _total sums each family of a flat member axis (K, n, n), on which
+family t holds m[t] consecutive members.  Checks reduce over
 the last axis and report the first failing matrix with the message of the
 one-matrix case.  A one-matrix call is the stack
 case with no leading axes, not a second implementation, and a stacked
@@ -94,9 +95,26 @@ def _herm(A: np.ndarray) -> np.ndarray:
     return (A + _adjoint(A)) / 2.0
 
 
-def _total(X: np.ndarray) -> np.ndarray:
-    """Sum over the member axis (-3) in member order, as sum() adds a list of members."""
-    return sum(X[..., k, :, :] for k in range(X.shape[-3]))
+def _total(X: np.ndarray, m) -> np.ndarray:
+    """The totals (T, n, n) of T families laid out on one flat member axis X (K, n, n).
+
+    Family t has m[t] members on consecutive rows, and its total adds them
+    in member order from zero, as sum() adds a list of members.  The
+    families are padded with zero members to the largest m, one slot per
+    step: a running sum that starts from zero is never -0.0, so adding a
+    +0.0 slot leaves its bits unchanged.
+    """
+    m = np.asarray(m)
+    T, top = len(m), int(m.max())
+    if top == m.min():
+        slots = X.reshape(T, top, *X.shape[1:])
+    else:
+        slots = np.zeros((T, top, *X.shape[1:]), dtype=X.dtype)
+        slots[np.arange(top) < m[:, None]] = X
+    out = slots[:, 0] + 0.0
+    for k in range(1, top):
+        out += slots[:, k]
+    return out
 
 
 def _first(bad: np.ndarray, *values: np.ndarray) -> list[float]:

@@ -148,11 +148,35 @@ _MIXED_ROWS = [
 ]
 
 
+# Each spec over a run of rows, as a flat member axis repeats a trial's f over its members.
+_REPEATED_ROWS = [f for f in _MIXED_ROWS for _ in range(9)] + _MIXED_ROWS[::-1]
+
+
 def test_rows_of_mixed_specs_get_the_bits_of_their_own_calls():
-    X = np.random.default_rng(3).uniform(0.05, 20.0, (len(_MIXED_ROWS), 7))
-    out = _apply_rows(_MIXED_ROWS, X)
-    for t, f in enumerate(_MIXED_ROWS):
-        assert out[t].tobytes() == f(X[t]).tobytes(), f.label()
+    # mixed; repeated; one spec on every row; two equal spec objects, one group
+    one, equal = [_MIXED_ROWS[2]] * 70, [_MIXED_ROWS[2], power_fn(1.3)] * 9
+    for rows in (_MIXED_ROWS, _REPEATED_ROWS, one, equal):
+        X = np.random.default_rng(3).uniform(0.05, 20.0, (len(rows), 7))
+        out = _apply_rows(rows, X)
+        for t, f in enumerate(rows):
+            assert out[t].tobytes() == f(X[t]).tobytes(), f.label()
+
+
+def test_rows_take_each_distinct_specs_domain_once(monkeypatch):
+    calls = []
+    real = FunctionSpec.domain
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FunctionSpec, "domain", counted)
+    X = np.random.default_rng(3).uniform(0.05, 20.0, (len(_REPEATED_ROWS), 7))
+    _apply_rows(_REPEATED_ROWS, X)
+    assert calls == _MIXED_ROWS
+    calls.clear()
+    _apply_rows([log_fn()] + [_MIXED_ROWS[2]] * 40, X[:41])
+    assert [f.label() for f in calls] == ["log", "power(1.3)"]
 
 
 def test_rows_of_mixed_specs_raise_the_first_failing_rows_message():

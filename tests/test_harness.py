@@ -313,8 +313,8 @@ def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls):
     for first in range(0, cfg.trials, harness._BLOCK):
         block = range(first, min(first + harness._BLOCK, cfg.trials))
         draws = harness._perspective_sum_verdicts.draws([cfg.seed + index for index in block], cfg)
-        groups += len({(d.n, d.m) for d in draws})
-    assert groups <= cfg.n * cfg.m * math.ceil(cfg.trials / harness._BLOCK)
+        groups += len({d.n for d in draws})
+    assert groups <= cfg.n * math.ceil(cfg.trials / harness._BLOCK)
     eigh_calls.clear()
     counterexample_search(cfg)
     # rechecks go through the Jacobi solver, so every eigh call is a stacked one
@@ -328,8 +328,8 @@ def test_search_recheck_takes_three_jacobi_calls_per_group_per_block(monkeypatch
     for first in range(0, len(failures), harness._BLOCK):
         chunk = failures[first : first + harness._BLOCK]
         draws = harness._perspective_sum_verdicts.draws([ts for _, ts, _ in chunk], cfg)
-        groups += len({(d.n, d.m) for d in draws})
-    assert failures and groups <= cfg.n * cfg.m * math.ceil(len(failures) / harness._BLOCK)
+        groups += len({d.n for d in draws})
+    assert failures and groups <= cfg.n * math.ceil(len(failures) / harness._BLOCK)
     jacobi_calls = []
     real = matfun.jacobi_eigh
 
@@ -365,8 +365,8 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
         Bs = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
         f = harness._concave_f(rng)
         assert (n, m, f.label()) == (finding["n"], finding["m"], finding["f"])
-        As, Bs = np.stack(As)[None], np.stack(Bs)[None]
-        w = loewner._perspective_sums([f], As, Bs, "sum_fb", False, cfg.tolerance, solver="jacobi")
+        As, Bs = np.stack(As), np.stack(Bs)
+        w = loewner._perspective_sums([f], As, Bs, [m], "sum_fb", False, cfg.tolerance, "jacobi")
         assert w[0].min() == finding["recheck_min_eigenvalue"]
 
 
@@ -434,18 +434,35 @@ def _public_perspective_trial(trial_seed, cfg):
     )
 
 
-@pytest.mark.parametrize("lhs_form", ["perspective_sum", "sum_fb"])
-@pytest.mark.parametrize("family_kind", ["expansive", "contractive", "unconstrained"])
-def test_perspective_sum_trials_equal_the_public_residual(monkeypatch, family_kind, lhs_form):
+def _benchmark_calls(cfg):
+    """cfg's run, then the operator_suites benchmark's shape: three 20-trial calls at n=8, m=4.
+
+    Their n-groups hold one to a few trials, and 13 of their 23 mix member counts.
+    """
+    return [cfg, *(replace(cfg, trials=20, seed=42 + 20 * j, n=8, m=4) for j in range(3))]
+
+
+def _recorded_runs(monkeypatch, cfg):
+    """(config, report, the (seed, gap, holds) of each trial) of each of _benchmark_calls(cfg)."""
     recorded = []
-    real = SUITES["perspective_sum"]
+    real = SUITES[cfg.suite]
 
     def recording(seeds, config):
         min_eigs, holds = real(seeds, config)
         recorded.extend(zip(seeds, min_eigs, holds))
         return min_eigs, holds
 
-    monkeypatch.setitem(SUITES, "perspective_sum", recording)
+    monkeypatch.setitem(SUITES, cfg.suite, recording)
+    for config in _benchmark_calls(cfg):
+        recorded.clear()
+        rep = run_suite(config)
+        assert [ts for ts, _, _ in recorded] == [config.seed + i for i in range(config.trials)]
+        yield config, rep, recorded
+
+
+@pytest.mark.parametrize("lhs_form", ["perspective_sum", "sum_fb"])
+@pytest.mark.parametrize("family_kind", ["expansive", "contractive", "unconstrained"])
+def test_perspective_sum_trials_equal_the_public_residual(monkeypatch, family_kind, lhs_form):
     cfg = TrialConfig(
         suite="perspective_sum",
         trials=200,
@@ -455,14 +472,13 @@ def test_perspective_sum_trials_equal_the_public_residual(monkeypatch, family_ki
         family_kind=family_kind,
         lhs_form=lhs_form,
     )
-    rep = run_suite(cfg)
-    assert [ts for ts, _, _ in recorded] == [cfg.seed + index for index in range(cfg.trials)]
-    for ts, min_eig, holds in recorded:
-        verdict = _public_perspective_trial(ts, cfg)
-        assert (verdict.residual_min_eigenvalue, verdict.holds) == (min_eig, holds), ts
-    assert rep.violations == sum(not holds for _, _, holds in recorded)
-    assert rep.worst_gap == min(min_eig for _, min_eig, _ in recorded)
-    assert rep.worst_case_seed == next(ts for ts, g, _ in recorded if g == rep.worst_gap)
+    for config, rep, recorded in _recorded_runs(monkeypatch, cfg):
+        for ts, min_eig, holds in recorded:
+            verdict = _public_perspective_trial(ts, config)
+            assert (verdict.residual_min_eigenvalue, verdict.holds) == (min_eig, holds), ts
+        assert rep.violations == sum(not holds for _, _, holds in recorded)
+        assert rep.worst_gap == min(min_eig for _, min_eig, _ in recorded)
+        assert rep.worst_case_seed == next(ts for ts, g, _ in recorded if g == rep.worst_gap)
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -545,25 +561,15 @@ def _public_loewner_trial(suite, trial_seed, cfg):
 
 @pytest.mark.parametrize("suite", LOEWNER_SUITES)
 def test_loewner_suite_trials_equal_the_public_residual(monkeypatch, suite):
-    recorded = []
-    real = SUITES[suite]
-
-    def recording(seeds, config):
-        min_eigs, holds = real(seeds, config)
-        recorded.extend(zip(seeds, min_eigs, holds))
-        return min_eigs, holds
-
-    monkeypatch.setitem(SUITES, suite, recording)
     # split_mean has a violation in these trials on this window, so both verdicts occur
     window = (0.25, 4.0) if suite == "split_mean" else (0.5, 2.0)
     cfg = TrialConfig(suite=suite, trials=200, seed=7, n=4, m=3, spectrum_range=window)
-    rep = run_suite(cfg)
-    assert [ts for ts, _, _ in recorded] == [cfg.seed + index for index in range(cfg.trials)]
-    for ts, min_eig, holds in recorded:
-        verdict = _public_loewner_trial(suite, ts, cfg)
-        assert (verdict.residual_min_eigenvalue, verdict.holds) == (min_eig, holds), ts
-    assert rep.violations == sum(not holds for _, _, holds in recorded)
-    assert rep.worst_gap == min(min_eig for _, min_eig, _ in recorded)
+    for config, rep, recorded in _recorded_runs(monkeypatch, cfg):
+        for ts, min_eig, holds in recorded:
+            verdict = _public_loewner_trial(suite, ts, config)
+            assert (verdict.residual_min_eigenvalue, verdict.holds) == (min_eig, holds), ts
+        assert rep.violations == sum(not holds for _, _, holds in recorded)
+        assert rep.worst_gap == min(min_eig for _, min_eig, _ in recorded)
 
 
 # LAPACK calls of each group of a block: eigh (one per kernel step), qr, svd.
@@ -583,8 +589,8 @@ def test_loewner_suite_lapack_calls_per_group_per_block(lapack_calls, suite):
     groups = 0
     for first in range(0, cfg.trials, harness._BLOCK):
         block = [cfg.seed + i for i in range(first, min(first + harness._BLOCK, cfg.trials))]
-        groups += len({(d.n, d.m) for d in SUITES[suite].draws(block, cfg)})
-    assert groups <= cfg.n * cfg.m * math.ceil(cfg.trials / harness._BLOCK)
+        groups += len({d.n for d in SUITES[suite].draws(block, cfg)})
+    assert groups <= cfg.n * math.ceil(cfg.trials / harness._BLOCK)
     for calls in lapack_calls.values():
         calls.clear()
     run_suite(cfg)

@@ -458,31 +458,32 @@ def test_perspective_sum_takes_three_stacked_eigensolves(eigh_calls, lhs_form):
     eigh_calls.clear()
     perspective_sum_residual(SQRT, As, Bs, lhs_form=lhs_form, require_expansive=False)
     # the total beside the members, the perspective argument(s), the residual
-    arguments = (1, 4, 3, 3) if lhs_form == "perspective_sum" else (1, 3, 3)
-    assert eigh_calls == [(1, 4, 3, 3), arguments, (1, 3, 3)]
+    arguments = (4, 3, 3) if lhs_form == "perspective_sum" else (1, 3, 3)
+    assert eigh_calls == [(4, 3, 3), arguments, (1, 3, 3)]
 
 
 def test_perspective_sum_stack_equals_one_trial_at_a_time():
     rng = np.random.default_rng(11)
-    T, m, n = 9, 3, 3
-    As = np.array([[rand_pd(rng, n, (0.1, 1.0)) for _ in range(m)] for _ in range(T)])
-    Bs = np.array([[rand_pd(rng, n, (0.5, 2.0)) for _ in range(m)] for _ in range(T)])
-    fs = [(SQRT, log_fn(), q_log_fn(0.7))[t % 3] for t in range(T)]
+    m, n = [3, 1, 2, 3, 1, 1, 2, 3, 2], 3  # trials of every member count on one member axis
+    As = np.array([rand_pd(rng, n, (0.1, 1.0)) for _ in range(sum(m))])
+    Bs = np.array([rand_pd(rng, n, (0.5, 2.0)) for _ in range(sum(m))])
+    fs = [(SQRT, log_fn(), q_log_fn(0.7))[t % 3] for t in range(len(m))]
+    first = np.cumsum(m) - m
     for lhs_form in ("perspective_sum", "sum_fb"):
-        stacked = _perspective_sums(fs, As, Bs, lhs_form, False, 1e-9, "eigh")
-        for t in range(T):
-            one = slice(t, t + 1)
-            single = _perspective_sums(fs[one], As[one], Bs[one], lhs_form, False, 1e-9, "eigh")
+        stacked = _perspective_sums(fs, As, Bs, m, lhs_form, False, 1e-9, "eigh")
+        for t, k in enumerate(m):
+            rows = slice(first[t], first[t] + k)
+            single = _perspective_sums(fs[t : t + 1], As[rows], Bs[rows], [k], lhs_form, False, 1e-9)
             assert stacked[t].tobytes() == single[0].tobytes()
-            public = perspective_sum_residual(fs[t], As[t], Bs[t], lhs_form, False)
+            public = perspective_sum_residual(fs[t], As[rows], Bs[rows], lhs_form, False)
             assert public.residual_min_eigenvalue == float(np.min(stacked[t]))
 
 
 def test_perspective_sum_stack_reports_first_non_expansive_trial():
     I3 = np.eye(3)
-    As = np.array([[2.0 * I3, 2.0 * I3], [0.5 * I3, 0.9 * I3], [0.1 * I3, 0.1 * I3]])
+    As = np.array([2.0 * I3, 2.0 * I3, 0.5 * I3, 0.9 * I3, 0.1 * I3, 0.1 * I3])
     with pytest.raises(PreconditionError) as err:
-        _perspective_sums([SQRT] * 3, As, As, "perspective_sum", True, 1e-9, "eigh")
+        _perspective_sums([SQRT] * 3, As, As, [2, 2, 2], "perspective_sum", True, 1e-9, "eigh")
     # trial 1 is the first to fail: sum(A_i) - 2I has eigenvalue -0.6 there
     assert str(err.value) == (
         "family is not expansive: sum(A_i) >= m*I fails (min eigenvalue of the slack -6.000e-01)"
@@ -502,13 +503,14 @@ def test_shannon_stack_reports_the_non_expansive_trial():
     with pytest.raises(PreconditionError) as one:
         operator_shannon_residual(As[1], Bs[1], f)
     assert str(one.value).startswith("family is not expansive")
-    As = np.array(As)
-    dec = _decompose(np.concatenate([_total(As)[:, None], As], axis=1))
+    m = [2, 2, 2]
+    As, Bs = np.concatenate(As), np.concatenate(Bs)
+    dec = _decompose(np.concatenate([_total(As, m), As]))
     with pytest.raises(PreconditionError) as stacked:
-        _operator_shannon([f] * 3, As, np.array(Bs), dec, 1e-9)
+        _operator_shannon([f] * 3, As, Bs, m, dec, 1e-9)
     assert str(stacked.value) == str(one.value)
     for t in (0, 2):
-        assert operator_shannon_residual(As[t], Bs[t], f).holds
+        assert operator_shannon_residual(As[2 * t : 2 * t + 2], Bs[2 * t : 2 * t + 2], f).holds
 
 
 # -- Hermitian inputs at the public edges -----------------------------------------

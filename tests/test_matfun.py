@@ -21,6 +21,7 @@ from logsumineq.generators import rand_pd, rand_unitary
 from logsumineq.matfun import (
     _decompose,
     _herm,
+    _total,
     _verdict,
     apply_function,
     commutes,
@@ -354,6 +355,31 @@ def test_decomposition_map_errors():
 
 def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes() and np.shape(a) == np.shape(b)
+
+
+def test_segment_totals_are_each_familys_own_sum_bit_for_bit():
+    # ragged families on one member axis, all-one-member families, and a -0.0
+    # entry that a zero start turns into +0.0, as sum() does
+    rng = np.random.default_rng(2005)
+    for case in range(300):
+        n = int(rng.integers(1, 9))
+        m = rng.integers(1, 17, int(rng.integers(1, 9)))
+        if case % 10 == 0:
+            m[:] = 1
+        shape = (int(m.sum()), n, n)
+        X = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.uniform(
+            -3, 3, shape
+        )
+        X[0, 0, 0] = X[-1, -1, 0] = complex(-0.0, -0.0)
+        totals = _total(X, m)
+        assert totals.shape == (len(m), n, n)
+        first = np.cumsum(m) - m
+        for t, k in enumerate(m):
+            family = X[first[t] : first[t] + k]
+            assert totals[t].tobytes() == sum(list(family)).tobytes(), (case, t)
+            assert totals[t].tobytes() == _total(family, [k])[0].tobytes(), (case, t)
+        if m[0] == 1:
+            assert not np.signbit(totals[0, 0, 0].real) and not np.signbit(totals[0, 0, 0].imag)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
