@@ -7,18 +7,21 @@ sequences stay in (0, SEQUENCE_HI], expansive members are I + QQ†,
 contractive PD members have spectrum inside (CONTRACTIVE_FLOOR, 1], density
 matrices are normalized spectra in a random basis.
 
-Random-basis matrices are drawn and built in two steps.  A draw (_draw_pd,
-_draw_contractive_pd) takes the spectrum and a complex Gaussian from the
-rng; the build (_unitaries, then _build) turns stacks of draws (..., n)
-and (..., n, n) into phase-fixed unitaries and U diag(w) U† in one qr and
-one matmul.  Expansive members I + QQ† take the same two steps through
-_draw_expansive and _build_expansive; commuting pairs and density
-matrices draw through _draw_commuting, _draw_density and _draw_density_pair
-and build through _build_pair (two spectra over one basis) or _build; PSD
-matrices, contractions and sum-matched families are built by _build_psd,
-_build_contraction and _split_matching from draws made in the generators'
-order.  The one-matrix generators are the stack-free case, so a stacked
-build is bitwise equal to one call per matrix.
+Random-basis matrices are drawn and built in two steps.  A draw is only
+Generator calls: _draw_pd, _draw_contractive_pd, _draw_expansive,
+_draw_commuting, _draw_density and _draw_density_pair return the values the
+rng gives, a complex Gaussian as its raw real and imaginary parts (2, n, n)
+(_complex_gaussian) and a contractive or density spectrum as its raw
+uniforms.  Every map of drawn values runs in the build, once over a stack
+of draws: _complex assembles the Gaussians (..., 2, n, n) inside _unitaries,
+_build_expansive, _build_psd and _build_contraction; _contractive and
+_density map the uniforms (..., n) to spectra; _unitaries, then _build, turn
+spectra (..., n) and Gaussians into phase-fixed unitaries and U diag(w) U†
+in one qr and one matmul, and _build_pair builds two spectra over one
+basis.  Sum-matched families are built by _split_matching.  Elementwise
+maps give a stack's rows the bits they get one at a time, so the
+one-matrix generators are the stack-free case, and a stacked build is
+bitwise equal to one call per matrix.
 """
 
 from __future__ import annotations
@@ -49,14 +52,37 @@ SEQUENCE_HI = 10.0
 
 
 def _complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Real part, then imaginary part, drawn in one call: the values of two (n, n) draws."""
-    x = rng.standard_normal((2, n, n))
-    return x[0] + 1j * x[1]
+    """Real part, then imaginary part, in one (2, n, n) draw: the values of two (n, n) draws."""
+    return rng.standard_normal((2, n, n))
 
 
-def _unitaries(G: np.ndarray) -> np.ndarray:
-    """Q of the QR of (a stack of) complex Gaussians, R's diagonal phases moved into Q."""
-    Q, R = np.linalg.qr(G)
+def _complex(x: np.ndarray) -> np.ndarray:
+    """The complex Gaussians (..., n, n) of (a stack of) raw draws x (..., 2, n, n).
+
+    The bits of x[..., 0, :, :] + 1j * x[..., 1, :, :], without its second temporary.
+    """
+    G = x[..., 1, :, :] * 1j
+    G += x[..., 0, :, :]
+    return G
+
+
+def _contractive(u: np.ndarray) -> np.ndarray:
+    """Spectra in (CONTRACTIVE_FLOOR, 1] from (a stack of) uniforms u (..., n) in [0, 1)."""
+    return 1.0 - (1.0 - CONTRACTIVE_FLOOR) * u
+
+
+def _density(u: np.ndarray) -> np.ndarray:
+    """Density spectra from (a stack of) uniforms u (..., n), each row bounded away from 0."""
+    w = u + 1e-3  # so log stays finite
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _unitaries(x: np.ndarray) -> np.ndarray:
+    """Q of the QR of (a stack of) complex Gaussians, from raw draws x (..., 2, n, n).
+
+    R's diagonal phases are moved into Q.
+    """
+    Q, R = np.linalg.qr(_complex(x))
     d = np.diagonal(R, axis1=-2, axis2=-1)
     return Q * (d / np.abs(d))[..., None, :]
 
@@ -73,8 +99,8 @@ def _draw_pd(rng: np.random.Generator, n: int, spectrum_range: tuple[float, floa
 
 
 def _draw_contractive_pd(rng: np.random.Generator, n: int):
-    """The draws of rand_contractive_pd: the spectrum, then the basis Gaussian."""
-    return 1.0 - (1.0 - CONTRACTIVE_FLOOR) * rng.random(n), _complex_gaussian(rng, n)
+    """The draws of rand_contractive_pd: the spectrum's uniforms, then the basis Gaussian."""
+    return rng.random(n), _complex_gaussian(rng, n)
 
 
 def _draw_expansive(rng: np.random.Generator, n: int):
@@ -82,22 +108,22 @@ def _draw_expansive(rng: np.random.Generator, n: int):
     return rng.uniform(0.3, 1.0), _complex_gaussian(rng, n)
 
 
-def _build_expansive(amp: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """I + QQ†, Q = amp G / sqrt(n), for (stacks of) amplitudes (...) and Gaussians (..., n, n)."""
-    n = G.shape[-1]
-    Q = (np.asarray(amp) / np.sqrt(n))[..., None, None] * G
+def _build_expansive(amp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """I + QQ†, Q = amp G / sqrt(n), for (stacks of) amplitudes amp and raw Gaussians x of G."""
+    n = x.shape[-1]
+    Q = (np.asarray(amp) / np.sqrt(n))[..., None, None] * _complex(x)
     return _herm(np.eye(n) + Q @ _adjoint(Q))
 
 
-def _build_psd(scale, G: np.ndarray) -> np.ndarray:
-    """QQ†, Q = sqrt(scale/n) G, for (stacks of) scales (...) and Gaussians (..., n, n)."""
-    Q = np.sqrt(np.asarray(scale) / G.shape[-1])[..., None, None] * G
+def _build_psd(scale, x: np.ndarray) -> np.ndarray:
+    """QQ†, Q = sqrt(scale/n) G, for (stacks of) scales and raw Gaussians x of G."""
+    Q = np.sqrt(np.asarray(scale) / x.shape[-1])[..., None, None] * _complex(x)
     return _herm(Q @ _adjoint(Q))
 
 
-def _build_contraction(s: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """(U diag(s)) V† from the SVD G = U S V†, for (stacks of) s (..., n) and G (..., n, n)."""
-    U, _, Vh = np.linalg.svd(G)
+def _build_contraction(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(U diag(s)) V† from the SVD G = U S V†, for (stacks of) s and raw Gaussians x of G."""
+    U, _, Vh = np.linalg.svd(_complex(x))
     return (U * s[..., None, :]) @ Vh
 
 
@@ -124,8 +150,8 @@ def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def rand_pd(rng: np.random.Generator, n: int, spectrum_range: tuple[float, float]) -> np.ndarray:
     """PD matrix with spectrum uniform in [lo, hi], random basis."""
-    w, G = _draw_pd(rng, n, spectrum_range)
-    return _build(w, _unitaries(G))
+    w, x = _draw_pd(rng, n, spectrum_range)
+    return _build(w, _unitaries(x))
 
 
 def rand_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -139,19 +165,19 @@ def rand_expansive(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def rand_contractive_pd(rng: np.random.Generator, n: int) -> np.ndarray:
     """PD matrix below I: spectrum uniform in (CONTRACTIVE_FLOOR, 1]."""
-    w, G = _draw_contractive_pd(rng, n)
-    return _build(w, _unitaries(G))
+    u, x = _draw_contractive_pd(rng, n)
+    return _build(_contractive(u), _unitaries(x))
 
 
 def rand_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     """General complex matrix with singular values in [0, 1]."""
-    G = _complex_gaussian(rng, n)
-    return _build_contraction(rng.random(n), G)
+    x = _complex_gaussian(rng, n)
+    return _build_contraction(rng.random(n), x)
 
 
 def rand_square(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unstructured complex square matrix."""
-    return _complex_gaussian(rng, n)
+    return _complex(_complex_gaussian(rng, n))
 
 
 def rand_sequence(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -165,13 +191,13 @@ def rand_sequence_pair(rng: np.random.Generator, n: int) -> SequencePair:
 
 def _draw_commuting(rng: np.random.Generator, n: int, a_range, b_range):
     """The draws of rand_commuting_pair: the basis Gaussian, then the spectra of A and B."""
-    G = _complex_gaussian(rng, n)
-    return G, rng.uniform(a_range[0], a_range[1], n), rng.uniform(b_range[0], b_range[1], n)
+    x = _complex_gaussian(rng, n)
+    return x, rng.uniform(a_range[0], a_range[1], n), rng.uniform(b_range[0], b_range[1], n)
 
 
-def _build_pair(G: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U diag(wa) U† and U diag(wb) U† over the unitaries U of (stacks of) Gaussians G."""
-    U = _unitaries(G)
+def _build_pair(x: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U diag(wa) U† and U diag(wb) U† over the unitaries U of (stacks of) raw Gaussians x."""
+    U = _unitaries(x)
     return _build(wa, U), _build(wb, U)
 
 
@@ -184,30 +210,25 @@ def rand_commuting_pair(
     return _build_pair(*_draw_commuting(rng, n, a_range, b_range))
 
 
-def _density_spectrum(rng: np.random.Generator, n: int) -> np.ndarray:
-    w = rng.random(n) + 1e-3  # bounded away from 0 so log stays finite
-    return w / w.sum()
-
-
 def _draw_density(rng: np.random.Generator, n: int):
-    """The draws of rand_density: the spectrum, then the basis Gaussian."""
-    return _density_spectrum(rng, n), _complex_gaussian(rng, n)
+    """The draws of rand_density: the spectrum's uniforms, then the basis Gaussian."""
+    return rng.random(n), _complex_gaussian(rng, n)
 
 
 def _draw_density_pair(rng: np.random.Generator, n: int):
-    """The draws of rand_density_pair: the basis Gaussian, then the spectra of rho and sigma."""
-    G = _complex_gaussian(rng, n)
-    return G, _density_spectrum(rng, n), _density_spectrum(rng, n)
+    """The draws of rand_density_pair: the basis Gaussian, then rho's and sigma's uniforms."""
+    return _complex_gaussian(rng, n), rng.random(n), rng.random(n)
 
 
 def rand_density(rng: np.random.Generator, n: int) -> np.ndarray:
-    w, G = _draw_density(rng, n)
-    return _build(w, _unitaries(G))
+    u, x = _draw_density(rng, n)
+    return _build(_density(u), _unitaries(x))
 
 
 def rand_density_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Commuting density pair with full support (shared eigenbasis)."""
-    return _build_pair(*_draw_density_pair(rng, n))
+    x, u_rho, u_sigma = _draw_density_pair(rng, n)
+    return _build_pair(x, _density(u_rho), _density(u_sigma))
 
 
 def rand_split_matching(

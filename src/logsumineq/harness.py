@@ -11,16 +11,21 @@ One loop serves run_suite and counterexample_search: it hands each block of
 consecutive trial seeds to the suite's evaluator.  Every suite is a draw
 plus a stacked kernel (_Stacked).  _Stacked.draws, the one place a seed
 becomes an rng, hands each trial the stream of np.random.default_rng(seed),
-and draw(rng, config) returns the trial's values in draw order.  It seeds a
-whole block at once (_rngs): numpy's SeedSequence hash runs over the block's
-seeds as uint32 arrays, PCG64's seeding in Python ints, and one Generator
-takes each trial's state in turn.  _grouped groups a block's trials by n
-alone, _stacks stacks each value over a group (a family's members of every
-trial on one flat member axis (K, n, n), beside the member count m of each
-trial), and kernel(config, *stacks) builds and evaluates the group as one
-stack (at most one qr or svd per build, one eigensolver call per kernel
-step), bitwise equal to one-trial runs, so the blocks change no number in
-a report.  Three steps are stated once: _sized
+and draw(rng, config) returns the trial's values in draw order.  A matrix
+suite's draw makes Generator calls (and picks f) but does no arithmetic on
+what they give: every map of drawn values (a complex Gaussian's assembly
+from its raw (2, n, n) draw, a contractive or density spectrum from its
+uniforms) runs in the kernel's build, once over a group's stacks.  _Stacked.draws seeds a whole block at once (_rngs): numpy's
+SeedSequence hash runs over the block's seeds as uint32 arrays, PCG64's
+seeding in Python ints, and one Generator takes each trial's state in
+turn.  _grouped groups a block's trials by n alone (a group whose draws
+exceed its share of _BLOCK_BYTES runs in parts), _stacks stacks each value
+over a group (a family's members of every trial on one flat member axis
+(K, ...), beside the member count m of each trial), and
+kernel(config, *stacks) builds and evaluates the group as one stack (at
+most one qr or svd per build, one eigensolver call per kernel step),
+bitwise equal to one-trial runs, so the blocks change no number in a
+report.  Three steps are stated once: _sized
 draws the size n of every suite without a family and hands it to draw(rng,
 n); _sides judges a scalar or trace kernel's (lhs, rhs, gap) at the
 tolerance; _on_pairs builds the commuting pairs of the trace suites from
@@ -59,7 +64,7 @@ from .loewner import (
     _split_mean,
     perspective_sum_residual,  # noqa: F401 (the benchmark self-tests read it from harness)
 )
-from .matfun import _decompose, _total, _verdict
+from .matfun import _decompose, _Segments, _verdict
 from .scalar import (
     _curvature_holds,
     _forward,
@@ -273,8 +278,8 @@ def _sides(kernel, *fg):
 
 
 def _on_pairs(kernel, *fg):
-    """kernel(*fg, A, B, *rest) on the commuting pairs of the stacks (G, wa, wb, *rest)."""
-    return lambda G, wa, wb, *rest: kernel(*fg, *gen._build_pair(G, wa, wb), *rest)
+    """kernel(*fg, A, B, *rest) on the commuting pairs of the stacks (x, wa, wb, *rest)."""
+    return lambda x, wa, wb, *rest: kernel(*fg, *gen._build_pair(x, wa, wb), *rest)
 
 
 def _min(a, b):
@@ -384,13 +389,14 @@ def _commuting(rng, n):
     return gen._draw_commuting(rng, n, _TRACE_SPECTRUM, _TRACE_SPECTRUM)
 
 
-def _relative_entropy_gaps(config, *stacks):
-    d = _on_pairs(_relative_entropies)(*stacks)
+def _relative_entropy_gaps(config, x, u_rho, u_sigma):
+    d = _on_pairs(_relative_entropies)(x, gen._density(u_rho), gen._density(u_sigma))
     return d, d >= -config.tolerance
 
 
-def _entropy_bound_gaps(config, w, G):
-    s = _entropies(gen._build(w, gen._unitaries(G)))
+def _entropy_bound_gaps(config, u, x):
+    w = gen._density(u)
+    s = _entropies(gen._build(w, gen._unitaries(x)))
     margin = _min(s, math.log(w.shape[-1]) - s)
     return margin, margin >= -config.tolerance
 
@@ -434,18 +440,21 @@ def _family_draw(rng, config: TrialConfig, a_kind: str = "unconstrained") -> _Dr
     return _Draw(n, (m, *zip(*a, *b)))
 
 
-def _families(m, *stacks):
+def _families(m, *stacks, a_kind: str = "unconstrained"):
     """The A and B members (K, n, n), trial t's m[t] on consecutive rows, from _family_draw's.
 
     Without an expansive A, trial t's 2 m[t] matrices are built as one run of
-    rows, A's m[t] first, and split into the two families.
+    rows, A's m[t] first, and split into the two families; a contractive A's
+    rows take their spectra from their uniforms first.
     """
     if len(stacks) == 4:  # an expansive A family
-        amp, G_a, w_b, G_b = stacks
-        return gen._build_expansive(amp, G_a), gen._build(w_b, gen._unitaries(G_b))
-    w, G = stacks
-    mats = gen._build(w, gen._unitaries(G))
-    a = np.arange(len(mats) // 2) + np.repeat(np.cumsum(m) - m, m)
+        amp, x_a, w_b, x_b = stacks
+        return gen._build_expansive(amp, x_a), gen._build(w_b, gen._unitaries(x_b))
+    w, x = stacks
+    a = np.arange(len(w) // 2) + np.repeat(np.cumsum(m) - m, m)
+    if a_kind == "contractive":
+        w[a] = gen._contractive(w[a])  # w is this group's own stack
+    mats = gen._build(w, gen._unitaries(x))
     return mats[a], mats[a + np.repeat(m, m)]
 
 
@@ -457,7 +466,7 @@ def _sum_draw(rng, config: TrialConfig) -> _Draw:
 
 def _sum_residuals(config: TrialConfig, m, *stacks, solver: str = "eigh") -> np.ndarray:
     *family, fs = stacks
-    As, Bs = _families(m, *family)
+    As, Bs = _families(m, *family, a_kind=config.family_kind)
     expansive = config.family_kind == "expansive"
     return _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, config.tolerance, solver)
 
@@ -467,8 +476,8 @@ def _jensen(rng, n):
     return gen._complex_gaussian(rng, n), rng.random(n), gen._complex_gaussian(rng, n)
 
 
-def _jensen_residuals(config, G_c, s, G_x):
-    return _operator_jensen(_SQRT, gen._build_contraction(s, G_c), gen._build_psd(2.0, G_x))
+def _jensen_residuals(config, x_c, s, x_x):
+    return _operator_jensen(_SQRT, gen._build_contraction(s, x_c), gen._build_psd(2.0, x_x))
 
 
 def _shannon_draw(rng, config: TrialConfig) -> _Draw:
@@ -482,7 +491,8 @@ def _shannon_residuals(config, m, *stacks) -> np.ndarray:
     """One decomposition of [S, A, A_i]: each trial's S = sum(shares) and A = sum(A_i)."""
     *family, fs = stacks
     As, shares = _families(m, *family)
-    dec = _decompose(np.concatenate([_total(shares, m), _total(As, m), As]))
+    total = _Segments(m).total
+    dec = _decompose(np.concatenate([total(shares), total(As), As]))
     T = len(m)
     Bs = gen._split_matching(dec[: 2 * T], shares, m)
     return _operator_shannon(fs, As, Bs, m, dec[T:], config.tolerance)
@@ -496,16 +506,16 @@ def _pooled_inverse_draw(rng, config: TrialConfig) -> _Draw:
     return _Draw(n, (m, *zip(*pds), tuple(gen._complex_gaussian(rng, n) for _ in range(m))))
 
 
-def _pooled_inverse_residuals(config, m, w, G, X) -> np.ndarray:
-    return _pooled_inverse(X, gen._build(w, gen._unitaries(G)), m)
+def _pooled_inverse_residuals(config, m, w, x, x_square) -> np.ndarray:
+    return _pooled_inverse(gen._complex(x_square), gen._build(w, gen._unitaries(x)), m)
 
 
-def _pooled_mean_residuals(config, m, w, G) -> np.ndarray:
-    return _pooled_mean(_SQRT, *_families(m, w, G), m)
+def _pooled_mean_residuals(config, m, w, x) -> np.ndarray:
+    return _pooled_mean(_SQRT, *_families(m, w, x), m)
 
 
-def _split_mean_residuals(config, m, w, G) -> np.ndarray:
-    return _split_mean(_SQRT, *_families(m, w, G), m)
+def _split_mean_residuals(config, m, w, x) -> np.ndarray:
+    return _split_mean(_SQRT, *_families(m, w, x), m)
 
 
 def _monotonicity_draw(rng, config: TrialConfig) -> _Draw:
@@ -523,20 +533,47 @@ def _monotonicity_draw(rng, config: TrialConfig) -> _Draw:
     return _Draw(n, (*zip(a_part, b_part, b_step), scale, g_psd))
 
 
-def _monotonicity_residuals(config, w, G, scale, G_psd) -> np.ndarray:
-    mats = gen._build(w, gen._unitaries(G))  # each trial's A_part, B_part, B_step in turn
+def _monotonicity_residuals(config, w, x, scale, x_psd) -> np.ndarray:
+    mats = gen._build(w, gen._unitaries(x))  # each trial's A_part, B_part, B_step in turn
     A_part, B_part, B_step = mats[0::3], mats[1::3], mats[2::3]
-    A_whole = A_part + gen._build_psd(scale, G_psd)
+    A_whole = A_part + gen._build_psd(scale, x_psd)
     return _mean_monotonicity(_SQRT, A_part, B_part, A_whole, B_part + B_step, config.tolerance)
 
 
-def _grouped(draws: list[_Draw], evaluate):
-    """(positions in draws, evaluate(*stacks)) of each group of draws sharing n."""
+def _nbytes(value) -> int:
+    """The bytes a drawn value takes in its group's stack: a tuple's members summed, f none."""
+    if isinstance(value, tuple):
+        return sum(_nbytes(member) for member in value)
+    return 0 if isinstance(value, FunctionSpec) else np.asarray(value).nbytes
+
+
+def _grouped(draws: list[_Draw], config: TrialConfig, evaluate):
+    """(positions in draws, evaluate(*stacks)) of each group of draws sharing n.
+
+    A block's draws fit _BLOCK_BYTES and spread over at most config.n sizes,
+    and a kernel's working set is several times its group's draws.  So a
+    group whose stacks take more than _BLOCK_BYTES // config.n bytes is
+    evaluated in runs of consecutive trials that fit (a larger trial runs
+    alone).  Groups and runs are bitwise independent stacks.
+    """
     groups: dict[int, list[int]] = {}
     for k, d in enumerate(draws):
         groups.setdefault(d.n, []).append(k)
+    budget = _BLOCK_BYTES // config.n
     for ks in groups.values():
-        yield ks, evaluate(*_stacks([draws[k] for k in ks]))
+        stacks = _stacks([draws[k] for k in ks])
+        if sum(v.nbytes for v in stacks if isinstance(v, np.ndarray)) <= budget:
+            yield ks, evaluate(*stacks)
+            continue
+        run, used = [], 0
+        for k in ks:
+            size = sum(_nbytes(v) for v in draws[k].values)
+            if run and used + size > budget:
+                yield run, evaluate(*_stacks([draws[j] for j in run]))
+                run, used = [], 0
+            run.append(k)
+            used += size
+        yield run, evaluate(*_stacks([draws[j] for j in run]))
 
 
 def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
@@ -546,7 +583,7 @@ def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
     of draws sharing n.
     """
     gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
-    for ks, (gap, ok) in _grouped(draws, functools.partial(kernel, config)):
+    for ks, (gap, ok) in _grouped(draws, config, functools.partial(kernel, config)):
         gaps[ks], holds[ks] = gap, ok
     return gaps.tolist(), holds.tolist()
 
@@ -684,7 +721,8 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
         """Re-verify a chunk of candidates through the Jacobi solver, one stack per group."""
         rechecks = np.empty(len(chunk))
         draws = [draw for *_, draw in chunk]
-        for ks, w in _grouped(draws, functools.partial(_sum_residuals, config, solver="jacobi")):
+        recheck = functools.partial(_sum_residuals, config, solver="jacobi")
+        for ks, w in _grouped(draws, config, recheck):
             rechecks[ks] = w.min(axis=-1)
         for (index, ts, min_eig, draw), recheck in zip(chunk, rechecks.tolist()):
             if recheck < -RECHECK_ABS_TOL:

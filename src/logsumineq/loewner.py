@@ -11,11 +11,12 @@ leading axes), returning the residual eigenvalues (T, n).  The matrices of
 operator Jensen and mean monotonicity come as stacks (T, n, n).  The
 families of the other five checks lie on one flat member axis (K, n, n):
 trial t has m[t] members on consecutive rows, whatever the other trials'
-sizes, and the kernel takes the member counts m beside them (matfun._total
-sums each trial's members).  A kernel step decomposes the trials' totals
-and all their members together, so it is one eigensolver call for the
-whole stack.  The public *_residual function of a check validates its one
-instance and runs the kernel as the T=1 stack.  The kernels check f's
+sizes, and the kernel takes the member counts m beside them (it takes
+their layout once, matfun._Segments, and sums each trial's members with
+it).  A kernel step decomposes the trials' totals and all their members
+together, so it is one eigensolver call for the whole stack.  The public
+*_residual function of a check validates its one instance and runs the
+kernel as the T=1 stack.  The kernels check f's
 operator class and anchor values once per distinct f (for the perspective
 sum, perspective_sum_residual checks its f), then run their checks step by
 step over the stack; a failing check raises the one-trial message of a
@@ -47,6 +48,7 @@ from .matfun import (
     _first,
     _herm,
     _require_hermitian,
+    _Segments,
     _total,
     _verdict,
     apply_function,
@@ -257,8 +259,8 @@ def _perspective_sums(
     """
     if lhs_form not in ("perspective_sum", "sum_fb"):
         raise DomainError(f"unknown lhs_form {lhs_form!r}")
-    T = len(m)
-    A, B = _total(As, m), _total(Bs, m)
+    T, total = len(m), _Segments(m).total
+    A, B = total(As), total(Bs)
     members = Bs if lhs_form == "sum_fb" else As
     dec = _decompose(np.concatenate([A, members]), solver)
     if require_expansive:
@@ -266,10 +268,10 @@ def _perspective_sums(
     f_members = _per_member(fs, m)
     if lhs_form == "sum_fb":
         rhs = _perspective(fs, dec[:T], B, solver)
-        lhs = _total(dec[T:].map(f_members).reconstruct(), m)
+        lhs = total(dec[T:].map(f_members).reconstruct())
     else:
         P = _perspective([*fs, *f_members], dec, np.concatenate([B, Bs]), solver)
-        rhs, lhs = P[:T], _total(P[T:], m)
+        rhs, lhs = P[:T], total(P[T:])
     return _decompose(_herm(rhs - lhs), solver).eigenvalues
 
 
@@ -312,16 +314,17 @@ def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, m, dec, tol: float) ->
         f_at_one = float(f(1.0))
         if abs(f_at_one) > _F_AT_ANCHOR_TOL:
             raise PreconditionError(f"f(1) must vanish, got {f_at_one!r}")
-    A = _total(As, m)
-    mismatch = np.abs(A - _total(Bs, m)).max(axis=(-2, -1))
+    total = _Segments(m).total
+    A = total(As)
+    mismatch = np.abs(A - total(Bs)).max(axis=(-2, -1))
     bad = mismatch > SUM_MATCH_RTOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     if bad.any():
         (mismatch,) = _first(bad, mismatch)
         raise PreconditionError(f"sum(A_i) != sum(B_i) (maxnorm mismatch {mismatch:.3e})")
     T = len(m)
     _require_expansive(dec.eigenvalues[:T], m, tol)
-    total = _total(_perspective(_per_member(fs, m), dec[T:], Bs), m)
-    return _decompose(_herm(-total)).eigenvalues
+    lhs = total(_perspective(_per_member(fs, m), dec[T:], Bs))
+    return _decompose(_herm(-lhs)).eigenvalues
 
 
 def operator_shannon_residual(
@@ -345,11 +348,11 @@ def _pooled_inverse(Xs: np.ndarray, As: np.ndarray, m) -> np.ndarray:
     Xs (square) and As (Hermitian) are members (K, n, n), trial t's m[t] on
     consecutive rows.
     """
-    K = len(As)
-    inverses = _decompose(np.concatenate([As, _total(As, m)])).inverse()
+    K, total = len(As), _Segments(m).total
+    inverses = _decompose(np.concatenate([As, total(As)])).inverse()
     inverses = inverses.reconstruct()  # A_i^{-1}, then A^{-1}
-    lhs = _total(_herm(_adjoint(Xs) @ inverses[:K] @ Xs), m)
-    SX = _total(Xs, m)
+    lhs = total(_herm(_adjoint(Xs) @ inverses[:K] @ Xs))
+    SX = total(Xs)
     rhs = _herm(_adjoint(SX) @ inverses[K:] @ SX)
     return _decompose(_herm(lhs - rhs)).eigenvalues
 
@@ -393,14 +396,14 @@ def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m) -> np.ndarr
     As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive rows.
     """
     require_operator_class(f, "operator_monotone")
-    K = len(As)
-    dec = _decompose(np.concatenate([Bs, _total(Bs, m), As, _total(As, m)]))
+    K, total = len(As), _Segments(m).total
+    dec = _decompose(np.concatenate([Bs, total(Bs), As, total(As)]))
     half = K + len(m)
     roots = dec[:half].sqrt().reconstruct()  # B_i^{1/2}, then B^{1/2}
     inverses = dec[half:].inverse().reconstruct()  # A_i^{-1}, then A^{-1}
     args = _decompose(_herm(roots @ inverses @ roots))
-    f_sum = _total(args[:K].map(f).reconstruct(), m)
-    sB_sum = _total(roots[:K], m)
+    f_sum = total(args[:K].map(f).reconstruct())
+    sB_sum = total(roots[:K])
     pooled = _decompose(f_sum).inverse().reconstruct()
     lhs = _herm(sB_sum @ pooled @ sB_sum) / np.asarray(m)[:, None, None]
     sB = roots[K:]
@@ -426,14 +429,14 @@ def _split_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m) -> np.ndarra
     As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive rows.
     """
     require_operator_class(f, "operator_monotone")
-    K = len(As)
-    dec = _decompose(np.concatenate([As, _total(As, m), Bs, _total(Bs, m)]))
+    K, total = len(As), _Segments(m).total
+    dec = _decompose(np.concatenate([As, total(As), Bs, total(Bs)]))
     half = K + len(m)
     sA = dec[:K].sqrt().reconstruct()
     # mean(A_i, B_i) for each member, then mean(A, B)
     means = _mean(f, dec[half:].sqrt().reconstruct(), dec[:half].inverse().reconstruct())
-    lhs = _total(_herm(sA @ means[:K] @ sA), m)
-    sA_sum = _total(sA, m)
+    lhs = total(_herm(sA @ means[:K] @ sA))
+    sA_sum = total(sA)
     rhs = _herm(sA_sum @ means[K:] @ sA_sum) / np.asarray(m)[:, None, None]
     return _decompose(_herm(rhs - lhs)).eigenvalues
 

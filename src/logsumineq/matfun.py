@@ -11,8 +11,9 @@ and Hermitian, and are what internal kernels call.
 Stacks: _herm, _decompose, _verdict, jacobi_eigh and every
 SpectralDecomposition method accept leading batch axes, (..., n, n) for
 matrices and (..., n) for eigenvalues, and treat each trailing matrix on its
-own; _total sums each family of a flat member axis (K, n, n), on which
-family t holds m[t] consecutive members.  Checks reduce over
+own; _Segments takes the layout of T families on a flat member axis
+(K, n, n), on which family t holds m[t] consecutive members, and its total
+sums each family (_total for one stack).  Checks reduce over
 the last axis and report the first failing matrix with the message of the
 one-matrix case.  A one-matrix call is the stack
 case with no leading axes, not a second implementation, and a stacked
@@ -95,26 +96,40 @@ def _herm(A: np.ndarray) -> np.ndarray:
     return (A + _adjoint(A)) / 2.0
 
 
-def _total(X: np.ndarray, m) -> np.ndarray:
-    """The totals (T, n, n) of T families laid out on one flat member axis X (K, n, n).
+class _Segments:
+    """The layout of T families on one flat member axis (K, ...), taken once from m.
 
-    Family t has m[t] members on consecutive rows, and its total adds them
-    in member order from zero, as sum() adds a list of members.  The
-    families are padded with zero members to the largest m, one slot per
-    step: a running sum that starts from zero is never -0.0, so adding a
-    +0.0 slot leaves its bits unchanged.
+    Family t has m[t] members on consecutive rows.  total(X) gives the
+    totals (T, ...), each adding its family's members in member order from
+    zero, as sum() adds a list of members.  Ragged families are padded with
+    zero members to the largest m, one slot per step: a running sum that
+    starts from zero is never -0.0, so adding a +0.0 slot leaves its bits
+    unchanged.  A kernel takes the layout once and sums every family stack
+    of its group with it.
     """
-    m = np.asarray(m)
-    T, top = len(m), int(m.max())
-    if top == m.min():
-        slots = X.reshape(T, top, *X.shape[1:])
-    else:
-        slots = np.zeros((T, top, *X.shape[1:]), dtype=X.dtype)
-        slots[np.arange(top) < m[:, None]] = X
-    out = slots[:, 0] + 0.0
-    for k in range(1, top):
-        out += slots[:, k]
-    return out
+
+    def __init__(self, m) -> None:
+        m = np.asarray(m)
+        self.T, self.top = len(m), int(m.max())
+        # the member slots of the ragged layout padded to top, or None when every m is top
+        self.filled = None if self.top == m.min() else np.arange(self.top) < m[:, None]
+
+    def total(self, X: np.ndarray) -> np.ndarray:
+        shape = (self.T, self.top, *X.shape[1:])
+        if self.filled is None:
+            slots = X.reshape(shape)
+        else:
+            slots = np.zeros(shape, dtype=X.dtype)
+            slots[self.filled] = X
+        out = slots[:, 0] + 0.0
+        for k in range(1, self.top):
+            out += slots[:, k]
+        return out
+
+
+def _total(X: np.ndarray, m) -> np.ndarray:
+    """The totals (T, n, n) of the T families on X (K, n, n) with member counts m (_Segments)."""
+    return _Segments(m).total(X)
 
 
 def _first(bad: np.ndarray, *values: np.ndarray) -> list[float]:

@@ -6,10 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsumineq.generators import (
+    CONTRACTIVE_FLOOR,
     _build,
+    _build_contraction,
     _build_expansive,
+    _build_pair,
+    _build_psd,
+    _complex,
     _complex_gaussian,
+    _contractive,
+    _density,
+    _draw_commuting,
     _draw_contractive_pd,
+    _draw_density,
+    _draw_density_pair,
     _draw_expansive,
     _draw_pd,
     _unitaries,
@@ -20,7 +30,9 @@ from logsumineq.generators import (
     rand_density_pair,
     rand_expansive,
     rand_pd,
+    rand_psd,
     rand_split_matching,
+    rand_square,
     rand_unitary,
 )
 from logsumineq.matfun import commutes, hermitize, make_commuting_pair, maxnorm
@@ -123,34 +135,185 @@ def test_complex_gaussian_draws_as_two_real_draws(n):
     # imaginary one, and leaves the stream where those two calls leave it
     for seed in range(20):
         one, two = np.random.default_rng(seed), np.random.default_rng(seed)
-        G = _complex_gaussian(one, n)
+        x = _complex_gaussian(one, n)
         re = two.standard_normal((n, n))
         im = two.standard_normal((n, n))
-        assert G.tobytes() == (re + 1j * im).tobytes(), (n, seed)
+        assert x.shape == (2, n, n), (n, seed)
+        assert x.tobytes() == np.stack([re, im]).tobytes(), (n, seed)
+        assert _complex(x).tobytes() == (re + 1j * im).tobytes(), (n, seed)
         assert one.random() == two.random(), (n, seed)
+
+
+def _same(stacked, one_by_one):
+    return np.asarray(stacked).tobytes() == np.array(one_by_one).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_stacked_builds_equal_one_matrix_at_a_time(n):
-    # one stacked build of the draws gives the bits of rand_unitary, rand_pd,
-    # rand_contractive_pd and rand_expansive called matrix by matrix from the
-    # same rng states
+    # one build of the stacked raw draws (..., 2, n, n) gives the bits of each
+    # public generator called matrix by matrix from the same rng states
     seeds = range(40, 70)
-    unitaries = [rand_unitary(np.random.default_rng(s), n) for s in seeds]
-    gaussians = [_complex_gaussian(np.random.default_rng(s), n) for s in seeds]
-    assert _unitaries(np.array(gaussians)).tobytes() == np.array(unitaries).tobytes()
 
-    pds = [rand_pd(np.random.default_rng(s), n, (0.3, 2.5)) for s in seeds]
-    spectra, gaussians = zip(*(_draw_pd(np.random.default_rng(s), n, (0.3, 2.5)) for s in seeds))
-    stacked = _build(np.array(spectra), _unitaries(np.array(gaussians)))
-    assert stacked.tobytes() == np.array(pds).tobytes()
+    def calls(generator, *args):
+        return [generator(np.random.default_rng(s), n, *args) for s in seeds]
 
-    contractive = [rand_contractive_pd(np.random.default_rng(s), n) for s in seeds]
-    spectra, gaussians = zip(*(_draw_contractive_pd(np.random.default_rng(s), n) for s in seeds))
-    stacked = _build(np.array(spectra), _unitaries(np.array(gaussians)))
-    assert stacked.tobytes() == np.array(contractive).tobytes()
+    def draws(draw, *args):
+        values = zip(*(draw(np.random.default_rng(s), n, *args) for s in seeds))
+        return [np.array(v) for v in values]
 
-    expansive = [rand_expansive(np.random.default_rng(s), n) for s in seeds]
-    amps, gaussians = zip(*(_draw_expansive(np.random.default_rng(s), n) for s in seeds))
-    stacked = _build_expansive(np.array(amps).reshape(5, 6), np.array(gaussians).reshape(5, 6, n, n))
-    assert stacked.tobytes() == np.array(expansive).tobytes()
+    (gaussians,) = draws(lambda rng, n: (_complex_gaussian(rng, n),))
+    assert gaussians.shape == (len(seeds), 2, n, n)
+    assert _same(_unitaries(gaussians), calls(rand_unitary))
+    assert _same(_complex(gaussians), calls(rand_square))
+    assert _same(_build_psd(0.7, gaussians), calls(rand_psd, 0.7))
+
+    spectra, gaussians = draws(_draw_pd, (0.3, 2.5))
+    assert _same(_build(spectra, _unitaries(gaussians)), calls(rand_pd, (0.3, 2.5)))
+
+    uniforms, gaussians = draws(_draw_contractive_pd)
+    stacked = _build(_contractive(uniforms), _unitaries(gaussians))
+    assert _same(stacked, calls(rand_contractive_pd))
+
+    amps, gaussians = draws(_draw_expansive)
+    stacked = _build_expansive(amps.reshape(5, 6), gaussians.reshape(5, 6, 2, n, n))
+    assert _same(stacked.reshape(-1, n, n), calls(rand_expansive))
+
+    gaussians, singular = draws(lambda rng, n: (_complex_gaussian(rng, n), rng.random(n)))
+    assert _same(_build_contraction(singular, gaussians), calls(rand_contraction))
+
+    ranges = ((0.1, 4.0), (0.5, 2.0))
+    pairs = calls(rand_commuting_pair, *ranges)
+    stacked = _build_pair(*draws(_draw_commuting, *ranges))
+    assert all(_same(got, want) for got, want in zip(stacked, zip(*pairs)))
+
+    uniforms, gaussians = draws(_draw_density)
+    stacked = _build(_density(uniforms), _unitaries(gaussians))
+    assert _same(stacked, calls(rand_density))
+
+    gaussians, u_rho, u_sigma = draws(_draw_density_pair)
+    stacked = _build_pair(gaussians, _density(u_rho), _density(u_sigma))
+    assert all(_same(got, want) for got, want in zip(stacked, zip(*calls(rand_density_pair))))
+
+
+# The formulas of each public matrix generator, member by member in plain
+# numpy, with every map of drawn values written out where it is drawn.
+
+
+def _ref_gaussian(rng, n):
+    x = rng.standard_normal((2, n, n))
+    return x[0] + 1j * x[1]
+
+
+def _ref_herm(M):
+    return (M + M.conj().T) / 2.0
+
+
+def _ref_unitary(G):
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))[None, :]
+
+
+def _ref_build(w, U):
+    return _ref_herm((U * w[None, :]) @ U.conj().T)
+
+
+def _ref_density_spectrum(rng, n):
+    u = rng.random(n)
+    return (u + 1e-3) / (u + 1e-3).sum()
+
+
+def _ref_split_matching(rng, total, m, spectrum_range):
+    total = _ref_herm(total)
+    n = total.shape[0]
+    shares = []
+    for _ in range(m):
+        w = rng.uniform(*spectrum_range, n)
+        shares.append(_ref_build(w, _ref_unitary(_ref_gaussian(rng, n))))
+    w, U = np.linalg.eigh(np.stack([sum(shares), total]))
+    S_inv_half = (U[0] * (1.0 / np.sqrt(w[0]))[None, :]) @ U[0].conj().T
+    T_half = (U[1] * np.sqrt(w[1])[None, :]) @ U[1].conj().T
+    carrier = T_half @ S_inv_half
+    return [_ref_herm(carrier @ share @ carrier.conj().T) for share in shares]
+
+
+def _ref_contraction(rng, n):
+    G = _ref_gaussian(rng, n)
+    U, _, Vh = np.linalg.svd(G)
+    return (U * rng.random(n)[None, :]) @ Vh
+
+
+def _ref_psd(rng, n, scale):
+    Q = np.sqrt(scale / n) * _ref_gaussian(rng, n)
+    return _ref_herm(Q @ Q.conj().T)
+
+
+def _ref_expansive(rng, n):
+    amp = rng.uniform(0.3, 1.0)
+    Q = (amp / np.sqrt(n)) * _ref_gaussian(rng, n)
+    return _ref_herm(np.eye(n) + Q @ Q.conj().T)
+
+
+def _ref_commuting_pair(rng, n, a_range, b_range):
+    U = _ref_unitary(_ref_gaussian(rng, n))
+    wa, wb = rng.uniform(*a_range, n), rng.uniform(*b_range, n)
+    return _ref_build(wa, U), _ref_build(wb, U)
+
+
+def _ref_density_pair(rng, n):
+    U = _ref_unitary(_ref_gaussian(rng, n))
+    w_rho, w_sigma = _ref_density_spectrum(rng, n), _ref_density_spectrum(rng, n)
+    return _ref_build(w_rho, U), _ref_build(w_sigma, U)
+
+
+_TOTAL = np.array([[2.0, 0.5j], [-0.5j, 1.5]])
+
+# (public generator, its reference, the arguments after (rng, n)); rand_split_matching
+# takes a total in place of n, so its n is the total's.
+_REFERENCES = {
+    "rand_unitary": (rand_unitary, lambda rng, n: _ref_unitary(_ref_gaussian(rng, n)), ()),
+    "rand_pd": (
+        rand_pd,
+        lambda rng, n, r: _ref_build(rng.uniform(*r, n), _ref_unitary(_ref_gaussian(rng, n))),
+        ((0.3, 2.5),),
+    ),
+    "rand_psd": (rand_psd, _ref_psd, (0.7,)),
+    "rand_expansive": (rand_expansive, _ref_expansive, ()),
+    "rand_contractive_pd": (
+        rand_contractive_pd,
+        lambda rng, n: _ref_build(
+            1.0 - (1.0 - CONTRACTIVE_FLOOR) * rng.random(n), _ref_unitary(_ref_gaussian(rng, n))
+        ),
+        (),
+    ),
+    "rand_contraction": (rand_contraction, _ref_contraction, ()),
+    "rand_square": (rand_square, _ref_gaussian, ()),
+    "rand_commuting_pair": (rand_commuting_pair, _ref_commuting_pair, ((0.1, 4.0), (0.5, 2.0))),
+    "rand_density": (
+        rand_density,
+        lambda rng, n: _ref_build(
+            _ref_density_spectrum(rng, n), _ref_unitary(_ref_gaussian(rng, n))
+        ),
+        (),
+    ),
+    "rand_density_pair": (rand_density_pair, _ref_density_pair, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCES) + ["rand_split_matching"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_public_generators_keep_the_per_member_formulas(name, n):
+    # each public generator gives the bits of its formulas applied member by
+    # member, and leaves the stream where they leave it
+    for seed in range(30):
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        if name == "rand_split_matching":
+            total = rand_pd(np.random.default_rng(1000 + seed), n, (1.0, 3.0))
+            got, want = rand_split_matching(one, total, 3, (0.5, 2.0)), _ref_split_matching(
+                two, total, 3, (0.5, 2.0)
+            )
+        else:
+            generator, reference, args = _REFERENCES[name]
+            got, want = generator(one, n, *args), reference(two, n, *args)
+        assert _same(got, want), (name, n, seed)
+        assert one.random() == two.random(), (name, n, seed)

@@ -507,6 +507,50 @@ def test_report_does_not_depend_on_the_byte_budget(monkeypatch, suite):
     assert _canonical(run(cfg)) == default
 
 
+def _runs(draws, cfg):
+    """The positions of each stack _grouped evaluates, in the order it yields them."""
+    return [ks for ks, _ in harness._grouped(draws, cfg, lambda *stacks: None)]
+
+
+@pytest.mark.parametrize(
+    "suite, n, m, trials",
+    [
+        ("perspective_sum", 3, 2, 50),  # the benchmark's searches
+        ("pooled_inverse", 8, 4, 20),  # its Loewner suites
+        ("pooled_mean", 8, 4, 20),
+        ("mean_monotonicity", 8, 4, 20),
+        ("q_trace", 4, 2, 100),  # its commuting suites
+        ("perspective_sum", 8, 4, 256),
+    ],
+)
+def test_groups_of_small_sizes_run_whole(suite, n, m, trials):
+    cfg = TrialConfig(suite=suite, n=n, m=m, family_kind="contractive")
+    draws = SUITES[suite].draws(range(trials), cfg)
+    assert sorted(len(ks) for ks in _runs(draws, cfg)) == sorted(
+        [d.n for d in draws].count(size) for size in {d.n for d in draws}
+    )
+
+
+@pytest.mark.parametrize("suite", ["perspective_sum", "pooled_inverse", "operator_jensen"])
+def test_a_large_group_runs_in_parts_within_its_byte_share(monkeypatch, suite):
+    cfg = TrialConfig(suite=suite, n=3, m=4)
+    draws = SUITES[suite].draws(range(256), cfg)
+    share = 4000
+    monkeypatch.setattr(harness, "_BLOCK_BYTES", share * cfg.n)
+    runs = _runs(draws, cfg)
+    groups = {}
+    for k, d in enumerate(draws):
+        groups.setdefault(d.n, []).append(k)
+    assert len(runs) > len(groups)
+    for ks in runs:
+        # each part is a run of consecutive trials of one group, within the share
+        group = groups[draws[ks[0]].n]
+        assert ks == group[group.index(ks[0]) : group.index(ks[0]) + len(ks)]
+        size = sum(harness._nbytes(v) for k in ks for v in draws[k].values)
+        assert len(ks) == 1 or size <= share
+    assert sorted(k for ks in runs for k in ks) == list(range(len(draws)))
+
+
 def test_readme_lists_every_registered_suite():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme.split("Registered suites:", 1)[1].split("\n\n", 1)[0]
