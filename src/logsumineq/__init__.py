@@ -146,6 +146,7 @@ __all__ = [
     "quantum_relative_entropy",
     "ratio_bounds",
     "rational_example_gap",
+    "rational_fn",
     "report_to_json",
     "reverse_log_sum_gap",
     "reverse_trace_gap",

@@ -14,6 +14,7 @@ call on that row alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,10 @@ class FunctionSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown function family {self.family!r}")
-        if not np.isfinite(self.offset):
+        if not math.isfinite(self.offset):
             raise DomainError("offset must be finite")
         if self.family in ("power", "q_log", "shifted_log"):
-            if self.param is None or not np.isfinite(self.param):
+            if self.param is None or not math.isfinite(self.param):
                 raise DomainError(f"{self.family} requires a finite parameter")
             if self.family == "power" and self.param == 0.0:
                 raise DomainError("power exponent must be nonzero")

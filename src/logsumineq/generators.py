@@ -15,12 +15,12 @@ rng gives, a complex Gaussian as its raw real and imaginary parts (2, n, n)
 uniforms.  Every map of drawn values runs in the build, once over a stack
 of draws: _complex assembles the Gaussians (..., 2, n, n) inside _unitaries,
 _build_expansive, _build_psd and _build_contraction; _contractive and
-_density map the uniforms (..., n) to spectra; _unitaries, then _build, turn
-spectra (..., n) and Gaussians into phase-fixed unitaries and U diag(w) U†
-in one qr and one matmul, and _build_pair builds two spectra over one
-basis.  Sum-matched families are built by _split_matching.  Elementwise
-maps give a stack's rows the bits they get one at a time, so the
-one-matrix generators are the stack-free case, and a stacked build is
+_density map the uniforms (..., n) to spectra; _unitaries, then matfun's
+_build, turn spectra (..., n) and Gaussians into phase-fixed unitaries and
+U diag(w) U† in one qr and one matmul, and _build_pair builds two spectra
+over one basis.  Sum-matched families are built by _split_matching.
+Elementwise maps give a stack's rows the bits they get one at a time, so
+the one-matrix generators are the stack-free case, and a stacked build is
 bitwise equal to one call per matrix.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matfun import SpectralDecomposition, _adjoint, _decompose, _herm, _total, hermitize
+from .matfun import SpectralDecomposition, _adjoint, _build, _decompose, _herm, _total, hermitize
 from .scalar import SequencePair
 
 __all__ = [
@@ -85,11 +85,6 @@ def _unitaries(x: np.ndarray) -> np.ndarray:
     Q, R = np.linalg.qr(_complex(x))
     d = np.diagonal(R, axis1=-2, axis2=-1)
     return Q * (d / np.abs(d))[..., None, :]
-
-
-def _build(w: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """U diag(w) U† for (stacks of) spectra w (..., n) and unitaries U (..., n, n)."""
-    return _herm((U * w[..., None, :]) @ _adjoint(U))
 
 
 def _draw_pd(rng: np.random.Generator, n: int, spectrum_range: tuple[float, float]):

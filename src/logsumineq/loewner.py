@@ -1,36 +1,34 @@
 """Operator-order inequalities for non-commuting positive definite families.
 
-Verdicts compare both sides of a claimed Loewner inequality by forming the
-residual RHS - LHS (or the claim-appropriate orientation) and checking its
-minimum eigenvalue.  Public functions validate their inputs once; the
-private kernels take Hermitian arrays or SpectralDecompositions and
-decompose each matrix once.
+A verdict forms the residual RHS - LHS of a claimed Loewner inequality (or
+its claim-appropriate orientation) and checks its minimum eigenvalue.
+Public functions validate their inputs once; private kernels take Hermitian
+arrays or SpectralDecompositions and decompose each matrix once.
 
-Each residual check has one kernel over a stack of T trials (see matfun on
-leading axes), returning the residual eigenvalues (T, n).  The matrices of
-operator Jensen and mean monotonicity come as stacks (T, n, n).  The
-families of the other five checks lie on one flat member axis (K, n, n):
-trial t has m[t] members on consecutive rows, whatever the other trials'
-sizes, and the kernel takes the member counts m beside them (it takes
-their layout once, matfun._Segments, and sums each trial's members with
-it).  A kernel step decomposes the trials' totals and all their members
-together, so it is one eigensolver call for the whole stack.  The public
-*_residual function of a check validates its one instance and runs the
-kernel as the T=1 stack.  The kernels check f's
-operator class and anchor values once per distinct f (for the perspective
-sum, perspective_sum_residual checks its f), then run their checks step by
-step over the stack; a failing check raises the one-trial message of a
-failing trial, the first in trial order for the hypotheses (expansivity,
-matching sums, the contraction and order checks).  Operator
-monotonicity/concavity/convexity of the scalar function is established by
-catalog, not numerically: only families whose operator class is classical
-textbook knowledge get the flags.
+Each check has one kernel over a stack of T trials (see matfun on leading
+axes) returning the residual eigenvalues (T, n); its public *_residual runs
+the kernel as the T=1 stack.  Operator Jensen and mean monotonicity take
+stacks (T, n, n).  The other five take families on one flat member axis
+(K, n, n), trial t's m[t] members on consecutive rows, beside the counts m;
+the kernel takes their layout once (matfun._Segments) and decomposes the
+totals and all members together, one eigensolver call per step.  f's
+operator class and anchor values are checked once per distinct f
+(perspective_sum_residual checks the perspective sum's f).  A failing
+check raises the one-trial message of the first failing trial in trial
+order for the hypotheses (expansivity, matching sums, the contraction and
+order checks).  Operator classes come from a catalog of textbook results,
+not from numerics.
 
-Everything here decomposes through LAPACK's eigh, with one exception: the
-perspective-sum kernel _perspective_sums takes solver="jacobi".  The
-contractive search calls the kernel that way to re-verify its candidates, a
-stack at a time, through the independent Jacobi solver.  The choice reaches
-only that kernel and _perspective.
+Every perspective and mean is built in its anchor's eigenbasis (_anchored),
+and no anchor root or inverse is formed as a matrix: the perspective takes
+f at (A, B), the mean 1/f(1/x) at (B, A), so A is neither inverted nor
+decomposed.  The only reconstructed roots are the statements' own factors,
+A_i^{1/2} (split mean) and sum(B_i^{1/2}) (pooled mean).
+
+Everything decomposes through LAPACK's eigh except where _perspective_sums
+takes solver="jacobi": the contractive search re-verifies its candidates
+that way, a stack at a time, through the independent Jacobi solver.  The
+choice reaches only that kernel, _perspective and _anchored.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from .matfun import (
     SpectralDecomposition,
     _adjoint,
     _as_square_complex,
+    _build,
     _decompose,
     _first,
     _herm,
@@ -54,8 +53,7 @@ from .matfun import (
     apply_function,
     hermitize,
     maxnorm,
-    psd_inverse,
-    psd_sqrt,
+    psd_sqrt,  # noqa: F401 (the benchmark self-tests rebind it here)
     spectral_decompose,
 )
 from .scalar import DEFAULT_TOLERANCE
@@ -132,6 +130,16 @@ def _validate_families(A_family, B_family) -> tuple[np.ndarray, np.ndarray]:
     return As, Bs
 
 
+def _anchored(dec: SpectralDecomposition, M: np.ndarray, solver: str = "eigh"):
+    """(W, C's decomposition) for Hermitian M and the PD anchor S = U D U† of dec:
+    C = D^{-1/2} U† M U D^{-1/2} = V diag(x) V† and W = U D^{1/2} V, so that X = S^{-1/2} M
+    S^{-1/2} = (UV) diag(x) (UV)† and S^{1/2} g(X) S^{1/2} = _build(g(x), W)."""
+    root = dec.sqrt()
+    s, U = root.inverse().eigenvalues, dec.unitary
+    C = _decompose(_herm(s[..., :, None] * (_adjoint(U) @ M @ U) * s[..., None, :]), solver)
+    return (U * root.eigenvalues[..., None, :]) @ C.unitary, C
+
+
 def _perspective(
     f, dec_a: SpectralDecomposition, B: np.ndarray, solver: str = "eigh"
 ) -> np.ndarray:
@@ -139,11 +147,8 @@ def _perspective(
 
     Works on stacks; f is one FunctionSpec or one per entry of the first axis.
     """
-    root = dec_a.sqrt()
-    sA = root.reconstruct()
-    sA_inv = root.inverse().reconstruct()
-    arg = _herm(sA_inv @ B @ sA_inv)
-    return _herm(sA @ _decompose(arg, solver).map(f).reconstruct() @ sA)
+    W, C = _anchored(dec_a, B, solver)
+    return _build(C.map(f).eigenvalues, W)
 
 
 def operator_perspective(f: FunctionSpec, A, B) -> np.ndarray:
@@ -349,12 +354,11 @@ def _pooled_inverse(Xs: np.ndarray, As: np.ndarray, m) -> np.ndarray:
     consecutive rows.
     """
     K, total = len(As), _Segments(m).total
-    inverses = _decompose(np.concatenate([As, total(As)])).inverse()
-    inverses = inverses.reconstruct()  # A_i^{-1}, then A^{-1}
-    lhs = total(_herm(_adjoint(Xs) @ inverses[:K] @ Xs))
-    SX = total(Xs)
-    rhs = _herm(_adjoint(SX) @ inverses[K:] @ SX)
-    return _decompose(_herm(lhs - rhs)).eigenvalues
+    # X† A^{-1} X = Y† Y with Y = D^{-1/2} U† X, for each A_i, then for A
+    root = _decompose(np.concatenate([As, total(As)])).inverse().sqrt()
+    Y = root.eigenvalues[..., :, None] * (_adjoint(root.unitary) @ np.concatenate([Xs, total(Xs)]))
+    gram = _adjoint(Y) @ Y
+    return _decompose(_herm(total(gram[:K]) - gram[K:])).eigenvalues
 
 
 def pooled_inverse_residual(X_family, A_family, tol: float = DEFAULT_TOLERANCE) -> LoewnerVerdict:
@@ -375,19 +379,28 @@ def pooled_inverse_residual(X_family, A_family, tol: float = DEFAULT_TOLERANCE) 
     return _verdict(_pooled_inverse(np.stack(Xs), As, [len(As)])[0], tol)
 
 
-def _mean(f: FunctionSpec, sB: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
-    """B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2} from (stacks of) B^{1/2} and A^{-1}."""
-    arg = _herm(sB @ A_inv @ sB)
-    return _herm(sB @ _decompose(arg).map(f).inverse().reconstruct() @ sB)
+def _inverted(dec_b: SpectralDecomposition, A: np.ndarray):
+    """(W, B^{1/2} A^{-1} B^{1/2} = X^{-1} on C's basis) for (W, C) = _anchored(dec_b, A), A PD:
+    x_max d_min/d_max <= lambda_max(A)/d_max and x_min >= lambda_min(A)/d_max, so the default
+    floor scaled by d_min/d_max passes every A that inverse() passes, whatever cond(B)."""
+    W, C = _anchored(dec_b, A)
+    d = dec_b.eigenvalues
+    return W, C.inverse(1e-10 * abs(C.eigenvalues).max(axis=-1) * d.min(axis=-1) / d.max(axis=-1))
+
+
+def _mean(f: FunctionSpec, dec_b: SpectralDecomposition, A: np.ndarray) -> np.ndarray:
+    """B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2}, the perspective of 1/f(1/x) at (B, A)."""
+    W, arg = _inverted(dec_b, A)
+    return _build(arg.map(f).inverse().eigenvalues, W)
 
 
 def matrix_mean(f: FunctionSpec, A, B) -> np.ndarray:
     """B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2} for PD A, B.
 
-    f's matrix image must be PD so the middle inverse exists; for
+    B, then A, must be PD (SingularityError) and f's matrix image PD; for
     f = power(1/2) this is the geometric mean of A and B.
     """
-    return _mean(f, psd_sqrt(B), psd_inverse(A))
+    return _mean(f, spectral_decompose(B), _require_hermitian(A))
 
 
 def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m) -> np.ndarray:
@@ -397,17 +410,14 @@ def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m) -> np.ndarr
     """
     require_operator_class(f, "operator_monotone")
     K, total = len(As), _Segments(m).total
-    dec = _decompose(np.concatenate([Bs, total(Bs), As, total(As)]))
-    half = K + len(m)
-    roots = dec[:half].sqrt().reconstruct()  # B_i^{1/2}, then B^{1/2}
-    inverses = dec[half:].inverse().reconstruct()  # A_i^{-1}, then A^{-1}
-    args = _decompose(_herm(roots @ inverses @ roots))
-    f_sum = total(args[:K].map(f).reconstruct())
-    sB_sum = total(roots[:K])
-    pooled = _decompose(f_sum).inverse().reconstruct()
-    lhs = _herm(sB_sum @ pooled @ sB_sum) / np.asarray(m)[:, None, None]
-    sB = roots[K:]
-    rhs = _herm(sB @ args[K:].map(f).inverse().reconstruct() @ sB)
+    dec = _decompose(np.concatenate([Bs, total(Bs)]))
+    W, arg = _inverted(dec, np.concatenate([As, total(As)]))
+    f_arg = arg.map(f)  # f(B_i^{1/2} A_i^{-1} B_i^{1/2}), then the totals', on C's eigenvectors
+    f_sum = total(_build(f_arg.eigenvalues[:K], dec.unitary[:K] @ f_arg.unitary[:K]))
+    sB_sum = total(dec[:K].sqrt().reconstruct())
+    pooled = _decompose(f_sum).inverse()
+    lhs = _build(pooled.eigenvalues, sB_sum @ pooled.unitary) / np.asarray(m)[:, None, None]
+    rhs = _build(f_arg[K:].inverse().eigenvalues, W[K:])
     return _decompose(_herm(rhs - lhs)).eigenvalues
 
 
@@ -430,15 +440,13 @@ def _split_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m) -> np.ndarra
     """
     require_operator_class(f, "operator_monotone")
     K, total = len(As), _Segments(m).total
-    dec = _decompose(np.concatenate([As, total(As), Bs, total(Bs)]))
-    half = K + len(m)
+    dec = _decompose(np.concatenate([As, Bs, total(Bs)]))
     sA = dec[:K].sqrt().reconstruct()
-    # mean(A_i, B_i) for each member, then mean(A, B)
-    means = _mean(f, dec[half:].sqrt().reconstruct(), dec[:half].inverse().reconstruct())
-    lhs = total(_herm(sA @ means[:K] @ sA))
-    sA_sum = total(sA)
-    rhs = _herm(sA_sum @ means[K:] @ sA_sum) / np.asarray(m)[:, None, None]
-    return _decompose(_herm(rhs - lhs)).eigenvalues
+    roots = np.concatenate([sA, total(sA)])  # A_i^{1/2}, then sum(A_i^{1/2})
+    # mean(A_i, B_i) for each member, then mean(A, B), between the roots
+    sides = _herm(roots @ _mean(f, dec[K:], np.concatenate([As, total(As)])) @ roots)
+    rhs = sides[K:] / np.asarray(m)[:, None, None]
+    return _decompose(_herm(rhs - total(sides[:K]))).eigenvalues
 
 
 def split_mean_residual(
@@ -469,10 +477,7 @@ def _mean_monotonicity(
     """Residual eigenvalues (T, n) of mean monotonicity for Hermitian stacks (T, n, n)."""
     require_operator_class(f, "operator_monotone")
     dec = _decompose(
-        np.stack(
-            [_herm(A_whole - A_part), _herm(B_whole - B_part), B_whole, B_part, A_whole, A_part],
-            axis=1,
-        )
+        np.stack([_herm(A_whole - A_part), _herm(B_whole - B_part), B_whole, B_part], axis=1)
     )
     order = _verdict(dec.eigenvalues[:, :2], tol)
     bad = ~order.holds
@@ -481,7 +486,7 @@ def _mean_monotonicity(
         (low,) = _first(bad, order.residual_min_eigenvalue)
         raise PreconditionError(f"{name}_part <= {name}_whole fails (min eigenvalue {low:.3e})")
     # mean(A_whole, B_whole), then mean(A_part, B_part)
-    means = _mean(f, dec[:, 2:4].sqrt().reconstruct(), dec[:, 4:].inverse().reconstruct())
+    means = _mean(f, dec[:, 2:], np.stack([A_whole, A_part], axis=1))
     return _decompose(_herm(means[:, 0] - means[:, 1])).eigenvalues
 
 

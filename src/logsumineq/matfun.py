@@ -3,10 +3,11 @@
 Everything here works through the spectral decomposition A = U diag(w) U†:
 f(A) = U diag(f(w)) U†.  Each matrix is decomposed once; A^{1/2}, A^{-1},
 A^{-1/2} and f(A) are all read off that one SpectralDecomposition (map,
-sqrt, inverse, then reconstruct), never by decomposing an intermediate
-result again.  Inputs are validated once, at the public functions; the
-private _decompose and _herm take arrays that are already square, finite
-and Hermitian, and are what internal kernels call.
+sqrt, inverse, then _build(w, U), the one W diag(w) W† formula, which the
+generators and Loewner kernels call with their own W), never by
+decomposing an intermediate result again.  Inputs are validated once, at
+the public functions; the private _decompose and _herm take arrays that
+are already square, finite and Hermitian, and are what internal kernels call.
 
 Stacks: _herm, _decompose, _verdict, jacobi_eigh and every
 SpectralDecomposition method accept leading batch axes, (..., n, n) for
@@ -96,6 +97,11 @@ def _herm(A: np.ndarray) -> np.ndarray:
     return (A + _adjoint(A)) / 2.0
 
 
+def _build(w: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """W diag(w) W† for (stacks of) values w (..., n) and square W (..., n, n); exactly Hermitian."""
+    return _herm((W * w[..., None, :]) @ _adjoint(W))
+
+
 class _Segments:
     """The layout of T families on one flat member axis (K, ...), taken once from m.
 
@@ -182,8 +188,7 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         """U diag(w) U†, the one place a decomposition becomes a matrix again."""
-        U = self.unitary
-        return _herm((U * self.eigenvalues[..., None, :]) @ _adjoint(U))
+        return _build(self.eigenvalues, self.unitary)
 
     def _with(self, values) -> SpectralDecomposition:
         w = np.asarray(values, dtype=float)

@@ -621,9 +621,9 @@ _GROUP_CALLS = {
     "operator_jensen": (2, 0, 1),  # [C† X C, X]; residual.  The contractions' svd.
     "operator_shannon": (3, 1, 0),  # [S, A, A_i] for the split matching; perspective; residual
     "pooled_inverse": (2, 1, 0),  # [A_i, A]; residual
-    "pooled_mean": (4, 1, 0),  # [B_i, B, A_i, A]; means' arguments; f-sum; residual
-    "split_mean": (3, 1, 0),  # [A_i, A, B_i, B]; means' arguments; residual
-    "mean_monotonicity": (3, 1, 0),  # order gaps beside the four matrices; means; residual
+    "pooled_mean": (4, 1, 0),  # [B_i, B]; means' arguments; f-sum; residual
+    "split_mean": (3, 1, 0),  # [A_i, B_i, B]; means' arguments; residual
+    "mean_monotonicity": (3, 1, 0),  # order gaps beside B_whole, B_part; means; residual
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsumineq.errors import DimensionError, DomainError, PreconditionError
+from logsumineq.errors import DimensionError, DomainError, PreconditionError, SingularityError
 from logsumineq.functions import (
     exp_fn,
     identity_fn,
@@ -33,8 +33,11 @@ from logsumineq.generators import (
     rand_unitary,
 )
 from logsumineq.loewner import (
+    _mean_monotonicity,
     _operator_shannon,
     _perspective_sums,
+    _pooled_mean,
+    _split_mean,
     matrix_mean,
     mean_monotonicity_residual,
     operator_class_flags,
@@ -352,6 +355,77 @@ def test_matrix_mean_geometric_symmetry():
     assert maxnorm(matrix_mean(SQRT, A, B) - matrix_mean(SQRT, B, A)) <= 1e-9
 
 
+def _in_basis(*w):
+    U = rand_unitary(np.random.default_rng(3), len(w))
+    return (U * np.array(w)) @ U.conj().T
+
+
+@pytest.mark.parametrize("f", [SQRT, shifted_log_fn(2.0)])
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        (_in_basis(0.0, 1.0, 2.0), _in_basis(1.0, 2.0, 3.0)),
+        (_in_basis(-1.0, 1.0, 2.0), _in_basis(1.0, 2.0, 3.0)),
+        (_in_basis(1.0, 2.0, 3.0), _in_basis(0.0, 1.0, 2.0)),
+    ],
+    ids=["singular_A", "indefinite_A", "singular_B"],
+)
+def test_matrix_mean_needs_positive_definite_arguments(f, A, B):
+    with pytest.raises(SingularityError, match=r"^matrix not invertible above floor "):
+        matrix_mean(f, A, B)
+
+
+def test_matrix_mean_keeps_each_arguments_own_floor():
+    # cond(A) = cond(B) = 1e6, so B^{-1/2} A B^{-1/2} has condition number 1e12
+    A, B = _in_basis(1e-6, 1.0), _in_basis(1.0, 1e-6)
+    assert maxnorm(matrix_mean(SQRT, A, B) - 1e-3 * np.eye(2)) <= 1e-12
+
+
+def test_matrix_mean_checks_b_before_a():
+    singular, indefinite = _in_basis(0.0, 1.0, 2.0), _in_basis(-1.0, 1.0, 2.0)
+    with pytest.raises(DomainError, match=r"^matrix is not PSD \(min eigenvalue -1\.000e\+00 "):
+        matrix_mean(SQRT, singular, indefinite)
+    with pytest.raises(SingularityError, match=r"\(min eigenvalue 0\.000e\+00\)$"):
+        matrix_mean(SQRT, indefinite, singular)
+    with pytest.raises(DomainError, match=r"^matrix is not Hermitian \(anti-Hermitian part 2\.0"):
+        matrix_mean(SQRT, [[1.0, 1.0], [0.0, 1.0]], [[1.0, 2.0], [0.0, 1.0]])
+
+
+def _spread_pd(rng, n):
+    """A PD matrix with spectrum log-uniform in (1e-3, 1e3), in a random basis."""
+    U = rand_unitary(rng, n)
+    return hermitize((U * 10.0 ** rng.uniform(-3.0, 3.0, n)) @ U.conj().T)
+
+
+def test_perspective_and_mean_agree_with_50_digits_on_spread_spectra():
+    import mpmath
+
+    from logsumineq.referee import Referee
+
+    def mp_root(M, power):
+        w, U = mpmath.eighe(M)
+        return U * mpmath.diag([v**power for v in w]) * U.H
+
+    def rel_err(X, ref):
+        ref = np.array(ref.tolist(), dtype=complex)
+        return maxnorm(X - ref) / maxnorm(ref)
+
+    rng = np.random.default_rng(1)
+    with mpmath.workdps(50):
+        for _ in range(5):
+            A, B = _spread_pd(rng, 6), _spread_pd(rng, 6)
+            mA, mB = mpmath.matrix(A.tolist()), mpmath.matrix(B.tolist())
+            sA, sA_inv = mp_root(mA, mpmath.mpf(1) / 2), mp_root(mA, -mpmath.mpf(1) / 2)
+            arg = sA_inv * mB * sA_inv
+            for f in (SQRT, log_fn()):
+                ref = sA * Referee.apply(f, (arg + arg.H) / 2) * sA
+                assert rel_err(operator_perspective(f, A, B), ref) <= 1e-10, f.label()
+            sB = mp_root(mB, mpmath.mpf(1) / 2)
+            arg = sB * mA**-1 * sB
+            ref = sB * Referee.apply(SQRT, (arg + arg.H) / 2) ** -1 * sB
+            assert rel_err(matrix_mean(SQRT, A, B), ref) <= 1e-10
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds, dims, st.integers(min_value=1, max_value=4))
 def test_pooled_mean_holds(seed, n, m):
@@ -442,12 +516,30 @@ def test_operator_perspective_takes_two_eigensolves(eigh_calls):
     assert len(eigh_calls) == 2  # A, then the argument A^{-1/2} B A^{-1/2}
 
 
-def test_matrix_mean_takes_three_eigensolves(eigh_calls):
+def test_matrix_mean_takes_two_eigensolves(eigh_calls):
     rng = np.random.default_rng(9)
     A, B = rand_pd(rng, 4, (0.5, 2.0)), rand_pd(rng, 4, (0.5, 2.0))
     eigh_calls.clear()
     matrix_mean(SQRT, A, B)
-    assert len(eigh_calls) == 3  # B, A, then the argument B^{1/2} A^{-1} B^{1/2}
+    assert len(eigh_calls) == 2  # B, then A seen in B's eigenbasis; A is never decomposed
+
+
+def test_mean_kernels_decompose_b_and_the_arguments_not_a(eigh_calls):
+    rng = np.random.default_rng(12)
+    m, n = [3, 1, 2], 3
+    K, T = sum(m), len(m)
+    As = np.array([rand_pd(rng, n, (0.5, 2.0)) for _ in range(K)])
+    Bs = np.array([rand_pd(rng, n, (0.5, 2.0)) for _ in range(K)])
+    eigh_calls.clear()
+    _pooled_mean(SQRT, As, Bs, m)  # [B_i, B]; the arguments; the f-sum; the residual
+    assert eigh_calls == [(K + T, n, n), (K + T, n, n), (T, n, n), (T, n, n)]
+    eigh_calls.clear()
+    _split_mean(SQRT, As, Bs, m)  # [A_i, B_i, B]; the arguments; the residual
+    assert eigh_calls == [(2 * K + T, n, n), (K + T, n, n), (T, n, n)]
+    part = As[:T]
+    eigh_calls.clear()  # the order gaps beside B_whole and B_part; the arguments; the residual
+    _mean_monotonicity(SQRT, part, part, part + np.eye(n), part + np.eye(n), 1e-9)
+    assert eigh_calls == [(T, 4, n, n), (T, 2, n, n), (T, n, n)]
 
 
 @pytest.mark.parametrize("lhs_form", ["perspective_sum", "sum_fb"])
