@@ -47,6 +47,7 @@ from .matfun import (
     _first,
     _herm,
     _require_hermitian,
+    _require_same_shape,
     _Segments,
     _total,
     _verdict,
@@ -54,7 +55,6 @@ from .matfun import (
     hermitize,
     maxnorm,
     psd_sqrt,  # noqa: F401 (the benchmark self-tests rebind it here)
-    spectral_decompose,
 )
 from .scalar import DEFAULT_TOLERANCE
 
@@ -153,7 +153,9 @@ def _perspective(
 
 def operator_perspective(f: FunctionSpec, A, B) -> np.ndarray:
     """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} for positive definite A."""
-    return _perspective(f, spectral_decompose(A), _require_hermitian(B, "B"))
+    A, B = _require_hermitian(A), _require_hermitian(B, "B")
+    _require_same_shape(A, B)
+    return _perspective(f, _decompose(A), B)
 
 
 def perspective_identity_gap(f: FunctionSpec, A, B) -> float:
@@ -400,7 +402,9 @@ def matrix_mean(f: FunctionSpec, A, B) -> np.ndarray:
     B, then A, must be PD (SingularityError) and f's matrix image PD; for
     f = power(1/2) this is the geometric mean of A and B.
     """
-    return _mean(f, spectral_decompose(B), _require_hermitian(A))
+    B, A = _require_hermitian(B), _require_hermitian(A)
+    _require_same_shape(A, B)
+    return _mean(f, _decompose(B), A)
 
 
 def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m) -> np.ndarray:

@@ -159,6 +159,11 @@ def _require_hermitian(M, what: str = "matrix", stack: bool = False) -> np.ndarr
     return _herm(A)
 
 
+def _require_same_shape(A: np.ndarray, B: np.ndarray) -> None:
+    if A.shape != B.shape:
+        raise DimensionError(f"dimension mismatch {A.shape} vs {B.shape}")
+
+
 def commutator_maxnorm(A, B) -> float:
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -410,8 +415,7 @@ def loewner_leq(A, B, tol: float = 1e-9) -> LoewnerVerdict:
     """Verdict on A <= B in the Loewner order, i.e. B - A PSD within tolerance."""
     A = _require_hermitian(A, "A")
     B = _require_hermitian(B, "B")
-    if A.shape != B.shape:
-        raise DimensionError(f"dimension mismatch {A.shape} vs {B.shape}")
+    _require_same_shape(A, B)
     return _verdict(_decompose(_herm(B - A)).eigenvalues, tol)
 
 

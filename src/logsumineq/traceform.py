@@ -3,13 +3,13 @@
 Every quantity is computed twice.  The primary value comes from the joint
 spectrum: commuting Hermitian matrices share an eigenbasis, so each trace
 inequality reduces exactly to its scalar counterpart on the paired
-eigenvalue lists.  The matrix-product route (functional calculus plus
-explicit products and traces) is then compared against that value as an
-internal cross-check.  The two routes share only A's decomposition:
-the product route takes g(A) from it, decomposes B and the product, and
-inverts the denominator from its mapped decomposition.  The product route
-is skipped when a zero weight makes f blow up there (e.g. 0 * log 0
-terms), since only the scalar route carries the continuity convention.
+eigenvalue lists, read off the basis U of one eigensolve (see _mix).  The
+matrix-product route (functional calculus plus explicit products and
+traces) is the internal cross-check.  The two routes share only U: the
+product route takes g(A) = U diag(g(wa)) U†, decomposes B and the product,
+and inverts the denominator from its mapped decomposition.  It is skipped
+when a zero weight makes f blow up there (e.g. 0 * log 0 terms), since
+only the scalar route carries the continuity convention.
 
 A product-path value outside its cross-check bound goes to a referee: the
 same product-path formula evaluated by mpmath at 50 digits on the float64
@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericError, PreconditionError, SupportError
+from .errors import DomainError, NumericError, PreconditionError, SupportError
 from .functions import FunctionSpec, _outside, identity_fn, log_fn, power_fn, q_log_fn
 from .matfun import (
     COMMUTE_RTOL,
@@ -47,6 +47,7 @@ from .matfun import (
     _first,
     _herm,
     _require_hermitian,
+    _require_same_shape,
 )
 from .qlog import _check_positive, _q_log
 from .scalar import (
@@ -75,7 +76,7 @@ CROSS_CHECK_RTOL = 1e-9
 EXP_LOG_CROSS_RTOL = 1e-8
 SUPPORT_ATOL = 1e-14
 DENSITY_TRACE_TOL = 1e-10
-_CLUSTER_RTOL = 1e-8
+_TAU = (5.0**0.5 - 1.0) / 2.0  # the mix's weight on B (see _mix)
 _IDENTITY = identity_fn()
 _LOG = log_fn()
 _Q_LOG = q_log_fn(0.0)  # every q_log shares one domain
@@ -84,8 +85,7 @@ _Q_LOG = q_log_fn(0.0)  # every q_log shares one domain
 def _checked_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
     """A and B checked square, finite and Hermitian (A first) and of one shape, as T=1 stacks."""
     A, B = _require_hermitian(A), _require_hermitian(B)
-    if A.shape != B.shape:
-        raise DimensionError(f"dimension mismatch {A.shape} vs {B.shape}")
+    _require_same_shape(A, B)
     return A[None], B[None]
 
 
@@ -102,36 +102,46 @@ def _trace(M: np.ndarray) -> np.ndarray:
 def joint_spectrum(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Paired eigenvalues (wa, wb) of a commuting Hermitian pair, plus the shared basis U.
 
-    Diagonalizes A, then rediagonalizes B inside each (near-)degenerate
-    eigenspace of A, where commutation alone does not pin the basis down.
+    U is the eigenbasis of the mix A/|A| + tau*B/|B| (see _mix); wa and wb
+    are the diagonals of U†AU and U†BU, in the mix's eigenvalue order.
     """
     A, B = _checked_pair(A, B)
-    wa, wb, U = _joint(_decompose(A), B)
-    return wa[0], wb[0], U[0]
+    dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
+    return dec_a.eigenvalues[0], wb[0], dec_a.unitary[0]
 
 
-def _joint(dec_a: SpectralDecomposition, B: np.ndarray):
-    """joint_spectrum of each pair of a stack, from A's decomposition and Hermitian B.
+def _mix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A/|A| + tau*B/|B| for each pair of a stack, with |X| = max(1, maxnorm X).
 
-    Returns wa, wb (T, n) and U (T, n, n).  Only the pairs whose A has a
-    cluster of eigenvalues run the cluster loop.
+    A commuting pair's mix has their joint eigenbasis, and a generic
+    combination separates what either matrix separates (Bunse-Gerstner,
+    Byers and Mehrmann, SIAM J. Matrix Anal. Appl. 14, 1993).  tau is not
+    small: when A splits a pair by a relative delta that the commutation
+    check cannot see, B leaks about delta/(2 tau) off the diagonal.  Two
+    distinct joint eigenvalue pairs (a, b), (a', b') that the mix maps to
+    one value leave the basis unpinned, and the leakage check rejects them.
     """
-    A = dec_a.reconstruct()
+    scale_a = np.maximum(1.0, _max_entry(A))[:, None, None]
+    scale_b = np.maximum(1.0, _max_entry(B))[:, None, None]
+    return A / scale_a + _TAU * (B / scale_b)
+
+
+def _joint(A: np.ndarray, B: np.ndarray, U: np.ndarray):
+    """joint_spectrum of each pair of Hermitian stacks A, B, from the eigenbasis U of _mix(A, B).
+
+    Returns A's decomposition in the joint basis, U diag(wa) U†, and B's
+    paired eigenvalues wb (T, n).  B's off-diagonal leakage is
+    checked; A's needs no check of its own.  With U†MU = diag(x) + E for the
+    mix M, offdiag(U†AU) = |A| (offdiag(E) - tau offdiag(U†BU)/|B|), so A
+    leaks at most tau times B's bound plus round-off.
+    """
     commutator = _max_entry(A @ B - B @ A)
     bad = commutator > COMMUTE_RTOL * np.maximum(1.0, _max_entry(A) * _max_entry(B))
     if bad.any():
         (commutator,) = _first(bad, commutator)
         raise PreconditionError(f"matrices do not commute (commutator maxnorm {commutator:.3e})")
-    wa = dec_a.eigenvalues.copy()
-    U = dec_a.unitary.copy()
     Bt = _adjoint(U) @ B @ U
-    wb = np.diagonal(Bt, axis1=-2, axis2=-1).real.copy()
-    gap_tol = _CLUSTER_RTOL * np.maximum(1.0, np.abs(wa).max(axis=-1))
-    for t in np.flatnonzero((np.diff(wa, axis=-1) <= gap_tol[:, None]).any(axis=-1)).tolist():
-        _rediagonalize(wa[t], gap_tol[t], Bt[t], wb[t], U[t])
-        Bt[t] = U[t].conj().T @ B[t] @ U[t]
-    # After block rotation the transported B must be diagonal.
-    off = _max_entry(np.where(np.eye(wa.shape[-1], dtype=bool), 0.0, Bt))
+    off = _max_entry(np.where(np.eye(U.shape[-1], dtype=bool), 0.0, Bt))
     bad = off > 1e-7 * np.maximum(1.0, _max_entry(B))
     if bad.any():
         (off,) = _first(bad, off)
@@ -139,24 +149,8 @@ def _joint(dec_a: SpectralDecomposition, B: np.ndarray):
             f"no joint eigenbasis found (off-diagonal leakage {off:.3e}); "
             "inputs are too far from commuting"
         )
-    return wa, wb, U
-
-
-def _rediagonalize(wa, gap_tol, Bt, wb, U) -> None:
-    """Rediagonalize one pair's Bt inside each cluster of wa, updating wb and U in place.
-
-    A cluster is a run of eigenvalues whose steps are at most gap_tol.
-    """
-    n, start = len(wa), 0
-    while start < n:
-        stop = start + 1
-        while stop < n and wa[stop] - wa[stop - 1] <= gap_tol:
-            stop += 1
-        if stop - start > 1:
-            sub = _decompose(_herm(Bt[start:stop, start:stop]))
-            wb[start:stop] = sub.eigenvalues
-            U[:, start:stop] = U[:, start:stop] @ sub.unitary
-        start = stop
+    wa = np.diagonal(_adjoint(U) @ A @ U, axis1=-2, axis2=-1).real.copy()
+    return SpectralDecomposition(U, wa), np.diagonal(Bt, axis1=-2, axis2=-1).real.copy()
 
 
 # -- the cross-check and its referee ----------------------------------------
@@ -226,10 +220,9 @@ def _product_path(f, g, dec_ga: SpectralDecomposition, B: np.ndarray, reverse: b
 
 def _trace_log_sums(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarray):
     """lhs, rhs and gap (T,) of the forward trace inequality for commuting stacks A, B."""
-    dec_a = _decompose(A)
-    wa, wb, _ = _joint(dec_a, B)
+    dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
     gb = _positive(g, wb, "b")
-    ga = g(wa)
+    ga = g(dec_a.eigenvalues)
     sides = _forward(f, _IDENTITY, ga, gb)  # the forward inequality on the weights g(a), g(b)
     rows = ~_outside(ga / gb, *f.domain()).any(axis=-1)
     if rows.any():
@@ -266,8 +259,8 @@ def trace_log_sum_gap(
 
 def _exp_log_traces(A: np.ndarray, B: np.ndarray):
     """lhs, rhs and gap (T,) of the exponential-log corollary for commuting stacks A, B."""
-    dec_a = _decompose(A)
-    wa, wb, _ = _joint(dec_a, B)
+    dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
+    wa = dec_a.eigenvalues
     if (wa <= 0.0).any() or (wb <= 0.0).any():
         raise PreconditionError("both matrices must be positive definite")
     lhs = (wa * np.log(wa)).sum(axis=-1) - (wa * np.log(wb)).sum(axis=-1)
@@ -313,11 +306,11 @@ def _require_density(w: np.ndarray, what: str) -> None:
 
 def _relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """D(rho||sigma) (T,) for commuting Hermitian stacks, both checked to be density matrices."""
-    dec = _decompose(np.stack([rho, sigma], axis=1))
+    dec = _decompose(np.stack([rho, sigma, _mix(rho, sigma)], axis=1))
     _require_density(dec.eigenvalues[:, 0], "rho")
     _require_density(dec.eigenvalues[:, 1], "sigma")
-    wr, ws, _ = _joint(dec[:, 0], sigma)
-    wr = np.clip(wr, 0.0, None)
+    dec_r, ws = _joint(rho, sigma, dec.unitary[:, 2])
+    wr = np.clip(dec_r.eigenvalues, 0.0, None)
     ws = np.clip(ws, 0.0, None)
     active = wr > SUPPORT_ATOL
     if (active & (ws <= SUPPORT_ATOL)).any():
@@ -353,9 +346,8 @@ def _q_traces(A: np.ndarray, B: np.ndarray, q: np.ndarray, r: np.ndarray):
 
     Pair t has its own order q[t] and power r[t].
     """
-    dec_a = _decompose(A)
-    wa, wb, _ = _joint(dec_a, B)
-    p, s = _q_powers(wa, wb, q, r)
+    dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
+    p, s = _q_powers(dec_a.eigenvalues, wb, q, r)
     sides = _q_sums(p, s, q)
     rows = ~_outside(p / s, *_Q_LOG.domain()).any(axis=-1)
     if rows.any():
@@ -388,9 +380,8 @@ def q_trace_gap(A, B, q: float, r: float, tol: float = DEFAULT_TOLERANCE) -> Ine
 
 def _reverse_traces(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarray):
     """lhs, rhs and gap (T,) of the reverse trace inequality for commuting stacks A, B."""
-    dec_a = _decompose(A)
-    wa, wb, _ = _joint(dec_a, B)
-    ga = _positive(g, wa, "a")
+    dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
+    ga = _positive(g, dec_a.eigenvalues, "a")
     gb = _positive(g, wb, "b")
     sides = _reverse(f, _IDENTITY, ga, gb)  # the reverse inequality on the weights g(a), g(b)
     # The scalar verdict evaluated f at every ratio g(b_i)/g(a_i), so all lie in f's domain.

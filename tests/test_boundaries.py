@@ -1,0 +1,106 @@
+"""Each decision rule pinned by hand-built instances just inside and just outside it.
+
+A true statement never fails, so a rule made lenient passes every random
+run; these instances sit at half and at twice (or a tenth and ten times)
+the threshold, and fail when the rule moves by more than that.  The
+thresholds are written out here, not imported, so that they move only
+when this file does.
+"""
+
+import numpy as np
+import pytest
+
+from logsumineq import harness
+from logsumineq.errors import PreconditionError
+from logsumineq.functions import log_fn
+from logsumineq.harness import TrialConfig, counterexample_search
+from logsumineq.loewner import operator_shannon_residual
+from logsumineq.matfun import commutes, loewner_leq, maxnorm
+from logsumineq.scalar import _verdict
+from logsumineq.traceform import joint_spectrum
+
+TOL = 1e-9  # the default verdict tolerance
+COMMUTE_RTOL = 1e-9
+SUM_MATCH_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("factor, holds", [(2.0, False), (0.5, True)])
+def test_loewner_verdict_boundary(factor, holds):
+    # B - A = diag(-factor tol scale, scale) with scale = its spectral norm
+    scale = 10.0
+    verdict = loewner_leq(np.zeros((2, 2)), np.diag([-factor * TOL * scale, scale]), tol=TOL)
+    assert verdict.residual_min_eigenvalue == -factor * TOL * scale
+    assert verdict.holds is holds
+
+
+@pytest.mark.parametrize("factor, holds", [(2.0, False), (0.5, True)])
+def test_scalar_verdict_boundary(factor, holds):
+    # the scale is max(1, |lhs|, |rhs|) = 8
+    lhs, rhs = 8.0 - factor * TOL * 8.0, 8.0
+    verdict = _verdict(lhs, rhs, lhs - rhs, TOL)
+    assert verdict.holds is holds
+
+
+def _coupled(a, c):
+    """(diag(a0, a1), [[1, c], [c, 1]]), whose commutator has maxnorm |a1 - a0| c."""
+    return np.diag(a), np.array([[1.0, c], [c, 1.0]])
+
+
+@pytest.mark.parametrize("factor, accepted", [(10.0, False), (0.1, True)])
+def test_commutator_boundary(factor, accepted):
+    # the commutator is factor COMMUTE_RTOL, and the bound's scale max(1, |A| |B|) is 1
+    A, B = _coupled([0.0, 1.0], factor * COMMUTE_RTOL)
+    assert commutes(A, B) is accepted
+    if accepted:
+        joint_spectrum(A, B)
+    else:
+        with pytest.raises(PreconditionError, match=r"^matrices do not commute"):
+            joint_spectrum(A, B)
+
+
+def test_leakage_bound_boundary():
+    # both pairs commute within COMMUTE_RTOL; B leaks about A's split / (2 tau)
+    with pytest.raises(PreconditionError, match=r"^no joint eigenbasis found"):
+        joint_spectrum(*_coupled([1.0, 1.0 + 1e-6], 1e-5))
+    A, B = _coupled([1.0, 1.0 + 1e-9], 1e-5)
+    _, _, U = joint_spectrum(A, B)
+    Bd = U.conj().T @ B @ U
+    assert maxnorm(Bd - np.diag(np.diag(Bd))) <= 1e-7
+
+
+@pytest.mark.parametrize("factor, accepted", [(10.0, False), (0.1, True)])
+def test_sum_match_boundary(factor, accepted):
+    # sum(A_i) = 4I against sum(B_i) off by factor SUM_MATCH_RTOL * 4 in one entry
+    As = [2.0 * np.eye(2), 2.0 * np.eye(2)]
+    Bs = [np.diag([1.0, 3.0]), np.diag([3.0 + factor * SUM_MATCH_RTOL * 4.0, 1.0])]
+    if accepted:
+        operator_shannon_residual(As, Bs, log_fn())
+    else:
+        with pytest.raises(PreconditionError, match=r"^sum\(A_i\) != sum\(B_i\)"):
+            operator_shannon_residual(As, Bs, log_fn())
+
+
+@pytest.mark.parametrize("recheck, confirmed", [(-2e-6, True), (-0.5e-6, False)])
+def test_search_recheck_boundary(monkeypatch, recheck, confirmed):
+    # every candidate's Jacobi recheck reads recheck; a finding needs < -RECHECK_ABS_TOL
+    real = harness._sum_residuals
+
+    def fake(config, m, *stacks, solver="eigh"):
+        w = real(config, m, *stacks, solver=solver)
+        return np.full_like(w, recheck) if solver == "jacobi" else w
+
+    monkeypatch.setattr(harness, "_sum_residuals", fake)
+    cfg = TrialConfig(
+        suite="perspective_sum",
+        trials=100,
+        seed=1111,
+        n=3,
+        m=2,
+        family_kind="contractive",
+        lhs_form="sum_fb",
+    )
+    candidates = harness._run(cfg, harness._perspective_sum_verdicts)[2]
+    report = counterexample_search(cfg)
+    assert candidates
+    assert report.violations == (len(candidates) if confirmed else 0)
+    assert all(f["recheck_min_eigenvalue"] == recheck for f in report.findings)

@@ -160,8 +160,8 @@ def test_q_trace_disagreement_with_the_referee_still_raises(monkeypatch):
     with pytest.raises(NumericError) as err:
         run_suite(TrialConfig(suite="q_trace", trials=1, seed=5249, n=8))
     message = str(err.value)
-    assert message.startswith("q_trace_gap: matrix-product path -7788.8253284")
-    assert "joint-spectrum value -7788.82525273013" in message
+    assert message.startswith("q_trace_gap: matrix-product path -7788.8253147")
+    assert "joint-spectrum value -7788.82525273001" in message
     assert message.endswith("50-digit product path gives -15.0")
 
 

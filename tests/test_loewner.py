@@ -671,3 +671,18 @@ def test_families_of_different_dimension_are_rejected(name):
     with pytest.raises(DomainError) as exc:
         _FAMILY_PAIR_CALLS[name]([2 * _I], [np.eye(3)])
     assert str(exc.value) == "A_family and B_family must share dimension"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda A, B: operator_perspective(SQRT, A, B),
+        lambda A, B: matrix_mean(SQRT, A, B),
+    ],
+    ids=["operator_perspective", "matrix_mean"],
+)
+def test_pair_of_different_shapes_is_a_dimension_error(call):
+    for A, B in ((np.eye(2), np.eye(3)), (np.eye(3), np.eye(2))):
+        with pytest.raises(DimensionError, match=r"^dimension mismatch") as err:
+            call(A, B)
+        assert f"{A.shape} vs {B.shape}" in str(err.value)

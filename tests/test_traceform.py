@@ -48,7 +48,7 @@ def test_joint_spectrum_diagonalizes_both():
 
 
 def test_joint_spectrum_handles_degenerate_a():
-    # repeated eigenvalues of A force the block rediagonalization path
+    # repeated eigenvalues of A: B alone fixes the basis inside them
     rng = np.random.default_rng(1)
     U = rand_unitary(rng, 4)
     A, B = make_commuting_pair(U, [2.0, 2.0, 2.0, 5.0], [1.0, 3.0, 4.0, 2.0])
@@ -66,11 +66,11 @@ def test_joint_spectrum_rejects_noncommuting():
 
 def _split_pair(seed, n, scale_a, t, scale_b):
     """Commuting (A, B) plus their spectra; A has one eigenvalue pair split by t
-    times the clustering threshold, and B differs on that pair."""
+    times 1e-8 of A's scale, and B differs on that pair."""
     rng = np.random.default_rng(seed)
     U = rand_unitary(rng, n)
     rest = rng.uniform(-scale_a, scale_a, n - 1)
-    threshold = traceform._CLUSTER_RTOL * max(1.0, float(np.max(np.abs(rest))))
+    threshold = 1e-8 * max(1.0, float(np.max(np.abs(rest))))
     wa = np.concatenate([[rest[0] + t * threshold], rest])
     wb = rng.uniform(-scale_b, scale_b, n)
     return wa, wb, *make_commuting_pair(U, wa, wb)
@@ -92,12 +92,8 @@ def _separated(values, scale):
     return values.size < 2 or np.diff(np.sort(values)).min() > 1e-3 * max(1.0, scale)
 
 
-# log10 of the split over the clustering threshold: below it, or a decade or more
-# above it.  Just above it the split is too small for eigh to pin the pair's
-# eigenvectors, and the leakage check fires (see the strict xfail below).
-log_splits = st.one_of(
-    st.floats(min_value=-3.0, max_value=-0.3), st.floats(min_value=1.0, max_value=3.0)
-)
+# log10 of the split over 1e-8 of A's scale: from a thousandth to a thousand times it.
+log_splits = st.floats(min_value=-3.0, max_value=3.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -108,16 +104,23 @@ def test_joint_spectrum_on_both_sides_of_the_cluster_threshold(seed, n, log_a, l
     _check_joint_spectrum(wa, wb, A, B, clustered=log_t < 0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=PreconditionError,
-    reason="a pair split by 1.78x the clustering threshold is not clustered, and its "
-    "eigh eigenvectors leak 1.76e-7 of B off the diagonal, above the flat 1e-7 bound",
-)
 def test_joint_spectrum_pair_split_just_above_the_threshold():
+    # split by 1.78e-8 of A's scale, where A's own eigenvectors leak 1.76e-7 of B
     wa, wb, A, B = _split_pair(4, 6, 10.0**2.607009469917796, 10.0**0.25, 10.0)
     assert _separated(wa[1:], 10.0**2.607009469917796) and _separated(wb, 10.0)
     _check_joint_spectrum(wa, wb, A, B, clustered=False)
+
+
+def _offdiagonal(M):
+    return maxnorm(M - np.diag(np.diag(M)))
+
+
+def test_joint_spectrum_accepts_a_near_commuting_pair_that_b_splits():
+    # A's pair is split by 5e-8 and B couples it: the basis comes from B's split
+    A, B = np.diag([1.0, 1.0 + 5e-8]), np.array([[1.0, 1e-3], [1e-3, 1.0]])
+    _, _, U = joint_spectrum(A, B)
+    assert _offdiagonal(U.conj().T @ A @ U) <= 1e-7
+    assert _offdiagonal(U.conj().T @ B @ U) <= 1e-7
 
 
 # -- forward trace inequality ----------------------------------------------------
@@ -274,8 +277,8 @@ def test_relative_entropy_decomposes_each_state_once(eigh_calls):
     rho, sigma = rand_density_pair(np.random.default_rng(3), 4)
     eigh_calls.clear()
     quantum_relative_entropy(rho, sigma)
-    # rho (reused by joint_spectrum) beside sigma, in one stacked call
-    assert eigh_calls == [(1, 2, 4, 4)]
+    # rho and sigma beside their mix (joint_spectrum's basis), in one stacked call
+    assert eigh_calls == [(1, 3, 4, 4)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -477,20 +480,21 @@ def test_referee_recomputes_each_cross_checked_quantity(monkeypatch, name):
         assert value == pytest.approx(primary, rel=1e-12, abs=1e-12), label
 
 
-def test_stacked_joint_spectrum_runs_the_cluster_loop_on_clustered_pairs_only(eigh_calls):
+def test_stacked_joint_spectrum_is_one_eigh_call_bitwise_equal_to_one_pair_calls(eigh_calls):
     # a stack mixing pairs whose A has a repeated eigenvalue with pairs whose A has none
     rng = np.random.default_rng(31)
     pairs = []
     for t in range(8):
         wa = rng.uniform(1.0, 5.0, 4)
         if t % 3 == 0:
-            wa[1] = wa[2]  # a cluster in A's spectrum
+            wa[1] = wa[2]  # a repeated eigenvalue of A
         pairs.append(make_commuting_pair(rand_unitary(rng, 4), wa, rng.uniform(1.0, 5.0, 4)))
     A, B = (np.stack([hermitize(M) for M in mats]) for mats in zip(*pairs))
     eigh_calls.clear()
-    wa, wb, U = traceform._joint(_decompose(A), B)
-    # one stacked call, then one per cluster
-    assert eigh_calls == [(8, 4, 4)] + [(2, 2)] * 3
+    dec_a, wb = traceform._joint(A, B, _decompose(traceform._mix(A, B)).unitary)
+    # one stacked call of the mix, whatever A's spectrum
+    assert eigh_calls == [(8, 4, 4)]
+    got = (dec_a.eigenvalues, wb, dec_a.unitary)
     for t, (At, Bt) in enumerate(pairs):
         want = joint_spectrum(At, Bt)
-        assert all(x[t].tobytes() == y.tobytes() for x, y in zip((wa, wb, U), want)), t
+        assert all(x[t].tobytes() == y.tobytes() for x, y in zip(got, want)), t
