@@ -8,20 +8,23 @@ contractive PD members have spectrum inside (CONTRACTIVE_FLOOR, 1], density
 matrices are normalized spectra in a random basis.
 
 Random-basis matrices are drawn and built in two steps.  A draw is only
-Generator calls: _draw_pd, _draw_contractive_pd, _draw_expansive,
-_draw_commuting, _draw_density and _draw_density_pair return the values the
-rng gives, a complex Gaussian as its raw real and imaginary parts (2, n, n)
-(_complex_gaussian) and a contractive or density spectrum as its raw
-uniforms.  Every map of drawn values runs in the build, once over a stack
-of draws: _complex assembles the Gaussians (..., 2, n, n) inside _unitaries,
-_build_expansive, _build_psd and _build_contraction; _contractive and
-_density map the uniforms (..., n) to spectra; _unitaries, then matfun's
-_build, turn spectra (..., n) and Gaussians into phase-fixed unitaries and
-U diag(w) U† in one qr and one matmul, and _build_pair builds two spectra
-over one basis.  Sum-matched families are built by _split_matching.
-Elementwise maps give a stack's rows the bits they get one at a time, so
-the one-matrix generators are the stack-free case, and a stacked build is
-bitwise equal to one call per matrix.
+Generator calls, in the fewest that consume its stream: _draw_pd (the
+draws of rand_pd, rand_contractive_pd and rand_density), _draw_expansive
+and _draw_commuting (of rand_commuting_pair and rand_density_pair) return
+the values the rng gives, a complex Gaussian as its raw real and imaginary
+parts (2, n, n) (_complex_gaussian) and every spectrum or amplitude as its
+raw uniforms, a pair's 2n spectrum uniforms from one random(2n) call.
+Every map of drawn values runs in the build, once over a stack of draws:
+_uniform maps uniforms onto a window [lo, hi] with the bits of
+Generator.uniform(lo, hi), _sequence onto (0, SEQUENCE_HI], _contractive
+and _density onto spectra; _complex assembles the Gaussians (..., 2, n, n) inside _unitaries,
+_build_expansive, _build_psd and _build_contraction; _unitaries, then
+matfun's _build, turn spectra (..., n) and Gaussians into phase-fixed
+unitaries and U diag(w) U† in one qr and one matmul, and _build_pair
+builds two spectra over one basis.  Sum-matched families are built by
+_split_matching.  Elementwise maps give a stack's rows the bits they get
+one at a time, so the one-matrix generators are the stack-free case, and a
+stacked build is bitwise equal to one call per matrix.
 """
 
 from __future__ import annotations
@@ -66,6 +69,16 @@ def _complex(x: np.ndarray) -> np.ndarray:
     return G
 
 
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """(A stack of) uniforms u in [0, 1) on [lo, hi]: the bits of Generator.uniform(lo, hi)."""
+    return lo + (hi - lo) * u
+
+
+def _sequence(u: np.ndarray) -> np.ndarray:
+    """Entries in (0, SEQUENCE_HI] from (a stack of) uniforms u in [0, 1)."""
+    return SEQUENCE_HI * (1.0 - u)
+
+
 def _contractive(u: np.ndarray) -> np.ndarray:
     """Spectra in (CONTRACTIVE_FLOOR, 1] from (a stack of) uniforms u (..., n) in [0, 1)."""
     return 1.0 - (1.0 - CONTRACTIVE_FLOOR) * u
@@ -87,26 +100,22 @@ def _unitaries(x: np.ndarray) -> np.ndarray:
     return Q * (d / np.abs(d))[..., None, :]
 
 
-def _draw_pd(rng: np.random.Generator, n: int, spectrum_range: tuple[float, float]):
-    """The draws of rand_pd: spectrum uniform in [lo, hi], then the basis Gaussian."""
-    lo, hi = spectrum_range
-    return rng.uniform(lo, hi, n), _complex_gaussian(rng, n)
-
-
-def _draw_contractive_pd(rng: np.random.Generator, n: int):
-    """The draws of rand_contractive_pd: the spectrum's uniforms, then the basis Gaussian."""
+def _draw_pd(rng: np.random.Generator, n: int):
+    """The draws of rand_pd, rand_contractive_pd and rand_density: the spectrum's uniforms, then
+    the basis Gaussian."""
     return rng.random(n), _complex_gaussian(rng, n)
 
 
 def _draw_expansive(rng: np.random.Generator, n: int):
-    """The draws of rand_expansive: the amplitude, then the Gaussian."""
-    return rng.uniform(0.3, 1.0), _complex_gaussian(rng, n)
+    """The draws of rand_expansive: the amplitude's uniform, then the Gaussian."""
+    return rng.random(), _complex_gaussian(rng, n)
 
 
-def _build_expansive(amp: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """I + QQ†, Q = amp G / sqrt(n), for (stacks of) amplitudes amp and raw Gaussians x of G."""
+def _build_expansive(u, x: np.ndarray) -> np.ndarray:
+    """I + QQ†, Q = amp G / sqrt(n), amp in [0.3, 1], for (stacks of) the amplitudes' uniforms u
+    and raw Gaussians x of G."""
     n = x.shape[-1]
-    Q = (np.asarray(amp) / np.sqrt(n))[..., None, None] * _complex(x)
+    Q = (_uniform(u, 0.3, 1.0) / np.sqrt(n))[..., None, None] * _complex(x)
     return _herm(np.eye(n) + Q @ _adjoint(Q))
 
 
@@ -145,8 +154,8 @@ def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def rand_pd(rng: np.random.Generator, n: int, spectrum_range: tuple[float, float]) -> np.ndarray:
     """PD matrix with spectrum uniform in [lo, hi], random basis."""
-    w, x = _draw_pd(rng, n, spectrum_range)
-    return _build(w, _unitaries(x))
+    u, x = _draw_pd(rng, n)
+    return _build(_uniform(u, *spectrum_range), _unitaries(x))
 
 
 def rand_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -160,7 +169,7 @@ def rand_expansive(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def rand_contractive_pd(rng: np.random.Generator, n: int) -> np.ndarray:
     """PD matrix below I: spectrum uniform in (CONTRACTIVE_FLOOR, 1]."""
-    u, x = _draw_contractive_pd(rng, n)
+    u, x = _draw_pd(rng, n)
     return _build(_contractive(u), _unitaries(x))
 
 
@@ -177,17 +186,17 @@ def rand_square(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def rand_sequence(rng: np.random.Generator, n: int) -> np.ndarray:
     """Entries in (0, SEQUENCE_HI]: strictly positive so log-type f never sees 0."""
-    return SEQUENCE_HI * (1.0 - rng.random(n))
+    return _sequence(rng.random(n))
 
 
 def rand_sequence_pair(rng: np.random.Generator, n: int) -> SequencePair:
     return SequencePair(tuple(rand_sequence(rng, n)), tuple(rand_sequence(rng, n)))
 
 
-def _draw_commuting(rng: np.random.Generator, n: int, a_range, b_range):
-    """The draws of rand_commuting_pair: the basis Gaussian, then the spectra of A and B."""
-    x = _complex_gaussian(rng, n)
-    return x, rng.uniform(a_range[0], a_range[1], n), rng.uniform(b_range[0], b_range[1], n)
+def _draw_commuting(rng: np.random.Generator, n: int):
+    """The draws of rand_commuting_pair and rand_density_pair: the basis Gaussian, then the
+    first and the second spectrum's uniforms in one call."""
+    return _complex_gaussian(rng, n), rng.random(2 * n)
 
 
 def _build_pair(x: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,28 +211,19 @@ def rand_commuting_pair(
     a_range: tuple[float, float],
     b_range: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    return _build_pair(*_draw_commuting(rng, n, a_range, b_range))
-
-
-def _draw_density(rng: np.random.Generator, n: int):
-    """The draws of rand_density: the spectrum's uniforms, then the basis Gaussian."""
-    return rng.random(n), _complex_gaussian(rng, n)
-
-
-def _draw_density_pair(rng: np.random.Generator, n: int):
-    """The draws of rand_density_pair: the basis Gaussian, then rho's and sigma's uniforms."""
-    return _complex_gaussian(rng, n), rng.random(n), rng.random(n)
+    x, u = _draw_commuting(rng, n)
+    return _build_pair(x, _uniform(u[:n], *a_range), _uniform(u[n:], *b_range))
 
 
 def rand_density(rng: np.random.Generator, n: int) -> np.ndarray:
-    u, x = _draw_density(rng, n)
+    u, x = _draw_pd(rng, n)
     return _build(_density(u), _unitaries(x))
 
 
 def rand_density_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Commuting density pair with full support (shared eigenbasis)."""
-    x, u_rho, u_sigma = _draw_density_pair(rng, n)
-    return _build_pair(x, _density(u_rho), _density(u_sigma))
+    x, u = _draw_commuting(rng, n)
+    return _build_pair(x, _density(u[:n]), _density(u[n:]))
 
 
 def rand_split_matching(
@@ -231,7 +231,7 @@ def rand_split_matching(
 ) -> list[np.ndarray]:
     """PD family B_1..B_m with sum exactly total (congruence-normalized shares)."""
     total = hermitize(total)
-    spectra, gaussians = zip(*(_draw_pd(rng, total.shape[0], spectrum_range) for _ in range(m)))
-    shares = _build(np.array(spectra), _unitaries(np.array(gaussians)))
+    uniforms, gaussians = zip(*(_draw_pd(rng, total.shape[0]) for _ in range(m)))
+    shares = _build(_uniform(np.array(uniforms), *spectrum_range), _unitaries(np.array(gaussians)))
     dec = _decompose(np.concatenate([_total(shares, [m]), total[None]]))
     return list(_split_matching(dec, shares, [m]))

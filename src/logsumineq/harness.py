@@ -11,32 +11,40 @@ One loop serves run_suite and counterexample_search: it hands each block of
 consecutive trial seeds to the suite's evaluator.  Every suite is a draw
 plus a stacked kernel (_Stacked).  _Stacked.draws, the one place a seed
 becomes an rng, hands each trial the stream of np.random.default_rng(seed),
-and draw(rng, config) returns the trial's values in draw order.  A matrix
-suite's draw makes Generator calls (and picks f) but does no arithmetic on
-what they give: every map of drawn values (a complex Gaussian's assembly
-from its raw (2, n, n) draw, a contractive or density spectrum from its
-uniforms) runs in the kernel's build, once over a group's stacks.  _Stacked.draws seeds a whole block at once (_rngs): numpy's
-SeedSequence hash runs over the block's seeds as uint32 arrays, PCG64's
-seeding in Python ints, and one Generator takes each trial's state in
-turn.  _grouped groups a block's trials by n alone (a group whose draws
+and draw(rng, config) returns the trial's values in draw order.  Every
+suite's draw makes only Generator calls, the fewest that consume its
+stream: after _size's integers, a trial's consecutive uniforms come from
+one random(k) call and its consecutive Gaussians from one standard_normal
+call.  It does no arithmetic on what they give: every map of drawn values
+(a complex Gaussian's assembly from its raw (2, n, n) draw, a sequence,
+spectrum, amplitude or scale from its uniforms, q's branch and window, r)
+runs in the kernel or its build, once over a group's stacks.  A draw picks
+a function spec where it draws one: the Loewner suites' f and the convexity
+cases take their parameter as they build the spec, and ratio_bounds reads g
+off its last uniform.  _Stacked.draws seeds a whole block at once (_rngs):
+numpy's SeedSequence hash runs over the block's seeds as uint32 arrays,
+PCG64's seeding in Python ints, and one Generator takes each trial's state
+in turn.  _grouped groups a block's trials by n alone (a group whose draws
 exceed its share of _BLOCK_BYTES runs in parts), _stacks stacks each value
 over a group (a family's members of every trial on one flat member axis
-(K, ...), beside the member count m of each trial), and
-kernel(config, *stacks) builds and evaluates the group as one stack (at
-most one qr or svd per build, one eigensolver call per kernel step),
-bitwise equal to one-trial runs, so the blocks change no number in a
-report.  Three steps are stated once: _sized
-draws the size n of every suite without a family and hands it to draw(rng,
-n); _sides judges a scalar or trace kernel's (lhs, rhs, gap) at the
-tolerance; _on_pairs builds the commuting pairs of the trace suites from
-their Gaussians and spectra.  The kernels of the scalar and trace suites
-are those of the scalar and traceform layers, over (T, n) sequences and
-(T, n, n) commuting pairs; the seven Loewner suites take the residual
-kernels of loewner.  Search-mode candidates keep the draws of their first
-pass and are re-verified through the independent Jacobi eigensolver at a
-tightened absolute tolerance before they are reported as findings: the same
-stacked kernel over each n-group of a chunk of candidates, with three
-jacobi_eigh calls per group in place of eigh.
+(K, ...), beside the member count m of each trial), and kernel(config, *stacks)
+builds and evaluates the group as one stack (at most one qr or svd per
+build, one eigensolver call per kernel step), bitwise equal to one-trial
+runs, so the blocks change no number in a report.  Five steps are stated
+once: _sized draws the size n of every suite without a family and hands it
+to draw(rng, n); _sides judges a scalar or trace kernel's (lhs, rhs, gap)
+at the tolerance; _on_sequences maps the scalar suites' uniforms to
+sequence pairs and _on_pairs builds the commuting pairs of the four
+trace-gap suites from their Gaussians and spectrum uniforms; _with_q_r
+maps the three uniforms that end a q suite's draw to its order q and power
+r.  The kernels of the scalar and trace suites are those of the scalar and traceform
+layers, over (T, n) sequences and (T, n, n) commuting pairs; the seven
+Loewner suites take the residual kernels of loewner.  Search-mode
+candidates keep the draws of their first pass and are re-verified through
+the independent Jacobi eigensolver at a tightened absolute tolerance before
+they are reported as findings: the same stacked kernel over each n-group of
+a chunk of candidates, with three jacobi_eigh calls per group in place of
+eigh.
 """
 
 from __future__ import annotations
@@ -278,8 +286,16 @@ def _sides(kernel, *fg):
 
 
 def _on_pairs(kernel, *fg):
-    """kernel(*fg, A, B, *rest) on the commuting pairs of the stacks (x, wa, wb, *rest)."""
-    return lambda x, wa, wb, *rest: kernel(*fg, *gen._build_pair(x, wa, wb), *rest)
+    """kernel(*fg, A, B, *rest) on the commuting pairs of the stacks (x, u, *rest).
+
+    u (T, 2n) holds A's spectrum uniforms, then B's, both on _TRACE_SPECTRUM.
+    """
+
+    def on_pairs(x, u, *rest):
+        w = gen._uniform(u, *_TRACE_SPECTRUM)
+        return kernel(*fg, *gen._build_pair(x, *_halves(w)), *rest)
+
+    return on_pairs
 
 
 def _min(a, b):
@@ -295,53 +311,65 @@ _SQUARE = power_fn(2.0)
 # -- scalar suites ---------------------------------------------------------
 
 
-def _pair(rng, n):
-    """rand_sequence_pair's two sequences."""
-    return gen.rand_sequence(rng, n), gen.rand_sequence(rng, n)
+def _pair(rng, n, extra=0):
+    """The uniforms of rand_sequence_pair's two sequences, then extra more, in one call."""
+    return (rng.random(2 * n + extra),)
+
+
+def _halves(u):
+    """The first and second halves of each row of u (T, 2n)."""
+    n = u.shape[-1] // 2
+    return u[:, :n], u[:, n:]
+
+
+def _on_sequences(kernel, *fg):
+    """kernel(*fg, a, b, *rest) on the sequence pairs (T, n) of the stacks (u, *rest)."""
+    return lambda u, *rest: kernel(*fg, *map(gen._sequence, _halves(u)), *rest)
 
 
 def _equality(rng, n):
-    """b, then the scale c of the proportional pair (c b, b)."""
-    b = gen.rand_sequence(rng, n)
-    return rng.uniform(0.1, 10.0) * b, b
+    """b's uniforms, then the uniform of the scale c of the proportional pair (c b, b)."""
+    return (rng.random(n + 1),)
 
 
-def _equality_gaps(config, a, b):
-    lhs, rhs, gap = _forward(_LOG, _IDENTITY, a, b)
+def _equality_gaps(config, u):
+    b = gen._sequence(u[:, :-1])
+    lhs, rhs, gap = _forward(_LOG, _IDENTITY, gen._uniform(u[:, -1:], 0.1, 10.0) * b, b)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return -np.abs(gap), np.abs(gap) <= config.tolerance * scale
 
 
-def _rational(rng, n):
-    """a, then the ratios b_i / a_i."""
-    a = rng.uniform(1.0, 10.0, n)
-    return a, rng.uniform(0.9, 2.4, n) * a
+def _rational(u):
+    """The rational example's sides on each row of u (T, 2n): a's uniforms, then the ratios'."""
+    u_a, u_ratio = _halves(u)
+    a = gen._uniform(u_a, 1.0, 10.0)
+    return _rational_example(a, gen._uniform(u_ratio, 0.9, 2.4) * a)
 
 
-def _draw_q(rng) -> float:
-    # Stay off the q = 2 degeneracy where the inequality has no direction.
-    if rng.random() < 0.7:
-        return float(rng.uniform(-2.0, 1.9))
-    return float(rng.uniform(2.1, 3.5))
+def _with_q_r(draw, kernel):
+    """The suite of kernel(*stacks, q, r), an order q and a power r per trial.
 
+    draw(rng, n, extra=3) draws its values with 3 more uniforms at the end of
+    its last call: q's branch and q's, then r's.
+    """
 
-def _with_q_r(draw):
-    """The draw that makes draw's values, then an order q and a power r."""
+    def with_q_r(*stacks):
+        *rest, u = stacks
+        branch, u_q, u_r = u[:, -3], u[:, -2], u[:, -1]
+        # Stay off the q = 2 degeneracy where the inequality has no direction.
+        q = np.where(branch < 0.7, gen._uniform(u_q, -2.0, 1.9), gen._uniform(u_q, 2.1, 3.5))
+        return kernel(*rest, u[:, :-3], q, gen._uniform(u_r, 0.5, 2.0))
 
-    def draw_q_r(rng, config: TrialConfig) -> _Draw:
-        n, values = draw(rng, config)
-        return _Draw(n, (*values, _draw_q(rng), float(rng.uniform(0.5, 2.0))))
-
-    return draw_q_r
+    return _Stacked(_sized(functools.partial(draw, extra=3)), _sides(with_q_r))
 
 
 _Q_DIRECTIONS = (0.0, 0.5, 1.5, 2.5, 3.0)
 
 
-def _q_direction_gaps(config, a, b):
+def _q_direction_gaps(config, u):
     """The worst gap over the orders _Q_DIRECTIONS at r = 1, all orders of a group in one stack."""
-    T = len(a)
-    a, b = (np.repeat(x, len(_Q_DIRECTIONS), axis=0) for x in (a, b))
+    T = len(u)
+    a, b = (np.repeat(gen._sequence(x), len(_Q_DIRECTIONS), axis=0) for x in _halves(u))
     q = np.tile(_Q_DIRECTIONS, T)
     gap, holds = _gaps(_q_log_sums(a, b, q, np.ones(len(q))), config)
     gap, holds = gap.reshape(T, -1), holds.reshape(T, -1)
@@ -349,13 +377,14 @@ def _q_direction_gaps(config, a, b):
 
 
 def _ratio(rng, n):
-    """A sequence pair, then g: the identity or the square."""
-    return (*_pair(rng, n), _IDENTITY if rng.random() < 0.5 else _SQUARE)
+    """A sequence pair's uniforms, then g: the identity or the square, by one more uniform."""
+    u = rng.random(2 * n + 1)
+    return u, _IDENTITY if u[-1] < 0.5 else _SQUARE
 
 
-def _ratio_gaps(config, a, b, g):
+def _ratio_gaps(config, u, g):
     """Whether [m_g, M_g] is ordered and holds the aggregate ratio, within tolerance."""
-    m_g, M_g, agg = _ratio_bounds(g, a, b)
+    m_g, M_g, agg = _on_sequences(_ratio_bounds, g)(u[:, :-1])
     tol = config.tolerance * np.maximum(1.0, np.maximum(np.abs(m_g), np.abs(M_g)))
     holds = (m_g <= M_g + tol) & (m_g - tol <= agg) & (agg <= M_g + tol)
     return _min(_min(M_g - m_g, agg - m_g), M_g - agg), holds
@@ -384,13 +413,14 @@ def _convexity_gaps(config, f, lo, hi, expected, points):
 # -- trace suites ----------------------------------------------------------
 
 
-def _commuting(rng, n):
-    """rand_commuting_pair's draws: the Gaussian, then the spectra wa and wb."""
-    return gen._draw_commuting(rng, n, _TRACE_SPECTRUM, _TRACE_SPECTRUM)
+def _commuting(rng, n, extra=0):
+    """rand_commuting_pair's Gaussian, then its 2n spectrum uniforms and extra more in one call."""
+    return gen._complex_gaussian(rng, n), rng.random(2 * n + extra)
 
 
-def _relative_entropy_gaps(config, x, u_rho, u_sigma):
-    d = _on_pairs(_relative_entropies)(x, gen._density(u_rho), gen._density(u_sigma))
+def _relative_entropy_gaps(config, x, u):
+    rho, sigma = gen._build_pair(x, *map(gen._density, _halves(u)))
+    d = _relative_entropies(rho, sigma)
     return d, d >= -config.tolerance
 
 
@@ -413,12 +443,6 @@ def _concave_f(rng):
     return q_log_fn(float(rng.uniform(0.0, 2.0)))
 
 
-# The member draw of each family kind, as draw(rng, n, spectrum_range).
-_MEMBER_DRAWS = {
-    "expansive": lambda rng, n, _: gen._draw_expansive(rng, n),
-    "contractive": lambda rng, n, _: gen._draw_contractive_pd(rng, n),
-    "unconstrained": gen._draw_pd,
-}
 _SQRT = power_fn(0.5)
 _SHANNON_POWER = power_fn(0.5, offset=-1.0)  # sqrt pinned to f(1) = 0
 
@@ -426,34 +450,38 @@ _SHANNON_POWER = power_fn(0.5, offset=-1.0)  # sqrt pinned to f(1) = 0
 def _family_draw(rng, config: TrialConfig, a_kind: str = "unconstrained") -> _Draw:
     """m, n, then m members of a_kind (the A family) and m unconstrained PD members (B).
 
-    The values are m, then the amplitudes and Gaussians of an expansive A and the
-    spectra and Gaussians of B; or else m, then the spectra and the Gaussians of all
-    2m members, A's first.
+    The values are m, then the amplitude uniforms and Gaussians of an expansive A
+    and the spectrum uniforms and Gaussians of B; or else m, then the spectrum
+    uniforms and the Gaussians of all 2m members, A's first.
     """
     m = _size(rng, config.m)
     n = _size(rng, config.n)
-    draw_a = _MEMBER_DRAWS[a_kind]
-    a = [draw_a(rng, n, config.spectrum_range) for _ in range(m)]
-    b = [gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)]
+    draw_a = gen._draw_expansive if a_kind == "expansive" else gen._draw_pd
+    a = [draw_a(rng, n) for _ in range(m)]
+    b = [gen._draw_pd(rng, n) for _ in range(m)]
     if a_kind == "expansive":
         return _Draw(n, (m, *zip(*a), *zip(*b)))
     return _Draw(n, (m, *zip(*a, *b)))
 
 
-def _families(m, *stacks, a_kind: str = "unconstrained"):
+def _families(config: TrialConfig, m, *stacks, a_kind: str = "unconstrained"):
     """The A and B members (K, n, n), trial t's m[t] on consecutive rows, from _family_draw's.
 
+    An unconstrained member's spectrum is its uniforms on config.spectrum_range.
     Without an expansive A, trial t's 2 m[t] matrices are built as one run of
     rows, A's m[t] first, and split into the two families; a contractive A's
-    rows take their spectra from their uniforms first.
+    rows map their uniforms to contractive spectra instead.
     """
+    window = config.spectrum_range
     if len(stacks) == 4:  # an expansive A family
-        amp, x_a, w_b, x_b = stacks
-        return gen._build_expansive(amp, x_a), gen._build(w_b, gen._unitaries(x_b))
-    w, x = stacks
-    a = np.arange(len(w) // 2) + np.repeat(np.cumsum(m) - m, m)
+        u_a, x_a, u_b, x_b = stacks
+        B = gen._build(gen._uniform(u_b, *window), gen._unitaries(x_b))
+        return gen._build_expansive(u_a, x_a), B
+    u, x = stacks
+    a = np.arange(len(u) // 2) + np.repeat(np.cumsum(m) - m, m)
+    w = gen._uniform(u, *window)
     if a_kind == "contractive":
-        w[a] = gen._contractive(w[a])  # w is this group's own stack
+        w[a] = gen._contractive(u[a])
     mats = gen._build(w, gen._unitaries(x))
     return mats[a], mats[a + np.repeat(m, m)]
 
@@ -466,7 +494,7 @@ def _sum_draw(rng, config: TrialConfig) -> _Draw:
 
 def _sum_residuals(config: TrialConfig, m, *stacks, solver: str = "eigh") -> np.ndarray:
     *family, fs = stacks
-    As, Bs = _families(m, *family, a_kind=config.family_kind)
+    As, Bs = _families(config, m, *family, a_kind=config.family_kind)
     expansive = config.family_kind == "expansive"
     return _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, config.tolerance, solver)
 
@@ -490,7 +518,7 @@ def _shannon_draw(rng, config: TrialConfig) -> _Draw:
 def _shannon_residuals(config, m, *stacks) -> np.ndarray:
     """One decomposition of [S, A, A_i]: each trial's S = sum(shares) and A = sum(A_i)."""
     *family, fs = stacks
-    As, shares = _families(m, *family)
+    As, shares = _families(config, m, *family)
     total = _Segments(m).total
     dec = _decompose(np.concatenate([total(shares), total(As), As]))
     T = len(m)
@@ -499,44 +527,49 @@ def _shannon_residuals(config, m, *stacks) -> np.ndarray:
 
 
 def _pooled_inverse_draw(rng, config: TrialConfig) -> _Draw:
-    """m, n, m rand_pd members A_i, then m rand_square members X_i."""
+    """m, n, m rand_pd members A_i, then m rand_square members X_i (their Gaussians in one call)."""
     m = _size(rng, config.m)
     n = _size(rng, config.n)
-    pds = [gen._draw_pd(rng, n, config.spectrum_range) for _ in range(m)]
-    return _Draw(n, (m, *zip(*pds), tuple(gen._complex_gaussian(rng, n) for _ in range(m))))
+    pds = [gen._draw_pd(rng, n) for _ in range(m)]
+    return _Draw(n, (m, *zip(*pds), tuple(rng.standard_normal((m, 2, n, n)))))
 
 
-def _pooled_inverse_residuals(config, m, w, x, x_square) -> np.ndarray:
-    return _pooled_inverse(gen._complex(x_square), gen._build(w, gen._unitaries(x)), m)
+def _pooled_inverse_residuals(config, m, u, x, x_square) -> np.ndarray:
+    As = gen._build(gen._uniform(u, *config.spectrum_range), gen._unitaries(x))
+    return _pooled_inverse(gen._complex(x_square), As, m)
 
 
-def _pooled_mean_residuals(config, m, w, x) -> np.ndarray:
-    return _pooled_mean(_SQRT, *_families(m, w, x), m)
+def _pooled_mean_residuals(config, m, u, x) -> np.ndarray:
+    return _pooled_mean(_SQRT, *_families(config, m, u, x), m)
 
 
-def _split_mean_residuals(config, m, w, x) -> np.ndarray:
-    return _split_mean(_SQRT, *_families(m, w, x), m)
+def _split_mean_residuals(config, m, u, x) -> np.ndarray:
+    return _split_mean(_SQRT, *_families(config, m, u, x), m)
 
 
 def _monotonicity_draw(rng, config: TrialConfig) -> _Draw:
     """A_part, B_part, the scale and Gaussian of the PSD step to A_whole, B_whole's PD step.
 
-    The values are the spectra and the Gaussians of the three PD draws
-    (A_part, B_part, B_whole - B_part), then the PSD step's scale and Gaussian.
+    The values are the spectrum uniforms and the Gaussians of the three PD
+    draws (A_part, B_part, B_whole - B_part), then the PSD step's scale
+    uniform and Gaussian.
     """
     n = _size(rng, config.n)
-    a_part = gen._draw_pd(rng, n, config.spectrum_range)
-    b_part = gen._draw_pd(rng, n, config.spectrum_range)
-    scale = rng.uniform(0.1, 1.0)
+    a_part = gen._draw_pd(rng, n)
+    b_part = gen._draw_pd(rng, n)
+    scale = rng.random()
     g_psd = gen._complex_gaussian(rng, n)
-    b_step = gen._draw_pd(rng, n, (0.05, 0.5))
+    b_step = gen._draw_pd(rng, n)
     return _Draw(n, (*zip(a_part, b_part, b_step), scale, g_psd))
 
 
-def _monotonicity_residuals(config, w, x, scale, x_psd) -> np.ndarray:
+def _monotonicity_residuals(config, u, x, u_scale, x_psd) -> np.ndarray:
+    """A_part's and B_part's spectra on config.spectrum_range, B_step's on (0.05, 0.5)."""
+    w = gen._uniform(u, *config.spectrum_range)
+    w[2::3] = gen._uniform(u[2::3], 0.05, 0.5)
     mats = gen._build(w, gen._unitaries(x))  # each trial's A_part, B_part, B_step in turn
     A_part, B_part, B_step = mats[0::3], mats[1::3], mats[2::3]
-    A_whole = A_part + gen._build_psd(scale, x_psd)
+    A_whole = A_part + gen._build_psd(gen._uniform(u_scale, 0.1, 1.0), x_psd)
     return _mean_monotonicity(_SQRT, A_part, B_part, A_whole, B_part + B_step, config.tolerance)
 
 
@@ -631,20 +664,20 @@ _sum_verdicts = _min_eigenvalues(_sum_residuals)
 _perspective_sum_verdicts = _Stacked(_sum_draw, _sum_verdicts)
 
 SUITES = {
-    "scalar_log_sum": _Stacked(_sized(_pair), _sides(_forward, _LOG, _IDENTITY)),
+    "scalar_log_sum": _Stacked(_sized(_pair), _sides(_on_sequences(_forward, _LOG, _IDENTITY))),
     "scalar_equality": _Stacked(_sized(_equality), _equality_gaps),
-    "scalar_reverse": _Stacked(_sized(_pair), _sides(_reverse, _LOG, _IDENTITY)),
-    "rational_reverse": _Stacked(_sized(_rational), _sides(_rational_example)),
-    "q_log_sum": _Stacked(_with_q_r(_sized(_pair)), _sides(_q_log_sums)),
+    "scalar_reverse": _Stacked(_sized(_pair), _sides(_on_sequences(_reverse, _LOG, _IDENTITY))),
+    "rational_reverse": _Stacked(_sized(_pair), _sides(_rational)),
+    "q_log_sum": _with_q_r(_pair, _on_sequences(_q_log_sums)),
     "q_direction": _Stacked(_sized(_pair), _q_direction_gaps),
     "ratio_bounds": _Stacked(_sized(_ratio), _ratio_gaps),
     "convexity_check": _Stacked(_convexity_draw, _convexity_gaps),
     "trace_log_sum": _Stacked(_sized(_commuting), _sides(_on_pairs(_trace_log_sums, _LOG, _IDENTITY))),
     "trace_reverse": _Stacked(_sized(_commuting), _sides(_on_pairs(_reverse_traces, _LOG, _IDENTITY))),
-    "q_trace": _Stacked(_with_q_r(_sized(_commuting)), _sides(_on_pairs(_q_traces))),
+    "q_trace": _with_q_r(_commuting, _on_pairs(_q_traces)),
     "exp_log_trace": _Stacked(_sized(_commuting), _sides(_on_pairs(_exp_log_traces))),
-    "relative_entropy": _Stacked(_sized(gen._draw_density_pair), _relative_entropy_gaps),
-    "entropy_bound": _Stacked(_sized(gen._draw_density), _entropy_bound_gaps),
+    "relative_entropy": _Stacked(_sized(_commuting), _relative_entropy_gaps),
+    "entropy_bound": _Stacked(_sized(gen._draw_pd), _entropy_bound_gaps),
     "operator_jensen": _Stacked(_sized(_jensen), _min_eigenvalues(_jensen_residuals)),
     "perspective_sum": _perspective_sum_verdicts,
     "operator_shannon": _Stacked(_shannon_draw, _min_eigenvalues(_shannon_residuals)),

@@ -119,7 +119,9 @@ def _mix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     small: when A splits a pair by a relative delta that the commutation
     check cannot see, B leaks about delta/(2 tau) off the diagonal.  Two
     distinct joint eigenvalue pairs (a, b), (a', b') that the mix maps to
-    one value leave the basis unpinned, and the leakage check rejects them.
+    one value leave the basis unpinned; _joint then retries the swapped mix
+    _mix(B, A), whose weight on B is 1/tau, and no two distinct pairs meet
+    under both weights.
     """
     scale_a = np.maximum(1.0, _max_entry(A))[:, None, None]
     scale_b = np.maximum(1.0, _max_entry(B))[:, None, None]
@@ -130,19 +132,28 @@ def _joint(A: np.ndarray, B: np.ndarray, U: np.ndarray):
     """joint_spectrum of each pair of Hermitian stacks A, B, from the eigenbasis U of _mix(A, B).
 
     Returns A's decomposition in the joint basis, U diag(wa) U†, and B's
-    paired eigenvalues wb (T, n).  B's off-diagonal leakage is
-    checked; A's needs no check of its own.  With U†MU = diag(x) + E for the
-    mix M, offdiag(U†AU) = |A| (offdiag(E) - tau offdiag(U†BU)/|B|), so A
-    leaks at most tau times B's bound plus round-off.
+    paired eigenvalues wb (T, n).  B's off-diagonal leakage is checked; the
+    pairs that leak are retried once on the eigenbasis of the swapped mix
+    _mix(B, A) (see _mix), and those that still leak are rejected.  A's
+    leakage needs no check of its own.  With U†MU = diag(x) + E for the mix
+    M, offdiag(U†AU) = |A| (offdiag(E) - tau offdiag(U†BU)/|B|), so A leaks
+    at most tau times B's bound plus round-off (1/tau times, after a retry).
     """
     commutator = _max_entry(A @ B - B @ A)
     bad = commutator > COMMUTE_RTOL * np.maximum(1.0, _max_entry(A) * _max_entry(B))
     if bad.any():
         (commutator,) = _first(bad, commutator)
         raise PreconditionError(f"matrices do not commute (commutator maxnorm {commutator:.3e})")
+    diagonal, bound = np.eye(U.shape[-1], dtype=bool), 1e-7 * np.maximum(1.0, _max_entry(B))
     Bt = _adjoint(U) @ B @ U
-    off = _max_entry(np.where(np.eye(U.shape[-1], dtype=bool), 0.0, Bt))
-    bad = off > 1e-7 * np.maximum(1.0, _max_entry(B))
+    off = _max_entry(np.where(diagonal, 0.0, Bt))
+    bad = off > bound
+    if bad.any():
+        swapped = _decompose(_mix(B[bad], A[bad])).unitary
+        U = U.copy()  # the caller's basis stays as it is
+        U[bad], Bt[bad] = swapped, _adjoint(swapped) @ B[bad] @ swapped
+        off[bad] = _max_entry(np.where(diagonal, 0.0, Bt[bad]))
+        bad = off > bound
     if bad.any():
         (off,) = _first(bad, off)
         raise PreconditionError(

@@ -17,11 +17,9 @@ from logsumineq.generators import (
     _contractive,
     _density,
     _draw_commuting,
-    _draw_contractive_pd,
-    _draw_density,
-    _draw_density_pair,
     _draw_expansive,
     _draw_pd,
+    _uniform,
     _unitaries,
     rand_commuting_pair,
     rand_contraction,
@@ -167,15 +165,15 @@ def test_stacked_builds_equal_one_matrix_at_a_time(n):
     assert _same(_complex(gaussians), calls(rand_square))
     assert _same(_build_psd(0.7, gaussians), calls(rand_psd, 0.7))
 
-    spectra, gaussians = draws(_draw_pd, (0.3, 2.5))
-    assert _same(_build(spectra, _unitaries(gaussians)), calls(rand_pd, (0.3, 2.5)))
+    uniforms, gaussians = draws(_draw_pd)
+    stacked = _build(_uniform(uniforms, 0.3, 2.5), _unitaries(gaussians))
+    assert _same(stacked, calls(rand_pd, (0.3, 2.5)))
 
-    uniforms, gaussians = draws(_draw_contractive_pd)
     stacked = _build(_contractive(uniforms), _unitaries(gaussians))
     assert _same(stacked, calls(rand_contractive_pd))
 
-    amps, gaussians = draws(_draw_expansive)
-    stacked = _build_expansive(amps.reshape(5, 6), gaussians.reshape(5, 6, 2, n, n))
+    uniforms, gaussians = draws(_draw_expansive)
+    stacked = _build_expansive(uniforms.reshape(5, 6), gaussians.reshape(5, 6, 2, n, n))
     assert _same(stacked.reshape(-1, n, n), calls(rand_expansive))
 
     gaussians, singular = draws(lambda rng, n: (_complex_gaussian(rng, n), rng.random(n)))
@@ -183,16 +181,67 @@ def test_stacked_builds_equal_one_matrix_at_a_time(n):
 
     ranges = ((0.1, 4.0), (0.5, 2.0))
     pairs = calls(rand_commuting_pair, *ranges)
-    stacked = _build_pair(*draws(_draw_commuting, *ranges))
+    gaussians, uniforms = draws(_draw_commuting)
+    assert uniforms.shape == (len(seeds), 2 * n)
+    wa, wb = _uniform(uniforms[:, :n], *ranges[0]), _uniform(uniforms[:, n:], *ranges[1])
+    stacked = _build_pair(gaussians, wa, wb)
     assert all(_same(got, want) for got, want in zip(stacked, zip(*pairs)))
 
-    uniforms, gaussians = draws(_draw_density)
+    uniforms, gaussians = draws(_draw_pd)
     stacked = _build(_density(uniforms), _unitaries(gaussians))
     assert _same(stacked, calls(rand_density))
 
-    gaussians, u_rho, u_sigma = draws(_draw_density_pair)
-    stacked = _build_pair(gaussians, _density(u_rho), _density(u_sigma))
+    gaussians, uniforms = draws(_draw_commuting)
+    assert uniforms.shape == (len(seeds), 2 * n)
+    stacked = _build_pair(gaussians, _density(uniforms[:, :n]), _density(uniforms[:, n:]))
     assert all(_same(got, want) for got, want in zip(stacked, zip(*calls(rand_density_pair))))
+
+
+# Every window a suite maps uniforms onto: the equality scale, the rational
+# example's entries and ratios, q's two branches, r, the trace spectra, the
+# default spectrum window, the monotonicity step's spectra, the expansive
+# amplitude, the monotonicity PSD scale, and this file's windows.
+_WINDOWS = [
+    (0.1, 10.0),
+    (1.0, 10.0),
+    (0.9, 2.4),
+    (-2.0, 1.9),
+    (2.1, 3.5),
+    (0.5, 2.0),
+    (1e-2, 10.0),
+    (0.05, 0.5),
+    (0.3, 1.0),
+    (0.1, 1.0),
+    (0.1, 4.0),
+    (0.3, 2.5),
+]
+
+
+@pytest.mark.parametrize("lo, hi", _WINDOWS)
+def test_uniform_is_the_window_map_of_random(lo, hi):
+    # a draw takes random() doubles, and the build maps them with the bits of uniform(lo, hi)
+    for seed in range(200):
+        k = seed % 9 + 1
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert one.uniform(lo, hi, k).tobytes() == (lo + (hi - lo) * two.random(k)).tobytes()
+        assert one.uniform(lo, hi, k).tobytes() == _uniform(two.random(k), lo, hi).tobytes()
+        assert float(one.uniform(lo, hi)).hex() == (lo + (hi - lo) * two.random()).hex()
+        assert one.bit_generator.state == two.bit_generator.state
+
+
+def test_consecutive_draws_are_one_draw():
+    # a trial's consecutive uniforms, or Gaussians, come from one call that
+    # gives the same values and leaves the stream where the calls leave it
+    for seed in range(200):
+        a, b, n, m = seed % 7 + 1, seed % 5 + 1, seed % 4 + 1, seed % 3 + 1
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        split = np.concatenate([one.random(a), [one.random()], one.random(b)])
+        assert split.tobytes() == two.random(a + 1 + b).tobytes()
+        split = np.concatenate([one.standard_normal(a), one.standard_normal(b)])
+        assert split.tobytes() == two.standard_normal(a + b).tobytes()
+        split = np.array([one.standard_normal((2, n, n)) for _ in range(m)])
+        assert split.tobytes() == two.standard_normal((m, 2, n, n)).tobytes()
+        assert one.bit_generator.state == two.bit_generator.state
 
 
 # The formulas of each public matrix generator, member by member in plain

@@ -662,6 +662,13 @@ COMMUTING_SUITES = [
 ]
 
 
+def _ref_q(rng) -> float:
+    """The q draw of the q suites: a branch off the q = 2 degeneracy, then q within it."""
+    if rng.random() < 0.7:
+        return float(rng.uniform(-2.0, 1.9))
+    return float(rng.uniform(2.1, 3.5))
+
+
 def _public_commuting_trial(suite, trial_seed, cfg):
     """(gap, holds) of one scalar or trace trial rebuilt from its seed by the public functions."""
     rng = np.random.default_rng(trial_seed)
@@ -703,7 +710,7 @@ def _public_commuting_trial(suite, trial_seed, cfg):
             "trace_reverse": lambda: reverse_trace_gap(log_fn(), identity_fn(), A, B, tol),
             "exp_log_trace": lambda: exp_log_trace_gap(A, B, tol),
             "q_trace": lambda: q_trace_gap(
-                A, B, harness._draw_q(rng), float(rng.uniform(0.5, 2.0)), tol
+                A, B, _ref_q(rng), float(rng.uniform(0.5, 2.0)), tol
             ),
         }[suite]()
         return v.gap, v.holds
@@ -722,7 +729,7 @@ def _public_commuting_trial(suite, trial_seed, cfg):
         "scalar_log_sum": lambda: generalized_log_sum_gap(log_fn(), identity_fn(), pair, tol),
         "scalar_reverse": lambda: reverse_log_sum_gap(log_fn(), identity_fn(), pair, tol),
         "q_log_sum": lambda: q_log_sum_gap(
-            pair, harness._draw_q(rng), float(rng.uniform(0.5, 2.0)), tol
+            pair, _ref_q(rng), float(rng.uniform(0.5, 2.0)), tol
         ),
     }[suite]()
     return v.gap, v.holds
@@ -749,6 +756,80 @@ def test_commuting_suite_trials_equal_the_public_functions(monkeypatch, suite, n
         assert (float(gap).hex(), holds) == (float(want_gap).hex(), bool(want_holds)), ts
     assert rep.violations == sum(not holds for _, _, holds in recorded)
     assert rep.worst_gap == min(gap for _, gap, _ in recorded)
+
+
+class _CountingRng:
+    """A Generator that counts the calls made to it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+# Generator calls each trial's draw makes.  A scalar or trace trial takes its
+# size, then each run of consecutive uniforms or Gaussians in one call.
+_DRAW_CALLS = {
+    "scalar_log_sum": 2,
+    "scalar_equality": 2,
+    "scalar_reverse": 2,
+    "rational_reverse": 2,
+    "q_log_sum": 2,
+    "q_direction": 2,
+    "ratio_bounds": 2,
+    "trace_log_sum": 3,
+    "trace_reverse": 3,
+    "q_trace": 3,
+    "exp_log_trace": 3,
+    "relative_entropy": 3,
+    "entropy_bound": 3,
+}
+# The most calls per trial (mean over seeds 0..499 at n=8, m=4) a suite's draw
+# may make: those of drawing each value in its own call.
+_DRAW_CALLS_CEILING = {
+    "scalar_log_sum": 3,
+    "scalar_equality": 3,
+    "scalar_reverse": 3,
+    "rational_reverse": 3,
+    "q_log_sum": 6,
+    "q_direction": 3,
+    "ratio_bounds": 4,
+    "convexity_check": 2.272,
+    "trace_log_sum": 4,
+    "trace_reverse": 4,
+    "q_trace": 7,
+    "exp_log_trace": 4,
+    "relative_entropy": 4,
+    "entropy_bound": 3,
+    "operator_jensen": 4,
+    "perspective_sum": 13.468,
+    "operator_shannon": 13.468,
+    "pooled_inverse": 9.596,
+    "pooled_mean": 12.128,
+    "split_mean": 12.128,
+    "mean_monotonicity": 9,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_draw_generator_calls_per_trial(suite):
+    assert sorted(_DRAW_CALLS_CEILING) == sorted(SUITES)
+    cfg = TrialConfig(suite=suite, n=8, m=4)
+    calls = []
+    for seed in range(500):
+        rng = _CountingRng(np.random.default_rng(seed))
+        SUITES[suite].draw(rng, cfg)
+        calls.append(rng.calls)
+    if suite in _DRAW_CALLS:
+        assert set(calls) == {_DRAW_CALLS[suite]}
+    assert sum(calls) / len(calls) <= _DRAW_CALLS_CEILING[suite]
 
 
 # LAPACK calls of each group of a block: eigh (one per kernel step), qr, svd.

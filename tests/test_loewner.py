@@ -104,6 +104,21 @@ def test_perspective_commuting_reduces_to_scalar():
     assert np.allclose(np.diag(P).real, [2.0 * math.sqrt(2.0), 6.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_perspective_and_mean_are_exactly_hermitian(n):
+    # each is W diag(w) W† made Hermitian, so it equals its adjoint bit for bit
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        A, B = rand_pd(rng, n, (0.2, 5.0)), rand_pd(rng, n, (0.2, 5.0))
+        for M in (
+            operator_perspective(SQRT, A, B),
+            operator_perspective(log_fn(), A, B),
+            matrix_mean(SQRT, A, B),
+            matrix_mean(power_fn(0.3), A, B),
+        ):
+            assert np.array_equal(M, M.conj().T), seed
+
+
 def test_perspective_identity_gap_zero_when_a_is_identity():
     rng = np.random.default_rng(1)
     B = rand_pd(rng, 3, (0.5, 2.0))

@@ -115,6 +115,16 @@ def _offdiagonal(M):
     return maxnorm(M - np.diag(np.diag(M)))
 
 
+def test_joint_spectrum_pair_the_mix_maps_to_one_value():
+    # A + tau B is tau I here, so the mix leaves the basis unpinned; the swapped mix pins it
+    U = rand_unitary(np.random.default_rng(0), 2)
+    wa, wb = np.array([0.0, 1.0]), np.array([1.0, 1.0 - 1.0 / traceform._TAU])
+    A, B = make_commuting_pair(U, wa, wb)
+    _check_joint_spectrum(wa, wb, A, B, clustered=False)
+    _, _, V = joint_spectrum(A, B)
+    assert _offdiagonal(V.conj().T @ A @ V) <= 1e-7
+
+
 def test_joint_spectrum_accepts_a_near_commuting_pair_that_b_splits():
     # A's pair is split by 5e-8 and B couples it: the basis comes from B's split
     A, B = np.diag([1.0, 1.0 + 5e-8]), np.array([[1.0, 1e-3], [1e-3, 1.0]])
