@@ -50,7 +50,6 @@ def _fn(obj) -> FunctionSpec:
         param=None if obj.get("param") is None else _number(obj["param"]),
         offset=_number(obj.get("offset", 0.0)),
         grid=grid,
-        limit_window=_number(obj.get("limit_window", 1e-9)),
     )
 
 
@@ -102,7 +101,6 @@ _FIELDS = {
     "pair": (_pair, _REQUIRED),
     "h_kind": (_string, _REQUIRED),
     "interval": (_interval, _REQUIRED),
-    "limit_window": (_number, 1e-9),
     "tol": (_number, 1e-9),
     "grid_points": (_exactly(int, "an integer"), 101),
     "solver": (_string, "eigh"),
@@ -127,16 +125,16 @@ def _field(doc: dict, name: str):
 
 
 def _q(fn):
-    """fn, whose last argument is a QLogParams, taking the fields q and limit_window instead."""
-    return lambda *args: fn(*args[:-2], QLogParams(*args[-2:]))
+    """fn, whose last argument is a QLogParams, taking the field q instead."""
+    return lambda *args: fn(*args[:-1], QLogParams(args[-1]))
 
 
 # op -> (function, the fields passed as its positional arguments, in order)
 EVAL_OPS = {
-    "q_log": (_q(q_log), ("x", "q", "limit_window")),
-    "q_log_product": (_q(q_log_product), ("x", "y", "q", "limit_window")),
-    "q_log_quotient": (_q(q_log_quotient), ("x", "y", "q", "limit_window")),
-    "q_log_reciprocal": (_q(q_log_reciprocal), ("y", "q", "limit_window")),
+    "q_log": (_q(q_log), ("x", "q")),
+    "q_log_product": (_q(q_log_product), ("x", "y", "q")),
+    "q_log_quotient": (_q(q_log_quotient), ("x", "y", "q")),
+    "q_log_reciprocal": (_q(q_log_reciprocal), ("y", "q")),
     "ratio_bounds": (scalar.ratio_bounds, ("g", "pair")),
     "convexity_check": (scalar.convexity_check, ("h_kind", "f", "interval", "grid_points")),
     "generalized_log_sum_gap": (scalar.generalized_log_sum_gap, ("f", "g", "pair", "tol")),

@@ -1,6 +1,7 @@
 """Exception types, and the number and tolerance rules, shared across the package."""
 
 import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -37,7 +38,13 @@ def _number(value) -> float:
 
 
 def _tolerance(tol) -> float:
-    """tol as a float, checked finite and > 0: the rule for every verdict's tolerance."""
-    if not (math.isfinite(tol) and tol > 0):
+    """tol as a float, checked a finite real > 0 and not a bool: every verdict's tolerance."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and positive, got {tol!r}")
     return float(tol)
+
+
+def _holds(gap, scale, tol: float):
+    """Whether gap >= -tol * scale (elementwise): the one rule by which every verdict holds."""
+    return gap >= -tol * scale

@@ -60,7 +60,6 @@ class FunctionSpec:
     param: float | None = None
     offset: float = 0.0
     grid: tuple[tuple[float, ...], tuple[float, ...]] | None = None
-    limit_window: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -75,7 +74,7 @@ class FunctionSpec:
             if self.family == "shifted_log" and self.param <= 0.0:
                 raise DomainError("shifted_log shift must be positive")
             if self.family == "q_log":
-                QLogParams(self.param, self.limit_window)
+                QLogParams(self.param)
         if self.family == "tabulated":
             if self.grid is None:
                 raise DomainError("tabulated spec requires a grid")
@@ -172,7 +171,7 @@ def _formula(f: FunctionSpec, arr: np.ndarray, param) -> np.ndarray:
     elif f.family == "power":
         out = arr.astype(float) ** param
     elif f.family == "q_log":
-        out = _q_log(arr, param, f.limit_window)
+        out = _q_log(arr, param)
     elif f.family == "shifted_log":
         out = np.log(arr + float(param))
     elif f.family == "rational":
@@ -194,7 +193,7 @@ def _apply_rows(fs, X: np.ndarray) -> np.ndarray:
     Every row is checked in its spec's domain first, and the first failing
     row raises its one-row message.  Then each group of rows gets one call
     of _formula: the rows of one spec, or of the power or q_log specs that
-    share family, offset and window, with their parameters as a column.
+    share family and offset, with their parameters as a column.
     Domains and groups are taken once per distinct spec object, and a group
     that covers every row runs on X whole.
     """
@@ -217,7 +216,7 @@ def _apply_rows(fs, X: np.ndarray) -> np.ndarray:
     groups: dict = {}  # the numbers of each group's distinct specs
     for k, f in enumerate(specs):
         batched = f.family == "q_log" or (f.family == "power" and f.param not in _FAST_POWERS)
-        groups.setdefault((f.family, f.offset, f.limit_window) if batched else f, []).append(k)
+        groups.setdefault((f.family, f.offset) if batched else f, []).append(k)
 
     def formula(key, ks, rows):
         f = specs[ks[0]]
@@ -257,8 +256,8 @@ def power_fn(r: float, offset: float = 0.0) -> FunctionSpec:
     return FunctionSpec("power", param=float(r), offset=offset)
 
 
-def q_log_fn(q: float, limit_window: float = 1e-9, offset: float = 0.0) -> FunctionSpec:
-    return FunctionSpec("q_log", param=float(q), offset=offset, limit_window=limit_window)
+def q_log_fn(q: float, offset: float = 0.0) -> FunctionSpec:
+    return FunctionSpec("q_log", param=float(q), offset=offset)
 
 
 def shifted_log_fn(c: float) -> FunctionSpec:

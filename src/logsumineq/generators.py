@@ -193,10 +193,10 @@ def rand_sequence_pair(rng: np.random.Generator, n: int) -> SequencePair:
     return SequencePair(tuple(rand_sequence(rng, n)), tuple(rand_sequence(rng, n)))
 
 
-def _draw_commuting(rng: np.random.Generator, n: int):
+def _draw_commuting(rng: np.random.Generator, n: int, extra: int = 0):
     """The draws of rand_commuting_pair and rand_density_pair: the basis Gaussian, then the
-    first and the second spectrum's uniforms in one call."""
-    return _complex_gaussian(rng, n), rng.random(2 * n)
+    first and the second spectrum's uniforms, and extra more, in one call."""
+    return _complex_gaussian(rng, n), rng.random(2 * n + extra)
 
 
 def _build_pair(x: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

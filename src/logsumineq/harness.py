@@ -30,10 +30,12 @@ over a group (a family's members of every trial on one flat member axis
 (K, ...), beside the member count m of each trial), and kernel(config, *stacks)
 builds and evaluates the group as one stack (at most one qr or svd per
 build, one eigensolver call per kernel step), bitwise equal to one-trial
-runs, so the blocks change no number in a report.  Five steps are stated
+runs, so the blocks change no number in a report.  A kernel returns each
+trial's gap, (T,) or (T, k) for k checks per trial, and the scale its
+tolerance multiplies; _verdicts judges every trial.  Five steps are stated
 once: _sized draws the size n of every suite without a family and hands it
-to draw(rng, n); _sides judges a scalar or trace kernel's (lhs, rhs, gap)
-at the tolerance; _on_sequences maps the scalar suites' uniforms to
+to draw(rng, n); _sides gives a scalar or trace kernel's (lhs, rhs, gap) as
+its gap and scale; _on_sequences maps the scalar suites' uniforms to
 sequence pairs and _on_pairs builds the commuting pairs of the four
 trace-gap suites from their Gaussians and spectrum uniforms; _with_q_r
 maps the three uniforms that end a q suite's draw to its order q and power
@@ -60,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import generators as gen
-from .errors import DomainError, _tolerance
+from .errors import DomainError, _holds, _tolerance
 from .functions import FunctionSpec, identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from .loewner import (
     _mean_monotonicity,
@@ -72,7 +74,7 @@ from .loewner import (
     _split_mean,
     perspective_sum_residual,  # noqa: F401 (the benchmark self-tests read it from harness)
 )
-from .matfun import _decompose, _Segments, _verdict
+from .matfun import _decompose, _gap_scale, _Segments
 from .scalar import (
     _curvature_holds,
     _forward,
@@ -80,8 +82,8 @@ from .scalar import (
     _ratio_bounds,
     _rational_example,
     _reverse,
+    _scale,
 )
-from .scalar import _verdict as _inequality_verdict
 from .traceform import (
     _entropies,
     _exp_log_traces,
@@ -128,8 +130,8 @@ class TrialConfig:
     lhs_form: str = "perspective_sum"
 
     def __post_init__(self) -> None:
-        if not self.suite:
-            raise DomainError("suite name must be non-empty")
+        if not (isinstance(self.suite, str) and self.suite):
+            raise DomainError("suite name must be a non-empty string")
         for name in ("trials", "seed", "n", "m"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -143,15 +145,18 @@ class TrialConfig:
             raise DomainError("dimension n must be in [1, 64]")
         if not 1 <= self.m <= 16:
             raise DomainError("family size m must be in [1, 16]")
-        _tolerance(self.tolerance)
-        lo, hi = self.spectrum_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo < hi):
+        object.__setattr__(self, "tolerance", _tolerance(self.tolerance))
+        try:  # each end by the tolerance's rule: a finite real > 0, not a bool
+            lo, hi = map(_tolerance, self.spectrum_range)
+        except (TypeError, ValueError):  # a DomainError among them
+            raise DomainError("spectrum_range must be two finite positive numbers") from None
+        if not lo < hi:
             raise DomainError("spectrum_range must satisfy 0 < lo < hi")
         if self.family_kind not in FAMILY_KINDS:
             raise DomainError(f"family_kind must be one of {FAMILY_KINDS}")
         if self.lhs_form not in LHS_FORMS:
             raise DomainError(f"lhs_form must be one of {LHS_FORMS}")
-        object.__setattr__(self, "spectrum_range", (float(lo), float(hi)))
+        object.__setattr__(self, "spectrum_range", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -274,15 +279,14 @@ def _sized(draw):
     return sized
 
 
-def _gaps(sides, config: TrialConfig):
-    """The gap and holds flag (T,) of a scalar or trace kernel's (lhs, rhs, gap)."""
-    verdict = _inequality_verdict(*sides, config.tolerance)
-    return verdict.gap, verdict.holds
-
-
 def _sides(kernel, *fg):
-    """The suite kernel judging kernel(*fg, *stacks)'s (lhs, rhs, gap) at config.tolerance."""
-    return lambda config, *stacks: _gaps(kernel(*fg, *stacks), config)
+    """The suite kernel of kernel(*fg, *stacks)'s (lhs, rhs, gap): the gap and its scale."""
+
+    def sides(config, *stacks):
+        lhs, rhs, gap = kernel(*fg, *stacks)
+        return gap, _scale(lhs, rhs)
+
+    return sides
 
 
 def _on_pairs(kernel, *fg):
@@ -333,10 +337,10 @@ def _equality(rng, n):
 
 
 def _equality_gaps(config, u):
+    """-|gap| of the forward inequality on a proportional pair, where it is an equality."""
     b = gen._sequence(u[:, :-1])
     lhs, rhs, gap = _forward(_LOG, _IDENTITY, gen._uniform(u[:, -1:], 0.1, 10.0) * b, b)
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return -np.abs(gap), np.abs(gap) <= config.tolerance * scale
+    return -np.abs(gap), _scale(lhs, rhs)
 
 
 def _rational(u):
@@ -367,13 +371,11 @@ _Q_DIRECTIONS = (0.0, 0.5, 1.5, 2.5, 3.0)
 
 
 def _q_direction_gaps(config, u):
-    """The worst gap over the orders _Q_DIRECTIONS at r = 1, all orders of a group in one stack."""
-    T = len(u)
+    """One check per order of _Q_DIRECTIONS at r = 1, all orders of a group in one stack."""
     a, b = (np.repeat(gen._sequence(x), len(_Q_DIRECTIONS), axis=0) for x in _halves(u))
-    q = np.tile(_Q_DIRECTIONS, T)
-    gap, holds = _gaps(_q_log_sums(a, b, q, np.ones(len(q))), config)
-    gap, holds = gap.reshape(T, -1), holds.reshape(T, -1)
-    return functools.reduce(_min, gap.T), holds.all(axis=-1)
+    q = np.tile(_Q_DIRECTIONS, len(u))
+    gap, scale = _sides(_q_log_sums)(config, a, b, q, np.ones(len(q)))
+    return gap.reshape(len(u), -1), scale.reshape(len(u), -1)
 
 
 def _ratio(rng, n):
@@ -383,11 +385,9 @@ def _ratio(rng, n):
 
 
 def _ratio_gaps(config, u, g):
-    """Whether [m_g, M_g] is ordered and holds the aggregate ratio, within tolerance."""
+    """Three checks: [m_g, M_g] is ordered, and holds the aggregate ratio from below and above."""
     m_g, M_g, agg = _on_sequences(_ratio_bounds, g)(u[:, :-1])
-    tol = config.tolerance * np.maximum(1.0, np.maximum(np.abs(m_g), np.abs(M_g)))
-    holds = (m_g <= M_g + tol) & (m_g - tol <= agg) & (agg <= M_g + tol)
-    return _min(_min(M_g - m_g, agg - m_g), M_g - agg), holds
+    return np.stack([M_g - m_g, agg - m_g, M_g - agg], axis=-1), _scale(m_g, M_g)[:, None]
 
 
 def _convexity_draw(rng, config: TrialConfig) -> _Draw:
@@ -407,28 +407,23 @@ def _convexity_gaps(config, f, lo, hi, expected, points):
     points = int(points[0])  # a group shares its grid size
     h_kind = "xf1overx" if points == 201 else "xfx"
     agree = _curvature_holds(h_kind, f, lo, hi, points) == expected
-    return np.where(agree, 0.0, -1.0), agree
+    return np.where(agree, 0.0, -1.0), 0.0  # scale 0: -1 fails at any tolerance
 
 
 # -- trace suites ----------------------------------------------------------
 
 
-def _commuting(rng, n, extra=0):
-    """rand_commuting_pair's Gaussian, then its 2n spectrum uniforms and extra more in one call."""
-    return gen._complex_gaussian(rng, n), rng.random(2 * n + extra)
-
-
 def _relative_entropy_gaps(config, x, u):
+    """D(rho || sigma) >= 0, at scale 1."""
     rho, sigma = gen._build_pair(x, *map(gen._density, _halves(u)))
-    d = _relative_entropies(rho, sigma)
-    return d, d >= -config.tolerance
+    return _relative_entropies(rho, sigma), 1.0
 
 
 def _entropy_bound_gaps(config, u, x):
+    """Two checks at scale 1: S(rho) >= 0 and S(rho) <= log n."""
     w = gen._density(u)
     s = _entropies(gen._build(w, gen._unitaries(x)))
-    margin = _min(s, math.log(w.shape[-1]) - s)
-    return margin, margin >= -config.tolerance
+    return np.stack([s, math.log(w.shape[-1]) - s], axis=-1), 1.0
 
 
 # -- operator-order suites --------------------------------------------------
@@ -610,28 +605,23 @@ def _grouped(draws: list[_Draw], config: TrialConfig, evaluate):
 
 
 def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
-    """Gap and holds flag of each trial, as Python lists.
+    """Gap and holds flag of each trial, as Python lists: the one place a trial is judged.
 
-    kernel(config, *stacks) gives the gaps and holds flags (T,) of a group
-    of draws sharing n.
+    kernel(config, *stacks) gives a group's gaps, (T,) or (T, k) for k checks
+    per trial, and the scales broadcasting against them.  A trial holds when
+    every check does (_holds), and its gap is its least check, the first on ties.
     """
     gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
-    for ks, (gap, ok) in _grouped(draws, config, functools.partial(kernel, config)):
-        gaps[ks], holds[ks] = gap, ok
+    for ks, (gap, scale) in _grouped(draws, config, functools.partial(kernel, config)):
+        gaps[ks] = functools.reduce(_min, gap.reshape(len(ks), -1).T)
+        holds[ks] = _holds(gap, scale, config.tolerance).reshape(len(ks), -1).all(axis=-1)
     return gaps.tolist(), holds.tolist()
 
 
 def _min_eigenvalues(residuals):
-    """The kernel of a Loewner suite: each trial's residual minimum eigenvalue and holds flag.
-
-    residuals(config, *stacks) gives the residual eigenvalues (T, n) of a group.
-    """
-
-    def kernel(config, *stacks):
-        verdict = _verdict(residuals(config, *stacks), config.tolerance)
-        return verdict.residual_min_eigenvalue, verdict.holds
-
-    return kernel
+    """The kernel of a Loewner suite: the gap and scale (_gap_scale) of each trial's residual,
+    whose eigenvalues (T, n) residuals(config, *stacks) gives for a group."""
+    return lambda config, *stacks: _gap_scale(residuals(config, *stacks))
 
 
 class _Stacked:
@@ -640,8 +630,8 @@ class _Stacked:
     draw(rng, config) makes a trial's draws from its rng in the order of the
     one-trial generators; kernel(config, *stacks) builds a group of draws
     sharing n from the stacks of their values (_stacks), a family's members
-    on one flat member axis beside the member counts, and returns the gap and
-    holds flag (T,) of each trial.
+    on one flat member axis beside the member counts, and returns the gaps
+    and scales that _verdicts judges.
     """
 
     def __init__(self, draw, kernel):
@@ -672,11 +662,11 @@ SUITES = {
     "q_direction": _Stacked(_sized(_pair), _q_direction_gaps),
     "ratio_bounds": _Stacked(_sized(_ratio), _ratio_gaps),
     "convexity_check": _Stacked(_convexity_draw, _convexity_gaps),
-    "trace_log_sum": _Stacked(_sized(_commuting), _sides(_on_pairs(_trace_log_sums, _LOG, _IDENTITY))),
-    "trace_reverse": _Stacked(_sized(_commuting), _sides(_on_pairs(_reverse_traces, _LOG, _IDENTITY))),
-    "q_trace": _with_q_r(_commuting, _on_pairs(_q_traces)),
-    "exp_log_trace": _Stacked(_sized(_commuting), _sides(_on_pairs(_exp_log_traces))),
-    "relative_entropy": _Stacked(_sized(_commuting), _relative_entropy_gaps),
+    "trace_log_sum": _Stacked(_sized(gen._draw_commuting), _sides(_on_pairs(_trace_log_sums, _LOG, _IDENTITY))),
+    "trace_reverse": _Stacked(_sized(gen._draw_commuting), _sides(_on_pairs(_reverse_traces, _LOG, _IDENTITY))),
+    "q_trace": _with_q_r(gen._draw_commuting, _on_pairs(_q_traces)),
+    "exp_log_trace": _Stacked(_sized(gen._draw_commuting), _sides(_on_pairs(_exp_log_traces))),
+    "relative_entropy": _Stacked(_sized(gen._draw_commuting), _relative_entropy_gaps),
     "entropy_bound": _Stacked(_sized(gen._draw_pd), _entropy_bound_gaps),
     "operator_jensen": _Stacked(_sized(_jensen), _min_eigenvalues(_jensen_residuals)),
     "perspective_sum": _perspective_sum_verdicts,
@@ -758,7 +748,7 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
         for ks, w in _grouped(draws, config, recheck):
             rechecks[ks] = w.min(axis=-1)
         for (index, ts, min_eig, draw), recheck in zip(chunk, rechecks.tolist()):
-            if recheck < -RECHECK_ABS_TOL:
+            if not _holds(recheck, 1.0, RECHECK_ABS_TOL):
                 findings.append(
                     {
                         "trial_index": index,

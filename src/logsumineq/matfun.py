@@ -45,6 +45,7 @@ from .errors import (
     NumericError,
     PreconditionError,
     SingularityError,
+    _holds,
     _tolerance,
 )
 from .functions import FunctionSpec, _apply_rows
@@ -396,6 +397,11 @@ def apply_function(f: FunctionSpec, A) -> np.ndarray:
     return spectral_decompose(A).map(f).reconstruct()
 
 
+def _gap_scale(w: np.ndarray):
+    """Each residual's gap, its minimum eigenvalue, and scale max(1, ||R||), from eigenvalues w."""
+    return w.min(axis=-1), np.maximum(1.0, abs(w).max(axis=-1))
+
+
 def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
     """PSD verdict on a residual with eigenvalues w.
 
@@ -403,9 +409,9 @@ def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
     leading axes; for one residual they are plain floats and a bool.
     """
     tol = _tolerance(tol)
-    min_eig = w.min(axis=-1)
+    min_eig, scale = _gap_scale(w)
+    holds = _holds(min_eig, scale, tol)
     norm = abs(w).max(axis=-1)
-    holds = min_eig >= -tol * np.maximum(1.0, norm)
     if np.ndim(w) == 1:
         return LoewnerVerdict(float(min_eig), float(norm), tol, bool(holds))
     return LoewnerVerdict(min_eig, norm, tol, holds)

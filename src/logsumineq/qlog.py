@@ -27,23 +27,18 @@ __all__ = [
     "q_log_reciprocal",
 ]
 
-_MAX_LIMIT_WINDOW = 1e-6
+_LIMIT_WINDOW = 1e-9  # |1 - q| at or below which qlog is the natural log
 
 
 @dataclass(frozen=True)
 class QLogParams:
-    """Deformation order q plus the width of the q = 1 substitution window."""
+    """Deformation order q."""
 
     q: float
-    limit_window: float = 1e-9
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.q):
             raise DomainError(f"deformation order must be finite, got {self.q}")
-        if not (0.0 < self.limit_window <= _MAX_LIMIT_WINDOW):
-            raise DomainError(
-                f"limit_window must lie in (0, {_MAX_LIMIT_WINDOW}], got {self.limit_window}"
-            )
 
 
 def _check_positive(name: str, value) -> np.ndarray:
@@ -55,7 +50,7 @@ def _check_positive(name: str, value) -> np.ndarray:
     return arr
 
 
-def _q_log(arr: np.ndarray, q, limit_window: float = 1e-9) -> np.ndarray:
+def _q_log(arr: np.ndarray, q) -> np.ndarray:
     """qlog of checked positive arr; q is a float or an array broadcasting against arr.
 
     An array q gives each entry its own order (q[:, None] for one per row) with
@@ -65,17 +60,17 @@ def _q_log(arr: np.ndarray, q, limit_window: float = 1e-9) -> np.ndarray:
     one_minus_q = 1.0 - q
     logs = np.log(arr)
     if np.ndim(q) == 0:
-        if abs(one_minus_q) <= limit_window:
+        if abs(one_minus_q) <= _LIMIT_WINDOW:
             return logs
         return np.expm1(one_minus_q * logs) / one_minus_q
-    near = np.abs(one_minus_q) <= limit_window
+    near = np.abs(one_minus_q) <= _LIMIT_WINDOW
     one_minus_q = np.where(near, 1.0, one_minus_q)
     return np.where(near, logs, np.expm1(one_minus_q * logs) / one_minus_q)
 
 
 def q_log(x, params: QLogParams):
     """Evaluate qlog(x).  Accepts scalars or arrays of positive reals."""
-    out = _q_log(_check_positive("x", x), params.q, params.limit_window)
+    out = _q_log(_check_positive("x", x), params.q)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 

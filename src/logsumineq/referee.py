@@ -19,6 +19,7 @@ import sys
 import mpmath
 
 from .functions import FunctionSpec, log_fn
+from .qlog import _LIMIT_WINDOW
 
 DIGITS = 50
 _LOG = log_fn()
@@ -37,7 +38,7 @@ def _value(f: FunctionSpec, x):
         y = x**p
     elif f.family == "q_log":
         y = mpmath.log(x)
-        if abs(1 - p) > f.limit_window:
+        if abs(1 - p) > _LIMIT_WINDOW:
             y = mpmath.expm1((1 - p) * y) / (1 - p)
     elif f.family == "shifted_log":
         y = mpmath.log(p + x)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, _tolerance
+from .errors import DomainError, PreconditionError, _holds, _tolerance
 from .functions import FunctionSpec, _apply_rows, power_fn
 from .qlog import QLogParams, _check_positive, _q_log
 
@@ -92,14 +92,16 @@ class InequalityVerdict:
     holds: bool
 
 
+def _scale(lhs, rhs):
+    """The scale a gap's tolerance multiplies: max(1, |lhs|, |rhs|), elementwise."""
+    return np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
 def _verdict(lhs, rhs, gap, tol: float) -> InequalityVerdict:
-    """The verdict of one pair (float fields), or of a stack (array fields over the pairs)."""
+    """The verdict of one pair."""
     tol = _tolerance(tol)
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    holds = gap >= -tol * scale
-    if np.ndim(gap) == 0:
-        return InequalityVerdict(float(lhs), float(rhs), float(gap), tol, bool(holds))
-    return InequalityVerdict(lhs, rhs, gap, tol, holds)
+    holds = bool(_holds(gap, _scale(lhs, rhs), tol))
+    return InequalityVerdict(float(lhs), float(rhs), float(gap), tol, holds)
 
 
 def _one(sides, tol: float) -> InequalityVerdict:

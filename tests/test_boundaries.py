@@ -7,13 +7,15 @@ thresholds are written out here, not imported, so that they move only
 when this file does.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from logsumineq import harness
 from logsumineq.errors import PreconditionError
 from logsumineq.functions import log_fn
-from logsumineq.harness import TrialConfig, counterexample_search
+from logsumineq.harness import TrialConfig, counterexample_search, run_suite
 from logsumineq.loewner import operator_shannon_residual
 from logsumineq.matfun import commutes, loewner_leq, maxnorm
 from logsumineq.scalar import _verdict
@@ -39,6 +41,64 @@ def test_scalar_verdict_boundary(factor, holds):
     lhs, rhs = 8.0 - factor * TOL * 8.0, 8.0
     verdict = _verdict(lhs, rhs, lhs - rhs, TOL)
     assert verdict.holds is holds
+
+
+def _judged(gap, scale, tol=TOL):
+    """harness._verdicts' gaps and holds flags for a kernel whose record is (gap, scale)."""
+    draws = [harness._Draw(1, (0.0,))] * len(gap)
+    config = TrialConfig(suite="scalar_log_sum", tolerance=tol)
+    return harness._verdicts(draws, config, lambda config, _: (np.array(gap), np.array(scale)))
+
+
+@pytest.mark.parametrize("factor, holds", [(2.0, False), (0.5, True)])
+def test_every_check_of_a_record_is_judged(factor, holds):
+    # scale 8; trial 0 comes closest in its second check, trial 1 in its third
+    low = -factor * TOL * 8.0
+    gaps, flags = _judged([[1.0, low, 2.0], [1.0, 2.0, low]], [[8.0], [8.0]])
+    assert gaps == [low, low]
+    assert flags == [holds, holds]
+
+
+def test_a_record_reports_its_first_least_check():
+    # 0.0 and -0.0 tie, and the first of them is the trial's gap
+    gaps, flags = _judged([[0.0, -0.0], [-0.0, 0.0]], 1.0)
+    assert [math.copysign(1.0, gap) for gap in gaps] == [1.0, -1.0]
+    assert flags == [True, True]
+
+
+def _fixed(value):
+    """A stand-in for an entropy kernel: value(n) for each trial of a stack (T, n, n) of states."""
+    return lambda rho, *_: np.full(len(rho), value(rho.shape[-1]))
+
+
+@pytest.mark.parametrize("factor, holds", [(2.0, False), (0.5, True)])
+@pytest.mark.parametrize(
+    "suite, kernel, value",
+    [
+        ("relative_entropy", "_relative_entropies", lambda n, d: -d),  # D >= 0
+        ("entropy_bound", "_entropies", lambda n, d: -d),  # S >= 0
+        ("entropy_bound", "_entropies", lambda n, d: math.log(n) + d),  # S <= log n
+    ],
+    ids=["relative_entropy-D", "entropy_bound-S", "entropy_bound-log_n_minus_S"],
+)
+def test_scale_one_boundary(monkeypatch, suite, kernel, value, factor, holds):
+    # the stubbed check of every trial lies factor tol past its bound, at scale 1
+    monkeypatch.setattr(harness, kernel, _fixed(lambda n: value(n, factor * TOL)))
+    report = run_suite(TrialConfig(suite=suite, trials=20, seed=3, n=4))
+    assert report.worst_gap == pytest.approx(-factor * TOL, rel=1e-6)
+    assert report.violations == (0 if holds else 20)
+
+
+def test_convexity_scale_zero(monkeypatch):
+    # a wrong verdict's gap -1 fails even at tolerance 2, an agreeing one's 0 holds
+    monkeypatch.setattr(harness, "_curvature_holds", lambda *args: np.ones(len(args[2]), bool))
+    cfg = TrialConfig(suite="convexity_check", trials=40, seed=5, tolerance=2.0)
+    draws = harness.SUITES["convexity_check"].draws(range(5, 45), cfg)
+    wrong = sum(not draw.values[3] for draw in draws)  # the cases expected to fail the grid test
+    report = run_suite(cfg)
+    assert 0 < wrong < 40
+    assert report.violations == wrong
+    assert report.worst_gap == -1.0
 
 
 def _coupled(a, c):

@@ -429,7 +429,7 @@ _NOT_MATRICES = [
     {"n": 2, "re": [["2", True], [True, "3.5"]], "im": [[0, 0], [0, 0]]},
 ]
 _WRONG_TYPED = {
-    **dict.fromkeys(("x", "y", "q", "r", "limit_window", "tol", "floor"), _NOT_NUMBERS),
+    **dict.fromkeys(("x", "y", "q", "r", "tol", "floor"), _NOT_NUMBERS),
     "grid_points": [[1.0], True, "1", 3.9],
     "f": [5, {"family": "power", "param": "0.5"}],
     "g": [5, {"family": "identity", "offset": True}],

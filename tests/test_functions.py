@@ -36,8 +36,6 @@ def test_family_validation():
         FunctionSpec("tabulated")  # missing grid
     with pytest.raises(DomainError):
         tabulated_fn([0.0, 0.0], [1.0, 2.0])  # non-increasing abscissae
-    with pytest.raises(DomainError):
-        FunctionSpec("q_log", 1.5, limit_window=1.0)  # window outside (0, 1e-6]
 
 
 def test_point_values():

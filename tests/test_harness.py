@@ -92,6 +92,31 @@ def test_config_validation():
     assert json.loads(report_to_json(run_suite(cfg)))["config"]["seed"] == 5
 
 
+def test_config_stores_its_tolerance_and_range_as_floats():
+    # a float32 tolerance or an int one is stored as the float the verdicts judge at
+    cfg = TrialConfig(suite="scalar_log_sum", trials=3, tolerance=np.float32(1e-6))
+    assert type(cfg.tolerance) is float and cfg.tolerance == float(np.float32(1e-6))
+    assert json.loads(report_to_json(run_suite(cfg)))["config"]["tolerance"] == cfg.tolerance
+    cfg = TrialConfig(suite="scalar_log_sum", tolerance=1, spectrum_range=[np.float32(0.5), 2])
+    assert '"tolerance": 1.0' in report_to_json(run_suite(replace(cfg, trials=1)))
+    assert cfg.spectrum_range == (0.5, 2.0) and type(cfg.spectrum_range[1]) is float
+    # every malformed value is a DomainError
+    for field, value in [
+        ("suite", ["scalar_log_sum"]),
+        ("tolerance", "x"),
+        ("tolerance", True),
+        ("tolerance", None),
+        ("spectrum_range", ("a", 2)),
+        ("spectrum_range", (1,)),
+        ("spectrum_range", (1, 2, 3)),
+        ("spectrum_range", 5),
+        ("spectrum_range", (True, 2)),
+        ("spectrum_range", (0.5, math.inf)),
+    ]:
+        with pytest.raises(DomainError, match=f"^{field}"):
+            TrialConfig(**{"suite": "scalar_log_sum", field: value})
+
+
 def test_unknown_suite_lists_registry():
     with pytest.raises(DomainError) as err:
         run_suite(TrialConfig(suite="nonexistent"))

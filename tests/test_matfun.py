@@ -275,7 +275,7 @@ def test_psd_inverse_nan_floor_is_not_positive():
         psd_inverse(np.diag([1.0, 1e-300]), floor=math.nan)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan, "x", True])
 def test_loewner_leq_rejects_a_tolerance_not_finite_and_positive(tol):
     with pytest.raises(DomainError, match="tolerance must be finite and positive"):
         loewner_leq(np.eye(2), 0.5 * np.eye(2), tol=tol)

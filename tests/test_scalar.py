@@ -123,7 +123,7 @@ def test_power_xfx_convex_for_admissible_exponents(r):
 # -- forward inequality -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan, "x", True])
 def test_scalar_verdict_rejects_a_tolerance_not_finite_and_positive(tol):
     with pytest.raises(DomainError, match="tolerance must be finite and positive"):
         generalized_log_sum_gap(log_fn(), identity_fn(), pair_of([1.0, 2.0], [2.0, 1.0]), tol)
