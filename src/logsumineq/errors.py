@@ -45,6 +45,17 @@ def _tolerance(tol) -> float:
     return float(tol)
 
 
+def _spectrum_range(spectrum_range) -> tuple[float, float]:
+    """(lo, hi) as floats, each end by the tolerance's rule and lo < hi: every spectrum window."""
+    try:
+        lo, hi = map(_tolerance, spectrum_range)
+    except (TypeError, ValueError):  # a DomainError among them
+        raise DomainError("spectrum_range must be two finite positive numbers") from None
+    if not lo < hi:
+        raise DomainError("spectrum_range must satisfy 0 < lo < hi")
+    return lo, hi
+
+
 def _holds(gap, scale, tol: float):
     """Whether gap >= -tol * scale (elementwise): the one rule by which every verdict holds."""
     return gap >= -tol * scale

@@ -5,7 +5,10 @@ it in a fixed order, so an instance is fully determined by the rng state it
 receives.  Preconditions of the target checks hold by construction: positive
 sequences stay in (0, SEQUENCE_HI], expansive members are I + QQ†,
 contractive PD members have spectrum inside (CONTRACTIVE_FLOOR, 1], density
-matrices are normalized spectra in a random basis.
+matrices are normalized spectra in a random basis.  A public generator
+checks its spectrum window (errors._spectrum_range, TrialConfig's rule) and
+family size before it draws, so a bad one is a DomainError that leaves the
+stream untouched.
 
 Random-basis matrices are drawn and built in two steps.  A draw is only
 Generator calls, in the fewest that consume its stream: _draw_pd (the
@@ -29,8 +32,11 @@ stacked build is bitwise equal to one call per matrix.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
+from .errors import DomainError, _spectrum_range
 from .matfun import SpectralDecomposition, _adjoint, _build, _decompose, _herm, _total, hermitize
 from .scalar import SequencePair
 
@@ -154,8 +160,9 @@ def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def rand_pd(rng: np.random.Generator, n: int, spectrum_range: tuple[float, float]) -> np.ndarray:
     """PD matrix with spectrum uniform in [lo, hi], random basis."""
+    window = _spectrum_range(spectrum_range)
     u, x = _draw_pd(rng, n)
-    return _build(_uniform(u, *spectrum_range), _unitaries(x))
+    return _build(_uniform(u, *window), _unitaries(x))
 
 
 def rand_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -230,8 +237,11 @@ def rand_split_matching(
     rng: np.random.Generator, total: np.ndarray, m: int, spectrum_range: tuple[float, float]
 ) -> list[np.ndarray]:
     """PD family B_1..B_m with sum exactly total (congruence-normalized shares)."""
+    window = _spectrum_range(spectrum_range)
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise DomainError(f"family size m must be an integer >= 1, got {m!r}")
     total = hermitize(total)
     uniforms, gaussians = zip(*(_draw_pd(rng, total.shape[0]) for _ in range(m)))
-    shares = _build(_uniform(np.array(uniforms), *spectrum_range), _unitaries(np.array(gaussians)))
+    shares = _build(_uniform(np.array(uniforms), *window), _unitaries(np.array(gaussians)))
     dec = _decompose(np.concatenate([_total(shares, [m]), total[None]]))
     return list(_split_matching(dec, shares, [m]))

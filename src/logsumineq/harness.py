@@ -32,7 +32,14 @@ builds and evaluates the group as one stack (at most one qr or svd per
 build, one eigensolver call per kernel step), bitwise equal to one-trial
 runs, so the blocks change no number in a report.  A kernel returns each
 trial's gap, (T,) or (T, k) for k checks per trial, and the scale its
-tolerance multiplies; _verdicts judges every trial.  Five steps are stated
+tolerance multiplies; _verdicts judges every trial.  A one-member trial of
+perspective_sum with the perspective-sum lhs (any family kind), pooled_inverse
+or split_mean is an identity: the family's total has its member's bits, so
+both sides are one expression on equal bits and the residual is the zero
+matrix.  Its draw stops after m (_identity) and returns _IDENTITY_DRAW, with
+no n, members or f, which _verdicts judges without a kernel at gap 0.0 and
+scale 1.0.  sum_fb, pooled_mean and operator_shannon draw in full: at one
+member their residual is round-off, not zero.  Five steps are stated
 once: _sized draws the size n of every suite without a family and hands it
 to draw(rng, n); _sides gives a scalar or trace kernel's (lhs, rhs, gap) as
 its gap and scale; _on_sequences maps the scalar suites' uniforms to
@@ -62,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import generators as gen
-from .errors import DomainError, _holds, _tolerance
+from .errors import DomainError, _holds, _spectrum_range, _tolerance
 from .functions import FunctionSpec, identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from .loewner import (
     _mean_monotonicity,
@@ -146,17 +153,11 @@ class TrialConfig:
         if not 1 <= self.m <= 16:
             raise DomainError("family size m must be in [1, 16]")
         object.__setattr__(self, "tolerance", _tolerance(self.tolerance))
-        try:  # each end by the tolerance's rule: a finite real > 0, not a bool
-            lo, hi = map(_tolerance, self.spectrum_range)
-        except (TypeError, ValueError):  # a DomainError among them
-            raise DomainError("spectrum_range must be two finite positive numbers") from None
-        if not lo < hi:
-            raise DomainError("spectrum_range must satisfy 0 < lo < hi")
+        object.__setattr__(self, "spectrum_range", _spectrum_range(self.spectrum_range))
         if self.family_kind not in FAMILY_KINDS:
             raise DomainError(f"family_kind must be one of {FAMILY_KINDS}")
         if self.lhs_form not in LHS_FORMS:
             raise DomainError(f"lhs_form must be one of {LHS_FORMS}")
-        object.__setattr__(self, "spectrum_range", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ def _size(rng: np.random.Generator, cap: int) -> int:
 class _Draw(NamedTuple):
     """The rng draws of one trial."""
 
-    n: int  # the size of a trial's arrays: sequence length, matrix dimension or grid points
+    n: int | None  # the size of a trial's arrays: sequence length, matrix dimension or grid points
     values: tuple  # the trial's draws, in draw order unless its draw says otherwise
 
 
@@ -442,14 +443,34 @@ _SQRT = power_fn(0.5)
 _SHANNON_POWER = power_fn(0.5, offset=-1.0)  # sqrt pinned to f(1) = 0
 
 
-def _family_draw(rng, config: TrialConfig, a_kind: str = "unconstrained") -> _Draw:
+# The draw of every identity trial: no n, no members and no f.
+_IDENTITY_DRAW = _Draw(None, ())
+
+
+def _identity(m: int) -> bool:
+    """Whether a trial of m members is an identity, in a suite whose sides agree at one member.
+
+    A one-member family's total is its member (_Segments.total adds +0.0
+    slots, and _herm leaves no -0.0 on a diagonal), so both sides run the
+    same operations on equal bits in one stack: the residual is the zero
+    matrix, gap 0.0 at scale 1.0.
+    """
+    return m == 1
+
+
+def _family_draw(
+    rng, config: TrialConfig, a_kind: str = "unconstrained", sides_agree_at_one: bool = False
+) -> _Draw:
     """m, n, then m members of a_kind (the A family) and m unconstrained PD members (B).
 
     The values are m, then the amplitude uniforms and Gaussians of an expansive A
     and the spectrum uniforms and Gaussians of B; or else m, then the spectrum
-    uniforms and the Gaussians of all 2m members, A's first.
+    uniforms and the Gaussians of all 2m members, A's first.  A suite whose
+    sides agree at one member stops at m when the trial is an identity.
     """
     m = _size(rng, config.m)
+    if sides_agree_at_one and _identity(m):
+        return _IDENTITY_DRAW
     n = _size(rng, config.n)
     draw_a = gen._draw_expansive if a_kind == "expansive" else gen._draw_pd
     a = [draw_a(rng, n) for _ in range(m)]
@@ -482,9 +503,14 @@ def _families(config: TrialConfig, m, *stacks, a_kind: str = "unconstrained"):
 
 
 def _sum_draw(rng, config: TrialConfig) -> _Draw:
-    """An A family of config.family_kind, an unconstrained B family, then f."""
-    n, values = _family_draw(rng, config, config.family_kind)
-    return _Draw(n, (*values, _concave_f(rng)))
+    """An A family of config.family_kind, an unconstrained B family, then f.
+
+    With the perspective-sum lhs, one member makes both sides P_f(A_1, B_1).
+    """
+    draw = _family_draw(rng, config, config.family_kind, config.lhs_form == "perspective_sum")
+    if draw is _IDENTITY_DRAW:
+        return draw
+    return _Draw(draw.n, (*draw.values, _concave_f(rng)))
 
 
 def _sum_residuals(config: TrialConfig, m, *stacks, solver: str = "eigh") -> np.ndarray:
@@ -522,8 +548,13 @@ def _shannon_residuals(config, m, *stacks) -> np.ndarray:
 
 
 def _pooled_inverse_draw(rng, config: TrialConfig) -> _Draw:
-    """m, n, m rand_pd members A_i, then m rand_square members X_i (their Gaussians in one call)."""
+    """m, n, m rand_pd members A_i, then m rand_square members X_i (their Gaussians in one call).
+
+    One member makes both sides X_1† A_1^{-1} X_1.
+    """
     m = _size(rng, config.m)
+    if _identity(m):
+        return _IDENTITY_DRAW
     n = _size(rng, config.n)
     pds = [gen._draw_pd(rng, n) for _ in range(m)]
     return _Draw(n, (m, *zip(*pds), tuple(rng.standard_normal((m, 2, n, n)))))
@@ -608,11 +639,18 @@ def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
     """Gap and holds flag of each trial, as Python lists: the one place a trial is judged.
 
     kernel(config, *stacks) gives a group's gaps, (T,) or (T, k) for k checks
-    per trial, and the scales broadcasting against them.  A trial holds when
-    every check does (_holds), and its gap is its least check, the first on ties.
+    per trial, and the scales broadcasting against them; the identity draws
+    take no kernel, and have gap 0.0 at scale 1.0.  A trial holds when every
+    check does (_holds), and its gap is its least check, the first on ties.
     """
     gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
-    for ks, (gap, scale) in _grouped(draws, config, functools.partial(kernel, config)):
+    evaluated = [k for k, d in enumerate(draws) if d is not _IDENTITY_DRAW]
+    groups = _grouped([draws[k] for k in evaluated], config, functools.partial(kernel, config))
+    judged = [([evaluated[k] for k in ks], gap_scale) for ks, gap_scale in groups]
+    if len(evaluated) < len(draws):
+        identities = [k for k, d in enumerate(draws) if d is _IDENTITY_DRAW]
+        judged.append((identities, (np.zeros(len(identities)), 1.0)))
+    for ks, (gap, scale) in judged:
         gaps[ks] = functools.reduce(_min, gap.reshape(len(ks), -1).T)
         holds[ks] = _holds(gap, scale, config.tolerance).reshape(len(ks), -1).all(axis=-1)
     return gaps.tolist(), holds.tolist()
@@ -673,7 +711,10 @@ SUITES = {
     "operator_shannon": _Stacked(_shannon_draw, _min_eigenvalues(_shannon_residuals)),
     "pooled_inverse": _Stacked(_pooled_inverse_draw, _min_eigenvalues(_pooled_inverse_residuals)),
     "pooled_mean": _Stacked(_family_draw, _min_eigenvalues(_pooled_mean_residuals)),
-    "split_mean": _Stacked(_family_draw, _min_eigenvalues(_split_mean_residuals)),
+    "split_mean": _Stacked(
+        functools.partial(_family_draw, sides_agree_at_one=True),
+        _min_eigenvalues(_split_mean_residuals),
+    ),
     "mean_monotonicity": _Stacked(_monotonicity_draw, _min_eigenvalues(_monotonicity_residuals)),
 }
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logsumineq.errors import DomainError
 from logsumineq.generators import (
     CONTRACTIVE_FLOOR,
     _build,
@@ -33,6 +34,7 @@ from logsumineq.generators import (
     rand_square,
     rand_unitary,
 )
+from logsumineq.harness import TrialConfig
 from logsumineq.matfun import commutes, hermitize, make_commuting_pair, maxnorm
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -366,3 +368,32 @@ def test_public_generators_keep_the_per_member_formulas(name, n):
             got, want = generator(one, n, *args), reference(two, n, *args)
         assert _same(got, want), (name, n, seed)
         assert one.random() == two.random(), (name, n, seed)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: rand_pd(rng, 3, (-1.0, 0.5)),  # was a matrix with negative eigenvalues
+        lambda rng: rand_split_matching(rng, _TOTAL, 2, (-1.0, 0.5)),  # was NaNs
+        lambda rng: rand_split_matching(rng, _TOTAL, 0, (0.5, 2.0)),  # was an unpacking error
+        lambda rng: rand_split_matching(rng, _TOTAL, 2.0, (0.5, 2.0)),
+    ],
+    ids=["rand_pd window", "rand_split_matching window", "m = 0", "float m"],
+)
+def test_public_generators_refuse_bad_windows_and_family_sizes_before_drawing(call):
+    rng = np.random.default_rng(5)
+    with pytest.raises(DomainError):
+        call(rng)
+    assert rng.random() == np.random.default_rng(5).random()
+
+
+@pytest.mark.parametrize("window", [(2.0, 0.5), (0.0, 1.0), (0.5, np.inf), (True, 2.0), (0.5,)])
+def test_public_generators_take_the_configs_window_rule(window):
+    # the rule TrialConfig holds its spectrum_range to
+    rng = np.random.default_rng(5)
+    with pytest.raises(DomainError, match="^spectrum_range"):
+        rand_pd(rng, 2, window)
+    with pytest.raises(DomainError, match="^spectrum_range"):
+        rand_split_matching(rng, _TOTAL, 2, window)
+    with pytest.raises(DomainError, match="^spectrum_range"):
+        TrialConfig(suite="perspective_sum", spectrum_range=window)

@@ -1,5 +1,6 @@
 """Randomized suite runner: determinism, replay, search report hygiene."""
 
+import functools
 import json
 import math
 import os
@@ -332,13 +333,18 @@ def test_search_report_does_not_depend_on_the_block_size(monkeypatch, lhs_form):
     assert _canonical(counterexample_search(cfg)) == default
 
 
+def _evaluated_sizes(draws):
+    """The sizes n of the draws a kernel evaluates: the identity draws take none."""
+    return {d.n for d in draws if d is not harness._IDENTITY_DRAW}
+
+
 def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls):
     cfg = _search_config("perspective_sum", 500)
     groups = 0
     for first in range(0, cfg.trials, harness._BLOCK):
         block = range(first, min(first + harness._BLOCK, cfg.trials))
         draws = harness._perspective_sum_verdicts.draws([cfg.seed + index for index in block], cfg)
-        groups += len({d.n for d in draws})
+        groups += len(_evaluated_sizes(draws))
     assert groups <= cfg.n * math.ceil(cfg.trials / harness._BLOCK)
     eigh_calls.clear()
     counterexample_search(cfg)
@@ -658,13 +664,82 @@ def test_loewner_suite_lapack_calls_per_group_per_block(lapack_calls, suite):
     groups = 0
     for first in range(0, cfg.trials, harness._BLOCK):
         block = [cfg.seed + i for i in range(first, min(first + harness._BLOCK, cfg.trials))]
-        groups += len({d.n for d in SUITES[suite].draws(block, cfg)})
+        groups += len(_evaluated_sizes(SUITES[suite].draws(block, cfg)))
     assert groups <= cfg.n * math.ceil(cfg.trials / harness._BLOCK)
     for calls in lapack_calls.values():
         calls.clear()
     run_suite(cfg)
     counts = tuple(len(lapack_calls[name]) for name in ("eigh", "qr", "svd"))
     assert counts == tuple(k * groups for k in _GROUP_CALLS[suite])
+
+
+# -- one-member identity trials --------------------------------------------------
+
+# The suites whose sides agree at one member, with the family kinds they run.
+_IDENTITY_SUITES = [
+    *(("perspective_sum", kind) for kind in harness.FAMILY_KINDS),
+    ("pooled_inverse", "expansive"),
+    ("split_mean", "expansive"),
+]
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (8, 4)])
+@pytest.mark.parametrize("suite, family_kind", _IDENTITY_SUITES)
+def test_one_member_trials_give_the_zero_residual(monkeypatch, suite, family_kind, n, m):
+    # the premise of the identity draws: drawn in full and run through the
+    # suite's kernel, every one-member trial gives gap +0.0 at scale 1.0
+    monkeypatch.setattr(harness, "_identity", lambda m: False)
+    cfg = TrialConfig(suite=suite, n=n, m=m, family_kind=family_kind)
+    stacked = SUITES[suite]
+    draws = [d for d in stacked.draws(range(2000), cfg) if d.values[0] == 1]
+    assert len(draws) > 2000 // (2 * m)
+    evaluate = functools.partial(stacked.kernel, cfg)
+    for ks, (gap, scale) in harness._grouped(draws, cfg, evaluate):
+        assert [(g, math.copysign(1.0, g)) for g in gap.tolist()] == [(0.0, 1.0)] * len(ks)
+        assert np.all(scale == 1.0)
+
+
+def test_identity_draws_stop_at_m_and_take_no_kernel():
+    cfg = TrialConfig(suite="split_mean", n=3, m=2)
+    stacked = SUITES["split_mean"]
+    draws = stacked.draws(range(200), cfg)
+    identities = [k for k, d in enumerate(draws) if d is harness._IDENTITY_DRAW]
+    ms = [int(np.random.default_rng(seed).integers(1, cfg.m + 1)) for seed in range(200)]
+    assert identities == [k for k, m in enumerate(ms) if m == 1]
+    evaluated = []
+
+    def recording(config, m, *stacks):
+        evaluated.extend(m.tolist())
+        return stacked.kernel(config, m, *stacks)
+
+    gaps, holds = harness._verdicts(draws, cfg, recording)
+    assert sorted(evaluated) == sorted(m for m in ms if m != 1)
+    assert [(gaps[k], holds[k]) for k in identities] == [(0.0, True)] * len(identities)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 5, 1111])
+@pytest.mark.parametrize(
+    "run",
+    [
+        "suite perspective_sum",
+        "suite pooled_inverse",
+        "suite split_mean",
+        "search perspective_sum",
+        "search sum_fb",  # its draws never stop at m
+    ],
+)
+def test_identity_draws_leave_the_reports_of_the_full_draws(monkeypatch, run, seed):
+    kind, name = run.split()
+    if kind == "search":
+        go, cfg = counterexample_search, _search_config(name, 300, seed=seed)
+    else:
+        go, cfg = run_suite, TrialConfig(suite=name, trials=300, seed=seed, n=4, m=3)
+    report = go(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_identity", lambda m: False)
+        assert _canonical(go(cfg)) == _canonical(report)
+    replay = go(replace(cfg, trials=1, seed=report.worst_case_seed))
+    assert replay.worst_gap == report.worst_gap
 
 
 # -- the stacked scalar and trace suites ------------------------------------------
@@ -834,11 +909,11 @@ _DRAW_CALLS_CEILING = {
     "relative_entropy": 4,
     "entropy_bound": 3,
     "operator_jensen": 4,
-    "perspective_sum": 13.468,
+    "perspective_sum": 11.958,
     "operator_shannon": 13.468,
-    "pooled_inverse": 9.596,
+    "pooled_inverse": 7.12,
     "pooled_mean": 12.128,
-    "split_mean": 12.128,
+    "split_mean": 10.948,
     "mean_monotonicity": 9,
 }
 
