@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .qlog import QLogParams, _q_log
+from .qlog import _q_log
 
 __all__ = [
     "FunctionSpec",
@@ -73,8 +73,6 @@ class FunctionSpec:
                 raise DomainError("power exponent must be nonzero")
             if self.family == "shifted_log" and self.param <= 0.0:
                 raise DomainError("shifted_log shift must be positive")
-            if self.family == "q_log":
-                QLogParams(self.param)
         if self.family == "tabulated":
             if self.grid is None:
                 raise DomainError("tabulated spec requires a grid")

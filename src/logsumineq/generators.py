@@ -218,8 +218,10 @@ def rand_commuting_pair(
     a_range: tuple[float, float],
     b_range: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Commuting PD pair (shared eigenbasis), A's spectrum uniform in a_range and B's in b_range."""
+    a_window, b_window = _spectrum_range(a_range), _spectrum_range(b_range)
     x, u = _draw_commuting(rng, n)
-    return _build_pair(x, _uniform(u[:n], *a_range), _uniform(u[n:], *b_range))
+    return _build_pair(x, _uniform(u[:n], *a_window), _uniform(u[n:], *b_window))
 
 
 def rand_density(rng: np.random.Generator, n: int) -> np.ndarray:

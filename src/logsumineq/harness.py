@@ -39,9 +39,10 @@ both sides are one expression on equal bits and the residual is the zero
 matrix.  Its draw stops after m (_identity) and returns _IDENTITY_DRAW, with
 no n, members or f, which _verdicts judges without a kernel at gap 0.0 and
 scale 1.0.  sum_fb, pooled_mean and operator_shannon draw in full: at one
-member their residual is round-off, not zero.  Five steps are stated
-once: _sized draws the size n of every suite without a family and hands it
-to draw(rng, n); _sides gives a scalar or trace kernel's (lhs, rhs, gap) as
+member their residual is round-off, not zero.  Six steps are stated
+once: _family_draw's one layout, m, then A's member draws, then B's, which
+_families builds whatever A's kind; _sized draws the size n of every suite
+without a family and hands it to draw(rng, n); _sides gives a scalar or trace kernel's (lhs, rhs, gap) as
 its gap and scale; _on_sequences maps the scalar suites' uniforms to
 sequence pairs and _on_pairs builds the commuting pairs of the four
 trace-gap suites from their Gaussians and spectrum uniforms; _with_q_r
@@ -463,10 +464,10 @@ def _family_draw(
 ) -> _Draw:
     """m, n, then m members of a_kind (the A family) and m unconstrained PD members (B).
 
-    The values are m, then the amplitude uniforms and Gaussians of an expansive A
-    and the spectrum uniforms and Gaussians of B; or else m, then the spectrum
-    uniforms and the Gaussians of all 2m members, A's first.  A suite whose
-    sides agree at one member stops at m when the trial is an identity.
+    The values are m, then A's member draws (the amplitude uniforms and
+    Gaussians of an expansive A, or else the spectrum uniforms and Gaussians),
+    then B's spectrum uniforms and Gaussians.  A suite whose sides agree at
+    one member stops at m when the trial is an identity.
     """
     m = _size(rng, config.m)
     if sides_agree_at_one and _identity(m):
@@ -475,31 +476,23 @@ def _family_draw(
     draw_a = gen._draw_expansive if a_kind == "expansive" else gen._draw_pd
     a = [draw_a(rng, n) for _ in range(m)]
     b = [gen._draw_pd(rng, n) for _ in range(m)]
-    if a_kind == "expansive":
-        return _Draw(n, (m, *zip(*a), *zip(*b)))
-    return _Draw(n, (m, *zip(*a, *b)))
+    return _Draw(n, (m, *zip(*a), *zip(*b)))
 
 
-def _families(config: TrialConfig, m, *stacks, a_kind: str = "unconstrained"):
+def _families(config: TrialConfig, u_a, x_a, u_b, x_b, a_kind: str = "unconstrained"):
     """The A and B members (K, n, n), trial t's m[t] on consecutive rows, from _family_draw's.
 
-    An unconstrained member's spectrum is its uniforms on config.spectrum_range.
-    Without an expansive A, trial t's 2 m[t] matrices are built as one run of
-    rows, A's m[t] first, and split into the two families; a contractive A's
-    rows map their uniforms to contractive spectra instead.
+    An unconstrained member's spectrum is its uniforms on config.spectrum_range,
+    a contractive one's its uniforms' contractive spectrum.  A non-expansive
+    A is built with B in one stack, A's rows first, and split off at its K.
     """
     window = config.spectrum_range
-    if len(stacks) == 4:  # an expansive A family
-        u_a, x_a, u_b, x_b = stacks
-        B = gen._build(gen._uniform(u_b, *window), gen._unitaries(x_b))
-        return gen._build_expansive(u_a, x_a), B
-    u, x = stacks
-    a = np.arange(len(u) // 2) + np.repeat(np.cumsum(m) - m, m)
-    w = gen._uniform(u, *window)
-    if a_kind == "contractive":
-        w[a] = gen._contractive(u[a])
-    mats = gen._build(w, gen._unitaries(x))
-    return mats[a], mats[a + np.repeat(m, m)]
+    w_b = gen._uniform(u_b, *window)
+    if a_kind == "expansive":
+        return gen._build_expansive(u_a, x_a), gen._build(w_b, gen._unitaries(x_b))
+    w_a = gen._contractive(u_a) if a_kind == "contractive" else gen._uniform(u_a, *window)
+    mats = gen._build(np.concatenate([w_a, w_b]), gen._unitaries(np.concatenate([x_a, x_b])))
+    return mats[: len(u_a)], mats[len(u_a) :]
 
 
 def _sum_draw(rng, config: TrialConfig) -> _Draw:
@@ -515,7 +508,7 @@ def _sum_draw(rng, config: TrialConfig) -> _Draw:
 
 def _sum_residuals(config: TrialConfig, m, *stacks, solver: str = "eigh") -> np.ndarray:
     *family, fs = stacks
-    As, Bs = _families(config, m, *family, a_kind=config.family_kind)
+    As, Bs = _families(config, *family, a_kind=config.family_kind)
     expansive = config.family_kind == "expansive"
     return _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, config.tolerance, solver)
 
@@ -539,7 +532,7 @@ def _shannon_draw(rng, config: TrialConfig) -> _Draw:
 def _shannon_residuals(config, m, *stacks) -> np.ndarray:
     """One decomposition of [S, A, A_i]: each trial's S = sum(shares) and A = sum(A_i)."""
     *family, fs = stacks
-    As, shares = _families(config, m, *family)
+    As, shares = _families(config, *family, a_kind="expansive")
     total = _Segments(m).total
     dec = _decompose(np.concatenate([total(shares), total(As), As]))
     T = len(m)
@@ -565,12 +558,12 @@ def _pooled_inverse_residuals(config, m, u, x, x_square) -> np.ndarray:
     return _pooled_inverse(gen._complex(x_square), As, m)
 
 
-def _pooled_mean_residuals(config, m, u, x) -> np.ndarray:
-    return _pooled_mean(_SQRT, *_families(config, m, u, x), m)
+def _pooled_mean_residuals(config, m, *family) -> np.ndarray:
+    return _pooled_mean(_SQRT, *_families(config, *family), m)
 
 
-def _split_mean_residuals(config, m, u, x) -> np.ndarray:
-    return _split_mean(_SQRT, *_families(config, m, u, x), m)
+def _split_mean_residuals(config, m, *family) -> np.ndarray:
+    return _split_mean(_SQRT, *_families(config, *family), m)
 
 
 def _monotonicity_draw(rng, config: TrialConfig) -> _Draw:

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, PreconditionError
+from .errors import DimensionError, DomainError, PreconditionError, _holds, _tolerance
 from .functions import FunctionSpec, _outside
 from .matfun import (
+    PSD_CLAMP_RTOL,
     LoewnerVerdict,
     SpectralDecomposition,
     _adjoint,
@@ -45,7 +46,9 @@ from .matfun import (
     _build,
     _decompose,
     _first,
+    _gap_scale,
     _herm,
+    _max_entry,
     _require_hermitian,
     _require_same_shape,
     _Segments,
@@ -196,10 +199,9 @@ def _operator_jensen(f: FunctionSpec, C: np.ndarray, X: np.ndarray) -> np.ndarra
         )
     Ct = _adjoint(C)
     dec = _decompose(np.stack([_herm(Ct @ X @ C), X], axis=1))  # Y = C† X C, then X
-    strict = np.abs(Ct @ C - np.eye(C.shape[-1])).max(axis=(-2, -1)) > 1e-12
+    strict = _max_entry(Ct @ C - np.eye(C.shape[-1])) > 1e-12
     if strict.any():
-        wx = dec.eigenvalues[:, 1]
-        not_psd = monotone & (wx[:, 0] < -1e-12 * np.maximum(1.0, np.abs(wx).max(axis=-1)))
+        not_psd = monotone & ~_holds(*_gap_scale(dec.eigenvalues[:, 1]), PSD_CLAMP_RTOL)
         problem = _strict_contraction_problem(f, monotone)
         bad = strict & (not_psd | (problem is not None))
         if bad.any():
@@ -233,9 +235,10 @@ def operator_jensen_residual(
 
 def _require_expansive(w_sum: np.ndarray, m, tol: float) -> None:
     """sum(A_i) >= m*I from the eigenvalues (T, n) of the sums of T families of m[t] members."""
-    check = _verdict(w_sum - np.asarray(m)[:, None], tol)
-    if not np.all(check.holds):
-        (slack,) = _first(~np.asarray(check.holds), check.residual_min_eigenvalue)
+    slack, scale = _gap_scale(w_sum - np.asarray(m)[:, None])
+    bad = ~_holds(slack, scale, _tolerance(tol))
+    if bad.any():
+        (slack,) = _first(bad, slack)
         raise PreconditionError(
             f"family is not expansive: sum(A_i) >= m*I fails "
             f"(min eigenvalue of the slack {slack:.3e})"
@@ -323,8 +326,8 @@ def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, m, dec, tol: float) ->
             raise PreconditionError(f"f(1) must vanish, got {f_at_one!r}")
     total = _Segments(m).total
     A = total(As)
-    mismatch = np.abs(A - total(Bs)).max(axis=(-2, -1))
-    bad = mismatch > SUM_MATCH_RTOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    mismatch = _max_entry(A - total(Bs))
+    bad = mismatch > SUM_MATCH_RTOL * np.maximum(1.0, _max_entry(A))
     if bad.any():
         (mismatch,) = _first(bad, mismatch)
         raise PreconditionError(f"sum(A_i) != sum(B_i) (maxnorm mismatch {mismatch:.3e})")
@@ -483,11 +486,11 @@ def _mean_monotonicity(
     dec = _decompose(
         np.stack([_herm(A_whole - A_part), _herm(B_whole - B_part), B_whole, B_part], axis=1)
     )
-    order = _verdict(dec.eigenvalues[:, :2], tol)
-    bad = ~order.holds
+    low, scale = _gap_scale(dec.eigenvalues[:, :2])  # A_whole - A_part, B_whole - B_part
+    bad = ~_holds(low, scale, _tolerance(tol))
     if bad.any():
         name = "AB"[int(np.flatnonzero(bad)[0]) % 2]
-        (low,) = _first(bad, order.residual_min_eigenvalue)
+        (low,) = _first(bad, low)
         raise PreconditionError(f"{name}_part <= {name}_whole fails (min eigenvalue {low:.3e})")
     # mean(A_whole, B_whole), then mean(A_part, B_part)
     means = _mean(f, dec[:, 2:], np.stack([A_whole, A_part], axis=1))

@@ -9,7 +9,7 @@ decomposing an intermediate result again.  Inputs are validated once, at
 the public functions; the private _decompose and _herm take arrays that
 are already square, finite and Hermitian, and are what internal kernels call.
 
-Stacks: _herm, _decompose, _verdict, jacobi_eigh and every
+Stacks: _herm, _decompose, _gap_scale, _max_entry, jacobi_eigh and every
 SpectralDecomposition method accept leading batch axes, (..., n, n) for
 matrices and (..., n) for eigenvalues, and treat each trailing matrix on its
 own; _Segments takes the layout of T families on a flat member axis
@@ -139,6 +139,17 @@ def _total(X: np.ndarray, m) -> np.ndarray:
     return _Segments(m).total(X)
 
 
+def _max_entry(M: np.ndarray) -> np.ndarray:
+    """maxnorm of each matrix of a stack."""
+    return np.abs(M).max(axis=(-2, -1))
+
+
+def _gap_scale(w: np.ndarray):
+    """Each residual's gap, its minimum eigenvalue, and scale max(1, ||R||), from eigenvalues w:
+    every PSD test, the verdict's and each precondition's, is _holds(*_gap_scale(w), tol)."""
+    return w.min(axis=-1), np.maximum(1.0, abs(w).max(axis=-1))
+
+
 def _first(bad: np.ndarray, *values: np.ndarray) -> list[float]:
     """values at the first True entry of bad (C order), for error messages."""
     k = int(np.flatnonzero(bad)[0])
@@ -152,8 +163,8 @@ def hermitize(M) -> np.ndarray:
 
 def _require_hermitian(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
     A = _as_square_complex(M, what, stack)
-    drift = np.abs(A - _adjoint(A)).max(axis=(-2, -1))
-    bad = drift > HERMITIAN_RTOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    drift = _max_entry(A - _adjoint(A))
+    bad = drift > HERMITIAN_RTOL * np.maximum(1.0, _max_entry(A))
     if bad.any():
         (drift,) = _first(bad, drift)
         raise DomainError(f"{what} is not Hermitian (anti-Hermitian part {drift:.3e})")
@@ -210,13 +221,12 @@ class SpectralDecomposition:
         return self._with(_apply_rows(f, self.eigenvalues))
 
     def sqrt(self) -> SpectralDecomposition:
-        """Unique PSD square root; eigenvalues in [-1e-12*norm, 0) are clamped to 0."""
+        """Unique PSD square root; eigenvalues in [-1e-12*max(1, norm), 0) are clamped to 0."""
         w = self.eigenvalues
-        lowest = w.min(axis=-1)
-        clamp = PSD_CLAMP_RTOL * np.maximum(1.0, abs(w).max(axis=-1))
-        bad = lowest < -clamp
+        lowest, scale = _gap_scale(w)
+        bad = ~_holds(lowest, scale, PSD_CLAMP_RTOL)
         if bad.any():
-            low, lim = _first(bad, lowest, clamp)
+            low, lim = _first(bad, lowest, PSD_CLAMP_RTOL * scale)
             raise DomainError(
                 f"matrix is not PSD (min eigenvalue {low:.3e} below clamp -{lim:.3e})"
             )
@@ -397,24 +407,12 @@ def apply_function(f: FunctionSpec, A) -> np.ndarray:
     return spectral_decompose(A).map(f).reconstruct()
 
 
-def _gap_scale(w: np.ndarray):
-    """Each residual's gap, its minimum eigenvalue, and scale max(1, ||R||), from eigenvalues w."""
-    return w.min(axis=-1), np.maximum(1.0, abs(w).max(axis=-1))
-
-
 def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
-    """PSD verdict on a residual with eigenvalues w.
-
-    For a stack w of shape (..., n) the verdict's fields are arrays over the
-    leading axes; for one residual they are plain floats and a bool.
-    """
+    """PSD verdict on one residual with eigenvalues w (n,)."""
     tol = _tolerance(tol)
     min_eig, scale = _gap_scale(w)
-    holds = _holds(min_eig, scale, tol)
-    norm = abs(w).max(axis=-1)
-    if np.ndim(w) == 1:
-        return LoewnerVerdict(float(min_eig), float(norm), tol, bool(holds))
-    return LoewnerVerdict(min_eig, norm, tol, holds)
+    holds = bool(_holds(min_eig, scale, tol))
+    return LoewnerVerdict(float(min_eig), float(abs(w).max()), tol, holds)
 
 
 def loewner_leq(A, B, tol: float = 1e-9) -> LoewnerVerdict:
@@ -447,5 +445,5 @@ def psd_inverse(A, floor: float | None = None) -> np.ndarray:
 
 
 def psd_sqrt(A) -> np.ndarray:
-    """Unique PSD square root; eigenvalues in [-1e-12*norm, 0) are clamped to 0."""
+    """Unique PSD square root; eigenvalues in [-1e-12*max(1, norm), 0) are clamped to 0."""
     return spectral_decompose(A).sqrt().reconstruct()

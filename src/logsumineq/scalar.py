@@ -338,21 +338,23 @@ def rational_example_gap(pair: SequencePair, tol: float = DEFAULT_TOLERANCE) -> 
 
 
 def _q_powers(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
-    """p = a**r and s = b**r (T, n) of T pairs (T, n), pair t with its own power r[t].
+    """p = a**r and s = b**r (T, n) of T pairs (T, n), pair t with its own power r[t],
+    and the power spec of each pair, one spec per distinct power.
 
     Checks that no order q[t] is 2 and that p >= 0 and s > 0.
     """
     if (q == 2.0).any():
         raise PreconditionError("q = 2 has no inequality direction")
     rs = r.tolist()
-    specs = {x: power_fn(x) for x in set(rs)}  # one spec per distinct power
-    powers = _apply_rows([specs[x] for x in rs], np.stack([a, b], axis=1))
-    p, s = powers[:, 0], powers[:, 1]
+    specs = {x: power_fn(x) for x in set(rs)}
+    powers = [specs[x] for x in rs]
+    values = _apply_rows(powers, np.stack([a, b], axis=1))
+    p, s = values[:, 0], values[:, 1]
     if (s <= 0.0).any():
         raise PreconditionError("b_i**r must be strictly positive for every i")
     if (p < 0.0).any():
         raise PreconditionError("a_i**r must be nonnegative")
-    return p, s
+    return p, s, powers
 
 
 def _q_sums(p: np.ndarray, s: np.ndarray, q: np.ndarray):
@@ -383,7 +385,8 @@ def _q_log_sums(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
 
     Pair t has its own order q[t] and power r[t].
     """
-    return _q_sums(*_q_powers(a, b, q, r), q)
+    p, s, _ = _q_powers(a, b, q, r)
+    return _q_sums(p, s, q)
 
 
 def q_log_sum_gap(

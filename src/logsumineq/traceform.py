@@ -37,15 +37,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NumericError, PreconditionError, SupportError
-from .functions import FunctionSpec, _outside, identity_fn, log_fn, power_fn, q_log_fn
+from .errors import DomainError, NumericError, PreconditionError, SupportError, _holds
+from .functions import FunctionSpec, _outside, identity_fn, log_fn, q_log_fn
 from .matfun import (
     COMMUTE_RTOL,
+    PSD_CLAMP_RTOL,
     SpectralDecomposition,
     _adjoint,
     _decompose,
     _first,
+    _gap_scale,
     _herm,
+    _max_entry,
     _require_hermitian,
     _require_same_shape,
 )
@@ -87,11 +90,6 @@ def _checked_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
     A, B = _require_hermitian(A), _require_hermitian(B)
     _require_same_shape(A, B)
     return A[None], B[None]
-
-
-def _max_entry(M: np.ndarray) -> np.ndarray:
-    """maxnorm of each matrix of a stack."""
-    return np.abs(M).max(axis=(-2, -1))
 
 
 def _trace(M: np.ndarray) -> np.ndarray:
@@ -303,8 +301,8 @@ def exp_log_trace_gap(A, B, tol: float = DEFAULT_TOLERANCE) -> InequalityVerdict
 
 def _require_density(w: np.ndarray, what: str) -> None:
     """Check the eigenvalues w (T, n) of a stack of density matrices: PSD with unit trace."""
-    lowest = w[:, 0]
-    bad = lowest < -1e-12 * np.maximum(1.0, np.abs(w).max(axis=-1))
+    lowest, scale = _gap_scale(w)
+    bad = ~_holds(lowest, scale, PSD_CLAMP_RTOL)
     if bad.any():
         (low,) = _first(bad, lowest)
         raise DomainError(f"{what} is not PSD (min eigenvalue {low:.3e})")
@@ -358,12 +356,12 @@ def _q_traces(A: np.ndarray, B: np.ndarray, q: np.ndarray, r: np.ndarray):
     Pair t has its own order q[t] and power r[t].
     """
     dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
-    p, s = _q_powers(dec_a.eigenvalues, wb, q, r)
+    p, s, powers = _q_powers(dec_a.eigenvalues, wb, q, r)
     sides = _q_sums(p, s, q)
     rows = ~_outside(p / s, *_Q_LOG.domain()).any(axis=-1)
     if rows.any():
         lhs, rhs, A, B, q = sides[0][rows], sides[1][rows], A[rows], B[rows], q[rows]
-        powers = [power_fn(x) for x in r[rows].tolist()]
+        powers = [g for g, keep in zip(powers, rows.tolist()) if keep]
         lnqs = [q_log_fn(x) for x in q.tolist()]
         tr_ar, tr_br, core = _product_path(lnqs, powers, dec_a[rows]._with(p[rows]), B)
         lhs_prod = tr_br ** (1.0 - q) * core

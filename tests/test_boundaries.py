@@ -13,15 +13,21 @@ import numpy as np
 import pytest
 
 from logsumineq import harness
-from logsumineq.errors import PreconditionError
-from logsumineq.functions import log_fn
+from logsumineq.errors import DomainError, PreconditionError
+from logsumineq.functions import identity_fn, log_fn, power_fn
 from logsumineq.harness import TrialConfig, counterexample_search, run_suite
-from logsumineq.loewner import operator_shannon_residual
-from logsumineq.matfun import commutes, loewner_leq, maxnorm
+from logsumineq.loewner import (
+    mean_monotonicity_residual,
+    operator_jensen_residual,
+    operator_shannon_residual,
+    perspective_sum_residual,
+)
+from logsumineq.matfun import commutes, loewner_leq, maxnorm, psd_sqrt
 from logsumineq.scalar import _verdict
-from logsumineq.traceform import joint_spectrum
+from logsumineq.traceform import joint_spectrum, von_neumann_entropy
 
 TOL = 1e-9  # the default verdict tolerance
+PSD_CLAMP_RTOL = 1e-12
 COMMUTE_RTOL = 1e-9
 SUM_MATCH_RTOL = 1e-9
 
@@ -41,6 +47,71 @@ def test_scalar_verdict_boundary(factor, holds):
     lhs, rhs = 8.0 - factor * TOL * 8.0, 8.0
     verdict = _verdict(lhs, rhs, lhs - rhs, TOL)
     assert verdict.holds is holds
+
+
+def _psd_check(accepted, call, error, match):
+    """call() returns when accepted, and raises error with a message matching match if not."""
+    if accepted:
+        call()
+    else:
+        with pytest.raises(error, match=match):
+            call()
+
+
+# Every PSD precondition is the verdict's rule, least eigenvalue >= -tol * max(1, max|w|),
+# at its own tolerance: PSD_CLAMP_RTOL for a root's argument, a density and Jensen's X,
+# the verdict tolerance for expansivity and the monotonicity order.
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_sqrt_clamp_boundary(factor, accepted):
+    # eigenvalues (-factor PSD_CLAMP_RTOL 10, 10), at scale 10
+    M = np.diag([-factor * PSD_CLAMP_RTOL * 10.0, 10.0])
+    _psd_check(accepted, lambda: psd_sqrt(M), DomainError, r"^matrix is not PSD")
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_density_psd_boundary(factor, accepted):
+    # diag(1 + d, -d) with d = factor PSD_CLAMP_RTOL, at scale 1 + d
+    d = factor * PSD_CLAMP_RTOL
+    rho = np.diag([1.0 + d, -d])
+    _psd_check(accepted, lambda: von_neumann_entropy(rho), DomainError, r"^rho is not PSD")
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_jensen_x_psd_boundary(factor, accepted):
+    # the strict contraction C = I/2 in the monotone direction needs X PSD; X = diag(1, -d)
+    X = np.diag([1.0, -factor * PSD_CLAMP_RTOL])
+    _psd_check(
+        accepted,
+        lambda: operator_jensen_residual(identity_fn(), 0.5 * np.eye(2), X),
+        PreconditionError,
+        r"^X must be PSD for the monotone direction$",
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_expansivity_boundary(factor, accepted):
+    # one member: the slack sum(A_i) - m I is diag(-factor TOL 8, 8), at scale 8
+    A = np.diag([1.0 - factor * TOL * 8.0, 9.0])
+    _psd_check(
+        accepted,
+        lambda: perspective_sum_residual(log_fn(), [A], [np.eye(2)], require_expansive=True),
+        PreconditionError,
+        r"^family is not expansive",
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_monotonicity_order_boundary(factor, accepted):
+    # A_whole - A_part = diag(-factor TOL 8, 8), at scale 8; B_whole = B_part
+    A_part, A_whole = np.diag([1.0 + factor * TOL * 8.0, 1.0]), np.diag([1.0, 9.0])
+    _psd_check(
+        accepted,
+        lambda: mean_monotonicity_residual(power_fn(0.5), A_part, np.eye(2), A_whole, np.eye(2)),
+        PreconditionError,
+        r"^A_part <= A_whole fails",
+    )
 
 
 def _judged(gap, scale, tol=TOL):

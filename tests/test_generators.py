@@ -377,8 +377,21 @@ def test_public_generators_keep_the_per_member_formulas(name, n):
         lambda rng: rand_split_matching(rng, _TOTAL, 2, (-1.0, 0.5)),  # was NaNs
         lambda rng: rand_split_matching(rng, _TOTAL, 0, (0.5, 2.0)),  # was an unpacking error
         lambda rng: rand_split_matching(rng, _TOTAL, 2.0, (0.5, 2.0)),
+        # each was a pair from outside PD: an A with negative eigenvalues, a B
+        # from a reversed window, an infinite spectrum
+        lambda rng: rand_commuting_pair(rng, 3, (-1.0, 0.5), (0.5, 2.0)),
+        lambda rng: rand_commuting_pair(rng, 3, (0.5, 2.0), (2.0, 1.0)),
+        lambda rng: rand_commuting_pair(rng, 3, (0.5, np.inf), (0.5, 2.0)),
     ],
-    ids=["rand_pd window", "rand_split_matching window", "m = 0", "float m"],
+    ids=[
+        "rand_pd window",
+        "rand_split_matching window",
+        "m = 0",
+        "float m",
+        "rand_commuting_pair negative window",
+        "rand_commuting_pair reversed window",
+        "rand_commuting_pair non-finite window",
+    ],
 )
 def test_public_generators_refuse_bad_windows_and_family_sizes_before_drawing(call):
     rng = np.random.default_rng(5)

@@ -15,11 +15,13 @@ from logsumineq.errors import (
     NumericError,
     PreconditionError,
     SingularityError,
+    _holds,
 )
 from logsumineq.functions import exp_fn, identity_fn, log_fn, power_fn
 from logsumineq.generators import rand_pd, rand_unitary
 from logsumineq.matfun import (
     _decompose,
+    _gap_scale,
     _herm,
     _total,
     _verdict,
@@ -397,12 +399,14 @@ def test_stacked_decomposition_is_bitwise_one_matrix_at_a_time(n):
         assert _same_bits(inverse.reconstruct()[index], one.inverse().reconstruct())
         assert _same_bits(stacked.map(log_fn()).eigenvalues[index], one.map(log_fn()).eigenvalues)
         assert _same_bits(_herm(H)[index], _herm(H[index]))
-    verdicts = _verdict(stacked.eigenvalues - 1.0, 1e-9)
+    # the stacked PSD rule judges each residual as its one-residual verdict does
+    gap, scale = _gap_scale(stacked.eigenvalues - 1.0)
+    holds = _holds(gap, scale, 1e-9)
     for index in np.ndindex(H.shape[:2]):
         one = _verdict(stacked.eigenvalues[index] - 1.0, 1e-9)
-        assert verdicts.residual_min_eigenvalue[index] == one.residual_min_eigenvalue
-        assert verdicts.residual_norm[index] == one.residual_norm
-        assert verdicts.holds[index] == one.holds
+        assert gap[index] == one.residual_min_eigenvalue
+        assert scale[index] == max(1.0, one.residual_norm)
+        assert holds[index] == one.holds
 
 
 def test_stacked_checks_report_the_first_failing_matrix():

@@ -17,6 +17,7 @@ from logsumineq.functions import (
     rational_fn,
 )
 from logsumineq import scalar
+from logsumineq.generators import rand_commuting_pair
 from logsumineq.scalar import (
     SequencePair,
     convexity_check,
@@ -26,6 +27,7 @@ from logsumineq.scalar import (
     rational_example_gap,
     reverse_log_sum_gap,
 )
+from logsumineq.traceform import q_trace_gap
 
 LN2 = math.log(2.0)
 
@@ -410,8 +412,22 @@ def test_q_powers_build_one_spec_per_distinct_power(monkeypatch):
     rng = np.random.default_rng(18)
     r = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.7])
     a, b = rng.uniform(0.1, 10.0, (2, len(r), 5))
-    p, s = scalar._q_powers(a, b, np.zeros(len(r)), r)
+    p, s, powers = scalar._q_powers(a, b, np.zeros(len(r)), r)
     assert sorted(built) == [0.7, 1.0]
+    assert powers == [real(x) for x in r] and powers[0] is powers[4]
     for t, x in enumerate(r):
         assert p[t].tobytes() == real(x)(a[t]).tobytes()
         assert s[t].tobytes() == real(x)(b[t]).tobytes()
+
+    # a q_trace_gap call builds one power spec, which its product path reuses
+    families = []
+    post_init = FunctionSpec.__post_init__
+
+    def noting(spec):
+        families.append(spec.family)
+        post_init(spec)
+
+    monkeypatch.setattr(FunctionSpec, "__post_init__", noting)
+    A, B = rand_commuting_pair(rng, 3, (0.5, 2.0), (0.5, 2.0))
+    assert q_trace_gap(A, B, 0.5, 1.5).holds
+    assert families.count("power") == 1
