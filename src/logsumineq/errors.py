@@ -1,7 +1,9 @@
-"""Exception types, and the number and tolerance rules, shared across the package."""
+"""Exception types, and the number, tolerance, check and refusal rules shared across the package."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -57,5 +59,22 @@ def _spectrum_range(spectrum_range) -> tuple[float, float]:
 
 
 def _holds(gap, scale, tol: float):
-    """Whether gap >= -tol * scale (elementwise): the one rule by which every verdict holds."""
+    """Whether gap >= -tol * scale (elementwise): the one rule by which every check holds.
+
+    A bound error <= tol * scale is _holds(-error, scale, tol): negation is exact.
+    """
     return gap >= -tol * scale
+
+
+def _require(ok, error: type[Exception], template: str, *values) -> None:
+    """Raise error(template.format(*values)) unless ok holds everywhere: the one refusal.
+
+    Each value broadcasts against ok and is taken at ok's first failing entry in C order,
+    so a stack of trials raises the one-trial message of its first failing trial.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        k = int(np.flatnonzero(~ok)[0])
+        raise error(
+            template.format(*(np.ravel(np.broadcast_to(v, ok.shape))[k].item() for v in values))
+        )

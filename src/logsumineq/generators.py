@@ -37,7 +37,7 @@ import numbers
 import numpy as np
 
 from .errors import DomainError, _spectrum_range
-from .matfun import SpectralDecomposition, _adjoint, _build, _decompose, _herm, _total, hermitize
+from .matfun import SpectralDecomposition, _adjoint, _build, _decompose, _herm, _Segments, hermitize
 from .scalar import SequencePair
 
 __all__ = [
@@ -245,5 +245,5 @@ def rand_split_matching(
     total = hermitize(total)
     uniforms, gaussians = zip(*(_draw_pd(rng, total.shape[0]) for _ in range(m)))
     shares = _build(_uniform(np.array(uniforms), *window), _unitaries(np.array(gaussians)))
-    dec = _decompose(np.concatenate([_total(shares, [m]), total[None]]))
+    dec = _decompose(np.concatenate([_Segments([m]).total(shares), total[None]]))
     return list(_split_matching(dec, shares, [m]))

@@ -52,9 +52,9 @@ layers, over (T, n) sequences and (T, n, n) commuting pairs; the seven
 Loewner suites take the residual kernels of loewner.  Search-mode
 candidates keep the draws of their first pass and are re-verified through
 the independent Jacobi eigensolver at a tightened absolute tolerance before
-they are reported as findings: the same stacked kernel over each n-group of
-a chunk of candidates, with three jacobi_eigh calls per group in place of
-eigh.
+they are reported as findings: _verdicts judges a chunk of candidates with
+_rechecks, the same stacked kernel over each n-group with three jacobi_eigh
+calls per group in place of eigh.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -513,6 +513,12 @@ def _sum_residuals(config: TrialConfig, m, *stacks, solver: str = "eigh") -> np.
     return _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, config.tolerance, solver)
 
 
+def _rechecks(config: TrialConfig, m, *stacks):
+    """The kernel of the search's confirmation: each candidate's minimum eigenvalue through the
+    Jacobi solver, at scale 1.  _sum_residuals is looked up here, at call time."""
+    return _sum_residuals(config, m, *stacks, solver="jacobi").min(axis=-1), 1.0
+
+
 def _jensen(rng, n):
     """rand_contraction's Gaussian and singular values, then rand_psd's Gaussian."""
     return gen._complex_gaussian(rng, n), rng.random(n), gen._complex_gaussian(rng, n)
@@ -776,13 +782,10 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
 
     def confirm(chunk):
         """Re-verify a chunk of candidates through the Jacobi solver, one stack per group."""
-        rechecks = np.empty(len(chunk))
         draws = [draw for *_, draw in chunk]
-        recheck = functools.partial(_sum_residuals, config, solver="jacobi")
-        for ks, w in _grouped(draws, config, recheck):
-            rechecks[ks] = w.min(axis=-1)
-        for (index, ts, min_eig, draw), recheck in zip(chunk, rechecks.tolist()):
-            if not _holds(recheck, 1.0, RECHECK_ABS_TOL):
+        rechecks = _verdicts(draws, replace(config, tolerance=RECHECK_ABS_TOL), _rechecks)
+        for (index, ts, min_eig, draw), recheck, ok in zip(chunk, *rechecks):
+            if not ok:
                 findings.append(
                     {
                         "trial_index": index,

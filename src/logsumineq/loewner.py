@@ -16,8 +16,8 @@ operator class and anchor values are checked once per distinct f
 (perspective_sum_residual checks the perspective sum's f).  A failing
 check raises the one-trial message of the first failing trial in trial
 order for the hypotheses (expansivity, matching sums, the contraction and
-order checks).  Operator classes come from a catalog of textbook results,
-not from numerics.
+order checks), through errors._require.  Operator classes come from a
+catalog of textbook results, not from numerics.
 
 Every perspective and mean is built in its anchor's eigenbasis (_anchored),
 and no anchor root or inverse is formed as a matrix: the perspective takes
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, PreconditionError, _holds, _tolerance
+from .errors import DimensionError, DomainError, PreconditionError, _holds, _require, _tolerance
 from .functions import FunctionSpec, _outside
 from .matfun import (
     PSD_CLAMP_RTOL,
@@ -45,14 +45,12 @@ from .matfun import (
     _as_square_complex,
     _build,
     _decompose,
-    _first,
     _gap_scale,
     _herm,
     _max_entry,
     _require_hermitian,
     _require_same_shape,
     _Segments,
-    _total,
     _verdict,
     apply_function,
     hermitize,
@@ -77,6 +75,7 @@ __all__ = [
 ]
 
 SUM_MATCH_RTOL = 1e-9
+CONTRACTION_TOL = 1e-12  # the operator norm's excess over 1, and C† C - I's for a strict C
 _F_AT_ANCHOR_TOL = 1e-12
 
 
@@ -177,9 +176,10 @@ def _strict_contraction_problem(f: FunctionSpec, monotone: bool) -> str | None:
     """Why f cannot take a contraction with C† C != I in its direction, or None."""
     if _outside(0.0, *f.domain()):
         return f"{f.label()} is undefined at 0; a strict contraction pushes the spectrum there"
-    if monotone and float(f(0.0)) < -_F_AT_ANCHOR_TOL:
+    f_at_zero = float(f(0.0))
+    if monotone and not _holds(f_at_zero, 1.0, _F_AT_ANCHOR_TOL):
         return "monotone direction needs f(0) >= 0"
-    if not monotone and float(f(0.0)) > _F_AT_ANCHOR_TOL:
+    if not monotone and not _holds(-f_at_zero, 1.0, _F_AT_ANCHOR_TOL):
         return "convex direction needs f(0) <= 0"
     return None
 
@@ -187,10 +187,8 @@ def _strict_contraction_problem(f: FunctionSpec, monotone: bool) -> str | None:
 def _operator_jensen(f: FunctionSpec, C: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Residual eigenvalues (T, n) of the operator Jensen check for C, Hermitian X (T, n, n)."""
     norm = np.linalg.norm(C, 2, axis=(-2, -1))
-    bad = norm > 1.0 + 1e-12
-    if bad.any():
-        (norm,) = _first(bad, norm)
-        raise PreconditionError(f"contraction has operator norm {norm!r} > 1")
+    ok = _holds(1.0 - norm, 1.0, CONTRACTION_TOL)
+    _require(ok, PreconditionError, "contraction has operator norm {!r} > 1", norm)
     flags = operator_class_flags(f)
     monotone = "operator_monotone" in flags
     if not monotone and "operator_convex" not in flags:
@@ -199,7 +197,7 @@ def _operator_jensen(f: FunctionSpec, C: np.ndarray, X: np.ndarray) -> np.ndarra
         )
     Ct = _adjoint(C)
     dec = _decompose(np.stack([_herm(Ct @ X @ C), X], axis=1))  # Y = C† X C, then X
-    strict = _max_entry(Ct @ C - np.eye(C.shape[-1])) > 1e-12
+    strict = ~_holds(-_max_entry(Ct @ C - np.eye(C.shape[-1])), 1.0, CONTRACTION_TOL)
     if strict.any():
         not_psd = monotone & ~_holds(*_gap_scale(dec.eigenvalues[:, 1]), PSD_CLAMP_RTOL)
         problem = _strict_contraction_problem(f, monotone)
@@ -236,13 +234,9 @@ def operator_jensen_residual(
 def _require_expansive(w_sum: np.ndarray, m, tol: float) -> None:
     """sum(A_i) >= m*I from the eigenvalues (T, n) of the sums of T families of m[t] members."""
     slack, scale = _gap_scale(w_sum - np.asarray(m)[:, None])
-    bad = ~_holds(slack, scale, _tolerance(tol))
-    if bad.any():
-        (slack,) = _first(bad, slack)
-        raise PreconditionError(
-            f"family is not expansive: sum(A_i) >= m*I fails "
-            f"(min eigenvalue of the slack {slack:.3e})"
-        )
+    ok = _holds(slack, scale, _tolerance(tol))
+    template = "family is not expansive: sum(A_i) >= m*I fails (min eigenvalue of the slack {:.3e})"
+    _require(ok, PreconditionError, template, slack)
 
 
 def _per_member(fs, m) -> list:
@@ -322,15 +316,13 @@ def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, m, dec, tol: float) ->
     for f in dict.fromkeys(fs):
         require_operator_class(f, "operator_concave")
         f_at_one = float(f(1.0))
-        if abs(f_at_one) > _F_AT_ANCHOR_TOL:
-            raise PreconditionError(f"f(1) must vanish, got {f_at_one!r}")
+        ok = _holds(-abs(f_at_one), 1.0, _F_AT_ANCHOR_TOL)
+        _require(ok, PreconditionError, "f(1) must vanish, got {!r}", f_at_one)
     total = _Segments(m).total
     A = total(As)
     mismatch = _max_entry(A - total(Bs))
-    bad = mismatch > SUM_MATCH_RTOL * np.maximum(1.0, _max_entry(A))
-    if bad.any():
-        (mismatch,) = _first(bad, mismatch)
-        raise PreconditionError(f"sum(A_i) != sum(B_i) (maxnorm mismatch {mismatch:.3e})")
+    ok = _holds(-mismatch, np.maximum(1.0, _max_entry(A)), SUM_MATCH_RTOL)
+    _require(ok, PreconditionError, "sum(A_i) != sum(B_i) (maxnorm mismatch {:.3e})", mismatch)
     T = len(m)
     _require_expansive(dec.eigenvalues[:T], m, tol)
     lhs = total(_perspective(_per_member(fs, m), dec[T:], Bs))
@@ -348,7 +340,7 @@ def operator_shannon_residual(
     """
     As, Bs = _validate_families(A_family, B_family)
     m = [len(As)]
-    dec = _decompose(np.concatenate([_total(As, m), As]))
+    dec = _decompose(np.concatenate([_Segments(m).total(As), As]))
     return _verdict(_operator_shannon([f], As, Bs, m, dec, tol)[0], tol)
 
 
@@ -487,11 +479,9 @@ def _mean_monotonicity(
         np.stack([_herm(A_whole - A_part), _herm(B_whole - B_part), B_whole, B_part], axis=1)
     )
     low, scale = _gap_scale(dec.eigenvalues[:, :2])  # A_whole - A_part, B_whole - B_part
-    bad = ~_holds(low, scale, _tolerance(tol))
-    if bad.any():
-        name = "AB"[int(np.flatnonzero(bad)[0]) % 2]
-        (low,) = _first(bad, low)
-        raise PreconditionError(f"{name}_part <= {name}_whole fails (min eigenvalue {low:.3e})")
+    ok = _holds(low, scale, _tolerance(tol))
+    template = "{0}_part <= {0}_whole fails (min eigenvalue {1:.3e})"  # {0} is A, then B
+    _require(ok, PreconditionError, template, ("A", "B"), low)
     # mean(A_whole, B_whole), then mean(A_part, B_part)
     means = _mean(f, dec[:, 2:], np.stack([A_whole, A_part], axis=1))
     return _decompose(_herm(means[:, 0] - means[:, 1])).eigenvalues

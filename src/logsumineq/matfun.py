@@ -14,9 +14,9 @@ SpectralDecomposition method accept leading batch axes, (..., n, n) for
 matrices and (..., n) for eigenvalues, and treat each trailing matrix on its
 own; _Segments takes the layout of T families on a flat member axis
 (K, n, n), on which family t holds m[t] consecutive members, and its total
-sums each family (_total for one stack).  Checks reduce over
-the last axis and report the first failing matrix with the message of the
-one-matrix case.  A one-matrix call is the stack
+sums each family.  Checks reduce over the last axis, and each refuses through
+errors._require, which reports the first failing matrix with the message of
+the one-matrix case.  A one-matrix call is the stack
 case with no leading axes, not a second implementation, and a stacked
 result must be bitwise equal to the results of one call per matrix: numpy's
 eigh, qr and matmul loop the same LAPACK/BLAS routine over the leading axes,
@@ -46,6 +46,7 @@ from .errors import (
     PreconditionError,
     SingularityError,
     _holds,
+    _require,
     _tolerance,
 )
 from .functions import FunctionSpec, _apply_rows
@@ -134,11 +135,6 @@ class _Segments:
         return out
 
 
-def _total(X: np.ndarray, m) -> np.ndarray:
-    """The totals (T, n, n) of the T families on X (K, n, n) with member counts m (_Segments)."""
-    return _Segments(m).total(X)
-
-
 def _max_entry(M: np.ndarray) -> np.ndarray:
     """maxnorm of each matrix of a stack."""
     return np.abs(M).max(axis=(-2, -1))
@@ -150,12 +146,6 @@ def _gap_scale(w: np.ndarray):
     return w.min(axis=-1), np.maximum(1.0, abs(w).max(axis=-1))
 
 
-def _first(bad: np.ndarray, *values: np.ndarray) -> list[float]:
-    """values at the first True entry of bad (C order), for error messages."""
-    k = int(np.flatnonzero(bad)[0])
-    return [float(np.ravel(np.broadcast_to(v, np.shape(bad)))[k]) for v in values]
-
-
 def hermitize(M) -> np.ndarray:
     """(M + M†)/2.  Idempotent on Hermitian inputs."""
     return _herm(_as_square_complex(M))
@@ -164,10 +154,8 @@ def hermitize(M) -> np.ndarray:
 def _require_hermitian(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
     A = _as_square_complex(M, what, stack)
     drift = _max_entry(A - _adjoint(A))
-    bad = drift > HERMITIAN_RTOL * np.maximum(1.0, _max_entry(A))
-    if bad.any():
-        (drift,) = _first(bad, drift)
-        raise DomainError(f"{what} is not Hermitian (anti-Hermitian part {drift:.3e})")
+    ok = _holds(-drift, np.maximum(1.0, _max_entry(A)), HERMITIAN_RTOL)
+    _require(ok, DomainError, "{} is not Hermitian (anti-Hermitian part {:.3e})", what, drift)
     return _herm(A)
 
 
@@ -176,14 +164,24 @@ def _require_same_shape(A: np.ndarray, B: np.ndarray) -> None:
         raise DimensionError(f"dimension mismatch {A.shape} vs {B.shape}")
 
 
+def _commuting(A: np.ndarray, B: np.ndarray):
+    """Each commutator maxnorm of (stacks of) square arrays A, B, and whether it is within
+    COMMUTE_RTOL * max(1, |A| |B|) (maxnorms): the one commutation rule."""
+    commutator = _max_entry(A @ B - B @ A)
+    scale = np.maximum(1.0, _max_entry(A) * _max_entry(B))
+    return commutator, _holds(-commutator, scale, COMMUTE_RTOL)
+
+
 def commutator_maxnorm(A, B) -> float:
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    return maxnorm(A @ B - B @ A)
+    A, B = _as_square_complex(A, "A"), _as_square_complex(B, "B")
+    _require_same_shape(A, B)
+    return float(_commuting(A, B)[0])
 
 
 def commutes(A, B) -> bool:
-    return commutator_maxnorm(A, B) <= COMMUTE_RTOL * max(1.0, maxnorm(A) * maxnorm(B))
+    A, B = _as_square_complex(A, "A"), _as_square_complex(B, "B")
+    _require_same_shape(A, B)
+    return bool(_commuting(A, B)[1])
 
 
 @dataclass(frozen=True)
@@ -224,12 +222,9 @@ class SpectralDecomposition:
         """Unique PSD square root; eigenvalues in [-1e-12*max(1, norm), 0) are clamped to 0."""
         w = self.eigenvalues
         lowest, scale = _gap_scale(w)
-        bad = ~_holds(lowest, scale, PSD_CLAMP_RTOL)
-        if bad.any():
-            low, lim = _first(bad, lowest, PSD_CLAMP_RTOL * scale)
-            raise DomainError(
-                f"matrix is not PSD (min eigenvalue {low:.3e} below clamp -{lim:.3e})"
-            )
+        ok = _holds(lowest, scale, PSD_CLAMP_RTOL)
+        template = "matrix is not PSD (min eigenvalue {:.3e} below clamp -{:.3e})"
+        _require(ok, DomainError, template, lowest, PSD_CLAMP_RTOL * scale)
         return self._with(np.sqrt(np.clip(w, 0.0, None)))
 
     def inverse(self, floor: float | None = None) -> SpectralDecomposition:
@@ -244,12 +239,9 @@ class SpectralDecomposition:
         lowest = w.min(axis=-1)
         if floor is None:
             floor = 1e-10 * abs(w).max(axis=-1)
-        bad = ~((floor > 0.0) & (lowest >= floor))
-        if bad.any():
-            lim, low = _first(bad, floor, lowest)
-            raise SingularityError(
-                f"matrix not invertible above floor {lim:.3e} (min eigenvalue {low:.3e})"
-            )
+        ok = (floor > 0.0) & (lowest >= floor)
+        template = "matrix not invertible above floor {:.3e} (min eigenvalue {:.3e})"
+        _require(ok, SingularityError, template, floor, lowest)
         return self._with(1.0 / w)
 
 
@@ -427,9 +419,9 @@ def make_commuting_pair(U, lambda_a, lambda_b) -> tuple[np.ndarray, np.ndarray]:
     """(U diag(la) U†, U diag(lb) U†), commuting by shared eigenbasis."""
     U = _as_square_complex(U, "U")
     n = U.shape[0]
-    gram_drift = maxnorm(U.conj().T @ U - np.eye(n))
-    if gram_drift > UNITARY_TOL:
-        raise PreconditionError(f"U is not unitary (U†U - I maxnorm {gram_drift:.3e})")
+    drift = maxnorm(U.conj().T @ U - np.eye(n))
+    ok = _holds(-drift, 1.0, UNITARY_TOL)
+    _require(ok, PreconditionError, "U is not unitary (U†U - I maxnorm {:.3e})", drift)
     la = np.asarray(lambda_a, dtype=float)
     lb = np.asarray(lambda_b, dtype=float)
     if la.shape != (n,) or lb.shape != (n,):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, _holds, _tolerance
+from .errors import DomainError, PreconditionError, _holds, _require, _tolerance
 from .functions import FunctionSpec, _apply_rows, power_fn
 from .qlog import QLogParams, _check_positive, _q_log
 
@@ -206,17 +206,15 @@ def _interval_degenerate(lo, hi):
     return hi - lo <= 8.0 * _EPS * scale
 
 
-def _require_curvature(h_kind: str, f: FunctionSpec, lo, hi, message) -> None:
+def _require_curvature(h_kind: str, f: FunctionSpec, lo, hi, template: str) -> None:
     """The grid test on each finite, non-degenerate interval [lo_t, hi_t].
 
-    The first failing interval raises PreconditionError(message(lo_t, hi_t)).
+    The first failing interval raises PreconditionError(template.format(lo_t, hi_t, f.label())).
     """
     rows = np.flatnonzero(np.isfinite(lo) & ~_interval_degenerate(lo, hi))
     if rows.size:
-        bad = ~_curvature_holds(h_kind, f, lo[rows], hi[rows], DEFAULT_GRID_POINTS)
-        if bad.any():
-            t = rows[np.flatnonzero(bad)[0]]
-            raise PreconditionError(message(lo[t], hi[t]))
+        ok = _curvature_holds(h_kind, f, lo[rows], hi[rows], DEFAULT_GRID_POINTS)
+        _require(ok, PreconditionError, template, lo[rows], hi[rows], f.label())
 
 
 def _forward(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray):
@@ -242,13 +240,7 @@ def _forward(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray):
     lo[weighted] = np.minimum(lo[weighted], total)
     hi[weighted] = np.maximum(hi[weighted], total)
     _require_curvature(
-        "xfx",
-        f,
-        lo,
-        hi,
-        lambda lo, hi: (
-            f"x*f(x) is not convex on the ratio interval [{lo:g}, {hi:g}] for {f.label()}"
-        ),
+        "xfx", f, lo, hi, "x*f(x) is not convex on the ratio interval [{:g}, {:g}] for {}"
     )
     return lhs, rhs, lhs - rhs
 
@@ -279,7 +271,7 @@ def _reverse(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray):
         f,
         ratios.min(axis=-1),
         ratios.max(axis=-1),
-        lambda lo, hi: f"x*f(1/x) is not concave on [{lo:g}, {hi:g}] for {f.label()}",
+        "x*f(1/x) is not concave on [{:g}, {:g}] for {}",
     )
     lhs = (ga * np.asarray(f(gb / ga), dtype=float)).sum(axis=-1)
     sum_a, sum_b = ga.sum(axis=-1), gb.sum(axis=-1)

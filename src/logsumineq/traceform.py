@@ -37,15 +37,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NumericError, PreconditionError, SupportError, _holds
+from .errors import DomainError, NumericError, PreconditionError, SupportError, _holds, _require
 from .functions import FunctionSpec, _outside, identity_fn, log_fn, q_log_fn
 from .matfun import (
-    COMMUTE_RTOL,
     PSD_CLAMP_RTOL,
     SpectralDecomposition,
     _adjoint,
+    _commuting,
     _decompose,
-    _first,
     _gap_scale,
     _herm,
     _max_entry,
@@ -79,6 +78,7 @@ CROSS_CHECK_RTOL = 1e-9
 EXP_LOG_CROSS_RTOL = 1e-8
 SUPPORT_ATOL = 1e-14
 DENSITY_TRACE_TOL = 1e-10
+LEAKAGE_RTOL = 1e-7  # B's off-diagonal part in the joint basis, relative to max(1, |B|)
 _TAU = (5.0**0.5 - 1.0) / 2.0  # the mix's weight on B (see _mix)
 _IDENTITY = identity_fn()
 _LOG = log_fn()
@@ -137,27 +137,23 @@ def _joint(A: np.ndarray, B: np.ndarray, U: np.ndarray):
     M, offdiag(U†AU) = |A| (offdiag(E) - tau offdiag(U†BU)/|B|), so A leaks
     at most tau times B's bound plus round-off (1/tau times, after a retry).
     """
-    commutator = _max_entry(A @ B - B @ A)
-    bad = commutator > COMMUTE_RTOL * np.maximum(1.0, _max_entry(A) * _max_entry(B))
-    if bad.any():
-        (commutator,) = _first(bad, commutator)
-        raise PreconditionError(f"matrices do not commute (commutator maxnorm {commutator:.3e})")
-    diagonal, bound = np.eye(U.shape[-1], dtype=bool), 1e-7 * np.maximum(1.0, _max_entry(B))
+    norm, ok = _commuting(A, B)
+    _require(ok, PreconditionError, "matrices do not commute (commutator maxnorm {:.3e})", norm)
+    diagonal, scale = np.eye(U.shape[-1], dtype=bool), np.maximum(1.0, _max_entry(B))
     Bt = _adjoint(U) @ B @ U
     off = _max_entry(np.where(diagonal, 0.0, Bt))
-    bad = off > bound
-    if bad.any():
+    ok = _holds(-off, scale, LEAKAGE_RTOL)
+    if not ok.all():
+        bad = ~ok
         swapped = _decompose(_mix(B[bad], A[bad])).unitary
         U = U.copy()  # the caller's basis stays as it is
         U[bad], Bt[bad] = swapped, _adjoint(swapped) @ B[bad] @ swapped
         off[bad] = _max_entry(np.where(diagonal, 0.0, Bt[bad]))
-        bad = off > bound
-    if bad.any():
-        (off,) = _first(bad, off)
-        raise PreconditionError(
-            f"no joint eigenbasis found (off-diagonal leakage {off:.3e}); "
-            "inputs are too far from commuting"
-        )
+        ok = _holds(-off, scale, LEAKAGE_RTOL)
+    template = (
+        "no joint eigenbasis found (off-diagonal leakage {:.3e}); inputs are too far from commuting"
+    )
+    _require(ok, PreconditionError, template, off)
     wa = np.diagonal(_adjoint(U) @ A @ U, axis1=-2, axis2=-1).real.copy()
     return SpectralDecomposition(U, wa), np.diagonal(Bt, axis1=-2, axis2=-1).real.copy()
 
@@ -172,10 +168,10 @@ def _cross_check(label, primary, product_path, rtol, refereed) -> None:
     its quantity recomputed by refereed(k) (see _referee).  It passes if its
     primary value agrees with the referee's within the same bound.
     """
-    bound = rtol * np.maximum(1.0, np.abs(primary))
-    for k in np.flatnonzero(np.abs(product_path - primary) > bound).tolist():
+    scale = np.maximum(1.0, np.abs(primary))
+    for k in np.flatnonzero(~_holds(-np.abs(product_path - primary), scale, rtol)).tolist():
         value = refereed(k)
-        if abs(value - primary[k]) > bound[k]:
+        if not _holds(-abs(value - primary[k]), scale[k], rtol):
             raise NumericError(
                 f"{label}: matrix-product path {float(product_path[k])!r} disagrees with "
                 f"joint-spectrum value {float(primary[k])!r}, and the 50-digit "
@@ -302,15 +298,11 @@ def exp_log_trace_gap(A, B, tol: float = DEFAULT_TOLERANCE) -> InequalityVerdict
 def _require_density(w: np.ndarray, what: str) -> None:
     """Check the eigenvalues w (T, n) of a stack of density matrices: PSD with unit trace."""
     lowest, scale = _gap_scale(w)
-    bad = ~_holds(lowest, scale, PSD_CLAMP_RTOL)
-    if bad.any():
-        (low,) = _first(bad, lowest)
-        raise DomainError(f"{what} is not PSD (min eigenvalue {low:.3e})")
+    ok = _holds(lowest, scale, PSD_CLAMP_RTOL)
+    _require(ok, DomainError, "{} is not PSD (min eigenvalue {:.3e})", what, lowest)
     tr = w.sum(axis=-1)
-    bad = np.abs(tr - 1.0) > DENSITY_TRACE_TOL
-    if bad.any():
-        (tr,) = _first(bad, tr)
-        raise DomainError(f"{what} must have unit trace, got {tr!r}")
+    ok = _holds(-np.abs(tr - 1.0), 1.0, DENSITY_TRACE_TOL)
+    _require(ok, DomainError, "{} must have unit trace, got {!r}", what, tr)
 
 
 def _relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:

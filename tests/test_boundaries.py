@@ -4,7 +4,9 @@ A true statement never fails, so a rule made lenient passes every random
 run; these instances sit at half and at twice (or a tenth and ten times)
 the threshold, and fail when the rule moves by more than that.  The
 thresholds are written out here, not imported, so that they move only
-when this file does.
+when this file does; tests/test_package.py checks that every named
+tolerance a check of the package is judged at is written out here, with
+its value.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from logsumineq import harness
-from logsumineq.errors import DomainError, PreconditionError
+from logsumineq.errors import DomainError, PreconditionError, SingularityError
 from logsumineq.functions import identity_fn, log_fn, power_fn
 from logsumineq.harness import TrialConfig, counterexample_search, run_suite
 from logsumineq.loewner import (
@@ -22,7 +24,15 @@ from logsumineq.loewner import (
     operator_shannon_residual,
     perspective_sum_residual,
 )
-from logsumineq.matfun import commutes, loewner_leq, maxnorm, psd_sqrt
+from logsumineq.matfun import (
+    commutes,
+    loewner_leq,
+    make_commuting_pair,
+    maxnorm,
+    psd_inverse,
+    psd_sqrt,
+    spectral_decompose,
+)
 from logsumineq.scalar import _verdict
 from logsumineq.traceform import joint_spectrum, von_neumann_entropy
 
@@ -30,6 +40,14 @@ TOL = 1e-9  # the default verdict tolerance
 PSD_CLAMP_RTOL = 1e-12
 COMMUTE_RTOL = 1e-9
 SUM_MATCH_RTOL = 1e-9
+HERMITIAN_RTOL = 1e-12
+UNITARY_TOL = 1e-10
+DENSITY_TRACE_TOL = 1e-10
+LEAKAGE_RTOL = 1e-7
+CONTRACTION_TOL = 1e-12
+_F_AT_ANCHOR_TOL = 1e-12
+RECHECK_ABS_TOL = 1e-6
+INVERSE_FLOOR_RTOL = 1e-10  # SpectralDecomposition.inverse's default floor, relative to max|w|
 
 
 @pytest.mark.parametrize("factor, holds", [(2.0, False), (0.5, True)])
@@ -49,7 +67,7 @@ def test_scalar_verdict_boundary(factor, holds):
     assert verdict.holds is holds
 
 
-def _psd_check(accepted, call, error, match):
+def _check(accepted, call, error, match):
     """call() returns when accepted, and raises error with a message matching match if not."""
     if accepted:
         call()
@@ -67,7 +85,7 @@ def _psd_check(accepted, call, error, match):
 def test_sqrt_clamp_boundary(factor, accepted):
     # eigenvalues (-factor PSD_CLAMP_RTOL 10, 10), at scale 10
     M = np.diag([-factor * PSD_CLAMP_RTOL * 10.0, 10.0])
-    _psd_check(accepted, lambda: psd_sqrt(M), DomainError, r"^matrix is not PSD")
+    _check(accepted, lambda: psd_sqrt(M), DomainError, r"^matrix is not PSD")
 
 
 @pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
@@ -75,14 +93,14 @@ def test_density_psd_boundary(factor, accepted):
     # diag(1 + d, -d) with d = factor PSD_CLAMP_RTOL, at scale 1 + d
     d = factor * PSD_CLAMP_RTOL
     rho = np.diag([1.0 + d, -d])
-    _psd_check(accepted, lambda: von_neumann_entropy(rho), DomainError, r"^rho is not PSD")
+    _check(accepted, lambda: von_neumann_entropy(rho), DomainError, r"^rho is not PSD")
 
 
 @pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
 def test_jensen_x_psd_boundary(factor, accepted):
     # the strict contraction C = I/2 in the monotone direction needs X PSD; X = diag(1, -d)
     X = np.diag([1.0, -factor * PSD_CLAMP_RTOL])
-    _psd_check(
+    _check(
         accepted,
         lambda: operator_jensen_residual(identity_fn(), 0.5 * np.eye(2), X),
         PreconditionError,
@@ -94,7 +112,7 @@ def test_jensen_x_psd_boundary(factor, accepted):
 def test_expansivity_boundary(factor, accepted):
     # one member: the slack sum(A_i) - m I is diag(-factor TOL 8, 8), at scale 8
     A = np.diag([1.0 - factor * TOL * 8.0, 9.0])
-    _psd_check(
+    _check(
         accepted,
         lambda: perspective_sum_residual(log_fn(), [A], [np.eye(2)], require_expansive=True),
         PreconditionError,
@@ -106,7 +124,7 @@ def test_expansivity_boundary(factor, accepted):
 def test_monotonicity_order_boundary(factor, accepted):
     # A_whole - A_part = diag(-factor TOL 8, 8), at scale 8; B_whole = B_part
     A_part, A_whole = np.diag([1.0 + factor * TOL * 8.0, 1.0]), np.diag([1.0, 9.0])
-    _psd_check(
+    _check(
         accepted,
         lambda: mean_monotonicity_residual(power_fn(0.5), A_part, np.eye(2), A_whole, np.eye(2)),
         PreconditionError,
@@ -196,7 +214,7 @@ def test_leakage_bound_boundary():
     A, B = _coupled([1.0, 1.0 + 1e-9], 1e-5)
     _, _, U = joint_spectrum(A, B)
     Bd = U.conj().T @ B @ U
-    assert maxnorm(Bd - np.diag(np.diag(Bd))) <= 1e-7
+    assert maxnorm(Bd - np.diag(np.diag(Bd))) <= LEAKAGE_RTOL
 
 
 @pytest.mark.parametrize("factor, accepted", [(10.0, False), (0.1, True)])
@@ -211,7 +229,9 @@ def test_sum_match_boundary(factor, accepted):
             operator_shannon_residual(As, Bs, log_fn())
 
 
-@pytest.mark.parametrize("recheck, confirmed", [(-2e-6, True), (-0.5e-6, False)])
+@pytest.mark.parametrize(
+    "recheck, confirmed", [(-2.0 * RECHECK_ABS_TOL, True), (-0.5 * RECHECK_ABS_TOL, False)]
+)
 def test_search_recheck_boundary(monkeypatch, recheck, confirmed):
     # every candidate's Jacobi recheck reads recheck; a finding needs < -RECHECK_ABS_TOL
     real = harness._sum_residuals
@@ -235,3 +255,98 @@ def test_search_recheck_boundary(monkeypatch, recheck, confirmed):
     assert candidates
     assert report.violations == (len(candidates) if confirmed else 0)
     assert all(f["recheck_min_eigenvalue"] == recheck for f in report.findings)
+
+
+# Each bound on an error is _holds(-error, scale, tol); below, d is factor times its tolerance.
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_hermitian_drift_boundary(factor, accepted):
+    # the anti-Hermitian part has maxnorm d, at scale max(1, maxnorm) = 1
+    M = [[1.0, factor * HERMITIAN_RTOL], [0.0, 1.0]]
+    _check(accepted, lambda: spectral_decompose(M), DomainError, r"^matrix is not Hermitian")
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_unitarity_boundary(factor, accepted):
+    # U = diag(1, 1 + d/2): U†U - I has maxnorm d + d²/4, at scale 1
+    U = np.diag([1.0, 1.0 + factor * UNITARY_TOL / 2.0])
+    _check(
+        accepted,
+        lambda: make_commuting_pair(U, [1.0, 2.0], [3.0, 4.0]),
+        PreconditionError,
+        r"^U is not unitary",
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_density_trace_boundary(factor, accepted):
+    # diag(0.5, 0.5 + d) has trace 1 + d, at scale 1
+    rho = np.diag([0.5, 0.5 + factor * DENSITY_TRACE_TOL])
+    _check(accepted, lambda: von_neumann_entropy(rho), DomainError, r"^rho must have unit trace")
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_f_at_one_boundary(factor, accepted):
+    # f = sqrt - 1 + d has f(1) = d, at scale 1; the sums match and 4I >= 2I
+    As = [2.0 * np.eye(2), 2.0 * np.eye(2)]
+    Bs = [np.diag([1.0, 3.0]), np.diag([3.0, 1.0])]
+    f = power_fn(0.5, offset=-1.0 + factor * _F_AT_ANCHOR_TOL)
+    _check(
+        accepted,
+        lambda: operator_shannon_residual(As, Bs, f),
+        PreconditionError,
+        r"^f\(1\) must vanish",
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+@pytest.mark.parametrize(
+    "r, sign, match",
+    [
+        (0.5, -1.0, r"^monotone direction needs f\(0\) >= 0$"),
+        (2.0, 1.0, r"^convex direction needs f\(0\) <= 0$"),
+    ],
+    ids=["monotone", "convex"],
+)
+def test_f_at_zero_boundary(r, sign, match, factor, accepted):
+    # the strict contraction I/2: f = sqrt - d has f(0) = -d, and f = x² + d has f(0) = d
+    f = power_fn(r, offset=sign * factor * _F_AT_ANCHOR_TOL)
+    _check(
+        accepted,
+        lambda: operator_jensen_residual(f, 0.5 * np.eye(2), np.eye(2)),
+        PreconditionError,
+        match,
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_contraction_norm_boundary(factor, accepted):
+    # C = (1 + d) diag(1, 1/2) has operator norm 1 + d
+    C = (1.0 + factor * CONTRACTION_TOL) * np.diag([1.0, 0.5])
+    _check(
+        accepted,
+        lambda: operator_jensen_residual(power_fn(0.5), C, np.eye(2)),
+        PreconditionError,
+        r"^contraction has operator norm .* > 1$",
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_strict_contraction_boundary(factor, accepted):
+    # C = diag(1, 1 - d/2): C†C - I has maxnorm d - d²/4, and only a strict C needs
+    # the convex direction's f(0) <= 0, which f = x² + 1 fails
+    C = np.diag([1.0, 1.0 - factor * CONTRACTION_TOL / 2.0])
+    _check(
+        accepted,
+        lambda: operator_jensen_residual(power_fn(2.0, offset=1.0), C, np.eye(2)),
+        PreconditionError,
+        r"^convex direction needs f\(0\) <= 0$",
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_inverse_floor_boundary(factor, accepted):
+    # the least eigenvalue INVERSE_FLOOR_RTOL / factor against the default floor, at max|w| = 1
+    M = np.diag([1.0, INVERSE_FLOOR_RTOL / factor])
+    _check(accepted, lambda: psd_inverse(M), SingularityError, r"^matrix not invertible above")

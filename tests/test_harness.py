@@ -310,7 +310,8 @@ def test_stacked_search_residuals_equal_one_trial_runs(monkeypatch, lhs_form):
 
     def recording(draws, config, residuals):
         min_eigs, holds = real(draws, config, residuals)
-        recorded.extend(min_eigs)
+        if residuals is harness._sum_verdicts:  # the first pass, not the confirmation
+            recorded.extend(min_eigs)
         return min_eigs, holds
 
     monkeypatch.setattr(harness, "_verdicts", recording)

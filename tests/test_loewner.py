@@ -52,7 +52,7 @@ from logsumineq.loewner import (
 )
 from logsumineq.matfun import (
     _decompose,
-    _total,
+    _Segments,
     hermitize,
     loewner_leq,
     maxnorm,
@@ -612,7 +612,7 @@ def test_shannon_stack_reports_the_non_expansive_trial():
     assert str(one.value).startswith("family is not expansive")
     m = [2, 2, 2]
     As, Bs = np.concatenate(As), np.concatenate(Bs)
-    dec = _decompose(np.concatenate([_total(As, m), As]))
+    dec = _decompose(np.concatenate([_Segments(m).total(As), As]))
     with pytest.raises(PreconditionError) as stacked:
         _operator_shannon([f] * 3, As, Bs, m, dec, 1e-9)
     assert str(stacked.value) == str(one.value)

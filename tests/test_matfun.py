@@ -23,9 +23,10 @@ from logsumineq.matfun import (
     _decompose,
     _gap_scale,
     _herm,
-    _total,
+    _Segments,
     _verdict,
     apply_function,
+    commutator_maxnorm,
     commutes,
     hermitize,
     jacobi_eigh,
@@ -249,6 +250,22 @@ def test_make_commuting_pair_rejects_nonunitary():
         make_commuting_pair(np.ones((2, 2)), [1.0, 2.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("check", [commutes, commutator_maxnorm])
+@pytest.mark.parametrize(
+    "A, B, error, match",
+    [
+        (np.eye(2), np.eye(3), DimensionError, r"^dimension mismatch \(2, 2\) vs \(3, 3\)$"),
+        (np.ones((2, 3)), np.ones((3, 2)), DimensionError, r"^A must be square"),
+        (np.eye(2), [[1.0, np.nan], [0.0, 1.0]], DomainError, r"^B has non-finite entries$"),
+        (np.ones(3), np.ones(3), DimensionError, r"^A must be square"),
+    ],
+    ids=["sizes", "non-square", "nan", "vectors"],
+)
+def test_commutation_refuses_what_is_not_a_pair_of_square_matrices(check, A, B, error, match):
+    with pytest.raises(error, match=match):
+        check(A, B)
+
+
 # -- psd inverse / sqrt ---------------------------------------------------------------
 
 
@@ -373,13 +390,13 @@ def test_segment_totals_are_each_familys_own_sum_bit_for_bit():
             -3, 3, shape
         )
         X[0, 0, 0] = X[-1, -1, 0] = complex(-0.0, -0.0)
-        totals = _total(X, m)
+        totals = _Segments(m).total(X)
         assert totals.shape == (len(m), n, n)
         first = np.cumsum(m) - m
         for t, k in enumerate(m):
             family = X[first[t] : first[t] + k]
             assert totals[t].tobytes() == sum(list(family)).tobytes(), (case, t)
-            assert totals[t].tobytes() == _total(family, [k])[0].tobytes(), (case, t)
+            assert totals[t].tobytes() == _Segments([k]).total(family)[0].tobytes(), (case, t)
         if m[0] == 1:
             assert not np.signbit(totals[0, 0, 0].real) and not np.signbit(totals[0, 0, 0].imag)
 

@@ -1,12 +1,15 @@
-"""The package's import hygiene, read from the source: what it exports and what each module imports."""
+"""The package's hygiene, read from the source: what it exports, what each module imports,
+and where each check's tolerance is pinned."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import logsumineq
 
 SRC = Path(logsumineq.__file__).parent
+BOUNDARIES = Path(__file__).with_name("test_boundaries.py")
 _NOQA = re.compile(r"#\s*noqa: F401\s*\S")  # a marker followed by its reason
 
 
@@ -46,3 +49,37 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used | exported and not _NOQA.search(lines[line - 1]):
                 unused.append(f"{path.name}:{line} {name}")
     assert unused == []
+
+
+def _tolerances(tree: ast.Module):
+    """(line, node) of every _holds(gap, scale, tol) call's last argument and tolerance= keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "_holds":
+                yield node.lineno, node.args[-1]
+            yield from ((node.lineno, kw.value) for kw in node.keywords if kw.arg == "tolerance")
+
+
+def test_every_named_tolerance_is_written_out_in_the_boundary_tests():
+    # a check's tolerance is a name, a call or an attribute, never a literal; a module
+    # constant among them is assigned, with its value, at the top of test_boundaries.py
+    written = {
+        target.id: node.value.value
+        for node in ast.parse(BOUNDARIES.read_text()).body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    literal, unpinned, constants = [], [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for line, tol in _tolerances(ast.parse(path.read_text())):
+            where = f"{path.name}:{line}"
+            if not isinstance(tol, (ast.Name, ast.Call, ast.Attribute)):
+                literal.append(where)
+            elif isinstance(tol, ast.Name) and tol.id.lstrip("_").isupper():
+                constants += 1
+                value = getattr(importlib.import_module(f"logsumineq.{path.stem}"), tol.id)
+                if written.get(tol.id) != value:
+                    unpinned.append(f"{where} {tol.id} = {value!r}")
+    assert literal == [] and unpinned == []
+    assert constants >= 10
