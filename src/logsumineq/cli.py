@@ -24,7 +24,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import harness, loewner, matfun, scalar, traceform
-from .errors import DomainError, NumericError, _number
+from .errors import DEFAULT_TOLERANCE, DomainError, NumericError, _number
 from .functions import FunctionSpec
 from .harness import SUITES, TrialConfig, counterexample_search, report_to_json, run_suite
 from .matio import matrix_from_obj, matrix_to_obj
@@ -60,8 +60,8 @@ def _pair(obj) -> SequencePair:
 
 
 def _family(objs) -> list[np.ndarray]:
-    if not isinstance(objs, list) or not objs:
-        raise DomainError("must be a non-empty list of matrices")
+    if not isinstance(objs, list):
+        raise DomainError("must be a list of matrices")
     return [matrix_from_obj(o) for o in objs]
 
 
@@ -101,7 +101,7 @@ _FIELDS = {
     "pair": (_pair, _REQUIRED),
     "h_kind": (_string, _REQUIRED),
     "interval": (_interval, _REQUIRED),
-    "tol": (_number, 1e-9),
+    "tol": (_number, DEFAULT_TOLERANCE),
     "grid_points": (_exactly(int, "an integer"), 101),
     "solver": (_string, "eigh"),
     "floor": (_number, None),
@@ -269,9 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dim", type=int, default=default_dim)
         p.add_argument("--m", type=int, default=default_m)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--spectrum-lo", type=float, default=0.5)
-        p.add_argument("--spectrum-hi", type=float, default=2.0)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+        p.add_argument("--spectrum-lo", type=float, default=harness.DEFAULT_SPECTRUM_RANGE[0])
+        p.add_argument("--spectrum-hi", type=float, default=harness.DEFAULT_SPECTRUM_RANGE[1])
         p.add_argument("--report", type=str, default=None, help="also write the JSON report here")
 
     p_check = sub.add_parser("check", help="run a registered verification suite")

@@ -39,6 +39,9 @@ def _number(value) -> float:
     return float(value)
 
 
+DEFAULT_TOLERANCE = 1e-9  # every verdict's tolerance unless its caller passes one
+
+
 def _tolerance(tol) -> float:
     """tol as a float, checked a finite real > 0 and not a bool: every verdict's tolerance."""
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)

@@ -6,9 +6,10 @@ receives.  Preconditions of the target checks hold by construction: positive
 sequences stay in (0, SEQUENCE_HI], expansive members are I + QQ†,
 contractive PD members have spectrum inside (CONTRACTIVE_FLOOR, 1], density
 matrices are normalized spectra in a random basis.  A public generator
-checks its spectrum window (errors._spectrum_range, TrialConfig's rule) and
-family size before it draws, so a bad one is a DomainError that leaves the
-stream untouched.
+checks its dimension n and family size m (_count), its spectrum window
+(errors._spectrum_range, TrialConfig's rule) and a total to split
+(matfun._checked, then positive definite) before it draws, so a bad one is a
+DomainError or DimensionError that leaves the stream untouched.
 
 Random-basis matrices are drawn and built in two steps.  A draw is only
 Generator calls, in the fewest that consume its stream: _draw_pd (the
@@ -36,8 +37,17 @@ import numbers
 
 import numpy as np
 
-from .errors import DomainError, _spectrum_range
-from .matfun import SpectralDecomposition, _adjoint, _build, _decompose, _herm, _Segments, hermitize
+from .errors import DomainError, _require, _spectrum_range
+from .matfun import (
+    INVERSE_FLOOR_RTOL,
+    SpectralDecomposition,
+    _adjoint,
+    _build,
+    _checked,
+    _decompose,
+    _herm,
+    _Segments,
+)
 from .scalar import SequencePair
 
 __all__ = [
@@ -58,6 +68,13 @@ __all__ = [
 
 CONTRACTIVE_FLOOR = 0.05
 SEQUENCE_HI = 10.0
+
+
+def _count(value, what: str) -> int:
+    """value checked an integer >= 1, not a bool: every generator's n and family size m."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -155,44 +172,52 @@ def _split_matching(dec: SpectralDecomposition, shares: np.ndarray, m) -> np.nda
 
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish unitary: QR of a complex Gaussian with phase-fixed R diagonal."""
+    n = _count(n, "dimension n")
     return _unitaries(_complex_gaussian(rng, n))
 
 
 def rand_pd(rng: np.random.Generator, n: int, spectrum_range: tuple[float, float]) -> np.ndarray:
     """PD matrix with spectrum uniform in [lo, hi], random basis."""
+    n = _count(n, "dimension n")
     window = _spectrum_range(spectrum_range)
     u, x = _draw_pd(rng, n)
     return _build(_uniform(u, *window), _unitaries(x))
 
 
 def rand_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+    n = _count(n, "dimension n")
     return _build_psd(scale, _complex_gaussian(rng, n))
 
 
 def rand_expansive(rng: np.random.Generator, n: int) -> np.ndarray:
     """I + QQ†, so the spectrum sits in [1, 1 + ||Q||^2]."""
+    n = _count(n, "dimension n")
     return _build_expansive(*_draw_expansive(rng, n))
 
 
 def rand_contractive_pd(rng: np.random.Generator, n: int) -> np.ndarray:
     """PD matrix below I: spectrum uniform in (CONTRACTIVE_FLOOR, 1]."""
+    n = _count(n, "dimension n")
     u, x = _draw_pd(rng, n)
     return _build(_contractive(u), _unitaries(x))
 
 
 def rand_contraction(rng: np.random.Generator, n: int) -> np.ndarray:
     """General complex matrix with singular values in [0, 1]."""
+    n = _count(n, "dimension n")
     x = _complex_gaussian(rng, n)
     return _build_contraction(rng.random(n), x)
 
 
 def rand_square(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unstructured complex square matrix."""
+    n = _count(n, "dimension n")
     return _complex(_complex_gaussian(rng, n))
 
 
 def rand_sequence(rng: np.random.Generator, n: int) -> np.ndarray:
     """Entries in (0, SEQUENCE_HI]: strictly positive so log-type f never sees 0."""
+    n = _count(n, "dimension n")
     return _sequence(rng.random(n))
 
 
@@ -219,18 +244,21 @@ def rand_commuting_pair(
     b_range: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Commuting PD pair (shared eigenbasis), A's spectrum uniform in a_range and B's in b_range."""
+    n = _count(n, "dimension n")
     a_window, b_window = _spectrum_range(a_range), _spectrum_range(b_range)
     x, u = _draw_commuting(rng, n)
     return _build_pair(x, _uniform(u[:n], *a_window), _uniform(u[n:], *b_window))
 
 
 def rand_density(rng: np.random.Generator, n: int) -> np.ndarray:
+    n = _count(n, "dimension n")
     u, x = _draw_pd(rng, n)
     return _build(_density(u), _unitaries(x))
 
 
 def rand_density_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Commuting density pair with full support (shared eigenbasis)."""
+    n = _count(n, "dimension n")
     x, u = _draw_commuting(rng, n)
     return _build_pair(x, _density(u[:n]), _density(u[n:]))
 
@@ -238,12 +266,23 @@ def rand_density_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.
 def rand_split_matching(
     rng: np.random.Generator, total: np.ndarray, m: int, spectrum_range: tuple[float, float]
 ) -> list[np.ndarray]:
-    """PD family B_1..B_m with sum exactly total (congruence-normalized shares)."""
+    """PD family B_1..B_m with sum exactly total (congruence-normalized shares).
+
+    total must be Hermitian with its least eigenvalue above INVERSE_FLOOR_RTOL times its
+    largest magnitude, the default inverse floor.
+    """
+    (total,) = _checked({"total": total})
+    dec_total = _decompose(total[None])
+    w = dec_total.eigenvalues[0]
+    ok = w[0] > INVERSE_FLOOR_RTOL * abs(w).max()
+    _require(ok, DomainError, "total is not positive definite (min eigenvalue {:.3e})", w[0])
+    m = _count(m, "family size m")
     window = _spectrum_range(spectrum_range)
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-        raise DomainError(f"family size m must be an integer >= 1, got {m!r}")
-    total = hermitize(total)
     uniforms, gaussians = zip(*(_draw_pd(rng, total.shape[0]) for _ in range(m)))
     shares = _build(_uniform(np.array(uniforms), *window), _unitaries(np.array(gaussians)))
-    dec = _decompose(np.concatenate([_Segments([m]).total(shares), total[None]]))
+    dec_sum = _decompose(_Segments([m]).total(shares))
+    dec = SpectralDecomposition(
+        np.concatenate([dec_sum.unitary, dec_total.unitary]),
+        np.concatenate([dec_sum.eigenvalues, dec_total.eigenvalues]),
+    )
     return list(_split_matching(dec, shares, [m]))

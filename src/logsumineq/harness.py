@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import generators as gen
-from .errors import DomainError, _holds, _spectrum_range, _tolerance
+from .errors import DEFAULT_TOLERANCE, DomainError, _holds, _spectrum_range, _tolerance
 from .functions import FunctionSpec, identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from .loewner import (
     _mean_monotonicity,
@@ -119,6 +119,7 @@ RECHECK_ABS_TOL = 1e-6
 # which bounds memory at every size (256 trials take ~100 MB at n=64, m=16).
 _BLOCK = 256
 _BLOCK_BYTES = 2**24
+DEFAULT_SPECTRUM_RANGE = (0.5, 2.0)  # TrialConfig's spectrum_range unless one is given
 # Eigenvalue window of both matrices of the trace suites' commuting pairs.
 _TRACE_SPECTRUM = (1e-2, 10.0)
 
@@ -132,8 +133,8 @@ class TrialConfig:
     seed: int = 0
     n: int = 4
     m: int = 2
-    tolerance: float = 1e-9
-    spectrum_range: tuple[float, float] = (0.5, 2.0)
+    tolerance: float = DEFAULT_TOLERANCE
+    spectrum_range: tuple[float, float] = DEFAULT_SPECTRUM_RANGE
     family_kind: str = "expansive"
     lhs_form: str = "perspective_sum"
 

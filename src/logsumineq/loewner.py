@@ -2,8 +2,10 @@
 
 A verdict forms the residual RHS - LHS of a claimed Loewner inequality (or
 its claim-appropriate orientation) and checks its minimum eigenvalue.
-Public functions validate their inputs once; private kernels take Hermitian
-arrays or SpectralDecompositions and decompose each matrix once.
+Public functions validate their inputs once, each matrix argument by
+matfun._checked and a family's members as name[0], name[1], ... (_families);
+private kernels take Hermitian arrays or SpectralDecompositions and
+decompose each matrix once.
 
 Each check has one kernel over a stack of T trials (see matfun on leading
 axes) returning the residual eigenvalues (T, n); its public *_residual runs
@@ -35,29 +37,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, PreconditionError, _holds, _require, _tolerance
+from .errors import (
+    DEFAULT_TOLERANCE,
+    DimensionError,
+    DomainError,
+    PreconditionError,
+    _holds,
+    _require,
+    _tolerance,
+)
 from .functions import FunctionSpec, _outside
 from .matfun import (
+    INVERSE_FLOOR_RTOL,
     PSD_CLAMP_RTOL,
     LoewnerVerdict,
     SpectralDecomposition,
     _adjoint,
-    _as_square_complex,
     _build,
+    _checked,
     _decompose,
     _gap_scale,
     _herm,
     _max_entry,
-    _require_hermitian,
-    _require_same_shape,
     _Segments,
     _verdict,
-    apply_function,
-    hermitize,
     maxnorm,
     psd_sqrt,  # noqa: F401 (the benchmark self-tests rebind it here)
 )
-from .scalar import DEFAULT_TOLERANCE
 
 __all__ = [
     "operator_class_flags",
@@ -110,26 +116,20 @@ def require_operator_class(f: FunctionSpec, *needed: str) -> None:
         )
 
 
-def _validate_family(mats, what: str) -> np.ndarray:
-    """The family as a Hermitian stack (m, n, n), each member checked Hermitian."""
-    if len(mats) < 1:
-        raise DomainError(f"{what} must contain at least one matrix")
-    out = [_require_hermitian(M, f"{what}[{k}]") for k, M in enumerate(mats)]
-    n = out[0].shape[0]
-    for k, M in enumerate(out):
-        if M.shape[0] != n:
-            raise DomainError(f"{what}[{k}] has dimension {M.shape[0]}, expected {n}")
-    return np.stack(out)
-
-
-def _validate_families(A_family, B_family) -> tuple[np.ndarray, np.ndarray]:
-    As = _validate_family(A_family, "A_family")
-    Bs = _validate_family(B_family, "B_family")
-    if len(As) != len(Bs):
-        raise DomainError("A_family and B_family must have the same length")
-    if As[0].shape != Bs[0].shape:
-        raise DomainError("A_family and B_family must share dimension")
-    return As, Bs
+def _families(square=(), **families) -> list[np.ndarray]:
+    """Each family as a stack (m, n, n) of its members, all checked by matfun._checked in order
+    as name[0], name[1], ..., square only for the names in square.  An empty family, or two
+    families of different lengths, is a DimensionError."""
+    lengths = [(name, len(family)) for name, family in families.items()]
+    first, m = lengths[0]
+    for name, k in lengths:
+        if k < 1:
+            raise DimensionError(f"{name} must contain at least one matrix")
+        if k != m:
+            raise DimensionError(f"{name} has length {k}, expected {first}'s {m}")
+    named = {f"{name}[{k}]": M for name, family in families.items() for k, M in enumerate(family)}
+    members = _checked(named, [f"{name}[{k}]" for name in square for k in range(m)])
+    return [np.stack(members[i : i + m]) for i in range(0, len(members), m)]
 
 
 def _anchored(dec: SpectralDecomposition, M: np.ndarray, solver: str = "eigh"):
@@ -155,8 +155,7 @@ def _perspective(
 
 def operator_perspective(f: FunctionSpec, A, B) -> np.ndarray:
     """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} for positive definite A."""
-    A, B = _require_hermitian(A), _require_hermitian(B, "B")
-    _require_same_shape(A, B)
+    A, B = _checked({"A": A, "B": B})
     return _perspective(f, _decompose(A), B)
 
 
@@ -167,8 +166,9 @@ def perspective_identity_gap(f: FunctionSpec, A, B) -> float:
     the shared basis); for generic non-commuting pairs they differ by O(1).
     This is a measurement, never an assertion.
     """
-    P = operator_perspective(f, A, B)
-    FB = apply_function(f, hermitize(B))
+    A, B = _checked({"A": A, "B": B})
+    P = _perspective(f, _decompose(A), B)
+    FB = _decompose(B).map(f).reconstruct()
     return maxnorm(P - FB) / max(1.0, maxnorm(FB))
 
 
@@ -224,11 +224,8 @@ def operator_jensen_residual(
     When C† C = I both sides agree by similarity and the anchor conditions
     at 0 are not needed.
     """
-    C = _as_square_complex(contraction, "contraction")
-    Xh = _require_hermitian(X, "X")
-    if C.shape != Xh.shape:
-        raise DomainError(f"contraction shape {C.shape} does not match X shape {Xh.shape}")
-    return _verdict(_operator_jensen(f, C[None], Xh[None])[0], tol)
+    C, X = _checked({"contraction": contraction, "X": X}, square=("contraction",))
+    return _verdict(_operator_jensen(f, C[None], X[None])[0], tol)
 
 
 def _require_expansive(w_sum: np.ndarray, m, tol: float) -> None:
@@ -300,7 +297,7 @@ def perspective_sum_residual(
     False to probe the inequality outside that hypothesis (see the harness
     search mode).
     """
-    As, Bs = _validate_families(A_family, B_family)
+    As, Bs = _families(A_family=A_family, B_family=B_family)
     require_operator_class(f, "operator_concave")
     w = _perspective_sums([f], As, Bs, [len(As)], lhs_form, require_expansive, tol)
     return _verdict(w[0], tol)
@@ -338,7 +335,7 @@ def operator_shannon_residual(
     catalog operator-concave f with f(1) = 0.  The verdict is on
     -sum_i A_i^{1/2} f(A_i^{-1/2} B_i A_i^{-1/2}) A_i^{1/2} >= 0.
     """
-    As, Bs = _validate_families(A_family, B_family)
+    As, Bs = _families(A_family=A_family, B_family=B_family)
     m = [len(As)]
     dec = _decompose(np.concatenate([_Segments(m).total(As), As]))
     return _verdict(_operator_shannon([f], As, Bs, m, dec, tol)[0], tol)
@@ -363,17 +360,8 @@ def pooled_inverse_residual(X_family, A_family, tol: float = DEFAULT_TOLERANCE) 
 
     X_i are arbitrary square complex matrices; A_i must be PD.
     """
-    As = _validate_family(A_family, "A_family")
-    if len(X_family) != len(As):
-        raise DomainError("X_family and A_family must have the same length")
-    n = As[0].shape[0]
-    Xs = []
-    for k, X in enumerate(X_family):
-        Xk = _as_square_complex(X, f"X_family[{k}]")
-        if Xk.shape[0] != n:
-            raise DomainError(f"X_family[{k}] has dimension {Xk.shape[0]}, expected {n}")
-        Xs.append(Xk)
-    return _verdict(_pooled_inverse(np.stack(Xs), As, [len(As)])[0], tol)
+    Xs, As = _families(square=("X_family",), X_family=X_family, A_family=A_family)
+    return _verdict(_pooled_inverse(Xs, As, [len(As)])[0], tol)
 
 
 def _inverted(dec_b: SpectralDecomposition, A: np.ndarray):
@@ -381,8 +369,8 @@ def _inverted(dec_b: SpectralDecomposition, A: np.ndarray):
     x_max d_min/d_max <= lambda_max(A)/d_max and x_min >= lambda_min(A)/d_max, so the default
     floor scaled by d_min/d_max passes every A that inverse() passes, whatever cond(B)."""
     W, C = _anchored(dec_b, A)
-    d = dec_b.eigenvalues
-    return W, C.inverse(1e-10 * abs(C.eigenvalues).max(axis=-1) * d.min(axis=-1) / d.max(axis=-1))
+    d, floor = dec_b.eigenvalues, INVERSE_FLOOR_RTOL * abs(C.eigenvalues).max(axis=-1)
+    return W, C.inverse(floor * d.min(axis=-1) / d.max(axis=-1))
 
 
 def _mean(f: FunctionSpec, dec_b: SpectralDecomposition, A: np.ndarray) -> np.ndarray:
@@ -397,8 +385,7 @@ def matrix_mean(f: FunctionSpec, A, B) -> np.ndarray:
     B, then A, must be PD (SingularityError) and f's matrix image PD; for
     f = power(1/2) this is the geometric mean of A and B.
     """
-    B, A = _require_hermitian(B), _require_hermitian(A)
-    _require_same_shape(A, B)
+    B, A = _checked({"B": B, "A": A})
     return _mean(f, _decompose(B), A)
 
 
@@ -428,7 +415,7 @@ def pooled_mean_residual(
         (1/m) (sum B_i^{1/2}) [sum f(B_i^{1/2} A_i^{-1} B_i^{1/2})]^{-1} (sum B_i^{1/2})
             <= B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2}.
     """
-    As, Bs = _validate_families(A_family, B_family)
+    As, Bs = _families(A_family=A_family, B_family=B_family)
     return _verdict(_pooled_mean(f, As, Bs, [len(As)])[0], tol)
 
 
@@ -461,7 +448,7 @@ def split_mean_residual(
     negative verdict on valid PD input as information, not as a numerical
     fault (see the test suite for a reproducible 1x1 instance).
     """
-    As, Bs = _validate_families(A_family, B_family)
+    As, Bs = _families(A_family=A_family, B_family=B_family)
     return _verdict(_split_mean(f, As, Bs, [len(As)])[0], tol)
 
 
@@ -503,10 +490,4 @@ def mean_monotonicity_residual(
     with mean(A, B) = B^{1/2}[f(B^{1/2}A^{-1}B^{1/2})]^{-1}B^{1/2}.
     """
     named = {"A_part": A_part, "B_part": B_part, "A_whole": A_whole, "B_whole": B_whole}
-    mats = [_require_hermitian(M, name) for name, M in named.items()]
-    shapes = [M.shape for M in mats]
-    if len(set(shapes)) != 1:
-        raise DimensionError(
-            f"A_part, B_part, A_whole and B_whole must share one shape, got {shapes}"
-        )
-    return _verdict(_mean_monotonicity(f, *(M[None] for M in mats), tol)[0], tol)
+    return _verdict(_mean_monotonicity(f, *(M[None] for M in _checked(named)), tol)[0], tol)

@@ -6,8 +6,9 @@ A^{-1/2} and f(A) are all read off that one SpectralDecomposition (map,
 sqrt, inverse, then _build(w, U), the one W diag(w) W† formula, which the
 generators and Loewner kernels call with their own W), never by
 decomposing an intermediate result again.  Inputs are validated once, at
-the public functions; the private _decompose and _herm take arrays that
-are already square, finite and Hermitian, and are what internal kernels call.
+the public functions, by one rule (_checked) that names each argument; the
+private _decompose and _herm take arrays that are already square, finite and
+Hermitian, and are what internal kernels call.
 
 Stacks: _herm, _decompose, _gap_scale, _max_entry, jacobi_eigh and every
 SpectralDecomposition method accept leading batch axes, (..., n, n) for
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DEFAULT_TOLERANCE,
     DimensionError,
     DomainError,
     NumericError,
@@ -71,10 +73,11 @@ HERMITIAN_RTOL = 1e-12
 COMMUTE_RTOL = 1e-9
 UNITARY_TOL = 1e-10
 PSD_CLAMP_RTOL = 1e-12
+INVERSE_FLOOR_RTOL = 1e-10  # SpectralDecomposition.inverse's default floor, relative to max|w|
 SOLVERS = ("eigh", "jacobi")
 
 
-def _as_square_complex(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
+def _as_square_complex(M, what: str, stack: bool = False) -> np.ndarray:
     """M as a complex (n, n) array, or (..., n, n) with stack=True, checked finite."""
     A = np.asarray(M, dtype=complex)
     if (A.ndim < 2 if stack else A.ndim != 2) or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
@@ -148,10 +151,10 @@ def _gap_scale(w: np.ndarray):
 
 def hermitize(M) -> np.ndarray:
     """(M + M†)/2.  Idempotent on Hermitian inputs."""
-    return _herm(_as_square_complex(M))
+    return _herm(_checked({"M": M}, square=("M",))[0])
 
 
-def _require_hermitian(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
+def _require_hermitian(M, what: str, stack: bool = False) -> np.ndarray:
     A = _as_square_complex(M, what, stack)
     drift = _max_entry(A - _adjoint(A))
     ok = _holds(-drift, np.maximum(1.0, _max_entry(A)), HERMITIAN_RTOL)
@@ -159,9 +162,20 @@ def _require_hermitian(M, what: str = "matrix", stack: bool = False) -> np.ndarr
     return _herm(A)
 
 
-def _require_same_shape(A: np.ndarray, B: np.ndarray) -> None:
-    if A.shape != B.shape:
-        raise DimensionError(f"dimension mismatch {A.shape} vs {B.shape}")
+def _checked(named: dict, square=()) -> list[np.ndarray]:
+    """The one entry check of every public matrix argument: the named matrices, in order, each
+    square and finite, then Hermitian (returned as its exact Hermitian part) unless its name is
+    in square, then of the first one's shape.  Each refusal names its argument; a shape
+    mismatch is a DimensionError."""
+    out = [
+        _as_square_complex(M, name) if name in square else _require_hermitian(M, name)
+        for name, M in named.items()
+    ]
+    first, shape = next(iter(named)), out[0].shape
+    for name, M in zip(named, out):
+        if M.shape != shape:
+            raise DimensionError(f"{name} has shape {M.shape}, expected {first}'s {shape}")
+    return out
 
 
 def _commuting(A: np.ndarray, B: np.ndarray):
@@ -173,15 +187,11 @@ def _commuting(A: np.ndarray, B: np.ndarray):
 
 
 def commutator_maxnorm(A, B) -> float:
-    A, B = _as_square_complex(A, "A"), _as_square_complex(B, "B")
-    _require_same_shape(A, B)
-    return float(_commuting(A, B)[0])
+    return float(_commuting(*_checked({"A": A, "B": B}, square=("A", "B")))[0])
 
 
 def commutes(A, B) -> bool:
-    A, B = _as_square_complex(A, "A"), _as_square_complex(B, "B")
-    _require_same_shape(A, B)
-    return bool(_commuting(A, B)[1])
+    return bool(_commuting(*_checked({"A": A, "B": B}, square=("A", "B")))[1])
 
 
 @dataclass(frozen=True)
@@ -230,15 +240,15 @@ class SpectralDecomposition:
     def inverse(self, floor: float | None = None) -> SpectralDecomposition:
         """A^{-1} for positive definite A.
 
-        floor defaults to 1e-10 * max|eigenvalue|; any eigenvalue below the
-        floor (or a floor that is not strictly positive, NaN included) is
-        treated as singular rather than inverted, so round-off null spaces
-        cannot leak huge weights.
+        floor defaults to INVERSE_FLOOR_RTOL * max|eigenvalue|; any eigenvalue
+        below the floor (or a floor that is not strictly positive, NaN
+        included) is treated as singular rather than inverted, so round-off
+        null spaces cannot leak huge weights.
         """
         w = self.eigenvalues
         lowest = w.min(axis=-1)
         if floor is None:
-            floor = 1e-10 * abs(w).max(axis=-1)
+            floor = INVERSE_FLOOR_RTOL * abs(w).max(axis=-1)
         ok = (floor > 0.0) & (lowest >= floor)
         template = "matrix not invertible above floor {:.3e} (min eigenvalue {:.3e})"
         _require(ok, SingularityError, template, floor, lowest)
@@ -391,7 +401,7 @@ def _decompose(H: np.ndarray, solver: str = "eigh") -> SpectralDecomposition:
 
 def spectral_decompose(A, solver: str = "eigh") -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    return _decompose(_require_hermitian(A), solver)
+    return _decompose(_checked({"A": A})[0], solver)
 
 
 def apply_function(f: FunctionSpec, A) -> np.ndarray:
@@ -407,17 +417,15 @@ def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
     return LoewnerVerdict(float(min_eig), float(abs(w).max()), tol, holds)
 
 
-def loewner_leq(A, B, tol: float = 1e-9) -> LoewnerVerdict:
+def loewner_leq(A, B, tol: float = DEFAULT_TOLERANCE) -> LoewnerVerdict:
     """Verdict on A <= B in the Loewner order, i.e. B - A PSD within tolerance."""
-    A = _require_hermitian(A, "A")
-    B = _require_hermitian(B, "B")
-    _require_same_shape(A, B)
+    A, B = _checked({"A": A, "B": B})
     return _verdict(_decompose(_herm(B - A)).eigenvalues, tol)
 
 
 def make_commuting_pair(U, lambda_a, lambda_b) -> tuple[np.ndarray, np.ndarray]:
     """(U diag(la) U†, U diag(lb) U†), commuting by shared eigenbasis."""
-    U = _as_square_complex(U, "U")
+    (U,) = _checked({"U": U}, square=("U",))
     n = U.shape[0]
     drift = maxnorm(U.conj().T @ U - np.eye(n))
     ok = _holds(-drift, 1.0, UNITARY_TOL)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, _holds, _require, _tolerance
+from .errors import DEFAULT_TOLERANCE, DomainError, PreconditionError, _holds, _require, _tolerance
 from .functions import FunctionSpec, _apply_rows, power_fn
 from .qlog import QLogParams, _check_positive, _q_log
 
@@ -48,7 +48,6 @@ __all__ = [
     "q_log_sum_gap",
 ]
 
-DEFAULT_TOLERANCE = 1e-9
 DEFAULT_GRID_POINTS = 101
 _MAX_GRID_POINTS = 100_000  # keeps each of the check's grids within a few MB
 _EPS = float(np.finfo(float).eps)

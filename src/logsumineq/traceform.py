@@ -1,15 +1,18 @@
 """Trace-form inequalities for commuting self-adjoint matrices.
 
-Every quantity is computed twice.  The primary value comes from the joint
-spectrum: commuting Hermitian matrices share an eigenbasis, so each trace
-inequality reduces exactly to its scalar counterpart on the paired
-eigenvalue lists, read off the basis U of one eigensolve (see _mix).  The
+Every quantity comes from the joint spectrum: commuting Hermitian matrices
+share an eigenbasis, so each trace inequality reduces exactly to its scalar
+counterpart on the paired eigenvalue lists, read off the basis U of one
+eigensolve (see _mix).  The four trace gaps (trace_log_sum_gap,
+exp_log_trace_gap, q_trace_gap, reverse_trace_gap) are computed twice: the
 matrix-product route (functional calculus plus explicit products and
-traces) is the internal cross-check.  The two routes share only U: the
-product route takes g(A) = U diag(g(wa)) U†, decomposes B and the product,
-and inverts the denominator from its mapped decomposition.  It is skipped
-when a zero weight makes f blow up there (e.g. 0 * log 0 terms), since
-only the scalar route carries the continuity convention.
+traces) is their internal cross-check; joint_spectrum,
+quantum_relative_entropy and von_neumann_entropy have no second route.  The
+two routes share only U: the product route takes g(A) = U diag(g(wa)) U†,
+decomposes B and the product, and inverts the denominator from its mapped
+decomposition.  It is skipped when a zero weight makes f blow up there
+(e.g. 0 * log 0 terms), since only the scalar route carries the continuity
+convention.
 
 A product-path value outside its cross-check bound goes to a referee: the
 same product-path formula evaluated by mpmath at 50 digits on the float64
@@ -22,10 +25,10 @@ Each statement has one kernel over a stack of T pairs, trusted Hermitian
 (T, n, n) arrays: each step decomposes the matrices of the whole stack in
 one eigh call, and the scalar layer's kernel (see scalar) runs on the joint
 spectra.  The public function of a statement checks each input once at
-entry (A Hermitian, then B, then equal shapes) and runs its kernel as the
-T=1 stack.  A kernel runs each check over the whole stack, A's before B's,
-then commutation, then the scalar checks, and raises the one-pair message
-of the first failing pair.
+entry, by matfun._checked (A, then B, then equal shapes), and runs its
+kernel as the T=1 stack.  A kernel runs each check over the whole stack,
+A's before B's, then commutation, then the scalar checks, and raises the
+one-pair message of the first failing pair.
 """
 
 from __future__ import annotations
@@ -37,23 +40,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NumericError, PreconditionError, SupportError, _holds, _require
+from .errors import (
+    DEFAULT_TOLERANCE,
+    DomainError,
+    NumericError,
+    PreconditionError,
+    SupportError,
+    _holds,
+    _require,
+)
 from .functions import FunctionSpec, _outside, identity_fn, log_fn, q_log_fn
 from .matfun import (
     PSD_CLAMP_RTOL,
     SpectralDecomposition,
     _adjoint,
+    _checked,
     _commuting,
     _decompose,
     _gap_scale,
     _herm,
     _max_entry,
-    _require_hermitian,
-    _require_same_shape,
 )
 from .qlog import _check_positive, _q_log
 from .scalar import (
-    DEFAULT_TOLERANCE,
     InequalityVerdict,
     _active_sums,
     _forward,
@@ -85,11 +94,9 @@ _LOG = log_fn()
 _Q_LOG = q_log_fn(0.0)  # every q_log shares one domain
 
 
-def _checked_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
-    """A and B checked square, finite and Hermitian (A first) and of one shape, as T=1 stacks."""
-    A, B = _require_hermitian(A), _require_hermitian(B)
-    _require_same_shape(A, B)
-    return A[None], B[None]
+def _one_trial(named: dict) -> list[np.ndarray]:
+    """The named matrices checked by matfun._checked, in order, each as a T=1 stack."""
+    return [M[None] for M in _checked(named)]
 
 
 def _trace(M: np.ndarray) -> np.ndarray:
@@ -103,7 +110,7 @@ def joint_spectrum(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     U is the eigenbasis of the mix A/|A| + tau*B/|B| (see _mix); wa and wb
     are the diagonals of U†AU and U†BU, in the mix's eigenvalue order.
     """
-    A, B = _checked_pair(A, B)
+    A, B = _one_trial({"A": A, "B": B})
     dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
     return dec_a.eigenvalues[0], wb[0], dec_a.unitary[0]
 
@@ -259,7 +266,7 @@ def trace_log_sum_gap(
     on the ratio interval; all inherited from the scalar forward inequality
     on the joint spectrum.
     """
-    return _one(_trace_log_sums(f, g, *_checked_pair(A, B)), tol)
+    return _one(_trace_log_sums(f, g, *_one_trial({"A": A, "B": B})), tol)
 
 
 def _exp_log_traces(A: np.ndarray, B: np.ndarray):
@@ -292,7 +299,7 @@ def exp_log_trace_gap(A, B, tol: float = DEFAULT_TOLERANCE) -> InequalityVerdict
     commuting A, B.  The product-path cross-check recomputes both traces
     through functional calculus (log, matrix product, trace) to 1e-8.
     """
-    return _one(_exp_log_traces(*_checked_pair(A, B)), tol)
+    return _one(_exp_log_traces(*_one_trial({"A": A, "B": B})), tol)
 
 
 def _require_density(w: np.ndarray, what: str) -> None:
@@ -326,7 +333,7 @@ def quantum_relative_entropy(rho, sigma) -> float:
     weight where sigma vanishes is a support violation (the divergence is
     +infinity) and raises SupportError.
     """
-    return float(_relative_entropies(*_checked_pair(rho, sigma))[0])
+    return float(_relative_entropies(*_one_trial({"rho": rho, "sigma": sigma}))[0])
 
 
 def _entropies(rho: np.ndarray) -> np.ndarray:
@@ -339,7 +346,7 @@ def _entropies(rho: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """-trace(rho log rho) with the 0*log 0 = 0 convention; lies in [0, log n]."""
-    return float(_entropies(_require_hermitian(rho)[None])[0])
+    return float(_entropies(*_one_trial({"rho": rho}))[0])
 
 
 def _q_traces(A: np.ndarray, B: np.ndarray, q: np.ndarray, r: np.ndarray):
@@ -375,7 +382,7 @@ def q_trace_gap(A, B, q: float, r: float, tol: float = DEFAULT_TOLERANCE) -> Ine
     (trace B^r)^(1-q) trace[A^r lnq(A^r B^-r)] vs
     trace(A^r) [lnq(trace A^r) - lnq(trace B^r)], direction by sign of 2 - q.
     """
-    pair = _checked_pair(A, B)
+    pair = _one_trial({"A": A, "B": B})
     return _one(_q_traces(*pair, np.array([float(q)]), np.array([float(r)])), tol)
 
 
@@ -406,4 +413,4 @@ def reverse_trace_gap(
     on the ratio interval, matching the scalar reverse inequality on the
     joint spectrum.
     """
-    return _one(_reverse_traces(f, g, *_checked_pair(A, B)), tol)
+    return _one(_reverse_traces(f, g, *_one_trial({"A": A, "B": B})), tol)

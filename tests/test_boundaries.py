@@ -14,9 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from logsumineq import harness
-from logsumineq.errors import DomainError, PreconditionError, SingularityError
+from logsumineq import harness, traceform
+from logsumineq.errors import DomainError, PreconditionError, SingularityError, SupportError
 from logsumineq.functions import identity_fn, log_fn, power_fn
+from logsumineq.generators import rand_split_matching
 from logsumineq.harness import TrialConfig, counterexample_search, run_suite
 from logsumineq.loewner import (
     mean_monotonicity_residual,
@@ -34,7 +35,13 @@ from logsumineq.matfun import (
     spectral_decompose,
 )
 from logsumineq.scalar import _verdict
-from logsumineq.traceform import joint_spectrum, von_neumann_entropy
+from logsumineq.traceform import (
+    exp_log_trace_gap,
+    joint_spectrum,
+    quantum_relative_entropy,
+    reverse_trace_gap,
+    von_neumann_entropy,
+)
 
 TOL = 1e-9  # the default verdict tolerance
 PSD_CLAMP_RTOL = 1e-12
@@ -48,6 +55,9 @@ CONTRACTION_TOL = 1e-12
 _F_AT_ANCHOR_TOL = 1e-12
 RECHECK_ABS_TOL = 1e-6
 INVERSE_FLOOR_RTOL = 1e-10  # SpectralDecomposition.inverse's default floor, relative to max|w|
+CROSS_CHECK_RTOL = 1e-9
+EXP_LOG_CROSS_RTOL = 1e-8
+SUPPORT_ATOL = 1e-14
 
 
 @pytest.mark.parametrize("factor, holds", [(2.0, False), (0.5, True)])
@@ -264,7 +274,7 @@ def test_search_recheck_boundary(monkeypatch, recheck, confirmed):
 def test_hermitian_drift_boundary(factor, accepted):
     # the anti-Hermitian part has maxnorm d, at scale max(1, maxnorm) = 1
     M = [[1.0, factor * HERMITIAN_RTOL], [0.0, 1.0]]
-    _check(accepted, lambda: spectral_decompose(M), DomainError, r"^matrix is not Hermitian")
+    _check(accepted, lambda: spectral_decompose(M), DomainError, r"^A is not Hermitian")
 
 
 @pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
@@ -350,3 +360,56 @@ def test_inverse_floor_boundary(factor, accepted):
     # the least eigenvalue INVERSE_FLOOR_RTOL / factor against the default floor, at max|w| = 1
     M = np.diag([1.0, INVERSE_FLOOR_RTOL / factor])
     _check(accepted, lambda: psd_inverse(M), SingularityError, r"^matrix not invertible above")
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_split_matching_total_floor_boundary(factor, accepted):
+    # a total's least eigenvalue INVERSE_FLOOR_RTOL / factor, at max|w| = 1
+    total = np.diag([1.0, INVERSE_FLOOR_RTOL / factor])
+    _check(
+        accepted,
+        lambda: rand_split_matching(np.random.default_rng(5), total, 2, (0.5, 2.0)),
+        DomainError,
+        r"^total is not positive definite",
+    )
+
+
+@pytest.mark.parametrize("factor, refereed", [(2.0, True), (0.5, False)])
+@pytest.mark.parametrize(
+    "gap, rtol",
+    [
+        (lambda A, B: reverse_trace_gap(log_fn(), identity_fn(), A, B), CROSS_CHECK_RTOL),
+        (exp_log_trace_gap, EXP_LOG_CROSS_RTOL),
+    ],
+    ids=["CROSS_CHECK_RTOL", "EXP_LOG_CROSS_RTOL"],
+)
+def test_cross_check_boundary(monkeypatch, gap, rtol, factor, refereed):
+    # A = B makes the cross-checked value 0, at scale 1; its product-path value is moved to d,
+    # and the referee, stubbed to count its calls, agrees with the primary value
+    real, calls = traceform._cross_check, []
+
+    def moved(label, primary, product_path, rtol_used, referee):
+        real(label, primary, primary + factor * rtol, rtol_used, referee)
+
+    def referee(quantity, *args):
+        calls.append(quantity)
+        return 0.0
+
+    monkeypatch.setattr(traceform, "_cross_check", moved)
+    monkeypatch.setattr(traceform, "_referee", referee)
+    A = np.diag([1.0, 0.5])
+    gap(A, A)
+    assert len(calls) == refereed
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_support_boundary(factor, accepted):
+    # rho = diag(1 - d, d) puts weight d where sigma = diag(1, 0) vanishes
+    d = factor * SUPPORT_ATOL
+    rho, sigma = np.diag([1.0 - d, d]), np.diag([1.0, 0.0])
+    _check(
+        accepted,
+        lambda: quantum_relative_entropy(rho, sigma),
+        SupportError,
+        r"^rho has weight outside sigma's support",
+    )

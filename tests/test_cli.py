@@ -143,7 +143,7 @@ def test_eval_non_hermitian_b_exits_two(tmp_path, capsys, op):
     doc = {**EVAL_FIXTURES[op][0], "B": _m(np.array([[2.0, 1.0], [0.0, 2.0]]))}
     code, out, err = _eval(tmp_path, capsys, op, doc)
     assert (code, out) == (2, "")
-    assert err.startswith("error: matrix is not Hermitian")
+    assert err.startswith("error: B is not Hermitian")
 
 
 @pytest.mark.parametrize(

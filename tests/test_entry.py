@@ -1,0 +1,161 @@
+"""The one entry check: every public matrix argument, of a function or of an eval op,
+is refused by the same rule, under its parameter's name.
+
+Each case breaks one matrix argument of an otherwise valid call: it is not square,
+not finite, not Hermitian (where Hermitian is required) or of another shape than the
+first matrix checked; a family is empty or of another length than the first family.
+The function raises the rule's error with a message that starts with the argument's
+name (a family member's is name[k]); eval exits 2 with the same message, or, for what
+the exchange format cannot carry, with the refusal of its field.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from logsumineq import cli, loewner, matfun, traceform
+from logsumineq.errors import DimensionError, DomainError
+from logsumineq.matio import matrix_from_obj
+
+# The public matrix functions that no eval op runs, with their parameters in order.
+_FUNCTIONS = {
+    "commutes": (matfun.commutes, ("A", "B")),
+    "commutator_maxnorm": (matfun.commutator_maxnorm, ("A", "B")),
+    "operator_perspective": (loewner.operator_perspective, ("f", "A", "B")),
+    "joint_spectrum": (traceform.joint_spectrum, ("A", "B")),
+}
+_CALLS = {**_FUNCTIONS, **cli.EVAL_OPS}
+
+# Arguments checked square and finite only; every other matrix must be Hermitian too.
+_SQUARE = {"M", "U", "contraction", "X_family"}
+_SQUARE_IN = {"commutes": {"A", "B"}, "commutator_maxnorm": {"A", "B"}}
+_B_FIRST = {"matrix_mean"}  # B is checked before A
+
+# Valid values of the other arguments, read by eval's own field parser.
+_OTHER = {
+    "f": {"family": "power", "param": 0.5},
+    "g": {"family": "identity"},
+    "q": 0.5,
+    "r": 1.0,
+    "lambda_a": [1.0, 2.0],
+    "lambda_b": [2.0, 1.0],
+}
+
+_VALID = 2.0 * np.eye(2)
+_BAD = {
+    "non-square": np.ones((2, 3)),
+    "non-finite": np.array([[2.0, np.nan], [np.nan, 2.0]]),
+    "non-Hermitian": np.array([[2.0, 1.0], [0.0, 2.0]]),
+    "shape": 2.0 * np.eye(3),
+}
+
+
+def _kind(field):
+    parse = cli._FIELDS[field][0]
+    return "matrix" if parse is matrix_from_obj else "family" if parse is cli._family else None
+
+
+def _matrices(op):
+    """The op's matrix and family parameters in the order they are checked."""
+    names = [name for name in _CALLS[op][1] if _kind(name)]
+    return names[::-1] if op in _B_FIRST else names
+
+
+def _cases():
+    for op in sorted(_CALLS):
+        matrices = _matrices(op)
+        if not matrices:
+            continue
+        first = f"{matrices[0]}[0]" if _kind(matrices[0]) == "family" else matrices[0]
+        for field in matrices:
+            family = _kind(field) == "family"
+            square = field in _SQUARE | _SQUARE_IN.get(op, set())
+            # a family's member [1], which is never the first matrix checked
+            name = f"{field}[1]" if family else field
+            yield op, field, "non-square", DimensionError, f"{name} must be square"
+            yield op, field, "non-finite", DomainError, f"{name} has non-finite entries"
+            if not square:
+                yield op, field, "non-Hermitian", DomainError, f"{name} is not Hermitian"
+            if name != first:
+                yield op, field, "shape", DimensionError, (
+                    f"{name} has shape (3, 3), expected {first}'s (2, 2)"
+                )
+            if family:
+                empty = f"{field} must contain at least one matrix"
+                yield op, field, "empty", DimensionError, empty
+                if field != matrices[0]:
+                    yield op, field, "length", DimensionError, (
+                        f"{field} has length 3, expected {matrices[0]}'s 2"
+                    )
+
+
+_CASES = list(_cases())
+
+
+def _arguments(op, field, case):
+    """The op's arguments with field broken by case: (the Python values, the eval document)."""
+    values = {}
+    for name in _CALLS[op][1]:
+        if _kind(name) == "matrix":
+            values[name] = _VALID
+        elif _kind(name) == "family":
+            values[name] = [_VALID, _VALID]
+    if case == "empty":
+        values[field] = []
+    elif case == "length":
+        values[field] = [_VALID] * 3
+    elif _kind(field) == "family":
+        values[field] = [_VALID, _BAD[case]]
+    else:
+        values[field] = _BAD[case]
+    doc = {name: value for name, value in _OTHER.items() if name in _CALLS[op][1]}
+    for name, value in values.items():
+        doc[name] = [_obj(M) for M in value] if _kind(name) == "family" else _obj(value)
+    args = [values[name] if name in values else cli._field(doc, name) for name in _CALLS[op][1]]
+    return args, doc
+
+
+def _obj(M):
+    """M in the exchange format, whatever its shape and entries."""
+    return {"n": M.shape[0], "re": M.real.tolist(), "im": np.zeros_like(M.real).tolist()}
+
+
+def test_every_public_matrix_function_and_eval_op_is_covered():
+    public = {
+        name
+        for module in (matfun, loewner, traceform)
+        for name in module.__all__
+        if callable(getattr(module, name)) and not isinstance(getattr(module, name), type)
+    }
+    # maxnorm checks nothing, jacobi_eigh takes a stack under its own name, and
+    # operator_class_flags and require_operator_class take no matrix
+    unchecked = {"maxnorm", "jacobi_eigh", "operator_class_flags", "require_operator_class"}
+    covered = {op for op, *_ in _CASES}
+    assert public - unchecked <= covered
+    assert {op for op, (_, fields) in cli.EVAL_OPS.items() if any(map(_kind, fields))} <= covered
+
+
+@pytest.mark.parametrize(
+    "op, field, case, error, message",
+    _CASES,
+    ids=[f"{op}-{field}-{case}" for op, field, case, *_ in _CASES],
+)
+def test_each_matrix_argument_is_refused_under_its_name(
+    tmp_path, capsys, op, field, case, error, message
+):
+    args, doc = _arguments(op, field, case)
+    with pytest.raises(error) as raised:
+        _CALLS[op][0](*args)
+    assert str(raised.value).startswith(message)
+    if op not in cli.EVAL_OPS:
+        return
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["eval", "--op", op, "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    if case in ("non-square", "non-finite"):  # refused by the exchange format's parser
+        assert err.startswith(f"error: field {field!r} is malformed")
+    else:
+        assert err == f"error: {raised.value}\n"

@@ -30,6 +30,8 @@ from logsumineq.generators import (
     rand_expansive,
     rand_pd,
     rand_psd,
+    rand_sequence,
+    rand_sequence_pair,
     rand_split_matching,
     rand_square,
     rand_unitary,
@@ -410,3 +412,52 @@ def test_public_generators_take_the_configs_window_rule(window):
         rand_split_matching(rng, _TOTAL, 2, window)
     with pytest.raises(DomainError, match="^spectrum_range"):
         TrialConfig(suite="perspective_sum", spectrum_range=window)
+
+
+# each public generator that takes a dimension n, called with n and a valid rest
+_DIMENSIONED = {
+    "rand_unitary": rand_unitary,
+    "rand_pd": lambda rng, n: rand_pd(rng, n, (0.5, 2.0)),
+    "rand_psd": rand_psd,
+    "rand_expansive": rand_expansive,
+    "rand_contractive_pd": rand_contractive_pd,
+    "rand_contraction": rand_contraction,
+    "rand_square": rand_square,
+    "rand_sequence": rand_sequence,
+    "rand_sequence_pair": rand_sequence_pair,
+    "rand_commuting_pair": lambda rng, n: rand_commuting_pair(rng, n, (0.5, 2.0), (0.5, 2.0)),
+    "rand_density": rand_density,
+    "rand_density_pair": rand_density_pair,
+}
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.0, True])
+@pytest.mark.parametrize("name", sorted(_DIMENSIONED))
+def test_public_generators_refuse_a_bad_dimension_before_drawing(name, n):
+    # at n = 0 rand_pd gave a 0x0 matrix, at -2 numpy's own error, at 2.0 and True a TypeError
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match=r"^dimension n must be an integer >= 1, got "):
+        _DIMENSIONED[name](rng, n)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
+    "total, match",
+    [
+        # was a family summing to its Hermitian part
+        ([[2.0, 1.0], [0.0, 2.0]], r"^total is not Hermitian"),
+        # was a family of NaNs, with a RuntimeWarning from sqrt
+        (-np.eye(2), r"^total is not positive definite \(min eigenvalue -1\.000e\+00\)$"),
+        # was a family with a zero eigenvalue in its members
+        (np.diag([1.0, 0.0]), r"^total is not positive definite \(min eigenvalue 0\.000e\+00\)$"),
+    ],
+    ids=["non-Hermitian", "negative definite", "singular"],
+)
+def test_split_matching_refuses_a_total_that_is_not_positive_definite_before_drawing(total, match):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match=match):
+        rand_split_matching(rng, total, 2, (0.5, 2.0))
+    assert rng.bit_generator.state == state
+

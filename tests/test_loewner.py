@@ -125,6 +125,18 @@ def test_perspective_identity_gap_zero_when_a_is_identity():
     assert perspective_identity_gap(log_fn(), np.eye(3), B) <= 1e-12
 
 
+def test_perspective_identity_gap_checks_each_input_once(input_checks, eigh_calls):
+    rng = np.random.default_rng(3)
+    A, B = rand_pd(rng, 3, (0.5, 2.0)), rand_pd(rng, 3, (0.5, 2.0))
+    eigh_calls.clear()
+    input_checks.update(dict.fromkeys(input_checks, 0))
+    perspective_identity_gap(log_fn(), A, B)
+    # A, then B, each checked square, finite and Hermitian at entry and nowhere after
+    assert input_checks == {"_as_square_complex": 2, "_require_hermitian": 2}
+    # A, the perspective's argument in A's eigenbasis, then B for f(B)
+    assert len(eigh_calls) == 3
+
+
 def test_perspective_identity_fails_for_noncommuting():
     # the pointwise summand = f(B) identity is false off the commuting case;
     # keep one sizable witness pinned so nobody "fixes" it into an assertion
@@ -402,7 +414,7 @@ def test_matrix_mean_checks_b_before_a():
         matrix_mean(SQRT, singular, indefinite)
     with pytest.raises(SingularityError, match=r"\(min eigenvalue 0\.000e\+00\)$"):
         matrix_mean(SQRT, indefinite, singular)
-    with pytest.raises(DomainError, match=r"^matrix is not Hermitian \(anti-Hermitian part 2\.0"):
+    with pytest.raises(DomainError, match=r"^B is not Hermitian \(anti-Hermitian part 2\.0"):
         matrix_mean(SQRT, [[1.0, 1.0], [0.0, 1.0]], [[1.0, 2.0], [0.0, 1.0]])
 
 
@@ -676,28 +688,31 @@ _FAMILY_PAIR_CALLS = {
 
 @pytest.mark.parametrize("name", sorted(_FAMILY_PAIR_CALLS))
 def test_families_of_different_length_are_rejected(name):
-    with pytest.raises(DomainError) as exc:
+    with pytest.raises(DimensionError) as exc:
         _FAMILY_PAIR_CALLS[name]([2 * _I, 2 * _I], [_I])
-    assert str(exc.value) == "A_family and B_family must have the same length"
+    assert str(exc.value) == "B_family has length 1, expected A_family's 2"
 
 
 @pytest.mark.parametrize("name", sorted(_FAMILY_PAIR_CALLS))
 def test_families_of_different_dimension_are_rejected(name):
-    with pytest.raises(DomainError) as exc:
+    with pytest.raises(DimensionError) as exc:
         _FAMILY_PAIR_CALLS[name]([2 * _I], [np.eye(3)])
-    assert str(exc.value) == "A_family and B_family must share dimension"
+    assert str(exc.value) == "B_family[0] has shape (3, 3), expected A_family[0]'s (2, 2)"
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, first, second",
     [
-        lambda A, B: operator_perspective(SQRT, A, B),
-        lambda A, B: matrix_mean(SQRT, A, B),
+        (lambda A, B: operator_perspective(SQRT, A, B), "A", "B"),
+        (lambda A, B: matrix_mean(SQRT, A, B), "B", "A"),  # B is checked first
     ],
     ids=["operator_perspective", "matrix_mean"],
 )
-def test_pair_of_different_shapes_is_a_dimension_error(call):
+def test_pair_of_different_shapes_is_a_dimension_error(call, first, second):
     for A, B in ((np.eye(2), np.eye(3)), (np.eye(3), np.eye(2))):
-        with pytest.raises(DimensionError, match=r"^dimension mismatch") as err:
+        shapes = {"A": A.shape, "B": B.shape}
+        with pytest.raises(DimensionError) as err:
             call(A, B)
-        assert f"{A.shape} vs {B.shape}" in str(err.value)
+        assert str(err.value) == (
+            f"{second} has shape {shapes[second]}, expected {first}'s {shapes[first]}"
+        )

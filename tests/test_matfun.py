@@ -254,7 +254,7 @@ def test_make_commuting_pair_rejects_nonunitary():
 @pytest.mark.parametrize(
     "A, B, error, match",
     [
-        (np.eye(2), np.eye(3), DimensionError, r"^dimension mismatch \(2, 2\) vs \(3, 3\)$"),
+        (np.eye(2), np.eye(3), DimensionError, r"^B has shape \(3, 3\), expected A's \(2, 2\)$"),
         (np.ones((2, 3)), np.ones((3, 2)), DimensionError, r"^A must be square"),
         (np.eye(2), [[1.0, np.nan], [0.0, 1.0]], DomainError, r"^B has non-finite entries$"),
         (np.ones(3), np.ones(3), DimensionError, r"^A must be square"),

@@ -60,9 +60,19 @@ def _tolerances(tree: ast.Module):
             yield from ((node.lineno, kw.value) for kw in node.keywords if kw.arg == "tolerance")
 
 
+def _named_tolerances(tree: ast.Module):
+    """(line, name) of every module-level constant whose name ends in _TOL, _RTOL or _ATOL."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id.endswith(("_TOL", "_RTOL", "_ATOL")):
+                    yield node.lineno, target.id
+
+
 def test_every_named_tolerance_is_written_out_in_the_boundary_tests():
     # a check's tolerance is a name, a call or an attribute, never a literal; a module
-    # constant among them is assigned, with its value, at the top of test_boundaries.py
+    # constant among them, and every module constant named as a tolerance (which may reach
+    # _holds through an argument), is assigned, with its value, at the top of test_boundaries.py
     written = {
         target.id: node.value.value
         for node in ast.parse(BOUNDARIES.read_text()).body
@@ -72,14 +82,18 @@ def test_every_named_tolerance_is_written_out_in_the_boundary_tests():
     }
     literal, unpinned, constants = [], [], 0
     for path in sorted(SRC.glob("*.py")):
-        for line, tol in _tolerances(ast.parse(path.read_text())):
-            where = f"{path.name}:{line}"
+        tree = ast.parse(path.read_text())
+        module = importlib.import_module(f"logsumineq.{path.stem}")
+        names = list(_named_tolerances(tree))
+        for line, tol in _tolerances(tree):
             if not isinstance(tol, (ast.Name, ast.Call, ast.Attribute)):
-                literal.append(where)
+                literal.append(f"{path.name}:{line}")
             elif isinstance(tol, ast.Name) and tol.id.lstrip("_").isupper():
                 constants += 1
-                value = getattr(importlib.import_module(f"logsumineq.{path.stem}"), tol.id)
-                if written.get(tol.id) != value:
-                    unpinned.append(f"{where} {tol.id} = {value!r}")
+                names.append((line, tol.id))
+        for line, name in names:
+            value = getattr(module, name)
+            if written.get(name) != value:
+                unpinned.append(f"{path.name}:{line} {name} = {value!r}")
     assert literal == [] and unpinned == []
     assert constants >= 10

@@ -432,12 +432,16 @@ _PAIR_FUNCTIONS = {
 }
 
 
+# each pair function's parameter names, which its refusals name
+_PAIR_NAMES = {**dict.fromkeys(_PAIR_FUNCTIONS, ("A", "B")), "relative_entropy": ("rho", "sigma")}
+
+
 @pytest.mark.parametrize("name", sorted(_PAIR_FUNCTIONS))
 def test_non_hermitian_b_is_rejected_like_a(name):
     # B's Hermitian part 2I + [[0, .5], [.5, 0]] commutes with A = I and would pass
-    call = _PAIR_FUNCTIONS[name]
-    for A, B in ((np.eye(2), _NOT_HERMITIAN), (_NOT_HERMITIAN, np.eye(2))):
-        with pytest.raises(DomainError, match=r"^matrix is not Hermitian"):
+    call, (a, b) = _PAIR_FUNCTIONS[name], _PAIR_NAMES[name]
+    for A, B, what in ((np.eye(2), _NOT_HERMITIAN, b), (_NOT_HERMITIAN, np.eye(2), a)):
+        with pytest.raises(DomainError, match=f"^{what} is not Hermitian"):
             call(A, B)
 
 
@@ -456,7 +460,7 @@ def _public_product_path(f, g, A, B, reverse=False):
 def test_product_path_on_the_joint_decomposition_is_the_public_route(seed, reverse):
     n = 1 + seed % 6
     A, B = rand_commuting_pair(np.random.default_rng(seed), n, (0.1, 5.0), (0.1, 5.0))
-    Ah, Bh = traceform._checked_pair(A, B)
+    Ah, Bh = traceform._one_trial({"A": A, "B": B})
     got = traceform._product_path(
         log_fn(), power_fn(1.5), _decompose(Ah).map(power_fn(1.5)), Bh, reverse
     )
@@ -466,11 +470,11 @@ def test_product_path_on_the_joint_decomposition_is_the_public_route(seed, rever
 
 @pytest.mark.parametrize("name", sorted(_PAIR_FUNCTIONS))
 def test_pair_of_different_shapes_is_a_dimension_error(name):
-    call = _PAIR_FUNCTIONS[name]
+    call, (a, b) = _PAIR_FUNCTIONS[name], _PAIR_NAMES[name]
     for A, B in ((np.eye(2), np.eye(3)), (np.eye(3), np.eye(2))):
-        with pytest.raises(DimensionError, match=r"^dimension mismatch") as err:
+        with pytest.raises(DimensionError) as err:
             call(A, B)
-        assert f"{A.shape} vs {B.shape}" in str(err.value)
+        assert str(err.value) == f"{b} has shape {B.shape}, expected {a}'s {A.shape}"
 
 
 @pytest.mark.parametrize("name", sorted(_PAIR_GAPS))
