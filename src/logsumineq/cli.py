@@ -102,7 +102,7 @@ _FIELDS = {
     "h_kind": (_string, _REQUIRED),
     "interval": (_interval, _REQUIRED),
     "tol": (_number, DEFAULT_TOLERANCE),
-    "grid_points": (_exactly(int, "an integer"), 101),
+    "grid_points": (_exactly(int, "an integer"), scalar.DEFAULT_GRID_POINTS),
     "solver": (_string, "eigh"),
     "floor": (_number, None),
     "lhs_form": (_string, "perspective_sum"),

@@ -24,13 +24,18 @@ cases take their parameter as they build the spec, and ratio_bounds reads g
 off its last uniform.  _Stacked.draws seeds a whole block at once (_rngs):
 numpy's SeedSequence hash runs over the block's seeds as uint32 arrays,
 PCG64's seeding in Python ints, and one Generator takes each trial's state
-in turn.  _grouped groups a block's trials by n alone (a group whose draws
-exceed its share of _BLOCK_BYTES runs in parts), _stacks stacks each value
-over a group (a family's members of every trial on one flat member axis
-(K, ...), beside the member count m of each trial), and kernel(config, *stacks)
-builds and evaluates the group as one stack (at most one qr or svd per
-build, one eigensolver call per kernel step), bitwise equal to one-trial
-runs, so the blocks change no number in a report.  A kernel returns each
+in turn.  _grouped groups a block's trials into size classes (a class whose
+draws exceed its share of _BLOCK_BYTES runs in parts), and _stacks stacks
+each value over an n-group (a family's members of every trial on one flat
+member axis (K, ...), beside the member count m of each trial).  A scalar or
+trace suite's class is one n, and kernel(config, *stacks) builds and
+evaluates it as one stack.  A Loewner suite's kernel is a _Padded pair: its
+class is every n with one _size_class N(n) = max(n, min(config.n, 8)), each
+n-group is built at its own n, each built matrix padded to N by an identity
+block, and the class judged in one stack, each check reading the trials' own
+slots (see _Padded).  A build takes at most one qr or svd, a judge one
+eigensolver call per kernel step, and a trial's bits depend only on its
+draws and its N, so the blocks change no number in a report.  A kernel returns each
 trial's gap, (T,) or (T, k) for k checks per trial, and the scale its
 tolerance multiplies; _verdicts judges every trial.  A one-member trial of
 perspective_sum with the perspective-sum lhs (any family kind), pooled_inverse
@@ -53,13 +58,14 @@ Loewner suites take the residual kernels of loewner.  Search-mode
 candidates keep the draws of their first pass and are re-verified through
 the independent Jacobi eigensolver at a tightened absolute tolerance before
 they are reported as findings: _verdicts judges a chunk of candidates with
-_rechecks, the same stacked kernel over each n-group with three jacobi_eigh
-calls per group in place of eigh.
+_rechecks, the same padded kernel over each size class with three
+jacobi_eigh calls per class in place of eigh.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -82,7 +88,7 @@ from .loewner import (
     _split_mean,
     perspective_sum_residual,  # noqa: F401 (the benchmark self-tests read it from harness)
 )
-from .matfun import _decompose, _gap_scale, _Segments
+from .matfun import _decompose, _gap_scale, _lowest, _Segments
 from .scalar import (
     _curvature_holds,
     _forward,
@@ -507,17 +513,20 @@ def _sum_draw(rng, config: TrialConfig) -> _Draw:
     return _Draw(draw.n, (*draw.values, _concave_f(rng)))
 
 
-def _sum_residuals(config: TrialConfig, m, *stacks, solver: str = "eigh") -> np.ndarray:
+def _sum_build(config: TrialConfig, m, *stacks):
     *family, fs = stacks
-    As, Bs = _families(config, *family, a_kind=config.family_kind)
-    expansive = config.family_kind == "expansive"
-    return _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, config.tolerance, solver)
+    return m, *_families(config, *family, a_kind=config.family_kind), fs
 
 
-def _rechecks(config: TrialConfig, m, *stacks):
-    """The kernel of the search's confirmation: each candidate's minimum eigenvalue through the
-    Jacobi solver, at scale 1.  _sum_residuals is looked up here, at call time."""
-    return _sum_residuals(config, m, *stacks, solver="jacobi").min(axis=-1), 1.0
+def _sum_residuals(config: TrialConfig, size, m, As, Bs, fs, solver: str = "eigh") -> np.ndarray:
+    expansive, tol = config.family_kind == "expansive", config.tolerance
+    return _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, tol, solver, size)
+
+
+def _recheck_gaps(config: TrialConfig, size, *built):
+    """The search's confirmation: each candidate's minimum eigenvalue through the Jacobi
+    solver, at scale 1.  _sum_residuals is looked up here, at call time."""
+    return _lowest(_sum_residuals(config, size, *built, solver="jacobi"), size), 1.0
 
 
 def _jensen(rng, n):
@@ -525,8 +534,12 @@ def _jensen(rng, n):
     return gen._complex_gaussian(rng, n), rng.random(n), gen._complex_gaussian(rng, n)
 
 
-def _jensen_residuals(config, x_c, s, x_x):
-    return _operator_jensen(_SQRT, gen._build_contraction(s, x_c), gen._build_psd(2.0, x_x))
+def _jensen_build(config, x_c, s, x_x):
+    return gen._build_contraction(s, x_c), gen._build_psd(2.0, x_x)
+
+
+def _jensen_residuals(config, size, C, X):
+    return _operator_jensen(_SQRT, C, X, size)
 
 
 def _shannon_draw(rng, config: TrialConfig) -> _Draw:
@@ -536,15 +549,18 @@ def _shannon_draw(rng, config: TrialConfig) -> _Draw:
     return _Draw(n, (*values, _SHANNON_POWER if f.family == "power" else f))
 
 
-def _shannon_residuals(config, m, *stacks) -> np.ndarray:
-    """One decomposition of [S, A, A_i]: each trial's S = sum(shares) and A = sum(A_i)."""
+def _shannon_build(config, m, *stacks):
+    """A, then B split to match its total: one decomposition of each trial's sum(shares) and
+    sum(A_i)."""
     *family, fs = stacks
     As, shares = _families(config, *family, a_kind="expansive")
     total = _Segments(m).total
-    dec = _decompose(np.concatenate([total(shares), total(As), As]))
-    T = len(m)
-    Bs = gen._split_matching(dec[: 2 * T], shares, m)
-    return _operator_shannon(fs, As, Bs, m, dec[T:], config.tolerance)
+    dec = _decompose(np.concatenate([total(shares), total(As)]))
+    return m, As, gen._split_matching(dec, shares, m), fs
+
+
+def _shannon_residuals(config, size, m, As, Bs, fs) -> np.ndarray:
+    return _operator_shannon(fs, As, Bs, m, config.tolerance, size)
 
 
 def _pooled_inverse_draw(rng, config: TrialConfig) -> _Draw:
@@ -560,17 +576,25 @@ def _pooled_inverse_draw(rng, config: TrialConfig) -> _Draw:
     return _Draw(n, (m, *zip(*pds), tuple(rng.standard_normal((m, 2, n, n)))))
 
 
-def _pooled_inverse_residuals(config, m, u, x, x_square) -> np.ndarray:
+def _pooled_inverse_build(config, m, u, x, x_square):
     As = gen._build(gen._uniform(u, *config.spectrum_range), gen._unitaries(x))
-    return _pooled_inverse(gen._complex(x_square), As, m)
+    return m, gen._complex(x_square), As
 
 
-def _pooled_mean_residuals(config, m, *family) -> np.ndarray:
-    return _pooled_mean(_SQRT, *_families(config, *family), m)
+def _pooled_inverse_residuals(config, size, m, Xs, As) -> np.ndarray:
+    return _pooled_inverse(Xs, As, m, size)
 
 
-def _split_mean_residuals(config, m, *family) -> np.ndarray:
-    return _split_mean(_SQRT, *_families(config, *family), m)
+def _family_build(config, m, *family):
+    return m, *_families(config, *family)
+
+
+def _pooled_mean_residuals(config, size, m, As, Bs) -> np.ndarray:
+    return _pooled_mean(_SQRT, As, Bs, m, size)
+
+
+def _split_mean_residuals(config, size, m, As, Bs) -> np.ndarray:
+    return _split_mean(_SQRT, As, Bs, m, size)
 
 
 def _monotonicity_draw(rng, config: TrialConfig) -> _Draw:
@@ -589,14 +613,19 @@ def _monotonicity_draw(rng, config: TrialConfig) -> _Draw:
     return _Draw(n, (*zip(a_part, b_part, b_step), scale, g_psd))
 
 
-def _monotonicity_residuals(config, u, x, u_scale, x_psd) -> np.ndarray:
-    """A_part's and B_part's spectra on config.spectrum_range, B_step's on (0.05, 0.5)."""
+def _monotonicity_build(config, u, x, u_scale, x_psd):
+    """A_part, B_part, A_whole, B_whole: A_part's and B_part's spectra on config.spectrum_range,
+    B_step's on (0.05, 0.5)."""
     w = gen._uniform(u, *config.spectrum_range)
     w[2::3] = gen._uniform(u[2::3], 0.05, 0.5)
     mats = gen._build(w, gen._unitaries(x))  # each trial's A_part, B_part, B_step in turn
     A_part, B_part, B_step = mats[0::3], mats[1::3], mats[2::3]
     A_whole = A_part + gen._build_psd(gen._uniform(u_scale, 0.1, 1.0), x_psd)
-    return _mean_monotonicity(_SQRT, A_part, B_part, A_whole, B_part + B_step, config.tolerance)
+    return A_part, B_part, A_whole, B_part + B_step
+
+
+def _monotonicity_residuals(config, size, *built) -> np.ndarray:
+    return _mean_monotonicity(_SQRT, *built, config.tolerance, size)
 
 
 def _nbytes(value) -> int:
@@ -606,46 +635,131 @@ def _nbytes(value) -> int:
     return 0 if isinstance(value, FunctionSpec) else np.asarray(value).nbytes
 
 
-def _grouped(draws: list[_Draw], config: TrialConfig, evaluate):
-    """(positions in draws, evaluate(*stacks)) of each group of draws sharing n.
+# The least size a Loewner trial is padded to: with one BLAS thread, stacked eigh costs
+# about 2 us per matrix at n=3, 10.5 at 8, 45 at 16 and 560 at 64, so padding past 8
+# costs more than the ~80 us of numpy overhead that merging one n-group saves.
+_PAD_CAP = 8
 
-    A block's draws fit _BLOCK_BYTES and spread over at most config.n sizes,
-    and a kernel's working set is several times its group's draws.  So a
-    group whose stacks take more than _BLOCK_BYTES // config.n bytes is
-    evaluated in runs of consecutive trials that fit (a larger trial runs
-    alone).  Groups and runs are bitwise independent stacks.
+
+def _size_class(n: int, config: TrialConfig) -> int:
+    """The size N(n) = max(n, min(config.n, _PAD_CAP)) that a Loewner trial of size n is judged
+    at: it depends on (n, config.n) alone, so a one-trial replay pads as its run did."""
+    return max(n, min(config.n, _PAD_CAP))
+
+
+def _pad(values, N: int) -> list:
+    """An n-group's built values, each stack of matrices (ndim >= 3) embedded as the top-left
+    block of an N x N identity; any other value as it is."""
+    padded = []
+    for v in values:
+        if isinstance(v, np.ndarray) and v.ndim >= 3 and v.shape[-1] < N:
+            n, p = v.shape[-1], np.zeros((*v.shape[:-2], N, N), dtype=v.dtype)
+            p[..., :n, :n] = v
+            p[..., range(n, N), range(n, N)] = 1.0
+            v = p
+        padded.append(v)
+    return padded
+
+
+def _joined(values):
+    """One built value over the n-groups of a size class: arrays concatenated, lists added."""
+    if len(values) == 1:
+        return values[0]
+    if isinstance(values[0], list):
+        return [v for value in values for v in value]
+    return np.concatenate(values)
+
+
+class _Padded(NamedTuple):
+    """The kernel of a Loewner suite: one call judges a whole size class (_size_class).
+
+    build(config, *stacks) builds an n-group at its own n, bit for bit as the
+    public generators build each trial.  Each built matrix is then padded to
+    the class size N by an identity block (_pad), the n-groups' values are
+    joined, and judge(config, size, *built) gives each trial's gaps and scales,
+    size holding each trial's own n.  Every eigensolve of the judge orders a
+    matrix's eigenpairs own-first (matfun._decompose), and every check reads
+    the own slots or the own block only, so the pad never changes a verdict;
+    padded arithmetic moves a gap at round-off.
     """
-    groups: dict[int, list[int]] = {}
+
+    build: object
+    judge: object
+
+    def __call__(self, config: TrialConfig, N: int, size, *groups):
+        built = [_pad(self.build(config, *stacks), N) for stacks in groups]
+        return self.judge(config, size, *map(_joined, zip(*built)))
+
+
+def _grouped(draws: list[_Draw], config: TrialConfig, kernel):
+    """(positions in draws, kernel's gaps and scales) of each size class of draws.
+
+    A class holds the draws of one n, or, for a _Padded kernel, of every n
+    with one _size_class; its positions run by ascending n, then by trial.  A plain
+    kernel takes its class's stacks (_stacks), kernel(config, *stacks); a
+    padded one takes the class size, the trials' own sizes and each n-group's
+    stacks.  A block's draws fit _BLOCK_BYTES and spread over at most
+    config.n sizes, and a kernel's working set is several times its class's
+    draws.  So a class whose stacks, counted at the class size, take more than
+    _BLOCK_BYTES // config.n bytes is evaluated in runs of consecutive
+    positions that fit (a larger trial runs alone).  Classes and runs are
+    bitwise independent stacks.
+    """
+    padded = isinstance(kernel, _Padded)
+    by_n: dict[int, list[int]] = {}
     for k, d in enumerate(draws):
-        groups.setdefault(d.n, []).append(k)
+        by_n.setdefault(d.n, []).append(k)
+    classes: dict[int, list[int]] = {}
+    for n in sorted(by_n):
+        classes.setdefault(_size_class(n, config) if padded else n, []).append(n)
+
+    def judged(N, runs, groups=None):
+        """(positions, gaps and scales) of the n-groups runs, lists of positions sharing n."""
+        if groups is None:
+            groups = [_stacks([draws[k] for k in ks]) for ks in runs]
+        positions = [k for ks in runs for k in ks]
+        if not padded:
+            return positions, kernel(config, *groups[0])
+        size = np.repeat([draws[ks[0]].n for ks in runs], [len(ks) for ks in runs])
+        return positions, kernel(config, N, size, *groups)
+
     budget = _BLOCK_BYTES // config.n
-    for ks in groups.values():
-        stacks = _stacks([draws[k] for k in ks])
-        if sum(v.nbytes for v in stacks if isinstance(v, np.ndarray)) <= budget:
-            yield ks, evaluate(*stacks)
+    for N, sizes in classes.items():
+        runs = [by_n[n] for n in sizes]
+        groups = [_stacks([draws[k] for k in ks]) for ks in runs]
+        # bytes at the class size: an n-group's, and then a draw's, times (N / n)^2
+        arrays = [sum(v.nbytes for v in g if isinstance(v, np.ndarray)) for g in groups]
+        if sum((N / n) ** 2 * b for n, b in zip(sizes, arrays)) <= budget:
+            yield judged(N, runs, groups)
             continue
         run, used = [], 0
-        for k in ks:
-            size = sum(_nbytes(v) for v in draws[k].values)
-            if run and used + size > budget:
-                yield run, evaluate(*_stacks([draws[j] for j in run]))
-                run, used = [], 0
-            run.append(k)
-            used += size
-        yield run, evaluate(*_stacks([draws[j] for j in run]))
+        for n, ks in zip(sizes, runs):
+            for k in ks:
+                size = (N / n) ** 2 * _nbytes(draws[k].values)
+                if run and used + size > budget:
+                    yield judged(N, _by_n(run, draws))
+                    run, used = [], 0
+                run.append(k)
+                used += size
+        yield judged(N, _by_n(run, draws))
+
+
+def _by_n(run: list[int], draws: list[_Draw]) -> list[list[int]]:
+    """A run of positions, in runs of consecutive positions sharing n."""
+    return [list(ks) for _, ks in itertools.groupby(run, key=lambda k: draws[k].n)]
 
 
 def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
     """Gap and holds flag of each trial, as Python lists: the one place a trial is judged.
 
-    kernel(config, *stacks) gives a group's gaps, (T,) or (T, k) for k checks
-    per trial, and the scales broadcasting against them; the identity draws
-    take no kernel, and have gap 0.0 at scale 1.0.  A trial holds when every
-    check does (_holds), and its gap is its least check, the first on ties.
+    kernel gives a class's gaps (_grouped), (T,) or (T, k) for k checks per
+    trial, and the scales broadcasting against them; the identity draws take
+    no kernel, and have gap 0.0 at scale 1.0.  A trial holds when every check
+    does (_holds), and its gap is its least check, the first on ties.
     """
     gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
     evaluated = [k for k, d in enumerate(draws) if d is not _IDENTITY_DRAW]
-    groups = _grouped([draws[k] for k in evaluated], config, functools.partial(kernel, config))
+    groups = _grouped([draws[k] for k in evaluated], config, kernel)
     judged = [([evaluated[k] for k in ks], gap_scale) for ks, gap_scale in groups]
     if len(evaluated) < len(draws):
         identities = [k for k, d in enumerate(draws) if d is _IDENTITY_DRAW]
@@ -656,20 +770,24 @@ def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
     return gaps.tolist(), holds.tolist()
 
 
-def _min_eigenvalues(residuals):
+def _min_eigenvalues(build, residuals) -> _Padded:
     """The kernel of a Loewner suite: the gap and scale (_gap_scale) of each trial's residual,
-    whose eigenvalues (T, n) residuals(config, *stacks) gives for a group."""
-    return lambda config, *stacks: _gap_scale(residuals(config, *stacks))
+    whose eigenvalues (T, N) residuals(config, size, *built) gives for a size class."""
+
+    def judge(config, size, *built):
+        return _gap_scale(residuals(config, size, *built), size)
+
+    return _Padded(build, judge)
 
 
 class _Stacked:
     """The block evaluator of a suite given as a draw and a stacked kernel.
 
     draw(rng, config) makes a trial's draws from its rng in the order of the
-    one-trial generators; kernel(config, *stacks) builds a group of draws
-    sharing n from the stacks of their values (_stacks), a family's members
-    on one flat member axis beside the member counts, and returns the gaps
-    and scales that _verdicts judges.
+    one-trial generators; the kernel takes a class of draws (_grouped) as the
+    stacks of their values (_stacks), a family's members on one flat member
+    axis beside the member counts, and returns the gaps and scales that
+    _verdicts judges.
     """
 
     def __init__(self, draw, kernel):
@@ -688,7 +806,8 @@ class _Stacked:
         return _verdicts(self.draws(seeds, config), config, self.kernel)
 
 
-_sum_verdicts = _min_eigenvalues(_sum_residuals)
+_sum_verdicts = _min_eigenvalues(_sum_build, _sum_residuals)
+_rechecks = _Padded(_sum_build, _recheck_gaps)
 _perspective_sum_verdicts = _Stacked(_sum_draw, _sum_verdicts)
 
 SUITES = {
@@ -706,16 +825,20 @@ SUITES = {
     "exp_log_trace": _Stacked(_sized(gen._draw_commuting), _sides(_on_pairs(_exp_log_traces))),
     "relative_entropy": _Stacked(_sized(gen._draw_commuting), _relative_entropy_gaps),
     "entropy_bound": _Stacked(_sized(gen._draw_pd), _entropy_bound_gaps),
-    "operator_jensen": _Stacked(_sized(_jensen), _min_eigenvalues(_jensen_residuals)),
+    "operator_jensen": _Stacked(_sized(_jensen), _min_eigenvalues(_jensen_build, _jensen_residuals)),
     "perspective_sum": _perspective_sum_verdicts,
-    "operator_shannon": _Stacked(_shannon_draw, _min_eigenvalues(_shannon_residuals)),
-    "pooled_inverse": _Stacked(_pooled_inverse_draw, _min_eigenvalues(_pooled_inverse_residuals)),
-    "pooled_mean": _Stacked(_family_draw, _min_eigenvalues(_pooled_mean_residuals)),
+    "operator_shannon": _Stacked(_shannon_draw, _min_eigenvalues(_shannon_build, _shannon_residuals)),
+    "pooled_inverse": _Stacked(
+        _pooled_inverse_draw, _min_eigenvalues(_pooled_inverse_build, _pooled_inverse_residuals)
+    ),
+    "pooled_mean": _Stacked(_family_draw, _min_eigenvalues(_family_build, _pooled_mean_residuals)),
     "split_mean": _Stacked(
         functools.partial(_family_draw, sides_agree_at_one=True),
-        _min_eigenvalues(_split_mean_residuals),
+        _min_eigenvalues(_family_build, _split_mean_residuals),
     ),
-    "mean_monotonicity": _Stacked(_monotonicity_draw, _min_eigenvalues(_monotonicity_residuals)),
+    "mean_monotonicity": _Stacked(
+        _monotonicity_draw, _min_eigenvalues(_monotonicity_build, _monotonicity_residuals)
+    ),
 }
 
 

@@ -15,7 +15,13 @@ stacks (T, n, n).  The other five take families on one flat member axis
 the kernel takes their layout once (matfun._Segments) and decomposes the
 totals and all members together, one eigensolver call per step.  f's
 operator class and anchor values are checked once per distinct f
-(perspective_sum_residual checks the perspective sum's f).  A failing
+(perspective_sum_residual checks the perspective sum's f).  Each kernel
+takes size, the own size n of each trial of a padded stack (the harness
+pads every matrix of a trial to its size class N by an identity block), or
+None for an unpadded one, as the public functions pass: every decomposition
+carries the own sizes (_laid_out) and orders eigenpairs own-first, and every
+check and the residual's eigenvalues are read on the own slots or the own
+block (matfun._own_block), so a pad never changes a verdict.  A failing
 check raises the one-trial message of the first failing trial in trial
 order for the hypotheses (expansivity, matching sums, the contraction and
 order checks), through errors._require.  Operator classes come from a
@@ -34,6 +40,8 @@ choice reaches only that kernel, _perspective and _anchored.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -58,7 +66,10 @@ from .matfun import (
     _decompose,
     _gap_scale,
     _herm,
+    _largest,
+    _lowest,
     _max_entry,
+    _own_block,
     _Segments,
     _verdict,
     maxnorm,
@@ -118,8 +129,13 @@ def require_operator_class(f: FunctionSpec, *needed: str) -> None:
 
 def _families(square=(), **families) -> list[np.ndarray]:
     """Each family as a stack (m, n, n) of its members, all checked by matfun._checked in order
-    as name[0], name[1], ..., square only for the names in square.  An empty family, or two
-    families of different lengths, is a DimensionError."""
+    as name[0], name[1], ..., square only for the names in square.  A family that is not a
+    sequence (a list, tuple or array) is a DomainError; an empty family, or two families of
+    different lengths, is a DimensionError."""
+    for name, family in families.items():
+        listed = isinstance(family, Sequence) and not isinstance(family, (str, bytes))
+        if not (listed or isinstance(family, np.ndarray) and family.ndim > 0):
+            raise DomainError(f"{name} must be a sequence of matrices, got {family!r:.40}")
     lengths = [(name, len(family)) for name, family in families.items()]
     first, m = lengths[0]
     for name, k in lengths:
@@ -132,13 +148,24 @@ def _families(square=(), **families) -> list[np.ndarray]:
     return [np.stack(members[i : i + m]) for i in range(0, len(members), m)]
 
 
+def _laid_out(size, m, *parts):
+    """The own sizes of a padded stack of the trials' matrices ("T") and their members ("K"),
+    in the order of parts, from the trials' own sizes size; None (unpadded) when size is."""
+    if size is None:
+        return None
+    each = {"T": size, "K": np.repeat(size, m)}
+    return np.concatenate([each[part] for part in parts])
+
+
 def _anchored(dec: SpectralDecomposition, M: np.ndarray, solver: str = "eigh"):
     """(W, C's decomposition) for Hermitian M and the PD anchor S = U D U† of dec:
     C = D^{-1/2} U† M U D^{-1/2} = V diag(x) V† and W = U D^{1/2} V, so that X = S^{-1/2} M
-    S^{-1/2} = (UV) diag(x) (UV)† and S^{1/2} g(X) S^{1/2} = _build(g(x), W)."""
+    S^{-1/2} = (UV) diag(x) (UV)† and S^{1/2} g(X) S^{1/2} = _build(g(x), W).  C takes dec's
+    own sizes."""
     root = dec.sqrt()
     s, U = root.inverse().eigenvalues, dec.unitary
-    C = _decompose(_herm(s[..., :, None] * (_adjoint(U) @ M @ U) * s[..., None, :]), solver)
+    C_matrix = _herm(s[..., :, None] * (_adjoint(U) @ M @ U) * s[..., None, :])
+    C = _decompose(C_matrix, solver, dec._size)
     return (U * root.eigenvalues[..., None, :]) @ C.unitary, C
 
 
@@ -184,9 +211,9 @@ def _strict_contraction_problem(f: FunctionSpec, monotone: bool) -> str | None:
     return None
 
 
-def _operator_jensen(f: FunctionSpec, C: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _operator_jensen(f: FunctionSpec, C: np.ndarray, X: np.ndarray, size=None) -> np.ndarray:
     """Residual eigenvalues (T, n) of the operator Jensen check for C, Hermitian X (T, n, n)."""
-    norm = np.linalg.norm(C, 2, axis=(-2, -1))
+    norm = np.linalg.norm(_own_block(C, size), 2, axis=(-2, -1))
     ok = _holds(1.0 - norm, 1.0, CONTRACTION_TOL)
     _require(ok, PreconditionError, "contraction has operator norm {!r} > 1", norm)
     flags = operator_class_flags(f)
@@ -195,11 +222,12 @@ def _operator_jensen(f: FunctionSpec, C: np.ndarray, X: np.ndarray) -> np.ndarra
         raise PreconditionError(
             f"{f.label()} is neither operator monotone nor operator convex in the catalog"
         )
-    Ct = _adjoint(C)
-    dec = _decompose(np.stack([_herm(Ct @ X @ C), X], axis=1))  # Y = C† X C, then X
-    strict = ~_holds(-_max_entry(Ct @ C - np.eye(C.shape[-1])), 1.0, CONTRACTION_TOL)
+    Ct, pair = _adjoint(C), None if size is None else size[:, None]
+    dec = _decompose(np.stack([_herm(Ct @ X @ C), X], axis=1), size=pair)  # Y = C† X C, then X
+    excess = _max_entry(_own_block(Ct @ C - np.eye(C.shape[-1]), size))
+    strict = ~_holds(-excess, 1.0, CONTRACTION_TOL)
     if strict.any():
-        not_psd = monotone & ~_holds(*_gap_scale(dec.eigenvalues[:, 1]), PSD_CLAMP_RTOL)
+        not_psd = monotone & ~_holds(*_gap_scale(dec.eigenvalues[:, 1], size), PSD_CLAMP_RTOL)
         problem = _strict_contraction_problem(f, monotone)
         bad = strict & (not_psd | (problem is not None))
         if bad.any():
@@ -210,7 +238,7 @@ def _operator_jensen(f: FunctionSpec, C: np.ndarray, X: np.ndarray) -> np.ndarra
     fYX = dec.map(f).reconstruct()
     CfXC = Ct @ fYX[:, 1] @ C
     residual = fYX[:, 0] - CfXC if monotone else CfXC - fYX[:, 0]
-    return _decompose(_herm(residual)).eigenvalues
+    return _decompose(_herm(residual), size=size).eigenvalues
 
 
 def operator_jensen_residual(
@@ -228,9 +256,9 @@ def operator_jensen_residual(
     return _verdict(_operator_jensen(f, C[None], X[None])[0], tol)
 
 
-def _require_expansive(w_sum: np.ndarray, m, tol: float) -> None:
+def _require_expansive(w_sum: np.ndarray, m, tol: float, size=None) -> None:
     """sum(A_i) >= m*I from the eigenvalues (T, n) of the sums of T families of m[t] members."""
-    slack, scale = _gap_scale(w_sum - np.asarray(m)[:, None])
+    slack, scale = _gap_scale(w_sum - np.asarray(m)[:, None], size)
     ok = _holds(slack, scale, _tolerance(tol))
     template = "family is not expansive: sum(A_i) >= m*I fails (min eigenvalue of the slack {:.3e})"
     _require(ok, PreconditionError, template, slack)
@@ -250,6 +278,7 @@ def _perspective_sums(
     require_expansive: bool,
     tol: float,
     solver: str = "eigh",
+    size=None,
 ) -> np.ndarray:
     """Residual eigenvalues (T, n) of the perspective-sum inequality for T trials.
 
@@ -263,9 +292,9 @@ def _perspective_sums(
     T, total = len(m), _Segments(m).total
     A, B = total(As), total(Bs)
     members = Bs if lhs_form == "sum_fb" else As
-    dec = _decompose(np.concatenate([A, members]), solver)
+    dec = _decompose(np.concatenate([A, members]), solver, _laid_out(size, m, "T", "K"))
     if require_expansive:
-        _require_expansive(dec.eigenvalues[:T], m, tol)
+        _require_expansive(dec.eigenvalues[:T], m, tol, size)
     f_members = _per_member(fs, m)
     if lhs_form == "sum_fb":
         rhs = _perspective(fs, dec[:T], B, solver)
@@ -273,7 +302,7 @@ def _perspective_sums(
     else:
         P = _perspective([*fs, *f_members], dec, np.concatenate([B, Bs]), solver)
         rhs, lhs = P[:T], total(P[T:])
-    return _decompose(_herm(rhs - lhs), solver).eigenvalues
+    return _decompose(_herm(rhs - lhs), solver, size).eigenvalues
 
 
 def perspective_sum_residual(
@@ -303,12 +332,12 @@ def perspective_sum_residual(
     return _verdict(w[0], tol)
 
 
-def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, m, dec, tol: float) -> np.ndarray:
+def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, m, tol: float, size=None) -> np.ndarray:
     """Residual eigenvalues (T, n) of the operator Shannon check for T trials.
 
     As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive
-    rows, and fs[t] is trial t's f; dec decomposes the totals A = sum(A_i)
-    of the T trials, then the members (T + K, n, n).
+    rows, and fs[t] is trial t's f.  One decomposition takes the totals
+    A = sum(A_i) of the T trials, then the members.
     """
     for f in dict.fromkeys(fs):
         require_operator_class(f, "operator_concave")
@@ -317,13 +346,14 @@ def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, m, dec, tol: float) ->
         _require(ok, PreconditionError, "f(1) must vanish, got {!r}", f_at_one)
     total = _Segments(m).total
     A = total(As)
-    mismatch = _max_entry(A - total(Bs))
-    ok = _holds(-mismatch, np.maximum(1.0, _max_entry(A)), SUM_MATCH_RTOL)
+    mismatch = _max_entry(_own_block(A - total(Bs), size))
+    ok = _holds(-mismatch, np.maximum(1.0, _max_entry(_own_block(A, size))), SUM_MATCH_RTOL)
     _require(ok, PreconditionError, "sum(A_i) != sum(B_i) (maxnorm mismatch {:.3e})", mismatch)
     T = len(m)
-    _require_expansive(dec.eigenvalues[:T], m, tol)
+    dec = _decompose(np.concatenate([A, As]), size=_laid_out(size, m, "T", "K"))
+    _require_expansive(dec.eigenvalues[:T], m, tol, size)
     lhs = total(_perspective(_per_member(fs, m), dec[T:], Bs))
-    return _decompose(_herm(-lhs)).eigenvalues
+    return _decompose(_herm(-lhs), size=size).eigenvalues
 
 
 def operator_shannon_residual(
@@ -336,12 +366,10 @@ def operator_shannon_residual(
     -sum_i A_i^{1/2} f(A_i^{-1/2} B_i A_i^{-1/2}) A_i^{1/2} >= 0.
     """
     As, Bs = _families(A_family=A_family, B_family=B_family)
-    m = [len(As)]
-    dec = _decompose(np.concatenate([_Segments(m).total(As), As]))
-    return _verdict(_operator_shannon([f], As, Bs, m, dec, tol)[0], tol)
+    return _verdict(_operator_shannon([f], As, Bs, [len(As)], tol)[0], tol)
 
 
-def _pooled_inverse(Xs: np.ndarray, As: np.ndarray, m) -> np.ndarray:
+def _pooled_inverse(Xs: np.ndarray, As: np.ndarray, m, size=None) -> np.ndarray:
     """Residual eigenvalues (T, n) of the pooled-inverse check for T trials.
 
     Xs (square) and As (Hermitian) are members (K, n, n), trial t's m[t] on
@@ -349,10 +377,11 @@ def _pooled_inverse(Xs: np.ndarray, As: np.ndarray, m) -> np.ndarray:
     """
     K, total = len(As), _Segments(m).total
     # X† A^{-1} X = Y† Y with Y = D^{-1/2} U† X, for each A_i, then for A
-    root = _decompose(np.concatenate([As, total(As)])).inverse().sqrt()
+    dec = _decompose(np.concatenate([As, total(As)]), size=_laid_out(size, m, "K", "T"))
+    root = dec.inverse().sqrt()
     Y = root.eigenvalues[..., :, None] * (_adjoint(root.unitary) @ np.concatenate([Xs, total(Xs)]))
     gram = _adjoint(Y) @ Y
-    return _decompose(_herm(total(gram[:K]) - gram[K:])).eigenvalues
+    return _decompose(_herm(total(gram[:K]) - gram[K:]), size=size).eigenvalues
 
 
 def pooled_inverse_residual(X_family, A_family, tol: float = DEFAULT_TOLERANCE) -> LoewnerVerdict:
@@ -369,8 +398,9 @@ def _inverted(dec_b: SpectralDecomposition, A: np.ndarray):
     x_max d_min/d_max <= lambda_max(A)/d_max and x_min >= lambda_min(A)/d_max, so the default
     floor scaled by d_min/d_max passes every A that inverse() passes, whatever cond(B)."""
     W, C = _anchored(dec_b, A)
-    d, floor = dec_b.eigenvalues, INVERSE_FLOOR_RTOL * abs(C.eigenvalues).max(axis=-1)
-    return W, C.inverse(floor * d.min(axis=-1) / d.max(axis=-1))
+    d, size = dec_b.eigenvalues, dec_b._size  # d > 0: _anchored inverted its root
+    floor = INVERSE_FLOOR_RTOL * _largest(C.eigenvalues, size)
+    return W, C.inverse(floor * _lowest(d, size) / _largest(d, size))
 
 
 def _mean(f: FunctionSpec, dec_b: SpectralDecomposition, A: np.ndarray) -> np.ndarray:
@@ -389,22 +419,22 @@ def matrix_mean(f: FunctionSpec, A, B) -> np.ndarray:
     return _mean(f, _decompose(B), A)
 
 
-def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m) -> np.ndarray:
+def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m, size=None) -> np.ndarray:
     """Residual eigenvalues (T, n) of the pooled mean bound for T trials.
 
     As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive rows.
     """
     require_operator_class(f, "operator_monotone")
     K, total = len(As), _Segments(m).total
-    dec = _decompose(np.concatenate([Bs, total(Bs)]))
+    dec = _decompose(np.concatenate([Bs, total(Bs)]), size=_laid_out(size, m, "K", "T"))
     W, arg = _inverted(dec, np.concatenate([As, total(As)]))
     f_arg = arg.map(f)  # f(B_i^{1/2} A_i^{-1} B_i^{1/2}), then the totals', on C's eigenvectors
     f_sum = total(_build(f_arg.eigenvalues[:K], dec.unitary[:K] @ f_arg.unitary[:K]))
     sB_sum = total(dec[:K].sqrt().reconstruct())
-    pooled = _decompose(f_sum).inverse()
+    pooled = _decompose(f_sum, size=size).inverse()
     lhs = _build(pooled.eigenvalues, sB_sum @ pooled.unitary) / np.asarray(m)[:, None, None]
     rhs = _build(f_arg[K:].inverse().eigenvalues, W[K:])
-    return _decompose(_herm(rhs - lhs)).eigenvalues
+    return _decompose(_herm(rhs - lhs), size=size).eigenvalues
 
 
 def pooled_mean_residual(
@@ -419,20 +449,20 @@ def pooled_mean_residual(
     return _verdict(_pooled_mean(f, As, Bs, [len(As)])[0], tol)
 
 
-def _split_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m) -> np.ndarray:
+def _split_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m, size=None) -> np.ndarray:
     """Residual eigenvalues (T, n) of the split mean bound for T trials.
 
     As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive rows.
     """
     require_operator_class(f, "operator_monotone")
     K, total = len(As), _Segments(m).total
-    dec = _decompose(np.concatenate([As, Bs, total(Bs)]))
+    dec = _decompose(np.concatenate([As, Bs, total(Bs)]), size=_laid_out(size, m, "K", "K", "T"))
     sA = dec[:K].sqrt().reconstruct()
     roots = np.concatenate([sA, total(sA)])  # A_i^{1/2}, then sum(A_i^{1/2})
     # mean(A_i, B_i) for each member, then mean(A, B), between the roots
     sides = _herm(roots @ _mean(f, dec[K:], np.concatenate([As, total(As)])) @ roots)
     rhs = sides[K:] / np.asarray(m)[:, None, None]
-    return _decompose(_herm(rhs - total(sides[:K]))).eigenvalues
+    return _decompose(_herm(rhs - total(sides[:K])), size=size).eigenvalues
 
 
 def split_mean_residual(
@@ -459,19 +489,22 @@ def _mean_monotonicity(
     A_whole: np.ndarray,
     B_whole: np.ndarray,
     tol: float,
+    size=None,
 ) -> np.ndarray:
     """Residual eigenvalues (T, n) of mean monotonicity for Hermitian stacks (T, n, n)."""
     require_operator_class(f, "operator_monotone")
+    pair = None if size is None else size[:, None]
     dec = _decompose(
-        np.stack([_herm(A_whole - A_part), _herm(B_whole - B_part), B_whole, B_part], axis=1)
+        np.stack([_herm(A_whole - A_part), _herm(B_whole - B_part), B_whole, B_part], axis=1),
+        size=pair,
     )
-    low, scale = _gap_scale(dec.eigenvalues[:, :2])  # A_whole - A_part, B_whole - B_part
+    low, scale = _gap_scale(dec.eigenvalues[:, :2], pair)
     ok = _holds(low, scale, _tolerance(tol))
     template = "{0}_part <= {0}_whole fails (min eigenvalue {1:.3e})"  # {0} is A, then B
     _require(ok, PreconditionError, template, ("A", "B"), low)
     # mean(A_whole, B_whole), then mean(A_part, B_part)
     means = _mean(f, dec[:, 2:], np.stack([A_whole, A_part], axis=1))
-    return _decompose(_herm(means[:, 0] - means[:, 1])).eigenvalues
+    return _decompose(_herm(means[:, 0] - means[:, 1]), size=size).eigenvalues
 
 
 def mean_monotonicity_residual(

@@ -23,6 +23,16 @@ result must be bitwise equal to the results of one call per matrix: numpy's
 eigh, qr and matmul loop the same LAPACK/BLAS routine over the leading axes,
 and everything else here is elementwise.
 
+Padded stacks: a trial of own size n may sit in a stack of size N >= n as
+the top-left block of its matrices, an identity-like pad below and right of
+it.  _decompose(H, solver, size) takes the own sizes, refuses an
+eigenvector with weight on both sides of a pad (a NumericError naming the
+first such matrix), orders each matrix's eigenpairs own-first, and the
+decomposition carries the sizes: sqrt, inverse and _gap_scale read the first
+n eigenvalues only (_lowest, _largest), and _own_block zeroes a pad for a
+matrix-level check.  With size None nothing changes, so the public functions
+keep their bits.
+
 Two eigensolvers are available: "eigh" (LAPACK via numpy) and "jacobi" (a
 self-contained cyclic Jacobi sweep, run on a whole stack at once).  The
 second exists so that candidate counterexamples can be re-verified through
@@ -143,10 +153,35 @@ def _max_entry(M: np.ndarray) -> np.ndarray:
     return np.abs(M).max(axis=(-2, -1))
 
 
-def _gap_scale(w: np.ndarray):
-    """Each residual's gap, its minimum eigenvalue, and scale max(1, ||R||), from eigenvalues w:
-    every PSD test, the verdict's and each precondition's, is _holds(*_gap_scale(w), tol)."""
-    return w.min(axis=-1), np.maximum(1.0, abs(w).max(axis=-1))
+def _own(size, N: int):
+    """The own slots (..., N) of a padded stack whose matrices have own sizes size (...)."""
+    return np.arange(N) < np.asarray(size)[..., None]
+
+
+def _lowest(w: np.ndarray, size=None) -> np.ndarray:
+    """Each row's least own eigenvalue: its first size slots, or all of them when size is None."""
+    return w.min(axis=-1) if size is None else np.where(_own(size, w.shape[-1]), w, np.inf).min(-1)
+
+
+def _largest(w: np.ndarray, size=None) -> np.ndarray:
+    """Each row's largest own eigenvalue magnitude (see _lowest)."""
+    a = abs(w)
+    return a.max(axis=-1) if size is None else np.where(_own(size, w.shape[-1]), a, 0.0).max(-1)
+
+
+def _gap_scale(w: np.ndarray, size=None):
+    """Each residual's gap, its minimum eigenvalue, and scale max(1, ||R||), from eigenvalues w
+    (own-first, over the first size slots of a padded stack): every PSD test, the verdict's
+    and each precondition's, is _holds(*_gap_scale(w, size), tol)."""
+    return _lowest(w, size), np.maximum(1.0, _largest(w, size))
+
+
+def _own_block(M: np.ndarray, size=None) -> np.ndarray:
+    """(A stack of) matrices with their pad block zeroed, or M itself when size is None."""
+    if size is None:
+        return M
+    own = _own(size, M.shape[-1])
+    return np.where(own[..., :, None] & own[..., None, :], M, 0.0)
 
 
 def hermitize(M) -> np.ndarray:
@@ -202,14 +237,18 @@ class SpectralDecomposition:
     inverse return new decompositions over the same U whose values follow
     U's columns, so they need not be sorted.  A stack of decompositions has
     U of shape (..., n, n) and w of shape (..., n); indexing it indexes the
-    leading axes.
+    leading axes.  A padded stack (_decompose with a size) carries each
+    matrix's own size, its eigenpairs own-first, and sqrt and inverse check
+    and scale by the own eigenvalues only.
     """
 
     unitary: np.ndarray
     eigenvalues: np.ndarray
+    _size: np.ndarray | None = None
 
     def __getitem__(self, index) -> SpectralDecomposition:
-        return SpectralDecomposition(self.unitary[index], self.eigenvalues[index])
+        size = None if self._size is None else self._size[index]
+        return SpectralDecomposition(self.unitary[index], self.eigenvalues[index], size)
 
     def reconstruct(self) -> np.ndarray:
         """U diag(w) U†, the one place a decomposition becomes a matrix again."""
@@ -219,7 +258,7 @@ class SpectralDecomposition:
         w = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(w)):
             raise DomainError("matrix has non-finite entries")
-        return SpectralDecomposition(self.unitary, w)
+        return SpectralDecomposition(self.unitary, w, self._size)
 
     def map(self, f) -> SpectralDecomposition:
         """f(A).  Raises DomainError if an eigenvalue exits f's domain.
@@ -231,7 +270,7 @@ class SpectralDecomposition:
     def sqrt(self) -> SpectralDecomposition:
         """Unique PSD square root; eigenvalues in [-1e-12*max(1, norm), 0) are clamped to 0."""
         w = self.eigenvalues
-        lowest, scale = _gap_scale(w)
+        lowest, scale = _gap_scale(w, self._size)
         ok = _holds(lowest, scale, PSD_CLAMP_RTOL)
         template = "matrix is not PSD (min eigenvalue {:.3e} below clamp -{:.3e})"
         _require(ok, DomainError, template, lowest, PSD_CLAMP_RTOL * scale)
@@ -246,9 +285,9 @@ class SpectralDecomposition:
         null spaces cannot leak huge weights.
         """
         w = self.eigenvalues
-        lowest = w.min(axis=-1)
+        lowest = _lowest(w, self._size)
         if floor is None:
-            floor = INVERSE_FLOOR_RTOL * abs(w).max(axis=-1)
+            floor = INVERSE_FLOOR_RTOL * _largest(w, self._size)
         ok = (floor > 0.0) & (lowest >= floor)
         template = "matrix not invertible above floor {:.3e} (min eigenvalue {:.3e})"
         _require(ok, SingularityError, template, floor, lowest)
@@ -378,12 +417,39 @@ def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
     return w[rows, order].reshape(shape[:-1]), V[rows, :, order].swapaxes(-1, -2).reshape(shape)
 
 
-def _decompose(H: np.ndarray, solver: str = "eigh") -> SpectralDecomposition:
+def _own_first(w: np.ndarray, U: np.ndarray, size: np.ndarray):
+    """(w, U) with each matrix's own eigenpairs first, each side in ascending order.
+
+    A matrix of own size n padded to N is block diagonal, so each of its
+    eigenvectors must lie wholly on its own rows :n (own) or on the pad rows
+    n: (pad).  One with weight on both sides is a NumericError naming the
+    first such matrix of the stack.
+    """
+    N = w.shape[-1]
+    own_rows = _own(size, N)[..., None, :].astype(float)  # (..., 1, N)
+    magnitude = abs(U)
+    on_own = ((1.0 - own_rows) @ magnitude)[..., 0, :] == 0.0  # no weight on the pad rows
+    on_pad = (own_rows @ magnitude)[..., 0, :] == 0.0
+    template = (
+        "eigenvector {} of stacked matrix {} (own size {} of {}) lies on both sides of its pad"
+    )
+    index = np.arange(size.size).reshape(size.shape)[..., None]
+    _require(on_own | on_pad, NumericError, template, np.arange(N), index, size[..., None], N)
+    order = np.argsort(~on_own, axis=-1, kind="stable").reshape(-1, N)
+    rows = np.arange(len(order))[:, None]
+    w = w.reshape(-1, N)[rows, order].reshape(w.shape)
+    return w, U.reshape(-1, N, N)[rows, :, order].swapaxes(-1, -2).reshape(U.shape)
+
+
+def _decompose(H: np.ndarray, solver: str = "eigh", size=None) -> SpectralDecomposition:
     """Eigendecomposition of (a stack of) already Hermitian arrays; no input checks.
 
     Either solver takes a whole stack in one call: "eigh" in one LAPACK
     call, "jacobi" in one call of jacobi_eigh, looked up by its module name
     so that a wrapper bound there (a tracer, a test's counter) sees it.
+    size, when given, holds the own size of each matrix of a padded stack
+    (broadcasting against its leading axes): each matrix is its own block
+    and an identity-like pad, and its eigenpairs come own-first (_own_first).
     """
     if solver == "eigh":
         try:
@@ -396,7 +462,12 @@ def _decompose(H: np.ndarray, solver: str = "eigh") -> SpectralDecomposition:
         w, U = jacobi_eigh(H)
     else:
         raise DomainError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    return SpectralDecomposition(np.ascontiguousarray(U), np.asarray(w, dtype=float))
+    w = np.asarray(w, dtype=float)
+    if size is not None:
+        size = np.broadcast_to(size, H.shape[:-2])
+        if (size < H.shape[-1]).any():
+            w, U = _own_first(w, U, size)
+    return SpectralDecomposition(np.ascontiguousarray(U), w, size)
 
 
 def spectral_decompose(A, solver: str = "eigh") -> SpectralDecomposition:
@@ -430,13 +501,15 @@ def make_commuting_pair(U, lambda_a, lambda_b) -> tuple[np.ndarray, np.ndarray]:
     drift = maxnorm(U.conj().T @ U - np.eye(n))
     ok = _holds(-drift, 1.0, UNITARY_TOL)
     _require(ok, PreconditionError, "U is not unitary (U†U - I maxnorm {:.3e})", drift)
-    la = np.asarray(lambda_a, dtype=float)
-    lb = np.asarray(lambda_b, dtype=float)
-    if la.shape != (n,) or lb.shape != (n,):
-        raise DimensionError(f"eigenvalue lists must have length {n}")
-    if not (np.all(np.isfinite(la)) and np.all(np.isfinite(lb))):
-        raise DomainError("eigenvalue lists must be finite")
-    return SpectralDecomposition(U, la).reconstruct(), SpectralDecomposition(U, lb).reconstruct()
+    pair = []
+    for name, values in (("lambda_a", lambda_a), ("lambda_b", lambda_b)):
+        w = np.asarray(values, dtype=float)
+        if w.shape != (n,):
+            raise DimensionError(f"{name} must have length {n}, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise DomainError(f"{name} has non-finite entries")
+        pair.append(SpectralDecomposition(U, w).reconstruct())
+    return pair[0], pair[1]
 
 
 def psd_inverse(A, floor: float | None = None) -> np.ndarray:

@@ -14,8 +14,14 @@ import math
 import numpy as np
 import pytest
 
-from logsumineq import harness, traceform
-from logsumineq.errors import DomainError, PreconditionError, SingularityError, SupportError
+from logsumineq import harness, loewner, traceform
+from logsumineq.errors import (
+    DomainError,
+    PreconditionError,
+    SingularityError,
+    SupportError,
+    _holds,
+)
 from logsumineq.functions import identity_fn, log_fn, power_fn
 from logsumineq.generators import rand_split_matching
 from logsumineq.harness import TrialConfig, counterexample_search, run_suite
@@ -26,6 +32,8 @@ from logsumineq.loewner import (
     perspective_sum_residual,
 )
 from logsumineq.matfun import (
+    _decompose,
+    _gap_scale,
     commutes,
     loewner_leq,
     make_commuting_pair,
@@ -413,3 +421,126 @@ def test_support_boundary(factor, accepted):
         SupportError,
         r"^rho has weight outside sigma's support",
     )
+
+
+# -- padded twins: a trial of n=2 judged in a stack padded to 8 --------------------
+#
+# The harness judges a Loewner trial padded by an identity block to its size class
+# (harness._pad); every check reads the trial's own slots or own block.  Each twin below
+# judges a boundary pair above padded into 8 x 8 through the private kernel, and must give
+# the unpadded verdict, and the unpadded message, which names the trial's own values.
+
+_OWN = np.array([2])  # the own size of the one padded trial
+
+
+def _padded(*stacks):
+    """Each stack of 2 x 2 matrices padded to 8 x 8 as the harness pads a trial."""
+    return harness._pad([np.asarray(s, dtype=complex) for s in stacks], 8)
+
+
+def _twins(accepted, unpadded, padded, error):
+    """Both calls return when accepted; else both raise error with one message."""
+    if accepted:
+        unpadded()
+        padded()
+        return
+    with pytest.raises(error) as one:
+        unpadded()
+    with pytest.raises(error) as twin:
+        padded()
+    assert str(twin.value) == str(one.value)
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_padded_expansivity_boundary(factor, accepted):
+    A, B = np.diag([1.0 - factor * TOL * 8.0, 9.0]), np.eye(2)
+    _twins(
+        accepted,
+        lambda: perspective_sum_residual(log_fn(), [A], [B], require_expansive=True),
+        lambda: loewner._perspective_sums(
+            [log_fn()], *_padded([A], [B]), [1], "perspective_sum", True, TOL, size=_OWN
+        ),
+        PreconditionError,
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(10.0, False), (0.1, True)])
+def test_padded_sum_match_boundary(factor, accepted):
+    As = [2.0 * np.eye(2), 2.0 * np.eye(2)]
+    Bs = [np.diag([1.0, 3.0]), np.diag([3.0 + factor * SUM_MATCH_RTOL * 4.0, 1.0])]
+    _twins(
+        accepted,
+        lambda: operator_shannon_residual(As, Bs, log_fn()),
+        lambda: loewner._operator_shannon([log_fn()], *_padded(As, Bs), [2], TOL, size=_OWN),
+        PreconditionError,
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_padded_contraction_norm_boundary(factor, accepted):
+    C = (1.0 + factor * CONTRACTION_TOL) * np.diag([1.0, 0.5])
+    _twins(
+        accepted,
+        lambda: operator_jensen_residual(power_fn(0.5), C, np.eye(2)),
+        lambda: loewner._operator_jensen(power_fn(0.5), *_padded([C], [np.eye(2)]), size=_OWN),
+        PreconditionError,
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_padded_strict_contraction_boundary(factor, accepted):
+    C, f = np.diag([1.0, 1.0 - factor * CONTRACTION_TOL / 2.0]), power_fn(2.0, offset=1.0)
+    _twins(
+        accepted,
+        lambda: operator_jensen_residual(f, C, np.eye(2)),
+        lambda: loewner._operator_jensen(f, *_padded([C], [np.eye(2)]), size=_OWN),
+        PreconditionError,
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_padded_monotonicity_order_boundary(factor, accepted):
+    A_part, A_whole = np.diag([1.0 + factor * TOL * 8.0, 1.0]), np.diag([1.0, 9.0])
+    matrices = (A_part, np.eye(2), A_whole, np.eye(2))
+    _twins(
+        accepted,
+        lambda: mean_monotonicity_residual(power_fn(0.5), *matrices),
+        lambda: loewner._mean_monotonicity(
+            power_fn(0.5), *_padded(*([M] for M in matrices)), TOL, size=_OWN
+        ),
+        PreconditionError,
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_padded_sqrt_clamp_boundary(factor, accepted):
+    M = np.diag([-factor * PSD_CLAMP_RTOL * 10.0, 10.0])
+    _twins(
+        accepted,
+        lambda: psd_sqrt(M),
+        lambda: _decompose(*_padded([M]), size=_OWN).sqrt(),
+        DomainError,
+    )
+
+
+@pytest.mark.parametrize("factor, accepted", [(2.0, False), (0.5, True)])
+def test_padded_inverse_floor_boundary(factor, accepted):
+    # max|w| = 1/4 below the pad's 1: a floor read off the pad would refuse both
+    M = 0.25 * np.diag([1.0, INVERSE_FLOOR_RTOL / factor])
+    _twins(
+        accepted,
+        lambda: psd_inverse(M),
+        lambda: _decompose(*_padded([M]), size=_OWN).inverse(),
+        SingularityError,
+    )
+
+
+@pytest.mark.parametrize("factor, holds", [(2.0, False), (0.5, True)])
+def test_padded_verdict_boundary(factor, holds):
+    # a residual diag(-factor TOL, 1/2) at scale 1, its pad at 5: a scale read off the pad
+    # would let the trial at factor 2 hold
+    R = np.zeros((1, 8, 8), dtype=complex)
+    R[0, range(8), range(8)] = [-factor * TOL, 0.5, *[5.0] * 6]
+    w = _decompose(R, size=_OWN).eigenvalues
+    assert _holds(*_gap_scale(w, _OWN), TOL).tolist() == [holds]
+    assert loewner_leq(np.zeros((2, 2)), R[0, :2, :2], tol=TOL).holds is holds

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON output, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -462,6 +463,23 @@ def test_eval_grid_points_beyond_range_exits_two(tmp_path, capsys, points):
         "",
         "error: grid_points must be in [3, 100000]\n",
     )
+
+
+def test_eval_grid_points_defaults_to_the_scalar_layers_constant():
+    # written once, in scalar: eval's default is that object, read by name, not a second
+    # literal (a small int is one object however it is written, so the source is read too)
+    doc = dict(EVAL_FIXTURES["convexity_check"][0])
+    doc.pop("grid_points", None)
+    assert cli._field(doc, "grid_points") is scalar.DEFAULT_GRID_POINTS
+    tree = ast.parse(Path(cli.__file__).read_text())
+    entry = next(
+        value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant) and key.value == "grid_points"
+    )
+    assert ast.unparse(entry.elts[1]) == "scalar.DEFAULT_GRID_POINTS"
 
 
 def test_eval_non_object_document_exits_two(tmp_path, capsys):

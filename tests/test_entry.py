@@ -3,7 +3,8 @@ is refused by the same rule, under its parameter's name.
 
 Each case breaks one matrix argument of an otherwise valid call: it is not square,
 not finite, not Hermitian (where Hermitian is required) or of another shape than the
-first matrix checked; a family is empty or of another length than the first family.
+first matrix checked; a family is not a sequence, is empty or is of another length than
+the first family.
 The function raises the rule's error with a message that starts with the argument's
 name (a family member's is name[k]); eval exits 2 with the same message, or, for what
 the exchange format cannot carry, with the refusal of its field.
@@ -82,6 +83,8 @@ def _cases():
                     f"{name} has shape (3, 3), expected {first}'s (2, 2)"
                 )
             if family:
+                sequence = f"{field} must be a sequence of matrices"
+                yield op, field, "not-a-sequence", DomainError, sequence
                 empty = f"{field} must contain at least one matrix"
                 yield op, field, "empty", DimensionError, empty
                 if field != matrices[0]:
@@ -101,7 +104,9 @@ def _arguments(op, field, case):
             values[name] = _VALID
         elif _kind(name) == "family":
             values[name] = [_VALID, _VALID]
-    if case == "empty":
+    if case == "not-a-sequence":
+        values[field] = 3
+    elif case == "empty":
         values[field] = []
     elif case == "length":
         values[field] = [_VALID] * 3
@@ -111,7 +116,10 @@ def _arguments(op, field, case):
         values[field] = _BAD[case]
     doc = {name: value for name, value in _OTHER.items() if name in _CALLS[op][1]}
     for name, value in values.items():
-        doc[name] = [_obj(M) for M in value] if _kind(name) == "family" else _obj(value)
+        if isinstance(value, int):
+            doc[name] = value
+        else:
+            doc[name] = [_obj(M) for M in value] if _kind(name) == "family" else _obj(value)
     args = [values[name] if name in values else cli._field(doc, name) for name in _CALLS[op][1]]
     return args, doc
 
@@ -155,7 +163,7 @@ def test_each_matrix_argument_is_refused_under_its_name(
     code = cli.main(["eval", "--op", op, "--input", str(path)])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    if case in ("non-square", "non-finite"):  # refused by the exchange format's parser
+    if case in ("non-square", "non-finite", "not-a-sequence"):  # refused by the format's parser
         assert err.startswith(f"error: field {field!r} is malformed")
     else:
         assert err == f"error: {raised.value}\n"

@@ -1,6 +1,5 @@
 """Randomized suite runner: determinism, replay, search report hygiene."""
 
-import functools
 import json
 import math
 import os
@@ -340,28 +339,23 @@ def _evaluated_sizes(draws):
 
 
 def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls):
+    # one stacked eigh per kernel step and size class of a block; at n=3 every size pads to 3
     cfg = _search_config("perspective_sum", 500)
-    groups = 0
-    for first in range(0, cfg.trials, harness._BLOCK):
-        block = range(first, min(first + harness._BLOCK, cfg.trials))
-        draws = harness._perspective_sum_verdicts.draws([cfg.seed + index for index in block], cfg)
-        groups += len(_evaluated_sizes(draws))
-    assert groups <= cfg.n * math.ceil(cfg.trials / harness._BLOCK)
+    seeds = [cfg.seed + index for index in range(cfg.trials)]
+    classes, groups = _classes_and_groups(harness._perspective_sum_verdicts, cfg, seeds)
+    assert classes < groups
     eigh_calls.clear()
     counterexample_search(cfg)
     # rechecks go through the Jacobi solver, so every eigh call is a stacked one
-    assert 0 < len(eigh_calls) <= 3 * groups
+    assert len(eigh_calls) == 3 * classes
 
 
 def test_search_recheck_takes_three_jacobi_calls_per_group_per_block(monkeypatch):
     cfg = _search_config("sum_fb", 500)
     _, _, failures = harness._run(cfg, harness._perspective_sum_verdicts)
-    groups = 0
-    for first in range(0, len(failures), harness._BLOCK):
-        chunk = failures[first : first + harness._BLOCK]
-        draws = harness._perspective_sum_verdicts.draws([ts for _, ts, _ in chunk], cfg)
-        groups += len({d.n for d in draws})
-    assert failures and groups <= cfg.n * math.ceil(len(failures) / harness._BLOCK)
+    seeds = [ts for _, ts, _ in failures]
+    classes, groups = _classes_and_groups(harness._perspective_sum_verdicts, cfg, seeds)
+    assert failures and classes < groups
     jacobi_calls = []
     real = matfun.jacobi_eigh
 
@@ -372,12 +366,29 @@ def test_search_recheck_takes_three_jacobi_calls_per_group_per_block(monkeypatch
     monkeypatch.setattr(matfun, "jacobi_eigh", counting)
     counterexample_search(cfg)
     # one decomposition of the totals and members, one of the perspective
-    # arguments and one of the residuals, each a stack over the group
-    assert 0 < len(jacobi_calls) <= 3 * groups
+    # arguments and one of the residuals, each a stack over the size class
+    assert len(jacobi_calls) == 3 * classes
+
+
+def test_a_benchmark_search_call_takes_three_eigh_and_three_jacobi_calls(monkeypatch, eigh_calls):
+    # the search_sum_fb benchmark's call: 50 trials at n=3, m=2, every size padded to 3
+    jacobi_calls = []
+    real = matfun.jacobi_eigh
+
+    def counting(A):
+        jacobi_calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(matfun, "jacobi_eigh", counting)
+    rep = counterexample_search(_search_config("sum_fb", 50))
+    assert rep.findings
+    assert [shape[-2:] for shape in eigh_calls] == [(3, 3)] * 3
+    assert [shape[-2:] for shape in jacobi_calls] == [(3, 3)] * 3
 
 
 def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
-    # the recheck is the one caller that picks a solver other than eigh
+    # the recheck is the one caller that picks a solver other than eigh; a finding's recheck
+    # is its padded one-trial Jacobi judge's, bit for bit, and at round-off from the unpadded
     jacobi_calls = []
     real = matfun.jacobi_eigh
 
@@ -389,6 +400,7 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
     cfg = _search_config("sum_fb", 300)
     rep = counterexample_search(cfg)
     assert rep.findings and jacobi_calls
+    recheck = replace(cfg, tolerance=harness.RECHECK_ABS_TOL)
     for finding in rep.findings:
         rng = np.random.default_rng(finding["seed"])
         m = int(rng.integers(1, cfg.m + 1))
@@ -397,9 +409,17 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
         Bs = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
         f = harness._concave_f(rng)
         assert (n, m, f.label()) == (finding["n"], finding["m"], finding["f"])
+        stacked = harness._perspective_sum_verdicts
+        built, alone = _judged_alone(stacked, recheck, finding["seed"], harness._rechecks)
+        _assert_same_bits(built, (As, Bs))
+        assert alone == finding["recheck_min_eigenvalue"]
         As, Bs = np.stack(As), np.stack(Bs)
         w = loewner._perspective_sums([f], As, Bs, [m], "sum_fb", False, cfg.tolerance, "jacobi")
-        assert w[0].min() == finding["recheck_min_eigenvalue"]
+        N = harness._size_class(n, cfg)
+        bound = _PAD_MOVE_K * N * np.finfo(float).eps * max(1.0, abs(w[0]).max())
+        assert abs(w[0].min() - alone) <= bound
+        if n == N:
+            assert w[0].min() == alone
 
 
 @pytest.mark.parametrize("run", [*sorted(SUITES), "search perspective_sum", "search sum_fb"])
@@ -448,7 +468,8 @@ def test_block_seeding_gives_each_seed_the_stream_of_default_rng(one_block):
 
 
 def _public_perspective_trial(trial_seed, cfg):
-    """One perspective_sum trial rebuilt from its seed through the public functions."""
+    """One perspective_sum trial rebuilt from its seed through the public functions:
+    its instance (As, Bs) and its verdict."""
     rng = np.random.default_rng(trial_seed)
     m = int(rng.integers(1, cfg.m + 1))
     n = int(rng.integers(1, cfg.n + 1))
@@ -461,9 +482,10 @@ def _public_perspective_trial(trial_seed, cfg):
     Bs = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
     f = harness._concave_f(rng)
     expansive = cfg.family_kind == "expansive"
-    return perspective_sum_residual(
+    verdict = perspective_sum_residual(
         f, As, Bs, cfg.lhs_form, require_expansive=expansive, tol=cfg.tolerance
     )
+    return (As, Bs), verdict
 
 
 def _benchmark_calls(cfg):
@@ -492,9 +514,50 @@ def _recorded_runs(monkeypatch, cfg):
         yield config, rep, recorded
 
 
+def _judged_alone(stacked, config, trial_seed, kernel=None):
+    """(built instance, gap) of one trial judged alone: built at its own n and padded to its
+    size class, as its run pads it; (None, 0.0) for an identity draw."""
+    draw = stacked.draws([trial_seed], config)[0]
+    if draw is harness._IDENTITY_DRAW:
+        return None, 0.0
+    kernel = kernel or stacked.kernel
+    stacks = harness._stacks([draw])
+    N = harness._size_class(draw.n, config)
+    gap, _ = kernel(config, N, np.array([draw.n]), stacks)
+    return kernel.build(config, *stacks), float(np.ravel(gap)[0])
+
+
+# How far a padded gap may move from the public one-trial residual's, in units of
+# N u max(1, ||R||) (u the unit round-off, N the size class).  The largest moves measured
+# over the two tests below are 73.5 in operator_jensen (its f(X) = sqrt(X) amplifies
+# round-off on X's near-zero eigenvalues) and at most 7.4 in every other suite.
+_PAD_MOVE_K = 256
+
+
+def _assert_close_to_public(gap, verdict, n, config):
+    """The run's gap against the public verdict: the same bits for a trial that is not padded,
+    else within _PAD_MOVE_K N u max(1, ||R||)."""
+    N = harness._size_class(n, config)
+    if n == N:
+        assert gap == verdict.residual_min_eigenvalue
+    bound = _PAD_MOVE_K * N * np.finfo(float).eps * max(1.0, verdict.residual_norm)
+    assert abs(gap - verdict.residual_min_eigenvalue) <= bound
+
+
+def _assert_same_bits(built, public):
+    """Each built matrix stack is the stack of the public generators' matrices, bit for bit."""
+    matrices = [v for v in built if isinstance(v, np.ndarray) and v.ndim >= 3]
+    assert len(matrices) == len(public)
+    for stack, members in zip(matrices, public):
+        assert stack.tobytes() == np.stack(members).astype(complex).tobytes()
+
+
 @pytest.mark.parametrize("lhs_form", ["perspective_sum", "sum_fb"])
 @pytest.mark.parametrize("family_kind", ["expansive", "contractive", "unconstrained"])
 def test_perspective_sum_trials_equal_the_public_residual(monkeypatch, family_kind, lhs_form):
+    # the built instance is the public generators', bit for bit; the run's gap is the
+    # padded one-trial judge's, bit for bit; against the public residual, which judges
+    # the trial unpadded, the verdict is the same and the gap moves at round-off only
     cfg = TrialConfig(
         suite="perspective_sum",
         trials=200,
@@ -504,10 +567,18 @@ def test_perspective_sum_trials_equal_the_public_residual(monkeypatch, family_ki
         family_kind=family_kind,
         lhs_form=lhs_form,
     )
+    stacked = harness._perspective_sum_verdicts
     for config, rep, recorded in _recorded_runs(monkeypatch, cfg):
         for ts, min_eig, holds in recorded:
-            verdict = _public_perspective_trial(ts, config)
-            assert (verdict.residual_min_eigenvalue, verdict.holds) == (min_eig, holds), ts
+            instance, verdict = _public_perspective_trial(ts, config)
+            built, alone = _judged_alone(stacked, config, ts)
+            assert alone == min_eig, ts
+            assert verdict.holds == holds, ts
+            if built is None:  # an identity trial: the public residual is zero too
+                assert verdict.residual_min_eigenvalue == min_eig == 0.0
+                continue
+            _assert_same_bits(built, instance)
+            _assert_close_to_public(min_eig, verdict, len(instance[0][0]), config)
         assert rep.violations == sum(not holds for _, _, holds in recorded)
         assert rep.worst_gap == min(min_eig for _, min_eig, _ in recorded)
         assert rep.worst_case_seed == next(ts for ts, g, _ in recorded if g == rep.worst_gap)
@@ -539,9 +610,21 @@ def test_report_does_not_depend_on_the_byte_budget(monkeypatch, suite):
     assert _canonical(run(cfg)) == default
 
 
-def _runs(draws, cfg):
-    """The positions of each stack _grouped evaluates, in the order it yields them."""
-    return [ks for ks, _ in harness._grouped(draws, cfg, lambda *stacks: None)]
+def _runs(draws, cfg, kernel):
+    """The positions of each stack _grouped evaluates for kernel, in the order it yields them;
+    no kernel step runs."""
+    if isinstance(kernel, harness._Padded):
+        kernel = harness._Padded(lambda config, *stacks: (), lambda *built: None)
+    else:
+        kernel = lambda *stacks: None  # noqa: E731
+    return [ks for ks, _ in harness._grouped(draws, cfg, kernel)]
+
+
+def _evaluated(stacked, trials, cfg):
+    """The draws of trials 0..trials-1 that a kernel evaluates, and the size class of each."""
+    draws = [d for d in stacked.draws(range(trials), cfg) if d is not harness._IDENTITY_DRAW]
+    padded = isinstance(stacked.kernel, harness._Padded)
+    return draws, [harness._size_class(d.n, cfg) if padded else d.n for d in draws]
 
 
 @pytest.mark.parametrize(
@@ -556,29 +639,34 @@ def _runs(draws, cfg):
     ],
 )
 def test_groups_of_small_sizes_run_whole(suite, n, m, trials):
+    # each size class runs as one stack: every n of a Loewner suite's class, one n elsewhere
     cfg = TrialConfig(suite=suite, n=n, m=m, family_kind="contractive")
-    draws = SUITES[suite].draws(range(trials), cfg)
-    assert sorted(len(ks) for ks in _runs(draws, cfg)) == sorted(
-        [d.n for d in draws].count(size) for size in {d.n for d in draws}
+    draws, classes = _evaluated(SUITES[suite], trials, cfg)
+    assert sorted(len(ks) for ks in _runs(draws, cfg, SUITES[suite].kernel)) == sorted(
+        classes.count(size) for size in set(classes)
     )
+    if suite != "q_trace":
+        assert len(set(classes)) == 1 < len({d.n for d in draws})
 
 
 @pytest.mark.parametrize("suite", ["perspective_sum", "pooled_inverse", "operator_jensen"])
 def test_a_large_group_runs_in_parts_within_its_byte_share(monkeypatch, suite):
     cfg = TrialConfig(suite=suite, n=3, m=4)
-    draws = SUITES[suite].draws(range(256), cfg)
+    draws, classes = _evaluated(SUITES[suite], 256, cfg)
     share = 4000
     monkeypatch.setattr(harness, "_BLOCK_BYTES", share * cfg.n)
-    runs = _runs(draws, cfg)
-    groups = {}
-    for k, d in enumerate(draws):
-        groups.setdefault(d.n, []).append(k)
-    assert len(runs) > len(groups)
+    runs = _runs(draws, cfg, SUITES[suite].kernel)
+    members = {}
+    for k, N in enumerate(classes):
+        members.setdefault(N, []).append(k)
+    assert len(runs) > len(members)
     for ks in runs:
-        # each part is a run of consecutive trials of one group, within the share
-        group = groups[draws[ks[0]].n]
-        assert ks == group[group.index(ks[0]) : group.index(ks[0]) + len(ks)]
-        size = sum(harness._nbytes(v) for k in ks for v in draws[k].values)
+        # each part is a run of consecutive positions of one class (by n, then trial),
+        # within the share counted at the class size
+        N = classes[ks[0]]
+        order = sorted(members[N], key=lambda k: (draws[k].n, k))
+        assert ks == order[order.index(ks[0]) : order.index(ks[0]) + len(ks)]
+        size = sum((N / draws[k].n) ** 2 * harness._nbytes(v) for k in ks for v in draws[k].values)
         assert len(ks) == 1 or size <= share
     assert sorted(k for ks in runs for k in ks) == list(range(len(draws)))
 
@@ -602,21 +690,23 @@ LOEWNER_SUITES = [
 
 
 def _public_loewner_trial(suite, trial_seed, cfg):
-    """One Loewner trial rebuilt from its seed through the public functions."""
+    """One Loewner trial rebuilt from its seed through the public functions: its instance,
+    the matrices in the order its build returns them, and its verdict."""
     rng = np.random.default_rng(trial_seed)
     sqrt, tol = power_fn(0.5), cfg.tolerance
     if suite == "operator_jensen":
         n = int(rng.integers(1, cfg.n + 1))
         C = gen.rand_contraction(rng, n)
         X = gen.rand_psd(rng, n, scale=2.0)
-        return operator_jensen_residual(sqrt, C, X, tol)
+        return ([C], [X]), operator_jensen_residual(sqrt, C, X, tol)
     if suite == "mean_monotonicity":
         n = int(rng.integers(1, cfg.n + 1))
         A_part = gen.rand_pd(rng, n, cfg.spectrum_range)
         B_part = gen.rand_pd(rng, n, cfg.spectrum_range)
         A_whole = A_part + gen.rand_psd(rng, n, scale=float(rng.uniform(0.1, 1.0)))
         B_whole = B_part + gen.rand_pd(rng, n, (0.05, 0.5))
-        return mean_monotonicity_residual(sqrt, A_part, B_part, A_whole, B_whole, tol)
+        instance = ([A_part], [B_part], [A_whole], [B_whole])
+        return instance, mean_monotonicity_residual(sqrt, A_part, B_part, A_whole, B_whole, tol)
     m = int(rng.integers(1, cfg.m + 1))
     n = int(rng.integers(1, cfg.n + 1))
     if suite == "operator_shannon":
@@ -625,53 +715,123 @@ def _public_loewner_trial(suite, trial_seed, cfg):
         f = harness._concave_f(rng)
         if f.family == "power":
             f = power_fn(0.5, offset=-1.0)
-        return operator_shannon_residual(As, Bs, f, tol)
+        return (As, Bs), operator_shannon_residual(As, Bs, f, tol)
     As = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
     if suite == "pooled_inverse":
         Xs = [gen.rand_square(rng, n) for _ in range(m)]
-        return pooled_inverse_residual(Xs, As, tol)
+        return (Xs, As), pooled_inverse_residual(Xs, As, tol)
     Bs = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
     residual = {"pooled_mean": pooled_mean_residual, "split_mean": split_mean_residual}[suite]
-    return residual(sqrt, As, Bs, tol)
+    return (As, Bs), residual(sqrt, As, Bs, tol)
 
 
 @pytest.mark.parametrize("suite", LOEWNER_SUITES)
 def test_loewner_suite_trials_equal_the_public_residual(monkeypatch, suite):
+    # as for perspective_sum: built bits, padded one-trial bits, public verdict and round-off;
     # split_mean has a violation in these trials on this window, so both verdicts occur
     window = (0.25, 4.0) if suite == "split_mean" else (0.5, 2.0)
     cfg = TrialConfig(suite=suite, trials=200, seed=7, n=4, m=3, spectrum_range=window)
+    stacked = SUITES[suite]
     for config, rep, recorded in _recorded_runs(monkeypatch, cfg):
         for ts, min_eig, holds in recorded:
-            verdict = _public_loewner_trial(suite, ts, config)
-            assert (verdict.residual_min_eigenvalue, verdict.holds) == (min_eig, holds), ts
+            instance, verdict = _public_loewner_trial(suite, ts, config)
+            built, alone = _judged_alone(stacked, config, ts)
+            assert alone == min_eig, ts
+            assert verdict.holds == holds, ts
+            if built is None:
+                assert verdict.residual_min_eigenvalue == min_eig == 0.0
+                continue
+            _assert_same_bits(built, instance)
+            _assert_close_to_public(min_eig, verdict, len(instance[0][0]), config)
         assert rep.violations == sum(not holds for _, _, holds in recorded)
         assert rep.worst_gap == min(min_eig for _, min_eig, _ in recorded)
 
 
-# LAPACK calls of each group of a block: eigh (one per kernel step), qr, svd.
-_GROUP_CALLS = {
-    "operator_jensen": (2, 0, 1),  # [C† X C, X]; residual.  The contractions' svd.
-    "operator_shannon": (3, 1, 0),  # [S, A, A_i] for the split matching; perspective; residual
-    "pooled_inverse": (2, 1, 0),  # [A_i, A]; residual
-    "pooled_mean": (4, 1, 0),  # [B_i, B]; means' arguments; f-sum; residual
-    "split_mean": (3, 1, 0),  # [A_i, B_i, B]; means' arguments; residual
-    "mean_monotonicity": (3, 1, 0),  # order gaps beside B_whole, B_part; means; residual
+# LAPACK calls of a Loewner suite: eigh per size class of a block (one per kernel step),
+# then eigh, qr and svd per n-group of a block (its build).
+_CLASS_CALLS = {
+    "operator_jensen": (2, 0, 0, 1),  # [C† X C, X]; residual.  The contractions' svd.
+    "operator_shannon": (3, 1, 1, 0),  # [A, A_i]; perspective; residual.  [S, A] to split B
+    "pooled_inverse": (2, 0, 1, 0),  # [A_i, A]; residual
+    "pooled_mean": (4, 0, 1, 0),  # [B_i, B]; means' arguments; f-sum; residual
+    "split_mean": (3, 0, 1, 0),  # [A_i, B_i, B]; means' arguments; residual
+    "mean_monotonicity": (3, 0, 1, 0),  # order gaps beside B_whole, B_part; means; residual
 }
+
+
+def _classes_and_groups(stacked, config, seeds, chunk=None):
+    """The (size class, n-group) counts of the evaluated draws of seeds, block by block."""
+    chunk = chunk or harness._BLOCK
+    classes = groups = 0
+    for first in range(0, len(seeds), chunk):
+        draws = stacked.draws(seeds[first : first + chunk], config)
+        sizes = _evaluated_sizes(draws)
+        classes += len({harness._size_class(n, config) for n in sizes})
+        groups += len(sizes)
+    return classes, groups
 
 
 @pytest.mark.parametrize("suite", LOEWNER_SUITES)
 def test_loewner_suite_lapack_calls_per_group_per_block(lapack_calls, suite):
-    cfg = TrialConfig(suite=suite, trials=300, seed=5, n=3, m=2)
-    groups = 0
-    for first in range(0, cfg.trials, harness._BLOCK):
-        block = [cfg.seed + i for i in range(first, min(first + harness._BLOCK, cfg.trials))]
-        groups += len(_evaluated_sizes(SUITES[suite].draws(block, cfg)))
-    assert groups <= cfg.n * math.ceil(cfg.trials / harness._BLOCK)
-    for calls in lapack_calls.values():
-        calls.clear()
-    run_suite(cfg)
-    counts = tuple(len(lapack_calls[name]) for name in ("eigh", "qr", "svd"))
-    assert counts == tuple(k * groups for k in _GROUP_CALLS[suite])
+    # at n=3 every size pads to 3, one class per block; at n=10, sizes 1..8 pad to 8
+    per_class, *per_group = _CLASS_CALLS[suite]
+    for n, trials in ((3, 300), (10, 60)):
+        cfg = TrialConfig(suite=suite, trials=trials, seed=5, n=n, m=2)
+        seeds = [cfg.seed + i for i in range(cfg.trials)]
+        classes, groups = _classes_and_groups(SUITES[suite], cfg, seeds)
+        assert classes < groups
+        for calls in lapack_calls.values():
+            calls.clear()
+        run_suite(cfg)
+        counts = tuple(len(lapack_calls[name]) for name in ("eigh", "qr", "svd"))
+        eigh = per_class * classes + per_group[0] * groups
+        assert counts == (eigh, *(k * groups for k in per_group[1:]))
+
+
+def test_size_class_pads_to_the_dimension_cap_of_eight():
+    # N(n) = max(n, min(n_max, 8)): every n of a run at n_max <= 8 pads to n_max, and a
+    # larger run pads only its sizes below 8
+    def classes(n_max):
+        cfg = TrialConfig(suite="perspective_sum", n=n_max)
+        return [harness._size_class(n, cfg) for n in range(1, n_max + 1)]
+
+    assert classes(1) == [1]
+    assert classes(3) == [3, 3, 3]
+    assert classes(8) == [8] * 8
+    assert classes(10) == [8] * 8 + [9, 10]
+
+
+def test_pad_embeds_each_built_matrix_in_an_identity():
+    rng = np.random.default_rng(4)
+    A = gen.rand_pd(rng, 2, (0.5, 2.0))
+    m, fs = np.array([1]), [power_fn(0.5)]
+    padded_m, P, padded_fs = harness._pad([m, A[None], fs], 5)
+    assert padded_m is m and padded_fs is fs
+    expected = np.eye(5, dtype=complex)
+    expected[:2, :2] = A
+    assert P.shape == (1, 5, 5) and P[0].tobytes() == expected.tobytes()
+    own = A[None]
+    assert harness._pad([own], 2)[0] is own  # a stack already at its class size is kept
+
+
+@pytest.mark.parametrize("suite", ["perspective_sum", "search", *LOEWNER_SUITES])
+def test_every_eigensolve_of_a_padded_judge_takes_the_own_sizes(monkeypatch, suite):
+    # so that each one orders its eigenpairs own-first and checks the sides of the pad
+    calls = []
+    real = loewner._decompose
+
+    def recording(H, solver="eigh", size=None):
+        calls.append((H.shape, size))
+        return real(H, solver, size)
+
+    monkeypatch.setattr(loewner, "_decompose", recording)
+    if suite == "search":
+        rep = counterexample_search(_search_config("sum_fb", 60))
+        assert rep.findings
+    else:
+        run_suite(TrialConfig(suite=suite, trials=60, seed=3, n=3, m=2))
+    assert calls and all(size is not None for _, size in calls)
+    assert any((np.asarray(size) < shape[-1]).any() for shape, size in calls)
 
 
 # -- one-member identity trials --------------------------------------------------
@@ -694,8 +854,7 @@ def test_one_member_trials_give_the_zero_residual(monkeypatch, suite, family_kin
     stacked = SUITES[suite]
     draws = [d for d in stacked.draws(range(2000), cfg) if d.values[0] == 1]
     assert len(draws) > 2000 // (2 * m)
-    evaluate = functools.partial(stacked.kernel, cfg)
-    for ks, (gap, scale) in harness._grouped(draws, cfg, evaluate):
+    for ks, (gap, scale) in harness._grouped(draws, cfg, stacked.kernel):
         assert [(g, math.copysign(1.0, g)) for g in gap.tolist()] == [(0.0, 1.0)] * len(ks)
         assert np.all(scale == 1.0)
 
@@ -711,9 +870,9 @@ def test_identity_draws_stop_at_m_and_take_no_kernel():
 
     def recording(config, m, *stacks):
         evaluated.extend(m.tolist())
-        return stacked.kernel(config, m, *stacks)
+        return stacked.kernel.build(config, m, *stacks)
 
-    gaps, holds = harness._verdicts(draws, cfg, recording)
+    gaps, holds = harness._verdicts(draws, cfg, stacked.kernel._replace(build=recording))
     assert sorted(evaluated) == sorted(m for m in ms if m != 1)
     assert [(gaps[k], holds[k]) for k in identities] == [(0.0, True)] * len(identities)
 

@@ -51,8 +51,6 @@ from logsumineq.loewner import (
     split_mean_residual,
 )
 from logsumineq.matfun import (
-    _decompose,
-    _Segments,
     hermitize,
     loewner_leq,
     maxnorm,
@@ -624,9 +622,8 @@ def test_shannon_stack_reports_the_non_expansive_trial():
     assert str(one.value).startswith("family is not expansive")
     m = [2, 2, 2]
     As, Bs = np.concatenate(As), np.concatenate(Bs)
-    dec = _decompose(np.concatenate([_Segments(m).total(As), As]))
     with pytest.raises(PreconditionError) as stacked:
-        _operator_shannon([f] * 3, As, Bs, m, dec, 1e-9)
+        _operator_shannon([f] * 3, As, Bs, m, 1e-9)
     assert str(stacked.value) == str(one.value)
     for t in (0, 2):
         assert operator_shannon_residual(As[2 * t : 2 * t + 2], Bs[2 * t : 2 * t + 2], f).holds

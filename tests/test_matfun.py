@@ -18,7 +18,7 @@ from logsumineq.errors import (
     _holds,
 )
 from logsumineq.functions import exp_fn, identity_fn, log_fn, power_fn
-from logsumineq.generators import rand_pd, rand_unitary
+from logsumineq.generators import rand_contractive_pd, rand_expansive, rand_pd, rand_unitary
 from logsumineq.matfun import (
     _decompose,
     _gap_scale,
@@ -248,6 +248,23 @@ def test_make_commuting_pair_commutes():
 def test_make_commuting_pair_rejects_nonunitary():
     with pytest.raises(PreconditionError):
         make_commuting_pair(np.ones((2, 2)), [1.0, 2.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "lambda_a, lambda_b, error, message",
+    [
+        ([1.0], [1.0, 2.0], DimensionError, "lambda_a must have length 2, got shape (1,)"),
+        ([1.0, 2.0], [[1.0, 2.0]], DimensionError, "lambda_b must have length 2, got shape (1, 2)"),
+        ([1.0, np.nan], [1.0], DomainError, "lambda_a has non-finite entries"),
+        ([1.0, 2.0], [np.inf, 2.0], DomainError, "lambda_b has non-finite entries"),
+    ],
+    ids=["a-length", "b-length", "a-before-b", "b-finite"],
+)
+def test_make_commuting_pair_names_the_list_it_refuses(lambda_a, lambda_b, error, message):
+    # lambda_a is checked in full, length then entries, before lambda_b
+    with pytest.raises(error) as raised:
+        make_commuting_pair(np.eye(2), lambda_a, lambda_b)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("check", [commutes, commutator_maxnorm])
@@ -624,3 +641,71 @@ def test_stacked_jacobi_errors_name_the_first_failing_matrix(monkeypatch):
         # the diagonal member converges at once; the first unconverged one is named
         jacobi_eigh(np.array([np.diag([1.0, 2.0, 3.0]), *slow]))
     assert str(stacked.value) == str(one.value)
+
+
+# -- padded stacks: own-first eigenpairs ------------------------------------------
+
+
+def _padded(As, N, c):
+    """Each matrix of As (K, n, n) as the top-left block of N x N, its pad c[k] * I."""
+    K, n = As.shape[0], As.shape[-1]
+    P = np.zeros((K, N, N), dtype=complex)
+    P[:, :n, :n] = As
+    P[:, range(n, N), range(n, N)] = np.asarray(c)[:, None]
+    return P
+
+
+def _members(rng, n, per_kind):
+    """The harness's kinds of member at size n: PD on the default window, expansive,
+    contractive, and PD on a wide window."""
+    draws = (
+        lambda: rand_pd(rng, n, (0.5, 2.0)),
+        lambda: rand_expansive(rng, n),
+        lambda: rand_contractive_pd(rng, n),
+        lambda: rand_pd(rng, n, (1e-3, 1e3)),
+    )
+    return np.stack([draw() for draw in draws for _ in range(per_kind)])
+
+
+@pytest.mark.parametrize("N, sizes", [(8, range(1, 8)), (3, (1, 2))])
+def test_a_padded_eigensolve_gives_the_own_eigenpairs_own_first(N, sizes):
+    # the premise of the padded judge, on the harness's draws: eigh of A ⊕ cI, ordered
+    # own-first, gives A's eigenpairs bit for bit, with an identity pad and with c tied to
+    # one of A's eigenvalues exactly; jacobi_eigh keeps every eigenvector on one side
+    rng = np.random.default_rng(29)
+    for n in sizes:
+        As = _members(rng, n, 50)
+        K = len(As)
+        w, U = np.linalg.eigh(As)
+        ties = w[np.arange(K), rng.integers(n, size=K)]
+        P = _padded(As, N, np.where(np.arange(K) % 2 == 0, 1.0, ties))
+        dec = _decompose(P, size=np.full(K, n))
+        assert dec.eigenvalues[:, :n].tobytes() == w.tobytes()
+        assert np.ascontiguousarray(dec.unitary[:, :n, :n]).tobytes() == U.tobytes()
+        assert not dec.unitary[:, n:, :n].any() and not dec.unitary[:, :n, n:].any()
+        _, V = jacobi_eigh(P)
+        own, pad = ~V[:, n:, :].any(axis=1), ~V[:, :n, :].any(axis=1)
+        assert (own | pad).all() and (own.sum(axis=-1) == n).all()
+        _decompose(P, "jacobi", size=np.full(K, n))  # orders them own-first without a refusal
+
+
+def test_an_eigenvector_across_the_pad_is_refused(monkeypatch):
+    # trials 2 and 3 of a stack get one eigenvector rotated across their pad: the first is named
+    rng = np.random.default_rng(3)
+    P = _padded(_members(rng, 2, 1), 4, np.ones(4))
+    real = np.linalg.eigh
+
+    def rotated(H):
+        w, U = real(H)
+        U = U.copy()
+        for t in (2, 3):
+            own = int(np.flatnonzero(~U[t, 2:, :].any(axis=0))[0])
+            pad = int(np.flatnonzero(~U[t, :2, :].any(axis=0))[0])
+            U[t][:, [own, pad]] = U[t][:, [own, pad]] @ np.array([[0.8, -0.6], [0.6, 0.8]])
+        return w, U
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+    message = r"^eigenvector \d of stacked matrix 2 \(own size 2 of 4\) lies on both sides of"
+    with pytest.raises(NumericError, match=message):
+        _decompose(P, size=np.full(4, 2))
+    _decompose(P)  # unpadded, the guard does not run
