@@ -30,11 +30,11 @@ each value over an n-group (a family's members of every trial on one flat
 member axis (K, ...), beside the member count m of each trial).  A scalar or
 trace suite's class is one n, and kernel(config, *stacks) builds and
 evaluates it as one stack.  A Loewner suite's kernel is a _Padded pair: its
-class is every n with one _size_class N(n) = max(n, min(config.n, 8)), each
-n-group is built at its own n, each built matrix padded to N by an identity
-block, and the class judged in one stack, each check reading the trials' own
-slots (see _Padded).  A build takes at most one qr or svd, a judge one
-eigensolver call per kernel step, and a trial's bits depend only on its
+class is every n with one _size_class N(n), config.n up to 8 and n above
+it, each n-group is built at its own n, each built matrix padded to N by an
+identity block, and the class judged in one stack, each check reading the
+trials' own slots (see _Padded).  A build takes at most one qr or svd, a
+judge one eigensolver call per kernel step, and a trial's bits depend only on its
 draws and its N, so the blocks change no number in a report.  A kernel returns each
 trial's gap, (T,) or (T, k) for k checks per trial, and the scale its
 tolerance multiplies; _verdicts judges every trial.  A one-member trial of
@@ -76,7 +76,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import generators as gen
-from .errors import DEFAULT_TOLERANCE, DomainError, _holds, _spectrum_range, _tolerance
+from .errors import (
+    DEFAULT_TOLERANCE,
+    DomainError,
+    NumericError,
+    _holds,
+    _spectrum_range,
+    _tolerance,
+)
 from .functions import FunctionSpec, identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from .loewner import (
     _mean_monotonicity,
@@ -635,16 +642,18 @@ def _nbytes(value) -> int:
     return 0 if isinstance(value, FunctionSpec) else np.asarray(value).nbytes
 
 
-# The least size a Loewner trial is padded to: with one BLAS thread, stacked eigh costs
-# about 2 us per matrix at n=3, 10.5 at 8, 45 at 16 and 560 at 64, so padding past 8
-# costs more than the ~80 us of numpy overhead that merging one n-group saves.
+# The largest config.n whose Loewner trials are padded, the largest the benchmark's Loewner
+# workloads run at.  With one BLAS thread stacked eigh costs about 2 us per matrix at n=3,
+# 10.5 at 8, 45 at 16 and 560 at 64, so padding a small trial far costs more than the
+# numpy overhead that merging its n-group saves; above the cap each n is judged alone.
 _PAD_CAP = 8
 
 
 def _size_class(n: int, config: TrialConfig) -> int:
-    """The size N(n) = max(n, min(config.n, _PAD_CAP)) that a Loewner trial of size n is judged
-    at: it depends on (n, config.n) alone, so a one-trial replay pads as its run did."""
-    return max(n, min(config.n, _PAD_CAP))
+    """The size N(n) that a Loewner trial of size n is judged at: config.n up to _PAD_CAP, n
+    itself above it.  It depends on (n, config.n) alone, so a one-trial replay pads as its
+    run did."""
+    return config.n if config.n <= _PAD_CAP else n
 
 
 def _pad(values, N: int) -> list:
@@ -679,8 +688,10 @@ class _Padded(NamedTuple):
     joined, and judge(config, size, *built) gives each trial's gaps and scales,
     size holding each trial's own n.  Every eigensolve of the judge orders a
     matrix's eigenpairs own-first (matfun._decompose), and every check reads
-    the own slots or the own block only, so the pad never changes a verdict;
-    padded arithmetic moves a gap at round-off.
+    the own slots or the own block only, so the pad adds no value of its own
+    to a check.  Padded arithmetic moves a gap at round-off, so a trial whose
+    gap lies within that distance of the tolerance edge can be judged
+    otherwise than by the unpadded public function.
     """
 
     build: object
@@ -688,6 +699,8 @@ class _Padded(NamedTuple):
 
     def __call__(self, config: TrialConfig, N: int, size, *groups):
         built = [_pad(self.build(config, *stacks), N) for stacks in groups]
+        if (size == N).all():  # no trial is padded: judge it as the public functions do
+            size = None
         return self.judge(config, size, *map(_joined, zip(*built)))
 
 
@@ -749,18 +762,27 @@ def _by_n(run: list[int], draws: list[_Draw]) -> list[list[int]]:
     return [list(ks) for _, ks in itertools.groupby(run, key=lambda k: draws[k].n)]
 
 
-def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
+def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, kernel):
     """Gap and holds flag of each trial, as Python lists: the one place a trial is judged.
 
-    kernel gives a class's gaps (_grouped), (T,) or (T, k) for k checks per
-    trial, and the scales broadcasting against them; the identity draws take
-    no kernel, and have gap 0.0 at scale 1.0.  A trial holds when every check
-    does (_holds), and its gap is its least check, the first on ties.
+    draws are the trials seeded seeds.  kernel gives a class's gaps
+    (_grouped), (T,) or (T, k) for k checks per trial, and the scales
+    broadcasting against them; the identity draws take no kernel, and have
+    gap 0.0 at scale 1.0.  A trial holds when every check does (_holds), and
+    its gap is its least check, the first on ties.  A NumericError of a
+    padded kernel, which names a matrix of the class's stack, is raised as the
+    first refused trial's (_first_refused).
     """
     gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
     evaluated = [k for k, d in enumerate(draws) if d is not _IDENTITY_DRAW]
     groups = _grouped([draws[k] for k in evaluated], config, kernel)
-    judged = [([evaluated[k] for k in ks], gap_scale) for ks, gap_scale in groups]
+    try:
+        judged = [([evaluated[k] for k in ks], gap_scale) for ks, gap_scale in groups]
+    except NumericError as exc:
+        if not isinstance(kernel, _Padded):
+            raise
+        trials = [(draws[k], seeds[k]) for k in evaluated]
+        raise _first_refused(exc, trials, config, kernel) from exc
     if len(evaluated) < len(draws):
         identities = [k for k, d in enumerate(draws) if d is _IDENTITY_DRAW]
         judged.append((identities, (np.zeros(len(identities)), 1.0)))
@@ -768,6 +790,19 @@ def _verdicts(draws: list[_Draw], config: TrialConfig, kernel):
         gaps[ks] = functools.reduce(_min, gap.reshape(len(ks), -1).T)
         holds[ks] = _holds(gap, scale, config.tolerance).reshape(len(ks), -1).all(axis=-1)
     return gaps.tolist(), holds.tolist()
+
+
+def _first_refused(exc: NumericError, trials, config: TrialConfig, kernel) -> NumericError:
+    """exc as the refusal of the first of trials, (draw, seed) pairs in trial order, that kernel
+    refuses judged alone, prefixed by its seed; exc itself if none is.  A trial's arithmetic
+    does not depend on the rest of its stack, so run_suite or counterexample_search of
+    replace(config, trials=1, seed=seed) replays the refusal."""
+    for draw, seed in trials:
+        try:
+            list(_grouped([draw], config, kernel))
+        except NumericError as lone:
+            return NumericError(f"trial seed {seed} (n={draw.n}): {lone}")
+    return exc
 
 
 def _min_eigenvalues(build, residuals) -> _Padded:
@@ -803,7 +838,7 @@ class _Stacked:
         return [self.draw(rng, config) for rng in _rngs(seeds)]
 
     def __call__(self, seeds, config):
-        return _verdicts(self.draws(seeds, config), config, self.kernel)
+        return _verdicts(self.draws(seeds, config), seeds, config, self.kernel)
 
 
 _sum_verdicts = _min_eigenvalues(_sum_build, _sum_residuals)
@@ -906,8 +941,8 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
 
     def confirm(chunk):
         """Re-verify a chunk of candidates through the Jacobi solver, one stack per group."""
-        draws = [draw for *_, draw in chunk]
-        rechecks = _verdicts(draws, replace(config, tolerance=RECHECK_ABS_TOL), _rechecks)
+        draws, seeds = [draw for *_, draw in chunk], [ts for _, ts, *_ in chunk]
+        rechecks = _verdicts(draws, seeds, replace(config, tolerance=RECHECK_ABS_TOL), _rechecks)
         for (index, ts, min_eig, draw), recheck, ok in zip(chunk, *rechecks):
             if not ok:
                 findings.append(
@@ -926,7 +961,7 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
     def first_pass(seeds, config):
         """The block's verdicts; its failing trials join the candidates with their draws."""
         draws = _perspective_sum_verdicts.draws(seeds, config)
-        min_eigs, holds = _verdicts(draws, config, _sum_verdicts)
+        min_eigs, holds = _verdicts(draws, seeds, config, _sum_verdicts)
         for ts, draw, min_eig, ok in zip(seeds, draws, min_eigs, holds):
             if not ok:
                 candidates.append(((ts - config.seed) % _SEED_MOD, ts, min_eig, draw))

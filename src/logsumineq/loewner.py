@@ -21,7 +21,8 @@ pads every matrix of a trial to its size class N by an identity block), or
 None for an unpadded one, as the public functions pass: every decomposition
 carries the own sizes (_laid_out) and orders eigenpairs own-first, and every
 check and the residual's eigenvalues are read on the own slots or the own
-block (matfun._own_block), so a pad never changes a verdict.  A failing
+block (matfun._own_block), so a pad adds no value of its own to a check;
+a padded gap moves from the unpadded one at round-off only.  A failing
 check raises the one-trial message of the first failing trial in trial
 order for the hypotheses (expansivity, matching sums, the contraction and
 order checks), through errors._require.  Operator classes come from a

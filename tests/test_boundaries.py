@@ -154,7 +154,8 @@ def _judged(gap, scale, tol=TOL):
     """harness._verdicts' gaps and holds flags for a kernel whose record is (gap, scale)."""
     draws = [harness._Draw(1, (0.0,))] * len(gap)
     config = TrialConfig(suite="scalar_log_sum", tolerance=tol)
-    return harness._verdicts(draws, config, lambda config, _: (np.array(gap), np.array(scale)))
+    kernel = lambda config, _: (np.array(gap), np.array(scale))  # noqa: E731
+    return harness._verdicts(draws, range(len(gap)), config, kernel)
 
 
 @pytest.mark.parametrize("factor, holds", [(2.0, False), (0.5, True)])

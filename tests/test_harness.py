@@ -307,8 +307,8 @@ def test_stacked_search_residuals_equal_one_trial_runs(monkeypatch, lhs_form):
     recorded = []
     real = harness._verdicts
 
-    def recording(draws, config, residuals):
-        min_eigs, holds = real(draws, config, residuals)
+    def recording(draws, seeds, config, residuals):
+        min_eigs, holds = real(draws, seeds, config, residuals)
         if residuals is harness._sum_verdicts:  # the first pass, not the confirmation
             recorded.extend(min_eigs)
         return min_eigs, holds
@@ -338,9 +338,11 @@ def _evaluated_sizes(draws):
     return {d.n for d in draws if d is not harness._IDENTITY_DRAW}
 
 
-def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls):
+# the sum_fb call of 50 trials at n=3, m=2 is the search_sum_fb benchmark's call
+@pytest.mark.parametrize("lhs_form, trials", [("perspective_sum", 500), ("sum_fb", 50)])
+def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls, lhs_form, trials):
     # one stacked eigh per kernel step and size class of a block; at n=3 every size pads to 3
-    cfg = _search_config("perspective_sum", 500)
+    cfg = _search_config(lhs_form, trials)
     seeds = [cfg.seed + index for index in range(cfg.trials)]
     classes, groups = _classes_and_groups(harness._perspective_sum_verdicts, cfg, seeds)
     assert classes < groups
@@ -350,8 +352,9 @@ def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls):
     assert len(eigh_calls) == 3 * classes
 
 
-def test_search_recheck_takes_three_jacobi_calls_per_group_per_block(monkeypatch):
-    cfg = _search_config("sum_fb", 500)
+@pytest.mark.parametrize("trials", [500, 50])  # 50: the search_sum_fb benchmark's call
+def test_search_recheck_takes_three_jacobi_calls_per_group_per_block(monkeypatch, trials):
+    cfg = _search_config("sum_fb", trials)
     _, _, failures = harness._run(cfg, harness._perspective_sum_verdicts)
     seeds = [ts for _, ts, _ in failures]
     classes, groups = _classes_and_groups(harness._perspective_sum_verdicts, cfg, seeds)
@@ -370,20 +373,36 @@ def test_search_recheck_takes_three_jacobi_calls_per_group_per_block(monkeypatch
     assert len(jacobi_calls) == 3 * classes
 
 
-def test_a_benchmark_search_call_takes_three_eigh_and_three_jacobi_calls(monkeypatch, eigh_calls):
-    # the search_sum_fb benchmark's call: 50 trials at n=3, m=2, every size padded to 3
-    jacobi_calls = []
-    real = matfun.jacobi_eigh
+@pytest.mark.parametrize(
+    "entry, config",
+    [
+        (run_suite, TrialConfig(suite="operator_jensen", trials=20, seed=5, n=3)),
+        (counterexample_search, _search_config("sum_fb", 20)),
+    ],
+)
+def test_a_refused_trial_is_named_by_its_seed(monkeypatch, entry, config):
+    # every padded matrix gets its eigenvectors mixed across its pad: the run's refusal names
+    # the first padded trial in trial order by its seed, and a one-trial run of it replays it
+    real = np.linalg.eigh
+    mixing = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
 
-    def counting(A):
-        jacobi_calls.append(A.shape)
-        return real(A)
+    def crossing(H):
+        w, U = real(H)
+        padded = ~H[..., -1, :-1].any(axis=-1)  # a last row off the diagonal of zeros
+        U[padded] = U[padded] @ mixing
+        return w, U
 
-    monkeypatch.setattr(matfun, "jacobi_eigh", counting)
-    rep = counterexample_search(_search_config("sum_fb", 50))
-    assert rep.findings
-    assert [shape[-2:] for shape in eigh_calls] == [(3, 3)] * 3
-    assert [shape[-2:] for shape in jacobi_calls] == [(3, 3)] * 3
+    monkeypatch.setattr(np.linalg, "eigh", crossing)
+    seeds = [harness._trial_seed(config, index) for index in range(config.trials)]
+    draws = harness.SUITES[config.suite].draws(seeds, config)
+    first = next((ts, d.n) for ts, d in zip(seeds, draws) if d.n < 3)
+    with pytest.raises(NumericError) as run:
+        entry(config)
+    assert str(run.value).startswith("trial seed {} (n={}): eigenvector ".format(*first))
+    assert "stacked matrix" in str(run.value.__cause__)
+    with pytest.raises(NumericError) as replay:
+        entry(replace(config, trials=1, seed=first[0]))
+    assert str(replay.value) == str(run.value)
 
 
 def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
@@ -773,13 +792,14 @@ def _classes_and_groups(stacked, config, seeds, chunk=None):
 
 @pytest.mark.parametrize("suite", LOEWNER_SUITES)
 def test_loewner_suite_lapack_calls_per_group_per_block(lapack_calls, suite):
-    # at n=3 every size pads to 3, one class per block; at n=10, sizes 1..8 pad to 8
+    # at n=3 every size pads to 3, one class per block; at n=10, above the cap, each n is
+    # its own class
     per_class, *per_group = _CLASS_CALLS[suite]
     for n, trials in ((3, 300), (10, 60)):
         cfg = TrialConfig(suite=suite, trials=trials, seed=5, n=n, m=2)
         seeds = [cfg.seed + i for i in range(cfg.trials)]
         classes, groups = _classes_and_groups(SUITES[suite], cfg, seeds)
-        assert classes < groups
+        assert (classes < groups) == (n <= harness._PAD_CAP)
         for calls in lapack_calls.values():
             calls.clear()
         run_suite(cfg)
@@ -789,8 +809,7 @@ def test_loewner_suite_lapack_calls_per_group_per_block(lapack_calls, suite):
 
 
 def test_size_class_pads_to_the_dimension_cap_of_eight():
-    # N(n) = max(n, min(n_max, 8)): every n of a run at n_max <= 8 pads to n_max, and a
-    # larger run pads only its sizes below 8
+    # every n of a run at n_max <= 8 pads to n_max, and a larger run pads none
     def classes(n_max):
         cfg = TrialConfig(suite="perspective_sum", n=n_max)
         return [harness._size_class(n, cfg) for n in range(1, n_max + 1)]
@@ -798,7 +817,7 @@ def test_size_class_pads_to_the_dimension_cap_of_eight():
     assert classes(1) == [1]
     assert classes(3) == [3, 3, 3]
     assert classes(8) == [8] * 8
-    assert classes(10) == [8] * 8 + [9, 10]
+    assert classes(9) == list(range(1, 10))
 
 
 def test_pad_embeds_each_built_matrix_in_an_identity():
@@ -872,7 +891,9 @@ def test_identity_draws_stop_at_m_and_take_no_kernel():
         evaluated.extend(m.tolist())
         return stacked.kernel.build(config, m, *stacks)
 
-    gaps, holds = harness._verdicts(draws, cfg, stacked.kernel._replace(build=recording))
+    gaps, holds = harness._verdicts(
+        draws, range(200), cfg, stacked.kernel._replace(build=recording)
+    )
     assert sorted(evaluated) == sorted(m for m in ms if m != 1)
     assert [(gaps[k], holds[k]) for k in identities] == [(0.0, True)] * len(identities)
 

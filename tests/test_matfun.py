@@ -20,6 +20,7 @@ from logsumineq.errors import (
 from logsumineq.functions import exp_fn, identity_fn, log_fn, power_fn
 from logsumineq.generators import rand_contractive_pd, rand_expansive, rand_pd, rand_unitary
 from logsumineq.matfun import (
+    SOLVERS,
     _decompose,
     _gap_scale,
     _herm,
@@ -667,11 +668,53 @@ def _members(rng, n, per_kind):
     return np.stack([draw() for draw in draws for _ in range(per_kind)])
 
 
+def _gram_plus_identity(rng, n, count):
+    """G G† + I for complex Gaussian G (count, n, n): a PD kind the harness does not draw."""
+    G = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    A = G @ G.conj().swapaxes(-1, -2) + np.eye(n)
+    return (A + A.conj().swapaxes(-1, -2)) / 2
+
+
+def _padded_draws(rng, n, N):
+    """The members A (K, n, n) of _members and _gram_plus_identity, padded to N with c = 1 on
+    even rows and c tied to one of A's eigenvalues exactly on odd ones, and A's eigenvalues."""
+    As = np.concatenate([_members(rng, n, 50), _gram_plus_identity(rng, n, 50)])
+    K = len(As)
+    w = np.linalg.eigh(As)[0]
+    ties = w[np.arange(K), rng.integers(n, size=K)]
+    return As, _padded(As, N, np.where(np.arange(K) % 2 == 0, 1.0, ties)), w
+
+
+# the own eigenvalues and reconstructions of a padded solve match A's within
+# _PAD_SOLVE_K n u max(1, |A|); the largest measured ratios are 3.2 (eigh) and 15.8 (jacobi_eigh)
+_PAD_SOLVE_K = 64
+
+
 @pytest.mark.parametrize("N, sizes", [(8, range(1, 8)), (3, (1, 2))])
-def test_a_padded_eigensolve_gives_the_own_eigenpairs_own_first(N, sizes):
-    # the premise of the padded judge, on the harness's draws: eigh of A ⊕ cI, ordered
-    # own-first, gives A's eigenpairs bit for bit, with an identity pad and with c tied to
-    # one of A's eigenvalues exactly; jacobi_eigh keeps every eigenvector on one side
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_a_padded_eigensolve_keeps_each_eigenvector_on_one_side(N, sizes, solver):
+    # what the padded judge relies on: each eigenvector of A ⊕ cI lies wholly on the own rows or
+    # wholly on the pad rows, with an identity pad and with c tied to one of A's eigenvalues, and
+    # ordered own-first the own eigenpairs are A's to round-off
+    rng = np.random.default_rng(29)
+    for n in sizes:
+        As, P, w = _padded_draws(rng, n, N)
+        dec = _decompose(P, solver, size=np.full(len(As), n))  # refuses a crossing eigenvector
+        U, x = dec.unitary[:, :n, :n], dec.eigenvalues[:, :n]
+        assert not dec.unitary[:, n:, :n].any() and not dec.unitary[:, :n, n:].any()
+        bound = _PAD_SOLVE_K * n * np.finfo(float).eps * np.maximum(1.0, abs(w).max(axis=-1))
+        assert (abs(x - w).max(axis=-1) <= bound).all()
+        rebuilt = (U * x[:, None, :]) @ U.conj().swapaxes(-1, -2)
+        assert (abs(rebuilt - As).max(axis=(-2, -1)) <= bound).all()
+
+
+@pytest.mark.parametrize("N, sizes", [(8, range(1, 8)), (3, (1, 2))])
+def test_a_padded_eigh_gives_the_harness_members_eigenpairs_bit_for_bit(N, sizes):
+    # on the kinds of member the harness draws, one eigh of A ⊕ cI ordered own-first gives A's
+    # eigenpairs bit for bit, so a padded judge's first eigensolve, and the values its refusals
+    # name, are the unpadded ones.  This is a property of these draws and of LAPACK's eigh, not
+    # a rule: on G G† + I it moves at round-off (n=5 in N=8, in 1 of 2700 cases), and the
+    # verdicts rely only on the sides (the test above)
     rng = np.random.default_rng(29)
     for n in sizes:
         As = _members(rng, n, 50)
@@ -682,11 +725,6 @@ def test_a_padded_eigensolve_gives_the_own_eigenpairs_own_first(N, sizes):
         dec = _decompose(P, size=np.full(K, n))
         assert dec.eigenvalues[:, :n].tobytes() == w.tobytes()
         assert np.ascontiguousarray(dec.unitary[:, :n, :n]).tobytes() == U.tobytes()
-        assert not dec.unitary[:, n:, :n].any() and not dec.unitary[:, :n, n:].any()
-        _, V = jacobi_eigh(P)
-        own, pad = ~V[:, n:, :].any(axis=1), ~V[:, :n, :].any(axis=1)
-        assert (own | pad).all() and (own.sum(axis=-1) == n).all()
-        _decompose(P, "jacobi", size=np.full(K, n))  # orders them own-first without a refusal
 
 
 def test_an_eigenvector_across_the_pad_is_refused(monkeypatch):
