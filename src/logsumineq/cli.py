@@ -70,6 +70,8 @@ def _floats(values) -> list[float]:
 
 
 def _interval(obj) -> tuple[float, float]:
+    if not (isinstance(obj, list) and len(obj) == 2):
+        raise DomainError(f"must be a list of two numbers, got {obj!r:.40}")
     return (_number(obj[0]), _number(obj[1]))
 
 

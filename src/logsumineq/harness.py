@@ -7,59 +7,44 @@ worst_case_seed replays its worst trial exactly:
 
     run_suite(replace(config, trials=1, seed=report.worst_case_seed))
 
-One loop serves run_suite and counterexample_search: it hands each block of
-consecutive trial seeds to the suite's evaluator.  Every suite is a draw
-plus a stacked kernel (_Stacked).  _Stacked.draws, the one place a seed
-becomes an rng, hands each trial the stream of np.random.default_rng(seed),
-and draw(rng, config) returns the trial's values in draw order.  Every
-suite's draw makes only Generator calls, the fewest that consume its
-stream: after _size's integers, a trial's consecutive uniforms come from
-one random(k) call and its consecutive Gaussians from one standard_normal
-call.  It does no arithmetic on what they give: every map of drawn values
-(a complex Gaussian's assembly from its raw (2, n, n) draw, a sequence,
-spectrum, amplitude or scale from its uniforms, q's branch and window, r)
-runs in the kernel or its build, once over a group's stacks.  A draw picks
-a function spec where it draws one: the Loewner suites' f and the convexity
-cases take their parameter as they build the spec, and ratio_bounds reads g
-off its last uniform.  _Stacked.draws seeds a whole block at once (_rngs):
-numpy's SeedSequence hash runs over the block's seeds as uint32 arrays,
-PCG64's seeding in Python ints, and one Generator takes each trial's state
-in turn.  _grouped groups a block's trials into size classes (a class whose
-draws exceed its share of _BLOCK_BYTES runs in parts), and _stacks stacks
-each value over an n-group (a family's members of every trial on one flat
-member axis (K, ...), beside the member count m of each trial).  A scalar or
-trace suite's class is one n, and kernel(config, *stacks) builds and
-evaluates it as one stack.  A Loewner suite's kernel is a _Padded pair: its
-class is every n with one _size_class N(n), config.n up to 8 and n above
-it, each n-group is built at its own n, each built matrix padded to N by an
-identity block, and the class judged in one stack, each check reading the
-trials' own slots (see _Padded).  A build takes at most one qr or svd, a
-judge one eigensolver call per kernel step, and a trial's bits depend only on its
-draws and its N, so the blocks change no number in a report.  A kernel returns each
-trial's gap, (T,) or (T, k) for k checks per trial, and the scale its
-tolerance multiplies; _verdicts judges every trial.  A one-member trial of
-perspective_sum with the perspective-sum lhs (any family kind), pooled_inverse
-or split_mean is an identity: the family's total has its member's bits, so
-both sides are one expression on equal bits and the residual is the zero
-matrix.  Its draw stops after m (_identity) and returns _IDENTITY_DRAW, with
-no n, members or f, which _verdicts judges without a kernel at gap 0.0 and
-scale 1.0.  sum_fb, pooled_mean and operator_shannon draw in full: at one
-member their residual is round-off, not zero.  Six steps are stated
-once: _family_draw's one layout, m, then A's member draws, then B's, which
-_families builds whatever A's kind; _sized draws the size n of every suite
-without a family and hands it to draw(rng, n); _sides gives a scalar or trace kernel's (lhs, rhs, gap) as
-its gap and scale; _on_sequences maps the scalar suites' uniforms to
-sequence pairs and _on_pairs builds the commuting pairs of the four
-trace-gap suites from their Gaussians and spectrum uniforms; _with_q_r
-maps the three uniforms that end a q suite's draw to its order q and power
-r.  The kernels of the scalar and trace suites are those of the scalar and traceform
-layers, over (T, n) sequences and (T, n, n) commuting pairs; the seven
-Loewner suites take the residual kernels of loewner.  Search-mode
-candidates keep the draws of their first pass and are re-verified through
-the independent Jacobi eigensolver at a tightened absolute tolerance before
-they are reported as findings: _verdicts judges a chunk of candidates with
-_rechecks, the same padded kernel over each size class with three
-jacobi_eigh calls per class in place of eigh.
+Every suite, and the search's confirmation, has one shape (_Suite): draw,
+build, judge.  One loop serves run_suite and counterexample_search: it hands
+each block of consecutive trial seeds to the suite.
+
+- draw(rng, config) makes a trial's Generator calls, the fewest that consume
+  its stream (after _size's integers, consecutive uniforms in one random(k)
+  call and consecutive Gaussians in one standard_normal call), and returns
+  what they give in draw order (_Draw).  It picks a function spec where it
+  draws one and does no other arithmetic.  _Suite.draws seeds a block at
+  once (_rngs).
+- build(config, *stacks) maps an n-group's stacked draws (_stacks; a
+  family's members on one flat member axis beside each trial's m) to its
+  instance at its own n, bit for bit as the public generators build each
+  trial: sequence pairs, commuting pairs or states, with q and r where the
+  suite has them, or a Loewner suite's matrices and f.  It takes at most one
+  qr or svd.
+- judge(config, size, *instance) gives each trial's gap, (T,) or (T, k) for
+  k checks per trial, and the scale its tolerance multiplies.  _verdicts
+  judges every trial, and names a refusal by its trial's seed.
+
+_grouped groups a block's draws into size classes by one path.  A scalar or
+trace suite's class is one n, judged with size None.  A Loewner suite pads:
+its class is every n with one _size_class N, each built matrix is padded to
+N by an identity block, and the class is judged in one stack, each check
+reading the trials' own slots.  A class whose draws exceed its share of
+_BLOCK_BYTES runs in parts.  A trial's bits depend only on its draws and its
+N, so the blocks change no number in a report.
+
+A one-member trial of perspective_sum with the perspective-sum lhs (any
+family kind), pooled_inverse or split_mean is an identity: both sides are
+one expression on equal bits, and the residual is the zero matrix.  Its
+draw stops after m (_identity) and returns _IDENTITY_DRAW, which _verdicts
+judges at gap 0.0 and scale 1.0 without a build or judge.  sum_fb,
+pooled_mean and operator_shannon draw in full: at one member their residual
+is round-off, not zero.  Search-mode candidates keep the draws of their
+first pass and are re-verified through the independent Jacobi eigensolver
+at a tightened absolute tolerance before they are reported as findings:
+_rechecks is the perspective-sum suite with the Jacobi judge _recheck_gaps.
 """
 
 from __future__ import annotations
@@ -296,26 +281,19 @@ def _sized(draw):
 
 
 def _sides(kernel, *fg):
-    """The suite kernel of kernel(*fg, *stacks)'s (lhs, rhs, gap): the gap and its scale."""
+    """The judge of kernel(*fg, *instance)'s (lhs, rhs, gap): the gap and its scale."""
 
-    def sides(config, *stacks):
-        lhs, rhs, gap = kernel(*fg, *stacks)
+    def sides(config, size, *instance):
+        lhs, rhs, gap = kernel(*fg, *instance)
         return gap, _scale(lhs, rhs)
 
     return sides
 
 
-def _on_pairs(kernel, *fg):
-    """kernel(*fg, A, B, *rest) on the commuting pairs of the stacks (x, u, *rest).
-
-    u (T, 2n) holds A's spectrum uniforms, then B's, both on _TRACE_SPECTRUM.
-    """
-
-    def on_pairs(x, u, *rest):
-        w = gen._uniform(u, *_TRACE_SPECTRUM)
-        return kernel(*fg, *gen._build_pair(x, *_halves(w)), *rest)
-
-    return on_pairs
+def _pairs(config, x, u):
+    """The commuting pairs (A, B) of the stacks (x, u): u (T, 2n) holds A's spectrum uniforms,
+    then B's, both on _TRACE_SPECTRUM."""
+    return gen._build_pair(x, *_halves(gen._uniform(u, *_TRACE_SPECTRUM)))
 
 
 def _min(a, b):
@@ -342,9 +320,9 @@ def _halves(u):
     return u[:, :n], u[:, n:]
 
 
-def _on_sequences(kernel, *fg):
-    """kernel(*fg, a, b, *rest) on the sequence pairs (T, n) of the stacks (u, *rest)."""
-    return lambda u, *rest: kernel(*fg, *map(gen._sequence, _halves(u)), *rest)
+def _sequences(config, u):
+    """The sequence pairs (a, b), (T, n) each, of the stack u (T, 2n)."""
+    return tuple(map(gen._sequence, _halves(u)))
 
 
 def _equality(rng, n):
@@ -352,46 +330,54 @@ def _equality(rng, n):
     return (rng.random(n + 1),)
 
 
-def _equality_gaps(config, u):
-    """-|gap| of the forward inequality on a proportional pair, where it is an equality."""
+def _proportional(config, u):
+    """The proportional pairs (c b, b) of the stack u: b's uniforms, then c's on (0.1, 10)."""
     b = gen._sequence(u[:, :-1])
-    lhs, rhs, gap = _forward(_LOG, _IDENTITY, gen._uniform(u[:, -1:], 0.1, 10.0) * b, b)
+    return gen._uniform(u[:, -1:], 0.1, 10.0) * b, b
+
+
+def _equality_gaps(config, size, a, b):
+    """-|gap| of the forward inequality on a proportional pair, where it is an equality."""
+    lhs, rhs, gap = _forward(_LOG, _IDENTITY, a, b)
     return -np.abs(gap), _scale(lhs, rhs)
 
 
-def _rational(u):
-    """The rational example's sides on each row of u (T, 2n): a's uniforms, then the ratios'."""
+def _rational(config, u):
+    """The rational example's pairs (a, ratio * a) of the stack u (T, 2n): a's uniforms, then
+    the ratios'."""
     u_a, u_ratio = _halves(u)
     a = gen._uniform(u_a, 1.0, 10.0)
-    return _rational_example(a, gen._uniform(u_ratio, 0.9, 2.4) * a)
+    return a, gen._uniform(u_ratio, 0.9, 2.4) * a
 
 
-def _with_q_r(draw, kernel):
-    """The suite of kernel(*stacks, q, r), an order q and a power r per trial.
+def _with_q_r(draw, build, kernel) -> _Suite:
+    """The suite judging kernel(*instance, q, r) on build's instance, an order q and a power r
+    per trial.
 
     draw(rng, n, extra=3) draws its values with 3 more uniforms at the end of
     its last call: q's branch and q's, then r's.
     """
 
-    def with_q_r(*stacks):
+    def with_q_r(config, *stacks):
         *rest, u = stacks
         branch, u_q, u_r = u[:, -3], u[:, -2], u[:, -1]
         # Stay off the q = 2 degeneracy where the inequality has no direction.
         q = np.where(branch < 0.7, gen._uniform(u_q, -2.0, 1.9), gen._uniform(u_q, 2.1, 3.5))
-        return kernel(*rest, u[:, :-3], q, gen._uniform(u_r, 0.5, 2.0))
+        return (*build(config, *rest, u[:, :-3]), q, gen._uniform(u_r, 0.5, 2.0))
 
-    return _Stacked(_sized(functools.partial(draw, extra=3)), _sides(with_q_r))
+    return _Suite(_sized(functools.partial(draw, extra=3)), with_q_r, _sides(kernel))
 
 
 _Q_DIRECTIONS = (0.0, 0.5, 1.5, 2.5, 3.0)
 
 
-def _q_direction_gaps(config, u):
+def _q_direction_gaps(config, size, a, b):
     """One check per order of _Q_DIRECTIONS at r = 1, all orders of a group in one stack."""
-    a, b = (np.repeat(gen._sequence(x), len(_Q_DIRECTIONS), axis=0) for x in _halves(u))
-    q = np.tile(_Q_DIRECTIONS, len(u))
-    gap, scale = _sides(_q_log_sums)(config, a, b, q, np.ones(len(q)))
-    return gap.reshape(len(u), -1), scale.reshape(len(u), -1)
+    T = len(a)
+    a, b = (np.repeat(x, len(_Q_DIRECTIONS), axis=0) for x in (a, b))
+    q = np.tile(_Q_DIRECTIONS, T)
+    gap, scale = _sides(_q_log_sums)(config, size, a, b, q, np.ones(len(q)))
+    return gap.reshape(T, -1), scale.reshape(T, -1)
 
 
 def _ratio(rng, n):
@@ -400,9 +386,14 @@ def _ratio(rng, n):
     return u, _IDENTITY if u[-1] < 0.5 else _SQUARE
 
 
-def _ratio_gaps(config, u, g):
+def _ratio_build(config, u, g):
+    """The sequence pairs of u's uniforms but the last, which picked g, then g."""
+    return (*_sequences(config, u[:, :-1]), g)
+
+
+def _ratio_gaps(config, size, a, b, g):
     """Three checks: [m_g, M_g] is ordered, and holds the aggregate ratio from below and above."""
-    m_g, M_g, agg = _on_sequences(_ratio_bounds, g)(u[:, :-1])
+    m_g, M_g, agg = _ratio_bounds(g, a, b)
     return np.stack([M_g - m_g, agg - m_g, M_g - agg], axis=-1), _scale(m_g, M_g)[:, None]
 
 
@@ -419,7 +410,12 @@ def _convexity_draw(rng, config: TrialConfig) -> _Draw:
     return _Draw(101, (power_fn(float(rng.uniform(0.2, 2.0))), 0.01, 5.0, True, 101))
 
 
-def _convexity_gaps(config, f, lo, hi, expected, points):
+def _as_drawn(config, *stacks):
+    """The build of a suite whose draws are its instance."""
+    return stacks
+
+
+def _convexity_gaps(config, size, f, lo, hi, expected, points):
     points = int(points[0])  # a group shares its grid size
     h_kind = "xf1overx" if points == 201 else "xfx"
     agree = _curvature_holds(h_kind, f, lo, hi, points) == expected
@@ -429,17 +425,26 @@ def _convexity_gaps(config, f, lo, hi, expected, points):
 # -- trace suites ----------------------------------------------------------
 
 
-def _relative_entropy_gaps(config, x, u):
+def _densities(config, x, u):
+    """The commuting states (rho, sigma) of the stacks (x, u): u holds rho's spectrum uniforms,
+    then sigma's."""
+    return gen._build_pair(x, *map(gen._density, _halves(u)))
+
+
+def _relative_entropy_gaps(config, size, rho, sigma):
     """D(rho || sigma) >= 0, at scale 1."""
-    rho, sigma = gen._build_pair(x, *map(gen._density, _halves(u)))
     return _relative_entropies(rho, sigma), 1.0
 
 
-def _entropy_bound_gaps(config, u, x):
+def _state(config, u, x):
+    """The states rho of the stacks (u, x): the spectrum uniforms, then the basis Gaussians."""
+    return (gen._build(gen._density(u), gen._unitaries(x)),)
+
+
+def _entropy_bound_gaps(config, size, rho):
     """Two checks at scale 1: S(rho) >= 0 and S(rho) <= log n."""
-    w = gen._density(u)
-    s = _entropies(gen._build(w, gen._unitaries(x)))
-    return np.stack([s, math.log(w.shape[-1]) - s], axis=-1), 1.0
+    s = _entropies(rho)
+    return np.stack([s, math.log(rho.shape[-1]) - s], axis=-1), 1.0
 
 
 # -- operator-order suites --------------------------------------------------
@@ -679,62 +684,64 @@ def _joined(values):
     return np.concatenate(values)
 
 
-class _Padded(NamedTuple):
-    """The kernel of a Loewner suite: one call judges a whole size class (_size_class).
+class _Suite(NamedTuple):
+    """A registered suite: draw, build and judge (see the module docstring).
 
-    build(config, *stacks) builds an n-group at its own n, bit for bit as the
-    public generators build each trial.  Each built matrix is then padded to
-    the class size N by an identity block (_pad), the n-groups' values are
-    joined, and judge(config, size, *built) gives each trial's gaps and scales,
-    size holding each trial's own n.  Every eigensolve of the judge orders a
-    matrix's eigenpairs own-first (matfun._decompose), and every check reads
-    the own slots or the own block only, so the pad adds no value of its own
-    to a check.  Padded arithmetic moves a gap at round-off, so a trial whose
-    gap lies within that distance of the tolerance edge can be judged
-    otherwise than by the unpadded public function.
+    A suite that pads judges a size class with size holding each trial's own
+    n.  Every eigensolve of its judge orders a matrix's eigenpairs own-first
+    (matfun._decompose), and every check reads the own slots or the own block
+    only, so the pad adds no value of its own to a check.  Padded arithmetic
+    moves a gap at round-off, so a trial whose gap lies within that distance
+    of the tolerance edge can be judged otherwise than by the unpadded public
+    function.  A class with no padded trial is judged with size None.
     """
 
+    draw: object
     build: object
     judge: object
+    pads: bool = False
 
-    def __call__(self, config: TrialConfig, N: int, size, *groups):
-        built = [_pad(self.build(config, *stacks), N) for stacks in groups]
-        if (size == N).all():  # no trial is padded: judge it as the public functions do
-            size = None
-        return self.judge(config, size, *map(_joined, zip(*built)))
+    def draws(self, seeds, config: TrialConfig) -> list[_Draw]:
+        """The draws of the trials seeded seeds, each from the stream of default_rng(seed).
+
+        The block is seeded at once (_rngs); each trial's draws are taken
+        before the next trial's state is set.
+        """
+        return [self.draw(rng, config) for rng in _rngs(seeds)]
+
+    def __call__(self, seeds, config):
+        return _verdicts(self.draws(seeds, config), seeds, config, self)
 
 
-def _grouped(draws: list[_Draw], config: TrialConfig, kernel):
-    """(positions in draws, kernel's gaps and scales) of each size class of draws.
+def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite):
+    """(positions in draws, suite's gaps and scales) of each size class of draws.
 
-    A class holds the draws of one n, or, for a _Padded kernel, of every n
-    with one _size_class; its positions run by ascending n, then by trial.  A plain
-    kernel takes its class's stacks (_stacks), kernel(config, *stacks); a
-    padded one takes the class size, the trials' own sizes and each n-group's
-    stacks.  A block's draws fit _BLOCK_BYTES and spread over at most
-    config.n sizes, and a kernel's working set is several times its class's
-    draws.  So a class whose stacks, counted at the class size, take more than
+    A class holds the draws of one n, or, for a suite that pads, of every n
+    with one _size_class; its positions run by ascending n, then by trial.  A
+    block's draws fit _BLOCK_BYTES and spread over at most config.n sizes, and
+    a judge's working set is several times its class's draws.  So a class
+    whose stacks, counted at the class size, take more than
     _BLOCK_BYTES // config.n bytes is evaluated in runs of consecutive
     positions that fit (a larger trial runs alone).  Classes and runs are
     bitwise independent stacks.
     """
-    padded = isinstance(kernel, _Padded)
     by_n: dict[int, list[int]] = {}
     for k, d in enumerate(draws):
         by_n.setdefault(d.n, []).append(k)
     classes: dict[int, list[int]] = {}
     for n in sorted(by_n):
-        classes.setdefault(_size_class(n, config) if padded else n, []).append(n)
+        classes.setdefault(_size_class(n, config) if suite.pads else n, []).append(n)
 
     def judged(N, runs, groups=None):
         """(positions, gaps and scales) of the n-groups runs, lists of positions sharing n."""
         if groups is None:
             groups = [_stacks([draws[k] for k in ks]) for ks in runs]
         positions = [k for ks in runs for k in ks]
-        if not padded:
-            return positions, kernel(config, *groups[0])
+        if len(runs) == 1 and draws[runs[0][0]].n == N:  # no trial is padded
+            return positions, suite.judge(config, None, *suite.build(config, *groups[0]))
         size = np.repeat([draws[ks[0]].n for ks in runs], [len(ks) for ks in runs])
-        return positions, kernel(config, N, size, *groups)
+        built = [_pad(suite.build(config, *stacks), N) for stacks in groups]
+        return positions, suite.judge(config, size, *map(_joined, zip(*built)))
 
     budget = _BLOCK_BYTES // config.n
     for N, sizes in classes.items():
@@ -762,27 +769,24 @@ def _by_n(run: list[int], draws: list[_Draw]) -> list[list[int]]:
     return [list(ks) for _, ks in itertools.groupby(run, key=lambda k: draws[k].n)]
 
 
-def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, kernel):
+def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, suite: _Suite):
     """Gap and holds flag of each trial, as Python lists: the one place a trial is judged.
 
-    draws are the trials seeded seeds.  kernel gives a class's gaps
-    (_grouped), (T,) or (T, k) for k checks per trial, and the scales
-    broadcasting against them; the identity draws take no kernel, and have
-    gap 0.0 at scale 1.0.  A trial holds when every check does (_holds), and
-    its gap is its least check, the first on ties.  A NumericError of a
-    padded kernel, which names a matrix of the class's stack, is raised as the
-    first refused trial's (_first_refused).
+    draws are the trials seeded seeds, judged a size class at a time
+    (_grouped); the identity draws take no build or judge, and have gap 0.0
+    at scale 1.0.  A trial holds when every check does (_holds), and its gap
+    is its least check, the first on ties.  A NumericError, which may name a
+    row or matrix of a class's stack, is raised as the first refused trial's
+    (_first_refused).
     """
     gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
     evaluated = [k for k, d in enumerate(draws) if d is not _IDENTITY_DRAW]
-    groups = _grouped([draws[k] for k in evaluated], config, kernel)
+    groups = _grouped([draws[k] for k in evaluated], config, suite)
     try:
         judged = [([evaluated[k] for k in ks], gap_scale) for ks, gap_scale in groups]
     except NumericError as exc:
-        if not isinstance(kernel, _Padded):
-            raise
         trials = [(draws[k], seeds[k]) for k in evaluated]
-        raise _first_refused(exc, trials, config, kernel) from exc
+        raise _first_refused(exc, trials, config, suite) from exc
     if len(evaluated) < len(draws):
         identities = [k for k, d in enumerate(draws) if d is _IDENTITY_DRAW]
         judged.append((identities, (np.zeros(len(identities)), 1.0)))
@@ -792,87 +796,63 @@ def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, kernel):
     return gaps.tolist(), holds.tolist()
 
 
-def _first_refused(exc: NumericError, trials, config: TrialConfig, kernel) -> NumericError:
-    """exc as the refusal of the first of trials, (draw, seed) pairs in trial order, that kernel
+def _first_refused(exc: NumericError, trials, config: TrialConfig, suite: _Suite) -> NumericError:
+    """exc as the refusal of the first of trials, (draw, seed) pairs in trial order, that suite
     refuses judged alone, prefixed by its seed; exc itself if none is.  A trial's arithmetic
     does not depend on the rest of its stack, so run_suite or counterexample_search of
     replace(config, trials=1, seed=seed) replays the refusal."""
     for draw, seed in trials:
         try:
-            list(_grouped([draw], config, kernel))
+            list(_grouped([draw], config, suite))
         except NumericError as lone:
             return NumericError(f"trial seed {seed} (n={draw.n}): {lone}")
     return exc
 
 
-def _min_eigenvalues(build, residuals) -> _Padded:
-    """The kernel of a Loewner suite: the gap and scale (_gap_scale) of each trial's residual,
+def _loewner(draw, build, residuals) -> _Suite:
+    """A Loewner suite, which pads: the gap and scale (_gap_scale) of each trial's residual,
     whose eigenvalues (T, N) residuals(config, size, *built) gives for a size class."""
 
     def judge(config, size, *built):
         return _gap_scale(residuals(config, size, *built), size)
 
-    return _Padded(build, judge)
+    return _Suite(draw, build, judge, pads=True)
 
 
-class _Stacked:
-    """The block evaluator of a suite given as a draw and a stacked kernel.
-
-    draw(rng, config) makes a trial's draws from its rng in the order of the
-    one-trial generators; the kernel takes a class of draws (_grouped) as the
-    stacks of their values (_stacks), a family's members on one flat member
-    axis beside the member counts, and returns the gaps and scales that
-    _verdicts judges.
-    """
-
-    def __init__(self, draw, kernel):
-        self.draw = draw
-        self.kernel = kernel
-
-    def draws(self, seeds, config: TrialConfig) -> list[_Draw]:
-        """The draws of the trials seeded seeds, each from the stream of default_rng(seed).
-
-        The block is seeded at once (_rngs); each trial's draws are taken
-        before the next trial's state is set.
-        """
-        return [self.draw(rng, config) for rng in _rngs(seeds)]
-
-    def __call__(self, seeds, config):
-        return _verdicts(self.draws(seeds, config), seeds, config, self.kernel)
-
-
-_sum_verdicts = _min_eigenvalues(_sum_build, _sum_residuals)
-_rechecks = _Padded(_sum_build, _recheck_gaps)
-_perspective_sum_verdicts = _Stacked(_sum_draw, _sum_verdicts)
+_perspective_sum_verdicts = _loewner(_sum_draw, _sum_build, _sum_residuals)
+# The search's confirmation: the perspective-sum suite, judged through the Jacobi solver.
+_rechecks = _perspective_sum_verdicts._replace(judge=_recheck_gaps)
+_COMMUTING = _sized(gen._draw_commuting)
 
 SUITES = {
-    "scalar_log_sum": _Stacked(_sized(_pair), _sides(_on_sequences(_forward, _LOG, _IDENTITY))),
-    "scalar_equality": _Stacked(_sized(_equality), _equality_gaps),
-    "scalar_reverse": _Stacked(_sized(_pair), _sides(_on_sequences(_reverse, _LOG, _IDENTITY))),
-    "rational_reverse": _Stacked(_sized(_pair), _sides(_rational)),
-    "q_log_sum": _with_q_r(_pair, _on_sequences(_q_log_sums)),
-    "q_direction": _Stacked(_sized(_pair), _q_direction_gaps),
-    "ratio_bounds": _Stacked(_sized(_ratio), _ratio_gaps),
-    "convexity_check": _Stacked(_convexity_draw, _convexity_gaps),
-    "trace_log_sum": _Stacked(_sized(gen._draw_commuting), _sides(_on_pairs(_trace_log_sums, _LOG, _IDENTITY))),
-    "trace_reverse": _Stacked(_sized(gen._draw_commuting), _sides(_on_pairs(_reverse_traces, _LOG, _IDENTITY))),
-    "q_trace": _with_q_r(gen._draw_commuting, _on_pairs(_q_traces)),
-    "exp_log_trace": _Stacked(_sized(gen._draw_commuting), _sides(_on_pairs(_exp_log_traces))),
-    "relative_entropy": _Stacked(_sized(gen._draw_commuting), _relative_entropy_gaps),
-    "entropy_bound": _Stacked(_sized(gen._draw_pd), _entropy_bound_gaps),
-    "operator_jensen": _Stacked(_sized(_jensen), _min_eigenvalues(_jensen_build, _jensen_residuals)),
+    "scalar_log_sum": _Suite(_sized(_pair), _sequences, _sides(_forward, _LOG, _IDENTITY)),
+    "scalar_equality": _Suite(_sized(_equality), _proportional, _equality_gaps),
+    "scalar_reverse": _Suite(_sized(_pair), _sequences, _sides(_reverse, _LOG, _IDENTITY)),
+    "rational_reverse": _Suite(_sized(_pair), _rational, _sides(_rational_example)),
+    "q_log_sum": _with_q_r(_pair, _sequences, _q_log_sums),
+    "q_direction": _Suite(_sized(_pair), _sequences, _q_direction_gaps),
+    "ratio_bounds": _Suite(_sized(_ratio), _ratio_build, _ratio_gaps),
+    "convexity_check": _Suite(_convexity_draw, _as_drawn, _convexity_gaps),
+    "trace_log_sum": _Suite(_COMMUTING, _pairs, _sides(_trace_log_sums, _LOG, _IDENTITY)),
+    "trace_reverse": _Suite(_COMMUTING, _pairs, _sides(_reverse_traces, _LOG, _IDENTITY)),
+    "q_trace": _with_q_r(gen._draw_commuting, _pairs, _q_traces),
+    "exp_log_trace": _Suite(_COMMUTING, _pairs, _sides(_exp_log_traces)),
+    "relative_entropy": _Suite(_COMMUTING, _densities, _relative_entropy_gaps),
+    "entropy_bound": _Suite(_sized(gen._draw_pd), _state, _entropy_bound_gaps),
+    "operator_jensen": _loewner(_sized(_jensen), _jensen_build, _jensen_residuals),
     "perspective_sum": _perspective_sum_verdicts,
-    "operator_shannon": _Stacked(_shannon_draw, _min_eigenvalues(_shannon_build, _shannon_residuals)),
-    "pooled_inverse": _Stacked(
-        _pooled_inverse_draw, _min_eigenvalues(_pooled_inverse_build, _pooled_inverse_residuals)
+    "operator_shannon": _loewner(_shannon_draw, _shannon_build, _shannon_residuals),
+    "pooled_inverse": _loewner(
+        _pooled_inverse_draw, _pooled_inverse_build, _pooled_inverse_residuals
     ),
-    "pooled_mean": _Stacked(_family_draw, _min_eigenvalues(_family_build, _pooled_mean_residuals)),
-    "split_mean": _Stacked(
+    "pooled_mean": _loewner(_family_draw, _family_build, _pooled_mean_residuals),
+    "split_mean": _loewner(
         functools.partial(_family_draw, sides_agree_at_one=True),
-        _min_eigenvalues(_family_build, _split_mean_residuals),
+        _family_build,
+        _split_mean_residuals,
     ),
-    "mean_monotonicity": _Stacked(
-        _monotonicity_draw, _min_eigenvalues(_monotonicity_build, _monotonicity_residuals)
+    "mean_monotonicity": _loewner(
+        _monotonicity_draw, _monotonicity_build, _monotonicity_residuals
     ),
 }
 
@@ -961,7 +941,7 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
     def first_pass(seeds, config):
         """The block's verdicts; its failing trials join the candidates with their draws."""
         draws = _perspective_sum_verdicts.draws(seeds, config)
-        min_eigs, holds = _verdicts(draws, seeds, config, _sum_verdicts)
+        min_eigs, holds = _verdicts(draws, seeds, config, _perspective_sum_verdicts)
         for ts, draw, min_eig, ok in zip(seeds, draws, min_eigs, holds):
             if not ok:
                 candidates.append(((ts - config.seed) % _SEED_MOD, ts, min_eig, draw))

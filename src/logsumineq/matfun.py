@@ -88,8 +88,11 @@ SOLVERS = ("eigh", "jacobi")
 
 
 def _as_square_complex(M, what: str, stack: bool = False) -> np.ndarray:
-    """M as a complex (n, n) array, or (..., n, n) with stack=True, checked finite."""
-    A = np.asarray(M, dtype=complex)
+    """M as a complex (n, n) array, or (..., n, n) with stack=True, checked numeric and finite."""
+    try:
+        A = np.asarray(M, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be an array of numbers: {exc}") from exc
     if (A.ndim < 2 if stack else A.ndim != 2) or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
         raise DimensionError(f"{what} must be square with n >= 1, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):

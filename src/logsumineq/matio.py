@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from .errors import DimensionError, DomainError, _number
+from .matfun import _as_square_complex
 
 __all__ = ["matrix_to_obj", "matrix_from_obj", "dump_matrix", "load_matrix"]
 
@@ -22,13 +23,15 @@ def _fmt(x: float) -> str:
 
 
 def matrix_to_obj(M) -> dict:
-    """Exchange dict for a square complex matrix (parse of dump_matrix output)."""
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {A.shape}")
-    n = A.shape[0]
+    """Exchange dict for a square complex matrix (parse of dump_matrix output).
+
+    The format carries neither a non-finite entry (a DomainError here) nor a shape other than
+    (n, n) with n >= 1 (a DimensionError), so no document it writes is one that
+    matrix_from_obj refuses.
+    """
+    A = _as_square_complex(M, "matrix")
     return {
-        "n": n,
+        "n": A.shape[0],
         "re": [[float(_fmt(v)) for v in row] for row in A.real],
         "im": [[float(_fmt(v)) for v in row] for row in A.imag],
     }
@@ -52,17 +55,16 @@ def matrix_from_obj(obj) -> np.ndarray:
 
 def dump_matrix(M) -> str:
     """Serialize one matrix, re/im entries written with 17 significant digits."""
-    A = np.asarray(M, dtype=complex)
-    obj = matrix_to_obj(A)
+    obj = matrix_to_obj(M)
 
-    def rows(part: np.ndarray) -> str:
+    def rows(part: list) -> str:
         return ",\n    ".join("[" + ", ".join(_fmt(v) for v in row) + "]" for row in part)
 
     return (
         "{\n"
         f'  "n": {obj["n"]},\n'
-        f'  "re": [\n    {rows(A.real)}\n  ],\n'
-        f'  "im": [\n    {rows(A.imag)}\n  ]\n'
+        f'  "re": [\n    {rows(obj["re"])}\n  ],\n'
+        f'  "im": [\n    {rows(obj["im"])}\n  ]\n'
         "}\n"
     )
 

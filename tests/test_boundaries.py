@@ -151,11 +151,12 @@ def test_monotonicity_order_boundary(factor, accepted):
 
 
 def _judged(gap, scale, tol=TOL):
-    """harness._verdicts' gaps and holds flags for a kernel whose record is (gap, scale)."""
+    """harness._verdicts' gaps and holds flags for a suite whose judge gives (gap, scale)."""
     draws = [harness._Draw(1, (0.0,))] * len(gap)
     config = TrialConfig(suite="scalar_log_sum", tolerance=tol)
-    kernel = lambda config, _: (np.array(gap), np.array(scale))  # noqa: E731
-    return harness._verdicts(draws, range(len(gap)), config, kernel)
+    judge = lambda config, size, _: (np.array(gap), np.array(scale))  # noqa: E731
+    suite = harness._Suite(None, harness._as_drawn, judge)
+    return harness._verdicts(draws, range(len(gap)), config, suite)
 
 
 @pytest.mark.parametrize("factor, holds", [(2.0, False), (0.5, True)])

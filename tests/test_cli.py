@@ -435,7 +435,7 @@ _WRONG_TYPED = {
     "f": [5, {"family": "power", "param": "0.5"}],
     "g": [5, {"family": "identity", "offset": True}],
     "pair": [5, {"a": [True, 2.0], "b": [1.0, 2.0]}],
-    "interval": [5, [True, 2.0]],
+    "interval": [5, [True, 2.0], [1, 2, 3], [1.0]],  # exactly two numbers
     **dict.fromkeys(("lambda_a", "lambda_b"), [5, ["1", "2"]]),
     **dict.fromkeys(("h_kind", "solver", "lhs_form"), [5]),
     **dict.fromkeys(("M", "A", "B", "U", "X", "contraction", "rho", "sigma"), _NOT_MATRICES),

@@ -1,10 +1,11 @@
 """The one entry check: every public matrix argument, of a function or of an eval op,
 is refused by the same rule, under its parameter's name.
 
-Each case breaks one matrix argument of an otherwise valid call: it is not square,
-not finite, not Hermitian (where Hermitian is required) or of another shape than the
-first matrix checked; a family is not a sequence, is empty or is of another length than
-the first family.
+Each case breaks one matrix argument of an otherwise valid call: it is not an array of
+numbers (a non-numeric entry, a ragged row, a mapping), not square, not finite, not
+Hermitian (where Hermitian is required) or of another shape than the first matrix
+checked; a family is not a sequence, is empty or is of another length than the first
+family.
 The function raises the rule's error with a message that starts with the argument's
 name (a family member's is name[k]); eval exits 2 with the same message, or, for what
 the exchange format cannot carry, with the refusal of its field.
@@ -50,6 +51,13 @@ _BAD = {
     "non-Hermitian": np.array([[2.0, 1.0], [0.0, 2.0]]),
     "shape": 2.0 * np.eye(3),
 }
+# Values that are not an array of numbers at all, which only a Python call can pass.
+_NOT_ARRAYS = {
+    "non-numeric": [[2.0, "a"], ["a", 2.0]],
+    "ragged": [[2.0, 0.0], [2.0]],
+    "mapping": {"a": 1},
+}
+_BAD.update(_NOT_ARRAYS)
 
 
 def _kind(field):
@@ -76,6 +84,8 @@ def _cases():
             name = f"{field}[1]" if family else field
             yield op, field, "non-square", DimensionError, f"{name} must be square"
             yield op, field, "non-finite", DomainError, f"{name} has non-finite entries"
+            for case in _NOT_ARRAYS:
+                yield op, field, case, DomainError, f"{name} must be an array of numbers"
             if not square:
                 yield op, field, "non-Hermitian", DomainError, f"{name} is not Hermitian"
             if name != first:
@@ -125,7 +135,10 @@ def _arguments(op, field, case):
 
 
 def _obj(M):
-    """M in the exchange format, whatever its shape and entries."""
+    """M in the exchange format, whatever its shape and entries; a value that is not an
+    array as it is."""
+    if not isinstance(M, np.ndarray):
+        return M
     return {"n": M.shape[0], "re": M.real.tolist(), "im": np.zeros_like(M.real).tolist()}
 
 
@@ -163,7 +176,7 @@ def test_each_matrix_argument_is_refused_under_its_name(
     code = cli.main(["eval", "--op", op, "--input", str(path)])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    if case in ("non-square", "non-finite", "not-a-sequence"):  # refused by the format's parser
+    if case in ("non-square", "non-finite", "not-a-sequence", *_NOT_ARRAYS):  # the format's parser
         assert err.startswith(f"error: field {field!r} is malformed")
     else:
         assert err == f"error: {raised.value}\n"

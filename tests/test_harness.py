@@ -14,7 +14,7 @@ import pytest
 
 from logsumineq import generators as gen
 from logsumineq import harness, loewner, matfun, traceform
-from logsumineq.errors import DomainError, NumericError
+from logsumineq.errors import DomainError, NumericError, _holds
 from logsumineq.functions import identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from logsumineq.harness import (
     SUITES,
@@ -184,10 +184,11 @@ def test_q_trace_disagreement_with_the_referee_still_raises(monkeypatch):
     monkeypatch.setattr(traceform, "_referee", lambda *dispute: -15.0)
     with pytest.raises(NumericError) as err:
         run_suite(TrialConfig(suite="q_trace", trials=1, seed=5249, n=8))
-    message = str(err.value)
-    assert message.startswith("q_trace_gap: matrix-product path -7788.8253147")
-    assert "joint-spectrum value -7788.82525273001" in message
-    assert message.endswith("50-digit product path gives -15.0")
+    # a trace suite's refusal names its trial by seed and n, as a Loewner suite's does
+    assert str(err.value) == (
+        "trial seed 5249 (n=5): q_trace_gap: matrix-product path -7788.825314703376 disagrees"
+        " with joint-spectrum value -7788.825252730015, and the 50-digit product path gives -15.0"
+    )
 
 
 def test_report_json_is_canonical():
@@ -307,9 +308,9 @@ def test_stacked_search_residuals_equal_one_trial_runs(monkeypatch, lhs_form):
     recorded = []
     real = harness._verdicts
 
-    def recording(draws, seeds, config, residuals):
-        min_eigs, holds = real(draws, seeds, config, residuals)
-        if residuals is harness._sum_verdicts:  # the first pass, not the confirmation
+    def recording(draws, seeds, config, suite):
+        min_eigs, holds = real(draws, seeds, config, suite)
+        if suite is harness._perspective_sum_verdicts:  # the first pass, not the confirmation
             recorded.extend(min_eigs)
         return min_eigs, holds
 
@@ -334,7 +335,7 @@ def test_search_report_does_not_depend_on_the_block_size(monkeypatch, lhs_form):
 
 
 def _evaluated_sizes(draws):
-    """The sizes n of the draws a kernel evaluates: the identity draws take none."""
+    """The sizes n of the draws a suite judges: the identity draws take none."""
     return {d.n for d in draws if d is not harness._IDENTITY_DRAW}
 
 
@@ -428,8 +429,7 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
         Bs = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
         f = harness._concave_f(rng)
         assert (n, m, f.label()) == (finding["n"], finding["m"], finding["f"])
-        stacked = harness._perspective_sum_verdicts
-        built, alone = _judged_alone(stacked, recheck, finding["seed"], harness._rechecks)
+        built, alone = _judged_alone(harness._rechecks, recheck, finding["seed"])
         _assert_same_bits(built, (As, Bs))
         assert alone == finding["recheck_min_eigenvalue"]
         As, Bs = np.stack(As), np.stack(Bs)
@@ -533,17 +533,52 @@ def _recorded_runs(monkeypatch, cfg):
         yield config, rep, recorded
 
 
-def _judged_alone(stacked, config, trial_seed, kernel=None):
+def _judged_alone(suite, config, trial_seed):
     """(built instance, gap) of one trial judged alone: built at its own n and padded to its
     size class, as its run pads it; (None, 0.0) for an identity draw."""
-    draw = stacked.draws([trial_seed], config)[0]
+    draw = suite.draws([trial_seed], config)[0]
     if draw is harness._IDENTITY_DRAW:
         return None, 0.0
-    kernel = kernel or stacked.kernel
-    stacks = harness._stacks([draw])
-    N = harness._size_class(draw.n, config)
-    gap, _ = kernel(config, N, np.array([draw.n]), stacks)
-    return kernel.build(config, *stacks), float(np.ravel(gap)[0])
+    ((_, (gap, _)),) = harness._grouped([draw], config, suite)
+    return suite.build(config, *harness._stacks([draw])), float(np.ravel(gap)[0])
+
+
+@pytest.mark.parametrize("run", [*sorted(SUITES), "recheck"])
+def test_each_trial_built_and_judged_alone_gives_its_run_verdict(monkeypatch, run):
+    # every suite is draw -> build -> judge: a trial's build, padded to its size class as
+    # its run pads it and judged alone, gives the run's gap and holds flag bit for bit
+    recorded = []
+    real = harness._verdicts
+
+    def recording(draws, seeds, config, suite):
+        gaps, holds = real(draws, seeds, config, suite)
+        recorded.append((suite, config, seeds, gaps, holds))
+        return gaps, holds
+
+    monkeypatch.setattr(harness, "_verdicts", recording)
+    if run == "recheck":
+        assert counterexample_search(_search_config("sum_fb", 300)).findings
+        recorded = [record for record in recorded if record[0] is harness._rechecks]
+    else:
+        run_suite(TrialConfig(suite=run, trials=60, seed=11, n=3, m=2))
+    padded = 0
+    for suite, config, seeds, gaps, holds in recorded:
+        for ts, gap, ok in zip(seeds, gaps, holds):
+            draw = suite.draws([ts], config)[0]
+            if draw is harness._IDENTITY_DRAW:
+                assert (gap, ok) == (0.0, True)
+                continue
+            N = harness._size_class(draw.n, config) if suite.pads else draw.n
+            built = suite.build(config, *harness._stacks([draw]))
+            if draw.n < N:
+                padded += 1
+                checks, scale = suite.judge(config, np.array([draw.n]), *harness._pad(built, N))
+            else:
+                checks, scale = suite.judge(config, None, *built)
+            least = min(np.ravel(checks).tolist())  # the first least check, as Python takes it
+            alone = bool(np.all(_holds(checks, scale, config.tolerance)))
+            assert (least.hex(), alone) == (gap.hex(), ok), ts
+    assert recorded and (padded > 0) == SUITES.get(run, harness._rechecks).pads
 
 
 # How far a padded gap may move from the public one-trial residual's, in units of
@@ -629,21 +664,17 @@ def test_report_does_not_depend_on_the_byte_budget(monkeypatch, suite):
     assert _canonical(run(cfg)) == default
 
 
-def _runs(draws, cfg, kernel):
-    """The positions of each stack _grouped evaluates for kernel, in the order it yields them;
-    no kernel step runs."""
-    if isinstance(kernel, harness._Padded):
-        kernel = harness._Padded(lambda config, *stacks: (), lambda *built: None)
-    else:
-        kernel = lambda *stacks: None  # noqa: E731
-    return [ks for ks, _ in harness._grouped(draws, cfg, kernel)]
+def _runs(draws, cfg, suite):
+    """The positions of each stack _grouped evaluates for suite, in the order it yields them;
+    no build or judge step runs."""
+    idle = suite._replace(build=lambda config, *stacks: (), judge=lambda *instance: None)
+    return [ks for ks, _ in harness._grouped(draws, cfg, idle)]
 
 
 def _evaluated(stacked, trials, cfg):
-    """The draws of trials 0..trials-1 that a kernel evaluates, and the size class of each."""
+    """The draws of trials 0..trials-1 that a suite judges, and the size class of each."""
     draws = [d for d in stacked.draws(range(trials), cfg) if d is not harness._IDENTITY_DRAW]
-    padded = isinstance(stacked.kernel, harness._Padded)
-    return draws, [harness._size_class(d.n, cfg) if padded else d.n for d in draws]
+    return draws, [harness._size_class(d.n, cfg) if stacked.pads else d.n for d in draws]
 
 
 @pytest.mark.parametrize(
@@ -661,7 +692,7 @@ def test_groups_of_small_sizes_run_whole(suite, n, m, trials):
     # each size class runs as one stack: every n of a Loewner suite's class, one n elsewhere
     cfg = TrialConfig(suite=suite, n=n, m=m, family_kind="contractive")
     draws, classes = _evaluated(SUITES[suite], trials, cfg)
-    assert sorted(len(ks) for ks in _runs(draws, cfg, SUITES[suite].kernel)) == sorted(
+    assert sorted(len(ks) for ks in _runs(draws, cfg, SUITES[suite])) == sorted(
         classes.count(size) for size in set(classes)
     )
     if suite != "q_trace":
@@ -674,7 +705,7 @@ def test_a_large_group_runs_in_parts_within_its_byte_share(monkeypatch, suite):
     draws, classes = _evaluated(SUITES[suite], 256, cfg)
     share = 4000
     monkeypatch.setattr(harness, "_BLOCK_BYTES", share * cfg.n)
-    runs = _runs(draws, cfg, SUITES[suite].kernel)
+    runs = _runs(draws, cfg, SUITES[suite])
     members = {}
     for k, N in enumerate(classes):
         members.setdefault(N, []).append(k)
@@ -867,13 +898,13 @@ _IDENTITY_SUITES = [
 @pytest.mark.parametrize("suite, family_kind", _IDENTITY_SUITES)
 def test_one_member_trials_give_the_zero_residual(monkeypatch, suite, family_kind, n, m):
     # the premise of the identity draws: drawn in full and run through the
-    # suite's kernel, every one-member trial gives gap +0.0 at scale 1.0
+    # suite's build and judge, every one-member trial gives gap +0.0 at scale 1.0
     monkeypatch.setattr(harness, "_identity", lambda m: False)
     cfg = TrialConfig(suite=suite, n=n, m=m, family_kind=family_kind)
     stacked = SUITES[suite]
     draws = [d for d in stacked.draws(range(2000), cfg) if d.values[0] == 1]
     assert len(draws) > 2000 // (2 * m)
-    for ks, (gap, scale) in harness._grouped(draws, cfg, stacked.kernel):
+    for ks, (gap, scale) in harness._grouped(draws, cfg, stacked):
         assert [(g, math.copysign(1.0, g)) for g in gap.tolist()] == [(0.0, 1.0)] * len(ks)
         assert np.all(scale == 1.0)
 
@@ -889,11 +920,9 @@ def test_identity_draws_stop_at_m_and_take_no_kernel():
 
     def recording(config, m, *stacks):
         evaluated.extend(m.tolist())
-        return stacked.kernel.build(config, m, *stacks)
+        return stacked.build(config, m, *stacks)
 
-    gaps, holds = harness._verdicts(
-        draws, range(200), cfg, stacked.kernel._replace(build=recording)
-    )
+    gaps, holds = harness._verdicts(draws, range(200), cfg, stacked._replace(build=recording))
     assert sorted(evaluated) == sorted(m for m in ms if m != 1)
     assert [(gaps[k], holds[k]) for k in identities] == [(0.0, True)] * len(identities)
 

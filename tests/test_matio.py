@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsumineq.errors import DomainError
+from logsumineq.errors import DimensionError, DomainError
 from logsumineq.matio import dump_matrix, load_matrix, matrix_from_obj, matrix_to_obj
 
 
@@ -38,8 +38,6 @@ def test_dump_is_valid_json():
 
 
 def test_from_obj_validation():
-    from logsumineq.errors import DimensionError
-
     with pytest.raises(DimensionError):
         matrix_from_obj({"n": 2, "re": [[1.0]], "im": [[0.0]]})  # shape mismatch
     with pytest.raises(DomainError):
@@ -54,6 +52,24 @@ def test_from_obj_validation():
             matrix_from_obj({"n": 1, "re": [[1.0]], "im": [[entry]]})
     with pytest.raises(DimensionError):
         matrix_from_obj({"n": 1, "re": [1.0], "im": [[0.0]]})  # a row that is not a list
+
+
+@pytest.mark.parametrize(
+    "M, error, message",
+    [
+        ([[np.nan]], DomainError, "matrix has non-finite entries"),
+        ([[np.inf]], DomainError, "matrix has non-finite entries"),
+        ([[1.0, complex(0.0, np.inf)], [0.0, 1.0]], DomainError, "matrix has non-finite entries"),
+        (np.zeros((0, 0)), DimensionError, "matrix must be square with n >= 1"),
+        (np.ones((2, 3)), DimensionError, "matrix must be square with n >= 1"),
+    ],
+    ids=["nan", "inf", "imaginary-inf", "n=0", "non-square"],
+)
+@pytest.mark.parametrize("write", [matrix_to_obj, dump_matrix])
+def test_what_the_format_cannot_carry_is_not_written(write, M, error, message):
+    # matrix_from_obj refuses each of these documents, so neither writer makes one
+    with pytest.raises(error, match=f"^{message}"):
+        write(M)
 
 
 @settings(max_examples=150)
