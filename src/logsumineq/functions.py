@@ -185,8 +185,9 @@ def _formula(f: FunctionSpec, arr: np.ndarray, param) -> np.ndarray:
 _FAST_POWERS = (-1.0, 0.5, 2.0)
 
 
-def _apply_rows(fs, X: np.ndarray) -> np.ndarray:
-    """fs(X) for one FunctionSpec fs, else fs[t](X[t]) for each entry t of X's first axis.
+def _apply_rows(fs, X: np.ndarray, rows=None) -> np.ndarray:
+    """fs(X) for one FunctionSpec fs, else fs[t](X[t]) for each entry t of X's first axis,
+    or fs[rows[t]](X[t]) when rows is given.
 
     Every row is checked in its spec's domain first, and the first failing
     row raises its one-row message.  Then each group of rows gets one call
@@ -200,6 +201,8 @@ def _apply_rows(fs, X: np.ndarray) -> np.ndarray:
     by_id = dict(zip(map(id, fs), fs))  # the distinct spec objects, in order of first row
     number = {key: k for k, key in enumerate(by_id)}
     pos = np.fromiter(map(number.__getitem__, map(id, fs)), dtype=np.intp, count=len(fs))
+    if rows is not None:
+        pos = pos[rows]
     specs = list(by_id.values())
     column = (-1,) + (1,) * (X.ndim - 1)
     if len(specs) == 1:
@@ -209,21 +212,21 @@ def _apply_rows(fs, X: np.ndarray) -> np.ndarray:
         lo, hi, lo_open = (np.array(v)[pos].reshape(column) for v in domains)
     bad = ~np.isfinite(X) | _outside(X, lo, hi, lo_open)
     if bad.any():
-        t = int(np.flatnonzero(bad.reshape(len(fs), -1).any(axis=-1))[0])
-        fs[t].check_domain(X[t])  # raises the one-row message
+        t = int(np.flatnonzero(bad.reshape(len(pos), -1).any(axis=-1))[0])
+        specs[pos[t]].check_domain(X[t])  # raises the one-row message
     groups: dict = {}  # the numbers of each group's distinct specs
     for k, f in enumerate(specs):
         batched = f.family == "q_log" or (f.family == "power" and f.param not in _FAST_POWERS)
         groups.setdefault((f.family, f.offset) if batched else f, []).append(k)
 
-    def formula(key, ks, rows):
+    def formula(key, ks, sel):
         f = specs[ks[0]]
         param = f.param
         if isinstance(key, tuple) and len(ks) > 1:  # each row's parameter, as a column
             params = np.zeros(len(specs))
             params[ks] = [specs[k].param for k in ks]
-            param = params[pos[rows]].reshape(column)
-        return _formula(f, X[rows], param)
+            param = params[pos[sel]].reshape(column)
+        return _formula(f, X[sel], param)
 
     if len(groups) == 1:  # one group covers every row: X whole
         return formula(*next(iter(groups.items())), slice(None))
@@ -233,8 +236,8 @@ def _apply_rows(fs, X: np.ndarray) -> np.ndarray:
     row_group = group_of[pos]
     out = np.empty(np.shape(X))
     for g, (key, ks) in enumerate(groups.items()):
-        rows = row_group == g
-        out[rows] = formula(key, ks, rows)
+        sel = row_group == g
+        out[sel] = formula(key, ks, sel)
     return out
 
 

@@ -12,11 +12,12 @@ build, judge.  One loop serves run_suite and counterexample_search: it hands
 each block of consecutive trial seeds to the suite.
 
 - draw(rng, config) makes a trial's Generator calls, the fewest that consume
-  its stream (after _size's integers, consecutive uniforms in one random(k)
-  call and consecutive Gaussians in one standard_normal call), and returns
-  what they give in draw order (_Draw).  It picks a function spec where it
-  draws one and does no other arithmetic.  _Suite.draws seeds a block at
-  once (_rngs).
+  its stream (after _size's bounded integer, consecutive uniforms in one
+  random(k) call and consecutive Gaussians in one standard_normal call), and
+  returns what they give in draw order (_Draw).  It picks a function spec
+  where it draws one and does no other arithmetic.  _Suite.draws seeds a
+  block at once (_rngs), and every bounded integer of a trial is _bounded's,
+  numpy's integers replayed from the raw words.
 - build(config, *stacks) maps an n-group's stacked draws (_stacks; a
   family's members on one flat member axis beside each trial's m) to its
   instance at its own n, bit for bit as the public generators build each
@@ -27,13 +28,15 @@ each block of consecutive trial seeds to the suite.
   k checks per trial, and the scale its tolerance multiplies.  _verdicts
   judges every trial, and names a refusal by its trial's seed.
 
-_grouped groups a block's draws into size classes by one path.  A scalar or
-trace suite's class is one n, judged with size None.  A Loewner suite pads:
-its class is every n with one _size_class N, each built matrix is padded to
-N by an identity block, and the class is judged in one stack, each check
-reading the trials' own slots.  A class whose draws exceed its share of
-_BLOCK_BYTES runs in parts.  A trial's bits depend only on its draws and its
-N, so the blocks change no number in a report.
+_grouped groups a block's draws into size classes by one path.  Every suite
+but convexity_check pads: its class is every n with one _size_class N, each
+n-group is built at its own n, each built matrix is padded to N by an
+identity block and each built sequence by zeros at its end, and the class is
+judged in one stack, each check reading the trials' own slots.
+convexity_check's class is one grid size, judged with size None.  A class
+whose draws exceed its share of _BLOCK_BYTES runs in parts.  A trial's bits
+depend only on its draws and its N, so the blocks change no number in a
+report.
 
 A one-member trial of perspective_sum with the perspective-sum lhs (any
 family kind), pooled_inverse or split_mean is an identity: both sides are
@@ -226,7 +229,7 @@ def _rngs(seeds):
         y = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _POOL_XOR[k], _POOL_MULT[k])
         pool[dst] = y ^ (y >> 16)
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT).astype(np.uint64)
-    rng = np.random.Generator(np.random.PCG64(0))
+    rng = _Stream(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     for s_hi, s_lo, i_hi, i_lo in zip(*(words[1::2] << 32 | words[0::2]).tolist()):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
@@ -237,11 +240,49 @@ def _rngs(seeds):
             "has_uint32": 0,
             "uinteger": 0,
         }
+        rng.half = None
         yield rng
 
 
+class _Stream(np.random.Generator):
+    """The Generator that _rngs yields, with the high half of a raw word that _bounded holds
+    back for the trial's next bounded draw."""
+
+    def __init__(self, bit_generator) -> None:
+        super().__init__(bit_generator)
+        self.raw = bit_generator.random_raw
+        self.half = None
+
+
+def _bounded(rng: np.random.Generator, cap: int) -> int:
+    """int(rng.integers(cap)), 1 <= cap < 2**32, from the words numpy draws it from.
+
+    numpy takes PCG64's next_uint32, a raw word's low half with the high half
+    held back for the next 32-bit draw, scales it by cap (Lemire) and redraws
+    while the product's low 32 bits lie below (2**32 - cap) % cap; cap 1
+    draws nothing.  A _Stream holds the high half itself (its Generator's own
+    buffer stays empty), so every bounded draw of a trial comes through here;
+    any other Generator draws by its integers.
+    """
+    if not isinstance(rng, _Stream):
+        return int(rng.integers(cap))
+    if cap == 1:
+        return 0
+    while True:
+        x = rng.half
+        if x is None:
+            word = rng.raw()
+            x, rng.half = word & _M32, word >> 32
+        else:
+            rng.half = None
+        m = x * cap
+        if (m & _M32) >= (2**32 - cap) % cap:
+            return m >> 32
+
+
 def _size(rng: np.random.Generator, cap: int) -> int:
-    return int(rng.integers(1, cap + 1))
+    """rng.integers(1, cap + 1), as _bounded draws it."""
+    return _bounded(rng, cap) + 1
 
 
 class _Draw(NamedTuple):
@@ -280,11 +321,16 @@ def _sized(draw):
     return sized
 
 
+def _sized_suite(draw, build, judge) -> _Suite:
+    """A suite without a family, which pads: its draw is n, then draw(rng, n)'s values."""
+    return _Suite(_sized(draw), build, judge, pads=True)
+
+
 def _sides(kernel, *fg):
-    """The judge of kernel(*fg, *instance)'s (lhs, rhs, gap): the gap and its scale."""
+    """The judge of kernel(*fg, *instance, size)'s (lhs, rhs, gap): the gap and its scale."""
 
     def sides(config, size, *instance):
-        lhs, rhs, gap = kernel(*fg, *instance)
+        lhs, rhs, gap = kernel(*fg, *instance, size)
         return gap, _scale(lhs, rhs)
 
     return sides
@@ -338,7 +384,7 @@ def _proportional(config, u):
 
 def _equality_gaps(config, size, a, b):
     """-|gap| of the forward inequality on a proportional pair, where it is an equality."""
-    lhs, rhs, gap = _forward(_LOG, _IDENTITY, a, b)
+    lhs, rhs, gap = _forward(_LOG, _IDENTITY, a, b, size)
     return -np.abs(gap), _scale(lhs, rhs)
 
 
@@ -365,7 +411,7 @@ def _with_q_r(draw, build, kernel) -> _Suite:
         q = np.where(branch < 0.7, gen._uniform(u_q, -2.0, 1.9), gen._uniform(u_q, 2.1, 3.5))
         return (*build(config, *rest, u[:, :-3]), q, gen._uniform(u_r, 0.5, 2.0))
 
-    return _Suite(_sized(functools.partial(draw, extra=3)), with_q_r, _sides(kernel))
+    return _sized_suite(functools.partial(draw, extra=3), with_q_r, _sides(kernel))
 
 
 _Q_DIRECTIONS = (0.0, 0.5, 1.5, 2.5, 3.0)
@@ -375,6 +421,7 @@ def _q_direction_gaps(config, size, a, b):
     """One check per order of _Q_DIRECTIONS at r = 1, all orders of a group in one stack."""
     T = len(a)
     a, b = (np.repeat(x, len(_Q_DIRECTIONS), axis=0) for x in (a, b))
+    size = None if size is None else np.repeat(size, len(_Q_DIRECTIONS))
     q = np.tile(_Q_DIRECTIONS, T)
     gap, scale = _sides(_q_log_sums)(config, size, a, b, q, np.ones(len(q)))
     return gap.reshape(T, -1), scale.reshape(T, -1)
@@ -393,13 +440,13 @@ def _ratio_build(config, u, g):
 
 def _ratio_gaps(config, size, a, b, g):
     """Three checks: [m_g, M_g] is ordered, and holds the aggregate ratio from below and above."""
-    m_g, M_g, agg = _ratio_bounds(g, a, b)
+    m_g, M_g, agg = _ratio_bounds(g, a, b, size)
     return np.stack([M_g - m_g, agg - m_g, M_g - agg], axis=-1), _scale(m_g, M_g)[:, None]
 
 
 def _convexity_draw(rng, config: TrialConfig) -> _Draw:
     """The case, then f, the interval's ends, the expected verdict and the grid size n."""
-    case = int(rng.integers(4))
+    case = _bounded(rng, 4)
     if case == 0:
         return _Draw(101, (_LOG, 0.05 + 0.1 * rng.random(), 10.0, True, 101))
     if case == 1:
@@ -433,7 +480,7 @@ def _densities(config, x, u):
 
 def _relative_entropy_gaps(config, size, rho, sigma):
     """D(rho || sigma) >= 0, at scale 1."""
-    return _relative_entropies(rho, sigma), 1.0
+    return _relative_entropies(rho, sigma, size), 1.0
 
 
 def _state(config, u, x):
@@ -443,15 +490,16 @@ def _state(config, u, x):
 
 def _entropy_bound_gaps(config, size, rho):
     """Two checks at scale 1: S(rho) >= 0 and S(rho) <= log n."""
-    s = _entropies(rho)
-    return np.stack([s, math.log(rho.shape[-1]) - s], axis=-1), 1.0
+    s = _entropies(rho, size)
+    sizes = [rho.shape[-1]] if size is None else size.tolist()
+    return np.stack([s, np.array([math.log(n) for n in sizes]) - s], axis=-1), 1.0
 
 
 # -- operator-order suites --------------------------------------------------
 
 
 def _concave_f(rng):
-    pick = int(rng.integers(3))
+    pick = _bounded(rng, 3)
     if pick == 0:
         return _SQRT
     if pick == 1:
@@ -647,7 +695,7 @@ def _nbytes(value) -> int:
     return 0 if isinstance(value, FunctionSpec) else np.asarray(value).nbytes
 
 
-# The largest config.n whose Loewner trials are padded, the largest the benchmark's Loewner
+# The largest config.n whose trials are padded, the largest the benchmark's Loewner
 # workloads run at.  With one BLAS thread stacked eigh costs about 2 us per matrix at n=3,
 # 10.5 at 8, 45 at 16 and 560 at 64, so padding a small trial far costs more than the
 # numpy overhead that merging its n-group saves; above the cap each n is judged alone.
@@ -655,21 +703,27 @@ _PAD_CAP = 8
 
 
 def _size_class(n: int, config: TrialConfig) -> int:
-    """The size N(n) that a Loewner trial of size n is judged at: config.n up to _PAD_CAP, n
-    itself above it.  It depends on (n, config.n) alone, so a one-trial replay pads as its
-    run did."""
+    """The size N(n) that a trial of size n of a suite that pads is judged at: config.n up to
+    _PAD_CAP, n itself above it.  It depends on (n, config.n) alone, so a one-trial replay
+    pads as its run did."""
     return config.n if config.n <= _PAD_CAP else n
 
 
 def _pad(values, N: int) -> list:
     """An n-group's built values, each stack of matrices (ndim >= 3) embedded as the top-left
-    block of an N x N identity; any other value as it is."""
+    block of an N x N identity, each stack of sequences (T, n) padded with zeros at its end;
+    any other value as it is."""
     padded = []
     for v in values:
-        if isinstance(v, np.ndarray) and v.ndim >= 3 and v.shape[-1] < N:
-            n, p = v.shape[-1], np.zeros((*v.shape[:-2], N, N), dtype=v.dtype)
-            p[..., :n, :n] = v
-            p[..., range(n, N), range(n, N)] = 1.0
+        if isinstance(v, np.ndarray) and v.ndim >= 2 and v.shape[-1] < N:
+            n = v.shape[-1]
+            if v.ndim == 2:
+                p = np.zeros((len(v), N), dtype=v.dtype)
+                p[:, :n] = v
+            else:
+                p = np.zeros((*v.shape[:-2], N, N), dtype=v.dtype)
+                p[..., :n, :n] = v
+                p[..., range(n, N), range(n, N)] = 1.0
             v = p
         padded.append(v)
     return padded
@@ -688,12 +742,13 @@ class _Suite(NamedTuple):
     """A registered suite: draw, build and judge (see the module docstring).
 
     A suite that pads judges a size class with size holding each trial's own
-    n.  Every eigensolve of its judge orders a matrix's eigenpairs own-first
-    (matfun._decompose), and every check reads the own slots or the own block
-    only, so the pad adds no value of its own to a check.  Padded arithmetic
-    moves a gap at round-off, so a trial whose gap lies within that distance
-    of the tolerance edge can be judged otherwise than by the unpadded public
-    function.  A class with no padded trial is judged with size None.
+    n.  Every eigensolve of its judge whose eigenvalues a check reads orders a
+    matrix's eigenpairs own-first (matfun._decompose), and every check reads
+    the own slots, entries or block only, so the pad adds no value of its own
+    to a check.  Padded arithmetic moves a gap at round-off, so a trial whose
+    gap lies within that distance of the tolerance edge can be judged
+    otherwise than by the unpadded public function.  A class with no padded
+    trial is judged with size None.
     """
 
     draw: object
@@ -716,11 +771,11 @@ class _Suite(NamedTuple):
 def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite):
     """(positions in draws, suite's gaps and scales) of each size class of draws.
 
-    A class holds the draws of one n, or, for a suite that pads, of every n
-    with one _size_class; its positions run by ascending n, then by trial.  A
-    block's draws fit _BLOCK_BYTES and spread over at most config.n sizes, and
-    a judge's working set is several times its class's draws.  So a class
-    whose stacks, counted at the class size, take more than
+    A class holds the draws of every n with one _size_class, or, for a suite
+    that does not pad, of one n; its positions run by ascending n, then by
+    trial.  A block's draws fit _BLOCK_BYTES and spread over at most config.n
+    sizes, and a judge's working set is several times its class's draws.  So
+    a class whose stacks, counted at the class size, take more than
     _BLOCK_BYTES // config.n bytes is evaluated in runs of consecutive
     positions that fit (a larger trial runs alone).  Classes and runs are
     bitwise independent stacks.
@@ -822,23 +877,24 @@ def _loewner(draw, build, residuals) -> _Suite:
 _perspective_sum_verdicts = _loewner(_sum_draw, _sum_build, _sum_residuals)
 # The search's confirmation: the perspective-sum suite, judged through the Jacobi solver.
 _rechecks = _perspective_sum_verdicts._replace(judge=_recheck_gaps)
-_COMMUTING = _sized(gen._draw_commuting)
+_COMMUTING = gen._draw_commuting
 
 SUITES = {
-    "scalar_log_sum": _Suite(_sized(_pair), _sequences, _sides(_forward, _LOG, _IDENTITY)),
-    "scalar_equality": _Suite(_sized(_equality), _proportional, _equality_gaps),
-    "scalar_reverse": _Suite(_sized(_pair), _sequences, _sides(_reverse, _LOG, _IDENTITY)),
-    "rational_reverse": _Suite(_sized(_pair), _rational, _sides(_rational_example)),
+    "scalar_log_sum": _sized_suite(_pair, _sequences, _sides(_forward, _LOG, _IDENTITY)),
+    "scalar_equality": _sized_suite(_equality, _proportional, _equality_gaps),
+    "scalar_reverse": _sized_suite(_pair, _sequences, _sides(_reverse, _LOG, _IDENTITY)),
+    "rational_reverse": _sized_suite(_pair, _rational, _sides(_rational_example)),
     "q_log_sum": _with_q_r(_pair, _sequences, _q_log_sums),
-    "q_direction": _Suite(_sized(_pair), _sequences, _q_direction_gaps),
-    "ratio_bounds": _Suite(_sized(_ratio), _ratio_build, _ratio_gaps),
+    "q_direction": _sized_suite(_pair, _sequences, _q_direction_gaps),
+    "ratio_bounds": _sized_suite(_ratio, _ratio_build, _ratio_gaps),
+    # a grid size is not a dimension: one class per grid size, unpadded
     "convexity_check": _Suite(_convexity_draw, _as_drawn, _convexity_gaps),
-    "trace_log_sum": _Suite(_COMMUTING, _pairs, _sides(_trace_log_sums, _LOG, _IDENTITY)),
-    "trace_reverse": _Suite(_COMMUTING, _pairs, _sides(_reverse_traces, _LOG, _IDENTITY)),
-    "q_trace": _with_q_r(gen._draw_commuting, _pairs, _q_traces),
-    "exp_log_trace": _Suite(_COMMUTING, _pairs, _sides(_exp_log_traces)),
-    "relative_entropy": _Suite(_COMMUTING, _densities, _relative_entropy_gaps),
-    "entropy_bound": _Suite(_sized(gen._draw_pd), _state, _entropy_bound_gaps),
+    "trace_log_sum": _sized_suite(_COMMUTING, _pairs, _sides(_trace_log_sums, _LOG, _IDENTITY)),
+    "trace_reverse": _sized_suite(_COMMUTING, _pairs, _sides(_reverse_traces, _LOG, _IDENTITY)),
+    "q_trace": _with_q_r(_COMMUTING, _pairs, _q_traces),
+    "exp_log_trace": _sized_suite(_COMMUTING, _pairs, _sides(_exp_log_traces)),
+    "relative_entropy": _sized_suite(_COMMUTING, _densities, _relative_entropy_gaps),
+    "entropy_bound": _sized_suite(gen._draw_pd, _state, _entropy_bound_gaps),
     "operator_jensen": _loewner(_sized(_jensen), _jensen_build, _jensen_residuals),
     "perspective_sum": _perspective_sum_verdicts,
     "operator_shannon": _loewner(_shannon_draw, _shannon_build, _shannon_residuals),

@@ -404,17 +404,28 @@ def _inverted(dec_b: SpectralDecomposition, A: np.ndarray):
     return W, C.inverse(floor * _lowest(d, size) / _largest(d, size))
 
 
+def _positive_image(f: FunctionSpec, arg: SpectralDecomposition) -> SpectralDecomposition:
+    """f(B^{1/2} A^{-1} B^{1/2}) of a mean's argument, checked positive definite before a mean
+    inverts it: an f that is not positive on the argument's spectrum (log below 1) gives an
+    indefinite image, which is refused as such, not as near-singular."""
+    image = arg.map(f)
+    lowest = _lowest(image.eigenvalues, image._size)
+    template = "{}(B^1/2 A^-1 B^1/2) is not positive definite (min eigenvalue {:.3e})"
+    _require(lowest > 0.0, DomainError, template, f.label(), lowest)
+    return image
+
+
 def _mean(f: FunctionSpec, dec_b: SpectralDecomposition, A: np.ndarray) -> np.ndarray:
     """B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2}, the perspective of 1/f(1/x) at (B, A)."""
     W, arg = _inverted(dec_b, A)
-    return _build(arg.map(f).inverse().eigenvalues, W)
+    return _build(_positive_image(f, arg).inverse().eigenvalues, W)
 
 
 def matrix_mean(f: FunctionSpec, A, B) -> np.ndarray:
     """B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2} for PD A, B.
 
-    B, then A, must be PD (SingularityError) and f's matrix image PD; for
-    f = power(1/2) this is the geometric mean of A and B.
+    B, then A, must be PD (SingularityError) and f's matrix image PD
+    (DomainError); for f = power(1/2) this is the geometric mean of A and B.
     """
     B, A = _checked({"B": B, "A": A})
     return _mean(f, _decompose(B), A)
@@ -429,7 +440,8 @@ def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m, size=None) 
     K, total = len(As), _Segments(m).total
     dec = _decompose(np.concatenate([Bs, total(Bs)]), size=_laid_out(size, m, "K", "T"))
     W, arg = _inverted(dec, np.concatenate([As, total(As)]))
-    f_arg = arg.map(f)  # f(B_i^{1/2} A_i^{-1} B_i^{1/2}), then the totals', on C's eigenvectors
+    # f(B_i^{1/2} A_i^{-1} B_i^{1/2}), then the totals', on C's eigenvectors
+    f_arg = _positive_image(f, arg)
     f_sum = total(_build(f_arg.eigenvalues[:K], dec.unitary[:K] @ f_arg.unitary[:K]))
     sB_sum = total(dec[:K].sqrt().reconstruct())
     pooled = _decompose(f_sum, size=size).inverse()

@@ -426,19 +426,22 @@ def _own_first(w: np.ndarray, U: np.ndarray, size: np.ndarray):
     A matrix of own size n padded to N is block diagonal, so each of its
     eigenvectors must lie wholly on its own rows :n (own) or on the pad rows
     n: (pad).  One with weight on both sides is a NumericError naming the
-    first such matrix of the stack.
+    first such matrix of the stack.  A matrix at its full size N keeps its
+    solver's order: all its eigenvectors are own.
     """
     N = w.shape[-1]
-    own_rows = _own(size, N)[..., None, :].astype(float)  # (..., 1, N)
-    magnitude = abs(U)
-    on_own = ((1.0 - own_rows) @ magnitude)[..., 0, :] == 0.0  # no weight on the pad rows
-    on_pad = (own_rows @ magnitude)[..., 0, :] == 0.0
+    own_rows = _own(size, N)[..., None, :]
+    # each eigenvector's weight on the own rows, then on the pad rows (..., 2, N)
+    sides = np.concatenate([own_rows, ~own_rows], axis=-2).astype(float)
+    weight = sides @ abs(U)
+    on_own, on_pad = weight[..., 1, :] == 0.0, weight[..., 0, :] == 0.0
     template = (
         "eigenvector {} of stacked matrix {} (own size {} of {}) lies on both sides of its pad"
     )
     index = np.arange(size.size).reshape(size.shape)[..., None]
     _require(on_own | on_pad, NumericError, template, np.arange(N), index, size[..., None], N)
-    order = np.argsort(~on_own, axis=-1, kind="stable").reshape(-1, N)
+    # the own slots, then the pad slots, each in the solver's order: distinct keys, any sort
+    order = (np.where(on_own, 0, N) + np.arange(N)).reshape(-1, N).argsort(axis=-1)
     rows = np.arange(len(order))[:, None]
     w = w.reshape(-1, N)[rows, order].reshape(w.shape)
     return w, U.reshape(-1, N, N)[rows, :, order].swapaxes(-1, -2).reshape(U.shape)

@@ -16,13 +16,21 @@ The curvature hypotheses are always verified numerically on a uniform grid
 symbolic derivative.
 
 Each statement has one kernel over a stack of T sequence pairs of one
-length n, (T, n) arrays, that returns the lhs, rhs and gap (T,) of every
+length N, (T, N) arrays, that returns the lhs, rhs and gap (T,) of every
 pair; the public function of a statement checks its one pair and runs the
 kernel as the T=1 stack.  A kernel checks each domain and precondition once
 over the whole stack and raises the one-pair message of the first failing
 pair.  A row of a stack gets the bits of its T=1 run: the numpy work is
 elementwise or a sum along the last axis, and a dropped term (a zero
 weight) adds 0.0 to its row's sum.
+
+Each kernel takes size, the own length n of each pair of a padded stack (the
+harness pads every sequence of a size class at its end to N), or None for an
+unpadded one, as the public functions pass.  f and g are evaluated at the own
+entries only (_on_own), every check and extreme reads them only, and a pad
+entry adds +0.0 to its row's sums.  numpy sums fewer than 8 entries in
+order, so below N = 8 a padded row keeps the bits of its unpadded run; at
+N = 8 its pairwise sum regroups them, and the gap moves at round-off.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import numpy as np
 
 from .errors import DEFAULT_TOLERANCE, DomainError, PreconditionError, _holds, _require, _tolerance
 from .functions import FunctionSpec, _apply_rows, power_fn
+from .matfun import _own
 from .qlog import QLogParams, _check_positive, _q_log
 
 __all__ = [
@@ -112,36 +121,77 @@ def _stack(pair: SequencePair) -> tuple[np.ndarray, np.ndarray]:
     return np.array([pair.a]), np.array([pair.b])
 
 
-def _positive(g, values: np.ndarray, name: str) -> np.ndarray:
-    """g at each entry of the sequences name (T, n), checked strictly positive.
+def _own_entries(x: np.ndarray, size):
+    """The own entries (T, N) of a stack x of sequences padded at their ends, or None when size
+    is None: every entry is its own."""
+    return None if size is None else _own(size, x.shape[-1])
+
+
+def _owned(mask: np.ndarray, own) -> np.ndarray:
+    """mask at the own entries, False at the pad entries."""
+    return mask if own is None else mask & own
+
+
+def _any(bad: np.ndarray, own, axis=None):
+    """Whether bad holds at any own entry (of each row, with axis=-1)."""
+    return _owned(bad, own).any(axis=axis)
+
+
+def _on_own(g, x: np.ndarray, own) -> np.ndarray:
+    """g at the own entries of x (T, ...), own broadcasting against x, and +0.0 at every pad
+    entry, which g never sees.  g is a FunctionSpec, or one per row of x."""
+    if own is None:
+        return np.asarray(_apply_rows(g, x), dtype=float)
+    own = np.broadcast_to(own, x.shape)
+    out = np.zeros(x.shape)
+    out[own] = _apply_rows(g, x[own], np.nonzero(own)[0])
+    return out
+
+
+def _quotient(x: np.ndarray, y: np.ndarray, own) -> np.ndarray:
+    """x / y at the own entries, 0.0 at the pad entries."""
+    return x / y if own is None else np.divide(x, y, out=np.zeros(x.shape), where=own)
+
+
+def _extremes(x: np.ndarray, own):
+    """Each row's least and largest own entry."""
+    if own is None:
+        return x.min(axis=-1), x.max(axis=-1)
+    return np.where(own, x, np.inf).min(axis=-1), np.where(own, x, -np.inf).max(axis=-1)
+
+
+def _positive(g, values: np.ndarray, name: str, own=None) -> np.ndarray:
+    """g at each own entry of the sequences name (T, N), checked strictly positive (see
+    _on_own).
 
     g is a FunctionSpec, or one per pair.
     """
-    gv = np.asarray(_apply_rows(g, values), dtype=float)
-    if (gv <= 0.0).any():
+    gv = _on_own(g, values, own)
+    if _any(gv <= 0.0, own):
         raise PreconditionError(f"g({name}_i) must be strictly positive for every i")
     return gv
 
 
-def _active_sums(weights: np.ndarray, fx, active: np.ndarray) -> np.ndarray:
-    """Each row's sum of weights * f over its active entries (0.0 for a row with none).
+def _active_sums(terms, active) -> np.ndarray:
+    """Each row's sum of its terms over its active entries (0.0 for a row with none).
 
-    fx(sel) evaluates f at the entries [sel] only, so f never sees an
-    inactive entry; an inactive entry adds 0.0 to its row's sum.
+    terms(sel) gives the terms at the entries [sel] only, so no function in
+    them sees an inactive entry; an inactive entry adds 0.0 to its row's sum.
+    active None makes every entry active.
     """
-    if active.all():
-        return (weights * fx(...)).sum(axis=-1)
-    terms = np.zeros(weights.shape)
-    terms[active] = weights[active] * fx(active)
-    return terms.sum(axis=-1)
+    if active is None or active.all():
+        return terms(...).sum(axis=-1)
+    out = np.zeros(active.shape)
+    out[active] = terms(active)
+    return out.sum(axis=-1)
 
 
-def _ratio_bounds(g, a: np.ndarray, b: np.ndarray):
-    """m_g, M_g and the aggregate ratio sum g(a_i) / sum g(b_i) (T,) of T pairs (T, n)."""
-    gb = _positive(g, b, "b")
-    ga = np.asarray(_apply_rows(g, a), dtype=float)
-    ratios = ga / gb
-    return ratios.min(axis=-1), ratios.max(axis=-1), ga.sum(axis=-1) / gb.sum(axis=-1)
+def _ratio_bounds(g, a: np.ndarray, b: np.ndarray, size=None):
+    """m_g, M_g and the aggregate ratio sum g(a_i) / sum g(b_i) (T,) of T pairs (T, N)."""
+    own = _own_entries(a, size)
+    gb = _positive(g, b, "b", own)
+    ga = _on_own(g, a, own)
+    return (*_extremes(_quotient(ga, gb, own), own), ga.sum(axis=-1) / gb.sum(axis=-1))
 
 
 def ratio_bounds(g: FunctionSpec, pair: SequencePair) -> RatioBounds:
@@ -216,18 +266,20 @@ def _require_curvature(h_kind: str, f: FunctionSpec, lo, hi, template: str) -> N
         _require(ok, PreconditionError, template, lo[rows], hi[rows], f.label())
 
 
-def _forward(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray):
-    """lhs, rhs and gap (T,) of the forward inequality for T pairs of sequences a, b (T, n)."""
-    gb = _positive(g, b, "b")
-    ga = np.asarray(_apply_rows(g, a), dtype=float)
-    ratios = ga / gb
-    active = ga != 0.0
-    if not active.all() and not f.zero_weight_term_vanishes():
+def _forward(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray, size=None):
+    """lhs, rhs and gap (T,) of the forward inequality for T pairs of sequences a, b (T, N)."""
+    own = _own_entries(a, size)
+    gb = _positive(g, b, "b", own)
+    ga = _on_own(g, a, own)
+    ratios = _quotient(ga, gb, own)
+    zero = ga == 0.0
+    if _any(zero, own) and not f.zero_weight_term_vanishes():
         raise DomainError(
             f"zero-weight terms are undefined for {f.label()}: x*f(x) does not vanish at 0"
         )
+    active = _owned(~zero, own)
     sum_a, sum_b = ga.sum(axis=-1), gb.sum(axis=-1)
-    lhs = _active_sums(ga, lambda sel: np.asarray(f(ratios[sel]), dtype=float), active)
+    lhs = _active_sums(lambda sel: ga[sel] * np.asarray(f(ratios[sel]), dtype=float), active)
     weighted = sum_a != 0.0
     total = sum_a[weighted] / sum_b[weighted]
     rhs = np.zeros(len(sum_a))
@@ -260,19 +312,18 @@ def generalized_log_sum_gap(
     return _one(_forward(f, g, *_stack(pair)), tol)
 
 
-def _reverse(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray):
-    """lhs, rhs and gap (T,) of the reverse inequality for T pairs of sequences a, b (T, n)."""
-    ga = _positive(g, a, "a")
-    gb = _positive(g, b, "b")
-    ratios = ga / gb
+def _reverse(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray, size=None):
+    """lhs, rhs and gap (T,) of the reverse inequality for T pairs of sequences a, b (T, N)."""
+    own = _own_entries(a, size)
+    ga = _positive(g, a, "a", own)
+    gb = _positive(g, b, "b", own)
     _require_curvature(
         "xf1overx",
         f,
-        ratios.min(axis=-1),
-        ratios.max(axis=-1),
+        *_extremes(_quotient(ga, gb, own), own),
         "x*f(1/x) is not concave on [{:g}, {:g}] for {}",
     )
-    lhs = (ga * np.asarray(f(gb / ga), dtype=float)).sum(axis=-1)
+    lhs = _active_sums(lambda sel: ga[sel] * np.asarray(f(gb[sel] / ga[sel]), dtype=float), own)
     sum_a, sum_b = ga.sum(axis=-1), gb.sum(axis=-1)
     rhs = sum_a * np.asarray(f(sum_b / sum_a), dtype=float)
     return lhs, rhs, rhs - lhs
@@ -296,17 +347,23 @@ _RATIONAL_ENTRY_FLOOR = math.sqrt(2.0 / 3.0)
 _RATIONAL_RATIO_CAP = math.sqrt(6.0)
 
 
-def _rational_example(a: np.ndarray, b: np.ndarray):
-    """lhs, rhs and gap (T,) of the rational example for T pairs of sequences a, b (T, n)."""
-    if (a <= _RATIONAL_ENTRY_FLOOR).any() or (b <= _RATIONAL_ENTRY_FLOOR).any():
+def _rational_example(a: np.ndarray, b: np.ndarray, size=None):
+    """lhs, rhs and gap (T,) of the rational example for T pairs of sequences a, b (T, N)."""
+    own = _own_entries(a, size)
+    if _any(a <= _RATIONAL_ENTRY_FLOOR, own) or _any(b <= _RATIONAL_ENTRY_FLOOR, own):
         raise PreconditionError("all entries must exceed sqrt(2/3)")
-    r = b / a
-    if (r > _RATIONAL_RATIO_CAP).any() or (r <= _RATIONAL_ENTRY_FLOOR).any():
+    r = _quotient(b, a, own)
+    if _any(r > _RATIONAL_RATIO_CAP, own) or _any(r <= _RATIONAL_ENTRY_FLOOR, own):
         raise PreconditionError(
             "each ratio b_i/a_i must lie in (sqrt(2/3), sqrt(6)] for the curvature "
             "hypotheses to hold on the whole ratio interval"
         )
-    lhs = (a * a * b / (2.0 * a * a + b * b)).sum(axis=-1)
+
+    def term(sel):
+        x, y = a[sel], b[sel]
+        return x * x * y / (2.0 * x * x + y * y)
+
+    lhs = _active_sums(term, own)
     sa, sb = a.sum(axis=-1), b.sum(axis=-1)
     rhs = sa * sa * sb / (2.0 * sa * sa + sb * sb)
     return lhs, rhs, rhs - lhs
@@ -328,8 +385,8 @@ def rational_example_gap(pair: SequencePair, tol: float = DEFAULT_TOLERANCE) -> 
     return _one(_rational_example(*_stack(pair)), tol)
 
 
-def _q_powers(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
-    """p = a**r and s = b**r (T, n) of T pairs (T, n), pair t with its own power r[t],
+def _q_powers(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray, size=None):
+    """p = a**r and s = b**r (T, N) of T pairs (T, N), pair t with its own power r[t],
     and the power spec of each pair, one spec per distinct power.
 
     Checks that no order q[t] is 2 and that p >= 0 and s > 0.
@@ -339,20 +396,23 @@ def _q_powers(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
     rs = r.tolist()
     specs = {x: power_fn(x) for x in set(rs)}
     powers = [specs[x] for x in rs]
-    values = _apply_rows(powers, np.stack([a, b], axis=1))
+    own = _own_entries(a, size)
+    values = _on_own(powers, np.stack([a, b], axis=1), None if own is None else own[:, None])
     p, s = values[:, 0], values[:, 1]
-    if (s <= 0.0).any():
+    if _any(s <= 0.0, own):
         raise PreconditionError("b_i**r must be strictly positive for every i")
-    if (p < 0.0).any():
+    if _any(p < 0.0, own):
         raise PreconditionError("a_i**r must be nonnegative")
     return p, s, powers
 
 
-def _q_sums(p: np.ndarray, s: np.ndarray, q: np.ndarray):
-    """lhs, rhs and gap (T,) of the deformed-log inequality from the powers p, s (T, n)."""
-    active = p > 0.0
-    if (~active & (q >= 2.0)[:, None]).any():
+def _q_sums(p: np.ndarray, s: np.ndarray, q: np.ndarray, size=None):
+    """lhs, rhs and gap (T,) of the deformed-log inequality from the powers p, s (T, N)."""
+    own = _own_entries(p, size)
+    vanishing = ~(p > 0.0)
+    if _any(vanishing & (q >= 2.0)[:, None], own):
         raise PreconditionError("zero entries are not extendable for q > 2")
+    active = _owned(~vanishing, own)
     if not np.isfinite(q).all():
         QLogParams(float(q[~np.isfinite(q)][0]))  # raises the one-pair message
 
@@ -360,7 +420,7 @@ def _q_sums(p: np.ndarray, s: np.ndarray, q: np.ndarray):
         return _q_log(_check_positive("x", x), orders)
 
     orders = np.broadcast_to(q[:, None], p.shape)
-    core = _active_sums(p, lambda sel: q_log(p[sel] / s[sel], orders[sel]), active)
+    core = _active_sums(lambda sel: p[sel] * q_log(p[sel] / s[sel], orders[sel]), active)
     sum_p, sum_s = p.sum(axis=-1), s.sum(axis=-1)
     live = sum_p != 0.0
     lhs, rhs = np.zeros(len(q)), np.zeros(len(q))
@@ -371,13 +431,13 @@ def _q_sums(p: np.ndarray, s: np.ndarray, q: np.ndarray):
     return lhs, rhs, np.where(q < 2.0, raw, -raw)
 
 
-def _q_log_sums(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray):
-    """lhs, rhs and gap (T,) of the deformed-log inequality for T pairs (T, n).
+def _q_log_sums(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray, size=None):
+    """lhs, rhs and gap (T,) of the deformed-log inequality for T pairs (T, N).
 
     Pair t has its own order q[t] and power r[t].
     """
-    p, s, _ = _q_powers(a, b, q, r)
-    return _q_sums(p, s, q)
+    p, s, _ = _q_powers(a, b, q, r, size)
+    return _q_sums(p, s, q, size)
 
 
 def q_log_sum_gap(

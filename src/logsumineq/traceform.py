@@ -22,13 +22,23 @@ NumericError reports all three values, instead of a silently wrong
 verdict.  This process never imports mpmath.
 
 Each statement has one kernel over a stack of T pairs, trusted Hermitian
-(T, n, n) arrays: each step decomposes the matrices of the whole stack in
+(T, N, N) arrays: each step decomposes the matrices of the whole stack in
 one eigh call, and the scalar layer's kernel (see scalar) runs on the joint
 spectra.  The public function of a statement checks each input once at
 entry, by matfun._checked (A, then B, then equal shapes), and runs its
 kernel as the T=1 stack.  A kernel runs each check over the whole stack,
 A's before B's, then commutation, then the scalar checks, and raises the
 one-pair message of the first failing pair.
+
+Each kernel takes size, the own size n of each pair of a padded stack (the
+harness pads every matrix of a size class to N as the direct sum A ⊕ I), or
+None for an unpadded one, as the public functions pass.  Every
+decomposition whose eigenvalues a check reads takes the own sizes, so each
+matrix's eigenpairs come own-first (matfun._decompose).  The joint spectra
+(T, N) go to the scalar kernels with the same sizes, which read their own
+entries only; every density check, entropy and product-path trace reads the
+own slots or the own block; and a dispute hands the referee the pair's own
+block.  The pad of g(A) on the product path is the identity.
 """
 
 from __future__ import annotations
@@ -65,11 +75,16 @@ from .qlog import _check_positive, _q_log
 from .scalar import (
     InequalityVerdict,
     _active_sums,
+    _any,
     _forward,
+    _on_own,
     _one,
+    _own_entries,
+    _owned,
     _positive,
     _q_powers,
     _q_sums,
+    _quotient,
     _reverse,
 )
 
@@ -99,9 +114,23 @@ def _one_trial(named: dict) -> list[np.ndarray]:
     return [M[None] for M in _checked(named)]
 
 
-def _trace(M: np.ndarray) -> np.ndarray:
-    """The real part of the trace of each matrix of a stack."""
-    return np.trace(M, axis1=-2, axis2=-1).real
+def _trace(M: np.ndarray, own=None) -> np.ndarray:
+    """The real part of the trace of each matrix of a stack, over its own slots (T, N) when
+    own is given: the diagonal's complex sum, as np.trace adds it, with +0.0 for a pad slot."""
+    if own is None:
+        return np.trace(M, axis1=-2, axis2=-1).real
+    return np.where(own, np.diagonal(M, axis1=-2, axis2=-1), 0.0).sum(axis=-1).real
+
+
+def _identity_pad(x: np.ndarray, own) -> np.ndarray:
+    """Eigenvalues x (T, N) with 1.0 in every pad slot: a decomposition's pad is the identity."""
+    return x if own is None else np.where(own, x, 1.0)
+
+
+def _own_pair(A: np.ndarray, B: np.ndarray, size, k: int):
+    """Pair k's own blocks of the stacks A, B: what a dispute hands the referee."""
+    n = A.shape[-1] if size is None else int(size[k])
+    return A[k, :n, :n], B[k, :n, :n]
 
 
 def joint_spectrum(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,7 +140,7 @@ def joint_spectrum(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     are the diagonals of U†AU and U†BU, in the mix's eigenvalue order.
     """
     A, B = _one_trial({"A": A, "B": B})
-    dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
+    dec_a, wb = _joint(A, B)
     return dec_a.eigenvalues[0], wb[0], dec_a.unitary[0]
 
 
@@ -133,17 +162,20 @@ def _mix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A / scale_a + _TAU * (B / scale_b)
 
 
-def _joint(A: np.ndarray, B: np.ndarray, U: np.ndarray):
-    """joint_spectrum of each pair of Hermitian stacks A, B, from the eigenbasis U of _mix(A, B).
+def _joint(A: np.ndarray, B: np.ndarray, U=None, size=None):
+    """joint_spectrum of each pair of Hermitian stacks A, B, from the eigenbasis U of _mix(A, B)
+    (decomposed here unless given), own-first.
 
     Returns A's decomposition in the joint basis, U diag(wa) U†, and B's
-    paired eigenvalues wb (T, n).  B's off-diagonal leakage is checked; the
+    paired eigenvalues wb (T, N).  B's off-diagonal leakage is checked; the
     pairs that leak are retried once on the eigenbasis of the swapped mix
     _mix(B, A) (see _mix), and those that still leak are rejected.  A's
     leakage needs no check of its own.  With U†MU = diag(x) + E for the mix
     M, offdiag(U†AU) = |A| (offdiag(E) - tau offdiag(U†BU)/|B|), so A leaks
     at most tau times B's bound plus round-off (1/tau times, after a retry).
     """
+    if U is None:
+        U = _decompose(_mix(A, B), size=size).unitary
     norm, ok = _commuting(A, B)
     _require(ok, PreconditionError, "matrices do not commute (commutator maxnorm {:.3e})", norm)
     diagonal, scale = np.eye(U.shape[-1], dtype=bool), np.maximum(1.0, _max_entry(B))
@@ -152,7 +184,8 @@ def _joint(A: np.ndarray, B: np.ndarray, U: np.ndarray):
     ok = _holds(-off, scale, LEAKAGE_RTOL)
     if not ok.all():
         bad = ~ok
-        swapped = _decompose(_mix(B[bad], A[bad])).unitary
+        own_sizes = None if size is None else size[bad]
+        swapped = _decompose(_mix(B[bad], A[bad]), size=own_sizes).unitary
         U = U.copy()  # the caller's basis stays as it is
         U[bad], Bt[bad] = swapped, _adjoint(swapped) @ B[bad] @ swapped
         off[bad] = _max_entry(np.where(diagonal, 0.0, Bt[bad]))
@@ -162,7 +195,7 @@ def _joint(A: np.ndarray, B: np.ndarray, U: np.ndarray):
     )
     _require(ok, PreconditionError, template, off)
     wa = np.diagonal(_adjoint(U) @ A @ U, axis1=-2, axis2=-1).real.copy()
-    return SpectralDecomposition(U, wa), np.diagonal(Bt, axis1=-2, axis2=-1).real.copy()
+    return SpectralDecomposition(U, wa, size), np.diagonal(Bt, axis1=-2, axis2=-1).real.copy()
 
 
 # -- the cross-check and its referee ----------------------------------------
@@ -220,39 +253,48 @@ def _product_path(f, g, dec_ga: SpectralDecomposition, B: np.ndarray, reverse: b
     one per pair.  dec_ga is g(A)'s decomposition, read off the joint
     spectrum's decomposition of A; the rest of the route stays an
     independent check.  The denominator is inverted from its mapped
-    decomposition.
+    decomposition.  A padded dec_ga (its own sizes) gives B's decomposition
+    its sizes, for the inverse's own floor, and the traces are of the own
+    blocks.  The product's decomposition is only mapped and reconstructed, and
+    f of a block-diagonal matrix is block diagonal whatever basis the solver
+    picks within an eigenspace, so it takes no sizes.
     """
-    dec_gb = _decompose(B).map(g)
+    size = dec_ga._size
+    own = _own_entries(dec_ga.eigenvalues, size)
+    dec_gb = _decompose(B, size=size).map(g)
     gA, gB = dec_ga.reconstruct(), dec_gb.reconstruct()
     num, den = (gB, dec_ga) if reverse else (gA, dec_gb)
     P = _herm(num @ den.inverse().reconstruct())
-    core = _trace(gA @ _decompose(P).map(f).reconstruct())
-    return _trace(gA), _trace(gB), core
+    core = _trace(gA @ _decompose(P).map(f).reconstruct(), own)
+    return _trace(gA, own), _trace(gB, own), core
 
 
-def _trace_log_sums(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarray):
+def _trace_log_sums(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarray, size=None):
     """lhs, rhs and gap (T,) of the forward trace inequality for commuting stacks A, B."""
-    dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
-    gb = _positive(g, wb, "b")
-    ga = g(dec_a.eigenvalues)
-    sides = _forward(f, _IDENTITY, ga, gb)  # the forward inequality on the weights g(a), g(b)
-    rows = ~_outside(ga / gb, *f.domain()).any(axis=-1)
+    dec_a, wb = _joint(A, B, size=size)
+    own = _own_entries(wb, size)
+    gb = _positive(g, wb, "b", own)
+    ga = _on_own(g, dec_a.eigenvalues, own)
+    sides = _forward(f, _IDENTITY, ga, gb, size)  # the forward inequality on the weights g(a), g(b)
+    rows = ~_any(_outside(_quotient(ga, gb, own), *f.domain()), own, axis=-1)
     if rows.any():
         lhs, rhs, A, B = sides[0][rows], sides[1][rows], A[rows], B[rows]
-        tr_ga, tr_gb, core = _product_path(f, g, dec_a[rows]._with(ga[rows]), B)
+        size = None if size is None else size[rows]
+        dec_ga = dec_a[rows]._with(_identity_pad(ga, own)[rows])
+        tr_ga, tr_gb, core = _product_path(f, g, dec_ga, B)
         _cross_check(
             "trace_log_sum_gap",
             lhs,
             core,
             CROSS_CHECK_RTOL,
-            lambda k: _referee("forward_lhs", A[k], B[k], f, g),
+            lambda k: _referee("forward_lhs", *_own_pair(A, B, size, k), f, g),
         )
         _cross_check(
             "trace_log_sum_gap rhs",
             rhs,
             tr_ga * np.asarray(f(tr_ga / tr_gb), dtype=float),
             CROSS_CHECK_RTOL,
-            lambda k: _referee("forward_rhs", A[k], B[k], f, g),
+            lambda k: _referee("forward_rhs", *_own_pair(A, B, size, k), f, g),
         )
     return sides
 
@@ -269,25 +311,28 @@ def trace_log_sum_gap(
     return _one(_trace_log_sums(f, g, *_one_trial({"A": A, "B": B})), tol)
 
 
-def _exp_log_traces(A: np.ndarray, B: np.ndarray):
+def _exp_log_traces(A: np.ndarray, B: np.ndarray, size=None):
     """lhs, rhs and gap (T,) of the exponential-log corollary for commuting stacks A, B."""
-    dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
-    wa = dec_a.eigenvalues
-    if (wa <= 0.0).any() or (wb <= 0.0).any():
+    dec_a, wb = _joint(A, B, size=size)
+    wa, own = dec_a.eigenvalues, _own_entries(wb, size)
+    if _any(wa <= 0.0, own) or _any(wb <= 0.0, own):
         raise PreconditionError("both matrices must be positive definite")
-    lhs = (wa * np.log(wa)).sum(axis=-1) - (wa * np.log(wb)).sum(axis=-1)
+    if own is not None:
+        wa, wb = np.where(own, wa, 0.0), np.where(own, wb, 0.0)
+    a_log_a = _active_sums(lambda sel: wa[sel] * np.log(wa[sel]), own)
+    lhs = a_log_a - _active_sums(lambda sel: wa[sel] * np.log(wb[sel]), own)
     sum_a, sum_b = wa.sum(axis=-1), wb.sum(axis=-1)
     rhs = sum_a * np.log(sum_a / sum_b)
 
     LA = dec_a.map(_LOG).reconstruct()
-    LB = _decompose(B).map(_LOG).reconstruct()
-    lhs_prod = _trace(A @ LA) - _trace(A @ LB)
+    LB = _decompose(B).map(_LOG).reconstruct()  # only mapped: no sizes (see _product_path)
+    lhs_prod = _trace(A @ LA, own) - _trace(A @ LB, own)
     _cross_check(
         "exp_log_trace_gap",
         lhs,
         lhs_prod,
         EXP_LOG_CROSS_RTOL,
-        lambda k: _referee("exp_log_lhs", A[k], B[k]),
+        lambda k: _referee("exp_log_lhs", *_own_pair(A, B, size, k)),
     )
     return lhs, rhs, lhs - rhs
 
@@ -302,28 +347,32 @@ def exp_log_trace_gap(A, B, tol: float = DEFAULT_TOLERANCE) -> InequalityVerdict
     return _one(_exp_log_traces(*_one_trial({"A": A, "B": B})), tol)
 
 
-def _require_density(w: np.ndarray, what: str) -> None:
-    """Check the eigenvalues w (T, n) of a stack of density matrices: PSD with unit trace."""
-    lowest, scale = _gap_scale(w)
+def _require_density(w: np.ndarray, what: str, size=None) -> None:
+    """Check the eigenvalues w (T, N) of a stack of density matrices, own-first over their own
+    sizes: PSD with unit trace."""
+    lowest, scale = _gap_scale(w, size)
     ok = _holds(lowest, scale, PSD_CLAMP_RTOL)
     _require(ok, DomainError, "{} is not PSD (min eigenvalue {:.3e})", what, lowest)
-    tr = w.sum(axis=-1)
+    own = _own_entries(w, size)
+    tr = (w if own is None else np.where(own, w, 0.0)).sum(axis=-1)
     ok = _holds(-np.abs(tr - 1.0), 1.0, DENSITY_TRACE_TOL)
     _require(ok, DomainError, "{} must have unit trace, got {!r}", what, tr)
 
 
-def _relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _relative_entropies(rho: np.ndarray, sigma: np.ndarray, size=None) -> np.ndarray:
     """D(rho||sigma) (T,) for commuting Hermitian stacks, both checked to be density matrices."""
-    dec = _decompose(np.stack([rho, sigma, _mix(rho, sigma)], axis=1))
-    _require_density(dec.eigenvalues[:, 0], "rho")
-    _require_density(dec.eigenvalues[:, 1], "sigma")
-    dec_r, ws = _joint(rho, sigma, dec.unitary[:, 2])
+    triple = None if size is None else size[:, None]
+    dec = _decompose(np.stack([rho, sigma, _mix(rho, sigma)], axis=1), size=triple)
+    _require_density(dec.eigenvalues[:, 0], "rho", size)
+    _require_density(dec.eigenvalues[:, 1], "sigma", size)
+    dec_r, ws = _joint(rho, sigma, dec.unitary[:, 2], size)
     wr = np.clip(dec_r.eigenvalues, 0.0, None)
     ws = np.clip(ws, 0.0, None)
-    active = wr > SUPPORT_ATOL
+    own = _own_entries(wr, size)
+    active = _owned(wr > SUPPORT_ATOL, own)
     if (active & (ws <= SUPPORT_ATOL)).any():
         raise SupportError("rho has weight outside sigma's support; divergence is infinite")
-    return _active_sums(wr, lambda sel: np.log(wr[sel]) - np.log(ws[sel]), active)
+    return _active_sums(lambda sel: wr[sel] * (np.log(wr[sel]) - np.log(ws[sel])), active)
 
 
 def quantum_relative_entropy(rho, sigma) -> float:
@@ -336,12 +385,14 @@ def quantum_relative_entropy(rho, sigma) -> float:
     return float(_relative_entropies(*_one_trial({"rho": rho, "sigma": sigma}))[0])
 
 
-def _entropies(rho: np.ndarray) -> np.ndarray:
+def _entropies(rho: np.ndarray, size=None) -> np.ndarray:
     """-trace(rho log rho) (T,) for a Hermitian stack, checked to be density matrices."""
-    w = _decompose(rho).eigenvalues
-    _require_density(w, "rho")
+    w = _decompose(rho, size=size).eigenvalues
+    _require_density(w, "rho", size)
     w = np.clip(w, 0.0, None)
-    return -_active_sums(w, lambda sel: np.log(w[sel]), w > SUPPORT_ATOL)
+    own = _own_entries(w, size)
+    active = _owned(w > SUPPORT_ATOL, own)
+    return -_active_sums(lambda sel: w[sel] * np.log(w[sel]), active)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -349,24 +400,29 @@ def von_neumann_entropy(rho) -> float:
     return float(_entropies(*_one_trial({"rho": rho}))[0])
 
 
-def _q_traces(A: np.ndarray, B: np.ndarray, q: np.ndarray, r: np.ndarray):
+def _q_traces(A: np.ndarray, B: np.ndarray, q: np.ndarray, r: np.ndarray, size=None):
     """lhs, rhs and gap (T,) of the deformed-log trace inequality for commuting stacks A, B.
 
     Pair t has its own order q[t] and power r[t].
     """
-    dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
-    p, s, powers = _q_powers(dec_a.eigenvalues, wb, q, r)
-    sides = _q_sums(p, s, q)
-    rows = ~_outside(p / s, *_Q_LOG.domain()).any(axis=-1)
+    dec_a, wb = _joint(A, B, size=size)
+    p, s, powers = _q_powers(dec_a.eigenvalues, wb, q, r, size)
+    sides = _q_sums(p, s, q, size)
+    own = _own_entries(p, size)
+    rows = ~_any(_outside(_quotient(p, s, own), *_Q_LOG.domain()), own, axis=-1)
     if rows.any():
         lhs, rhs, A, B, q = sides[0][rows], sides[1][rows], A[rows], B[rows], q[rows]
+        size = None if size is None else size[rows]
         powers = [g for g, keep in zip(powers, rows.tolist()) if keep]
         lnqs = [q_log_fn(x) for x in q.tolist()]
-        tr_ar, tr_br, core = _product_path(lnqs, powers, dec_a[rows]._with(p[rows]), B)
+        dec_p = dec_a[rows]._with(_identity_pad(p, own)[rows])
+        tr_ar, tr_br, core = _product_path(lnqs, powers, dec_p, B)
         lhs_prod = tr_br ** (1.0 - q) * core
 
         def refereed(quantity):
-            return lambda k: _referee(quantity, A[k], B[k], lnqs[k], powers[k], float(q[k]))
+            return lambda k: _referee(
+                quantity, *_own_pair(A, B, size, k), lnqs[k], powers[k], float(q[k])
+            )
 
         _cross_check("q_trace_gap", lhs, lhs_prod, CROSS_CHECK_RTOL, refereed("q_lhs"))
         rhs_prod = tr_ar * (
@@ -386,20 +442,21 @@ def q_trace_gap(A, B, q: float, r: float, tol: float = DEFAULT_TOLERANCE) -> Ine
     return _one(_q_traces(*pair, np.array([float(q)]), np.array([float(r)])), tol)
 
 
-def _reverse_traces(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarray):
+def _reverse_traces(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarray, size=None):
     """lhs, rhs and gap (T,) of the reverse trace inequality for commuting stacks A, B."""
-    dec_a, wb = _joint(A, B, _decompose(_mix(A, B)).unitary)
-    ga = _positive(g, dec_a.eigenvalues, "a")
-    gb = _positive(g, wb, "b")
-    sides = _reverse(f, _IDENTITY, ga, gb)  # the reverse inequality on the weights g(a), g(b)
+    dec_a, wb = _joint(A, B, size=size)
+    own = _own_entries(wb, size)
+    ga = _positive(g, dec_a.eigenvalues, "a", own)
+    gb = _positive(g, wb, "b", own)
+    sides = _reverse(f, _IDENTITY, ga, gb, size)  # the reverse inequality on the weights g(a), g(b)
     # The scalar verdict evaluated f at every ratio g(b_i)/g(a_i), so all lie in f's domain.
-    _, _, core = _product_path(f, g, dec_a._with(ga), B, reverse=True)
+    _, _, core = _product_path(f, g, dec_a._with(_identity_pad(ga, own)), B, reverse=True)
     _cross_check(
         "reverse_trace_gap",
         sides[0],
         core,
         CROSS_CHECK_RTOL,
-        lambda k: _referee("reverse_lhs", A[k], B[k], f, g),
+        lambda k: _referee("reverse_lhs", *_own_pair(A, B, size, k), f, g),
     )
     return sides
 

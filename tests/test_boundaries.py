@@ -176,8 +176,15 @@ def test_a_record_reports_its_first_least_check():
 
 
 def _fixed(value):
-    """A stand-in for an entropy kernel: value(n) for each trial of a stack (T, n, n) of states."""
-    return lambda rho, *_: np.full(len(rho), value(rho.shape[-1]))
+    """A stand-in for an entropy kernel: value(n) for each trial of a stack (T, N, N) of states,
+    n its own size (the kernel's last argument, or N when that is None)."""
+
+    def kernel(rho, *rest):
+        size = rest[-1]
+        sizes = [rho.shape[-1]] * len(rho) if size is None else size.tolist()
+        return np.array([value(n) for n in sizes])
+
+    return kernel
 
 
 @pytest.mark.parametrize("factor, holds", [(2.0, False), (0.5, True)])

@@ -184,10 +184,11 @@ def test_q_trace_disagreement_with_the_referee_still_raises(monkeypatch):
     monkeypatch.setattr(traceform, "_referee", lambda *dispute: -15.0)
     with pytest.raises(NumericError) as err:
         run_suite(TrialConfig(suite="q_trace", trials=1, seed=5249, n=8))
-    # a trace suite's refusal names its trial by seed and n, as a Loewner suite's does
+    # a trace suite's refusal names its trial by seed and n, as a Loewner suite's does; the
+    # trial is judged padded to its size class 8, so its values are the padded stack's
     assert str(err.value) == (
-        "trial seed 5249 (n=5): q_trace_gap: matrix-product path -7788.825314703376 disagrees"
-        " with joint-spectrum value -7788.825252730015, and the 50-digit product path gives -15.0"
+        "trial seed 5249 (n=5): q_trace_gap: matrix-product path -7788.825288190842 disagrees"
+        " with joint-spectrum value -7788.825252730111, and the 50-digit product path gives -15.0"
     )
 
 
@@ -980,7 +981,8 @@ def _ref_q(rng) -> float:
 
 
 def _public_commuting_trial(suite, trial_seed, cfg):
-    """(gap, holds) of one scalar or trace trial rebuilt from its seed by the public functions."""
+    """(gap, holds, scale) of one scalar or trace trial rebuilt from its seed by the public
+    functions, scale the one its tolerance multiplies."""
     rng = np.random.default_rng(trial_seed)
     tol = cfg.tolerance
     if suite == "convexity_check":
@@ -994,25 +996,26 @@ def _public_commuting_trial(suite, trial_seed, cfg):
             ok = convexity_check("xf1overx", rational_fn(), interval, 201)
         else:
             ok = convexity_check("xfx", power_fn(float(rng.uniform(0.2, 2.0))), (0.01, 5.0))
-        return (0.0 if ok else -1.0), ok
+        return (0.0 if ok else -1.0), ok, 0.0
     n = int(rng.integers(1, cfg.n + 1))
     if suite == "scalar_equality":
         b = gen.rand_sequence(rng, n)
         v = generalized_log_sum_gap(
             log_fn(), identity_fn(), SequencePair(tuple(rng.uniform(0.1, 10.0) * b), tuple(b)), tol
         )
-        return -abs(v.gap), abs(v.gap) <= tol * max(1.0, abs(v.lhs), abs(v.rhs))
+        scale = max(1.0, abs(v.lhs), abs(v.rhs))
+        return -abs(v.gap), abs(v.gap) <= tol * scale, scale
     if suite == "rational_reverse":
         a = rng.uniform(1.0, 10.0, n)
         v = rational_example_gap(SequencePair(tuple(a), tuple(rng.uniform(0.9, 2.4, n) * a)), tol)
-        return v.gap, v.holds
+        return v.gap, v.holds, max(1.0, abs(v.lhs), abs(v.rhs))
     if suite == "relative_entropy":
         d = quantum_relative_entropy(*gen.rand_density_pair(rng, n))
-        return d, d >= -tol
+        return d, d >= -tol, 1.0
     if suite == "entropy_bound":
         s = von_neumann_entropy(gen.rand_density(rng, n))
         margin = min(s, math.log(n) - s)
-        return margin, margin >= -tol
+        return margin, margin >= -tol, 1.0
     if suite in ("trace_log_sum", "trace_reverse", "q_trace", "exp_log_trace"):
         A, B = gen.rand_commuting_pair(rng, n, harness._TRACE_SPECTRUM, harness._TRACE_SPECTRUM)
         v = {
@@ -1023,18 +1026,19 @@ def _public_commuting_trial(suite, trial_seed, cfg):
                 A, B, _ref_q(rng), float(rng.uniform(0.5, 2.0)), tol
             ),
         }[suite]()
-        return v.gap, v.holds
+        return v.gap, v.holds, max(1.0, abs(v.lhs), abs(v.rhs))
     pair = gen.rand_sequence_pair(rng, n)
     if suite == "q_direction":
         verdicts = [q_log_sum_gap(pair, q, 1.0, tol) for q in (0.0, 0.5, 1.5, 2.5, 3.0)]
-        return min(v.gap for v in verdicts), all(v.holds for v in verdicts)
+        scale = max(max(1.0, abs(v.lhs), abs(v.rhs)) for v in verdicts)
+        return min(v.gap for v in verdicts), all(v.holds for v in verdicts), scale
     if suite == "ratio_bounds":
         g = identity_fn() if rng.random() < 0.5 else power_fn(2.0)
         rb = ratio_bounds(g, pair)
         agg = float(np.sum(g(np.asarray(pair.a))) / np.sum(g(np.asarray(pair.b))))
         slack = tol * max(1.0, abs(rb.m_g), abs(rb.M_g))
         holds = rb.m_g <= rb.M_g + slack and rb.m_g - slack <= agg <= rb.M_g + slack
-        return min(rb.M_g - rb.m_g, agg - rb.m_g, rb.M_g - agg), holds
+        return min(rb.M_g - rb.m_g, agg - rb.m_g, rb.M_g - agg), holds, slack / tol
     v = {
         "scalar_log_sum": lambda: generalized_log_sum_gap(log_fn(), identity_fn(), pair, tol),
         "scalar_reverse": lambda: reverse_log_sum_gap(log_fn(), identity_fn(), pair, tol),
@@ -1042,7 +1046,23 @@ def _public_commuting_trial(suite, trial_seed, cfg):
             pair, _ref_q(rng), float(rng.uniform(0.5, 2.0)), tol
         ),
     }[suite]()
-    return v.gap, v.holds
+    return v.gap, v.holds, max(1.0, abs(v.lhs), abs(v.rhs))
+
+
+# How far a padded trace trial's gap, or a scalar one at N = 8, may move from the public
+# one-pair gap's, in units of N u scale (u the unit round-off, N the size class, scale the
+# tolerance's).  Padded products run BLAS at N, not n, and numpy's pairwise sum regroups 8
+# entries; the largest moves measured over 3000 trials at n=4 and 2000 at n=8, per suite, are
+# 16.3 (q_trace at n=8), at most 10.1 in every other trace suite and 5.4 in a scalar suite.
+_COMMUTING_PAD_MOVE_K = 64
+_TRACE_SUITES = (
+    "trace_log_sum",
+    "trace_reverse",
+    "q_trace",
+    "exp_log_trace",
+    "relative_entropy",
+    "entropy_bound",
+)
 
 
 @pytest.mark.parametrize("n", [4, 16])
@@ -1060,10 +1080,21 @@ def test_commuting_suite_trials_equal_the_public_functions(monkeypatch, suite, n
     cfg = TrialConfig(suite=suite, trials=200, seed=7, n=n)
     rep = run_suite(cfg)
     assert [ts for ts, _, _ in recorded] == [cfg.seed + index for index in range(cfg.trials)]
+    padded = 0
     for ts, gap, holds in recorded:
-        want_gap, want_holds = _public_commuting_trial(suite, ts, cfg)
-        # bit for bit, the sign of a zero included
-        assert (float(gap).hex(), holds) == (float(want_gap).hex(), bool(want_holds)), ts
+        want_gap, want_holds, scale = _public_commuting_trial(suite, ts, cfg)
+        trial_n = real.draws([ts], cfg)[0].n
+        N = harness._size_class(trial_n, cfg) if real.pads else trial_n
+        if suite in _TRACE_SUITES and trial_n < N:
+            # a padded trace trial: the same verdict, its gap within round-off
+            padded += 1
+            assert holds == bool(want_holds), ts
+            bound = _COMMUTING_PAD_MOVE_K * N * np.finfo(float).eps * scale
+            assert abs(gap - want_gap) <= bound, ts
+        else:
+            # bit for bit, the sign of a zero included: every scalar suite below N = 8
+            assert (float(gap).hex(), holds) == (float(want_gap).hex(), bool(want_holds)), ts
+    assert (padded > 0) == (suite in _TRACE_SUITES and n <= harness._PAD_CAP)
     assert rep.violations == sum(not holds for _, _, holds in recorded)
     assert rep.worst_gap == min(gap for _, gap, _ in recorded)
 
@@ -1142,30 +1173,33 @@ def test_draw_generator_calls_per_trial(suite):
     assert sum(calls) / len(calls) <= _DRAW_CALLS_CEILING[suite]
 
 
-# LAPACK calls of each group of a block: eigh (one per kernel step), qr, svd.
+# LAPACK calls of a trace suite: eigh per size class of a block (one per kernel step), then
+# qr per n-group of a block (its build), and no svd.
 _TRACE_GROUP_CALLS = {
-    "trace_log_sum": (3, 1, 0),  # A; the product path's g(B) and product
-    "trace_reverse": (3, 1, 0),
-    "q_trace": (3, 1, 0),
-    "exp_log_trace": (2, 1, 0),  # A; log B
-    "relative_entropy": (1, 1, 0),  # rho beside sigma
-    "entropy_bound": (1, 1, 0),
+    "trace_log_sum": (3, 1),  # the mix; the product path's B and product
+    "trace_reverse": (3, 1),
+    "q_trace": (3, 1),
+    "exp_log_trace": (2, 1),  # the mix; log B
+    "relative_entropy": (1, 1),  # rho beside sigma and the mix
+    "entropy_bound": (1, 1),
 }
 
 
 @pytest.mark.parametrize("suite", sorted(_TRACE_GROUP_CALLS))
 def test_trace_suite_lapack_calls_per_group_per_block(lapack_calls, suite):
-    cfg = TrialConfig(suite=suite, trials=300, seed=5, n=4)
-    groups = 0
-    for first in range(0, cfg.trials, harness._BLOCK):
-        block = [cfg.seed + i for i in range(first, min(first + harness._BLOCK, cfg.trials))]
-        groups += len({d.n for d in SUITES[suite].draws(block, cfg)})
-    assert groups <= cfg.n * math.ceil(cfg.trials / harness._BLOCK)
-    for calls in lapack_calls.values():
-        calls.clear()
-    run_suite(cfg)
-    counts = tuple(len(lapack_calls[name]) for name in ("eigh", "qr", "svd"))
-    assert counts == tuple(k * groups for k in _TRACE_GROUP_CALLS[suite])
+    # at n=4 every size pads to 4, one class per block; at n=10, above the cap, each n is its
+    # own class
+    per_class, per_group = _TRACE_GROUP_CALLS[suite]
+    for n, trials in ((4, 300), (10, 60)):
+        cfg = TrialConfig(suite=suite, trials=trials, seed=5, n=n)
+        seeds = [cfg.seed + i for i in range(cfg.trials)]
+        classes, groups = _classes_and_groups(SUITES[suite], cfg, seeds)
+        assert (classes < groups) == (n <= harness._PAD_CAP)
+        for calls in lapack_calls.values():
+            calls.clear()
+        run_suite(cfg)
+        counts = tuple(len(lapack_calls[name]) for name in ("eigh", "qr", "svd"))
+        assert counts == (per_class * classes, per_group * groups, 0)
 
 
 def test_default_runs_do_not_import_mpmath():
@@ -1189,3 +1223,110 @@ def test_default_runs_do_not_import_mpmath():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# -- one stack per size class for the scalar and trace suites ----------------------
+
+_SIZED_SUITES = [suite for suite in COMMUTING_SUITES if suite != "convexity_check"]
+
+
+@pytest.mark.parametrize("suite", _SIZED_SUITES)
+def test_sized_suites_judge_one_stack_per_size_class(monkeypatch, suite):
+    # every n of a block with one size class is judged in one call: one class per block at
+    # n=4, one per n above the cap; each n-group is built once, at its own n
+    real = SUITES[suite]
+    assert real.pads
+    calls = {"build": 0, "judge": 0}
+
+    def counted(step):
+        def count(*args):
+            calls[step] += 1
+            return getattr(real, step)(*args)
+
+        return count
+
+    counting = real._replace(build=counted("build"), judge=counted("judge"))
+    monkeypatch.setitem(SUITES, suite, counting)
+    for n, trials in ((4, 300), (10, 60)):
+        cfg = TrialConfig(suite=suite, trials=trials, seed=5, n=n)
+        classes, groups = _classes_and_groups(real, cfg, [cfg.seed + i for i in range(trials)])
+        assert (classes < groups) == (n <= harness._PAD_CAP)
+        calls.update(build=0, judge=0)
+        run_suite(cfg)
+        assert calls == {"build": groups, "judge": classes}
+
+
+_SCALAR_SUITES = [suite for suite in _SIZED_SUITES if suite not in _TRACE_SUITES]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 8])
+@pytest.mark.parametrize("suite", _SCALAR_SUITES)
+def test_scalar_trials_keep_their_unpadded_bits_below_size_eight(suite, n):
+    # numpy sums fewer than 8 entries in order, so a zero pad leaves a padded row's sums, and
+    # its gap, as the trial judged alone and unpadded gives them, bit for bit; at N = 8 the
+    # pairwise sum regroups 8 entries, and the gap moves at round-off under the same verdict
+    stacked = SUITES[suite]
+    cfg = TrialConfig(suite=suite, n=n)
+    seeds = list(range(300))
+    draws = stacked.draws(seeds, cfg)
+    gaps, holds = harness._verdicts(draws, seeds, cfg, stacked)
+    padded = 0
+    for draw, gap, ok in zip(draws, gaps, holds):
+        checks, scale = stacked.judge(cfg, None, *stacked.build(cfg, *harness._stacks([draw])))
+        assert bool(np.all(_holds(checks, scale, cfg.tolerance))) == ok
+        least = min(np.ravel(checks).tolist())  # the first least check, as Python takes it
+        padded += draw.n < n
+        if n < 8:
+            assert least.hex() == gap.hex()
+        else:
+            bound = _COMMUTING_PAD_MOVE_K * n * np.finfo(float).eps * np.max(scale)
+            assert abs(least - gap) <= bound
+    assert padded > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 + 5, 2**64 - 1])
+def test_bounded_draws_equal_the_generators_integers(seed):
+    # caps 1..64 three times each, then doubles (as a trial's members take them), so that a
+    # draw that takes the half held back from a word comes after other draws; then caps whose
+    # Lemire rejection fires about half the time
+    stream, rng = next(harness._rngs([seed])), np.random.default_rng(seed)
+    for cap in range(1, 65):
+        for _ in range(3):
+            assert harness._bounded(stream, cap) == int(rng.integers(cap))
+        assert stream.random(cap % 3).tobytes() == rng.random(cap % 3).tobytes()
+    words = []
+    raw = stream.raw
+    stream.raw = lambda: words.append(raw()) or words[-1]
+    draws = 200
+    for cap in (2**31 + 1, 3 * 2**30 + 7, 2**32 - 1):
+        for _ in range(draws):
+            assert harness._bounded(stream, cap) == int(rng.integers(cap))
+    assert 2 * len(words) > 3 * draws + 50  # the rejections drew more halves
+    assert stream.random(3).tobytes() == rng.random(3).tobytes()
+    assert harness._size(stream, 4) == int(rng.integers(1, 5))
+
+
+def test_bounded_redraws_a_rejected_half():
+    # cap 3 rejects a product whose low 32 bits lie below (2**32 - 3) % 3 = 1: a low half 0 is
+    # redrawn from the word's high half; the next draw takes a new word and holds its high half
+    stream = next(harness._rngs([0]))
+    words = iter([(2**31 + 5) << 32, (5 << 32) | 2**31])
+    stream.raw = lambda: next(words)
+    assert harness._bounded(stream, 3) == (3 * (2**31 + 5)) >> 32 == 1
+    assert stream.half is None
+    assert harness._bounded(stream, 3) == (3 * 2**31) >> 32 == 1
+    assert stream.half == 5
+    assert harness._bounded(stream, 3) == 0
+    assert harness._bounded(stream, 1) == 0 and stream.half is None  # cap 1 draws nothing
+
+
+@pytest.mark.parametrize("suite", ["trace_log_sum", "trace_reverse", "q_trace", "exp_log_trace"])
+def test_padded_trace_trials_need_no_referee(monkeypatch, suite):
+    # a padded pair's product path is its own block's, so at the benchmark's size no trial
+    # disputes its cross-check: a dispute would start a child process for the referee
+    def disputed(quantity, *pair):
+        raise AssertionError(f"{suite} disputed its {quantity}")
+
+    monkeypatch.setattr(traceform, "_referee", disputed)
+    report = run_suite(TrialConfig(suite=suite, trials=400, seed=0, n=4))
+    assert report.violations == 0

@@ -713,3 +713,25 @@ def test_pair_of_different_shapes_is_a_dimension_error(call, first, second):
         assert str(err.value) == (
             f"{second} has shape {shapes[second]}, expected {first}'s {shapes[first]}"
         )
+
+
+def test_an_indefinite_mean_image_is_refused_as_such():
+    # log is negative below 1, so on PD families log(B^1/2 A^-1 B^1/2) can be indefinite: a
+    # mean refuses it under its own message, not as a matrix below the inverse floor
+    rng = np.random.default_rng(0)
+    A = [rand_pd(rng, 3, (0.5, 2.0)) for _ in range(2)]
+    B = [rand_pd(rng, 3, (0.5, 2.0)) for _ in range(2)]
+    message = (
+        r"^log\(B\^1/2 A\^-1 B\^1/2\) is not positive definite \(min eigenvalue -1\.928e-01\)$"
+    )
+    refusals = (
+        lambda: pooled_mean_residual(log_fn(), A, B),
+        lambda: split_mean_residual(log_fn(), A, B),
+        lambda: matrix_mean(log_fn(), A[0], B[0]),
+    )
+    for refused in refusals:
+        with pytest.raises(DomainError, match=message):
+            refused()
+    # sqrt is positive on the same arguments, and the means go through
+    assert pooled_mean_residual(power_fn(0.5), A, B).holds
+    assert np.isfinite(matrix_mean(power_fn(0.5), A[0], B[0])).all()

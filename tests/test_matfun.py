@@ -727,6 +727,28 @@ def test_a_padded_eigh_gives_the_harness_members_eigenpairs_bit_for_bit(N, sizes
         assert np.ascontiguousarray(dec.unitary[:, :n, :n]).tobytes() == U.tobytes()
 
 
+def test_only_the_padded_matrices_of_a_stack_are_reordered_own_first():
+    # a matrix at its full size keeps the solver's eigenpairs, and a padded one gets the
+    # own-first pairs of its one-matrix padded solve, whatever else its stack holds
+    rng = np.random.default_rng(31)
+    N, sizes = 4, np.array([4, 2, 4, 3, 1, 4, 2])
+    H = np.concatenate([_padded(_members(rng, int(n), 1), N, np.ones(4)) for n in sizes])
+    size = np.repeat(sizes, 4)
+    w, U = np.linalg.eigh(H)
+    dec = _decompose(H, size=size)
+    reordered = 0
+    for k, n in enumerate(size.tolist()):
+        alone = _decompose(H[k : k + 1], size=size[k : k + 1])
+        assert dec.eigenvalues[k].tobytes() == alone.eigenvalues[0].tobytes()
+        assert dec.unitary[k].tobytes() == alone.unitary[0].tobytes()
+        if n == N:
+            assert dec.eigenvalues[k].tobytes() == w[k].tobytes()
+            assert dec.unitary[k].tobytes() == U[k].tobytes()
+        else:
+            reordered += dec.eigenvalues[k].tobytes() != w[k].tobytes()
+    assert reordered > 0
+
+
 def test_an_eigenvector_across_the_pad_is_refused(monkeypatch):
     # trials 2 and 3 of a stack get one eigenvector rotated across their pad: the first is named
     rng = np.random.default_rng(3)
