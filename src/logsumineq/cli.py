@@ -253,7 +253,11 @@ def _cmd_eval(args) -> int:
         raise DomainError("input document must be a JSON object")
     fn, fields = EVAL_OPS[args.op]
     rendered = _render(fn(*(_field(doc, name) for name in fields)))
-    sys.stdout.write(json.dumps(rendered, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(rendered, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity, which strict JSON cannot hold
+        raise NumericError(f"{args.op} gave a result that is not finite") from exc
+    sys.stdout.write(text + "\n")
     if "holds" in rendered and not rendered["holds"]:
         return 1
     return 0

@@ -28,15 +28,15 @@ each block of consecutive trial seeds to the suite.
   k checks per trial, and the scale its tolerance multiplies.  _verdicts
   judges every trial, and names a refusal by its trial's seed.
 
-_grouped groups a block's draws into size classes by one path.  Every suite
-but convexity_check pads: its class is every n with one _size_class N, each
-n-group is built at its own n, each built matrix is padded to N by an
-identity block and each built sequence by zeros at its end, and the class is
-judged in one stack, each check reading the trials' own slots.
-convexity_check's class is one grid size, judged with size None.  A class
-whose draws exceed its share of _BLOCK_BYTES runs in parts.  A trial's bits
-depend only on its draws and its N, so the blocks change no number in a
-report.
+_grouped groups a block's draws into size classes by one path: a class is
+every n with one _size_class N, each n-group is built at its own n, each
+built matrix is padded to N by an identity block and each built sequence by
+zeros at its end (nothing where n == N), and the class is judged in one
+stack with each trial's own n, each check reading the trials' own slots.
+convexity_check's grid sizes exceed every config.n, so each is its own class
+and nothing is padded.  A class whose draws exceed its share of _BLOCK_BYTES
+runs in parts.  A trial's bits depend only on its draws and its N, so the
+blocks change no number in a report.
 
 A one-member trial of perspective_sum with the perspective-sum lhs (any
 family kind), pooled_inverse or split_mean is an identity: both sides are
@@ -68,6 +68,7 @@ from .errors import (
     DEFAULT_TOLERANCE,
     DomainError,
     NumericError,
+    PreconditionError,
     _holds,
     _spectrum_range,
     _tolerance,
@@ -321,11 +322,6 @@ def _sized(draw):
     return sized
 
 
-def _sized_suite(draw, build, judge) -> _Suite:
-    """A suite without a family, which pads: its draw is n, then draw(rng, n)'s values."""
-    return _Suite(_sized(draw), build, judge, pads=True)
-
-
 def _sides(kernel, *fg):
     """The judge of kernel(*fg, *instance, size)'s (lhs, rhs, gap): the gap and its scale."""
 
@@ -411,7 +407,7 @@ def _with_q_r(draw, build, kernel) -> _Suite:
         q = np.where(branch < 0.7, gen._uniform(u_q, -2.0, 1.9), gen._uniform(u_q, 2.1, 3.5))
         return (*build(config, *rest, u[:, :-3]), q, gen._uniform(u_r, 0.5, 2.0))
 
-    return _sized_suite(functools.partial(draw, extra=3), with_q_r, _sides(kernel))
+    return _Suite(_sized(functools.partial(draw, extra=3)), with_q_r, _sides(kernel))
 
 
 _Q_DIRECTIONS = (0.0, 0.5, 1.5, 2.5, 3.0)
@@ -421,7 +417,7 @@ def _q_direction_gaps(config, size, a, b):
     """One check per order of _Q_DIRECTIONS at r = 1, all orders of a group in one stack."""
     T = len(a)
     a, b = (np.repeat(x, len(_Q_DIRECTIONS), axis=0) for x in (a, b))
-    size = None if size is None else np.repeat(size, len(_Q_DIRECTIONS))
+    size = np.repeat(size, len(_Q_DIRECTIONS))
     q = np.tile(_Q_DIRECTIONS, T)
     gap, scale = _sides(_q_log_sums)(config, size, a, b, q, np.ones(len(q)))
     return gap.reshape(T, -1), scale.reshape(T, -1)
@@ -491,8 +487,7 @@ def _state(config, u, x):
 def _entropy_bound_gaps(config, size, rho):
     """Two checks at scale 1: S(rho) >= 0 and S(rho) <= log n."""
     s = _entropies(rho, size)
-    sizes = [rho.shape[-1]] if size is None else size.tolist()
-    return np.stack([s, np.array([math.log(n) for n in sizes]) - s], axis=-1), 1.0
+    return np.stack([s, np.array([math.log(n) for n in size.tolist()]) - s], axis=-1), 1.0
 
 
 # -- operator-order suites --------------------------------------------------
@@ -703,10 +698,11 @@ _PAD_CAP = 8
 
 
 def _size_class(n: int, config: TrialConfig) -> int:
-    """The size N(n) that a trial of size n of a suite that pads is judged at: config.n up to
-    _PAD_CAP, n itself above it.  It depends on (n, config.n) alone, so a one-trial replay
-    pads as its run did."""
-    return config.n if config.n <= _PAD_CAP else n
+    """The size N(n) that a trial of size n is judged at: config.n when n <= config.n <=
+    _PAD_CAP, else n itself (above the cap, and for convexity_check's grid sizes, which exceed
+    every config.n).  It depends on (n, config.n) alone, so a one-trial replay pads as its run
+    did."""
+    return config.n if n <= config.n <= _PAD_CAP else n
 
 
 def _pad(values, N: int) -> list:
@@ -741,20 +737,18 @@ def _joined(values):
 class _Suite(NamedTuple):
     """A registered suite: draw, build and judge (see the module docstring).
 
-    A suite that pads judges a size class with size holding each trial's own
-    n.  Every eigensolve of its judge whose eigenvalues a check reads orders a
-    matrix's eigenpairs own-first (matfun._decompose), and every check reads
-    the own slots, entries or block only, so the pad adds no value of its own
-    to a check.  Padded arithmetic moves a gap at round-off, so a trial whose
-    gap lies within that distance of the tolerance edge can be judged
-    otherwise than by the unpadded public function.  A class with no padded
-    trial is judged with size None.
+    The judge takes a size class with size holding each trial's own n.  Every
+    eigensolve of a judge whose eigenvalues a check reads orders a matrix's
+    eigenpairs own-first (matfun._decompose), and every check reads the own
+    slots, entries or block only, so the pad adds no value of its own to a
+    check.  Padded arithmetic moves a gap at round-off, so a trial whose gap
+    lies within that distance of the tolerance edge can be judged otherwise
+    than by the unpadded public function.
     """
 
     draw: object
     build: object
     judge: object
-    pads: bool = False
 
     def draws(self, seeds, config: TrialConfig) -> list[_Draw]:
         """The draws of the trials seeded seeds, each from the stream of default_rng(seed).
@@ -771,29 +765,26 @@ class _Suite(NamedTuple):
 def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite):
     """(positions in draws, suite's gaps and scales) of each size class of draws.
 
-    A class holds the draws of every n with one _size_class, or, for a suite
-    that does not pad, of one n; its positions run by ascending n, then by
-    trial.  A block's draws fit _BLOCK_BYTES and spread over at most config.n
-    sizes, and a judge's working set is several times its class's draws.  So
-    a class whose stacks, counted at the class size, take more than
-    _BLOCK_BYTES // config.n bytes is evaluated in runs of consecutive
-    positions that fit (a larger trial runs alone).  Classes and runs are
-    bitwise independent stacks.
+    A class holds the draws of every n with one _size_class; its positions
+    run by ascending n, then by trial.  A block's draws fit _BLOCK_BYTES and
+    spread over at most config.n sizes, and a judge's working set is several
+    times its class's draws.  So a class whose stacks, counted at the class
+    size, take more than _BLOCK_BYTES // config.n bytes is evaluated in runs
+    of consecutive positions that fit (a larger trial runs alone).  Classes
+    and runs are bitwise independent stacks.
     """
     by_n: dict[int, list[int]] = {}
     for k, d in enumerate(draws):
         by_n.setdefault(d.n, []).append(k)
     classes: dict[int, list[int]] = {}
     for n in sorted(by_n):
-        classes.setdefault(_size_class(n, config) if suite.pads else n, []).append(n)
+        classes.setdefault(_size_class(n, config), []).append(n)
 
     def judged(N, runs, groups=None):
         """(positions, gaps and scales) of the n-groups runs, lists of positions sharing n."""
         if groups is None:
             groups = [_stacks([draws[k] for k in ks]) for ks in runs]
         positions = [k for ks in runs for k in ks]
-        if len(runs) == 1 and draws[runs[0][0]].n == N:  # no trial is padded
-            return positions, suite.judge(config, None, *suite.build(config, *groups[0]))
         size = np.repeat([draws[ks[0]].n for ks in runs], [len(ks) for ks in runs])
         built = [_pad(suite.build(config, *stacks), N) for stacks in groups]
         return positions, suite.judge(config, size, *map(_joined, zip(*built)))
@@ -830,16 +821,16 @@ def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, suite: _Suite):
     draws are the trials seeded seeds, judged a size class at a time
     (_grouped); the identity draws take no build or judge, and have gap 0.0
     at scale 1.0.  A trial holds when every check does (_holds), and its gap
-    is its least check, the first on ties.  A NumericError, which may name a
-    row or matrix of a class's stack, is raised as the first refused trial's
-    (_first_refused).
+    is its least check, the first on ties.  A refusal (_REFUSALS), which may
+    name a row or matrix of a class's stack, is raised as the first refused
+    trial's (_first_refused).
     """
     gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
     evaluated = [k for k, d in enumerate(draws) if d is not _IDENTITY_DRAW]
     groups = _grouped([draws[k] for k in evaluated], config, suite)
     try:
         judged = [([evaluated[k] for k in ks], gap_scale) for ks, gap_scale in groups]
-    except NumericError as exc:
+    except _REFUSALS as exc:
         trials = [(draws[k], seeds[k]) for k in evaluated]
         raise _first_refused(exc, trials, config, suite) from exc
     if len(evaluated) < len(draws):
@@ -851,50 +842,56 @@ def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, suite: _Suite):
     return gaps.tolist(), holds.tolist()
 
 
-def _first_refused(exc: NumericError, trials, config: TrialConfig, suite: _Suite) -> NumericError:
+# What a kernel raises to refuse a trial: a numerical failure, a hypothesis the trial does not
+# meet, or a value outside a function's domain.
+_REFUSALS = (NumericError, PreconditionError, DomainError)
+
+
+def _first_refused(exc: Exception, trials, config: TrialConfig, suite: _Suite) -> Exception:
     """exc as the refusal of the first of trials, (draw, seed) pairs in trial order, that suite
-    refuses judged alone, prefixed by its seed; exc itself if none is.  A trial's arithmetic
-    does not depend on the rest of its stack, so run_suite or counterexample_search of
-    replace(config, trials=1, seed=seed) replays the refusal."""
+    refuses judged alone: of that refusal's type, its message prefixed by the trial's seed; exc
+    itself if none is.  A trial's arithmetic does not depend on the rest of its stack, so
+    run_suite or counterexample_search of replace(config, trials=1, seed=seed) replays the
+    refusal."""
     for draw, seed in trials:
         try:
             list(_grouped([draw], config, suite))
-        except NumericError as lone:
-            return NumericError(f"trial seed {seed} (n={draw.n}): {lone}")
+        except _REFUSALS as lone:
+            return type(lone)(f"trial seed {seed} (n={draw.n}): {lone}")
     return exc
 
 
 def _loewner(draw, build, residuals) -> _Suite:
-    """A Loewner suite, which pads: the gap and scale (_gap_scale) of each trial's residual,
+    """A Loewner suite: the gap and scale (_gap_scale) of each trial's residual,
     whose eigenvalues (T, N) residuals(config, size, *built) gives for a size class."""
 
     def judge(config, size, *built):
         return _gap_scale(residuals(config, size, *built), size)
 
-    return _Suite(draw, build, judge, pads=True)
+    return _Suite(draw, build, judge)
 
 
 _perspective_sum_verdicts = _loewner(_sum_draw, _sum_build, _sum_residuals)
 # The search's confirmation: the perspective-sum suite, judged through the Jacobi solver.
 _rechecks = _perspective_sum_verdicts._replace(judge=_recheck_gaps)
-_COMMUTING = gen._draw_commuting
+_COMMUTING = _sized(gen._draw_commuting)
 
 SUITES = {
-    "scalar_log_sum": _sized_suite(_pair, _sequences, _sides(_forward, _LOG, _IDENTITY)),
-    "scalar_equality": _sized_suite(_equality, _proportional, _equality_gaps),
-    "scalar_reverse": _sized_suite(_pair, _sequences, _sides(_reverse, _LOG, _IDENTITY)),
-    "rational_reverse": _sized_suite(_pair, _rational, _sides(_rational_example)),
+    "scalar_log_sum": _Suite(_sized(_pair), _sequences, _sides(_forward, _LOG, _IDENTITY)),
+    "scalar_equality": _Suite(_sized(_equality), _proportional, _equality_gaps),
+    "scalar_reverse": _Suite(_sized(_pair), _sequences, _sides(_reverse, _LOG, _IDENTITY)),
+    "rational_reverse": _Suite(_sized(_pair), _rational, _sides(_rational_example)),
     "q_log_sum": _with_q_r(_pair, _sequences, _q_log_sums),
-    "q_direction": _sized_suite(_pair, _sequences, _q_direction_gaps),
-    "ratio_bounds": _sized_suite(_ratio, _ratio_build, _ratio_gaps),
-    # a grid size is not a dimension: one class per grid size, unpadded
+    "q_direction": _Suite(_sized(_pair), _sequences, _q_direction_gaps),
+    "ratio_bounds": _Suite(_sized(_ratio), _ratio_build, _ratio_gaps),
+    # a grid size is not a dimension: each grid size exceeds config.n, and is its own class
     "convexity_check": _Suite(_convexity_draw, _as_drawn, _convexity_gaps),
-    "trace_log_sum": _sized_suite(_COMMUTING, _pairs, _sides(_trace_log_sums, _LOG, _IDENTITY)),
-    "trace_reverse": _sized_suite(_COMMUTING, _pairs, _sides(_reverse_traces, _LOG, _IDENTITY)),
-    "q_trace": _with_q_r(_COMMUTING, _pairs, _q_traces),
-    "exp_log_trace": _sized_suite(_COMMUTING, _pairs, _sides(_exp_log_traces)),
-    "relative_entropy": _sized_suite(_COMMUTING, _densities, _relative_entropy_gaps),
-    "entropy_bound": _sized_suite(gen._draw_pd, _state, _entropy_bound_gaps),
+    "trace_log_sum": _Suite(_COMMUTING, _pairs, _sides(_trace_log_sums, _LOG, _IDENTITY)),
+    "trace_reverse": _Suite(_COMMUTING, _pairs, _sides(_reverse_traces, _LOG, _IDENTITY)),
+    "q_trace": _with_q_r(gen._draw_commuting, _pairs, _q_traces),
+    "exp_log_trace": _Suite(_COMMUTING, _pairs, _sides(_exp_log_traces)),
+    "relative_entropy": _Suite(_COMMUTING, _densities, _relative_entropy_gaps),
+    "entropy_bound": _Suite(_sized(gen._draw_pd), _state, _entropy_bound_gaps),
     "operator_jensen": _loewner(_sized(_jensen), _jensen_build, _jensen_residuals),
     "perspective_sum": _perspective_sum_verdicts,
     "operator_shannon": _loewner(_shannon_draw, _shannon_build, _shannon_residuals),

@@ -17,16 +17,16 @@ totals and all members together, one eigensolver call per step.  f's
 operator class and anchor values are checked once per distinct f
 (perspective_sum_residual checks the perspective sum's f).  Each kernel
 takes size, the own size n of each trial of a padded stack (the harness
-pads every matrix of a trial to its size class N by an identity block), or
-None for an unpadded one, as the public functions pass: every decomposition
-carries the own sizes (_laid_out) and orders eigenpairs own-first, and every
-check and the residual's eigenvalues are read on the own slots or the own
-block (matfun._own_block), so a pad adds no value of its own to a check;
-a padded gap moves from the unpadded one at round-off only.  A failing
-check raises the one-trial message of the first failing trial in trial
-order for the hypotheses (expansivity, matching sums, the contraction and
-order checks), through errors._require.  Operator classes come from a
-catalog of textbook results, not from numerics.
+pads every matrix of a trial to its size class N by an identity block); a
+public function passes none, and every slot is own (matfun._own).  Every
+decomposition carries the own sizes (_laid_out) and orders eigenpairs
+own-first, and every check and the residual's eigenvalues are read on the
+own slots or the own block (matfun._own_block), so a pad adds no value of
+its own to a check; a padded gap moves from the unpadded one at round-off
+only.  A failing check raises the one-trial message of the first failing
+trial in trial order for the hypotheses (expansivity, matching sums, the
+contraction and order checks), through errors._require.  Operator classes
+come from a catalog of textbook results, not from numerics.
 
 Every perspective and mean is built in its anchor's eigenbasis (_anchored),
 and no anchor root or inverse is formed as a matrix: the perspective takes

@@ -30,8 +30,9 @@ eigenvector with weight on both sides of a pad (a NumericError naming the
 first such matrix), orders each matrix's eigenpairs own-first, and the
 decomposition carries the sizes: sqrt, inverse and _gap_scale read the first
 n eigenvalues only (_lowest, _largest), and _own_block zeroes a pad for a
-matrix-level check.  With size None nothing changes, so the public functions
-keep their bits.
+matrix-level check.  A size None is a public one-trial call's: _own, the one
+place that reads it, makes every slot own, and a check over every slot
+takes the bits of the unmasked one.
 
 Two eigensolvers are available: "eigh" (LAPACK via numpy) and "jacobi" (a
 self-contained cyclic Jacobi sweep, run on a whole stack at once).  The
@@ -157,19 +158,19 @@ def _max_entry(M: np.ndarray) -> np.ndarray:
 
 
 def _own(size, N: int):
-    """The own slots (..., N) of a padded stack whose matrices have own sizes size (...)."""
-    return np.arange(N) < np.asarray(size)[..., None]
+    """The own slots (..., N) of a padded stack whose matrices have own sizes size (...); with
+    size None, a public one-trial call's, every slot (N,) is own."""
+    return np.arange(N) < (N if size is None else np.asarray(size)[..., None])
 
 
 def _lowest(w: np.ndarray, size=None) -> np.ndarray:
-    """Each row's least own eigenvalue: its first size slots, or all of them when size is None."""
-    return w.min(axis=-1) if size is None else np.where(_own(size, w.shape[-1]), w, np.inf).min(-1)
+    """Each row's least own eigenvalue: the least of its first size slots."""
+    return np.where(_own(size, w.shape[-1]), w, np.inf).min(axis=-1)
 
 
 def _largest(w: np.ndarray, size=None) -> np.ndarray:
     """Each row's largest own eigenvalue magnitude (see _lowest)."""
-    a = abs(w)
-    return a.max(axis=-1) if size is None else np.where(_own(size, w.shape[-1]), a, 0.0).max(-1)
+    return np.where(_own(size, w.shape[-1]), abs(w), 0.0).max(axis=-1)
 
 
 def _gap_scale(w: np.ndarray, size=None):
@@ -180,9 +181,7 @@ def _gap_scale(w: np.ndarray, size=None):
 
 
 def _own_block(M: np.ndarray, size=None) -> np.ndarray:
-    """(A stack of) matrices with their pad block zeroed, or M itself when size is None."""
-    if size is None:
-        return M
+    """(A stack of) matrices with their pad block zeroed."""
     own = _own(size, M.shape[-1])
     return np.where(own[..., :, None] & own[..., None, :], M, 0.0)
 

@@ -25,12 +25,13 @@ elementwise or a sum along the last axis, and a dropped term (a zero
 weight) adds 0.0 to its row's sum.
 
 Each kernel takes size, the own length n of each pair of a padded stack (the
-harness pads every sequence of a size class at its end to N), or None for an
-unpadded one, as the public functions pass.  f and g are evaluated at the own
-entries only (_on_own), every check and extreme reads them only, and a pad
-entry adds +0.0 to its row's sums.  numpy sums fewer than 8 entries in
-order, so below N = 8 a padded row keeps the bits of its unpadded run; at
-N = 8 its pairwise sum regroups them, and the gap moves at round-off.
+harness pads every sequence of a size class at its end to N); a public
+function passes none, and every entry is own (matfun._own).  f and g are
+evaluated at the own entries only (_on_own), every check and extreme reads
+them only, and a pad entry adds +0.0 to its row's sums.  numpy sums fewer
+than 8 entries in order, so below N = 8 a padded row keeps the bits of its
+unpadded run; at N = 8 its pairwise sum regroups them, and the gap moves at
+round-off.
 """
 
 from __future__ import annotations
@@ -40,7 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_TOLERANCE, DomainError, PreconditionError, _holds, _require, _tolerance
+from .errors import (
+    DEFAULT_TOLERANCE,
+    DomainError,
+    NumericError,
+    PreconditionError,
+    _holds,
+    _require,
+    _tolerance,
+)
 from .functions import FunctionSpec, _apply_rows, power_fn
 from .matfun import _own
 from .qlog import QLogParams, _check_positive, _q_log
@@ -106,10 +115,14 @@ def _scale(lhs, rhs):
 
 
 def _verdict(lhs, rhs, gap, tol: float) -> InequalityVerdict:
-    """The verdict of one pair."""
+    """The verdict of one pair.  A side or gap that is not finite (a sum that overflowed) is a
+    NumericError, not a violation."""
     tol = _tolerance(tol)
+    lhs, rhs, gap = float(lhs), float(rhs), float(gap)
+    if not all(map(math.isfinite, (lhs, rhs, gap))):
+        raise NumericError(f"the verdict is not finite: lhs {lhs!r}, rhs {rhs!r}, gap {gap!r}")
     holds = bool(_holds(gap, _scale(lhs, rhs), tol))
-    return InequalityVerdict(float(lhs), float(rhs), float(gap), tol, holds)
+    return InequalityVerdict(lhs, rhs, gap, tol, holds)
 
 
 def _one(sides, tol: float) -> InequalityVerdict:
@@ -121,27 +134,9 @@ def _stack(pair: SequencePair) -> tuple[np.ndarray, np.ndarray]:
     return np.array([pair.a]), np.array([pair.b])
 
 
-def _own_entries(x: np.ndarray, size):
-    """The own entries (T, N) of a stack x of sequences padded at their ends, or None when size
-    is None: every entry is its own."""
-    return None if size is None else _own(size, x.shape[-1])
-
-
-def _owned(mask: np.ndarray, own) -> np.ndarray:
-    """mask at the own entries, False at the pad entries."""
-    return mask if own is None else mask & own
-
-
-def _any(bad: np.ndarray, own, axis=None):
-    """Whether bad holds at any own entry (of each row, with axis=-1)."""
-    return _owned(bad, own).any(axis=axis)
-
-
 def _on_own(g, x: np.ndarray, own) -> np.ndarray:
     """g at the own entries of x (T, ...), own broadcasting against x, and +0.0 at every pad
     entry, which g never sees.  g is a FunctionSpec, or one per row of x."""
-    if own is None:
-        return np.asarray(_apply_rows(g, x), dtype=float)
     own = np.broadcast_to(own, x.shape)
     out = np.zeros(x.shape)
     out[own] = _apply_rows(g, x[own], np.nonzero(own)[0])
@@ -150,24 +145,22 @@ def _on_own(g, x: np.ndarray, own) -> np.ndarray:
 
 def _quotient(x: np.ndarray, y: np.ndarray, own) -> np.ndarray:
     """x / y at the own entries, 0.0 at the pad entries."""
-    return x / y if own is None else np.divide(x, y, out=np.zeros(x.shape), where=own)
+    return np.divide(x, y, out=np.zeros(x.shape), where=own)
 
 
 def _extremes(x: np.ndarray, own):
     """Each row's least and largest own entry."""
-    if own is None:
-        return x.min(axis=-1), x.max(axis=-1)
     return np.where(own, x, np.inf).min(axis=-1), np.where(own, x, -np.inf).max(axis=-1)
 
 
-def _positive(g, values: np.ndarray, name: str, own=None) -> np.ndarray:
+def _positive(g, values: np.ndarray, name: str, own) -> np.ndarray:
     """g at each own entry of the sequences name (T, N), checked strictly positive (see
     _on_own).
 
     g is a FunctionSpec, or one per pair.
     """
     gv = _on_own(g, values, own)
-    if _any(gv <= 0.0, own):
+    if ((gv <= 0.0) & own).any():
         raise PreconditionError(f"g({name}_i) must be strictly positive for every i")
     return gv
 
@@ -177,9 +170,8 @@ def _active_sums(terms, active) -> np.ndarray:
 
     terms(sel) gives the terms at the entries [sel] only, so no function in
     them sees an inactive entry; an inactive entry adds 0.0 to its row's sum.
-    active None makes every entry active.
     """
-    if active is None or active.all():
+    if active.all():
         return terms(...).sum(axis=-1)
     out = np.zeros(active.shape)
     out[active] = terms(active)
@@ -188,7 +180,7 @@ def _active_sums(terms, active) -> np.ndarray:
 
 def _ratio_bounds(g, a: np.ndarray, b: np.ndarray, size=None):
     """m_g, M_g and the aggregate ratio sum g(a_i) / sum g(b_i) (T,) of T pairs (T, N)."""
-    own = _own_entries(a, size)
+    own = _own(size, a.shape[-1])
     gb = _positive(g, b, "b", own)
     ga = _on_own(g, a, own)
     return (*_extremes(_quotient(ga, gb, own), own), ga.sum(axis=-1) / gb.sum(axis=-1))
@@ -268,16 +260,16 @@ def _require_curvature(h_kind: str, f: FunctionSpec, lo, hi, template: str) -> N
 
 def _forward(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray, size=None):
     """lhs, rhs and gap (T,) of the forward inequality for T pairs of sequences a, b (T, N)."""
-    own = _own_entries(a, size)
+    own = _own(size, a.shape[-1])
     gb = _positive(g, b, "b", own)
     ga = _on_own(g, a, own)
     ratios = _quotient(ga, gb, own)
     zero = ga == 0.0
-    if _any(zero, own) and not f.zero_weight_term_vanishes():
+    if (zero & own).any() and not f.zero_weight_term_vanishes():
         raise DomainError(
             f"zero-weight terms are undefined for {f.label()}: x*f(x) does not vanish at 0"
         )
-    active = _owned(~zero, own)
+    active = ~zero & own
     sum_a, sum_b = ga.sum(axis=-1), gb.sum(axis=-1)
     lhs = _active_sums(lambda sel: ga[sel] * np.asarray(f(ratios[sel]), dtype=float), active)
     weighted = sum_a != 0.0
@@ -314,7 +306,7 @@ def generalized_log_sum_gap(
 
 def _reverse(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray, size=None):
     """lhs, rhs and gap (T,) of the reverse inequality for T pairs of sequences a, b (T, N)."""
-    own = _own_entries(a, size)
+    own = _own(size, a.shape[-1])
     ga = _positive(g, a, "a", own)
     gb = _positive(g, b, "b", own)
     _require_curvature(
@@ -349,11 +341,11 @@ _RATIONAL_RATIO_CAP = math.sqrt(6.0)
 
 def _rational_example(a: np.ndarray, b: np.ndarray, size=None):
     """lhs, rhs and gap (T,) of the rational example for T pairs of sequences a, b (T, N)."""
-    own = _own_entries(a, size)
-    if _any(a <= _RATIONAL_ENTRY_FLOOR, own) or _any(b <= _RATIONAL_ENTRY_FLOOR, own):
+    own = _own(size, a.shape[-1])
+    if (((a <= _RATIONAL_ENTRY_FLOOR) | (b <= _RATIONAL_ENTRY_FLOOR)) & own).any():
         raise PreconditionError("all entries must exceed sqrt(2/3)")
     r = _quotient(b, a, own)
-    if _any(r > _RATIONAL_RATIO_CAP, own) or _any(r <= _RATIONAL_ENTRY_FLOOR, own):
+    if (((r > _RATIONAL_RATIO_CAP) | (r <= _RATIONAL_ENTRY_FLOOR)) & own).any():
         raise PreconditionError(
             "each ratio b_i/a_i must lie in (sqrt(2/3), sqrt(6)] for the curvature "
             "hypotheses to hold on the whole ratio interval"
@@ -396,23 +388,23 @@ def _q_powers(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray, size=N
     rs = r.tolist()
     specs = {x: power_fn(x) for x in set(rs)}
     powers = [specs[x] for x in rs]
-    own = _own_entries(a, size)
-    values = _on_own(powers, np.stack([a, b], axis=1), None if own is None else own[:, None])
+    own = _own(size, a.shape[-1])
+    values = _on_own(powers, np.stack([a, b], axis=1), own[..., None, :])
     p, s = values[:, 0], values[:, 1]
-    if _any(s <= 0.0, own):
+    if ((s <= 0.0) & own).any():
         raise PreconditionError("b_i**r must be strictly positive for every i")
-    if _any(p < 0.0, own):
+    if ((p < 0.0) & own).any():
         raise PreconditionError("a_i**r must be nonnegative")
     return p, s, powers
 
 
 def _q_sums(p: np.ndarray, s: np.ndarray, q: np.ndarray, size=None):
     """lhs, rhs and gap (T,) of the deformed-log inequality from the powers p, s (T, N)."""
-    own = _own_entries(p, size)
+    own = _own(size, p.shape[-1])
     vanishing = ~(p > 0.0)
-    if _any(vanishing & (q >= 2.0)[:, None], own):
+    if (vanishing & (q >= 2.0)[:, None] & own).any():
         raise PreconditionError("zero entries are not extendable for q > 2")
-    active = _owned(~vanishing, own)
+    active = ~vanishing & own
     if not np.isfinite(q).all():
         QLogParams(float(q[~np.isfinite(q)][0]))  # raises the one-pair message
 

@@ -31,8 +31,8 @@ A's before B's, then commutation, then the scalar checks, and raises the
 one-pair message of the first failing pair.
 
 Each kernel takes size, the own size n of each pair of a padded stack (the
-harness pads every matrix of a size class to N as the direct sum A ⊕ I), or
-None for an unpadded one, as the public functions pass.  Every
+harness pads every matrix of a size class to N as the direct sum A ⊕ I); a
+public function passes none, and every slot is own (matfun._own).  Every
 decomposition whose eigenvalues a check reads takes the own sizes, so each
 matrix's eigenpairs come own-first (matfun._decompose).  The joint spectra
 (T, N) go to the scalar kernels with the same sizes, which read their own
@@ -70,17 +70,15 @@ from .matfun import (
     _gap_scale,
     _herm,
     _max_entry,
+    _own,
 )
 from .qlog import _check_positive, _q_log
 from .scalar import (
     InequalityVerdict,
     _active_sums,
-    _any,
     _forward,
     _on_own,
     _one,
-    _own_entries,
-    _owned,
     _positive,
     _q_powers,
     _q_sums,
@@ -114,17 +112,15 @@ def _one_trial(named: dict) -> list[np.ndarray]:
     return [M[None] for M in _checked(named)]
 
 
-def _trace(M: np.ndarray, own=None) -> np.ndarray:
-    """The real part of the trace of each matrix of a stack, over its own slots (T, N) when
-    own is given: the diagonal's complex sum, as np.trace adds it, with +0.0 for a pad slot."""
-    if own is None:
-        return np.trace(M, axis1=-2, axis2=-1).real
+def _trace(M: np.ndarray, own) -> np.ndarray:
+    """The real part of the trace of each matrix of a stack over its own slots: the diagonal's
+    complex sum, as np.trace adds it, with +0.0 for a pad slot."""
     return np.where(own, np.diagonal(M, axis1=-2, axis2=-1), 0.0).sum(axis=-1).real
 
 
 def _identity_pad(x: np.ndarray, own) -> np.ndarray:
     """Eigenvalues x (T, N) with 1.0 in every pad slot: a decomposition's pad is the identity."""
-    return x if own is None else np.where(own, x, 1.0)
+    return np.where(own, x, 1.0)
 
 
 def _own_pair(A: np.ndarray, B: np.ndarray, size, k: int):
@@ -260,7 +256,7 @@ def _product_path(f, g, dec_ga: SpectralDecomposition, B: np.ndarray, reverse: b
     picks within an eigenspace, so it takes no sizes.
     """
     size = dec_ga._size
-    own = _own_entries(dec_ga.eigenvalues, size)
+    own = _own(size, dec_ga.eigenvalues.shape[-1])
     dec_gb = _decompose(B, size=size).map(g)
     gA, gB = dec_ga.reconstruct(), dec_gb.reconstruct()
     num, den = (gB, dec_ga) if reverse else (gA, dec_gb)
@@ -272,11 +268,11 @@ def _product_path(f, g, dec_ga: SpectralDecomposition, B: np.ndarray, reverse: b
 def _trace_log_sums(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarray, size=None):
     """lhs, rhs and gap (T,) of the forward trace inequality for commuting stacks A, B."""
     dec_a, wb = _joint(A, B, size=size)
-    own = _own_entries(wb, size)
+    own = _own(size, wb.shape[-1])
     gb = _positive(g, wb, "b", own)
     ga = _on_own(g, dec_a.eigenvalues, own)
     sides = _forward(f, _IDENTITY, ga, gb, size)  # the forward inequality on the weights g(a), g(b)
-    rows = ~_any(_outside(_quotient(ga, gb, own), *f.domain()), own, axis=-1)
+    rows = ~(_outside(_quotient(ga, gb, own), *f.domain()) & own).any(axis=-1)
     if rows.any():
         lhs, rhs, A, B = sides[0][rows], sides[1][rows], A[rows], B[rows]
         size = None if size is None else size[rows]
@@ -314,11 +310,10 @@ def trace_log_sum_gap(
 def _exp_log_traces(A: np.ndarray, B: np.ndarray, size=None):
     """lhs, rhs and gap (T,) of the exponential-log corollary for commuting stacks A, B."""
     dec_a, wb = _joint(A, B, size=size)
-    wa, own = dec_a.eigenvalues, _own_entries(wb, size)
-    if _any(wa <= 0.0, own) or _any(wb <= 0.0, own):
+    wa, own = dec_a.eigenvalues, _own(size, wb.shape[-1])
+    if (((wa <= 0.0) | (wb <= 0.0)) & own).any():
         raise PreconditionError("both matrices must be positive definite")
-    if own is not None:
-        wa, wb = np.where(own, wa, 0.0), np.where(own, wb, 0.0)
+    wa, wb = np.where(own, wa, 0.0), np.where(own, wb, 0.0)
     a_log_a = _active_sums(lambda sel: wa[sel] * np.log(wa[sel]), own)
     lhs = a_log_a - _active_sums(lambda sel: wa[sel] * np.log(wb[sel]), own)
     sum_a, sum_b = wa.sum(axis=-1), wb.sum(axis=-1)
@@ -353,8 +348,7 @@ def _require_density(w: np.ndarray, what: str, size=None) -> None:
     lowest, scale = _gap_scale(w, size)
     ok = _holds(lowest, scale, PSD_CLAMP_RTOL)
     _require(ok, DomainError, "{} is not PSD (min eigenvalue {:.3e})", what, lowest)
-    own = _own_entries(w, size)
-    tr = (w if own is None else np.where(own, w, 0.0)).sum(axis=-1)
+    tr = np.where(_own(size, w.shape[-1]), w, 0.0).sum(axis=-1)
     ok = _holds(-np.abs(tr - 1.0), 1.0, DENSITY_TRACE_TOL)
     _require(ok, DomainError, "{} must have unit trace, got {!r}", what, tr)
 
@@ -368,8 +362,7 @@ def _relative_entropies(rho: np.ndarray, sigma: np.ndarray, size=None) -> np.nda
     dec_r, ws = _joint(rho, sigma, dec.unitary[:, 2], size)
     wr = np.clip(dec_r.eigenvalues, 0.0, None)
     ws = np.clip(ws, 0.0, None)
-    own = _own_entries(wr, size)
-    active = _owned(wr > SUPPORT_ATOL, own)
+    active = (wr > SUPPORT_ATOL) & _own(size, wr.shape[-1])
     if (active & (ws <= SUPPORT_ATOL)).any():
         raise SupportError("rho has weight outside sigma's support; divergence is infinite")
     return _active_sums(lambda sel: wr[sel] * (np.log(wr[sel]) - np.log(ws[sel])), active)
@@ -390,8 +383,7 @@ def _entropies(rho: np.ndarray, size=None) -> np.ndarray:
     w = _decompose(rho, size=size).eigenvalues
     _require_density(w, "rho", size)
     w = np.clip(w, 0.0, None)
-    own = _own_entries(w, size)
-    active = _owned(w > SUPPORT_ATOL, own)
+    active = (w > SUPPORT_ATOL) & _own(size, w.shape[-1])
     return -_active_sums(lambda sel: w[sel] * np.log(w[sel]), active)
 
 
@@ -408,8 +400,8 @@ def _q_traces(A: np.ndarray, B: np.ndarray, q: np.ndarray, r: np.ndarray, size=N
     dec_a, wb = _joint(A, B, size=size)
     p, s, powers = _q_powers(dec_a.eigenvalues, wb, q, r, size)
     sides = _q_sums(p, s, q, size)
-    own = _own_entries(p, size)
-    rows = ~_any(_outside(_quotient(p, s, own), *_Q_LOG.domain()), own, axis=-1)
+    own = _own(size, p.shape[-1])
+    rows = ~(_outside(_quotient(p, s, own), *_Q_LOG.domain()) & own).any(axis=-1)
     if rows.any():
         lhs, rhs, A, B, q = sides[0][rows], sides[1][rows], A[rows], B[rows], q[rows]
         size = None if size is None else size[rows]
@@ -445,7 +437,7 @@ def q_trace_gap(A, B, q: float, r: float, tol: float = DEFAULT_TOLERANCE) -> Ine
 def _reverse_traces(f: FunctionSpec, g: FunctionSpec, A: np.ndarray, B: np.ndarray, size=None):
     """lhs, rhs and gap (T,) of the reverse trace inequality for commuting stacks A, B."""
     dec_a, wb = _joint(A, B, size=size)
-    own = _own_entries(wb, size)
+    own = _own(size, wb.shape[-1])
     ga = _positive(g, dec_a.eigenvalues, "a", own)
     gb = _positive(g, wb, "b", own)
     sides = _reverse(f, _IDENTITY, ga, gb, size)  # the reverse inequality on the weights g(a), g(b)

@@ -482,6 +482,31 @@ def test_eval_grid_points_defaults_to_the_scalar_layers_constant():
     assert ast.unparse(entry.elts[1]) == "scalar.DEFAULT_GRID_POINTS"
 
 
+# Inputs whose sums overflow: reverse_log_sum_gap's sum(a) (rhs = inf * 0), ratio_bounds'
+# ratios a_i / b_i and q_log's x^(1-q).  A side, bound or value that is not finite is a
+# numeric failure, not a violation, and never a NaN or an infinity in eval's output, which
+# strict JSON cannot hold; the message names the verdict's sides, or else the op.
+_IDENTITY = {"family": "identity"}
+_OVERFLOWS = {
+    "reverse_log_sum_gap": (
+        {"f": _IDENTITY, "g": _IDENTITY, "pair": {"a": [1e308, 1e308], "b": [1.0, 1.0]}},
+        "the verdict is not finite: lhs 1.9999999999999998, rhs nan, gap nan",
+    ),
+    "ratio_bounds": (
+        {"g": _IDENTITY, "pair": {"a": [1e308, 1e308], "b": [1e-308, 1e-308]}},
+        "ratio_bounds gave a result that is not finite",
+    ),
+    "q_log": ({"x": 1e300, "q": -5}, "q_log gave a result that is not finite"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("op", sorted(_OVERFLOWS))
+def test_eval_result_that_is_not_finite_exits_three(tmp_path, capsys, op):
+    doc, message = _OVERFLOWS[op]
+    assert _eval(tmp_path, capsys, op, doc) == (3, "", f"numeric failure: {message}\n")
+
+
 def test_eval_non_object_document_exits_two(tmp_path, capsys):
     assert _eval(tmp_path, capsys, "q_log", [2.0, 0.5]) == (
         2,

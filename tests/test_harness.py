@@ -14,7 +14,13 @@ import pytest
 
 from logsumineq import generators as gen
 from logsumineq import harness, loewner, matfun, traceform
-from logsumineq.errors import DomainError, NumericError, _holds
+from logsumineq.errors import (
+    DomainError,
+    NumericError,
+    PreconditionError,
+    SupportError,
+    _holds,
+)
 from logsumineq.functions import identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from logsumineq.harness import (
     SUITES,
@@ -407,6 +413,36 @@ def test_a_refused_trial_is_named_by_its_seed(monkeypatch, entry, config):
     assert str(replay.value) == str(run.value)
 
 
+@pytest.mark.parametrize(
+    "module, name, value, suite, seed, refusal, message",
+    [
+        # a round-off mismatch of the split-matched totals
+        (loewner, "SUM_MATCH_RTOL", 0.0, "operator_shannon", 24, PreconditionError, "sum(A_i) "),
+        # sigma's least eigenvalues below a raised support floor where rho's are above it
+        (traceform, "SUPPORT_ATOL", 0.05, "relative_entropy", 3, SupportError, "rho has weight "),
+    ],
+)
+def test_a_refused_hypothesis_is_named_by_its_seed(
+    monkeypatch, module, name, value, suite, seed, refusal, message
+):
+    # a kernel's PreconditionError or DomainError on generated input is routed like a
+    # NumericError: it keeps its type, names the first refused trial by its seed, the trials
+    # before it hold, and a one-trial run of it replays the refusal
+    monkeypatch.setattr(module, name, value)
+    config = TrialConfig(suite=suite, trials=200, seed=seed, n=3, m=3)
+    with pytest.raises(refusal) as run:
+        run_suite(config)
+    assert type(run.value) is refusal
+    prefix = re.match(r"trial seed (\d+) \(n=\d\): ", str(run.value))
+    assert prefix and str(run.value)[prefix.end() :].startswith(message)
+    first = int(prefix[1])
+    assert first > seed
+    run_suite(replace(config, trials=first - seed))
+    with pytest.raises(refusal) as replay:
+        run_suite(replace(config, trials=1, seed=first))
+    assert str(replay.value) == str(run.value)
+
+
 def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
     # the recheck is the one caller that picks a solver other than eigh; a finding's recheck
     # is its padded one-trial Jacobi judge's, bit for bit, and at round-off from the unpadded
@@ -569,17 +605,15 @@ def test_each_trial_built_and_judged_alone_gives_its_run_verdict(monkeypatch, ru
             if draw is harness._IDENTITY_DRAW:
                 assert (gap, ok) == (0.0, True)
                 continue
-            N = harness._size_class(draw.n, config) if suite.pads else draw.n
+            N = harness._size_class(draw.n, config)
             built = suite.build(config, *harness._stacks([draw]))
-            if draw.n < N:
-                padded += 1
-                checks, scale = suite.judge(config, np.array([draw.n]), *harness._pad(built, N))
-            else:
-                checks, scale = suite.judge(config, None, *built)
+            padded += draw.n < N
+            checks, scale = suite.judge(config, np.array([draw.n]), *harness._pad(built, N))
             least = min(np.ravel(checks).tolist())  # the first least check, as Python takes it
             alone = bool(np.all(_holds(checks, scale, config.tolerance)))
             assert (least.hex(), alone) == (gap.hex(), ok), ts
-    assert recorded and (padded > 0) == SUITES.get(run, harness._rechecks).pads
+    # at n=3 every size pads to 3, and convexity_check's grid sizes, above n, pad to none
+    assert recorded and (padded > 0) == (run != "convexity_check")
 
 
 # How far a padded gap may move from the public one-trial residual's, in units of
@@ -675,7 +709,7 @@ def _runs(draws, cfg, suite):
 def _evaluated(stacked, trials, cfg):
     """The draws of trials 0..trials-1 that a suite judges, and the size class of each."""
     draws = [d for d in stacked.draws(range(trials), cfg) if d is not harness._IDENTITY_DRAW]
-    return draws, [harness._size_class(d.n, cfg) if stacked.pads else d.n for d in draws]
+    return draws, [harness._size_class(d.n, cfg) for d in draws]
 
 
 @pytest.mark.parametrize(
@@ -850,6 +884,19 @@ def test_size_class_pads_to_the_dimension_cap_of_eight():
     assert classes(3) == [3, 3, 3]
     assert classes(8) == [8] * 8
     assert classes(9) == list(range(1, 10))
+
+
+def test_each_convexity_grid_size_is_its_own_size_class():
+    # a grid size is not a dimension: _size_class keeps a size above config.n as it is, and
+    # TrialConfig caps n below the smallest grid size, so no grid is padded at any n
+    draws = SUITES["convexity_check"].draws(range(200), TrialConfig(suite="convexity_check"))
+    grids = sorted({d.n for d in draws})
+    assert grids == [101, 201]
+    with pytest.raises(DomainError):
+        TrialConfig(suite="convexity_check", n=grids[0] - 1)
+    for n_max in range(1, 65):
+        cfg = TrialConfig(suite="convexity_check", n=n_max)
+        assert [harness._size_class(n, cfg) for n in grids] == grids
 
 
 def test_pad_embeds_each_built_matrix_in_an_identity():
@@ -1084,7 +1131,7 @@ def test_commuting_suite_trials_equal_the_public_functions(monkeypatch, suite, n
     for ts, gap, holds in recorded:
         want_gap, want_holds, scale = _public_commuting_trial(suite, ts, cfg)
         trial_n = real.draws([ts], cfg)[0].n
-        N = harness._size_class(trial_n, cfg) if real.pads else trial_n
+        N = harness._size_class(trial_n, cfg)
         if suite in _TRACE_SUITES and trial_n < N:
             # a padded trace trial: the same verdict, its gap within round-off
             padded += 1
@@ -1235,7 +1282,6 @@ def test_sized_suites_judge_one_stack_per_size_class(monkeypatch, suite):
     # every n of a block with one size class is judged in one call: one class per block at
     # n=4, one per n above the cap; each n-group is built once, at its own n
     real = SUITES[suite]
-    assert real.pads
     calls = {"build": 0, "judge": 0}
 
     def counted(step):
@@ -1272,7 +1318,8 @@ def test_scalar_trials_keep_their_unpadded_bits_below_size_eight(suite, n):
     gaps, holds = harness._verdicts(draws, seeds, cfg, stacked)
     padded = 0
     for draw, gap, ok in zip(draws, gaps, holds):
-        checks, scale = stacked.judge(cfg, None, *stacked.build(cfg, *harness._stacks([draw])))
+        built = stacked.build(cfg, *harness._stacks([draw]))
+        checks, scale = stacked.judge(cfg, np.array([draw.n]), *built)
         assert bool(np.all(_holds(checks, scale, cfg.tolerance))) == ok
         least = min(np.ravel(checks).tolist())  # the first least check, as Python takes it
         padded += draw.n < n

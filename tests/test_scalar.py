@@ -227,8 +227,8 @@ def test_reverse_evaluates_g_once_per_sequence(monkeypatch):
 
     monkeypatch.setattr(FunctionSpec, "__call__", counted)
     reverse_log_sum_gap(log_fn(), identity_fn(), pair_of([2.0, 1.0], [1.0, 2.0]))
-    # once on a, then once on b, each as the one-pair stack (1, n) of the kernel
-    assert evaluated == [[[2.0, 1.0]], [[1.0, 2.0]]]
+    # once on a, then once on b, each on the own entries (n,) of the kernel's one-pair stack
+    assert evaluated == [[2.0, 1.0], [1.0, 2.0]]
 
 
 def test_reverse_checks_ga_before_gb():

@@ -13,6 +13,7 @@ from logsumineq.functions import identity_fn, log_fn, power_fn
 from logsumineq.generators import rand_commuting_pair, rand_density, rand_density_pair, rand_unitary
 from logsumineq.matfun import (
     _decompose,
+    _own,
     apply_function,
     hermitize,
     make_commuting_pair,
@@ -134,6 +135,19 @@ def test_joint_spectrum_accepts_a_near_commuting_pair_that_b_splits():
 
 
 # -- forward trace inequality ----------------------------------------------------
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+def test_trace_over_every_own_slot_is_numpys_trace(N):
+    # a public call has every slot own, and takes the masked sum of the diagonal: the bits of
+    # np.trace, over the whole stack and for each matrix as a one-matrix stack
+    rng = np.random.default_rng(N)
+    M = rng.standard_normal((50, N, N)) + 1j * rng.standard_normal((50, N, N))
+    M *= 10.0 ** rng.uniform(-8, 8, (50, N, 1))
+    own = _own(None, N)
+    for stack in (M, *M[:, None]):
+        want = np.trace(stack, axis1=-2, axis2=-1).real
+        assert traceform._trace(stack, own).tobytes() == want.tobytes()
 
 
 def test_trace_frozen_gap():
