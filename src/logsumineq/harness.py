@@ -15,9 +15,11 @@ each block of consecutive trial seeds to the suite.
   its stream (after _size's bounded integer, consecutive uniforms in one
   random(k) call and consecutive Gaussians in one standard_normal call), and
   returns what they give in draw order (_Draw).  It picks a function spec
-  where it draws one and does no other arithmetic.  _Suite.draws seeds a
-  block at once (_rngs), and every bounded integer of a trial is _bounded's,
-  numpy's integers replayed from the raw words.
+  where it draws one and does no other arithmetic, except the search's
+  confirmation's (_rechecks), which replays a candidate the search keeps
+  built.  _Suite.draws seeds a block at once (_rngs), and every bounded
+  integer of a trial is _bounded's, numpy's integers replayed from the raw
+  words.
 - build(config, *stacks) maps an n-group's stacked draws (_stacks; a
   family's members on one flat member axis beside each trial's m) to its
   instance at its own n, bit for bit as the public generators build each
@@ -44,10 +46,12 @@ one expression on equal bits, and the residual is the zero matrix.  Its
 draw stops after m (_identity) and returns _IDENTITY_DRAW, which _verdicts
 judges at gap 0.0 and scale 1.0 without a build or judge.  sum_fb,
 pooled_mean and operator_shannon draw in full: at one member their residual
-is round-off, not zero.  Search-mode candidates keep the draws of their
-first pass and are re-verified through the independent Jacobi eigensolver
-at a tightened absolute tolerance before they are reported as findings:
-_rechecks is the perspective-sum suite with the Jacobi judge _recheck_gaps.
+is round-off, not zero.  Search-mode candidates keep the instances their
+first pass built (_instance: copies of their members, so no block's stack
+outlives its block) and are re-verified through the independent Jacobi
+eigensolver at a tightened absolute tolerance before they are reported as
+findings: _rechecks judges the kept instances as drawn with the Jacobi judge
+_recheck_gaps, so no candidate is built twice.
 """
 
 from __future__ import annotations
@@ -578,6 +582,23 @@ def _sum_residuals(config: TrialConfig, size, m, As, Bs, fs, solver: str = "eigh
     return _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, tol, solver, size)
 
 
+def _instance(draw: _Draw, built, t: int, end: int) -> _Draw:
+    """Trial t of an n-group's perspective-sum build (m, As, Bs, fs), whose members end at
+    row end, as the draw of its instance: m, its A members, its B members and f.  The members
+    are copies, never views, so a kept instance holds no stack of its block."""
+    m, As, Bs, fs = built
+    rows = slice(end - draw.values[0], end)
+    return _Draw(draw.n, (draw.values[0], tuple(As[rows].copy()), tuple(Bs[rows].copy()), fs[t]))
+
+
+def _sum_instance(rng, config: TrialConfig) -> _Draw:
+    """A perspective-sum trial drawn and built alone, as the search keeps a candidate."""
+    draw = _sum_draw(rng, config)
+    if draw is _IDENTITY_DRAW:
+        return draw
+    return _instance(draw, _sum_build(config, *_stacks([draw])), 0, draw.values[0])
+
+
 def _recheck_gaps(config: TrialConfig, size, *built):
     """The search's confirmation: each candidate's minimum eigenvalue through the Jacobi
     solver, at scale 1.  _sum_residuals is looked up here, at call time."""
@@ -762,7 +783,7 @@ class _Suite(NamedTuple):
         return _verdicts(self.draws(seeds, config), seeds, config, self)
 
 
-def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite):
+def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite, builds=None):
     """(positions in draws, suite's gaps and scales) of each size class of draws.
 
     A class holds the draws of every n with one _size_class; its positions
@@ -771,7 +792,8 @@ def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite):
     times its class's draws.  So a class whose stacks, counted at the class
     size, take more than _BLOCK_BYTES // config.n bytes is evaluated in runs
     of consecutive positions that fit (a larger trial runs alone).  Classes
-    and runs are bitwise independent stacks.
+    and runs are bitwise independent stacks.  With a list builds, each
+    n-group's (positions, build at its own n) is appended to it as it is built.
     """
     by_n: dict[int, list[int]] = {}
     for k, d in enumerate(draws):
@@ -786,8 +808,11 @@ def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite):
             groups = [_stacks([draws[k] for k in ks]) for ks in runs]
         positions = [k for ks in runs for k in ks]
         size = np.repeat([draws[ks[0]].n for ks in runs], [len(ks) for ks in runs])
-        built = [_pad(suite.build(config, *stacks), N) for stacks in groups]
-        return positions, suite.judge(config, size, *map(_joined, zip(*built)))
+        built = [suite.build(config, *stacks) for stacks in groups]
+        if builds is not None:
+            builds.extend(zip(runs, built))
+        padded = [_pad(values, N) for values in built]
+        return positions, suite.judge(config, size, *map(_joined, zip(*padded)))
 
     budget = _BLOCK_BYTES // config.n
     for N, sizes in classes.items():
@@ -815,7 +840,7 @@ def _by_n(run: list[int], draws: list[_Draw]) -> list[list[int]]:
     return [list(ks) for _, ks in itertools.groupby(run, key=lambda k: draws[k].n)]
 
 
-def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, suite: _Suite):
+def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, suite: _Suite, builds=None):
     """Gap and holds flag of each trial, as Python lists: the one place a trial is judged.
 
     draws are the trials seeded seeds, judged a size class at a time
@@ -823,11 +848,12 @@ def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, suite: _Suite):
     at scale 1.0.  A trial holds when every check does (_holds), and its gap
     is its least check, the first on ties.  A refusal (_REFUSALS), which may
     name a row or matrix of a class's stack, is raised as the first refused
-    trial's (_first_refused).
+    trial's (_first_refused).  Given an empty list builds, the search's first
+    pass gets each n-group's (positions in draws, build) in it.
     """
     gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
     evaluated = [k for k, d in enumerate(draws) if d is not _IDENTITY_DRAW]
-    groups = _grouped([draws[k] for k in evaluated], config, suite)
+    groups = _grouped([draws[k] for k in evaluated], config, suite, builds)
     try:
         judged = [([evaluated[k] for k in ks], gap_scale) for ks, gap_scale in groups]
     except _REFUSALS as exc:
@@ -836,6 +862,8 @@ def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, suite: _Suite):
     if len(evaluated) < len(draws):
         identities = [k for k, d in enumerate(draws) if d is _IDENTITY_DRAW]
         judged.append((identities, (np.zeros(len(identities)), 1.0)))
+    if builds is not None:  # from positions among the evaluated draws to positions in draws
+        builds[:] = [([evaluated[k] for k in ks], built) for ks, built in builds]
     for ks, (gap, scale) in judged:
         gaps[ks] = functools.reduce(_min, gap.reshape(len(ks), -1).T)
         holds[ks] = _holds(gap, scale, config.tolerance).reshape(len(ks), -1).all(axis=-1)
@@ -852,13 +880,32 @@ def _first_refused(exc: Exception, trials, config: TrialConfig, suite: _Suite) -
     refuses judged alone: of that refusal's type, its message prefixed by the trial's seed; exc
     itself if none is.  A trial's arithmetic does not depend on the rest of its stack, so
     run_suite or counterexample_search of replace(config, trials=1, seed=seed) replays the
-    refusal."""
-    for draw, seed in trials:
+    refusal, and a prefix of trials refuses exactly when one of its trials does: the first
+    refused trial is the last of the shortest refusing prefix, found by bisection from the
+    whole of trials, whose stack gave exc (at most ceil(log2 T) prefix judges, then one alone
+    unless that prefix is the trial alone).
+    """
+
+    def refusal(prefix):
         try:
-            list(_grouped([draw], config, suite))
-        except _REFUSALS as lone:
-            return type(lone)(f"trial seed {seed} (n={draw.n}): {lone}")
-    return exc
+            list(_grouped([draw for draw, _ in prefix], config, suite))
+        except _REFUSALS as refused:
+            return refused
+        return None
+
+    # the longest prefix known to hold, and the shortest known to refuse with its refusal
+    holds, refuses, refused = 0, len(trials), exc
+    while refuses - holds > 1:
+        mid = (holds + refuses) // 2
+        found = refusal(trials[:mid])
+        if found is None:
+            holds = mid
+        else:
+            refuses, refused = mid, found
+    draw, seed = trials[refuses - 1]
+    if refuses > 1:
+        refused = refusal([(draw, seed)])
+    return exc if refused is None else type(refused)(f"trial seed {seed} (n={draw.n}): {refused}")
 
 
 def _loewner(draw, build, residuals) -> _Suite:
@@ -872,8 +919,9 @@ def _loewner(draw, build, residuals) -> _Suite:
 
 
 _perspective_sum_verdicts = _loewner(_sum_draw, _sum_build, _sum_residuals)
-# The search's confirmation: the perspective-sum suite, judged through the Jacobi solver.
-_rechecks = _perspective_sum_verdicts._replace(judge=_recheck_gaps)
+# The search's confirmation: the perspective-sum instances its first pass built, taken as drawn
+# and judged through the Jacobi solver.  Its draw builds a trial from its seed, for replays.
+_rechecks = _Suite(_sum_instance, _as_drawn, _recheck_gaps)
 _COMMUTING = _sized(gen._draw_commuting)
 
 SUITES = {
@@ -969,11 +1017,12 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
     if config.family_kind != "contractive":
         raise DomainError("counterexample_search requires family_kind='contractive'")
     start = time.perf_counter()
-    findings, candidates = [], []  # candidates: (index, seed, first residual, draw)
+    findings, candidates = [], []  # candidates: (index, seed, first residual, instance)
     block = _block(config)
 
     def confirm(chunk):
-        """Re-verify a chunk of candidates through the Jacobi solver, one stack per group."""
+        """Re-verify a chunk of candidates' kept instances through the Jacobi solver, one stack
+        per size class."""
         draws, seeds = [draw for *_, draw in chunk], [ts for _, ts, *_ in chunk]
         rechecks = _verdicts(draws, seeds, replace(config, tolerance=RECHECK_ABS_TOL), _rechecks)
         for (index, ts, min_eig, draw), recheck, ok in zip(chunk, *rechecks):
@@ -992,12 +1041,20 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
                 )
 
     def first_pass(seeds, config):
-        """The block's verdicts; its failing trials join the candidates with their draws."""
-        draws = _perspective_sum_verdicts.draws(seeds, config)
-        min_eigs, holds = _verdicts(draws, seeds, config, _perspective_sum_verdicts)
-        for ts, draw, min_eig, ok in zip(seeds, draws, min_eigs, holds):
-            if not ok:
-                candidates.append(((ts - config.seed) % _SEED_MOD, ts, min_eig, draw))
+        """The block's verdicts; its failing trials join the candidates, in trial order, with
+        the instances this pass built."""
+        draws, builds = _perspective_sum_verdicts.draws(seeds, config), []
+        min_eigs, holds = _verdicts(draws, seeds, config, _perspective_sum_verdicts, builds)
+        kept = {}
+        for ks, built in builds:
+            end = 0
+            for t, k in enumerate(ks):
+                end += draws[k].values[0]  # the trial's m: its members end at row end
+                if not holds[k]:
+                    kept[k] = _instance(draws[k], built, t, end)
+        for k in sorted(kept):
+            ts = seeds[k]
+            candidates.append(((ts - config.seed) % _SEED_MOD, ts, min_eigs[k], kept[k]))
         while len(candidates) >= block:
             confirm(candidates[:block])
             del candidates[:block]

@@ -41,8 +41,9 @@ an independent numerical route; keep the two code paths distinct.  Only
 spectral_decompose and the private _decompose take the choice; every other
 function here uses "eigh".  The sweep holds each matrix H and its
 accumulated unitary U as one (2n, n) array, H on rows :n and U on rows n:,
-so that one column rotation turns both; a pair is rotated and fixed
-without a mask only when every live matrix of the stack turns it.
+so that one column rotation turns both, in place.  No step is masked: a pair
+that only some live matrices turn is rotated on that subset alone, gathered
+and written back.
 """
 
 from __future__ import annotations
@@ -325,18 +326,40 @@ def _frobenius(H: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
 
 
-def _rotate(X: np.ndarray, p: int, q: int, c, a, b, turn=None) -> None:
-    """Columns p, q of each matrix: x_p <- c x_p - a x_q, x_q <- b x_p + c x_q.
+def _rotate(X: np.ndarray, p: int, q: int, c, a, b) -> None:
+    """Columns p, q of each matrix, in place: x_p <- c x_p - a x_q, x_q <- b x_p + c x_q.
 
-    With a turn mask only the matrices where turn is True rotate; the others
-    keep their bits, because an identity rotation is not a no-op: x - 0*y
-    turns -0.0 into +0.0.
+    The three products are taken first; x_q then becomes c x_q + b x_p, the
+    same bits as b x_p + c x_q, since addition commutes exactly.
     """
     x_p, x_q = X[:, :, p], X[:, :, q]
-    new_p, new_q = c * x_p - a * x_q, b * x_p + c * x_q
-    if turn is not None:
-        new_p, new_q = np.where(turn, new_p, x_p), np.where(turn, new_q, x_q)
-    X[:, :, p], X[:, :, q] = new_p, new_q
+    c_p, a_q, b_p = c * x_p, a * x_q, b * x_p
+    x_q *= c
+    x_q += b_p
+    np.subtract(c_p, a_q, out=x_p)
+
+
+def _turn(W: np.ndarray, p: int, q: int, beta: np.ndarray) -> None:
+    """One Jacobi step on pair (p, q) of every matrix of a contiguous (K, 2n, n) sweep array,
+    whose H (rows :n) has |H[p, q]| = beta above its floor: H <- J† H J and U <- U J with
+    J[p,p] = c, J[p,q] = s phi, J[q,p] = -s conj(phi), J[q,q] = c."""
+    n = W.shape[-1]
+    H = W[:, :n]
+    phi = H[:, p, q] / beta
+    tau = (H[:, q, q].real - H[:, p, p].real) / (2.0 * beta)
+    # 1/(tau + sqrt(1 + tau^2)) for tau >= 0, else -1/(-tau + sqrt(1 + tau^2))
+    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    s_phi, s_conj = (s * phi)[:, None], (s * np.conj(phi))[:, None]
+    c = c[:, None]
+    _rotate(W, p, q, c, s_conj, s_phi)
+    _rotate(H.swapaxes(-1, -2), p, q, c, s_phi, s_conj)
+    # On each flattened matrix, H[p, q] and H[q, p] lie (q - p)(n - 1) entries apart, and
+    # H[p, p] and H[q, q] (q - p)(n + 1): zero the pair, and the imaginary parts of its diagonal.
+    flat = W.reshape(len(W), -1)
+    flat[:, p * n + q : q * n + p + 1 : (q - p) * (n - 1)] = 0.0
+    flat.imag[:, p * (n + 1) : q * (n + 1) + 1 : (q - p) * (n + 1)] = 0.0
 
 
 def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
@@ -351,9 +374,11 @@ def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
 
     The sweep holds the live matrices as one (K, 2n, n) array W, H on rows
     :n and the accumulated unitary U on rows n:, so that one column rotation
-    of W turns both.  A pair that every live matrix turns is rotated and
-    fixed with plain slices; only a pair that some of them skip takes the
-    masked form.
+    of W turns both.  A pair that every live matrix turns is rotated on W in
+    place; a pair that only some of them turn (a padded matrix never turns a
+    pair across its pad) is rotated on that subset, gathered and written back.
+    No step is masked: a matrix that skips a pair keeps its bits, which an
+    identity rotation would not (x - 0*y turns -0.0 into +0.0).
     """
     H = _require_hermitian(A, "jacobi input", stack=True)
     shape, n = H.shape, H.shape[-1]
@@ -384,7 +409,6 @@ def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
                 f"jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
                 f"(n={n}, offdiag={offdiag[0]:.3e}, maxnorm={maxnorm(H[0]):.3e})"
             )
-        HT = H.swapaxes(-1, -2)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = H[:, p, q]
@@ -392,27 +416,14 @@ def jacobi_eigh(A) -> tuple[np.ndarray, np.ndarray]:
                 # bitwise the scalar abs of a one-matrix sweep.
                 beta = np.hypot(apq.real, apq.imag)
                 turn = beta > floor
-                every = turn.all()
-                if not every:
-                    if not turn.any():
-                        continue
-                    beta = np.where(turn, beta, 1.0)
-                phi = apq / beta
-                tau = (H[:, q, q].real - H[:, p, p].real) / (2.0 * beta)
-                # 1/(tau + sqrt(1 + tau^2)) for tau >= 0, else -1/(-tau + sqrt(1 + tau^2))
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- J† A J and U <- U J with J[p,p]=c, J[p,q]=s*phi,
-                # J[q,p]=-s*conj(phi), J[q,q]=c
-                s_phi, s_conj = (s * phi)[:, None], (s * np.conj(phi))[:, None]
-                c = c[:, None]
-                cols, sel = (None, slice(None)) if every else (turn[:, None], turn)
-                _rotate(W, p, q, c, s_conj, s_phi, cols)
-                _rotate(HT, p, q, c, s_phi, s_conj, cols)
-                H[sel, p, q] = H[sel, q, p] = 0.0
-                H[sel, p, p] = H[sel, p, p].real
-                H[sel, q, q] = H[sel, q, q].real
+                turning = np.count_nonzero(turn)
+                if turning == len(turn):
+                    _turn(W, p, q, beta)
+                elif turning:
+                    some = np.flatnonzero(turn)
+                    turned = W[some]
+                    _turn(turned, p, q, beta[some])
+                    W[some] = turned
         sweeps += 1
     order = np.argsort(w, axis=-1, kind="stable")
     rows = np.arange(K)[:, None]

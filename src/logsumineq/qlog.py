@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 __all__ = [
     "QLogParams",
@@ -69,8 +69,11 @@ def _q_log(arr: np.ndarray, q) -> np.ndarray:
 
 
 def q_log(x, params: QLogParams):
-    """Evaluate qlog(x).  Accepts scalars or arrays of positive reals."""
+    """Evaluate qlog(x).  Accepts scalars or arrays of positive reals.  A result that is not
+    finite (x**(1 - q) overflowed) is a NumericError."""
     out = _q_log(_check_positive("x", x), params.q)
+    if not np.isfinite(out).all():
+        raise NumericError("q_log gave a result that is not finite")
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 

@@ -189,9 +189,12 @@ def _ratio_bounds(g, a: np.ndarray, b: np.ndarray, size=None):
 def ratio_bounds(g: FunctionSpec, pair: SequencePair) -> RatioBounds:
     """Extremes of the pointwise ratio set g(a_i)/g(b_i).
 
-    Requires every g(b_i) > 0 so the ratios are well defined.
+    Requires every g(b_i) > 0 so the ratios are well defined.  A bound that is
+    not finite (a ratio that overflowed) is a NumericError.
     """
     m_g, M_g, _ = _ratio_bounds(g, *_stack(pair))
+    if not np.isfinite([m_g[0], M_g[0]]).all():
+        raise NumericError("ratio_bounds gave a result that is not finite")
     return RatioBounds(float(m_g[0]), float(M_g[0]))
 
 

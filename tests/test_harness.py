@@ -315,8 +315,8 @@ def test_stacked_search_residuals_equal_one_trial_runs(monkeypatch, lhs_form):
     recorded = []
     real = harness._verdicts
 
-    def recording(draws, seeds, config, suite):
-        min_eigs, holds = real(draws, seeds, config, suite)
+    def recording(draws, seeds, config, suite, *builds):
+        min_eigs, holds = real(draws, seeds, config, suite, *builds)
         if suite is harness._perspective_sum_verdicts:  # the first pass, not the confirmation
             recorded.extend(min_eigs)
         return min_eigs, holds
@@ -478,10 +478,148 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
             assert w[0].min() == alone
 
 
+def test_the_confirmation_judges_the_first_pass_instances_without_building(monkeypatch):
+    # the candidates keep their first-pass instances: the confirmation runs no qr and no build,
+    # and still takes one Jacobi stack per kernel step and size class of each chunk
+    cfg = _search_config("sum_fb", 300)
+    candidates = [ts for _, ts, _ in harness._run(cfg, harness._perspective_sum_verdicts)[2]]
+    stacked = harness._perspective_sum_verdicts
+    classes, _ = _classes_and_groups(stacked, cfg, candidates, harness._block(cfg))
+    confirming, calls = [False], {"qr": 0, "_families": 0, "_sum_build": 0, "jacobi_eigh": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += confirming[0]
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [
+        (np.linalg, "qr"),
+        (harness, "_families"),
+        (harness, "_sum_build"),
+        (matfun, "jacobi_eigh"),
+    ]:
+        counting(module, name)
+    real = harness._verdicts
+
+    def verdicts(draws, seeds, config, suite, *builds):
+        confirming[0] = suite is harness._rechecks
+        try:
+            return real(draws, seeds, config, suite, *builds)
+        finally:
+            confirming[0] = False
+
+    monkeypatch.setattr(harness, "_verdicts", verdicts)
+    assert counterexample_search(cfg).findings
+    assert calls == {"qr": 0, "_families": 0, "_sum_build": 0, "jacobi_eigh": 3 * classes}
+
+
+def test_a_kept_candidate_shares_no_memory_with_its_blocks_stacks(monkeypatch):
+    # a candidate's members are copies of its rows of its n-group's build, so a chunk holds no
+    # stack of the blocks its candidates came from
+    stacks, kept = [], []
+    real = harness._verdicts
+
+    def recording(draws, seeds, config, suite, *builds):
+        gaps, holds = real(draws, seeds, config, suite, *builds)
+        if suite is harness._rechecks:
+            kept.extend(draws)
+        else:
+            stacks.extend(v for _, built in builds[0] for v in built if isinstance(v, np.ndarray))
+        return gaps, holds
+
+    monkeypatch.setattr(harness, "_verdicts", recording)
+    assert counterexample_search(_search_config("sum_fb", 300)).findings
+    assert kept and stacks
+    for draw in kept:
+        m, As, Bs, _ = draw.values
+        assert len(As) == len(Bs) == m
+        for member in (*As, *Bs):
+            assert not any(np.shares_memory(member, stack) for stack in stacks)
+
+
+def test_a_refused_recheck_is_named_by_its_seed(monkeypatch):
+    # the Jacobi twin of test_a_refused_trial_is_named_by_its_seed: the confirmation's solver
+    # mixes every padded matrix's eigenvectors across its pad, the search's refusal names the
+    # first padded candidate by its seed, and a one-trial search of it replays the refusal
+    real = matfun.jacobi_eigh
+    mixing = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+
+    def crossing(H):
+        w, U = real(H)
+        padded = ~H[..., -1, :-1].any(axis=-1)  # a last row off the diagonal of zeros
+        U[padded] = U[padded] @ mixing
+        return w, U
+
+    monkeypatch.setattr(matfun, "jacobi_eigh", crossing)
+    config = _search_config("sum_fb", 60, seed=1101)
+    candidates = [ts for _, ts, _ in harness._run(config, harness._perspective_sum_verdicts)[2]]
+    draws = harness._perspective_sum_verdicts.draws(candidates, config)
+    first = next((ts, d.n) for ts, d in zip(candidates, draws) if d.n < 3)
+    assert first[0] != candidates[0]  # a full-size candidate comes first and is not refused
+    with pytest.raises(NumericError) as run:
+        counterexample_search(config)
+    assert str(run.value).startswith("trial seed {} (n={}): eigenvector ".format(*first))
+    assert "stacked matrix" in str(run.value.__cause__)
+    with pytest.raises(NumericError) as replay:
+        counterexample_search(replace(config, trials=1, seed=first[0]))
+    assert str(replay.value) == str(run.value)
+
+
+@pytest.mark.parametrize("trials, n", [(2000, 3), (300, 10)])  # n=10: above the pad cap
+def test_each_finding_is_rechecked_as_its_trial_judged_alone(trials, n):
+    # across chunks and above the pad cap, each finding's recheck is its trial drawn, built and
+    # judged alone through the Jacobi solver, bit for bit
+    cfg = replace(_search_config("sum_fb", trials), n=n)
+    candidates = len(harness._run(cfg, harness._perspective_sum_verdicts)[2])
+    if n == 3:
+        assert candidates > 2 * harness._block(cfg)  # at least 3 chunks
+    rep = counterexample_search(cfg)
+    assert rep.findings
+    recheck = replace(cfg, tolerance=harness.RECHECK_ABS_TOL)
+    for finding in rep.findings:
+        _, alone = _judged_alone(harness._rechecks, recheck, finding["seed"])
+        assert alone == finding["recheck_min_eigenvalue"], finding["seed"]
+
+
+def test_the_first_refused_trial_of_a_block_is_found_by_bisection(monkeypatch):
+    # a judge that refuses exactly the stacks holding one late trial of a 256-trial block:
+    # the refusal keeps its type, names that trial by its seed and replays alone, after at
+    # most ceil(log2 T) prefix judges and one judge of the trial alone
+    config = TrialConfig(suite="operator_jensen", trials=256, seed=5, n=3)
+    assert harness._block(config) == 256
+    stacked = SUITES["operator_jensen"]
+    chosen = config.seed + 200
+    draw = stacked.draws([chosen], config)[0]
+    N = harness._size_class(draw.n, config)
+    C = harness._pad(stacked.build(config, *harness._stacks([draw])), N)[0]
+    judges = []
+
+    def judge(config, size, *built):
+        judges.append(len(size))
+        if (built[0] == C).all(axis=(-2, -1)).any():
+            raise PreconditionError("the chosen trial refused")
+        return stacked.judge(config, size, *built)
+
+    monkeypatch.setitem(SUITES, "operator_jensen", stacked._replace(judge=judge))
+    with pytest.raises(PreconditionError) as run:
+        run_suite(config)
+    assert type(run.value) is PreconditionError
+    assert str(run.value) == f"trial seed {chosen} (n={draw.n}): the chosen trial refused"
+    assert judges[0] == 256 and len(judges) - 1 <= math.ceil(math.log2(256)) + 1
+    assert judges[-1] == 1
+    with pytest.raises(PreconditionError) as replay:
+        run_suite(replace(config, trials=1, seed=chosen))
+    assert str(replay.value) == str(run.value)
+
+
 @pytest.mark.parametrize("run", [*sorted(SUITES), "search perspective_sum", "search sum_fb"])
 def test_each_trial_draws_from_one_rng_of_its_trial_seed(monkeypatch, run):
     # trial i of seed s draws from the stream (s + i) mod 2**64, here across the
-    # wrap; the search's recheck reuses the candidates' first-pass draws
+    # wrap; the search's recheck judges the instances its first pass built
     seeds = []
     real = harness._rngs
 
@@ -587,8 +725,8 @@ def test_each_trial_built_and_judged_alone_gives_its_run_verdict(monkeypatch, ru
     recorded = []
     real = harness._verdicts
 
-    def recording(draws, seeds, config, suite):
-        gaps, holds = real(draws, seeds, config, suite)
+    def recording(draws, seeds, config, suite, *builds):
+        gaps, holds = real(draws, seeds, config, suite, *builds)
         recorded.append((suite, config, seeds, gaps, holds))
         return gaps, holds
 

@@ -749,6 +749,21 @@ def test_only_the_padded_matrices_of_a_stack_are_reordered_own_first():
     assert reordered > 0
 
 
+@pytest.mark.parametrize("N", [3, 8])
+def test_a_padded_jacobi_stack_gives_each_matrix_its_scalar_bits(N):
+    # A ⊕ I with own sizes 1..N in one stack: a padded matrix never turns a pair across its pad,
+    # so those pairs rotate only the subset that turns them; each matrix gets the one-matrix
+    # sweep's bits, alone and stacked
+    rng = np.random.default_rng(40 + N)
+    H = np.concatenate([_padded(_members(rng, n, 2), N, np.ones(8)) for n in range(1, N + 1)])
+    w, V = jacobi_eigh(H)
+    for k in range(len(H)):
+        w0, V0 = _scalar_jacobi(H[k])
+        w1, V1 = jacobi_eigh(H[k])
+        assert _same_bits(w1, w0) and _same_bits(V1, V0), k
+        assert _same_bits(w[k], w0) and _same_bits(V[k], V0), k
+
+
 def test_an_eigenvector_across_the_pad_is_refused(monkeypatch):
     # trials 2 and 3 of a stack get one eigenvector rotated across their pad: the first is named
     rng = np.random.default_rng(3)

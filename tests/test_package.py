@@ -3,13 +3,17 @@ and where each check's tolerance is pinned."""
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 import logsumineq
 
 SRC = Path(logsumineq.__file__).parent
 BOUNDARIES = Path(__file__).with_name("test_boundaries.py")
+ROOT = Path(__file__).resolve().parents[1]
 _NOQA = re.compile(r"#\s*noqa: F401\s*\S")  # a marker followed by its reason
 
 
@@ -97,3 +101,34 @@ def test_every_named_tolerance_is_written_out_in_the_boundary_tests():
                 unpinned.append(f"{path.name}:{line} {name} = {value!r}")
     assert literal == [] and unpinned == []
     assert constants >= 10
+
+
+def _benchmark_runs(doc):
+    """Every run of the benchmark in a trajectory document, at any depth: a mapping that names
+    its workload and summarizes its pairs.  A run of another command names no workload."""
+    if isinstance(doc, dict):
+        if "workload" in doc and "summary" in doc:
+            yield doc
+        for value in doc.values():
+            yield from _benchmark_runs(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _benchmark_runs(value)
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_a_trajectory_file_claims_a_benchmark_metric_over_ten_pairs(path):
+    # a BENCH_*.json file claims an end-to-end metric of BENCHMARK.json on one of its
+    # workloads, its benchmark runs summarize only such metrics, and it ran the claimed
+    # workload on one seed in at least ten pairs
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {workload["name"] for workload in benchmark["workloads"]}
+    metrics = {metric["name"] for metric in benchmark["end_to_end"]}
+    doc = json.loads(path.read_text())
+    claim = doc["claim"]
+    assert claim["workload"] in workloads and claim["metric"] in metrics
+    runs = list(_benchmark_runs(doc))
+    assert runs and all(run["workload"] in workloads for run in runs)
+    assert all(set(run["summary"]) <= metrics for run in runs)
+    claimed = [run for run in runs if run["workload"] == claim["workload"]]
+    assert any(len(run["pairs"]) >= 10 and "seed" in run for run in claimed)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsumineq.errors import DomainError
+from logsumineq.errors import DomainError, NumericError
 from logsumineq.qlog import QLogParams, q_log, q_log_product, q_log_quotient, q_log_reciprocal
 
 # Orders stay clear of the q = 1 substitution window unless a test targets it.
@@ -71,6 +71,23 @@ def test_rejects_nonpositive_argument():
 def test_rejects_non_finite_order():
     with pytest.raises(DomainError):
         QLogParams(np.inf)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: q_log(1e300, p),
+        lambda p: q_log(np.array([2.0, 1e300]), p),
+        lambda p: q_log_product(1e300, 2.0, p),
+        lambda p: q_log_quotient(2.0, 1e300, p),
+    ],
+    ids=["scalar", "array", "product", "quotient"],
+)
+def test_a_result_that_is_not_finite_is_refused(call):
+    # (1e300)**6 overflows: a library caller is refused, as eval's output is
+    with pytest.raises(NumericError, match=r"^q_log gave a result that is not finite$"):
+        call(QLogParams(-5.0))
 
 
 def test_array_evaluation_matches_scalar():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logsumineq.errors import DomainError, PreconditionError
+from logsumineq.errors import DomainError, NumericError, PreconditionError
 from logsumineq.functions import (
     FunctionSpec,
     identity_fn,
@@ -70,6 +70,13 @@ def test_ratio_bounds_square_map():
 def test_ratio_bounds_requires_positive_gb():
     with pytest.raises(PreconditionError):
         ratio_bounds(identity_fn(), pair_of([1.0], [0.0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_ratio_bounds_refuses_a_bound_that_is_not_finite():
+    # 1e308 / 1e-308 overflows: a library caller is refused, as eval's output is
+    with pytest.raises(NumericError, match=r"^ratio_bounds gave a result that is not finite$"):
+        ratio_bounds(identity_fn(), pair_of([1e308, 1e308], [1e-308, 1e-308]))
 
 
 @settings(max_examples=200)
