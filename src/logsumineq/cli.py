@@ -11,12 +11,16 @@ Exit codes: 0 no violations, 1 violations found, 2 usage or config error,
 eval reads one JSON document whose matrix-valued entries use the exchange
 format {"n": int, "re": [[...]], "im": [[...]]}; scalar function arguments
 are {"family": name, "param": x, "offset": y}; sequence pairs are
-{"a": [...], "b": [...]}; families are lists of exchange matrices.
+{"a": [...], "b": [...]}; families are lists of exchange matrices. An op is
+its library function: its fields are the function's parameters, in order, and
+an absent or null optional field takes the function's own default.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import sys
 from dataclasses import asdict, replace
@@ -35,8 +39,6 @@ __all__ = ["main"]
 
 
 # -- eval input parsing ------------------------------------------------------
-
-_REQUIRED = object()
 
 
 def _fn(obj) -> FunctionSpec:
@@ -86,97 +88,85 @@ def _exactly(kind: type, what: str):
     return parse
 
 
-_string = _exactly(str, "a string")
-
-# Each eval argument is parsed by its field name, whatever the op: name ->
-# (parser of the JSON value, default when the field is absent or null).
+# Each eval field is parsed by its name, whatever the op: name -> parser of its JSON value.
 _FIELDS = {
-    **dict.fromkeys(("x", "y", "q", "r"), (_number, _REQUIRED)),
-    **dict.fromkeys(("f", "g"), (_fn, _REQUIRED)),
+    **dict.fromkeys(("x", "y", "q", "r", "tol", "floor"), _number),
+    **dict.fromkeys(("f", "g"), _fn),
     **dict.fromkeys(
         ("M", "A", "B", "U", "X", "contraction", "rho", "sigma")
         + ("A_part", "B_part", "A_whole", "B_whole"),
-        (matrix_from_obj, _REQUIRED),
+        matrix_from_obj,
     ),
-    **dict.fromkeys(("A_family", "B_family", "X_family"), (_family, _REQUIRED)),
-    **dict.fromkeys(("lambda_a", "lambda_b"), (_floats, _REQUIRED)),
-    "pair": (_pair, _REQUIRED),
-    "h_kind": (_string, _REQUIRED),
-    "interval": (_interval, _REQUIRED),
-    "tol": (_number, DEFAULT_TOLERANCE),
-    "grid_points": (_exactly(int, "an integer"), scalar.DEFAULT_GRID_POINTS),
-    "solver": (_string, "eigh"),
-    "floor": (_number, None),
-    "lhs_form": (_string, "perspective_sum"),
-    "require_expansive": (_exactly(bool, "true or false"), True),
+    **dict.fromkeys(("A_family", "B_family", "X_family"), _family),
+    **dict.fromkeys(("lambda_a", "lambda_b"), _floats),
+    **dict.fromkeys(("h_kind", "solver", "lhs_form"), _exactly(str, "a string")),
+    "pair": _pair,
+    "interval": _interval,
+    "grid_points": _exactly(int, "an integer"),
+    "require_expansive": _exactly(bool, "true or false"),
 }
 
 
-def _field(doc: dict, name: str):
-    """The eval argument name, read from doc; a malformed value is a DomainError naming it."""
-    parse, default = _FIELDS[name]
+def _field(doc: dict, parameter: inspect.Parameter):
+    """doc's field named parameter.name, parsed; absent or null, the parameter's default."""
+    name = parameter.name
     value = doc.get(name)
     if value is None:
-        if default is _REQUIRED:
+        if parameter.default is parameter.empty:
             raise DomainError(f"input document is missing field {name!r}")
-        return default
+        return parameter.default
     try:
-        return parse(value)
+        return _FIELDS[name](value)
     except (TypeError, ValueError, LookupError, OverflowError) as exc:
         raise DomainError(f"field {name!r} is malformed: {exc}") from exc
 
 
 def _q(fn):
-    """fn, whose last argument is a QLogParams, taking the field q instead."""
-    return lambda *args: fn(*args[:-1], QLogParams(args[-1]))
+    """fn, whose last parameter is a QLogParams, taking its order as the field q instead."""
+
+    @functools.wraps(fn)
+    def call(*args):
+        return fn(*args[:-1], QLogParams(args[-1]))
+
+    *head, params = inspect.signature(fn).parameters.values()
+    call.__signature__ = inspect.Signature([*head, params.replace(name="q")])
+    return call
 
 
-# op -> (function, the fields passed as its positional arguments, in order)
+# op -> its library function, whose parameters, in order, are the op's fields
 EVAL_OPS = {
-    "q_log": (_q(q_log), ("x", "q")),
-    "q_log_product": (_q(q_log_product), ("x", "y", "q")),
-    "q_log_quotient": (_q(q_log_quotient), ("x", "y", "q")),
-    "q_log_reciprocal": (_q(q_log_reciprocal), ("y", "q")),
-    "ratio_bounds": (scalar.ratio_bounds, ("g", "pair")),
-    "convexity_check": (scalar.convexity_check, ("h_kind", "f", "interval", "grid_points")),
-    "generalized_log_sum_gap": (scalar.generalized_log_sum_gap, ("f", "g", "pair", "tol")),
-    "reverse_log_sum_gap": (scalar.reverse_log_sum_gap, ("f", "g", "pair", "tol")),
-    "rational_example_gap": (scalar.rational_example_gap, ("pair", "tol")),
-    "q_log_sum_gap": (scalar.q_log_sum_gap, ("pair", "q", "r", "tol")),
-    "hermitize": (matfun.hermitize, ("M",)),
-    "spectral_decompose": (matfun.spectral_decompose, ("A", "solver")),
-    "apply_function": (matfun.apply_function, ("f", "A")),
-    "loewner_leq": (matfun.loewner_leq, ("A", "B", "tol")),
-    "make_commuting_pair": (matfun.make_commuting_pair, ("U", "lambda_a", "lambda_b")),
-    "psd_inverse": (matfun.psd_inverse, ("A", "floor")),
-    "psd_sqrt": (matfun.psd_sqrt, ("A",)),
-    "trace_log_sum_gap": (traceform.trace_log_sum_gap, ("f", "g", "A", "B", "tol")),
-    "exp_log_trace_gap": (traceform.exp_log_trace_gap, ("A", "B", "tol")),
-    "quantum_relative_entropy": (traceform.quantum_relative_entropy, ("rho", "sigma")),
-    "von_neumann_entropy": (traceform.von_neumann_entropy, ("rho",)),
-    "q_trace_gap": (traceform.q_trace_gap, ("A", "B", "q", "r", "tol")),
-    "reverse_trace_gap": (traceform.reverse_trace_gap, ("f", "g", "A", "B", "tol")),
-    "operator_jensen_residual": (
+    fn.__name__: fn
+    for fn in (
+        *map(_q, (q_log, q_log_product, q_log_quotient, q_log_reciprocal)),
+        scalar.ratio_bounds,
+        scalar.convexity_check,
+        scalar.generalized_log_sum_gap,
+        scalar.reverse_log_sum_gap,
+        scalar.rational_example_gap,
+        scalar.q_log_sum_gap,
+        matfun.hermitize,
+        matfun.spectral_decompose,
+        matfun.apply_function,
+        matfun.loewner_leq,
+        matfun.make_commuting_pair,
+        matfun.psd_inverse,
+        matfun.psd_sqrt,
+        traceform.trace_log_sum_gap,
+        traceform.exp_log_trace_gap,
+        traceform.quantum_relative_entropy,
+        traceform.von_neumann_entropy,
+        traceform.q_trace_gap,
+        traceform.reverse_trace_gap,
         loewner.operator_jensen_residual,
-        ("f", "contraction", "X", "tol"),
-    ),
-    "perspective_sum_residual": (
         loewner.perspective_sum_residual,
-        ("f", "A_family", "B_family", "lhs_form", "require_expansive", "tol"),
-    ),
-    "perspective_identity_gap": (loewner.perspective_identity_gap, ("f", "A", "B")),
-    "operator_shannon_residual": (
+        loewner.perspective_identity_gap,
         loewner.operator_shannon_residual,
-        ("A_family", "B_family", "f", "tol"),
-    ),
-    "pooled_inverse_residual": (loewner.pooled_inverse_residual, ("X_family", "A_family", "tol")),
-    "matrix_mean": (loewner.matrix_mean, ("f", "A", "B")),
-    "pooled_mean_residual": (loewner.pooled_mean_residual, ("f", "A_family", "B_family", "tol")),
-    "split_mean_residual": (loewner.split_mean_residual, ("f", "A_family", "B_family", "tol")),
-    "mean_monotonicity_residual": (
+        loewner.pooled_inverse_residual,
+        loewner.matrix_mean,
+        loewner.pooled_mean_residual,
+        loewner.split_mean_residual,
         loewner.mean_monotonicity_residual,
-        ("f", "A_part", "B_part", "A_whole", "B_whole", "tol"),
-    ),
+    )
 }
 
 
@@ -251,8 +241,8 @@ def _cmd_eval(args) -> int:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise DomainError("input document must be a JSON object")
-    fn, fields = EVAL_OPS[args.op]
-    rendered = _render(fn(*(_field(doc, name) for name in fields)))
+    fn = EVAL_OPS[args.op]
+    rendered = _render(fn(*(_field(doc, p) for p in inspect.signature(fn).parameters.values())))
     try:
         text = json.dumps(rendered, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # a NaN or an infinity, which strict JSON cannot hold

@@ -79,6 +79,7 @@ from .errors import (
 )
 from .functions import FunctionSpec, identity_fn, log_fn, power_fn, q_log_fn, rational_fn
 from .loewner import (
+    LHS_FORMS,
     _mean_monotonicity,
     _operator_jensen,
     _operator_shannon,
@@ -118,7 +119,6 @@ __all__ = [
 
 _SEED_MOD = 2**64
 FAMILY_KINDS = ("expansive", "contractive", "unconstrained")
-LHS_FORMS = ("perspective_sum", "sum_fb")
 RECHECK_ABS_TOL = 1e-6
 # Consecutive trials handed to an evaluator at once: at most _BLOCK, and at most
 # as many as keep (m + 1) complex n x n matrices per trial within _BLOCK_BYTES,

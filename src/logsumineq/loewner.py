@@ -92,6 +92,7 @@ __all__ = [
     "mean_monotonicity_residual",
 ]
 
+LHS_FORMS = ("perspective_sum", "sum_fb")  # perspective_sum_residual's left-hand sides
 SUM_MATCH_RTOL = 1e-9
 CONTRACTION_TOL = 1e-12  # the operator norm's excess over 1, and C† C - I's for a strict C
 _F_AT_ANCHOR_TOL = 1e-12
@@ -288,7 +289,7 @@ def _perspective_sums(
     each step (the decomposition, then the perspective argument's) is one
     eigensolver call for all trials; the residuals take one more.
     """
-    if lhs_form not in ("perspective_sum", "sum_fb"):
+    if lhs_form not in LHS_FORMS:
         raise DomainError(f"unknown lhs_form {lhs_form!r}")
     T, total = len(m), _Segments(m).total
     A, B = total(As), total(Bs)

@@ -68,13 +68,17 @@ def _q_log(arr: np.ndarray, q) -> np.ndarray:
     return np.where(near, logs, np.expm1(one_minus_q * logs) / one_minus_q)
 
 
+def _finite(name: str, out):
+    """out, a float if it is one value; a result that is not finite is a NumericError."""
+    if not np.isfinite(out).all():
+        raise NumericError(f"{name} gave a result that is not finite")
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def q_log(x, params: QLogParams):
     """Evaluate qlog(x).  Accepts scalars or arrays of positive reals.  A result that is not
-    finite (x**(1 - q) overflowed) is a NumericError."""
-    out = _q_log(_check_positive("x", x), params.q)
-    if not np.isfinite(out).all():
-        raise NumericError("q_log gave a result that is not finite")
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    finite (x**(1 - q) overflowed) is a NumericError, as it is in each identity below."""
+    return _finite("q_log", _q_log(_check_positive("x", x), params.q))
 
 
 def q_log_product(x, y, params: QLogParams):
@@ -84,7 +88,7 @@ def q_log_product(x, y, params: QLogParams):
     """
     lx = q_log(x, params)
     ly = q_log(y, params)
-    return lx + ly + (1.0 - params.q) * lx * ly
+    return _finite("q_log_product", lx + ly + (1.0 - params.q) * lx * ly)
 
 
 def q_log_quotient(x, y, params: QLogParams):
@@ -94,10 +98,7 @@ def q_log_quotient(x, y, params: QLogParams):
     """
     lx = q_log(x, params)
     ly = q_log(y, params)
-    ya = _check_positive("y", y)
-    scale = ya ** (1.0 - params.q)
-    out = (lx - ly) / scale
-    return float(out) if np.ndim(out) == 0 else out
+    return _finite("q_log_quotient", (lx - ly) / _check_positive("y", y) ** (1.0 - params.q))
 
 
 def q_log_reciprocal(y, params: QLogParams):
@@ -106,6 +107,4 @@ def q_log_reciprocal(y, params: QLogParams):
     qlog(1/y) = -qlog(y) / y**(1 - q)
     """
     ly = q_log(y, params)
-    ya = _check_positive("y", y)
-    out = -ly / ya ** (1.0 - params.q)
-    return float(out) if np.ndim(out) == 0 else out
+    return _finite("q_log_reciprocal", -ly / _check_positive("y", y) ** (1.0 - params.q))

@@ -37,6 +37,7 @@ round-off.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,9 +238,17 @@ def convexity_check(
     """
     if h_kind not in ("xfx", "xf1overx"):
         raise DomainError(f"unknown curvature kind {h_kind!r}")
-    lo, hi = float(interval[0]), float(interval[1])
+    try:
+        lo, hi = interval
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (lo, hi)):
+        raise DomainError(f"interval must be two numbers, got {interval!r}")
+    lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError("interval must be finite and non-degenerate")
+    if isinstance(grid_points, bool) or not isinstance(grid_points, numbers.Integral):
+        raise DomainError(f"grid_points must be an integer, got {grid_points!r}")
     if not 3 <= grid_points <= _MAX_GRID_POINTS:
         raise DomainError(f"grid_points must be in [3, {_MAX_GRID_POINTS}]")
     return bool(_curvature_holds(h_kind, f, np.array([lo]), np.array([hi]), int(grid_points))[0])

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON output, determinism."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -170,6 +171,17 @@ def test_eval_unknown_op_exits_two(tmp_path):
     p.write_text("{}")
     proc = run_cli("eval", "--op", "not_an_op", "--input", str(p))
     assert proc.returncode == 2
+    available = ", ".join(sorted(EVAL_FIXTURES))
+    assert proc.stderr == f"error: unknown op 'not_an_op'; available: {available}\n"
+
+
+def test_eval_unknown_lhs_form_exits_two(tmp_path, capsys):
+    doc = {**EVAL_FIXTURES["perspective_sum_residual"][0], "lhs_form": "sum"}
+    assert _eval(tmp_path, capsys, "perspective_sum_residual", doc) == (
+        2,
+        "",
+        "error: unknown lhs_form 'sum'\n",
+    )
 
 
 def test_eval_missing_input_file_exits_two():
@@ -408,6 +420,28 @@ def test_eval_op_matches_direct_call(tmp_path, capsys, op):
     assert code == (1 if rendered.get("holds") is False else 0)
 
 
+def _parameters(op):
+    return inspect.signature(cli.EVAL_OPS[op]).parameters.values()
+
+
+_OPTIONAL = sorted(
+    op for op in cli.EVAL_OPS if any(p.default is not p.empty for p in _parameters(op))
+)
+
+
+@pytest.mark.parametrize("op", _OPTIONAL)
+def test_eval_of_the_required_fields_alone_matches_a_call_of_the_required_arguments(
+    tmp_path, capsys, op
+):
+    # every optional field takes the default of the function itself, not a second copy
+    required = [p for p in _parameters(op) if p.default is p.empty]
+    doc = {p.name: EVAL_FIXTURES[op][0][p.name] for p in required}
+    code, out, err = _eval(tmp_path, capsys, op, doc)
+    rendered = cli._render(cli.EVAL_OPS[op](*(cli._field(doc, p) for p in required)))
+    assert (out, err) == (json.dumps(rendered, indent=2, sort_keys=True) + "\n", "")
+    assert code == (1 if rendered.get("holds") is False else 0)
+
+
 @pytest.mark.parametrize("op", sorted(cli.EVAL_OPS))
 def test_eval_empty_document_names_first_field(tmp_path, capsys, op):
     first = EVAL_FIXTURES[op][2]
@@ -447,7 +481,7 @@ _WRONG_TYPED = {
 
 @pytest.mark.parametrize("name", sorted(cli._FIELDS))
 def test_eval_wrong_typed_field_exits_two_naming_it(tmp_path, capsys, name):
-    op = next(op for op, (_, fields) in cli.EVAL_OPS.items() if name in fields)
+    op = next(op for op in cli.EVAL_OPS if name in inspect.signature(cli.EVAL_OPS[op]).parameters)
     for value in _WRONG_TYPED[name]:
         doc = {**EVAL_FIXTURES[op][0], name: value}
         code, out, err = _eval(tmp_path, capsys, op, doc)
@@ -466,26 +500,23 @@ def test_eval_grid_points_beyond_range_exits_two(tmp_path, capsys, points):
 
 
 def test_eval_grid_points_defaults_to_the_scalar_layers_constant():
-    # written once, in scalar: eval's default is that object, read by name, not a second
-    # literal (a small int is one object however it is written, so the source is read too)
+    # written once, in scalar: eval's default is convexity_check's own default object, and
+    # that is the constant read by name, not a second literal (a small int is one object
+    # however it is written, so the source is read too)
     doc = dict(EVAL_FIXTURES["convexity_check"][0])
     doc.pop("grid_points", None)
-    assert cli._field(doc, "grid_points") is scalar.DEFAULT_GRID_POINTS
-    tree = ast.parse(Path(cli.__file__).read_text())
-    entry = next(
-        value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Dict)
-        for key, value in zip(node.keys, node.values)
-        if isinstance(key, ast.Constant) and key.value == "grid_points"
-    )
-    assert ast.unparse(entry.elts[1]) == "scalar.DEFAULT_GRID_POINTS"
+    parameter = inspect.signature(scalar.convexity_check).parameters["grid_points"]
+    assert cli._field(doc, parameter) is scalar.DEFAULT_GRID_POINTS
+    definition = ast.parse(inspect.getsource(scalar.convexity_check)).body[0]
+    assert [ast.unparse(d) for d in definition.args.defaults] == ["DEFAULT_GRID_POINTS"]
+    assert "DEFAULT_GRID_POINTS" not in Path(cli.__file__).read_text()
 
 
 # Inputs whose sums overflow: reverse_log_sum_gap's sum(a) (rhs = inf * 0), ratio_bounds'
-# ratios a_i / b_i and q_log's x^(1-q).  A side, bound or value that is not finite is a
-# numeric failure, not a violation, and never a NaN or an infinity in eval's output, which
-# strict JSON cannot hold; the message names the verdict's sides, or else the op.
+# ratios a_i / b_i, q_log's x^(1-q), q_log_product's product term and the division by
+# y^(1-q) of q_log_quotient and q_log_reciprocal.  A side, bound or value that is not finite
+# is a numeric failure, not a violation, and never a NaN or an infinity in eval's output,
+# which strict JSON cannot hold; the message names the verdict's sides, or else the op.
 _IDENTITY = {"family": "identity"}
 _OVERFLOWS = {
     "reverse_log_sum_gap": (
@@ -497,10 +528,26 @@ _OVERFLOWS = {
         "ratio_bounds gave a result that is not finite",
     ),
     "q_log": ({"x": 1e300, "q": -5}, "q_log gave a result that is not finite"),
+    "q_log_product": (
+        {"x": 1e150, "y": 1e150, "q": -1.0},
+        "q_log_product gave a result that is not finite",
+    ),
+    "q_log_quotient": (
+        {"x": 1.0, "y": 1e-300, "q": -1.0},
+        "q_log_quotient gave a result that is not finite",
+    ),
+    "q_log_reciprocal": (
+        {"y": 1e-300, "q": -1.0},
+        "q_log_reciprocal gave a result that is not finite",
+    ),
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings(
+    "ignore:overflow:RuntimeWarning",
+    "ignore:invalid:RuntimeWarning",
+    "ignore:divide by zero:RuntimeWarning",
+)
 @pytest.mark.parametrize("op", sorted(_OVERFLOWS))
 def test_eval_result_that_is_not_finite_exits_three(tmp_path, capsys, op):
     doc, message = _OVERFLOWS[op]

@@ -11,6 +11,7 @@ name (a family member's is name[k]); eval exits 2 with the same message, or, for
 the exchange format cannot carry, with the refusal of its field.
 """
 
+import inspect
 import json
 
 import numpy as np
@@ -20,14 +21,23 @@ from logsumineq import cli, loewner, matfun, traceform
 from logsumineq.errors import DimensionError, DomainError
 from logsumineq.matio import matrix_from_obj
 
-# The public matrix functions that no eval op runs, with their parameters in order.
+# The public matrix functions that no eval op runs.
 _FUNCTIONS = {
-    "commutes": (matfun.commutes, ("A", "B")),
-    "commutator_maxnorm": (matfun.commutator_maxnorm, ("A", "B")),
-    "operator_perspective": (loewner.operator_perspective, ("f", "A", "B")),
-    "joint_spectrum": (traceform.joint_spectrum, ("A", "B")),
+    fn.__name__: fn
+    for fn in (
+        matfun.commutes,
+        matfun.commutator_maxnorm,
+        loewner.operator_perspective,
+        traceform.joint_spectrum,
+    )
 }
 _CALLS = {**_FUNCTIONS, **cli.EVAL_OPS}
+
+
+def _parameters(op):
+    """The op's parameters in order, read from its function's signature as eval reads them."""
+    return list(inspect.signature(_CALLS[op]).parameters.values())
+
 
 # Arguments checked square and finite only; every other matrix must be Hermitian too.
 _SQUARE = {"M", "U", "contraction", "X_family"}
@@ -61,13 +71,13 @@ _BAD.update(_NOT_ARRAYS)
 
 
 def _kind(field):
-    parse = cli._FIELDS[field][0]
+    parse = cli._FIELDS[field]
     return "matrix" if parse is matrix_from_obj else "family" if parse is cli._family else None
 
 
 def _matrices(op):
     """The op's matrix and family parameters in the order they are checked."""
-    names = [name for name in _CALLS[op][1] if _kind(name)]
+    names = [p.name for p in _parameters(op) if _kind(p.name)]
     return names[::-1] if op in _B_FIRST else names
 
 
@@ -108,8 +118,9 @@ _CASES = list(_cases())
 
 def _arguments(op, field, case):
     """The op's arguments with field broken by case: (the Python values, the eval document)."""
+    parameters = _parameters(op)
     values = {}
-    for name in _CALLS[op][1]:
+    for name in (p.name for p in parameters):
         if _kind(name) == "matrix":
             values[name] = _VALID
         elif _kind(name) == "family":
@@ -124,13 +135,13 @@ def _arguments(op, field, case):
         values[field] = [_VALID, _BAD[case]]
     else:
         values[field] = _BAD[case]
-    doc = {name: value for name, value in _OTHER.items() if name in _CALLS[op][1]}
+    doc = {p.name: _OTHER[p.name] for p in parameters if p.name in _OTHER}
     for name, value in values.items():
         if isinstance(value, int):
             doc[name] = value
         else:
             doc[name] = [_obj(M) for M in value] if _kind(name) == "family" else _obj(value)
-    args = [values[name] if name in values else cli._field(doc, name) for name in _CALLS[op][1]]
+    args = [values[p.name] if p.name in values else cli._field(doc, p) for p in parameters]
     return args, doc
 
 
@@ -154,7 +165,7 @@ def test_every_public_matrix_function_and_eval_op_is_covered():
     unchecked = {"maxnorm", "jacobi_eigh", "operator_class_flags", "require_operator_class"}
     covered = {op for op, *_ in _CASES}
     assert public - unchecked <= covered
-    assert {op for op, (_, fields) in cli.EVAL_OPS.items() if any(map(_kind, fields))} <= covered
+    assert {op for op in cli.EVAL_OPS if _matrices(op)} <= covered
 
 
 @pytest.mark.parametrize(
@@ -167,7 +178,7 @@ def test_each_matrix_argument_is_refused_under_its_name(
 ):
     args, doc = _arguments(op, field, case)
     with pytest.raises(error) as raised:
-        _CALLS[op][0](*args)
+        _CALLS[op](*args)
     assert str(raised.value).startswith(message)
     if op not in cli.EVAL_OPS:
         return

@@ -36,6 +36,12 @@ def test_family_validation():
         FunctionSpec("tabulated")  # missing grid
     with pytest.raises(DomainError):
         tabulated_fn([0.0, 0.0], [1.0, 2.0])  # non-increasing abscissae
+    with pytest.raises(DomainError, match=r"^offset must be finite$"):
+        FunctionSpec("log", offset=math.inf)
+    with pytest.raises(DomainError, match=r"^tabulated grid must pair at least two nodes$"):
+        tabulated_fn([1.0], [2.0])
+    with pytest.raises(DomainError, match=r"^tabulated grid must be finite$"):
+        tabulated_fn([1, 2], [math.nan, 1])
 
 
 def test_point_values():

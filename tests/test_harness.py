@@ -77,6 +77,9 @@ def test_config_validation():
         TrialConfig(suite="scalar_log_sum", family_kind="shrinking")
     with pytest.raises(DomainError):
         TrialConfig(suite="scalar_log_sum", lhs_form="other")
+    assert harness.LHS_FORMS is loewner.LHS_FORMS  # the choices are written once, in loewner
+    with pytest.raises(DomainError, match=r"^seed must be a 64-bit unsigned integer$"):
+        TrialConfig(suite="q_log_sum", seed=2**64)
     # counts take any integral value that is not a bool, stored as a plain int
     for field, value in [
         ("trials", 2.5),

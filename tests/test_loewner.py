@@ -207,6 +207,18 @@ def test_jensen_rejects_bad_anchor():
         operator_jensen_residual(power_fn(0.5, offset=-1.0), C, X)
 
 
+def test_jensen_rejects_f_outside_both_operator_classes():
+    message = r"^exp is neither operator monotone nor operator convex in the catalog$"
+    with pytest.raises(PreconditionError, match=message):
+        operator_jensen_residual(exp_fn(), 0.5 * np.eye(2), 2.0 * np.eye(2))
+
+
+def test_jensen_rejects_f_undefined_at_zero_for_a_strict_contraction():
+    message = r"^log is undefined at 0; a strict contraction pushes the spectrum there$"
+    with pytest.raises(PreconditionError, match=message):
+        operator_jensen_residual(log_fn(), 0.5 * np.eye(2), 2.0 * np.eye(2))
+
+
 def test_jensen_contraction_norm_identity():
     # scalar case: C = [c], X = [x] gives f(c^2 x) - c^2 f(x)
     v = operator_jensen_residual(SQRT, np.array([[0.5]]), np.array([[4.0]]))
@@ -577,6 +589,11 @@ def test_perspective_sum_takes_three_stacked_eigensolves(eigh_calls, lhs_form):
     # the total beside the members, the perspective argument(s), the residual
     arguments = (4, 3, 3) if lhs_form == "perspective_sum" else (1, 3, 3)
     assert eigh_calls == [(4, 3, 3), arguments, (1, 3, 3)]
+
+
+def test_perspective_sum_rejects_an_unknown_lhs_form():
+    with pytest.raises(DomainError, match=r"^unknown lhs_form 'sum'$"):
+        perspective_sum_residual(log_fn(), [2.0 * np.eye(2)], [np.eye(2)], lhs_form="sum")
 
 
 def test_perspective_sum_stack_equals_one_trial_at_a_time():

@@ -90,6 +90,23 @@ def test_a_result_that_is_not_finite_is_refused(call):
         call(QLogParams(-5.0))
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, call, q",
+    [
+        ("q_log_product", lambda p: q_log_product(1e150, 1e150, p), -1.0),
+        ("q_log_reciprocal", lambda p: q_log_reciprocal(1e-300, p), -1.0),
+        ("q_log_quotient", lambda p: q_log_quotient(1.0, 1e-300, p), -1.0),
+        ("q_log_reciprocal", lambda p: q_log_reciprocal(1e300, p), 3.0),
+    ],
+    ids=["product", "reciprocal-small", "quotient", "reciprocal-large"],
+)
+def test_an_identity_whose_result_is_not_finite_is_refused(name, call, q):
+    # each q-logarithm is finite; the product term or the division by y**(1 - q) is not
+    with pytest.raises(NumericError, match=f"^{name} gave a result that is not finite$"):
+        call(QLogParams(q))
+
+
 def test_array_evaluation_matches_scalar():
     p = QLogParams(1.7)
     xs = np.array([0.25, 1.0, 3.5])

@@ -122,6 +122,35 @@ def test_grid_points_out_of_range_rejected_before_any_grid(monkeypatch, points):
         convexity_check("xfx", log_fn(), (0.1, 10.0), points)
 
 
+@pytest.mark.parametrize(
+    "interval, points, message",
+    [
+        ((1.0, 2.0), 3.9, "grid_points must be an integer, got 3.9"),
+        ((1.0, 2.0), True, "grid_points must be an integer, got True"),
+        ((1.0, 2.0, 9.0), 51, "interval must be two numbers, got (1.0, 2.0, 9.0)"),
+        ((1.0,), 51, "interval must be two numbers, got (1.0,)"),
+        ("ab", 51, "interval must be two numbers, got 'ab'"),
+        (5, 51, "interval must be two numbers, got 5"),
+        ((2.0, 2.0), 51, "interval must be finite and non-degenerate"),
+    ],
+    ids=["float-points", "bool-points", "three-ends", "one-end", "string", "number", "degenerate"],
+)
+def test_convexity_check_refuses_a_malformed_argument_by_name(
+    monkeypatch, interval, points, message
+):
+    monkeypatch.setattr(scalar, "_curvature_holds", lambda *args: pytest.fail("grid built"))
+    with pytest.raises(DomainError) as err:
+        convexity_check("xfx", log_fn(), interval, points)
+    assert str(err.value) == message
+
+
+def test_convexity_check_takes_any_integral_grid_size():
+    f, interval = q_log_fn(2.5), np.array([0.1, 10.0])
+    assert convexity_check("xfx", f, interval, np.int64(51)) is convexity_check(
+        "xfx", f, (0.1, 10.0), 51
+    )
+
+
 @settings(max_examples=100)
 @given(st.floats(min_value=0.1, max_value=1.9))
 def test_power_xfx_convex_for_admissible_exponents(r):
@@ -283,6 +312,11 @@ def test_rational_example_rejects_canonical_small_pair():
         rational_example_gap(pair_of([1.0, 2.0], [2.0, 1.0]))
 
 
+def test_rational_example_names_its_entry_floor():
+    with pytest.raises(PreconditionError, match=r"^all entries must exceed sqrt\(2/3\)$"):
+        rational_example_gap(pair_of([0.5, 1.0], [1.0, 1.0]))
+
+
 def test_rational_example_rejects_extreme_ratio():
     with pytest.raises(PreconditionError):
         rational_example_gap(pair_of([1.0, 1.0], [10.0, 1.0]))
@@ -322,6 +356,16 @@ def test_q_log_sum_reduces_to_classical_at_q_one():
 def test_q_log_sum_rejects_q_two():
     with pytest.raises(PreconditionError):
         q_log_sum_gap(pair_of([1.0], [1.0]), q=2.0, r=1.0)
+
+
+def test_q_log_sum_rejects_a_negative_power():
+    with pytest.raises(PreconditionError, match=r"^a_i\*\*r must be nonnegative$"):
+        q_log_sum_gap(pair_of([-1.0, 1.0], [1.0, 1.0]), 0.5, 1.0)
+
+
+def test_q_log_sum_rejects_an_order_that_is_not_finite():
+    with pytest.raises(DomainError, match=r"^deformation order must be finite, got inf$"):
+        q_log_sum_gap(pair_of([1.0, 1.0], [1.0, 1.0]), math.inf, 1.0)
 
 
 def test_q_log_sum_rejects_zero_b():

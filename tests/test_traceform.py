@@ -352,6 +352,11 @@ def test_q_trace_rejects_q_two():
         q_trace_gap(np.eye(2), np.eye(2), q=2.0, r=1.0)
 
 
+def test_q_trace_rejects_an_order_that_is_not_finite():
+    with pytest.raises(DomainError, match=r"^deformation order must be finite, got inf$"):
+        q_trace_gap(np.eye(2), np.eye(2), math.inf, 1.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seeds, dims, st.sampled_from([0.0, 0.5, 1.5, 2.5, 3.0]))
 def test_q_trace_direction(seed, n, q):
