@@ -16,10 +16,10 @@ each block of consecutive trial seeds to the suite.
   random(k) call and consecutive Gaussians in one standard_normal call), and
   returns what they give in draw order (_Draw).  It picks a function spec
   where it draws one and does no other arithmetic, except the search's
-  confirmation's (_rechecks), which replays a candidate the search keeps
-  built.  _Suite.draws seeds a block at once (_rngs), and every bounded
-  integer of a trial is _bounded's, numpy's integers replayed from the raw
-  words.
+  confirmation's (_rechecks), which replays the residual the search keeps
+  for a candidate.  _Suite.draws seeds a block at once (_rngs), and every
+  bounded integer of a trial is _bounded's, numpy's integers replayed from
+  the raw words.
 - build(config, *stacks) maps an n-group's stacked draws (_stacks; a
   family's members on one flat member axis beside each trial's m) to its
   instance at its own n, bit for bit as the public generators build each
@@ -46,12 +46,12 @@ one expression on equal bits, and the residual is the zero matrix.  Its
 draw stops after m (_identity) and returns _IDENTITY_DRAW, which _verdicts
 judges at gap 0.0 and scale 1.0 without a build or judge.  sum_fb,
 pooled_mean and operator_shannon draw in full: at one member their residual
-is round-off, not zero.  Search-mode candidates keep the instances their
-first pass built (_instance: copies of their members, so no block's stack
-outlives its block) and are re-verified through the independent Jacobi
-eigensolver at a tightened absolute tolerance before they are reported as
-findings: _rechecks judges the kept instances as drawn with the Jacobi judge
-_recheck_gaps, so no candidate is built twice.
+is round-off, not zero.  Search-mode candidates keep their own blocks of
+the residuals their first pass formed (views of one copy of a class's
+failing rows, so no block's stack outlives its block), and _rechecks
+confirms them through the independent Jacobi eigensolver, one call per size
+class of a chunk, at a tightened absolute tolerance: Jacobi re-derives the
+eigenvalue the verdict reads, not the residual's formation.
 """
 
 from __future__ import annotations
@@ -577,32 +577,27 @@ def _sum_build(config: TrialConfig, m, *stacks):
     return m, *_families(config, *family, a_kind=config.family_kind), fs
 
 
-def _sum_residuals(config: TrialConfig, size, m, As, Bs, fs, solver: str = "eigh") -> np.ndarray:
+def _sum_residuals(config: TrialConfig, size, m, As, Bs, fs, kept=None) -> np.ndarray:
+    """Each trial's residual eigenvalues; a list kept gets the residual stack appended."""
     expansive, tol = config.family_kind == "expansive", config.tolerance
-    return _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, tol, solver, size)
+    R = _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, tol, size)
+    if kept is not None:
+        kept.append(R)
+    return _decompose(R, size=size).eigenvalues
 
 
-def _instance(draw: _Draw, built, t: int, end: int) -> _Draw:
-    """Trial t of an n-group's perspective-sum build (m, As, Bs, fs), whose members end at
-    row end, as the draw of its instance: m, its A members, its B members and f.  The members
-    are copies, never views, so a kept instance holds no stack of its block."""
-    m, As, Bs, fs = built
-    rows = slice(end - draw.values[0], end)
-    return _Draw(draw.n, (draw.values[0], tuple(As[rows].copy()), tuple(Bs[rows].copy()), fs[t]))
+def _kept_residual(rng, config: TrialConfig) -> _Draw:
+    """A candidate's trial drawn and judged alone, as the draw of the residual the search keeps
+    for it: its own n x n block of its class's residual."""
+    draw, kept = _sum_draw(rng, config), []
+    list(_grouped([draw], config, _perspective_sum_verdicts, kept))
+    return _Draw(draw.n, (kept[0][0, : draw.n, : draw.n],))
 
 
-def _sum_instance(rng, config: TrialConfig) -> _Draw:
-    """A perspective-sum trial drawn and built alone, as the search keeps a candidate."""
-    draw = _sum_draw(rng, config)
-    if draw is _IDENTITY_DRAW:
-        return draw
-    return _instance(draw, _sum_build(config, *_stacks([draw])), 0, draw.values[0])
-
-
-def _recheck_gaps(config: TrialConfig, size, *built):
-    """The search's confirmation: each candidate's minimum eigenvalue through the Jacobi
-    solver, at scale 1.  _sum_residuals is looked up here, at call time."""
-    return _lowest(_sum_residuals(config, size, *built, solver="jacobi"), size), 1.0
+def _recheck_gaps(config: TrialConfig, size, R):
+    """The search's confirmation: each kept residual's least own eigenvalue through the Jacobi
+    solver, at scale 1."""
+    return _lowest(_decompose(R, "jacobi", size).eigenvalues, size), 1.0
 
 
 def _jensen(rng, n):
@@ -783,7 +778,7 @@ class _Suite(NamedTuple):
         return _verdicts(self.draws(seeds, config), seeds, config, self)
 
 
-def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite, builds=None):
+def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite, kept=None):
     """(positions in draws, suite's gaps and scales) of each size class of draws.
 
     A class holds the draws of every n with one _size_class; its positions
@@ -792,9 +787,11 @@ def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite, builds=None
     times its class's draws.  So a class whose stacks, counted at the class
     size, take more than _BLOCK_BYTES // config.n bytes is evaluated in runs
     of consecutive positions that fit (a larger trial runs alone).  Classes
-    and runs are bitwise independent stacks.  With a list builds, each
-    n-group's (positions, build at its own n) is appended to it as it is built.
+    and runs are bitwise independent stacks.  A list kept goes to the judge,
+    which must be the perspective sum's (_sum_residuals): it appends each
+    class's residual stack.
     """
+    extra = {} if kept is None else {"kept": kept}
     by_n: dict[int, list[int]] = {}
     for k, d in enumerate(draws):
         by_n.setdefault(d.n, []).append(k)
@@ -808,11 +805,8 @@ def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite, builds=None
             groups = [_stacks([draws[k] for k in ks]) for ks in runs]
         positions = [k for ks in runs for k in ks]
         size = np.repeat([draws[ks[0]].n for ks in runs], [len(ks) for ks in runs])
-        built = [suite.build(config, *stacks) for stacks in groups]
-        if builds is not None:
-            builds.extend(zip(runs, built))
-        padded = [_pad(values, N) for values in built]
-        return positions, suite.judge(config, size, *map(_joined, zip(*padded)))
+        padded = [_pad(suite.build(config, *stacks), N) for stacks in groups]
+        return positions, suite.judge(config, size, *map(_joined, zip(*padded)), **extra)
 
     budget = _BLOCK_BYTES // config.n
     for N, sizes in classes.items():
@@ -840,7 +834,7 @@ def _by_n(run: list[int], draws: list[_Draw]) -> list[list[int]]:
     return [list(ks) for _, ks in itertools.groupby(run, key=lambda k: draws[k].n)]
 
 
-def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, suite: _Suite, builds=None):
+def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, suite: _Suite, kept=None):
     """Gap and holds flag of each trial, as Python lists: the one place a trial is judged.
 
     draws are the trials seeded seeds, judged a size class at a time
@@ -848,12 +842,12 @@ def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, suite: _Suite, bui
     at scale 1.0.  A trial holds when every check does (_holds), and its gap
     is its least check, the first on ties.  A refusal (_REFUSALS), which may
     name a row or matrix of a class's stack, is raised as the first refused
-    trial's (_first_refused).  Given an empty list builds, the search's first
-    pass gets each n-group's (positions in draws, build) in it.
+    trial's (_first_refused).  Given an empty list kept, the search's first
+    pass gets each class's (positions in draws, residual stack) in it.
     """
     gaps, holds = np.empty(len(draws)), np.empty(len(draws), dtype=bool)
     evaluated = [k for k, d in enumerate(draws) if d is not _IDENTITY_DRAW]
-    groups = _grouped([draws[k] for k in evaluated], config, suite, builds)
+    groups = _grouped([draws[k] for k in evaluated], config, suite, kept)
     try:
         judged = [([evaluated[k] for k in ks], gap_scale) for ks, gap_scale in groups]
     except _REFUSALS as exc:
@@ -862,8 +856,8 @@ def _verdicts(draws: list[_Draw], seeds, config: TrialConfig, suite: _Suite, bui
     if len(evaluated) < len(draws):
         identities = [k for k, d in enumerate(draws) if d is _IDENTITY_DRAW]
         judged.append((identities, (np.zeros(len(identities)), 1.0)))
-    if builds is not None:  # from positions among the evaluated draws to positions in draws
-        builds[:] = [([evaluated[k] for k in ks], built) for ks, built in builds]
+    if kept is not None:  # each class's residual stack beside its positions in draws
+        kept[:] = [(ks, R) for (ks, _), R in zip(judged, kept)]
     for ks, (gap, scale) in judged:
         gaps[ks] = functools.reduce(_min, gap.reshape(len(ks), -1).T)
         holds[ks] = _holds(gap, scale, config.tolerance).reshape(len(ks), -1).all(axis=-1)
@@ -912,16 +906,16 @@ def _loewner(draw, build, residuals) -> _Suite:
     """A Loewner suite: the gap and scale (_gap_scale) of each trial's residual,
     whose eigenvalues (T, N) residuals(config, size, *built) gives for a size class."""
 
-    def judge(config, size, *built):
-        return _gap_scale(residuals(config, size, *built), size)
+    def judge(config, size, *built, **kept):
+        return _gap_scale(residuals(config, size, *built, **kept), size)
 
     return _Suite(draw, build, judge)
 
 
 _perspective_sum_verdicts = _loewner(_sum_draw, _sum_build, _sum_residuals)
-# The search's confirmation: the perspective-sum instances its first pass built, taken as drawn
-# and judged through the Jacobi solver.  Its draw builds a trial from its seed, for replays.
-_rechecks = _Suite(_sum_instance, _as_drawn, _recheck_gaps)
+# The search's confirmation: the residuals its first pass formed, taken as drawn and decomposed
+# through the Jacobi solver.  Its draw forms a trial's residual from its seed, for replays.
+_rechecks = _Suite(_kept_residual, _as_drawn, _recheck_gaps)
 _COMMUTING = _sized(gen._draw_commuting)
 
 SUITES = {
@@ -1017,44 +1011,41 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
     if config.family_kind != "contractive":
         raise DomainError("counterexample_search requires family_kind='contractive'")
     start = time.perf_counter()
-    findings, candidates = [], []  # candidates: (index, seed, first residual, instance)
+    findings, candidates = [], []  # candidates: (finding but its recheck, kept residual)
     block = _block(config)
 
     def confirm(chunk):
-        """Re-verify a chunk of candidates' kept instances through the Jacobi solver, one stack
+        """Decompose a chunk of candidates' kept residuals through the Jacobi solver, one stack
         per size class."""
-        draws, seeds = [draw for *_, draw in chunk], [ts for _, ts, *_ in chunk]
+        draws, seeds = [draw for _, draw in chunk], [finding["seed"] for finding, _ in chunk]
         rechecks = _verdicts(draws, seeds, replace(config, tolerance=RECHECK_ABS_TOL), _rechecks)
-        for (index, ts, min_eig, draw), recheck, ok in zip(chunk, *rechecks):
+        for (finding, _), recheck, ok in zip(chunk, *rechecks):
             if not ok:
-                findings.append(
-                    {
-                        "trial_index": index,
-                        "seed": ts,
-                        "n": draw.n,
-                        "m": draw.values[0],  # a family draw's first value is m
-                        "f": draw.values[-1].label(),  # the draw's last value is f
-                        "lhs_form": config.lhs_form,
-                        "first_min_eigenvalue": min_eig,
-                        "recheck_min_eigenvalue": recheck,
-                    }
-                )
+                findings.append({**finding, "recheck_min_eigenvalue": recheck})
 
     def first_pass(seeds, config):
         """The block's verdicts; its failing trials join the candidates, in trial order, with
-        the instances this pass built."""
-        draws, builds = _perspective_sum_verdicts.draws(seeds, config), []
-        min_eigs, holds = _verdicts(draws, seeds, config, _perspective_sum_verdicts, builds)
-        kept = {}
-        for ks, built in builds:
-            end = 0
-            for t, k in enumerate(ks):
-                end += draws[k].values[0]  # the trial's m: its members end at row end
-                if not holds[k]:
-                    kept[k] = _instance(draws[k], built, t, end)
-        for k in sorted(kept):
-            ts = seeds[k]
-            candidates.append(((ts - config.seed) % _SEED_MOD, ts, min_eigs[k], kept[k]))
+        their rows of the residual stacks this pass formed."""
+        draws, kept = _perspective_sum_verdicts.draws(seeds, config), []
+        min_eigs, holds = _verdicts(draws, seeds, config, _perspective_sum_verdicts, kept)
+        rows = {}
+        for ks, R in kept:
+            failing = [t for t, k in enumerate(ks) if not holds[k]]
+            # one copy of the class's failing rows, so that no kept row holds the block's stack
+            for k, row in zip([ks[t] for t in failing], R[failing]):
+                rows[k] = row[: draws[k].n, : draws[k].n]
+        for k in sorted(rows):
+            draw, ts = draws[k], seeds[k]
+            finding = {
+                "trial_index": (ts - config.seed) % _SEED_MOD,
+                "seed": ts,
+                "n": draw.n,
+                "m": draw.values[0],  # a family draw's first value is m
+                "f": draw.values[-1].label(),  # the draw's last value is f
+                "lhs_form": config.lhs_form,
+                "first_min_eigenvalue": min_eigs[k],
+            }
+            candidates.append((finding, _Draw(draw.n, (rows[k],))))
         while len(candidates) >= block:
             confirm(candidates[:block])
             del candidates[:block]

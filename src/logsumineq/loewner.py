@@ -8,9 +8,10 @@ private kernels take Hermitian arrays or SpectralDecompositions and
 decompose each matrix once.
 
 Each check has one kernel over a stack of T trials (see matfun on leading
-axes) returning the residual eigenvalues (T, n); its public *_residual runs
-the kernel as the T=1 stack.  Operator Jensen and mean monotonicity take
-stacks (T, n, n).  The other five take families on one flat member axis
+axes) returning the residual eigenvalues (T, n), or for the perspective sum
+the residuals (T, n, n) themselves; its public *_residual runs the kernel as
+the T=1 stack.  Operator Jensen and mean monotonicity take stacks
+(T, n, n).  The other five take families on one flat member axis
 (K, n, n), trial t's m[t] members on consecutive rows, beside the counts m;
 the kernel takes their layout once (matfun._Segments) and decomposes the
 totals and all members together, one eigensolver call per step.  f's
@@ -34,10 +35,10 @@ f at (A, B), the mean 1/f(1/x) at (B, A), so A is neither inverted nor
 decomposed.  The only reconstructed roots are the statements' own factors,
 A_i^{1/2} (split mean) and sum(B_i^{1/2}) (pooled mean).
 
-Everything decomposes through LAPACK's eigh except where _perspective_sums
-takes solver="jacobi": the contractive search re-verifies its candidates
-that way, a stack at a time, through the independent Jacobi solver.  The
-choice reaches only that kernel, _perspective and _anchored.
+Every kernel decomposes through LAPACK's eigh.  The perspective sum's
+callers decompose its residuals: the contractive search keeps its
+candidates' rows and confirms them through the independent Jacobi solver
+(harness), which re-derives the residual's eigenvalues, not its formation.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _laid_out(size, m, *parts):
     return np.concatenate([each[part] for part in parts])
 
 
-def _anchored(dec: SpectralDecomposition, M: np.ndarray, solver: str = "eigh"):
+def _anchored(dec: SpectralDecomposition, M: np.ndarray):
     """(W, C's decomposition) for Hermitian M and the PD anchor S = U D U† of dec:
     C = D^{-1/2} U† M U D^{-1/2} = V diag(x) V† and W = U D^{1/2} V, so that X = S^{-1/2} M
     S^{-1/2} = (UV) diag(x) (UV)† and S^{1/2} g(X) S^{1/2} = _build(g(x), W).  C takes dec's
@@ -167,18 +168,16 @@ def _anchored(dec: SpectralDecomposition, M: np.ndarray, solver: str = "eigh"):
     root = dec.sqrt()
     s, U = root.inverse().eigenvalues, dec.unitary
     C_matrix = _herm(s[..., :, None] * (_adjoint(U) @ M @ U) * s[..., None, :])
-    C = _decompose(C_matrix, solver, dec._size)
+    C = _decompose(C_matrix, size=dec._size)
     return (U * root.eigenvalues[..., None, :]) @ C.unitary, C
 
 
-def _perspective(
-    f, dec_a: SpectralDecomposition, B: np.ndarray, solver: str = "eigh"
-) -> np.ndarray:
+def _perspective(f, dec_a: SpectralDecomposition, B: np.ndarray) -> np.ndarray:
     """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} from A's decomposition and Hermitian B.
 
     Works on stacks; f is one FunctionSpec or one per entry of the first axis.
     """
-    W, C = _anchored(dec_a, B, solver)
+    W, C = _anchored(dec_a, B)
     return _build(C.map(f).eigenvalues, W)
 
 
@@ -279,32 +278,32 @@ def _perspective_sums(
     lhs_form: str,
     require_expansive: bool,
     tol: float,
-    solver: str = "eigh",
     size=None,
 ) -> np.ndarray:
-    """Residual eigenvalues (T, n) of the perspective-sum inequality for T trials.
+    """The Hermitian residuals rhs - lhs (T, n, n) of the perspective-sum inequality for T
+    trials; the caller decomposes them (with size, as every other kernel decomposes its own).
 
     As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive
     rows, and fs[t] is trial t's f.  The totals sit beside the members, so
     each step (the decomposition, then the perspective argument's) is one
-    eigensolver call for all trials; the residuals take one more.
+    eigensolver call for all trials.
     """
     if lhs_form not in LHS_FORMS:
         raise DomainError(f"unknown lhs_form {lhs_form!r}")
     T, total = len(m), _Segments(m).total
     A, B = total(As), total(Bs)
     members = Bs if lhs_form == "sum_fb" else As
-    dec = _decompose(np.concatenate([A, members]), solver, _laid_out(size, m, "T", "K"))
+    dec = _decompose(np.concatenate([A, members]), size=_laid_out(size, m, "T", "K"))
     if require_expansive:
         _require_expansive(dec.eigenvalues[:T], m, tol, size)
     f_members = _per_member(fs, m)
     if lhs_form == "sum_fb":
-        rhs = _perspective(fs, dec[:T], B, solver)
+        rhs = _perspective(fs, dec[:T], B)
         lhs = total(dec[T:].map(f_members).reconstruct())
     else:
-        P = _perspective([*fs, *f_members], dec, np.concatenate([B, Bs]), solver)
+        P = _perspective([*fs, *f_members], dec, np.concatenate([B, Bs]))
         rhs, lhs = P[:T], total(P[T:])
-    return _decompose(_herm(rhs - lhs), solver, size).eigenvalues
+    return _herm(rhs - lhs)
 
 
 def perspective_sum_residual(
@@ -330,8 +329,8 @@ def perspective_sum_residual(
     """
     As, Bs = _families(A_family=A_family, B_family=B_family)
     require_operator_class(f, "operator_concave")
-    w = _perspective_sums([f], As, Bs, [len(As)], lhs_form, require_expansive, tol)
-    return _verdict(w[0], tol)
+    R = _perspective_sums([f], As, Bs, [len(As)], lhs_form, require_expansive, tol)
+    return _verdict(_decompose(R).eigenvalues[0], tol)
 
 
 def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, m, tol: float, size=None) -> np.ndarray:

@@ -36,14 +36,13 @@ takes the bits of the unmasked one.
 
 Two eigensolvers are available: "eigh" (LAPACK via numpy) and "jacobi" (a
 self-contained cyclic Jacobi sweep, run on a whole stack at once).  The
-second exists so that candidate counterexamples can be re-verified through
-an independent numerical route; keep the two code paths distinct.  Only
-spectral_decompose and the private _decompose take the choice; every other
-function here uses "eigh".  The sweep holds each matrix H and its
-accumulated unitary U as one (2n, n) array, H on rows :n and U on rows n:,
-so that one column rotation turns both, in place.  No step is masked: a pair
-that only some live matrices turn is rotated on that subset alone, gathered
-and written back.
+second exists so that the search's candidate residuals get an independent
+eigensolve; keep the two code paths distinct.  Only spectral_decompose and
+the private _decompose take the choice; every other function here uses
+"eigh".  The sweep holds each matrix H and its accumulated unitary U as one
+(2n, n) array, H on rows :n and U on rows n:, so that one column rotation
+turns both, in place.  No step is masked: a pair that only some live
+matrices turn is rotated on that subset alone, gathered and written back.
 """
 
 from __future__ import annotations

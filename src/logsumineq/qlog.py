@@ -68,17 +68,26 @@ def _q_log(arr: np.ndarray, q) -> np.ndarray:
     return np.where(near, logs, np.expm1(one_minus_q * logs) / one_minus_q)
 
 
-def _finite(name: str, out):
-    """out, a float if it is one value; a result that is not finite is a NumericError."""
+def _finite(name: str, compute):
+    """compute()'s result, a float if it is one value.  What overflows, divides by zero or is
+    invalid gives a result that is not finite, which is a NumericError, with no warning first."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = compute()
     if not np.isfinite(out).all():
         raise NumericError(f"{name} gave a result that is not finite")
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _q_log_of(name: str, value, q):
+    """(value, checked strictly positive and finite under name, as an array; its qlog)."""
+    arr = _check_positive(name, value)
+    return arr, _finite("q_log", lambda: _q_log(arr, q))
+
+
 def q_log(x, params: QLogParams):
     """Evaluate qlog(x).  Accepts scalars or arrays of positive reals.  A result that is not
     finite (x**(1 - q) overflowed) is a NumericError, as it is in each identity below."""
-    return _finite("q_log", _q_log(_check_positive("x", x), params.q))
+    return _q_log_of("x", x, params.q)[1]
 
 
 def q_log_product(x, y, params: QLogParams):
@@ -86,9 +95,8 @@ def q_log_product(x, y, params: QLogParams):
 
     qlog(x*y) = qlog(x) + qlog(y) + (1 - q) * qlog(x) * qlog(y)
     """
-    lx = q_log(x, params)
-    ly = q_log(y, params)
-    return _finite("q_log_product", lx + ly + (1.0 - params.q) * lx * ly)
+    lx, (_, ly) = q_log(x, params), _q_log_of("y", y, params.q)
+    return _finite("q_log_product", lambda: lx + ly + (1.0 - params.q) * lx * ly)
 
 
 def q_log_quotient(x, y, params: QLogParams):
@@ -96,9 +104,8 @@ def q_log_quotient(x, y, params: QLogParams):
 
     qlog(x/y) = (qlog(x) - qlog(y)) / y**(1 - q)
     """
-    lx = q_log(x, params)
-    ly = q_log(y, params)
-    return _finite("q_log_quotient", (lx - ly) / _check_positive("y", y) ** (1.0 - params.q))
+    lx, (y, ly) = q_log(x, params), _q_log_of("y", y, params.q)
+    return _finite("q_log_quotient", lambda: (lx - ly) / y ** (1.0 - params.q))
 
 
 def q_log_reciprocal(y, params: QLogParams):
@@ -106,5 +113,5 @@ def q_log_reciprocal(y, params: QLogParams):
 
     qlog(1/y) = -qlog(y) / y**(1 - q)
     """
-    ly = q_log(y, params)
-    return _finite("q_log_reciprocal", -ly / _check_positive("y", y) ** (1.0 - params.q))
+    y, ly = _q_log_of("y", y, params.q)
+    return _finite("q_log_reciprocal", lambda: -ly / y ** (1.0 - params.q))

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from logsumineq import harness, loewner, traceform
+from logsumineq import harness, loewner, matfun, traceform
 from logsumineq.errors import (
     DomainError,
     PreconditionError,
@@ -260,14 +260,14 @@ def test_sum_match_boundary(factor, accepted):
     "recheck, confirmed", [(-2.0 * RECHECK_ABS_TOL, True), (-0.5 * RECHECK_ABS_TOL, False)]
 )
 def test_search_recheck_boundary(monkeypatch, recheck, confirmed):
-    # every candidate's Jacobi recheck reads recheck; a finding needs < -RECHECK_ABS_TOL
-    real = harness._sum_residuals
+    # every candidate's Jacobi eigenvalues read recheck; a finding needs < -RECHECK_ABS_TOL
+    real = matfun.jacobi_eigh
 
-    def fake(config, m, *stacks, solver="eigh"):
-        w = real(config, m, *stacks, solver=solver)
-        return np.full_like(w, recheck) if solver == "jacobi" else w
+    def fake(A):
+        w, V = real(A)
+        return np.full_like(w, recheck), V
 
-    monkeypatch.setattr(harness, "_sum_residuals", fake)
+    monkeypatch.setattr(matfun, "jacobi_eigh", fake)
     cfg = TrialConfig(
         suite="perspective_sum",
         trials=100,

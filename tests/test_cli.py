@@ -554,6 +554,21 @@ def test_eval_result_that_is_not_finite_exits_three(tmp_path, capsys, op):
     assert _eval(tmp_path, capsys, op, doc) == (3, "", f"numeric failure: {message}\n")
 
 
+@pytest.mark.parametrize("op", ["q_log", "q_log_product", "q_log_quotient", "q_log_reciprocal"])
+def test_eval_q_log_refuses_a_result_that_is_not_finite_without_warning(tmp_path, capsys, op):
+    # under pytest's filterwarnings = error: a warning would escape as an exception
+    doc, message = _OVERFLOWS[op]
+    assert _eval(tmp_path, capsys, op, doc) == (3, "", f"numeric failure: {message}\n")
+
+
+def test_eval_q_log_identity_names_y_when_it_refuses_y(tmp_path, capsys):
+    assert _eval(tmp_path, capsys, "q_log_reciprocal", {"y": -1, "q": 0.5}) == (
+        2,
+        "",
+        "error: y must be strictly positive\n",
+    )
+
+
 def test_eval_non_object_document_exits_two(tmp_path, capsys):
     assert _eval(tmp_path, capsys, "q_log", [2.0, 0.5]) == (
         2,

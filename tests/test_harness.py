@@ -364,7 +364,7 @@ def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls, lhs_form
 
 
 @pytest.mark.parametrize("trials", [500, 50])  # 50: the search_sum_fb benchmark's call
-def test_search_recheck_takes_three_jacobi_calls_per_group_per_block(monkeypatch, trials):
+def test_search_recheck_takes_one_jacobi_call_per_class_per_chunk(monkeypatch, trials):
     cfg = _search_config("sum_fb", trials)
     _, _, failures = harness._run(cfg, harness._perspective_sum_verdicts)
     seeds = [ts for _, ts, _ in failures]
@@ -379,9 +379,11 @@ def test_search_recheck_takes_three_jacobi_calls_per_group_per_block(monkeypatch
 
     monkeypatch.setattr(matfun, "jacobi_eigh", counting)
     counterexample_search(cfg)
-    # one decomposition of the totals and members, one of the perspective
-    # arguments and one of the residuals, each a stack over the size class
-    assert len(jacobi_calls) == 3 * classes
+    # one decomposition of the kept residuals, a stack over the size class, each candidate's
+    # residual once, padded to its class
+    assert len(jacobi_calls) == classes
+    assert sum(shape[0] for shape in jacobi_calls) == len(failures)
+    assert all(shape[1:] == (3, 3) for shape in jacobi_calls)
 
 
 @pytest.mark.parametrize(
@@ -446,9 +448,19 @@ def test_a_refused_hypothesis_is_named_by_its_seed(
     assert str(replay.value) == str(run.value)
 
 
+def _own_residual(cfg, n, m, As, Bs, f):
+    """The sum_fb residual of one trial of the public generators' members As, Bs, formed padded
+    to its size class as its one-trial search forms it, and cut to its own size."""
+    N = harness._size_class(n, cfg)
+    padded = harness._pad([np.stack(As), np.stack(Bs)], N)
+    R = loewner._perspective_sums([f], *padded, [m], "sum_fb", False, cfg.tolerance, np.array([n]))
+    return R[0, :n, :n]
+
+
 def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
-    # the recheck is the one caller that picks a solver other than eigh; a finding's recheck
-    # is its padded one-trial Jacobi judge's, bit for bit, and at round-off from the unpadded
+    # the recheck is the one eigensolve that runs the Jacobi solver: a finding's recheck is
+    # jacobi_eigh's least eigenvalue of its trial's one-trial residual, bit for bit, and at
+    # round-off from the first pass's eigh (at least one finding differs from it)
     jacobi_calls = []
     real = matfun.jacobi_eigh
 
@@ -460,7 +472,7 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
     cfg = _search_config("sum_fb", 300)
     rep = counterexample_search(cfg)
     assert rep.findings and jacobi_calls
-    recheck = replace(cfg, tolerance=harness.RECHECK_ABS_TOL)
+    monkeypatch.undo()
     for finding in rep.findings:
         rng = np.random.default_rng(finding["seed"])
         m = int(rng.integers(1, cfg.m + 1))
@@ -469,79 +481,85 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
         Bs = [gen.rand_pd(rng, n, cfg.spectrum_range) for _ in range(m)]
         f = harness._concave_f(rng)
         assert (n, m, f.label()) == (finding["n"], finding["m"], finding["f"])
-        built, alone = _judged_alone(harness._rechecks, recheck, finding["seed"])
-        _assert_same_bits(built, (As, Bs))
-        assert alone == finding["recheck_min_eigenvalue"]
-        As, Bs = np.stack(As), np.stack(Bs)
-        w = loewner._perspective_sums([f], As, Bs, [m], "sum_fb", False, cfg.tolerance, "jacobi")
+        R = _own_residual(cfg, n, m, As, Bs, f)
         N = harness._size_class(n, cfg)
-        bound = _PAD_MOVE_K * N * np.finfo(float).eps * max(1.0, abs(w[0]).max())
-        assert abs(w[0].min() - alone) <= bound
-        if n == N:
-            assert w[0].min() == alone
+        padded = np.eye(N, dtype=complex)
+        padded[:n, :n] = R
+        w, V = matfun.jacobi_eigh(padded)
+        own = ~abs(V[n:]).any(axis=0)  # the eigenvectors on the own rows
+        assert w[own].min() == finding["recheck_min_eigenvalue"]
+        first = finding["first_min_eigenvalue"]
+        bound = _PAD_MOVE_K * N * np.finfo(float).eps * max(1.0, abs(w).max())
+        assert abs(first - finding["recheck_min_eigenvalue"]) <= bound
+    assert any(f["recheck_min_eigenvalue"] != f["first_min_eigenvalue"] for f in rep.findings)
 
 
-def test_the_confirmation_judges_the_first_pass_instances_without_building(monkeypatch):
-    # the candidates keep their first-pass instances: the confirmation runs no qr and no build,
-    # and still takes one Jacobi stack per kernel step and size class of each chunk
+def test_the_confirmation_decomposes_the_first_pass_residuals_without_forming_them(monkeypatch):
+    # the candidates keep their first-pass residuals: outside the first pass's judging, the
+    # search runs no qr, no build, no kernel and no eigh, and takes one Jacobi stack per size
+    # class of each chunk
     cfg = _search_config("sum_fb", 300)
     candidates = [ts for _, ts, _ in harness._run(cfg, harness._perspective_sum_verdicts)[2]]
     stacked = harness._perspective_sum_verdicts
     classes, _ = _classes_and_groups(stacked, cfg, candidates, harness._block(cfg))
-    confirming, calls = [False], {"qr": 0, "_families": 0, "_sum_build": 0, "jacobi_eigh": 0}
+    names = ("qr", "eigh", "_families", "_sum_build", "_perspective_sums", "jacobi_eigh")
+    judging, calls = [False], dict.fromkeys(names, 0)
 
     def counting(module, name):
         real = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += confirming[0]
+            calls[name] += not judging[0]
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
     for module, name in [
         (np.linalg, "qr"),
+        (np.linalg, "eigh"),
         (harness, "_families"),
         (harness, "_sum_build"),
+        (harness, "_perspective_sums"),
         (matfun, "jacobi_eigh"),
     ]:
         counting(module, name)
     real = harness._verdicts
 
-    def verdicts(draws, seeds, config, suite, *builds):
-        confirming[0] = suite is harness._rechecks
+    def verdicts(draws, seeds, config, suite, *residuals):
+        judging[0] = suite is stacked
         try:
-            return real(draws, seeds, config, suite, *builds)
+            return real(draws, seeds, config, suite, *residuals)
         finally:
-            confirming[0] = False
+            judging[0] = False
 
     monkeypatch.setattr(harness, "_verdicts", verdicts)
     assert counterexample_search(cfg).findings
-    assert calls == {"qr": 0, "_families": 0, "_sum_build": 0, "jacobi_eigh": 3 * classes}
+    assert calls == {**dict.fromkeys(names, 0), "jacobi_eigh": classes}
 
 
 def test_a_kept_candidate_shares_no_memory_with_its_blocks_stacks(monkeypatch):
-    # a candidate's members are copies of its rows of its n-group's build, so a chunk holds no
-    # stack of the blocks its candidates came from
+    # a candidate's residual is its row of its class's residual stack, cut to its own size,
+    # from a copy of the class's failing rows: a chunk holds no stack of the blocks its
+    # candidates came from
     stacks, kept = [], []
     real = harness._verdicts
 
-    def recording(draws, seeds, config, suite, *builds):
-        gaps, holds = real(draws, seeds, config, suite, *builds)
+    def recording(draws, seeds, config, suite, *residuals):
+        gaps, holds = real(draws, seeds, config, suite, *residuals)
         if suite is harness._rechecks:
             kept.extend(draws)
         else:
-            stacks.extend(v for _, built in builds[0] for v in built if isinstance(v, np.ndarray))
+            stacks.extend(R for _, R in residuals[0])
         return gaps, holds
 
     monkeypatch.setattr(harness, "_verdicts", recording)
     assert counterexample_search(_search_config("sum_fb", 300)).findings
     assert kept and stacks
+    assert any(draw.n < 3 for draw in kept)  # some candidates are cut from a padded row
     for draw in kept:
-        m, As, Bs, _ = draw.values
-        assert len(As) == len(Bs) == m
-        for member in (*As, *Bs):
-            assert not any(np.shares_memory(member, stack) for stack in stacks)
+        (R,) = draw.values
+        assert R.shape == (draw.n, draw.n)
+        assert not any(np.shares_memory(R, stack) for stack in stacks)
 
 
 def test_a_refused_recheck_is_named_by_its_seed(monkeypatch):
@@ -622,7 +640,7 @@ def test_the_first_refused_trial_of_a_block_is_found_by_bisection(monkeypatch):
 @pytest.mark.parametrize("run", [*sorted(SUITES), "search perspective_sum", "search sum_fb"])
 def test_each_trial_draws_from_one_rng_of_its_trial_seed(monkeypatch, run):
     # trial i of seed s draws from the stream (s + i) mod 2**64, here across the
-    # wrap; the search's recheck judges the instances its first pass built
+    # wrap; the search's recheck decomposes the residuals its first pass formed
     seeds = []
     real = harness._rngs
 
@@ -1064,6 +1082,8 @@ def test_every_eigensolve_of_a_padded_judge_takes_the_own_sizes(monkeypatch, sui
         return real(H, solver, size)
 
     monkeypatch.setattr(loewner, "_decompose", recording)
+    if suite in ("perspective_sum", "search"):  # its residuals, and the recheck's
+        monkeypatch.setattr(harness, "_decompose", recording)
     if suite == "search":
         rep = counterexample_search(_search_config("sum_fb", 60))
         assert rep.findings

@@ -73,7 +73,6 @@ def test_rejects_non_finite_order():
         QLogParams(np.inf)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize(
     "call",
     [
@@ -90,7 +89,6 @@ def test_a_result_that_is_not_finite_is_refused(call):
         call(QLogParams(-5.0))
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 @pytest.mark.parametrize(
     "name, call, q",
     [
@@ -105,6 +103,27 @@ def test_an_identity_whose_result_is_not_finite_is_refused(name, call, q):
     # each q-logarithm is finite; the product term or the division by y**(1 - q) is not
     with pytest.raises(NumericError, match=f"^{name} gave a result that is not finite$"):
         call(QLogParams(q))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: q_log_product(2.0, -1.0, p),
+        lambda p: q_log_quotient(2.0, -1.0, p),
+        lambda p: q_log_reciprocal(-1.0, p),
+        lambda p: q_log_quotient(2.0, np.array([1.0, 0.0]), p),
+        lambda p: q_log_reciprocal(np.inf, p),
+    ],
+    ids=["product", "quotient", "reciprocal", "quotient-array", "reciprocal-infinite"],
+)
+def test_an_identity_refuses_y_under_its_name(call):
+    with pytest.raises(DomainError, match=r"^y must be (strictly positive|finite)$"):
+        call(QLogParams(0.5))
+
+
+def test_an_identity_refuses_x_before_y():
+    with pytest.raises(DomainError, match=r"^x must be strictly positive$"):
+        q_log_quotient(-1.0, -1.0, QLogParams(0.5))
 
 
 def test_array_evaluation_matches_scalar():
