@@ -13,7 +13,8 @@ format {"n": int, "re": [[...]], "im": [[...]]}; scalar function arguments
 are {"family": name, "param": x, "offset": y}; sequence pairs are
 {"a": [...], "b": [...]}; families are lists of exchange matrices. An op is
 its library function: its fields are the function's parameters, in order, and
-an absent or null optional field takes the function's own default.
+an absent or null optional field takes the function's own default.  A field
+that is not one of its parameters is refused.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ _FIELDS = {
     ),
     **dict.fromkeys(("A_family", "B_family", "X_family"), _family),
     **dict.fromkeys(("lambda_a", "lambda_b"), _floats),
-    **dict.fromkeys(("h_kind", "solver", "lhs_form"), _exactly(str, "a string")),
+    **dict.fromkeys(("h_kind", "lhs_form"), _exactly(str, "a string")),
     "pair": _pair,
     "interval": _interval,
     "grid_points": _exactly(int, "an integer"),
@@ -242,7 +243,11 @@ def _cmd_eval(args) -> int:
     if not isinstance(doc, dict):
         raise DomainError("input document must be a JSON object")
     fn = EVAL_OPS[args.op]
-    rendered = _render(fn(*(_field(doc, p) for p in inspect.signature(fn).parameters.values())))
+    parameters = inspect.signature(fn).parameters
+    for name in doc:
+        if name not in parameters:
+            raise DomainError(f"op {args.op!r} takes no field {name!r}")
+    rendered = _render(fn(*(_field(doc, p) for p in parameters.values())))
     try:
         text = json.dumps(rendered, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # a NaN or an infinity, which strict JSON cannot hold

@@ -46,12 +46,15 @@ one expression on equal bits, and the residual is the zero matrix.  Its
 draw stops after m (_identity) and returns _IDENTITY_DRAW, which _verdicts
 judges at gap 0.0 and scale 1.0 without a build or judge.  sum_fb,
 pooled_mean and operator_shannon draw in full: at one member their residual
-is round-off, not zero.  Search-mode candidates keep their own blocks of
-the residuals their first pass formed (views of one copy of a class's
-failing rows, so no block's stack outlives its block), and _rechecks
-confirms them through the independent Jacobi eigensolver, one call per size
-class of a chunk, at a tightened absolute tolerance: Jacobi re-derives the
-eigenvalue the verdict reads, not the residual's formation.
+is round-off, not zero.
+
+A Loewner suite's judge (_loewner) forms each size class's residuals R and
+decomposes them once.  The search's first pass hands a block's failing
+trials, each as its own n x n block of its class's R, straight to _rechecks,
+which confirms them through the independent Jacobi eigensolver, one call per
+size class of the block, at a tightened absolute tolerance: Jacobi
+re-derives the eigenvalue the verdict reads, not the residual's formation.
+_grouped stacks copies of those blocks, so no candidate outlives its block.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import generators as gen
+from . import matfun
 from .errors import (
     DEFAULT_TOLERANCE,
     DomainError,
@@ -89,7 +93,7 @@ from .loewner import (
     _split_mean,
     perspective_sum_residual,  # noqa: F401 (the benchmark self-tests read it from harness)
 )
-from .matfun import _decompose, _gap_scale, _lowest, _Segments
+from .matfun import _decompose, _gap_scale, _lowest, _ordered, _Segments
 from .scalar import (
     _curvature_holds,
     _forward,
@@ -577,27 +581,24 @@ def _sum_build(config: TrialConfig, m, *stacks):
     return m, *_families(config, *family, a_kind=config.family_kind), fs
 
 
-def _sum_residuals(config: TrialConfig, size, m, As, Bs, fs, kept=None) -> np.ndarray:
-    """Each trial's residual eigenvalues; a list kept gets the residual stack appended."""
+def _sum_residuals(config: TrialConfig, size, m, As, Bs, fs) -> np.ndarray:
     expansive, tol = config.family_kind == "expansive", config.tolerance
-    R = _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, tol, size)
-    if kept is not None:
-        kept.append(R)
-    return _decompose(R, size=size).eigenvalues
+    return _perspective_sums(fs, As, Bs, m, config.lhs_form, expansive, tol, size)
 
 
 def _kept_residual(rng, config: TrialConfig) -> _Draw:
-    """A candidate's trial drawn and judged alone, as the draw of the residual the search keeps
-    for it: its own n x n block of its class's residual."""
+    """A candidate's trial drawn and judged alone, as the draw of the residual the search confirms
+    it by: its own n x n block of its class's residual."""
     draw, kept = _sum_draw(rng, config), []
     list(_grouped([draw], config, _perspective_sum_verdicts, kept))
     return _Draw(draw.n, (kept[0][0, : draw.n, : draw.n],))
 
 
 def _recheck_gaps(config: TrialConfig, size, R):
-    """The search's confirmation: each kept residual's least own eigenvalue through the Jacobi
-    solver, at scale 1."""
-    return _lowest(_decompose(R, "jacobi", size).eigenvalues, size), 1.0
+    """The search's confirmation: each candidate residual's least own eigenvalue through the
+    Jacobi solver (looked up on matfun, where a tracer or a test's counter binds it), at scale
+    1."""
+    return _lowest(_ordered(*matfun.jacobi_eigh(R), size).eigenvalues, size), 1.0
 
 
 def _jensen(rng, n):
@@ -788,8 +789,8 @@ def _grouped(draws: list[_Draw], config: TrialConfig, suite: _Suite, kept=None):
     size, take more than _BLOCK_BYTES // config.n bytes is evaluated in runs
     of consecutive positions that fit (a larger trial runs alone).  Classes
     and runs are bitwise independent stacks.  A list kept goes to the judge,
-    which must be the perspective sum's (_sum_residuals): it appends each
-    class's residual stack.
+    which must be a Loewner suite's (_loewner): it appends each class's
+    residual stack.
     """
     extra = {} if kept is None else {"kept": kept}
     by_n: dict[int, list[int]] = {}
@@ -903,11 +904,15 @@ def _first_refused(exc: Exception, trials, config: TrialConfig, suite: _Suite) -
 
 
 def _loewner(draw, build, residuals) -> _Suite:
-    """A Loewner suite: the gap and scale (_gap_scale) of each trial's residual,
-    whose eigenvalues (T, N) residuals(config, size, *built) gives for a size class."""
+    """A Loewner suite: the gap and scale (_gap_scale) of each trial's residual, from one
+    decomposition of the residuals R (T, N, N) that residuals(config, size, *built) forms for a
+    size class; a list kept gets R appended."""
 
-    def judge(config, size, *built, **kept):
-        return _gap_scale(residuals(config, size, *built, **kept), size)
+    def judge(config, size, *built, kept=None):
+        R = residuals(config, size, *built)
+        if kept is not None:
+            kept.append(R)
+        return _gap_scale(_decompose(R, size=size).eigenvalues, size)
 
     return _Suite(draw, build, judge)
 
@@ -1011,49 +1016,36 @@ def counterexample_search(config: TrialConfig) -> SuiteReport:
     if config.family_kind != "contractive":
         raise DomainError("counterexample_search requires family_kind='contractive'")
     start = time.perf_counter()
-    findings, candidates = [], []  # candidates: (finding but its recheck, kept residual)
-    block = _block(config)
-
-    def confirm(chunk):
-        """Decompose a chunk of candidates' kept residuals through the Jacobi solver, one stack
-        per size class."""
-        draws, seeds = [draw for _, draw in chunk], [finding["seed"] for finding, _ in chunk]
-        rechecks = _verdicts(draws, seeds, replace(config, tolerance=RECHECK_ABS_TOL), _rechecks)
-        for (finding, _), recheck, ok in zip(chunk, *rechecks):
-            if not ok:
-                findings.append({**finding, "recheck_min_eigenvalue": recheck})
+    findings, recheck = [], replace(config, tolerance=RECHECK_ABS_TOL)
 
     def first_pass(seeds, config):
-        """The block's verdicts; its failing trials join the candidates, in trial order, with
-        their rows of the residual stacks this pass formed."""
+        """The block's verdicts; its failing trials are confirmed from their own blocks of the
+        residual stacks this pass formed, and the confirmed ones join the findings in trial
+        order."""
         draws, kept = _perspective_sum_verdicts.draws(seeds, config), []
         min_eigs, holds = _verdicts(draws, seeds, config, _perspective_sum_verdicts, kept)
-        rows = {}
-        for ks, R in kept:
-            failing = [t for t, k in enumerate(ks) if not holds[k]]
-            # one copy of the class's failing rows, so that no kept row holds the block's stack
-            for k, row in zip([ks[t] for t in failing], R[failing]):
-                rows[k] = row[: draws[k].n, : draws[k].n]
-        for k in sorted(rows):
-            draw, ts = draws[k], seeds[k]
-            finding = {
-                "trial_index": (ts - config.seed) % _SEED_MOD,
-                "seed": ts,
-                "n": draw.n,
-                "m": draw.values[0],  # a family draw's first value is m
-                "f": draw.values[-1].label(),  # the draw's last value is f
-                "lhs_form": config.lhs_form,
-                "first_min_eigenvalue": min_eigs[k],
-            }
-            candidates.append((finding, _Draw(draw.n, (rows[k],))))
-        while len(candidates) >= block:
-            confirm(candidates[:block])
-            del candidates[:block]
+        # each failing trial, in trial order, as its own n x n block of its class's residuals
+        rows = {k: R[t] for ks, R in kept for t, k in enumerate(ks) if not holds[k]}
+        failing = sorted(rows)
+        residuals = [_Draw(draws[k].n, (rows[k][: draws[k].n, : draws[k].n],)) for k in failing]
+        rechecks = _verdicts(residuals, [seeds[k] for k in failing], recheck, _rechecks)
+        for k, recheck_min_eig, ok in zip(failing, *rechecks):
+            if not ok:
+                draw, ts = draws[k], seeds[k]
+                finding = {
+                    "trial_index": (ts - config.seed) % _SEED_MOD,
+                    "seed": ts,
+                    "n": draw.n,
+                    "m": draw.values[0],  # a family draw's first value is m
+                    "f": draw.values[-1].label(),  # the draw's last value is f
+                    "lhs_form": config.lhs_form,
+                    "first_min_eigenvalue": min_eigs[k],
+                    "recheck_min_eigenvalue": recheck_min_eig,
+                }
+                findings.append(finding)
         return min_eigs, holds
 
     worst_gap, worst_seed, _ = _run(config, first_pass)
-    if candidates:
-        confirm(candidates)
     return SuiteReport(
         suite="contractive_search",
         config=config,

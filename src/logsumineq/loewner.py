@@ -8,9 +8,9 @@ private kernels take Hermitian arrays or SpectralDecompositions and
 decompose each matrix once.
 
 Each check has one kernel over a stack of T trials (see matfun on leading
-axes) returning the residual eigenvalues (T, n), or for the perspective sum
-the residuals (T, n, n) themselves; its public *_residual runs the kernel as
-the T=1 stack.  Operator Jensen and mean monotonicity take stacks
+axes) returning its Hermitian residuals R (T, n, n); its public *_residual
+runs the kernel as the T=1 stack and gives matfun._verdict of its one
+residual.  Operator Jensen and mean monotonicity take stacks
 (T, n, n).  The other five take families on one flat member axis
 (K, n, n), trial t's m[t] members on consecutive rows, beside the counts m;
 the kernel takes their layout once (matfun._Segments) and decomposes the
@@ -21,13 +21,14 @@ takes size, the own size n of each trial of a padded stack (the harness
 pads every matrix of a trial to its size class N by an identity block); a
 public function passes none, and every slot is own (matfun._own).  Every
 decomposition carries the own sizes (_laid_out) and orders eigenpairs
-own-first, and every check and the residual's eigenvalues are read on the
-own slots or the own block (matfun._own_block), so a pad adds no value of
-its own to a check; a padded gap moves from the unpadded one at round-off
-only.  A failing check raises the one-trial message of the first failing
-trial in trial order for the hypotheses (expansivity, matching sums, the
-contraction and order checks), through errors._require.  Operator classes
-come from a catalog of textbook results, not from numerics.
+own-first, and every check is read on the own slots or the own block
+(matfun._own_block), so a pad adds no value of its own to a check; the
+harness reads a padded residual's eigenvalues on its own slots, and its gap
+moves from the unpadded one at round-off only.  A failing check raises the
+one-trial message of the first failing trial in trial order for the
+hypotheses (expansivity, matching sums, the contraction and order checks),
+through errors._require.  Operator classes come from a catalog of textbook
+results, not from numerics.
 
 Every perspective and mean is built in its anchor's eigenbasis (_anchored),
 and no anchor root or inverse is formed as a matrix: the perspective takes
@@ -35,10 +36,11 @@ f at (A, B), the mean 1/f(1/x) at (B, A), so A is neither inverted nor
 decomposed.  The only reconstructed roots are the statements' own factors,
 A_i^{1/2} (split mean) and sum(B_i^{1/2}) (pooled mean).
 
-Every kernel decomposes through LAPACK's eigh.  The perspective sum's
-callers decompose its residuals: the contractive search keeps its
-candidates' rows and confirms them through the independent Jacobi solver
-(harness), which re-derives the residual's eigenvalues, not its formation.
+Every kernel decomposes through LAPACK's eigh, and none decomposes its
+residual: each caller does, once (matfun._verdict, or the harness's Loewner
+judge).  The contractive search confirms its candidates' residuals through
+the independent Jacobi solver (harness), which re-derives the residual's
+eigenvalues, not its formation.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ def _strict_contraction_problem(f: FunctionSpec, monotone: bool) -> str | None:
 
 
 def _operator_jensen(f: FunctionSpec, C: np.ndarray, X: np.ndarray, size=None) -> np.ndarray:
-    """Residual eigenvalues (T, n) of the operator Jensen check for C, Hermitian X (T, n, n)."""
+    """The residuals (T, n, n) of the operator Jensen check for C, Hermitian X (T, n, n)."""
     norm = np.linalg.norm(_own_block(C, size), 2, axis=(-2, -1))
     ok = _holds(1.0 - norm, 1.0, CONTRACTION_TOL)
     _require(ok, PreconditionError, "contraction has operator norm {!r} > 1", norm)
@@ -239,7 +241,7 @@ def _operator_jensen(f: FunctionSpec, C: np.ndarray, X: np.ndarray, size=None) -
     fYX = dec.map(f).reconstruct()
     CfXC = Ct @ fYX[:, 1] @ C
     residual = fYX[:, 0] - CfXC if monotone else CfXC - fYX[:, 0]
-    return _decompose(_herm(residual), size=size).eigenvalues
+    return _herm(residual)
 
 
 def operator_jensen_residual(
@@ -254,7 +256,7 @@ def operator_jensen_residual(
     at 0 are not needed.
     """
     C, X = _checked({"contraction": contraction, "X": X}, square=("contraction",))
-    return _verdict(_operator_jensen(f, C[None], X[None])[0], tol)
+    return _verdict(_operator_jensen(f, C[None], X[None]), tol)
 
 
 def _require_expansive(w_sum: np.ndarray, m, tol: float, size=None) -> None:
@@ -280,8 +282,7 @@ def _perspective_sums(
     tol: float,
     size=None,
 ) -> np.ndarray:
-    """The Hermitian residuals rhs - lhs (T, n, n) of the perspective-sum inequality for T
-    trials; the caller decomposes them (with size, as every other kernel decomposes its own).
+    """The residuals rhs - lhs (T, n, n) of the perspective-sum inequality for T trials.
 
     As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive
     rows, and fs[t] is trial t's f.  The totals sit beside the members, so
@@ -330,11 +331,11 @@ def perspective_sum_residual(
     As, Bs = _families(A_family=A_family, B_family=B_family)
     require_operator_class(f, "operator_concave")
     R = _perspective_sums([f], As, Bs, [len(As)], lhs_form, require_expansive, tol)
-    return _verdict(_decompose(R).eigenvalues[0], tol)
+    return _verdict(R, tol)
 
 
 def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, m, tol: float, size=None) -> np.ndarray:
-    """Residual eigenvalues (T, n) of the operator Shannon check for T trials.
+    """The residuals (T, n, n) of the operator Shannon check for T trials.
 
     As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive
     rows, and fs[t] is trial t's f.  One decomposition takes the totals
@@ -354,7 +355,7 @@ def _operator_shannon(fs, As: np.ndarray, Bs: np.ndarray, m, tol: float, size=No
     dec = _decompose(np.concatenate([A, As]), size=_laid_out(size, m, "T", "K"))
     _require_expansive(dec.eigenvalues[:T], m, tol, size)
     lhs = total(_perspective(_per_member(fs, m), dec[T:], Bs))
-    return _decompose(_herm(-lhs), size=size).eigenvalues
+    return _herm(-lhs)
 
 
 def operator_shannon_residual(
@@ -367,11 +368,11 @@ def operator_shannon_residual(
     -sum_i A_i^{1/2} f(A_i^{-1/2} B_i A_i^{-1/2}) A_i^{1/2} >= 0.
     """
     As, Bs = _families(A_family=A_family, B_family=B_family)
-    return _verdict(_operator_shannon([f], As, Bs, [len(As)], tol)[0], tol)
+    return _verdict(_operator_shannon([f], As, Bs, [len(As)], tol), tol)
 
 
 def _pooled_inverse(Xs: np.ndarray, As: np.ndarray, m, size=None) -> np.ndarray:
-    """Residual eigenvalues (T, n) of the pooled-inverse check for T trials.
+    """The residuals (T, n, n) of the pooled-inverse check for T trials.
 
     Xs (square) and As (Hermitian) are members (K, n, n), trial t's m[t] on
     consecutive rows.
@@ -382,7 +383,7 @@ def _pooled_inverse(Xs: np.ndarray, As: np.ndarray, m, size=None) -> np.ndarray:
     root = dec.inverse().sqrt()
     Y = root.eigenvalues[..., :, None] * (_adjoint(root.unitary) @ np.concatenate([Xs, total(Xs)]))
     gram = _adjoint(Y) @ Y
-    return _decompose(_herm(total(gram[:K]) - gram[K:]), size=size).eigenvalues
+    return _herm(total(gram[:K]) - gram[K:])
 
 
 def pooled_inverse_residual(X_family, A_family, tol: float = DEFAULT_TOLERANCE) -> LoewnerVerdict:
@@ -391,7 +392,7 @@ def pooled_inverse_residual(X_family, A_family, tol: float = DEFAULT_TOLERANCE) 
     X_i are arbitrary square complex matrices; A_i must be PD.
     """
     Xs, As = _families(square=("X_family",), X_family=X_family, A_family=A_family)
-    return _verdict(_pooled_inverse(Xs, As, [len(As)])[0], tol)
+    return _verdict(_pooled_inverse(Xs, As, [len(As)]), tol)
 
 
 def _inverted(dec_b: SpectralDecomposition, A: np.ndarray):
@@ -432,7 +433,7 @@ def matrix_mean(f: FunctionSpec, A, B) -> np.ndarray:
 
 
 def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m, size=None) -> np.ndarray:
-    """Residual eigenvalues (T, n) of the pooled mean bound for T trials.
+    """The residuals (T, n, n) of the pooled mean bound for T trials.
 
     As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive rows.
     """
@@ -447,7 +448,7 @@ def _pooled_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m, size=None) 
     pooled = _decompose(f_sum, size=size).inverse()
     lhs = _build(pooled.eigenvalues, sB_sum @ pooled.unitary) / np.asarray(m)[:, None, None]
     rhs = _build(f_arg[K:].inverse().eigenvalues, W[K:])
-    return _decompose(_herm(rhs - lhs), size=size).eigenvalues
+    return _herm(rhs - lhs)
 
 
 def pooled_mean_residual(
@@ -459,11 +460,11 @@ def pooled_mean_residual(
             <= B^{1/2} [f(B^{1/2} A^{-1} B^{1/2})]^{-1} B^{1/2}.
     """
     As, Bs = _families(A_family=A_family, B_family=B_family)
-    return _verdict(_pooled_mean(f, As, Bs, [len(As)])[0], tol)
+    return _verdict(_pooled_mean(f, As, Bs, [len(As)]), tol)
 
 
 def _split_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m, size=None) -> np.ndarray:
-    """Residual eigenvalues (T, n) of the split mean bound for T trials.
+    """The residuals (T, n, n) of the split mean bound for T trials.
 
     As and Bs are Hermitian members (K, n, n), trial t's m[t] on consecutive rows.
     """
@@ -475,7 +476,7 @@ def _split_mean(f: FunctionSpec, As: np.ndarray, Bs: np.ndarray, m, size=None) -
     # mean(A_i, B_i) for each member, then mean(A, B), between the roots
     sides = _herm(roots @ _mean(f, dec[K:], np.concatenate([As, total(As)])) @ roots)
     rhs = sides[K:] / np.asarray(m)[:, None, None]
-    return _decompose(_herm(rhs - total(sides[:K])), size=size).eigenvalues
+    return _herm(rhs - total(sides[:K]))
 
 
 def split_mean_residual(
@@ -492,7 +493,7 @@ def split_mean_residual(
     fault (see the test suite for a reproducible 1x1 instance).
     """
     As, Bs = _families(A_family=A_family, B_family=B_family)
-    return _verdict(_split_mean(f, As, Bs, [len(As)])[0], tol)
+    return _verdict(_split_mean(f, As, Bs, [len(As)]), tol)
 
 
 def _mean_monotonicity(
@@ -504,7 +505,7 @@ def _mean_monotonicity(
     tol: float,
     size=None,
 ) -> np.ndarray:
-    """Residual eigenvalues (T, n) of mean monotonicity for Hermitian stacks (T, n, n)."""
+    """The residuals (T, n, n) of mean monotonicity for Hermitian stacks (T, n, n)."""
     require_operator_class(f, "operator_monotone")
     pair = None if size is None else size[:, None]
     dec = _decompose(
@@ -517,7 +518,7 @@ def _mean_monotonicity(
     _require(ok, PreconditionError, template, ("A", "B"), low)
     # mean(A_whole, B_whole), then mean(A_part, B_part)
     means = _mean(f, dec[:, 2:], np.stack([A_whole, A_part], axis=1))
-    return _decompose(_herm(means[:, 0] - means[:, 1]), size=size).eigenvalues
+    return _herm(means[:, 0] - means[:, 1])
 
 
 def mean_monotonicity_residual(
@@ -536,4 +537,4 @@ def mean_monotonicity_residual(
     with mean(A, B) = B^{1/2}[f(B^{1/2}A^{-1}B^{1/2})]^{-1}B^{1/2}.
     """
     named = {"A_part": A_part, "B_part": B_part, "A_whole": A_whole, "B_whole": B_whole}
-    return _verdict(_mean_monotonicity(f, *(M[None] for M in _checked(named)), tol)[0], tol)
+    return _verdict(_mean_monotonicity(f, *(M[None] for M in _checked(named)), tol), tol)

@@ -25,24 +25,25 @@ and everything else here is elementwise.
 
 Padded stacks: a trial of own size n may sit in a stack of size N >= n as
 the top-left block of its matrices, an identity-like pad below and right of
-it.  _decompose(H, solver, size) takes the own sizes, refuses an
-eigenvector with weight on both sides of a pad (a NumericError naming the
-first such matrix), orders each matrix's eigenpairs own-first, and the
+it.  _decompose(H, size) takes the own sizes, refuses an eigenvector
+with weight on both sides of a pad (a NumericError naming the first such
+matrix), orders each matrix's eigenpairs own-first (_ordered), and the
 decomposition carries the sizes: sqrt, inverse and _gap_scale read the first
 n eigenvalues only (_lowest, _largest), and _own_block zeroes a pad for a
 matrix-level check.  A size None is a public one-trial call's: _own, the one
 place that reads it, makes every slot own, and a check over every slot
 takes the bits of the unmasked one.
 
-Two eigensolvers are available: "eigh" (LAPACK via numpy) and "jacobi" (a
-self-contained cyclic Jacobi sweep, run on a whole stack at once).  The
-second exists so that the search's candidate residuals get an independent
-eigensolve; keep the two code paths distinct.  Only spectral_decompose and
-the private _decompose take the choice; every other function here uses
-"eigh".  The sweep holds each matrix H and its accumulated unitary U as one
-(2n, n) array, H on rows :n and U on rows n:, so that one column rotation
-turns both, in place.  No step is masked: a pair that only some live
-matrices turn is rotated on that subset alone, gathered and written back.
+Every decomposition here is LAPACK's eigh, in _decompose; _verdict
+decomposes the one residual of a public Loewner check.  jacobi_eigh, a
+self-contained cyclic Jacobi sweep run on a whole stack at once, is kept
+apart from it as the independent second opinion: the search confirms its
+candidates' residuals through it, and _ordered gives its eigenpairs the
+own-first order that _decompose gives eigh's.  The sweep holds each matrix
+H and its accumulated unitary U as one (2n, n) array, H on rows :n and U on
+rows n:, so that one column rotation turns both, in place.  No step is
+masked: a pair that only some live matrices turn is rotated on that subset
+alone, gathered and written back.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ COMMUTE_RTOL = 1e-9
 UNITARY_TOL = 1e-10
 PSD_CLAMP_RTOL = 1e-12
 INVERSE_FLOOR_RTOL = 1e-10  # SpectralDecomposition.inverse's default floor, relative to max|w|
-SOLVERS = ("eigh", "jacobi")
 
 
 def _as_square_complex(M, what: str, stack: bool = False) -> np.ndarray:
@@ -456,38 +456,36 @@ def _own_first(w: np.ndarray, U: np.ndarray, size: np.ndarray):
     return w, U.reshape(-1, N, N)[rows, :, order].swapaxes(-1, -2).reshape(U.shape)
 
 
-def _decompose(H: np.ndarray, solver: str = "eigh", size=None) -> SpectralDecomposition:
-    """Eigendecomposition of (a stack of) already Hermitian arrays; no input checks.
+def _ordered(w: np.ndarray, U: np.ndarray, size=None) -> SpectralDecomposition:
+    """The decomposition of an eigensolver's eigenpairs (w, U) of (a stack of) Hermitian arrays.
 
-    Either solver takes a whole stack in one call: "eigh" in one LAPACK
-    call, "jacobi" in one call of jacobi_eigh, looked up by its module name
-    so that a wrapper bound there (a tracer, a test's counter) sees it.
     size, when given, holds the own size of each matrix of a padded stack
     (broadcasting against its leading axes): each matrix is its own block
     and an identity-like pad, and its eigenpairs come own-first (_own_first).
     """
-    if solver == "eigh":
-        try:
-            w, U = np.linalg.eigh(H)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"eigh failed to converge (n={H.shape[-1]}, maxnorm={maxnorm(H):.3e}): {exc}"
-            ) from exc
-    elif solver == "jacobi":
-        w, U = jacobi_eigh(H)
-    else:
-        raise DomainError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
     w = np.asarray(w, dtype=float)
     if size is not None:
-        size = np.broadcast_to(size, H.shape[:-2])
-        if (size < H.shape[-1]).any():
+        size = np.broadcast_to(size, U.shape[:-2])
+        if (size < U.shape[-1]).any():
             w, U = _own_first(w, U, size)
     return SpectralDecomposition(np.ascontiguousarray(U), w, size)
 
 
-def spectral_decompose(A, solver: str = "eigh") -> SpectralDecomposition:
+def _decompose(H: np.ndarray, size=None) -> SpectralDecomposition:
+    """Eigendecomposition of (a stack of) already Hermitian arrays in one LAPACK call; no input
+    checks.  size is _ordered's."""
+    try:
+        w, U = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"eigh failed to converge (n={H.shape[-1]}, maxnorm={maxnorm(H):.3e}): {exc}"
+        ) from exc
+    return _ordered(w, U, size)
+
+
+def spectral_decompose(A) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    return _decompose(_checked({"A": A})[0], solver)
+    return _decompose(_checked({"A": A})[0])
 
 
 def apply_function(f: FunctionSpec, A) -> np.ndarray:
@@ -495,8 +493,9 @@ def apply_function(f: FunctionSpec, A) -> np.ndarray:
     return spectral_decompose(A).map(f).reconstruct()
 
 
-def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
-    """PSD verdict on one residual with eigenvalues w (n,)."""
+def _verdict(R: np.ndarray, tol: float) -> LoewnerVerdict:
+    """PSD verdict on the one residual of a Hermitian stack R (1, n, n)."""
+    w = _decompose(R).eigenvalues[0]
     tol = _tolerance(tol)
     min_eig, scale = _gap_scale(w)
     holds = bool(_holds(min_eig, scale, tol))
@@ -506,7 +505,7 @@ def _verdict(w: np.ndarray, tol: float) -> LoewnerVerdict:
 def loewner_leq(A, B, tol: float = DEFAULT_TOLERANCE) -> LoewnerVerdict:
     """Verdict on A <= B in the Loewner order, i.e. B - A PSD within tolerance."""
     A, B = _checked({"A": A, "B": B})
-    return _verdict(_decompose(_herm(B - A)).eigenvalues, tol)
+    return _verdict(_herm(B - A)[None], tol)
 
 
 def make_commuting_pair(U, lambda_a, lambda_b) -> tuple[np.ndarray, np.ndarray]:

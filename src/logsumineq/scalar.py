@@ -36,6 +36,7 @@ round-off.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -126,6 +127,19 @@ def _verdict(lhs, rhs, gap, tol: float) -> InequalityVerdict:
     return InequalityVerdict(lhs, rhs, gap, tol, holds)
 
 
+def _quietly(fn):
+    """fn evaluated under one np.errstate: a sum or ratio that overflows, divides by zero or is
+    invalid gives a value that is not finite, which is refused as a NumericError (_sums,
+    _verdict, ratio_bounds), with no warning first, as in qlog._finite."""
+
+    @functools.wraps(fn)
+    def quietly(*args, **kwargs):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return quietly
+
+
 def _one(sides, tol: float) -> InequalityVerdict:
     """The verdict of the one pair of a T=1 kernel's (lhs, rhs, gap)."""
     return _verdict(*(side[0] for side in sides), tol)
@@ -179,6 +193,15 @@ def _active_sums(terms, active) -> np.ndarray:
     return out.sum(axis=-1)
 
 
+def _sums(x: np.ndarray, y: np.ndarray, what: str):
+    """Each row's sums of x and y (T, N), checked finite before a function sees them: a sum that
+    overflowed is a NumericError naming what was summed, not a value outside f's domain."""
+    sum_x, sum_y = x.sum(axis=-1), y.sum(axis=-1)
+    template = f"the sums of {what} must be finite, got {{!r}} and {{!r}}"
+    _require(np.isfinite(sum_x) & np.isfinite(sum_y), NumericError, template, sum_x, sum_y)
+    return sum_x, sum_y
+
+
 def _ratio_bounds(g, a: np.ndarray, b: np.ndarray, size=None):
     """m_g, M_g and the aggregate ratio sum g(a_i) / sum g(b_i) (T,) of T pairs (T, N)."""
     own = _own(size, a.shape[-1])
@@ -187,6 +210,7 @@ def _ratio_bounds(g, a: np.ndarray, b: np.ndarray, size=None):
     return (*_extremes(_quotient(ga, gb, own), own), ga.sum(axis=-1) / gb.sum(axis=-1))
 
 
+@_quietly
 def ratio_bounds(g: FunctionSpec, pair: SequencePair) -> RatioBounds:
     """Extremes of the pointwise ratio set g(a_i)/g(b_i).
 
@@ -282,7 +306,7 @@ def _forward(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray, size=None):
             f"zero-weight terms are undefined for {f.label()}: x*f(x) does not vanish at 0"
         )
     active = ~zero & own
-    sum_a, sum_b = ga.sum(axis=-1), gb.sum(axis=-1)
+    sum_a, sum_b = _sums(ga, gb, "g(a_i) and g(b_i)")
     lhs = _active_sums(lambda sel: ga[sel] * np.asarray(f(ratios[sel]), dtype=float), active)
     weighted = sum_a != 0.0
     total = sum_a[weighted] / sum_b[weighted]
@@ -300,6 +324,7 @@ def _forward(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray, size=None):
     return lhs, rhs, lhs - rhs
 
 
+@_quietly
 def generalized_log_sum_gap(
     f: FunctionSpec,
     g: FunctionSpec,
@@ -333,6 +358,7 @@ def _reverse(f: FunctionSpec, g, a: np.ndarray, b: np.ndarray, size=None):
     return lhs, rhs, rhs - lhs
 
 
+@_quietly
 def reverse_log_sum_gap(
     f: FunctionSpec,
     g: FunctionSpec,
@@ -373,6 +399,7 @@ def _rational_example(a: np.ndarray, b: np.ndarray, size=None):
     return lhs, rhs, rhs - lhs
 
 
+@_quietly
 def rational_example_gap(pair: SequencePair, tol: float = DEFAULT_TOLERANCE) -> InequalityVerdict:
     """Reverse inequality specialized to f(x) = x/(x**2 + 2), g = identity.
 
@@ -425,7 +452,7 @@ def _q_sums(p: np.ndarray, s: np.ndarray, q: np.ndarray, size=None):
 
     orders = np.broadcast_to(q[:, None], p.shape)
     core = _active_sums(lambda sel: p[sel] * q_log(p[sel] / s[sel], orders[sel]), active)
-    sum_p, sum_s = p.sum(axis=-1), s.sum(axis=-1)
+    sum_p, sum_s = _sums(p, s, "a_i**r and b_i**r")
     live = sum_p != 0.0
     lhs, rhs = np.zeros(len(q)), np.zeros(len(q))
     ql, sum_p, sum_s = q[live], sum_p[live], sum_s[live]
@@ -444,6 +471,7 @@ def _q_log_sums(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray, size
     return _q_sums(p, s, q, size)
 
 
+@_quietly
 def q_log_sum_gap(
     pair: SequencePair,
     q: float,

@@ -287,11 +287,7 @@ EVAL_FIXTURES = {
         "pair",
     ),
     "hermitize": ({"M": _m(_M)}, lambda: matfun.hermitize(_M), "M"),
-    "spectral_decompose": (
-        {"A": _m(_A), "solver": "jacobi"},
-        lambda: matfun.spectral_decompose(_A, "jacobi"),
-        "A",
-    ),
+    "spectral_decompose": ({"A": _m(_A)}, lambda: matfun.spectral_decompose(_A), "A"),
     "apply_function": (
         {"f": _SQRT, "A": _m(_A)},
         lambda: matfun.apply_function(power_fn(0.5), _A),
@@ -471,7 +467,7 @@ _WRONG_TYPED = {
     "pair": [5, {"a": [True, 2.0], "b": [1.0, 2.0]}],
     "interval": [5, [True, 2.0], [1, 2, 3], [1.0]],  # exactly two numbers
     **dict.fromkeys(("lambda_a", "lambda_b"), [5, ["1", "2"]]),
-    **dict.fromkeys(("h_kind", "solver", "lhs_form"), [5]),
+    **dict.fromkeys(("h_kind", "lhs_form"), [5]),
     **dict.fromkeys(("M", "A", "B", "U", "X", "contraction", "rho", "sigma"), _NOT_MATRICES),
     **dict.fromkeys(("A_part", "B_part", "A_whole", "B_whole"), _NOT_MATRICES),
     **dict.fromkeys(("A_family", "B_family", "X_family"), [5]),
@@ -487,6 +483,20 @@ def test_eval_wrong_typed_field_exits_two_naming_it(tmp_path, capsys, name):
         code, out, err = _eval(tmp_path, capsys, op, doc)
         assert (code, out) == (2, ""), value
         assert err.startswith(f"error: field {name!r} is malformed: "), value
+
+
+@pytest.mark.parametrize(
+    "op, field, value",
+    [("loewner_leq", "tolerance", 0.9), ("spectral_decompose", "solver", "jacobi")],
+)
+def test_eval_refuses_a_field_its_op_does_not_take(tmp_path, capsys, op, field, value):
+    # a misspelled optional field (tol is loewner_leq's) is refused, not dropped for a default
+    doc = {**EVAL_FIXTURES[op][0], field: value}
+    assert _eval(tmp_path, capsys, op, doc) == (
+        2,
+        "",
+        f"error: op {op!r} takes no field {field!r}\n",
+    )
 
 
 @pytest.mark.parametrize("points", [100_001, 10**400], ids=["100001", "10^400"])
@@ -512,13 +522,23 @@ def test_eval_grid_points_defaults_to_the_scalar_layers_constant():
     assert "DEFAULT_GRID_POINTS" not in Path(cli.__file__).read_text()
 
 
-# Inputs whose sums overflow: reverse_log_sum_gap's sum(a) (rhs = inf * 0), ratio_bounds'
-# ratios a_i / b_i, q_log's x^(1-q), q_log_product's product term and the division by
-# y^(1-q) of q_log_quotient and q_log_reciprocal.  A side, bound or value that is not finite
-# is a numeric failure, not a violation, and never a NaN or an infinity in eval's output,
-# which strict JSON cannot hold; the message names the verdict's sides, or else the op.
+# Inputs whose sums overflow: generalized_log_sum_gap's and q_log_sum_gap's sums, refused
+# before f sees them, reverse_log_sum_gap's sum(a) (rhs = inf * 0), ratio_bounds' ratios
+# a_i / b_i, q_log's x^(1-q), q_log_product's product term and the division by y^(1-q) of
+# q_log_quotient and q_log_reciprocal.  A sum, side, bound or value that is not finite is a
+# numeric failure, not a violation, and never a NaN or an infinity in eval's output, which
+# strict JSON cannot hold; the message names the sums or the verdict's sides, or else the op.
+# None warns first: under pytest's filterwarnings = error a warning would escape.
 _IDENTITY = {"family": "identity"}
 _OVERFLOWS = {
+    "generalized_log_sum_gap": (
+        {"f": _IDENTITY, "g": _IDENTITY, "pair": {"a": [1e308, 1e308], "b": [1.0, 1.0]}},
+        "the sums of g(a_i) and g(b_i) must be finite, got inf and 2.0",
+    ),
+    "q_log_sum_gap": (
+        {"pair": {"a": [1e308, 1e308], "b": [1.0, 1.0]}, "q": 0.5, "r": 1.0},
+        "the sums of a_i**r and b_i**r must be finite, got inf and 2.0",
+    ),
     "reverse_log_sum_gap": (
         {"f": _IDENTITY, "g": _IDENTITY, "pair": {"a": [1e308, 1e308], "b": [1.0, 1.0]}},
         "the verdict is not finite: lhs 1.9999999999999998, rhs nan, gap nan",
@@ -543,11 +563,6 @@ _OVERFLOWS = {
 }
 
 
-@pytest.mark.filterwarnings(
-    "ignore:overflow:RuntimeWarning",
-    "ignore:invalid:RuntimeWarning",
-    "ignore:divide by zero:RuntimeWarning",
-)
 @pytest.mark.parametrize("op", sorted(_OVERFLOWS))
 def test_eval_result_that_is_not_finite_exits_three(tmp_path, capsys, op):
     doc, message = _OVERFLOWS[op]

@@ -363,13 +363,27 @@ def test_search_takes_three_eigensolves_per_group_per_block(eigh_calls, lhs_form
     assert len(eigh_calls) == 3 * classes
 
 
+def _failing_blocks(cfg):
+    """The seeds of the failing trials of each block of a search's first pass, in trial order."""
+    failing = {ts for _, ts, _ in harness._run(cfg, harness._perspective_sum_verdicts)[2]}
+    seeds, block = [cfg.seed + index for index in range(cfg.trials)], harness._block(cfg)
+    blocks = [seeds[first : first + block] for first in range(0, cfg.trials, block)]
+    return [[ts for ts in trial_seeds if ts in failing] for trial_seeds in blocks]
+
+
+def _failing_classes_and_groups(cfg, failing):
+    """The (size class, n-group) counts of the failing trials, blocks failing, block by block."""
+    counts = [_classes_and_groups(harness._perspective_sum_verdicts, cfg, f) for f in failing]
+    return tuple(map(sum, zip(*counts)))
+
+
 @pytest.mark.parametrize("trials", [500, 50])  # 50: the search_sum_fb benchmark's call
-def test_search_recheck_takes_one_jacobi_call_per_class_per_chunk(monkeypatch, trials):
+def test_search_recheck_takes_one_jacobi_call_per_class_per_block(monkeypatch, trials):
     cfg = _search_config("sum_fb", trials)
-    _, _, failures = harness._run(cfg, harness._perspective_sum_verdicts)
-    seeds = [ts for _, ts, _ in failures]
-    classes, groups = _classes_and_groups(harness._perspective_sum_verdicts, cfg, seeds)
-    assert failures and classes < groups
+    failing = _failing_blocks(cfg)
+    classes, groups = _failing_classes_and_groups(cfg, failing)
+    assert all(failing) and len(failing) == (2 if trials == 500 else 1)
+    assert classes < groups
     jacobi_calls = []
     real = matfun.jacobi_eigh
 
@@ -379,10 +393,10 @@ def test_search_recheck_takes_one_jacobi_call_per_class_per_chunk(monkeypatch, t
 
     monkeypatch.setattr(matfun, "jacobi_eigh", counting)
     counterexample_search(cfg)
-    # one decomposition of the kept residuals, a stack over the size class, each candidate's
+    # one decomposition of a block's failing residuals per size class, each candidate's
     # residual once, padded to its class
     assert len(jacobi_calls) == classes
-    assert sum(shape[0] for shape in jacobi_calls) == len(failures)
+    assert [shape[0] for shape in jacobi_calls] == list(map(len, failing))
     assert all(shape[1:] == (3, 3) for shape in jacobi_calls)
 
 
@@ -495,13 +509,13 @@ def test_search_recheck_runs_the_jacobi_solver(monkeypatch):
 
 
 def test_the_confirmation_decomposes_the_first_pass_residuals_without_forming_them(monkeypatch):
-    # the candidates keep their first-pass residuals: outside the first pass's judging, the
-    # search runs no qr, no build, no kernel and no eigh, and takes one Jacobi stack per size
-    # class of each chunk
+    # the candidates are confirmed from their first-pass residuals: outside the first pass's
+    # judging, the search runs no qr, no build, no kernel and no eigh, and takes one Jacobi
+    # stack per size class of each block's failing trials
     cfg = _search_config("sum_fb", 300)
-    candidates = [ts for _, ts, _ in harness._run(cfg, harness._perspective_sum_verdicts)[2]]
     stacked = harness._perspective_sum_verdicts
-    classes, _ = _classes_and_groups(stacked, cfg, candidates, harness._block(cfg))
+    classes, _ = _failing_classes_and_groups(cfg, _failing_blocks(cfg))
+    assert classes == 2  # two blocks, each with candidates of one size class
     names = ("qr", "eigh", "_families", "_sum_build", "_perspective_sums", "jacobi_eigh")
     judging, calls = [False], dict.fromkeys(names, 0)
 
@@ -538,28 +552,42 @@ def test_the_confirmation_decomposes_the_first_pass_residuals_without_forming_th
 
 
 def test_a_kept_candidate_shares_no_memory_with_its_blocks_stacks(monkeypatch):
-    # a candidate's residual is its row of its class's residual stack, cut to its own size,
-    # from a copy of the class's failing rows: a chunk holds no stack of the blocks its
-    # candidates came from
-    stacks, kept = [], []
-    real = harness._verdicts
+    # each block's confirmation judges exactly that block's failing trials, in trial order,
+    # each as its own n x n block of its class's residual stack; the Jacobi solver decomposes
+    # copies of those blocks, no stack a block formed, so no candidate outlives its block
+    calls, stacks, solved = [], [], []
+    real, real_jacobi = harness._verdicts, matfun.jacobi_eigh
 
     def recording(draws, seeds, config, suite, *residuals):
         gaps, holds = real(draws, seeds, config, suite, *residuals)
         if suite is harness._rechecks:
-            kept.extend(draws)
+            calls.append((list(seeds), draws))
         else:
-            stacks.extend(R for _, R in residuals[0])
+            (kept,) = residuals
+            failing = [ts for ts, ok in zip(seeds, holds) if not ok]
+            calls.append((failing, {seeds[k]: R[t] for ks, R in kept for t, k in enumerate(ks)}))
+            stacks.extend(R for _, R in kept)
         return gaps, holds
 
+    def solving(H):
+        solved.append(H)
+        return real_jacobi(H)
+
     monkeypatch.setattr(harness, "_verdicts", recording)
-    assert counterexample_search(_search_config("sum_fb", 300)).findings
-    assert kept and stacks
-    assert any(draw.n < 3 for draw in kept)  # some candidates are cut from a padded row
-    for draw in kept:
-        (R,) = draw.values
-        assert R.shape == (draw.n, draw.n)
-        assert not any(np.shares_memory(R, stack) for stack in stacks)
+    monkeypatch.setattr(matfun, "jacobi_eigh", solving)
+    cfg = _search_config("sum_fb", 300)
+    assert counterexample_search(cfg).findings
+    assert len(calls) == 4  # two blocks, each judged, then confirmed
+    cut = []
+    for (failing, residuals), (seeds, kept) in zip(calls[0::2], calls[1::2]):
+        assert failing and seeds == failing
+        for ts, draw in zip(seeds, kept):
+            (R,) = draw.values
+            assert R.shape == (draw.n, draw.n)
+            assert (R == residuals[ts][: draw.n, : draw.n]).all()
+            cut.append(draw.n < residuals[ts].shape[-1])
+    assert any(cut)  # some candidates are cut from a padded row
+    assert solved and not any(np.shares_memory(H, R) for H in solved for R in stacks)
 
 
 def test_a_refused_recheck_is_named_by_its_seed(monkeypatch):
@@ -592,12 +620,11 @@ def test_a_refused_recheck_is_named_by_its_seed(monkeypatch):
 
 @pytest.mark.parametrize("trials, n", [(2000, 3), (300, 10)])  # n=10: above the pad cap
 def test_each_finding_is_rechecked_as_its_trial_judged_alone(trials, n):
-    # across chunks and above the pad cap, each finding's recheck is its trial drawn, built and
+    # across blocks and above the pad cap, each finding's recheck is its trial drawn, built and
     # judged alone through the Jacobi solver, bit for bit
     cfg = replace(_search_config("sum_fb", trials), n=n)
-    candidates = len(harness._run(cfg, harness._perspective_sum_verdicts)[2])
     if n == 3:
-        assert candidates > 2 * harness._block(cfg)  # at least 3 chunks
+        assert sum(map(bool, _failing_blocks(cfg))) >= 3  # at least 3 blocks with candidates
     rep = counterexample_search(cfg)
     assert rep.findings
     recheck = replace(cfg, tolerance=harness.RECHECK_ABS_TOL)
@@ -1003,12 +1030,11 @@ _CLASS_CALLS = {
 }
 
 
-def _classes_and_groups(stacked, config, seeds, chunk=None):
+def _classes_and_groups(stacked, config, seeds):
     """The (size class, n-group) counts of the evaluated draws of seeds, block by block."""
-    chunk = chunk or harness._BLOCK
     classes = groups = 0
-    for first in range(0, len(seeds), chunk):
-        draws = stacked.draws(seeds[first : first + chunk], config)
+    for first in range(0, len(seeds), harness._BLOCK):
+        draws = stacked.draws(seeds[first : first + harness._BLOCK], config)
         sizes = _evaluated_sizes(draws)
         classes += len({harness._size_class(n, config) for n in sizes})
         groups += len(sizes)
@@ -1074,17 +1100,33 @@ def test_pad_embeds_each_built_matrix_in_an_identity():
 @pytest.mark.parametrize("suite", ["perspective_sum", "search", *LOEWNER_SUITES])
 def test_every_eigensolve_of_a_padded_judge_takes_the_own_sizes(monkeypatch, suite):
     # so that each one orders its eigenpairs own-first and checks the sides of the pad
-    calls = []
-    real = loewner._decompose
+    calls, building = [], [False]
+    real, ordered = loewner._decompose, harness._ordered
 
-    def recording(H, solver="eigh", size=None):
-        calls.append((H.shape, size))
-        return real(H, solver, size)
+    def recording(H, size=None):
+        if not building[0]:
+            calls.append((H.shape, size))
+        return real(H, size)
+
+    def ordering(w, U, size=None):
+        calls.append((U.shape, size))
+        return ordered(w, U, size)
 
     monkeypatch.setattr(loewner, "_decompose", recording)
-    if suite in ("perspective_sum", "search"):  # its residuals, and the recheck's
-        monkeypatch.setattr(harness, "_decompose", recording)
-    if suite == "search":
+    monkeypatch.setattr(harness, "_decompose", recording)  # the judge's, of the residuals
+    if suite in SUITES:  # a build runs at its own n, unpadded: only operator_shannon's decomposes
+        stacked = SUITES[suite]
+
+        def build(*args):
+            building[0] = True
+            try:
+                return stacked.build(*args)
+            finally:
+                building[0] = False
+
+        monkeypatch.setitem(SUITES, suite, stacked._replace(build=build))
+    if suite == "search":  # and the recheck's, of the Jacobi eigenpairs
+        monkeypatch.setattr(harness, "_ordered", ordering)
         rep = counterexample_search(_search_config("sum_fb", 60))
         assert rep.findings
     else:

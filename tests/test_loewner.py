@@ -32,6 +32,7 @@ from logsumineq.generators import (
     rand_square,
     rand_unitary,
 )
+from logsumineq.harness import SUITES, TrialConfig
 from logsumineq.loewner import (
     _mean_monotonicity,
     _operator_shannon,
@@ -567,16 +568,28 @@ def test_mean_kernels_decompose_b_and_the_arguments_not_a(eigh_calls):
     K, T = sum(m), len(m)
     As = np.array([rand_pd(rng, n, (0.5, 2.0)) for _ in range(K)])
     Bs = np.array([rand_pd(rng, n, (0.5, 2.0)) for _ in range(K)])
+    part, whole = As[:T], As[:T] + np.eye(n)
     eigh_calls.clear()
-    _pooled_mean(SQRT, As, Bs, m)  # [B_i, B]; the arguments; the f-sum; the residual
-    assert eigh_calls == [(K + T, n, n), (K + T, n, n), (T, n, n), (T, n, n)]
+    _pooled_mean(SQRT, As, Bs, m)  # [B_i, B]; the arguments; the f-sum
+    pooled = [(K + T, n, n), (K + T, n, n), (T, n, n)]
+    assert eigh_calls == pooled
     eigh_calls.clear()
-    _split_mean(SQRT, As, Bs, m)  # [A_i, B_i, B]; the arguments; the residual
-    assert eigh_calls == [(2 * K + T, n, n), (K + T, n, n), (T, n, n)]
-    part = As[:T]
-    eigh_calls.clear()  # the order gaps beside B_whole and B_part; the arguments; the residual
-    _mean_monotonicity(SQRT, part, part, part + np.eye(n), part + np.eye(n), 1e-9)
-    assert eigh_calls == [(T, 4, n, n), (T, 2, n, n), (T, n, n)]
+    _split_mean(SQRT, As, Bs, m)  # [A_i, B_i, B]; the arguments
+    split = [(2 * K + T, n, n), (K + T, n, n)]
+    assert eigh_calls == split
+    eigh_calls.clear()  # the order gaps beside B_whole and B_part; the arguments
+    _mean_monotonicity(SQRT, part, part, whole, whole, 1e-9)
+    monotonicity = [(T, 4, n, n), (T, 2, n, n)]
+    assert eigh_calls == monotonicity
+    # each kernel returns its residuals, and its suite's judge decomposes them: one more call
+    for suite, built, calls in [
+        ("pooled_mean", (np.array(m), As, Bs), pooled),
+        ("split_mean", (np.array(m), As, Bs), split),
+        ("mean_monotonicity", (part, part, whole, whole), monotonicity),
+    ]:
+        eigh_calls.clear()
+        SUITES[suite].judge(TrialConfig(suite=suite, n=n), np.full(T, n), *built)
+        assert eigh_calls == [*calls, (T, n, n)], suite
 
 
 @pytest.mark.parametrize("lhs_form", ["perspective_sum", "sum_fb"])

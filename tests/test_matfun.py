@@ -20,10 +20,10 @@ from logsumineq.errors import (
 from logsumineq.functions import exp_fn, identity_fn, log_fn, power_fn
 from logsumineq.generators import rand_contractive_pd, rand_expansive, rand_pd, rand_unitary
 from logsumineq.matfun import (
-    SOLVERS,
     _decompose,
     _gap_scale,
     _herm,
+    _ordered,
     _Segments,
     _verdict,
     apply_function,
@@ -67,11 +67,6 @@ def test_spectral_rejects_nonhermitian():
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionError):
         spectral_decompose(np.ones((2, 3)))
-
-
-def test_unknown_solver():
-    with pytest.raises(DomainError):
-        spectral_decompose(np.eye(2), solver="lanczos")
 
 
 # -- Jacobi second-opinion solver --------------------------------------------------
@@ -435,10 +430,11 @@ def test_stacked_decomposition_is_bitwise_one_matrix_at_a_time(n):
         assert _same_bits(stacked.map(log_fn()).eigenvalues[index], one.map(log_fn()).eigenvalues)
         assert _same_bits(_herm(H)[index], _herm(H[index]))
     # the stacked PSD rule judges each residual as its one-residual verdict does
-    gap, scale = _gap_scale(stacked.eigenvalues - 1.0)
+    R = _herm(H - np.eye(n))
+    gap, scale = _gap_scale(_decompose(R).eigenvalues)
     holds = _holds(gap, scale, 1e-9)
     for index in np.ndindex(H.shape[:2]):
-        one = _verdict(stacked.eigenvalues[index] - 1.0, 1e-9)
+        one = _verdict(R[index][None], 1e-9)
         assert gap[index] == one.residual_min_eigenvalue
         assert scale[index] == max(1.0, one.residual_norm)
         assert holds[index] == one.holds
@@ -588,7 +584,7 @@ def test_stacked_jacobi_loops_over_the_leading_axes():
         # a rank-2 leading shape, each member among other neighbours
         grid = np.array([H[::-1], H])
         w, V = jacobi_eigh(grid)
-        stacked = _decompose(grid, "jacobi")
+        stacked = _ordered(*jacobi_eigh(grid))
         for index in np.ndindex(grid.shape[:2]):
             w1, V1 = jacobi_eigh(grid[index])
             assert _same_bits(w[index], w1), (n, index)
@@ -690,8 +686,15 @@ def _padded_draws(rng, n, N):
 _PAD_SOLVE_K = 64
 
 
+# a padded stack's decomposition through each eigensolver: LAPACK's, and the confirmation's
+_PADDED_SOLVES = {
+    "eigh": _decompose,
+    "jacobi": lambda P, size: _ordered(*jacobi_eigh(P), size),
+}
+
+
 @pytest.mark.parametrize("N, sizes", [(8, range(1, 8)), (3, (1, 2))])
-@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("solver", sorted(_PADDED_SOLVES))
 def test_a_padded_eigensolve_keeps_each_eigenvector_on_one_side(N, sizes, solver):
     # what the padded judge relies on: each eigenvector of A ⊕ cI lies wholly on the own rows or
     # wholly on the pad rows, with an identity pad and with c tied to one of A's eigenvalues, and
@@ -699,7 +702,7 @@ def test_a_padded_eigensolve_keeps_each_eigenvector_on_one_side(N, sizes, solver
     rng = np.random.default_rng(29)
     for n in sizes:
         As, P, w = _padded_draws(rng, n, N)
-        dec = _decompose(P, solver, size=np.full(len(As), n))  # refuses a crossing eigenvector
+        dec = _PADDED_SOLVES[solver](P, size=np.full(len(As), n))  # refuses a crossing eigenvector
         U, x = dec.unitary[:, :n, :n], dec.eigenvalues[:, :n]
         assert not dec.unitary[:, n:, :n].any() and not dec.unitary[:, :n, n:].any()
         bound = _PAD_SOLVE_K * n * np.finfo(float).eps * np.maximum(1.0, abs(w).max(axis=-1))

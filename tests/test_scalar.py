@@ -72,11 +72,31 @@ def test_ratio_bounds_requires_positive_gb():
         ratio_bounds(identity_fn(), pair_of([1.0], [0.0]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_ratio_bounds_refuses_a_bound_that_is_not_finite():
     # 1e308 / 1e-308 overflows: a library caller is refused, as eval's output is
     with pytest.raises(NumericError, match=r"^ratio_bounds gave a result that is not finite$"):
         ratio_bounds(identity_fn(), pair_of([1e308, 1e308], [1e-308, 1e-308]))
+
+
+@pytest.mark.parametrize(
+    "gap, message",
+    [
+        (
+            lambda pair: generalized_log_sum_gap(identity_fn(), identity_fn(), pair),
+            r"^the sums of g\(a_i\) and g\(b_i\) must be finite, got inf and 2\.0$",
+        ),
+        (
+            lambda pair: q_log_sum_gap(pair, 0.5, 1.0),
+            r"^the sums of a_i\*\*r and b_i\*\*r must be finite, got inf and 2\.0$",
+        ),
+    ],
+    ids=["generalized_log_sum_gap", "q_log_sum_gap"],
+)
+def test_a_sum_that_overflows_is_refused_before_f_sees_it(gap, message):
+    # every input lies in the domain, so the sum's overflow is a numeric failure, not a
+    # DomainError of f at an infinite argument, and it does not warn first
+    with pytest.raises(NumericError, match=message):
+        gap(pair_of([1e308, 1e308], [1.0, 1.0]))
 
 
 @settings(max_examples=200)
